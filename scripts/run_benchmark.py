@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Reproduce the accuracy/stability comparison on the reference ISM scenario.
 
-Runs the full method matrix (ML/MVU with ideal, Fisher and rank-order-filter
-separation, plus AIC, CBE and MMSE) over seeded white-noise realizations of
-the four-subband scenario with the third subband fully occupied at 0 dB, and
-writes the per-frame series plus an aggregated report.
+A thin front end to ``noisebench run`` on ``configs/ism_benchmark.json``
+(four equal subbands, third one fully occupied over 1 mW noise) with the
+full method matrix: ML/MVU with ideal, Fisher and rank-order-filter
+separation, plus AIC, CBE and MMSE.  The flags below become config
+overrides; the per-frame series and the aggregated report are written to
+``--out``.
 
 Usage:
     python scripts/run_benchmark.py [--seeds 0,1,...,19] [--out results/]
@@ -14,68 +16,31 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from noisebench import (
-    MethodSpec,
-    NoiseSource,
-    ScenarioConfig,
-    SubbandSignal,
-    run_benchmark,
-    write_report_csv,
-    write_series_csv,
-)
+from noisebench.cli import main as cli_main
 
-METHODS = [
-    MethodSpec("ML", "ideal"),
-    MethodSpec("ML", "fisher"),
-    MethodSpec("ML", "rof"),
-    MethodSpec("MVU", "ideal"),
-    MethodSpec("MVU", "fisher"),
-    MethodSpec("MVU", "rof"),
-    MethodSpec("AIC"),
-    MethodSpec("CBE"),
-    MethodSpec("MMSE"),
-]
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
 
-def parse_args() -> argparse.Namespace:
-    parser = argparse.ArgumentParser(description=__doc__)
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seeds", default=",".join(str(s) for s in range(20)))
     parser.add_argument("--out", default="results")
     parser.add_argument("--snr-db", type=float, default=0.0)
     parser.add_argument("--noise", default="white-gaussian",
                         choices=("white-gaussian", "surrogate-industrial"))
     parser.add_argument("--n-frames", type=int, default=250)
-    parser.add_argument("--workers", type=int, default=None)
-    return parser.parse_args()
-
-
-def main() -> None:
-    args = parse_args()
-    config = ScenarioConfig(
-        n_bins=512,
-        n_frames=args.n_frames,
-        noise=NoiseSource(kind=args.noise, seed=0),
-        reference_noise_power_mw=1.0,
-        signals=(SubbandSignal(subband_index=2, occupancy_fraction=1.0,
-                               target_snr_db=args.snr_db),),
-        name=f"ism-{args.noise}-{args.snr_db:g}dB",
-    )
-    seeds = [int(s) for s in args.seeds.split(",")]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    series, reports = run_benchmark(config, METHODS, seeds, max_workers=args.workers)
-    write_series_csv(out / "series.csv", series)
-    write_report_csv(out / "report.csv", reports)
-
-    print(f"{'method':<14} {'rmse_db':>8} {'std_db':>8} {'bias_db':>8}")
-    for r in sorted(reports, key=lambda r: r.rmse_db):
-        label = f"{r.method}({r.separation})" if r.separation != "none" else r.method
-        print(f"{label:<14} {r.rmse_db:8.3f} {r.std_dev_db:8.3f} {r.mean_bias_db:+8.3f}")
-    print(f"\nwrote {out / 'series.csv'} and {out / 'report.csv'}")
+    args = parser.parse_args()
+    return cli_main([
+        "run", "--config", str(CONFIG), "--out", args.out, "--seeds", args.seeds,
+        "--override", f"name=ism-{args.noise}-{args.snr_db:g}dB",
+        "--override", f"n_frames={args.n_frames}",
+        "--override", f"noise.kind={args.noise}",
+        "--override", f"signals.0.target_snr_db={args.snr_db}",
+    ])
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

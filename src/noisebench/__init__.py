@@ -26,11 +26,14 @@ from .estimators import (
     NoisePowerEstimate,
     aic_estimate,
     cbe_estimate,
+    cbe_fit,
     covariance_eigenvalues,
+    covariance_spectrum,
     ml_estimate,
     mmse_estimate,
     mp_cdf,
     mvu_estimate,
+    sample_covariance,
     snr_from_powers,
 )
 from .opcount import OpCounter, OpCounts

@@ -15,7 +15,6 @@ erosion bandwidth search at low SNR).
 
 from __future__ import annotations
 
-import concurrent.futures
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,7 +26,9 @@ from . import estimators as est
 from . import separation as sep
 from .opcount import OpCounter, OpCounts
 from .scenario import GroundTruth, ScenarioConfig, build_scenario, with_seed
-from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, dft, power_spectrum
+from .spectral import (
+    PowerSpectrum, ResourceBlock, SpectralFrame, dft, power_matrix, power_spectrum,
+)
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
@@ -135,18 +136,26 @@ def std_dev_db(series: EstimateSeries) -> float:
     return sample_std(finite)
 
 
-class _MaskProvider:
-    """Per-seed cache of separation masks over one scenario's power matrix."""
+def _rof_params(method: MethodSpec) -> sep.RofParams:
+    return sep.RofParams(
+        lambda1_pct=method.params.get("lambda1_pct", 5.0),
+        lambda2_fraction=method.params.get("lambda2_fraction", 0.05),
+    )
 
-    def __init__(self, power: np.ndarray, truth: GroundTruth, params: dict[str, Any]):
+
+class _MaskProvider:
+    """Per-seed cache of separation masks over one scenario's power matrix.
+
+    Ideal and Fisher masks are cached per frame; ROF masks per trailing
+    window and threshold set, so every method with the same ROF parameters
+    reuses one computation per window.
+    """
+
+    def __init__(self, power: np.ndarray, truth: GroundTruth):
         self.power = power
         self.truth = truth
-        self.rof_params = sep.RofParams(
-            lambda1_pct=params.get("lambda1_pct", 5.0),
-            lambda2_fraction=params.get("lambda2_fraction", 0.05),
-        )
         self._frame_cache: dict[tuple[str, int], sep.SeparationMask] = {}
-        self._window_cache: dict[tuple[int, int], sep.SeparationMask] = {}
+        self._window_cache: dict[tuple[int, int, sep.RofParams], sep.SeparationMask] = {}
 
     def frame_mask(self, kind: str, frame: int) -> sep.SeparationMask:
         key = (kind, frame)
@@ -160,17 +169,37 @@ class _MaskProvider:
             self._frame_cache[key] = mask
         return self._frame_cache[key]
 
-    def rof_window_mask(self, lo: int, hi: int) -> sep.SeparationMask:
-        key = (lo, hi)
+    def rof_window_mask(self, lo: int, hi: int, params: sep.RofParams) -> sep.SeparationMask:
+        key = (lo, hi, params)
         if key not in self._window_cache:
             averaged = PowerSpectrum(self.power[lo:hi].mean(axis=0), hi - 1)
-            self._window_cache[key] = sep.rof_separate(averaged, self.rof_params)
+            self._window_cache[key] = sep.rof_separate(averaged, params)
         return self._window_cache[key]
 
-    def window_masks(self, kind: str, lo: int, hi: int) -> list[sep.SeparationMask]:
+    def window_masks(self, kind: str, lo: int, hi: int,
+                     params: sep.RofParams) -> list[sep.SeparationMask]:
         if kind == "rof":
-            return [self.rof_window_mask(lo, hi)] * (hi - lo)
+            return [self.rof_window_mask(lo, hi, params)] * (hi - lo)
         return [self.frame_mask(kind, f) for f in range(lo, hi)]
+
+
+class _SeedContext:
+    """One seeded scenario and the quantities every method evaluated on it shares."""
+
+    def __init__(self, config: ScenarioConfig, seed: int):
+        self.block, self.truth = build_scenario(with_seed(config, seed))
+        self.power = power_matrix(self.block)
+        self.frame_mean = self.power.mean(axis=1)
+        self.spectra = [PowerSpectrum(p, f) for f, p in enumerate(self.power)]
+        self.masks = _MaskProvider(self.power, self.truth)
+        self._gram: np.ndarray | None = None
+
+    @property
+    def gram(self) -> np.ndarray:
+        """G = X X^H / N^2 over all frames; a window's covariance is G[lo:hi, lo:hi]."""
+        if self._gram is None:
+            self._gram = est.sample_covariance(self.block)
+        return self._gram
 
 
 def _window_block(block: ResourceBlock, lo: int, hi: int) -> ResourceBlock:
@@ -181,31 +210,31 @@ def _window_block(block: ResourceBlock, lo: int, hi: int) -> ResourceBlock:
 
 
 def _occupancy(method: MethodSpec, truth: GroundTruth, frame: int,
-               window_pg: PowerSpectrum, window_len: int) -> float:
+               window_power: np.ndarray) -> float:
     explicit = method.params.get("occupied_fraction")
     if explicit is not None:
         return float(explicit)
     if method.params.get("occupancy_from") == "aic":
-        n_min = est.aic_estimate(window_pg, window_len).diagnostics["n_min"]
+        window_pg = PowerSpectrum(window_power.mean(axis=0), frame)
+        n_min = est.aic_estimate(window_pg, len(window_power)).diagnostics["n_min"]
         return n_min / window_pg.n_bins
     return truth.occupied_fraction(frame)
 
 
-def _evaluate_method(method: MethodSpec, block: ResourceBlock, truth: GroundTruth,
-                     power: np.ndarray, scenario_id: str, seed: int) -> EstimateSeries:
-    n_frames, _ = power.shape
+def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
+                     seed: int) -> EstimateSeries:
+    power, truth, masks, spectra = ctx.power, ctx.truth, ctx.masks, ctx.spectra
+    n_frames, n_bins = power.shape
     window = int(method.params.get("window_frames", min(n_frames, DEFAULT_WINDOW_FRAMES)))
     window = max(1, min(window, n_frames))
-    masks = _MaskProvider(power, truth, method.params)
-    frame_mean = power.mean(axis=1)
-    spectra = [PowerSpectrum(power[f], f) for f in range(n_frames)]
+    rof = _rof_params(method)
 
     frames: list[int] = []
     values: list[float] = []
     if method.estimator == "ML":
         for f in range(n_frames):
             if method.separation == "rof":
-                mask = masks.rof_window_mask(max(0, f - window + 1), f + 1)
+                mask = masks.rof_window_mask(max(0, f - window + 1), f + 1, rof)
             else:
                 mask = masks.frame_mask(method.separation, f)
             ml = est.ml_estimate(spectra[f], mask)
@@ -215,21 +244,20 @@ def _evaluate_method(method: MethodSpec, block: ResourceBlock, truth: GroundTrut
         for f in range(window - 1, n_frames):
             lo, hi = f - window + 1, f + 1
             if method.estimator == "MVU":
-                window_masks = masks.window_masks(method.separation, lo, hi)
+                window_masks = masks.window_masks(method.separation, lo, hi, rof)
                 value = est.mvu_estimate(spectra[lo:hi], window_masks).value_mw
             elif method.estimator == "AIC":
                 pg = PowerSpectrum(power[lo:hi].mean(axis=0), f)
                 value = est.aic_estimate(pg, hi - lo).value_mw
             elif method.estimator == "CBE":
-                pg = PowerSpectrum(power[lo:hi].mean(axis=0), f)
-                fraction = _occupancy(method, truth, f, pg, hi - lo)
-                value = est.cbe_estimate(
-                    _window_block(block, lo, hi), fraction,
+                fraction = _occupancy(method, truth, f, power[lo:hi])
+                value = est.cbe_fit(
+                    ctx.gram[lo:hi, lo:hi], n_bins, fraction,
                     grid_size=int(method.params.get("grid_size", 100)),
                 ).value_mw
             else:  # MMSE
                 value = est.mmse_estimate(
-                    _window_block(block, lo, hi), blind=bool(method.params.get("blind", True))
+                    _window_block(ctx.block, lo, hi), blind=bool(method.params.get("blind", True))
                 ).value_mw
             frames.append(f)
             values.append(value)
@@ -237,7 +265,7 @@ def _evaluate_method(method: MethodSpec, block: ResourceBlock, truth: GroundTrut
     frames_arr = np.asarray(frames, dtype=np.int64)
     values_arr = np.asarray(values, dtype=np.float64)
     snr = np.array([
-        est.snr_from_powers(frame_mean[f], v)[1] for f, v in zip(frames_arr, values_arr)
+        est.snr_from_powers(ctx.frame_mean[f], v)[1] for f, v in zip(frames_arr, values_arr)
     ])
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
@@ -250,41 +278,35 @@ def _evaluate_method(method: MethodSpec, block: ResourceBlock, truth: GroundTrut
     )
 
 
-def _run_one_seed(config: ScenarioConfig, methods: list[MethodSpec],
-                  seed: int) -> tuple[list[EstimateSeries], GroundTruth]:
-    block, truth = build_scenario(with_seed(config, seed))
-    power = np.stack([power_spectrum(fr).power for fr in block.frames])
-    series = [
-        _evaluate_method(m, block, truth, power, config.name, seed) for m in methods
-    ]
-    return series, truth
-
-
-def run_scenario(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int],
-                 max_workers: int | None = 1) -> list[EstimateSeries]:
-    """Evaluate every method over every seeded realization of the scenario.
-
-    Results are ordered by (seed, method) position regardless of worker
-    count, so identical inputs produce identical output.
-    """
+def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec],
+               seeds: list[int]) -> tuple[list[EstimateSeries], dict[int, GroundTruth]]:
     if not methods:
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
-    if max_workers is not None and max_workers <= 1:
-        runs = [_run_one_seed(config, methods, s) for s in seeds]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(_run_one_seed, config, methods, s) for s in seeds]
-            runs = [f.result() for f in futures]
     out: list[EstimateSeries] = []
-    for series, _ in runs:
-        out.extend(series)
-    return out
+    truths: dict[int, GroundTruth] = {}
+    for seed in seeds:
+        ctx = _SeedContext(config, seed)
+        out.extend(_evaluate_method(m, ctx, config.name, seed) for m in methods)
+        truths[seed] = ctx.truth
+    return out, truths
+
+
+def run_scenario(config: ScenarioConfig, methods: list[MethodSpec],
+                 seeds: list[int]) -> list[EstimateSeries]:
+    """Evaluate every method over every seeded realization of the scenario.
+
+    Seeds run one after another and results are ordered by (seed, method)
+    position.  Threads do not pay here: the per-seed work is many small
+    numpy calls that hold the interpreter lock, and a seed pool ran the
+    reference matrix slower than a serial loop on a two-core machine.
+    """
+    return _run_seeds(config, methods, seeds)[0]
 
 
 def ground_truths(config: ScenarioConfig, seeds: list[int]) -> dict[int, GroundTruth]:
-    """Analytic ground truth per seed (cheap; noise realization is not needed)."""
+    """Ground truth per seed; builds each seeded scenario in full."""
     return {s: build_scenario(with_seed(config, s))[1] for s in seeds}
 
 
@@ -295,15 +317,15 @@ def _metric_or_nan(metric, *args) -> float:
         return float("nan")
 
 
-def build_reports(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int],
-                  series: list[EstimateSeries],
+def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
+                  series: list[EstimateSeries], truths: dict[int, GroundTruth],
                   wall_times_ms: dict[str, float] | None = None) -> list[BenchmarkReport]:
     """Per-method aggregation: seed-averaged RMSE/stability plus operation counts.
 
-    wall_times_ms is opt-in; by default the column is written as 0.0 so that
-    identical runs emit byte-identical reports.
+    truths maps every seed in series to its ground truth.  wall_times_ms is
+    opt-in; by default the column is written as 0.0 so that identical runs
+    emit byte-identical reports.
     """
-    truths = ground_truths(config, seeds)
     reports = []
     for method in methods:
         own = [s for s in series
@@ -334,19 +356,19 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 
 
 def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int],
-                  max_workers: int | None = 1,
                   timing: bool = False) -> tuple[list[EstimateSeries], list[BenchmarkReport]]:
     """Full pass: series for every (method, seed) plus aggregated reports."""
     wall: dict[str, float] = {}
     if timing:
-        series = []
+        series, truths = [], {}
         for method in methods:
             start = time.perf_counter()
-            series.extend(run_scenario(config, [method], seeds, max_workers=max_workers))
+            own, truths = _run_seeds(config, [method], seeds)
             wall[method.label] = 1e3 * (time.perf_counter() - start)
+            series.extend(own)
     else:
-        series = run_scenario(config, methods, seeds, max_workers=max_workers)
-    reports = build_reports(config, methods, seeds, series, wall_times_ms=wall or None)
+        series, truths = _run_seeds(config, methods, seeds)
+    reports = build_reports(config, methods, series, truths, wall_times_ms=wall or None)
     return series, reports
 
 

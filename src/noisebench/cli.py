@@ -6,15 +6,13 @@ diagnostics behind the separation), estimate (one block-level estimate),
 ops (operation-count sweep), convert (raw float32 IQ <-> CSV).
 
 Exit codes: 0 success, 2 usage or configuration error, 3 degenerate data,
-1 internal error.  The NOISEBENCH_THREADS environment variable caps worker
-threads for multi-seed runs; unset means one worker per CPU.
+1 internal error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -56,17 +54,23 @@ _CONFIG_KEYS_HELP = (
 )
 
 
-def _max_workers() -> int | None:
-    raw = os.environ.get("NOISEBENCH_THREADS")
-    if raw is None:
-        return os.cpu_count()
-    workers = int(raw)
-    if workers < 1:
-        raise ValueError("NOISEBENCH_THREADS must be a positive integer")
-    return workers
+def _override_child(node, part: str, keypath: str):
+    """The entry ``part`` names inside ``node``: a mapping key or a list index."""
+    if isinstance(node, dict):
+        return part
+    if isinstance(node, list):
+        if not part.isdigit():
+            raise ValueError(f"override path {keypath!r}: {part!r} is not a list index")
+        index = int(part)
+        if index >= len(node):
+            raise ValueError(f"override path {keypath!r}: index {index} out of range "
+                             f"(list has {len(node)} entries)")
+        return index
+    raise ValueError(f"override path {keypath!r} crosses a non-container entry")
 
 
 def _apply_override(data: dict, spec: str) -> None:
+    """Set one config entry from ``dotted.path=value``; numeric parts index lists."""
     if "=" not in spec:
         raise ValueError(f"override {spec!r} is not of the form key=value")
     keypath, raw = spec.split("=", 1)
@@ -77,10 +81,9 @@ def _apply_override(data: dict, spec: str) -> None:
     node = data
     parts = keypath.split(".")
     for part in parts[:-1]:
-        node = node.setdefault(part, {})
-        if not isinstance(node, dict):
-            raise ValueError(f"override path {keypath!r} crosses a non-mapping entry")
-    node[parts[-1]] = value
+        key = _override_child(node, part, keypath)
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
+    node[_override_child(node, parts[-1], keypath)] = value
 
 
 def _load_config(path: str, overrides: list[str]) -> ScenarioConfig:
@@ -127,9 +130,7 @@ def cmd_run(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.noise.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    series, reports = bench.run_benchmark(
-        config, methods, seeds, max_workers=_max_workers(), timing=args.timing
-    )
+    series, reports = bench.run_benchmark(config, methods, seeds, timing=args.timing)
     bench.write_series_csv(out / "series.csv", series)
     bench.write_report_csv(out / "report.csv", reports)
     print(f"wrote {out / 'series.csv'} and {out / 'report.csv'}")
@@ -168,9 +169,7 @@ def cmd_separate(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load_config(args.config, args.override)
     method = _parse_method(args.method)
-    series = bench.run_scenario(
-        config, [method], [config.noise.seed], max_workers=1
-    )[0]
+    series = bench.run_scenario(config, [method], [config.noise.seed])[0]
     print("method,separation,frame_index,noise_power_est_mw,snr_est_db")
     i = len(series) - 1
     print("%s,%s,%d,%.9g,%.9g" % (

@@ -201,26 +201,32 @@ def _aic_curve_naive(lam: np.ndarray, m: int, ops: OpCounter) -> np.ndarray:
     return aic
 
 
-def covariance_eigenvalues(block: ResourceBlock, ops: OpCounter | None = None) -> EigenSpectrum:
-    """Eigenvalues of the frame-by-frame sample covariance matrix.
+def sample_covariance(block: ResourceBlock, ops: OpCounter | None = None) -> np.ndarray:
+    """Frame-by-frame sample covariance C = (1/N) X X^H of a block.
 
-    Rows are the block's frames with bins scaled by 1/sqrt(N), so that
-    C = (1/N) X X^H has the configured noise power as its eigenvalue scale.
-    The complex (Hermitian) form is used: bin magnitudes have a non-zero mean
-    that would inject a spurious rank-one spike and push the bulk spectrum off
-    the Marchenko-Pastur support.
+    Rows of X are the block's frames with bins scaled by 1/sqrt(N), so that C
+    has the configured noise power as its eigenvalue scale.  The complex
+    (Hermitian) form is used: bin magnitudes have a non-zero mean that would
+    inject a spurious rank-one spike and push the bulk spectrum off the
+    Marchenko-Pastur support.
     """
     m, n = block.n_frames, block.n_bins
-    if m < 2:
-        raise ValueError("need at least 2 frames")
-    if n < m:
-        raise ValueError("need n_bins >= n_frames for an aspect ratio below 1")
     x = block.spectral_matrix() / np.sqrt(n)
     if ops is not None:
         with ops.stage("covariance-matmul"):
             ops.mul(m * m * n)
             ops.add(m * m * (n - 1))
-    cov = (x @ x.conj().T) / n
+    return (x @ x.conj().T) / n
+
+
+def covariance_spectrum(cov: np.ndarray, n_bins: int,
+                        ops: OpCounter | None = None) -> EigenSpectrum:
+    """Descending eigenvalues of an M x M sample covariance over N bins."""
+    m = cov.shape[0]
+    if m < 2:
+        raise ValueError("need at least 2 frames")
+    if n_bins < m:
+        raise ValueError("need n_bins >= n_frames for an aspect ratio below 1")
     cov = 0.5 * (cov + cov.conj().T)
     if ops is not None:
         with ops.stage("eigensolve"):
@@ -230,7 +236,12 @@ def covariance_eigenvalues(block: ResourceBlock, ops: OpCounter | None = None) -
         ev = np.linalg.eigvalsh(cov)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolver failed on the sample covariance: {exc}") from exc
-    return EigenSpectrum(eigenvalues=ev[::-1], n_frames=m, n_bins=n)
+    return EigenSpectrum(eigenvalues=ev[::-1], n_frames=m, n_bins=n_bins)
+
+
+def covariance_eigenvalues(block: ResourceBlock, ops: OpCounter | None = None) -> EigenSpectrum:
+    """Eigenvalues of the block's frame-by-frame sample covariance matrix."""
+    return covariance_spectrum(sample_covariance(block, ops=ops), block.n_bins, ops=ops)
 
 
 def _unit_mp_nodes(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +330,15 @@ def cbe_fit_range(eigen: EigenSpectrum, signal_count: int, grid_size: int) -> Mp
 
 def cbe_estimate(block: ResourceBlock, occupied_fraction: float, grid_size: int = 100,
                  ops: OpCounter | None = None) -> NoisePowerEstimate:
-    """Covariance-based estimate: best Marchenko-Pastur fit over a power grid.
+    """Covariance-based estimate of one block; see :func:`cbe_fit`."""
+    return cbe_fit(sample_covariance(block, ops=ops), block.n_bins, occupied_fraction,
+                   grid_size=grid_size, frame_index=block.frames[-1].frame_index, ops=ops)
+
+
+def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: int = 100,
+            frame_index: int | None = None,
+            ops: OpCounter | None = None) -> NoisePowerEstimate:
+    """Best Marchenko-Pastur fit over a power grid to a sample covariance's spectrum.
 
     The top S = round(M * occupied_fraction) eigenvalues are attributed to the
     signal; the remaining ones are compared, through their empirical CDF
@@ -331,31 +350,28 @@ def cbe_estimate(block: ResourceBlock, occupied_fraction: float, grid_size: int 
         raise ValueError("occupied_fraction must lie in [0, 1)")
     if grid_size < 2:
         raise ValueError("grid_size must be >= 2")
-    m, n = block.n_frames, block.n_bins
+    m = cov.shape[0]
     s = int(round(m * occupied_fraction))
     if s >= m:
         raise ValueError(f"S={s} signal eigenvalues leave no noise group (M={m})")
-    eigen = covariance_eigenvalues(block, ops=ops)
+    eigen = covariance_spectrum(cov, n_bins, ops=ops)
     fit = cbe_fit_range(eigen, s, grid_size)
     noise_eigs = eigen.eigenvalues[s:][::-1]  # ascending
     n_noise = noise_eigs.size
     ecdf = np.arange(1, n_noise + 1) / n_noise
-    ratio = (m - s) / n
     grid = fit.grid()
-    distances = np.empty(grid.size)
     if ops is not None:
         with ops.stage("mp-fit"):
             ops.transcend(grid.size * n_noise)
             ops.add(3 * grid.size * n_noise)
             ops.mul(2 * grid.size * n_noise)
             ops.cmp(grid.size)
-    for i, sigma in enumerate(grid):
-        diff = ecdf - mp_cdf(noise_eigs, ratio, sigma)
-        distances[i] = np.sqrt(np.dot(diff, diff))
+    # One row per candidate power: the noise eigenvalues in that candidate's units.
+    diff = ecdf - mp_cdf(noise_eigs / grid[:, None], (m - s) / n_bins, 1.0)
+    distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     best = int(np.argmin(distances))
     return NoisePowerEstimate(
-        value_mw=float(grid[best]), method="cbe",
-        frame_index=block.frames[-1].frame_index,
+        value_mw=float(grid[best]), method="cbe", frame_index=frame_index,
         diagnostics={
             "signal_count": s, "grid": grid, "distances": distances,
             "sigma_min_sq": fit.sigma_min_sq, "sigma_max_sq": fit.sigma_max_sq,

@@ -99,30 +99,28 @@ def rof_energy_drops(power: PowerSpectrum, ops: OpCounter | None = None) -> np.n
         raise ValueError("need at least 4 bins")
     if not p.any():
         raise DegenerateSpectrumError("all-zero power spectrum")
-    idx = np.arange(n)
+    # Window [i-left, i+k-1-left] grows by one bin per step, alternating sides.
+    # The new bin lies at most n//2 positions away; reading it from a copy
+    # padded with the boundary values on both sides replicates the edges.
+    pad = n // 2
+    padded = np.concatenate([np.full(pad, p[0]), p, np.full(pad, p[-1])])
     eroded = p.copy()
-    energy = np.empty(n + 1)
-    energy[1] = p.sum()
+    energy = np.empty(n)  # energy[k - 1] = E(k)
+    energy[0] = p.sum()
     for k in range(2, n + 1):
         left = k // 2
-        # Window [i-left, i+k-1-left] grows by one bin per step, alternating sides;
-        # clipping the new index replicates the boundary value.
-        if k % 2 == 0:
-            src = np.clip(idx - left, 0, n - 1)
-        else:
-            src = np.clip(idx + (k - 1 - left), 0, n - 1)
-        np.minimum(eroded, p[src], out=eroded)
-        energy[k] = eroded.sum()
-        if ops is not None:
-            ops.cmp(n)
-            ops.add(n - 1)
-    drops = np.zeros(n - 1)
-    for k in range(2, n + 1):
-        if energy[k - 1] > 0:
-            drops[k - 2] = 100.0 * (energy[k - 1] - energy[k]) / energy[k - 1]
+        shift = -left if k % 2 == 0 else k - 1 - left
+        np.minimum(eroded, padded[pad + shift:pad + shift + n], out=eroded)
+        energy[k - 1] = eroded.sum()
     if ops is not None:
-        ops.add(n - 1)
+        # Per window size: n comparisons, an (n-1)-addition energy sum, and
+        # one subtraction plus two multiplications for its drop.
+        ops.cmp(n * (n - 1))
+        ops.add(n * (n - 1))
         ops.mul(2 * (n - 1))
+    prev, cur = energy[:-1], energy[1:]
+    drops = np.zeros(n - 1)
+    np.divide(100.0 * (prev - cur), prev, out=drops, where=prev > 0)
     return drops
 
 

@@ -63,7 +63,7 @@ def reference_runs():
         MethodSpec("MVU", "fisher"),
         MethodSpec("AIC"),
     ]
-    series = run_scenario(config, methods, SEEDS_50, max_workers=8)
+    series = run_scenario(config, methods, SEEDS_50)
     truths = ground_truths(config, SEEDS_50)
     by_key = {}
     for s in series:

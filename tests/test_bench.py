@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from noisebench import (
 from noisebench.bench import ground_truths, sample_std
 
 from conftest import noise_only_config, reference_config
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
 
 def make_series(snr_est_db, snr_true_db=None, method="ML", separation="ideal"):
@@ -135,13 +138,54 @@ class TestRunScenario:
         assert series.frame_index[0] == 9
         assert len(series) == 21
 
-    def test_parallel_matches_serial(self):
+    def test_shared_context_matches_single_method_runs(self):
+        # The nine-method matrix shares one per-seed context (masks, Gram
+        # matrix); each method alone must give the very same series.
         cfg = reference_config(seed=2, n_frames=25)
-        methods = [MethodSpec("ML", "ideal"), MethodSpec("AIC")]
-        serial = run_scenario(cfg, methods, [1, 2], max_workers=1)
-        threaded = run_scenario(cfg, methods, [1, 2], max_workers=4)
-        for a, b in zip(serial, threaded):
-            np.testing.assert_array_equal(a.noise_power_est_mw, b.noise_power_est_mw)
+        window = {"window_frames": 12}
+        methods = [MethodSpec(e, s, params=window) for e, s in (
+            ("ML", "ideal"), ("ML", "fisher"), ("ML", "rof"),
+            ("MVU", "ideal"), ("MVU", "fisher"), ("MVU", "rof"),
+            ("AIC", "none"), ("CBE", "none"), ("MMSE", "none"),
+        )]
+        joint = run_scenario(cfg, methods, [1, 2])
+        assert len(joint) == 2 * len(methods)
+        for i, method in enumerate(methods):
+            alone = run_scenario(cfg, [method], [1, 2])
+            for a, b in zip(alone, joint[i::len(methods)]):
+                assert (b.method, b.separation, b.seed) == (a.method, a.separation, a.seed)
+                np.testing.assert_array_equal(a.frame_index, b.frame_index)
+                np.testing.assert_array_equal(a.noise_power_est_mw, b.noise_power_est_mw)
+                np.testing.assert_array_equal(a.snr_est_db, b.snr_est_db)
+
+    def test_rof_masks_keyed_by_thresholds(self):
+        # Methods with different ROF thresholds must not share window masks.
+        cfg = reference_config(seed=3, n_frames=20)
+        loose = MethodSpec("ML", "rof", params={"window_frames": 10})
+        strict = MethodSpec("ML", "rof", params={"window_frames": 10, "lambda1_pct": 60.0})
+        joint = run_scenario(cfg, [loose, strict], [3])
+        for spec, series in zip((loose, strict), joint):
+            alone = run_scenario(cfg, [spec], [3])[0]
+            np.testing.assert_array_equal(series.noise_power_est_mw, alone.noise_power_est_mw)
+        assert not np.array_equal(joint[0].noise_power_est_mw, joint[1].noise_power_est_mw)
+
+    def test_gram_block_cbe_matches_window_block(self):
+        # Every window's covariance is a diagonal block of the seed's Gram
+        # matrix; the fit on that block must agree with the per-window path.
+        from noisebench.bench import _SeedContext, _window_block
+        from noisebench.estimators import cbe_estimate, cbe_fit
+        from noisebench.scenario import scenario_config_from_file
+        cfg = scenario_config_from_file(CONFIG)
+        ctx = _SeedContext(cfg, cfg.noise.seed)
+        window = 100
+        for lo in range(cfg.n_frames - window + 1):
+            hi = lo + window
+            fraction = ctx.truth.occupied_fraction(hi - 1)
+            got = cbe_fit(ctx.gram[lo:hi, lo:hi], cfg.n_bins, fraction)
+            want = cbe_estimate(_window_block(ctx.block, lo, hi), fraction)
+            for key in ("sigma_min_sq", "sigma_max_sq"):
+                assert got.diagnostics[key] == pytest.approx(want.diagnostics[key], rel=1e-12)
+            assert got.value_mw == pytest.approx(want.value_mw, rel=1e-12)
 
     def test_mvu_more_stable_than_ml(self):
         cfg = reference_config(seed=9, n_frames=150)
@@ -335,6 +379,21 @@ class TestReports:
         truths = ground_truths(cfg, [0, 1, 2])
         manual = np.mean([rmse_db(s, truths[s.seed]) for s in series])
         assert reports[0].rmse_db == pytest.approx(manual)
+
+    def test_each_seed_built_once(self, monkeypatch):
+        # The reports reuse the ground truth of the series pass.
+        from noisebench import bench
+        calls = []
+        original = bench.build_scenario
+
+        def counting_build(cfg):
+            calls.append(cfg.noise.seed)
+            return original(cfg)
+
+        monkeypatch.setattr(bench, "build_scenario", counting_build)
+        cfg = reference_config(seed=0, n_frames=20)
+        run_benchmark(cfg, [MethodSpec("ML", "ideal"), MethodSpec("AIC")], [0, 1, 2])
+        assert calls == [0, 1, 2]
 
     def test_report_rmse_exceeds_population_std(self):
         cfg = reference_config(seed=1, n_frames=40)

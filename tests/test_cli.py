@@ -89,6 +89,31 @@ class TestRun:
                    "--method", "AIC", "--override", "bogus_key=1"])
         assert rc == 2
 
+    def test_multi_seed_run(self, small_config, tmp_path):
+        out = tmp_path / "r"
+        rc = main(["run", "--config", str(small_config), "--out", str(out),
+                   "--method", "AIC", "--seeds", "0,1"])
+        assert rc == 0
+        seeds = {row.split(",")[1] for row in (out / "series.csv").read_text().splitlines()[1:]}
+        assert seeds == {"0", "1"}
+
+    def test_override_list_index(self, small_config, tmp_path, capsys):
+        rc = main(["generate", "--config", str(small_config), "--out", str(tmp_path / "s.iq"),
+                   "--override", "signals.0.target_snr_db=-10"])
+        assert rc == 0
+        assert "true SNR range: -10 .. -10 dB" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("part, message", [
+        ("1", "index 1 out of range"),
+        ("first", "'first' is not a list index"),
+    ])
+    def test_override_bad_list_index_exits_2(self, small_config, tmp_path, capsys,
+                                             part, message):
+        rc = main(["run", "--config", str(small_config), "--out", str(tmp_path / "r"),
+                   "--method", "AIC", "--override", f"signals.{part}.target_snr_db=-10"])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
     def test_override_determinism(self, small_config, tmp_path):
         outputs = []
         for name in ("r1", "r2"):
@@ -204,21 +229,6 @@ class TestConvert:
         assert main(["convert", "--input", str(as_csv), "--out", str(back),
                      "--to", "raw"]) == 0
         assert trace.read_bytes() == back.read_bytes()
-
-
-class TestThreadEnvironment:
-    def test_thread_cap_respected(self, small_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOISEBENCH_THREADS", "1")
-        out = tmp_path / "r"
-        rc = main(["run", "--config", str(small_config), "--out", str(out),
-                   "--method", "AIC", "--seeds", "0,1"])
-        assert rc == 0
-
-    def test_invalid_thread_count_exits_2(self, small_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("NOISEBENCH_THREADS", "0")
-        rc = main(["run", "--config", str(small_config),
-                   "--out", str(tmp_path / "r"), "--method", "AIC"])
-        assert rc == 2
 
 
 class TestSampleConfig:

@@ -50,6 +50,28 @@ def drops_oracle(p: np.ndarray) -> np.ndarray:
     return drops
 
 
+def clip_cascade_oracle(p: np.ndarray) -> np.ndarray:
+    """Erosion cascade gathering each new bin through a clipped index per step."""
+    n = p.size
+    idx = np.arange(n)
+    eroded = p.copy()
+    energy = np.empty(n + 1)
+    energy[1] = p.sum()
+    for k in range(2, n + 1):
+        left = k // 2
+        if k % 2 == 0:
+            src = np.clip(idx - left, 0, n - 1)
+        else:
+            src = np.clip(idx + (k - 1 - left), 0, n - 1)
+        np.minimum(eroded, p[src], out=eroded)
+        energy[k] = eroded.sum()
+    drops = np.zeros(n - 1)
+    for k in range(2, n + 1):
+        if energy[k - 1] > 0:
+            drops[k - 2] = 100.0 * (energy[k - 1] - energy[k]) / energy[k - 1]
+    return drops
+
+
 def synthetic_band(n: int, lo: int, width: int, height: float,
                    floor: float = 1.0) -> PowerSpectrum:
     p = np.full(n, floor)
@@ -117,6 +139,24 @@ class TestEnergyDrops:
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
             rof_energy_drops(spectrum(np.zeros(8)))
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 31, 64, 129, 512])
+    def test_matches_clip_cascade_exactly(self, n):
+        rng = np.random.default_rng(n)
+        for trial in range(4):
+            p = rng.exponential(1.0, n)
+            if trial % 2:
+                p[rng.integers(0, n, size=max(1, n // 4))] = 0.0
+            np.testing.assert_array_equal(rof_energy_drops(spectrum(p)),
+                                          clip_cascade_oracle(p))
+
+    def test_zero_energy_steps_match_clip_cascade(self):
+        # Once the erosion reaches an all-zero spectrum E(k) = 0 and the later
+        # drops are defined as 0.
+        for p in ([0.0, 0.0, 5.0, 0.0], [0.0, 3.0, 0.0, 0.0, 0.0], [0.0] * 6 + [1.0]):
+            p = np.asarray(p)
+            np.testing.assert_array_equal(rof_energy_drops(spectrum(p)),
+                                          clip_cascade_oracle(p))
 
 
 class TestFindBandWidth:
