@@ -31,8 +31,10 @@ from .estimators import (
     covariance_spectrum,
     ml_estimate,
     mmse_estimate,
+    mmse_fit,
     mp_cdf,
     mvu_estimate,
+    mvu_fit,
     sample_covariance,
     snr_from_powers,
 )
@@ -62,6 +64,7 @@ from .separation import (
     fisher_separate,
     ideal_separate,
     rof_energy_drops,
+    rof_energy_drops_rows,
     rof_erode,
     rof_find_band_width,
     rof_separate,

@@ -11,6 +11,12 @@ Separation inputs follow each strategy's working regime: ideal and Fisher
 masks are computed per frame, while the ROF mask is computed on the trailing
 window's averaged periodogram (per-frame spectra fluctuate too much for the
 erosion bandwidth search at low SNR).
+
+All methods of one seed share a context: the spectral and power matrices, a
+mask cache and, for CBE, one Gram matrix.  The erosion cascades of a method's
+ROF windows run batched, one stack of averaged spectra at a time; MVU folds
+per-frame noise sums; MMSE and CBE read each window as a slice of the seed's
+matrices.
 """
 
 from __future__ import annotations
@@ -24,15 +30,15 @@ import numpy as np
 
 from . import estimators as est
 from . import separation as sep
+from .errors import DegenerateSpectrumError
 from .opcount import OpCounter, OpCounts
 from .scenario import GroundTruth, ScenarioConfig, build_scenario, with_seed
-from .spectral import (
-    PowerSpectrum, ResourceBlock, SpectralFrame, dft, power_matrix, power_spectrum,
-)
+from .spectral import PowerSpectrum, ResourceBlock, dft, power_matrix, power_spectrum
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
+ROF_CHUNK = 32  # averaged window spectra per batched erosion cascade
 
 
 @dataclass(frozen=True)
@@ -146,15 +152,17 @@ def _rof_params(method: MethodSpec) -> sep.RofParams:
 class _MaskProvider:
     """Per-seed cache of separation masks over one scenario's power matrix.
 
-    Ideal and Fisher masks are cached per frame; ROF masks per trailing
-    window and threshold set, so every method with the same ROF parameters
-    reuses one computation per window.
+    Ideal and Fisher masks are cached per frame, together with each frame's
+    noise-bin power sum.  ROF masks are cached per trailing window and
+    threshold set, so every method with the same ROF parameters reuses one
+    computation per window.
     """
 
     def __init__(self, power: np.ndarray, truth: GroundTruth):
         self.power = power
         self.truth = truth
         self._frame_cache: dict[tuple[str, int], sep.SeparationMask] = {}
+        self._noise_sums: dict[str, tuple[list[float], list[int]]] = {}
         self._window_cache: dict[tuple[int, int, sep.RofParams], sep.SeparationMask] = {}
 
     def frame_mask(self, kind: str, frame: int) -> sep.SeparationMask:
@@ -169,6 +177,41 @@ class _MaskProvider:
             self._frame_cache[key] = mask
         return self._frame_cache[key]
 
+    def frame_noise_sums(self, kind: str, lo: int,
+                         hi: int) -> tuple[list[float], list[int]]:
+        """Noise-bin power sums and counts of frames lo..hi-1 under their own masks.
+
+        Frames are added in order up to the last one asked for, so a failing
+        mask surfaces at the same window as it would frame by frame.
+        """
+        sums, counts = self._noise_sums.setdefault(kind, ([], []))
+        for f in range(len(sums), hi):
+            noise = self.power[f][self.frame_mask(kind, f).noise_bins]
+            sums.append(float(noise.sum()))
+            counts.append(noise.size)
+        return sums[lo:hi], counts[lo:hi]
+
+    def prefill_rof(self, bounds: list[tuple[int, int]], params: sep.RofParams) -> None:
+        """Build the ROF masks of the uncached windows [lo, hi) in batched cascades.
+
+        A window whose mask cannot be built (all-zero average, every bin
+        signal) is left uncached: requesting it recomputes it alone and
+        raises there, in window order.
+        """
+        missing = [(lo, hi) for lo, hi in bounds if (lo, hi, params) not in self._window_cache]
+        for start in range(0, len(missing), ROF_CHUNK):
+            chunk = missing[start:start + ROF_CHUNK]
+            spectra = np.stack([self.power[lo:hi].mean(axis=0) for lo, hi in chunk])
+            for (lo, hi), spectrum, drops in zip(chunk, spectra,
+                                                 sep.rof_energy_drops_rows(spectra)):
+                if not spectrum.any():
+                    continue
+                try:
+                    mask = sep.rof_separate(PowerSpectrum(spectrum, hi - 1), params, drops=drops)
+                except DegenerateSpectrumError:
+                    continue
+                self._window_cache[(lo, hi, params)] = mask
+
     def rof_window_mask(self, lo: int, hi: int, params: sep.RofParams) -> sep.SeparationMask:
         key = (lo, hi, params)
         if key not in self._window_cache:
@@ -176,21 +219,16 @@ class _MaskProvider:
             self._window_cache[key] = sep.rof_separate(averaged, params)
         return self._window_cache[key]
 
-    def window_masks(self, kind: str, lo: int, hi: int,
-                     params: sep.RofParams) -> list[sep.SeparationMask]:
-        if kind == "rof":
-            return [self.rof_window_mask(lo, hi, params)] * (hi - lo)
-        return [self.frame_mask(kind, f) for f in range(lo, hi)]
-
 
 class _SeedContext:
     """One seeded scenario and the quantities every method evaluated on it shares."""
 
     def __init__(self, config: ScenarioConfig, seed: int):
         self.block, self.truth = build_scenario(with_seed(config, seed))
+        self.spectral = self.block.spectral_matrix()
+        self.spectral.setflags(write=False)
         self.power = power_matrix(self.block)
         self.frame_mean = self.power.mean(axis=1)
-        self.spectra = [PowerSpectrum(p, f) for f, p in enumerate(self.power)]
         self.masks = _MaskProvider(self.power, self.truth)
         self._gram: np.ndarray | None = None
 
@@ -200,13 +238,6 @@ class _SeedContext:
         if self._gram is None:
             self._gram = est.sample_covariance(self.block)
         return self._gram
-
-
-def _window_block(block: ResourceBlock, lo: int, hi: int) -> ResourceBlock:
-    frames = tuple(
-        SpectralFrame(bins=block.frames[f].bins, frame_index=f - lo) for f in range(lo, hi)
-    )
-    return ResourceBlock(frames=frames)
 
 
 def _occupancy(method: MethodSpec, truth: GroundTruth, frame: int,
@@ -223,7 +254,7 @@ def _occupancy(method: MethodSpec, truth: GroundTruth, frame: int,
 
 def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
                      seed: int) -> EstimateSeries:
-    power, truth, masks, spectra = ctx.power, ctx.truth, ctx.masks, ctx.spectra
+    power, truth, masks = ctx.power, ctx.truth, ctx.masks
     n_frames, n_bins = power.shape
     window = int(method.params.get("window_frames", min(n_frames, DEFAULT_WINDOW_FRAMES)))
     window = max(1, min(window, n_frames))
@@ -232,20 +263,35 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     frames: list[int] = []
     values: list[float] = []
     if method.estimator == "ML":
-        for f in range(n_frames):
+        bounds = [(max(0, f - window + 1), f + 1) for f in range(n_frames)]
+        if method.separation == "rof":
+            masks.prefill_rof(bounds, rof)
+        for lo, hi in bounds:
+            f = hi - 1
             if method.separation == "rof":
-                mask = masks.rof_window_mask(max(0, f - window + 1), f + 1, rof)
+                mask = masks.rof_window_mask(lo, hi, rof)
             else:
                 mask = masks.frame_mask(method.separation, f)
-            ml = est.ml_estimate(spectra[f], mask)
+            ml = est.ml_estimate(PowerSpectrum(power[f], f), mask)
             frames.append(f)
             values.append(ml.value_mw)
     else:
-        for f in range(window - 1, n_frames):
-            lo, hi = f - window + 1, f + 1
+        bounds = [(f - window + 1, f + 1) for f in range(window - 1, n_frames)]
+        if method.estimator == "MVU" and method.separation == "rof":
+            masks.prefill_rof(bounds, rof)
+        for lo, hi in bounds:
+            f = hi - 1
             if method.estimator == "MVU":
-                window_masks = masks.window_masks(method.separation, lo, hi, rof)
-                value = est.mvu_estimate(spectra[lo:hi], window_masks).value_mw
+                if method.separation == "rof":
+                    noise = masks.rof_window_mask(lo, hi, rof).noise_bins
+                    # compress keeps rows contiguous, so each row sum is the
+                    # same pairwise sum as the frame's own (a boolean column
+                    # index would lay the copy out column-major).
+                    sums = np.compress(noise, power[lo:hi], axis=1).sum(axis=1).tolist()
+                    counts = [int(np.count_nonzero(noise))] * (hi - lo)
+                else:
+                    sums, counts = masks.frame_noise_sums(method.separation, lo, hi)
+                value = est.mvu_fit(sums, counts).value_mw
             elif method.estimator == "AIC":
                 pg = PowerSpectrum(power[lo:hi].mean(axis=0), f)
                 value = est.aic_estimate(pg, hi - lo).value_mw
@@ -256,8 +302,8 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
                     grid_size=int(method.params.get("grid_size", 100)),
                 ).value_mw
             else:  # MMSE
-                value = est.mmse_estimate(
-                    _window_block(ctx.block, lo, hi), blind=bool(method.params.get("blind", True))
+                value = est.mmse_fit(
+                    ctx.spectral[lo:hi], blind=bool(method.params.get("blind", True))
                 ).value_mw
             frames.append(f)
             values.append(value)
@@ -327,6 +373,7 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
     emit byte-identical reports.
     """
     reports = []
+    counting_blocks: dict[tuple[int, int], ResourceBlock] = {}
     for method in methods:
         own = [s for s in series
                if s.method == method.estimator and s.separation == method.separation]
@@ -340,7 +387,10 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
             rmses.append(_metric_or_nan(rmse_db, s, truth))
             biases.append(_metric_or_nan(mean_bias_db, s, truth))
             stds.append(_metric_or_nan(std_dev_db, s))
-        counter = count_ops(method, config.n_bins)
+        shape = _counting_shape(method, config.n_bins)
+        if shape not in counting_blocks:
+            counting_blocks[shape] = _counting_block(*shape)
+        counter = count_ops(method, config.n_bins, counting_blocks[shape])
         reports.append(BenchmarkReport(
             scenario_id=config.name,
             method=method.estimator,
@@ -375,30 +425,40 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 # --- operation counting ------------------------------------------------------
 
 
-def _counting_block(n_frames: int, n_bins: int, ops: OpCounter) -> ResourceBlock:
+def _counting_shape(method: MethodSpec, n: int) -> tuple[int, int]:
+    return n, (2 * n if method.estimator == "CBE" else n)
+
+
+def _counting_block(n_frames: int, n_bins: int) -> ResourceBlock:
     rng = np.random.Generator(np.random.Philox(key=12345))
     frames = []
     for i in range(n_frames):
         t = (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)) / np.sqrt(2)
-        # Only the final frame's transform is booked: the complexity model
-        # charges one FFT per batch of N new samples.
-        frames.append(dft(t, frame_index=i, ops=ops if i == n_frames - 1 else None))
+        frames.append(dft(t, frame_index=i))
     return ResourceBlock(frames=tuple(frames))
 
 
-def count_ops(method: MethodSpec, n: int) -> OpCounter:
+def count_ops(method: MethodSpec, n: int, block: ResourceBlock | None = None) -> OpCounter:
     """Count scalar operations of one estimation pass at block size n.
 
     ML/MVU/AIC/MMSE run on an n-frame by n-bin block as in the complexity
     model; CBE runs on an n-frame by 2n-bin block because the
     Marchenko-Pastur edge formulas degenerate on square blocks (the
-    covariance matrix it decomposes is n x n either way).
+    covariance matrix it decomposes is n x n either way).  A caller counting
+    several methods may pass the counting block of that shape, built once.
     """
     if n < 16:
         raise ValueError("operation counting needs n >= 16")
+    shape = _counting_shape(method, n)
+    if block is None:
+        block = _counting_block(*shape)
+    elif (block.n_frames, block.n_bins) != shape:
+        raise ValueError(f"counting block is {block.n_frames}x{block.n_bins}, "
+                         f"{method.label} at n={n} needs {shape[0]}x{shape[1]}")
     ops = OpCounter()
-    n_bins = 2 * n if method.estimator == "CBE" else n
-    block = _counting_block(n, n_bins, ops)
+    # Only the final frame's transform is booked: the complexity model
+    # charges one FFT per batch of N new samples.
+    ops.fft(shape[1])
     last = block.frames[-1]
 
     if method.estimator in ("ML", "MVU"):

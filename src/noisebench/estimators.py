@@ -113,27 +113,46 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask],
     """Mean over all noise-classified bins across all frames of a block.
 
     Equivalent to the noise-bin-count-weighted mean of the per-frame ML
-    estimates; with one frame it reduces to :func:`ml_estimate`.
+    estimates; with one frame it reduces to :func:`ml_estimate`.  The
+    per-frame noise sums feed :func:`mvu_fit`.
     """
     if len(powers) != len(masks) or not powers:
         raise ValueError("powers and masks must be non-empty and aligned")
-    total = 0.0
-    count = 0
+    sums, counts = [], []
     for ps, mk in zip(powers, masks):
         if mk.n_bins != ps.n_bins:
             raise ValueError("mask length does not match the spectrum")
         noise = ps.power[mk.noise_bins]
-        total += float(noise.sum())
-        count += noise.size
+        sums.append(float(noise.sum()))
+        counts.append(noise.size)
+    return mvu_fit(sums, counts, frame_index=powers[-1].frame_index,
+                   separation=masks[0].method, ops=ops)
+
+
+def mvu_fit(noise_sums: list[float], noise_counts: list[int], frame_index: int | None = None,
+            separation: str | None = None,
+            ops: OpCounter | None = None) -> NoisePowerEstimate:
+    """MVU estimate from each frame's noise-bin power sum and noise-bin count.
+
+    The sums are folded in frame order, so equal per-frame sums give the same
+    estimate bit for bit whichever way they were computed.
+    """
+    if len(noise_sums) != len(noise_counts) or not noise_sums:
+        raise ValueError("noise sums and counts must be non-empty and aligned")
+    total = 0.0
+    count = 0
+    for frame_sum, frame_count in zip(noise_sums, noise_counts):
+        total += frame_sum
+        count += frame_count
         if ops is not None:
-            ops.add(noise.size)
+            ops.add(frame_count)
     if count == 0:
         raise EmptyNoiseGroupError("no bins classified as noise in any frame")
     if ops is not None:
         ops.mul(1)
     return NoisePowerEstimate(
-        value_mw=total / count, method="mvu", frame_index=powers[-1].frame_index,
-        diagnostics={"noise_bin_count": count, "separation": masks[0].method},
+        value_mw=total / count, method="mvu", frame_index=frame_index,
+        diagnostics={"noise_bin_count": count, "separation": separation},
     )
 
 
@@ -159,12 +178,15 @@ def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int,
                     int((p <= 0).sum()), POWER_FLOOR)
         p = np.maximum(p, POWER_FLOOR)
     lam = np.sort(p)[::-1]
-    sample_count = n_frames * n
     if ops is not None:
         ops.cmp(int(n * np.log2(n)))
-        aic = _aic_curve_naive(lam, sample_count, ops)
-    else:
-        aic = _aic_curve(lam, sample_count)
+        # Booked as the per-order direct evaluation the complexity model
+        # counts: a t-bin tail costs 2(t-1) additions, t+4 multiplications
+        # and t+2 transcendentals, summed over t = 1..n.
+        ops.add(n * (n - 1))
+        ops.mul(n * (n + 1) // 2 + 4 * n)
+        ops.transcend(n * (n + 1) // 2 + 2 * n)
+    aic = _aic_curve(lam, n_frames * n)
     n_min = int(np.argmin(aic))
     if ops is not None:
         ops.cmp(n - 1)
@@ -184,21 +206,6 @@ def _aic_curve(lam: np.ndarray, m: int) -> np.ndarray:
     suffix_log = np.cumsum(np.log(lam[::-1]))[::-1]
     log_alpha = np.log(suffix_sum / tail) - suffix_log / tail
     return tail * m * log_alpha + orders * (2 * n - orders)
-
-
-def _aic_curve_naive(lam: np.ndarray, m: int, ops: OpCounter) -> np.ndarray:
-    # Per-order tail sums/products as the complexity model counts them.
-    n = lam.size
-    aic = np.empty(n)
-    for order in range(n):
-        tail = lam[order:]
-        t = tail.size
-        alpha = (tail.sum() / t) / np.exp(np.log(tail).sum() / t)
-        aic[order] = t * m * np.log(alpha) + order * (2 * n - order)
-        ops.add(2 * (t - 1))
-        ops.mul(t + 4)
-        ops.transcend(t + 2)
-    return aic
 
 
 def sample_covariance(block: ResourceBlock, ops: OpCounter | None = None) -> np.ndarray:
@@ -381,7 +388,14 @@ def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: i
 
 def mmse_estimate(block: ResourceBlock, blind: bool = True,
                   ops: OpCounter | None = None) -> NoisePowerEstimate:
-    """Per-subcarrier MMSE-filter estimate from the block's last frame.
+    """Per-subcarrier MMSE-filter estimate from the block's last frame; see :func:`mmse_fit`."""
+    return mmse_fit(block.spectral_matrix(), blind=blind,
+                    frame_index=block.frames[-1].frame_index, ops=ops)
+
+
+def mmse_fit(spectral: np.ndarray, blind: bool = True, frame_index: int | None = None,
+             ops: OpCounter | None = None) -> NoisePowerEstimate:
+    """Per-subcarrier MMSE-filter estimate from the last row of an (M, N) spectral matrix.
 
     In the blind adaptation each subcarrier's time mean over the first M-1
     frames is subtracted from the whole block, reducing a deterministic
@@ -396,10 +410,10 @@ def mmse_estimate(block: ResourceBlock, blind: bool = True,
     N=512, a -0.17 dB structural bias on white noise).  Diagnostics carry the
     raw system residual.
     """
-    m, n = block.n_frames, block.n_bins
+    m, n = spectral.shape
     if m < 3:
         raise ValueError("need at least 3 frames")
-    x = block.spectral_matrix() / np.sqrt(n)
+    x = spectral / np.sqrt(n)
     if blind:
         x = x - x[:m - 1].mean(axis=0, keepdims=True)
         if ops is not None:
@@ -430,8 +444,7 @@ def mmse_estimate(block: ResourceBlock, blind: bool = True,
     if estimate <= 0:
         raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
     return NoisePowerEstimate(
-        value_mw=estimate, method="mmse",
-        frame_index=block.frames[-1].frame_index,
+        value_mw=estimate, method="mmse", frame_index=frame_index,
         diagnostics={
             "raw_weight_sum": weight_sum,
             "weight_max": float(np.abs(weights).max()),

@@ -94,32 +94,45 @@ def rof_energy_drops(power: PowerSpectrum, ops: OpCounter | None = None) -> np.n
     spectrum energy; erosion can only lower minima, so every D(k) >= 0.
     """
     p = power.power
-    n = p.size
-    if n < 4:
+    if p.size < 4:
         raise ValueError("need at least 4 bins")
     if not p.any():
         raise DegenerateSpectrumError("all-zero power spectrum")
+    return rof_energy_drops_rows(p[None, :], ops=ops)[0]
+
+
+def rof_energy_drops_rows(spectra: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+    """Energy-drop curves of a (W, N) stack of spectra, one row per spectrum.
+
+    Row i equals :func:`rof_energy_drops` of ``spectra[i]`` bit for bit; each
+    cascade step is one minimum over all rows.  An all-zero row is not
+    rejected here: its curve is all zeros.
+    """
+    w, n = spectra.shape
+    if n < 4:
+        raise ValueError("need at least 4 bins")
     # Window [i-left, i+k-1-left] grows by one bin per step, alternating sides.
     # The new bin lies at most n//2 positions away; reading it from a copy
     # padded with the boundary values on both sides replicates the edges.
     pad = n // 2
-    padded = np.concatenate([np.full(pad, p[0]), p, np.full(pad, p[-1])])
-    eroded = p.copy()
-    energy = np.empty(n)  # energy[k - 1] = E(k)
-    energy[0] = p.sum()
+    padded = np.concatenate([np.repeat(spectra[:, :1], pad, axis=1), spectra,
+                             np.repeat(spectra[:, -1:], pad, axis=1)], axis=1)
+    eroded = np.array(spectra, dtype=np.float64)
+    energy = np.empty((n, w))  # energy[k - 1] = E(k) of every row
+    energy[0] = eroded.sum(axis=1)
     for k in range(2, n + 1):
         left = k // 2
         shift = -left if k % 2 == 0 else k - 1 - left
-        np.minimum(eroded, padded[pad + shift:pad + shift + n], out=eroded)
-        energy[k - 1] = eroded.sum()
+        np.minimum(eroded, padded[:, pad + shift:pad + shift + n], out=eroded)
+        energy[k - 1] = eroded.sum(axis=1)
     if ops is not None:
-        # Per window size: n comparisons, an (n-1)-addition energy sum, and
-        # one subtraction plus two multiplications for its drop.
-        ops.cmp(n * (n - 1))
-        ops.add(n * (n - 1))
-        ops.mul(2 * (n - 1))
-    prev, cur = energy[:-1], energy[1:]
-    drops = np.zeros(n - 1)
+        # Per spectrum and window size: n comparisons, an (n-1)-addition
+        # energy sum, and one subtraction plus two multiplications for its drop.
+        ops.cmp(w * n * (n - 1))
+        ops.add(w * n * (n - 1))
+        ops.mul(w * 2 * (n - 1))
+    prev, cur = energy[:-1].T, energy[1:].T
+    drops = np.zeros((w, n - 1))
     np.divide(100.0 * (prev - cur), prev, out=drops, where=prev > 0)
     return drops
 
@@ -174,17 +187,21 @@ def _positive_runs(diff: np.ndarray) -> list[tuple[int, int]]:
 
 
 def rof_separate(power: PowerSpectrum, params: RofParams = RofParams(),
-                 ops: OpCounter | None = None) -> SeparationMask:
+                 ops: OpCounter | None = None,
+                 drops: np.ndarray | None = None) -> SeparationMask:
     """Classify bins via rank-order filtering.
 
     Pipeline: bandwidth K from the erosion energy-drop curve; K-point trailing
     moving average; forward differences; strictly positive runs wider than
     lambda2_fraction * N become signal bands (a run over difference indices
-    [i, j] straddles bins [i, j+1]).  Everything else is noise.
+    [i, j] straddles bins [i, j+1]).  Everything else is noise.  A drop curve
+    computed beforehand (e.g. one row of :func:`rof_energy_drops_rows`) skips
+    the cascade together with its checks and op bookings.
     """
     p = power.power
     n = p.size
-    drops = rof_energy_drops(power, ops=ops)
+    if drops is None:
+        drops = rof_energy_drops(power, ops=ops)
     k = rof_find_band_width(power, params.lambda1_pct, ops=ops, drops=drops)
     smoothed = _smooth_trailing(p, k)
     diff = np.diff(smoothed)
@@ -229,13 +246,12 @@ def fisher_separate(power: PowerSpectrum, ops: OpCounter | None = None) -> Separ
                               aux={"split": None, "criterion": None})
 
     if ops is not None:
-        # Scoring one split is ~4N naive operations; N-2 splits are scanned.
+        # Booked as the direct scan the complexity model counts: scoring one
+        # split is ~4N operations and N-3 splits are scanned.
         ops.add(4 * n * (n - 3))
         ops.mul(6 * (n - 3))
         ops.cmp(n - 3)
-        best_t, best_j = _fisher_scan_naive(a)
-    else:
-        best_t, best_j = _fisher_scan_prefix(a)
+    best_t, best_j = _fisher_scan_prefix(a)
     if best_t is None:
         return SeparationMask(is_signal=np.zeros(n, dtype=bool), method="fisher",
                               aux={"split": None, "criterion": None})
@@ -243,14 +259,6 @@ def fisher_separate(power: PowerSpectrum, ops: OpCounter | None = None) -> Separ
     mask[order[best_t:]] = True
     return SeparationMask(is_signal=mask, method="fisher",
                           aux={"split": int(best_t), "criterion": float(best_j)})
-
-
-def _split_score(mu_l, mu_h, var_l, var_h) -> float:
-    num = (mu_l - mu_h) ** 2
-    den = var_l + var_h
-    if den > 0:
-        return num / den
-    return np.inf if num > 0 else -np.inf
 
 
 def _fisher_scan_prefix(a: np.ndarray) -> tuple[int | None, float]:
@@ -275,18 +283,6 @@ def _fisher_scan_prefix(a: np.ndarray) -> tuple[int | None, float]:
     # Ties resolved toward the largest split index, i.e. the smaller signal group.
     best_t = int(t[np.flatnonzero(j == best)[-1]])
     return best_t, best
-
-
-def _fisher_scan_naive(a: np.ndarray) -> tuple[int | None, float]:
-    n = a.size
-    best_t, best_j = None, -np.inf
-    for t in range(2, n - 1):
-        low, high = a[:t], a[t:]
-        j = _split_score(low.mean(), high.mean(),
-                         low.var(ddof=1), high.var(ddof=1))
-        if j >= best_j and j > -np.inf:
-            best_t, best_j = t, j
-    return best_t, best_j
 
 
 def ideal_separate(truth: GroundTruth, frame_index: int) -> SeparationMask:

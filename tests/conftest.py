@@ -7,7 +7,9 @@ import pytest
 
 from noisebench import (
     NoiseSource,
+    ResourceBlock,
     ScenarioConfig,
+    SpectralFrame,
     SubbandSignal,
     build_scenario,
     power_matrix,
@@ -52,6 +54,14 @@ def reference_block():
 def noise_block():
     block, truth = build_scenario(noise_only_config(seed=11))
     return block, truth, power_matrix(block)
+
+
+def window_block(block: ResourceBlock, lo: int, hi: int) -> ResourceBlock:
+    """Frames lo..hi-1 of a block as a block of their own, re-indexed from 0."""
+    return ResourceBlock(frames=tuple(
+        SpectralFrame(bins=block.frames[f].bins, frame_index=f - lo)
+        for f in range(lo, hi)
+    ))
 
 
 def complex_rng(seed: int) -> np.random.Generator:

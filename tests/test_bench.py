@@ -21,7 +21,7 @@ from noisebench import (
 )
 from noisebench.bench import ground_truths, sample_std
 
-from conftest import noise_only_config, reference_config
+from conftest import noise_only_config, reference_config, window_block
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
@@ -172,7 +172,7 @@ class TestRunScenario:
     def test_gram_block_cbe_matches_window_block(self):
         # Every window's covariance is a diagonal block of the seed's Gram
         # matrix; the fit on that block must agree with the per-window path.
-        from noisebench.bench import _SeedContext, _window_block
+        from noisebench.bench import _SeedContext
         from noisebench.estimators import cbe_estimate, cbe_fit
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
@@ -182,10 +182,77 @@ class TestRunScenario:
             hi = lo + window
             fraction = ctx.truth.occupied_fraction(hi - 1)
             got = cbe_fit(ctx.gram[lo:hi, lo:hi], cfg.n_bins, fraction)
-            want = cbe_estimate(_window_block(ctx.block, lo, hi), fraction)
+            want = cbe_estimate(window_block(ctx.block, lo, hi), fraction)
             for key in ("sigma_min_sq", "sigma_max_sq"):
                 assert got.diagnostics[key] == pytest.approx(want.diagnostics[key], rel=1e-12)
             assert got.value_mw == pytest.approx(want.value_mw, rel=1e-12)
+
+    @pytest.mark.parametrize("separation", ["ideal", "fisher", "rof"])
+    def test_mvu_sums_match_list_form(self, separation):
+        # The bench feeds MVU per-frame noise sums (cached per frame for
+        # ideal/Fisher, one row sum per ROF window); the list form over the
+        # same masks must give the very same estimates.
+        from noisebench import PowerSpectrum, RofParams, mvu_estimate
+        from noisebench.bench import _SeedContext, _evaluate_method
+        from noisebench.scenario import scenario_config_from_file
+        cfg = scenario_config_from_file(CONFIG)
+        ctx = _SeedContext(cfg, cfg.noise.seed)
+        series = _evaluate_method(MethodSpec("MVU", separation), ctx, cfg.name, cfg.noise.seed)
+        window = 100
+        assert len(series) == cfg.n_frames - window + 1
+        for f, got in zip(series.frame_index, series.noise_power_est_mw):
+            lo, hi = f - window + 1, f + 1
+            if separation == "rof":
+                masks = [ctx.masks.rof_window_mask(lo, hi, RofParams())] * window
+            else:
+                masks = [ctx.masks.frame_mask(separation, g) for g in range(lo, hi)]
+            spectra = [PowerSpectrum(ctx.power[g], g) for g in range(lo, hi)]
+            assert got == mvu_estimate(spectra, masks).value_mw
+
+    def test_mmse_slices_match_window_blocks(self):
+        from noisebench import mmse_estimate, mmse_fit
+        from noisebench.bench import _SeedContext
+        from noisebench.scenario import scenario_config_from_file
+        cfg = scenario_config_from_file(CONFIG)
+        ctx = _SeedContext(cfg, cfg.noise.seed)
+        window = 100
+        for lo in range(cfg.n_frames - window + 1):
+            hi = lo + window
+            got = mmse_fit(ctx.spectral[lo:hi])
+            want = mmse_estimate(window_block(ctx.block, lo, hi))
+            assert got.value_mw == want.value_mw
+            assert got.diagnostics == want.diagnostics
+
+    def test_batched_rof_masks_match_single_windows(self):
+        # Masks built from batched cascades equal masks built window by window.
+        from noisebench import PowerSpectrum, RofParams, rof_separate
+        from noisebench.bench import _SeedContext
+        cfg = reference_config(seed=4, n_frames=45)
+        ctx = _SeedContext(cfg, 4)
+        bounds = [(max(0, f - 9), f + 1) for f in range(45)]
+        ctx.masks.prefill_rof(bounds, RofParams())
+        for lo, hi in bounds:
+            got = ctx.masks.rof_window_mask(lo, hi, RofParams())
+            want = rof_separate(PowerSpectrum(ctx.power[lo:hi].mean(axis=0), hi - 1))
+            np.testing.assert_array_equal(got.is_signal, want.is_signal)
+            np.testing.assert_array_equal(got.aux["d_curve"], want.aux["d_curve"])
+            assert got.aux["K"] == want.aux["K"]
+
+    def test_unbuildable_rof_windows_raise_on_request(self):
+        # Batching leaves windows without a mask uncached, so each raises
+        # rof_separate's own error when the method reaches it.
+        from noisebench import DegenerateSpectrumError, RofParams
+        from noisebench.bench import _MaskProvider
+        power = np.random.default_rng(7).exponential(1.0, (4, 64))
+        power[0] = 0.0                                     # window [0, 1): all zero
+        power[2] = 2.0 * np.linspace(10.0, 60.0, 64) - power[1]  # [1, 3): a rising ramp
+        masks = _MaskProvider(power, truth=None)
+        params = RofParams()
+        masks.prefill_rof([(0, 1), (0, 2), (1, 3), (2, 4)], params)
+        for lo, hi, message in ((0, 1, "all-zero"), (1, 3, "every bin")):
+            with pytest.raises(DegenerateSpectrumError, match=message):
+                masks.rof_window_mask(lo, hi, params)
+        assert set(masks._window_cache) == {(0, 2, params), (2, 4, params)}
 
     def test_mvu_more_stable_than_ml(self):
         cfg = reference_config(seed=9, n_frames=150)
@@ -283,8 +350,45 @@ class TestCountOps:
         with pytest.raises(ValueError):
             count_ops(MethodSpec("AIC"), 8)
 
+    @pytest.mark.parametrize("n", [16, 512])
+    def test_shared_counting_block_matches_fresh_build(self, n):
+        # build_reports counts every method on one counting block per shape.
+        from noisebench.bench import _counting_block, _counting_shape
+        from noisebench.cli import _DEFAULT_METHODS, _parse_method
+        blocks = {}
+        for spec in map(_parse_method, _DEFAULT_METHODS):
+            shape = _counting_shape(spec, n)
+            if shape not in blocks:
+                blocks[shape] = _counting_block(*shape)
+            shared = count_ops(spec, n, blocks[shape])
+            fresh = count_ops(spec, n)
+            assert shared.counts == fresh.counts, spec.label
+            assert shared.stages == fresh.stages, spec.label
+        assert len(blocks) == 2
+
+    def test_counting_block_shape_checked(self):
+        from noisebench.bench import _counting_block
+        with pytest.raises(ValueError, match="needs 32x64"):
+            count_ops(MethodSpec("CBE"), 32, _counting_block(32, 32))
+
+    def test_reports_build_one_counting_block_per_shape(self, monkeypatch):
+        from noisebench import bench
+        shapes = []
+        original = bench._counting_block
+
+        def recording_block(n_frames, n_bins):
+            shapes.append((n_frames, n_bins))
+            return original(n_frames, n_bins)
+
+        monkeypatch.setattr(bench, "_counting_block", recording_block)
+        cfg = reference_config(seed=0, n_frames=20)
+        methods = [MethodSpec("ML", "ideal"), MethodSpec("MVU", "ideal"),
+                   MethodSpec("AIC"), MethodSpec("CBE")]
+        run_benchmark(cfg, methods, [0])
+        assert shapes == [(512, 512), (512, 1024)]
+
     def test_counted_aic_matches_uncounted(self):
-        # The naive counted path must select the same order as the fast path.
+        # Counting must not change the selected order.
         from noisebench import aic_estimate, PowerSpectrum
         from noisebench.opcount import OpCounter
         rng = np.random.default_rng(55)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from noisebench import load_iq_trace
+from noisebench import ComplexSeries, load_iq_trace, write_iq_trace
 from noisebench.cli import main
 
 
@@ -113,6 +113,36 @@ class TestRun:
                    "--method", "AIC", "--override", f"signals.{part}.target_snr_db=-10"])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head, message", [
+        ("zero", "error: all-zero power spectrum"),
+        ("ramp", "error: ROF marked every bin as signal"),
+    ])
+    def test_degenerate_rof_window_exits_3(self, tmp_path, capsys, head, message):
+        # The first frame of the trace is its own first ML(rof) window; its
+        # mask cannot be built, whether or not the windows after it are batched.
+        n_bins, n_frames = 16, 6
+        rng = np.random.default_rng(5)
+        size = n_bins * n_frames
+        samples = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        if head == "zero":
+            samples[:n_bins] = 0.0
+        else:
+            samples[:n_bins] = np.fft.ifft(np.sqrt(n_bins * np.linspace(1.0, 50.0, n_bins)))
+        trace = tmp_path / "head.iq"
+        write_iq_trace(trace, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        config = tmp_path / "head.json"
+        config.write_text(json.dumps({
+            "name": "degenerate-head", "n_bins": n_bins, "n_frames": n_frames,
+            "noise": {"kind": "trace-file", "path": str(trace)},
+        }))
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                   "--method", "ML:rof"])
+        assert rc == 3
+        assert capsys.readouterr().err.strip() == message
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                   "--method", "MVU:rof"])
+        assert rc == 0
 
     def test_override_determinism(self, small_config, tmp_path):
         outputs = []

@@ -23,12 +23,16 @@ from noisebench import (
     ideal_separate,
     ml_estimate,
     mmse_estimate,
+    mmse_fit,
     mp_cdf,
     mvu_estimate,
+    mvu_fit,
     power_matrix,
     snr_from_powers,
 )
+from noisebench.bench import _counting_block
 from noisebench.errors import EmptyNoiseGroupError
+from noisebench.opcount import OpCounter
 
 from conftest import reference_config, white_frame
 
@@ -39,6 +43,18 @@ def spectrum(values, index=0) -> PowerSpectrum:
 
 def mask_of(is_signal) -> SeparationMask:
     return SeparationMask(is_signal=np.asarray(is_signal, dtype=bool), method="ideal")
+
+
+def aic_curve_naive(lam: np.ndarray, m: int) -> np.ndarray:
+    """AIC(n) for every order n from its own tail's arithmetic and geometric means."""
+    n = lam.size
+    aic = np.empty(n)
+    for order in range(n):
+        tail = lam[order:]
+        t = tail.size
+        alpha = (tail.sum() / t) / np.exp(np.log(tail).sum() / t)
+        aic[order] = t * m * np.log(alpha) + order * (2 * n - order)
+    return aic
 
 
 def white_block(seed: int, n_frames: int = 100, n_bins: int = 512,
@@ -109,6 +125,26 @@ class TestMvuEstimate:
             count += int((~signal).sum())
         got = mvu_estimate(powers, masks).value_mw
         assert got == pytest.approx(total / count, rel=1e-12)
+
+    def test_fit_from_sums_matches_list_form(self):
+        rng = np.random.default_rng(17)
+        powers = [spectrum(rng.exponential(1.0, 16), i) for i in range(5)]
+        masks = [mask_of(rng.random(16) < 0.3) for _ in range(5)]
+        sums = [float(p.power[m.noise_bins].sum()) for p, m in zip(powers, masks)]
+        counts = [int(m.noise_bins.sum()) for m in masks]
+        got = mvu_fit(sums, counts, frame_index=4, separation="ideal")
+        want = mvu_estimate(powers, masks)
+        assert got.value_mw == want.value_mw
+        assert got.diagnostics == want.diagnostics
+        assert got.frame_index == want.frame_index
+
+    def test_fit_rejects_misaligned_or_empty(self):
+        with pytest.raises(ValueError, match="aligned"):
+            mvu_fit([1.0, 2.0], [3])
+        with pytest.raises(ValueError, match="aligned"):
+            mvu_fit([], [])
+        with pytest.raises(EmptyNoiseGroupError):
+            mvu_fit([0.0], [0])
 
     def test_stability_gain_over_ml(self):
         # Block averaging shrinks the spread by about sqrt(M) = 10.
@@ -181,6 +217,28 @@ class TestAicEstimate:
             avg = spectrum(power_matrix(block).mean(axis=0), 99)
             orders.append(aic_estimate(avg, 100).diagnostics["n_min"])
         assert 120 <= np.mean(orders) <= 175
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512])
+    def test_counting_block_order_matches_direct_curve(self, n):
+        # count_ops books the per-order evaluation but runs the cumulative
+        # curve; on the counting block both must pick the same order.
+        last = _counting_block(n, n).frames[-1].bins
+        p = (last.real**2 + last.imag**2) / n
+        lam = np.sort(np.maximum(p, 1e-30))[::-1]
+        counted = aic_estimate(spectrum(p), n, ops=OpCounter())
+        assert counted.diagnostics["n_min"] == int(np.argmin(aic_curve_naive(lam, n * n)))
+
+    def test_counted_curve_books_per_order_evaluation(self):
+        n = 40
+        p = np.random.default_rng(19).exponential(1.0, n)
+        p[:6] += 15.0
+        counter = OpCounter()
+        n_min = aic_estimate(spectrum(p), 8, ops=counter).diagnostics["n_min"]
+        tails = range(1, n + 1)
+        assert counter.counts.adds == sum(2 * (t - 1) for t in tails) + (n - n_min)
+        assert counter.counts.muls == sum(t + 4 for t in tails)
+        assert counter.counts.transcendental == sum(t + 2 for t in tails)
+        assert counter.counts.cmps == int(n * np.log2(n)) + (n - 1)
 
     def test_zero_bins_floored(self):
         p = np.ones(16)
@@ -373,6 +431,14 @@ class TestMmseEstimate:
     def test_requires_three_frames(self):
         with pytest.raises(ValueError, match="3 frames"):
             mmse_estimate(white_block(5, n_frames=2, n_bins=16))
+
+    def test_fit_on_matrix_matches_block(self):
+        block = white_block(6, n_frames=30, n_bins=64)
+        got = mmse_fit(block.spectral_matrix(), frame_index=29)
+        want = mmse_estimate(block)
+        assert got.value_mw == want.value_mw
+        assert got.diagnostics == want.diagnostics
+        assert got.frame_index == want.frame_index == 29
 
 
 class TestSnrFromPowers:

@@ -14,10 +14,13 @@ from noisebench import (
     ideal_separate,
     power_matrix,
     rof_energy_drops,
+    rof_energy_drops_rows,
     rof_erode,
     rof_find_band_width,
     rof_separate,
 )
+from noisebench.bench import _counting_block
+from noisebench.opcount import OpCounter
 from noisebench.scenario import GroundTruth
 
 from conftest import reference_config
@@ -70,6 +73,20 @@ def clip_cascade_oracle(p: np.ndarray) -> np.ndarray:
         if energy[k - 1] > 0:
             drops[k - 2] = 100.0 * (energy[k - 1] - energy[k]) / energy[k - 1]
     return drops
+
+
+def fisher_scan_naive(a: np.ndarray) -> tuple[int | None, float]:
+    """Direct scan of every split of ascending amplitudes; ties go to the larger split."""
+    n = a.size
+    best_t, best_j = None, -np.inf
+    for t in range(2, n - 1):
+        low, high = a[:t], a[t:]
+        num = (low.mean() - high.mean()) ** 2
+        den = low.var(ddof=1) + high.var(ddof=1)
+        j = num / den if den > 0 else (np.inf if num > 0 else -np.inf)
+        if j >= best_j and j > -np.inf:
+            best_t, best_j = t, j
+    return best_t, best_j
 
 
 def synthetic_band(n: int, lo: int, width: int, height: float,
@@ -157,6 +174,36 @@ class TestEnergyDrops:
             p = np.asarray(p)
             np.testing.assert_array_equal(rof_energy_drops(spectrum(p)),
                                           clip_cascade_oracle(p))
+
+
+    @pytest.mark.parametrize("w", [1, 3, 40])
+    @pytest.mark.parametrize("n", [4, 5, 7, 64, 512])
+    def test_rows_match_single_rows_exactly(self, n, w):
+        rng = np.random.default_rng(1000 * w + n)
+        rows = rng.exponential(1.0, (w, n))
+        rows[:, rng.integers(0, n, size=max(1, n // 4))] = 0.0
+        if w > 1:
+            rows[w // 2] = 0.0  # an all-zero row gets an all-zero curve
+        got = rof_energy_drops_rows(rows)
+        assert got.shape == (w, n - 1)
+        for row, curve in zip(rows, got):
+            if row.any():
+                np.testing.assert_array_equal(curve, rof_energy_drops(spectrum(row)))
+            else:
+                np.testing.assert_array_equal(curve, np.zeros(n - 1))
+
+    def test_rows_book_one_cascade_per_row(self):
+        rows = np.random.default_rng(3).exponential(1.0, (5, 32))
+        batched, single = OpCounter(), OpCounter()
+        rof_energy_drops_rows(rows, ops=batched)
+        rof_energy_drops(spectrum(rows[0]), ops=single)
+        assert batched.counts.adds == 5 * single.counts.adds
+        assert batched.counts.muls == 5 * single.counts.muls
+        assert batched.counts.cmps == 5 * single.counts.cmps
+
+    def test_rows_need_four_bins(self):
+        with pytest.raises(ValueError, match="4 bins"):
+            rof_energy_drops_rows(np.ones((2, 3)))
 
 
 class TestFindBandWidth:
@@ -251,6 +298,16 @@ class TestRofSeparate:
         with pytest.raises(DegenerateSpectrumError):
             rof_separate(spectrum(np.linspace(1.0, 50.0, 64)))
 
+    def test_precomputed_drops_give_the_same_mask(self):
+        rng = np.random.default_rng(21)
+        p = rng.exponential(1.0, 128)
+        p[40:70] += 20.0
+        want = rof_separate(spectrum(p))
+        got = rof_separate(spectrum(p), drops=rof_energy_drops(spectrum(p)))
+        np.testing.assert_array_equal(got.is_signal, want.is_signal)
+        assert got.aux["K"] == want.aux["K"]
+        assert got.aux["runs"] == want.aux["runs"]
+
     def test_diagnostics_shapes(self):
         mask = rof_separate(spectrum(np.random.default_rng(1).exponential(1.0, 64)))
         assert mask.aux["d_curve"].shape == (63,)
@@ -279,22 +336,7 @@ class TestFisherSeparate:
         assert np.mean(noise_means) < 1.0 - 0.01
 
     def fisher_oracle(self, p: np.ndarray) -> int | None:
-        a = np.sort(np.sqrt(p), kind="stable")
-        n = a.size
-        best_t, best_j = None, -np.inf
-        for t in range(2, n - 1):
-            low, high = a[:t], a[t:]
-            num = (low.mean() - high.mean()) ** 2
-            den = low.var(ddof=1) + high.var(ddof=1)
-            if den > 0:
-                j = num / den
-            elif num > 0:
-                j = np.inf
-            else:
-                continue
-            if j >= best_j:
-                best_t, best_j = t, j
-        return best_t
+        return fisher_scan_naive(np.sort(np.sqrt(p), kind="stable"))[0]
 
     @given(st.integers(0, 400))
     @settings(max_examples=40, deadline=None)
@@ -307,6 +349,25 @@ class TestFisherSeparate:
             p[:width] += rng.uniform(5, 50)
         mask = fisher_separate(spectrum(p))
         assert mask.aux["split"] == self.fisher_oracle(p)
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512])
+    def test_counting_block_split_matches_direct_scan(self, n):
+        # count_ops books the direct scan but runs the prefix scan; on the
+        # counting block both must pick the same split.
+        last = _counting_block(n, n).frames[-1].bins
+        p = (last.real**2 + last.imag**2) / n
+        counted = fisher_separate(spectrum(p), ops=OpCounter())
+        assert counted.aux["split"] == self.fisher_oracle(p)
+
+    def test_counted_scan_books_direct_scan(self):
+        n = 48
+        counter = OpCounter()
+        fisher_separate(spectrum(np.random.default_rng(9).exponential(1.0, n)), ops=counter)
+        splits = n - 3
+        assert counter.counts.adds == 4 * n * splits
+        assert counter.counts.muls == 6 * splits
+        assert counter.counts.cmps == int(n * np.log2(n)) + splits
+        assert counter.counts.transcendental == n
 
     def test_signal_group_is_high_amplitudes(self):
         rng = np.random.default_rng(13)
