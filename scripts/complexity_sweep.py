@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Operation-count sweep over block sizes for the complexity comparison.
 
-Counts the scalar operations of one estimation pass for each method at a
-grid of block sizes and prints the per-doubling growth ratios.  The leading
-terms follow the published accounting (quadratic for ML/AIC/MMSE paths;
-the covariance-based method carries a cubic naive matrix multiply).
+A thin front end to ``noisebench ops`` (its five default methods): it writes
+the per-size counts to ``--out``, reads them back and prints each method's
+totals with the growth ratio per doubling.  The leading terms follow the
+published accounting (quadratic for ML/AIC/MMSE paths; the covariance-based
+method carries a cubic naive matrix multiply).
 
 Usage:
     python scripts/complexity_sweep.py [--sizes 64,128,256,512] [--out ops.csv]
@@ -13,44 +14,40 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import csv
+import sys
 from pathlib import Path
 
-from noisebench import MethodSpec, count_ops
-
-METHODS = [
-    MethodSpec("ML", "rof"),
-    MethodSpec("ML", "fisher"),
-    MethodSpec("AIC"),
-    MethodSpec("CBE"),
-    MethodSpec("MMSE"),
-]
+from noisebench.cli import main as cli_main
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
+def growth_table(path: Path) -> list[str]:
+    """One line per method: total operations per size, then the ratio per step."""
+    totals: dict[str, list[tuple[int, int]]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            label = row["method"] if row["separation"] == "none" else \
+                f"{row['method']}({row['separation']})"
+            totals.setdefault(label, []).append((int(row["size"]), int(row["ops_total"])))
+    sizes = [size for size, _ in next(iter(totals.values()))]
+    lines = [f"{'method':<12} " + " ".join(f"{s:>12}" for s in sizes) + "   growth"]
+    for label, points in totals.items():
+        counts = [total for _, total in points]
+        growth = " ".join(f"x{b / a:.2f}" for a, b in zip(counts, counts[1:]))
+        lines.append(f"{label:<12} " + " ".join(f"{t:>12}" for t in counts) + f"   {growth}")
+    return lines
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default="64,128,256,512")
-    parser.add_argument("--out", default=None)
+    parser.add_argument("--out", default="ops.csv", help="counts CSV path")
     args = parser.parse_args()
-    sizes = [int(s) for s in args.sizes.split(",")]
-
-    lines = ["method,separation,size,ops_add,ops_mul,ops_cmp,ops_transcendental,ops_total"]
-    print(f"{'method':<12} " + " ".join(f"{s:>12}" for s in sizes) + "   growth")
-    for spec in METHODS:
-        totals = []
-        for size in sizes:
-            counter = count_ops(spec, size)
-            c = counter.counts
-            totals.append(c.total())
-            lines.append(f"{spec.estimator},{spec.separation},{size},"
-                         f"{c.adds},{c.muls},{c.cmps},{c.transcendental},{c.total()}")
-        ratios = [totals[i + 1] / totals[i] for i in range(len(totals) - 1)]
-        growth = " ".join(f"x{r:.2f}" for r in ratios)
-        print(f"{spec.label:<12} " + " ".join(f"{t:>12}" for t in totals) + f"   {growth}")
-
-    if args.out:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-        print(f"\nwrote {args.out}")
+    code = cli_main(["ops", "--sizes", args.sizes, "--out", args.out])
+    if code == 0:
+        print("\n".join(growth_table(Path(args.out))))
+    return code
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,11 +12,13 @@ masks are computed per frame, while the ROF mask is computed on the trailing
 window's averaged periodogram (per-frame spectra fluctuate too much for the
 erosion bandwidth search at low SNR).
 
-All methods of one seed share a context: the spectral and power matrices, a
-mask cache and, for CBE, one Gram matrix.  The erosion cascades of a method's
-ROF windows run batched, one stack of averaged spectra at a time; MVU folds
-per-frame noise sums; MMSE and CBE read each window as a slice of the seed's
-matrices.
+All methods of one seed share a context: the scenario's resource block (one
+(M, N) spectral array), its power matrix, a mask cache and, for CBE, one Gram
+matrix.  The erosion cascades of a method's ROF windows run batched, one stack
+of averaged spectra at a time; MVU folds per-frame noise sums; MMSE and CBE
+read each window as a slice of the seed's matrices, never a rebuilt block.
+With timing on, each method's evaluation is timed inside the same per-seed
+loop and summed over seeds.
 """
 
 from __future__ import annotations
@@ -33,12 +35,13 @@ from . import separation as sep
 from .errors import DegenerateSpectrumError
 from .opcount import OpCounter, OpCounts
 from .scenario import GroundTruth, ScenarioConfig, build_scenario, with_seed
-from .spectral import PowerSpectrum, ResourceBlock, dft, power_matrix, power_spectrum
+from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, power_matrix, power_spectrum
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
 ROF_CHUNK = 32  # averaged window spectra per batched erosion cascade
+COUNTING_CHUNK = 64  # counting-block frames drawn and transformed at a time
 
 
 @dataclass(frozen=True)
@@ -225,8 +228,6 @@ class _SeedContext:
 
     def __init__(self, config: ScenarioConfig, seed: int):
         self.block, self.truth = build_scenario(with_seed(config, seed))
-        self.spectral = self.block.spectral_matrix()
-        self.spectral.setflags(write=False)
         self.power = power_matrix(self.block)
         self.frame_mean = self.power.mean(axis=1)
         self.masks = _MaskProvider(self.power, self.truth)
@@ -303,7 +304,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
                 ).value_mw
             else:  # MMSE
                 value = est.mmse_fit(
-                    ctx.spectral[lo:hi], blind=bool(method.params.get("blind", True))
+                    ctx.block.spectral[lo:hi], blind=bool(method.params.get("blind", True))
                 ).value_mw
             frames.append(f)
             values.append(value)
@@ -324,19 +325,28 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     )
 
 
-def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec],
-               seeds: list[int]) -> tuple[list[EstimateSeries], dict[int, GroundTruth]]:
+def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int]
+               ) -> tuple[list[EstimateSeries], dict[int, GroundTruth], dict[str, float]]:
+    """Series, ground truth per seed, and each method's evaluation time in ms.
+
+    A method's time is summed over seeds.  It excludes building the seed's
+    context but includes the shared masks or Gram matrix it is first to need.
+    """
     if not methods:
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
     out: list[EstimateSeries] = []
     truths: dict[int, GroundTruth] = {}
+    wall = dict.fromkeys((m.label for m in methods), 0.0)
     for seed in seeds:
         ctx = _SeedContext(config, seed)
-        out.extend(_evaluate_method(m, ctx, config.name, seed) for m in methods)
+        for m in methods:
+            start = time.perf_counter()
+            out.append(_evaluate_method(m, ctx, config.name, seed))
+            wall[m.label] += 1e3 * (time.perf_counter() - start)
         truths[seed] = ctx.truth
-    return out, truths
+    return out, truths, wall
 
 
 def run_scenario(config: ScenarioConfig, methods: list[MethodSpec],
@@ -407,18 +417,14 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
 
 def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int],
                   timing: bool = False) -> tuple[list[EstimateSeries], list[BenchmarkReport]]:
-    """Full pass: series for every (method, seed) plus aggregated reports."""
-    wall: dict[str, float] = {}
-    if timing:
-        series, truths = [], {}
-        for method in methods:
-            start = time.perf_counter()
-            own, truths = _run_seeds(config, [method], seeds)
-            wall[method.label] = 1e3 * (time.perf_counter() - start)
-            series.extend(own)
-    else:
-        series, truths = _run_seeds(config, methods, seeds)
-    reports = build_reports(config, methods, series, truths, wall_times_ms=wall or None)
+    """Full pass: series for every (method, seed) plus aggregated reports.
+
+    With timing, each report carries its method's evaluation time summed over
+    seeds (scenario builds excluded); without, the column stays 0.0.
+    """
+    series, truths, wall = _run_seeds(config, methods, seeds)
+    reports = build_reports(config, methods, series, truths,
+                            wall_times_ms=wall if timing else None)
     return series, reports
 
 
@@ -430,12 +436,20 @@ def _counting_shape(method: MethodSpec, n: int) -> tuple[int, int]:
 
 
 def _counting_block(n_frames: int, n_bins: int) -> ResourceBlock:
+    """Unit-power white block from a fixed Philox key, filled a chunk of frames at a time.
+
+    Each frame draws its n_bins real parts, then its n_bins imaginary parts,
+    so the block does not depend on the chunk size; chunking keeps the
+    transients of the largest blocks small.
+    """
     rng = np.random.Generator(np.random.Philox(key=12345))
-    frames = []
-    for i in range(n_frames):
-        t = (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)) / np.sqrt(2)
-        frames.append(dft(t, frame_index=i))
-    return ResourceBlock(frames=tuple(frames))
+    spectral = np.empty((n_frames, n_bins), dtype=np.complex128)
+    for lo in range(0, n_frames, COUNTING_CHUNK):
+        hi = min(lo + COUNTING_CHUNK, n_frames)
+        draws = rng.standard_normal((hi - lo, 2, n_bins))
+        spectral[lo:hi] = np.fft.fft((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2), axis=1)
+    spectral.setflags(write=False)
+    return ResourceBlock(spectral)
 
 
 def count_ops(method: MethodSpec, n: int, block: ResourceBlock | None = None) -> OpCounter:
@@ -459,7 +473,7 @@ def count_ops(method: MethodSpec, n: int, block: ResourceBlock | None = None) ->
     # Only the final frame's transform is booked: the complexity model
     # charges one FFT per batch of N new samples.
     ops.fft(shape[1])
-    last = block.frames[-1]
+    last = SpectralFrame(bins=block.spectral[-1], frame_index=block.n_frames - 1)
 
     if method.estimator in ("ML", "MVU"):
         power = power_spectrum(last, ops=ops)

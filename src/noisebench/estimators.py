@@ -339,7 +339,7 @@ def cbe_estimate(block: ResourceBlock, occupied_fraction: float, grid_size: int 
                  ops: OpCounter | None = None) -> NoisePowerEstimate:
     """Covariance-based estimate of one block; see :func:`cbe_fit`."""
     return cbe_fit(sample_covariance(block, ops=ops), block.n_bins, occupied_fraction,
-                   grid_size=grid_size, frame_index=block.frames[-1].frame_index, ops=ops)
+                   grid_size=grid_size, frame_index=block.n_frames - 1, ops=ops)
 
 
 def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: int = 100,
@@ -390,7 +390,7 @@ def mmse_estimate(block: ResourceBlock, blind: bool = True,
                   ops: OpCounter | None = None) -> NoisePowerEstimate:
     """Per-subcarrier MMSE-filter estimate from the block's last frame; see :func:`mmse_fit`."""
     return mmse_fit(block.spectral_matrix(), blind=blind,
-                    frame_index=block.frames[-1].frame_index, ops=ops)
+                    frame_index=block.n_frames - 1, ops=ops)
 
 
 def mmse_fit(spectral: np.ndarray, blind: bool = True, frame_index: int | None = None,

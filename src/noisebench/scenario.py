@@ -359,45 +359,55 @@ def _frame_amplitudes(config: ScenarioConfig, frame: int) -> list[tuple[int, int
     return out
 
 
+def _constant_segments(config: ScenarioConfig) -> list[tuple[int, int]]:
+    """Frame ranges [start, end) over which the active signals and SNR step stay the same."""
+    m = config.n_frames
+    edges = {0, m}
+    for sig in config.signals:
+        edges.update((sig.frame_start, m if sig.frame_end is None else sig.frame_end))
+    for step in config.snr_schedule:
+        edges.update((step.frame_start, step.frame_end))
+    cuts = sorted(e for e in edges if 0 <= e <= m)
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
 def build_scenario(config: ScenarioConfig) -> tuple[ResourceBlock, GroundTruth]:
     """Construct the noisy observation block and its analytic ground truth.
 
     The noise stream is rescaled so its mean power over all N*M samples equals
     the reference exactly; signals are added in the spectral domain, so the
-    per-frame true SNR follows from the configured powers alone.
+    per-frame true SNR follows from the configured powers alone.  The frames
+    are transformed in one batched FFT, and each signal is added to every
+    frame of a range whose active signals do not change, in signal order.
     """
     n, m = config.n_bins, config.n_frames
-    noise = _noise_series(config)
-    time_frames = frame_signal(noise, n, m)
-    spectral = [np.fft.fft(fr) for fr in time_frames]
+    spectral = np.fft.fft(frame_signal(_noise_series(config), n, m), axis=1)
 
     mask = np.zeros((m, n), dtype=bool)
     snr_db = np.full(m, -np.inf)
     root_n = np.sqrt(n)
-    for f in range(m):
+    for start, end in _constant_segments(config):
         signal_power = 0.0
-        for lo, hi, a_sqrt_mw in _frame_amplitudes(config, f):
-            spectral[f][lo:hi] += a_sqrt_mw * root_n
-            mask[f, lo:hi] = True
+        for lo, hi, a_sqrt_mw in _frame_amplitudes(config, start):
+            spectral[start:end, lo:hi] += a_sqrt_mw * root_n
+            mask[start:end, lo:hi] = True
             signal_power += a_sqrt_mw**2 * (hi - lo) / n
         if signal_power > 0:
-            snr_db[f] = 10.0 * np.log10(signal_power / config.reference_noise_power_mw)
+            snr_db[start:end] = 10.0 * np.log10(signal_power / config.reference_noise_power_mw)
 
-    block = ResourceBlock(
-        frames=tuple(SpectralFrame(bins=b, frame_index=i) for i, b in enumerate(spectral))
-    )
+    spectral.setflags(write=False)
     truth = GroundTruth(
         noise_power_mw=np.full(m, config.reference_noise_power_mw),
         true_snr_db=snr_db,
         signal_bin_mask=mask,
     )
-    return block, truth
+    return ResourceBlock(spectral), truth
 
 
 def time_series_of(block: ResourceBlock, sample_rate_hz: float) -> ComplexSeries:
     """Inverse-transform a block back to one contiguous time-domain stream."""
-    parts = [np.fft.ifft(fr.bins) for fr in block.frames]
-    return ComplexSeries(samples=np.concatenate(parts), sample_rate_hz=sample_rate_hz)
+    samples = np.fft.ifft(block.spectral, axis=1).ravel()
+    return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
 # --- configuration files ----------------------------------------------------

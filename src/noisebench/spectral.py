@@ -3,9 +3,13 @@
 Conventions: frames are non-overlapping, rectangular-windowed slices of the
 input stream; the DFT is the unnormalized forward transform (Parseval reads
 ``sum |X(n)|^2 == N * sum |x(t)|^2``); bin powers are ``|X(n)|^2 / N`` so the
-mean over bins equals the time-domain mean power.  All value types hold
-read-only arrays and every operation is a pure function, so results can be
-shared freely between threads.
+mean over bins equals the time-domain mean power.  A resource block is one
+read-only (M, N) complex array, row i holding frame i, so a window of frames
+is a slice and the block-level operations (power matrix, batched FFT) work
+on the whole array at once; :class:`SpectralFrame` and :class:`PowerSpectrum`
+serve the single-frame functions.  All value types hold read-only arrays and
+every operation is a pure function, so results can be shared freely between
+threads.
 """
 
 from __future__ import annotations
@@ -108,40 +112,56 @@ class PowerSpectrum:
 
 @dataclass(frozen=True)
 class ResourceBlock:
-    """M spectral frames of identical bin count: the unit of analysis."""
+    """M spectral frames of N bins as one read-only (M, N) complex array: the unit of analysis.
 
-    frames: tuple[SpectralFrame, ...]
+    Row i holds frame i's coefficients.  The array is validated once, here;
+    a writeable input is copied and frozen, a read-only one is kept as is.
+    """
+
+    spectral: np.ndarray
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        if not frames:
+        arr = np.asarray(self.spectral, dtype=np.complex128)
+        if arr.ndim != 2:
+            raise ValueError(f"a resource block is a 2-D (frames, bins) array, got {arr.ndim}-D")
+        if arr.shape[0] < 1:
             raise ValueError("a resource block needs at least one frame")
-        n = frames[0].n_bins
-        for i, fr in enumerate(frames):
-            if fr.n_bins != n:
-                raise ValueError("all frames in a block must share the bin count")
-            if fr.frame_index != i:
-                raise ValueError("frame indices must be consecutive from 0")
-        object.__setattr__(self, "frames", frames)
+        if arr.shape[1] < 2:
+            raise ValueError("a spectral frame needs at least 2 bins")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            frame, bin_ = np.argwhere(~finite)[0]
+            raise ValueError(f"block contains a non-finite value at frame {frame}, bin {bin_}")
+        if arr.flags.writeable:
+            arr = arr.copy()
+            arr.setflags(write=False)
+        object.__setattr__(self, "spectral", arr)
 
     @property
     def n_frames(self) -> int:
-        return len(self.frames)
+        return self.spectral.shape[0]
 
     @property
     def n_bins(self) -> int:
-        return self.frames[0].n_bins
+        return self.spectral.shape[1]
 
     def spectral_matrix(self) -> np.ndarray:
-        """(M, N) complex matrix of raw spectral coefficients, rows = frames."""
-        return np.stack([fr.bins for fr in self.frames])
+        """(M, N) complex matrix of raw spectral coefficients, rows = frames (not a copy)."""
+        return self.spectral
+
+    def window(self, lo: int, hi: int) -> ResourceBlock:
+        """Frames lo..hi-1 as a block of their own: a view, rows re-indexed from 0."""
+        if not 0 <= lo < hi <= self.n_frames:
+            raise ValueError(f"window [{lo}, {hi}) outside the block's {self.n_frames} frames")
+        return ResourceBlock(self.spectral[lo:hi])
 
 
-def frame_signal(series: ComplexSeries, frame_len: int, frame_count: int) -> list[np.ndarray]:
+def frame_signal(series: ComplexSeries, frame_len: int, frame_count: int) -> np.ndarray:
     """Slice the stream into ``frame_count`` non-overlapping frames of ``frame_len``.
 
-    Frame i holds samples [i*frame_len, (i+1)*frame_len); trailing samples
-    beyond frame_len*frame_count are discarded.  No window is applied.
+    Returns a read-only (frame_count, frame_len) view whose row i holds
+    samples [i*frame_len, (i+1)*frame_len); trailing samples beyond
+    frame_len*frame_count are discarded.  No window is applied.
     """
     if frame_len < 1 or frame_count < 1:
         raise ValueError("frame_len and frame_count must be >= 1")
@@ -152,8 +172,7 @@ def frame_signal(series: ComplexSeries, frame_len: int, frame_count: int) -> lis
         )
     if len(series) > needed:
         log.debug("discarding %d trailing samples", len(series) - needed)
-    data = series.samples[:needed]
-    return [data[i * frame_len:(i + 1) * frame_len] for i in range(frame_count)]
+    return series.samples[:needed].reshape(frame_count, frame_len)
 
 
 def dft(frame: np.ndarray, frame_index: int = 0, ops: OpCounter | None = None) -> SpectralFrame:
@@ -184,18 +203,34 @@ def averaged_periodogram(block: ResourceBlock, ops: OpCounter | None = None) -> 
     if ops is not None:
         ops.add((block.n_frames - 1) * block.n_bins)
         ops.mul(block.n_bins)
-    return PowerSpectrum(power=mat.mean(axis=0), frame_index=block.frames[-1].frame_index)
+    return PowerSpectrum(power=mat.mean(axis=0), frame_index=block.n_frames - 1)
 
 
 def power_matrix(block: ResourceBlock, ops: OpCounter | None = None) -> np.ndarray:
-    """(M, N) matrix of per-frame bin powers in the |X|^2/N convention."""
-    mat = np.stack([power_spectrum(fr, ops=ops).power for fr in block.frames])
+    """(M, N) matrix of per-frame bin powers in the |X|^2/N convention.
+
+    Row i equals ``power_spectrum`` of frame i, and so do the bookings: M
+    times one frame's.
+    """
+    spectral = block.spectral
+    m, n = spectral.shape
+    if ops is not None:
+        ops.mul(2 * n * m)
+        ops.add(n * m)
+        ops.mul(n * m)
+    mat = (spectral.real**2 + spectral.imag**2) / n
     mat.setflags(write=False)
     return mat
 
 
-def block_from_frames(time_frames: list[np.ndarray], ops: OpCounter | None = None) -> ResourceBlock:
-    """Transform time-domain frames into a resource block."""
-    return ResourceBlock(
-        frames=tuple(dft(fr, frame_index=i, ops=ops) for i, fr in enumerate(time_frames))
-    )
+def block_from_frames(time_frames, ops: OpCounter | None = None) -> ResourceBlock:
+    """Transform time-domain frames (rows of an (M, N) array) into a resource block."""
+    frames = np.asarray(time_frames, dtype=np.complex128)
+    if frames.ndim != 2:
+        raise ValueError("time frames must form a 2-D (frames, samples) array")
+    if ops is not None:
+        for _ in range(frames.shape[0]):
+            ops.fft(frames.shape[1])
+    spectral = np.fft.fft(frames, axis=1)
+    spectral.setflags(write=False)
+    return ResourceBlock(spectral)

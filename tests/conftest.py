@@ -1,4 +1,5 @@
-"""Shared scenario builders for the test suite."""
+"""Shared scenario builders for the test suite, and the frame-by-frame builders
+that the array-backed ones are checked against."""
 
 from __future__ import annotations
 
@@ -6,14 +7,15 @@ import numpy as np
 import pytest
 
 from noisebench import (
+    GroundTruth,
     NoiseSource,
-    ResourceBlock,
     ScenarioConfig,
-    SpectralFrame,
     SubbandSignal,
     build_scenario,
+    dft,
     power_matrix,
 )
+from noisebench.scenario import _frame_amplitudes, _noise_series
 
 N_BINS = 512
 N_FRAMES = 100
@@ -56,12 +58,38 @@ def noise_block():
     return block, truth, power_matrix(block)
 
 
-def window_block(block: ResourceBlock, lo: int, hi: int) -> ResourceBlock:
-    """Frames lo..hi-1 of a block as a block of their own, re-indexed from 0."""
-    return ResourceBlock(frames=tuple(
-        SpectralFrame(bins=block.frames[f].bins, frame_index=f - lo)
-        for f in range(lo, hi)
-    ))
+def build_scenario_per_frame(config: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
+    """Oracle for build_scenario: one FFT and one signal pass per frame."""
+    n, m = config.n_bins, config.n_frames
+    samples = _noise_series(config).samples
+    spectral = [np.fft.fft(samples[i * n:(i + 1) * n]) for i in range(m)]
+    mask = np.zeros((m, n), dtype=bool)
+    snr_db = np.full(m, -np.inf)
+    root_n = np.sqrt(n)
+    for f in range(m):
+        signal_power = 0.0
+        for lo, hi, a_sqrt_mw in _frame_amplitudes(config, f):
+            spectral[f][lo:hi] += a_sqrt_mw * root_n
+            mask[f, lo:hi] = True
+            signal_power += a_sqrt_mw**2 * (hi - lo) / n
+        if signal_power > 0:
+            snr_db[f] = 10.0 * np.log10(signal_power / config.reference_noise_power_mw)
+    truth = GroundTruth(
+        noise_power_mw=np.full(m, config.reference_noise_power_mw),
+        true_snr_db=snr_db,
+        signal_bin_mask=mask,
+    )
+    return np.stack(spectral), truth
+
+
+def counting_block_per_frame(n_frames: int, n_bins: int) -> np.ndarray:
+    """Oracle for bench._counting_block: one draw pair and one dft per frame."""
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    rows = []
+    for i in range(n_frames):
+        t = (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)) / np.sqrt(2)
+        rows.append(dft(t, frame_index=i).bins)
+    return np.stack(rows)
 
 
 def complex_rng(seed: int) -> np.random.Generator:

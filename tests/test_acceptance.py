@@ -38,7 +38,7 @@ from noisebench.cli import main as cli_main
 from noisebench.estimators import mp_cdf_normalization_error
 from noisebench.scenario import build_scenario, with_seed
 
-from conftest import noise_only_config, reference_config, window_block
+from conftest import noise_only_config, reference_config
 
 SEEDS_50 = list(range(50))
 
@@ -82,7 +82,7 @@ def test_criterion_1_estimator_unbiasedness():
                 mvu_estimate(spectra[lo:hi], masks[lo:hi]).value_mw)
             avg = PowerSpectrum(power[lo:hi].mean(axis=0), hi - 1)
             per_window["AIC"].append(aic_estimate(avg, 100).value_mw)
-            sub = window_block(block, lo, hi)
+            sub = block.window(lo, hi)
             per_window["CBE"].append(cbe_estimate(sub, 0.0).value_mw)
             per_window["MMSE"].append(mmse_estimate(sub).value_mw)
         for key, vals in per_window.items():

@@ -21,7 +21,7 @@ from noisebench import (
 )
 from noisebench.bench import ground_truths, sample_std
 
-from conftest import noise_only_config, reference_config, window_block
+from conftest import counting_block_per_frame, noise_only_config, reference_config
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
@@ -182,7 +182,7 @@ class TestRunScenario:
             hi = lo + window
             fraction = ctx.truth.occupied_fraction(hi - 1)
             got = cbe_fit(ctx.gram[lo:hi, lo:hi], cfg.n_bins, fraction)
-            want = cbe_estimate(window_block(ctx.block, lo, hi), fraction)
+            want = cbe_estimate(ctx.block.window(lo, hi), fraction)
             for key in ("sigma_min_sq", "sigma_max_sq"):
                 assert got.diagnostics[key] == pytest.approx(want.diagnostics[key], rel=1e-12)
             assert got.value_mw == pytest.approx(want.value_mw, rel=1e-12)
@@ -209,6 +209,16 @@ class TestRunScenario:
             spectra = [PowerSpectrum(ctx.power[g], g) for g in range(lo, hi)]
             assert got == mvu_estimate(spectra, masks).value_mw
 
+    def test_seed_context_holds_one_spectral_matrix(self):
+        from noisebench.bench import _SeedContext
+        cfg = reference_config(seed=2, n_frames=30)
+        ctx = _SeedContext(cfg, 2)
+        spectral = ctx.block.spectral
+        assert ctx.block.spectral_matrix() is spectral
+        held = [v for obj in (ctx, ctx.masks) for v in vars(obj).values()
+                if isinstance(v, np.ndarray)]
+        assert not any(v.dtype.kind == "c" or np.shares_memory(v, spectral) for v in held)
+
     def test_mmse_slices_match_window_blocks(self):
         from noisebench import mmse_estimate, mmse_fit
         from noisebench.bench import _SeedContext
@@ -218,8 +228,8 @@ class TestRunScenario:
         window = 100
         for lo in range(cfg.n_frames - window + 1):
             hi = lo + window
-            got = mmse_fit(ctx.spectral[lo:hi])
-            want = mmse_estimate(window_block(ctx.block, lo, hi))
+            got = mmse_fit(ctx.block.spectral[lo:hi])
+            want = mmse_estimate(ctx.block.window(lo, hi))
             assert got.value_mw == want.value_mw
             assert got.diagnostics == want.diagnostics
 
@@ -366,6 +376,13 @@ class TestCountOps:
             assert shared.stages == fresh.stages, spec.label
         assert len(blocks) == 2
 
+    @pytest.mark.parametrize("shape", [(16, 16), (64, 128), (512, 512), (512, 1024)],
+                             ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_counting_block_matches_per_frame_build(self, shape):
+        from noisebench.bench import _counting_block
+        block = _counting_block(*shape)
+        np.testing.assert_array_equal(block.spectral, counting_block_per_frame(*shape))
+
     def test_counting_block_shape_checked(self):
         from noisebench.bench import _counting_block
         with pytest.raises(ValueError, match="needs 32x64"):
@@ -498,6 +515,29 @@ class TestReports:
         cfg = reference_config(seed=0, n_frames=20)
         run_benchmark(cfg, [MethodSpec("ML", "ideal"), MethodSpec("AIC")], [0, 1, 2])
         assert calls == [0, 1, 2]
+
+    def test_timing_shares_the_seed_loop(self, monkeypatch, tmp_path):
+        # Timing measures each method inside the one per-seed loop: seeds are
+        # built once, the series are unchanged and every method gets a time.
+        from noisebench import bench
+        calls = []
+        original = bench.build_scenario
+
+        def counting_build(cfg):
+            calls.append(cfg.noise.seed)
+            return original(cfg)
+
+        monkeypatch.setattr(bench, "build_scenario", counting_build)
+        cfg = reference_config(seed=0, n_frames=20)
+        methods = [MethodSpec("ML", "ideal"), MethodSpec("AIC"), MethodSpec("MMSE")]
+        timed_series, timed = run_benchmark(cfg, methods, [0, 1], timing=True)
+        assert calls == [0, 1]
+        series, reports = run_benchmark(cfg, methods, [0, 1])
+        assert all(r.wall_time_ms > 0 for r in timed)
+        assert all(r.wall_time_ms == 0.0 for r in reports)
+        write_series_csv(tmp_path / "timed.csv", timed_series)
+        write_series_csv(tmp_path / "plain.csv", series)
+        assert (tmp_path / "timed.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
 
     def test_report_rmse_exceeds_population_std(self):
         cfg = reference_config(seed=1, n_frames=40)

@@ -12,7 +12,6 @@ from noisebench import (
     ResourceBlock,
     ScenarioConfig,
     SeparationMask,
-    SpectralFrame,
     SubbandSignal,
     SurrogateNoiseParams,
     ZeroPowerError,
@@ -60,11 +59,9 @@ def aic_curve_naive(lam: np.ndarray, m: int) -> np.ndarray:
 def white_block(seed: int, n_frames: int = 100, n_bins: int = 512,
                 power: float = 1.0) -> ResourceBlock:
     rng = np.random.default_rng(seed)
-    frames = tuple(
-        SpectralFrame(bins=white_frame(rng, n_bins, power) * np.sqrt(n_bins), frame_index=i)
-        for i in range(n_frames)
-    )
-    return ResourceBlock(frames=frames)
+    return ResourceBlock(np.stack([
+        white_frame(rng, n_bins, power) * np.sqrt(n_bins) for _ in range(n_frames)
+    ]))
 
 
 class TestMlEstimate:
@@ -222,7 +219,7 @@ class TestAicEstimate:
     def test_counting_block_order_matches_direct_curve(self, n):
         # count_ops books the per-order evaluation but runs the cumulative
         # curve; on the counting block both must pick the same order.
-        last = _counting_block(n, n).frames[-1].bins
+        last = _counting_block(n, n).spectral[-1]
         p = (last.real**2 + last.imag**2) / n
         lam = np.sort(np.maximum(p, 1e-30))[::-1]
         counted = aic_estimate(spectrum(p), n, ops=OpCounter())
@@ -250,10 +247,7 @@ class TestAicEstimate:
 class TestCovarianceEigenvalues:
     def test_rank_one_block(self):
         row = np.full(8, 2.0, dtype=complex)
-        block = ResourceBlock(frames=(
-            SpectralFrame(bins=row, frame_index=0),
-            SpectralFrame(bins=row, frame_index=1),
-        ))
+        block = ResourceBlock(np.stack([row, row]))
         eig = covariance_eigenvalues(block)
         assert eig.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
         # trace identity fixes the scale of the single non-zero eigenvalue
@@ -264,10 +258,7 @@ class TestCovarianceEigenvalues:
     def test_orthogonal_equal_norm_rows(self):
         bins_a = np.array([1, 1, 1, 1], dtype=complex)
         bins_b = np.array([1, -1, 1, -1], dtype=complex)
-        block = ResourceBlock(frames=(
-            SpectralFrame(bins=bins_a, frame_index=0),
-            SpectralFrame(bins=bins_b, frame_index=1),
-        ))
+        block = ResourceBlock(np.stack([bins_a, bins_b]))
         ev = covariance_eigenvalues(block).eigenvalues
         assert ev[0] == pytest.approx(ev[1], rel=1e-12)
 
@@ -348,10 +339,7 @@ class TestCbeEstimate:
     def test_homogeneity_under_scaling(self):
         block = white_block(77, n_frames=32, n_bins=128)
         gamma = 3.5
-        scaled = ResourceBlock(frames=tuple(
-            SpectralFrame(bins=f.bins * np.sqrt(gamma), frame_index=f.frame_index)
-            for f in block.frames
-        ))
+        scaled = ResourceBlock(block.spectral * np.sqrt(gamma))
         base = cbe_estimate(block, 0.0, grid_size=50)
         up = cbe_estimate(scaled, 0.0, grid_size=50)
         assert up.value_mw == pytest.approx(gamma * base.value_mw, rel=1e-9)
@@ -388,9 +376,7 @@ class TestMmseEstimate:
 
     def test_identical_frames_rejected(self):
         row = np.arange(1, 9, dtype=complex)
-        block = ResourceBlock(frames=tuple(
-            SpectralFrame(bins=row, frame_index=i) for i in range(5)
-        ))
+        block = ResourceBlock(np.stack([row] * 5))
         with pytest.raises(ZeroPowerError):
             mmse_estimate(block)
 
@@ -421,10 +407,7 @@ class TestMmseEstimate:
     def test_scale_equivariance(self):
         block = white_block(4, n_frames=20, n_bins=64)
         gamma = 2.25
-        scaled = ResourceBlock(frames=tuple(
-            SpectralFrame(bins=f.bins * np.sqrt(gamma), frame_index=f.frame_index)
-            for f in block.frames
-        ))
+        scaled = ResourceBlock(block.spectral * np.sqrt(gamma))
         assert mmse_estimate(scaled).value_mw == pytest.approx(
             gamma * mmse_estimate(block).value_mw, rel=1e-9)
 

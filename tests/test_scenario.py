@@ -29,10 +29,10 @@ from noisebench import (
     synth_white_noise,
     write_iq_trace,
 )
-from noisebench.scenario import amplitude_mv_to_sqrt_mw
+from noisebench.scenario import amplitude_mv_to_sqrt_mw, time_series_of
 from noisebench.spectral import ComplexSeries, SpectralFrame
 
-from conftest import reference_config
+from conftest import build_scenario_per_frame, reference_config
 
 
 class TestIqTrace:
@@ -272,6 +272,64 @@ class TestBuildScenario:
                              reference_noise_power_mw=1.0)
         block, _ = build_scenario(cfg)
         assert power_matrix(block).mean() == pytest.approx(1.0, rel=1e-6)
+
+
+def _oracle_config(kind: str, tmp_path) -> ScenarioConfig:
+    if kind == "white-gaussian":
+        return reference_config(seed=13, n_frames=40)
+    if kind == "surrogate-industrial":
+        params = SurrogateNoiseParams(impulse_rate=2e-3, impulse_amplitude_factor=8.0,
+                                      spectral_tilt_db_per_decade=-3.0)
+        return ScenarioConfig(
+            n_bins=256, n_frames=30,
+            noise=NoiseSource(kind="surrogate-industrial", seed=4, params=params),
+            signals=(SubbandSignal(subband_index=1, occupancy_fraction=0.5,
+                                   target_snr_db=3.0),),
+        )
+    if kind == "trace-file":
+        path = tmp_path / "noise.iq"
+        write_iq_trace(path, synth_white_noise(128 * 24 + 100, 2.0, seed=6))
+        return ScenarioConfig(
+            n_bins=128, n_frames=24,
+            noise=NoiseSource(kind="trace-file", path=str(path)),
+            signals=(
+                SubbandSignal(subband_index=0, occupancy_fraction=0.5, target_snr_db=10.0,
+                              frame_end=12),
+                SubbandSignal(subband_index=3, occupancy_fraction=0.5, target_snr_db=10.0,
+                              frame_start=12),
+            ),
+        )
+    return ScenarioConfig(  # SNR schedule over overlapping, partly active signals
+        n_bins=64, n_frames=20, noise=NoiseSource(seed=8),
+        signals=(
+            SubbandSignal(subband_index=2, occupancy_fraction=1.0, target_snr_db=0.0),
+            SubbandSignal(subband_index=2, occupancy_fraction=0.5, amplitude_mv=40.0,
+                          frame_start=3, frame_end=17),
+            SubbandSignal(subband_index=0, occupancy_fraction=0.25, amplitude_mv=20.0,
+                          frame_start=15, frame_end=40),
+        ),
+        snr_schedule=(SnrStep(5, 9, -3.0), SnrStep(8, 12, 6.0), SnrStep(18, 30, 1.0)),
+    )
+
+
+class TestArrayBuildersMatchPerFrame:
+    @pytest.mark.parametrize(
+        "kind", ["white-gaussian", "surrogate-industrial", "trace-file", "snr-schedule"])
+    def test_build_scenario_matches_per_frame_build(self, kind, tmp_path):
+        config = _oracle_config(kind, tmp_path)
+        block, truth = build_scenario(config)
+        want_spectral, want_truth = build_scenario_per_frame(config)
+        np.testing.assert_array_equal(block.spectral, want_spectral)
+        for name in ("noise_power_mw", "true_snr_db", "signal_bin_mask"):
+            np.testing.assert_array_equal(getattr(truth, name), getattr(want_truth, name))
+        assert np.isfinite(truth.true_snr_db).any()
+
+    def test_time_series_matches_per_frame_ifft(self):
+        block, _ = build_scenario(reference_config(seed=2, n_frames=20))
+        want = np.concatenate([np.fft.ifft(row) for row in block.spectral])
+        series = time_series_of(block, 10e6)
+        np.testing.assert_array_equal(series.samples, want)
+        assert series.sample_rate_hz == 10e6
 
 
 class TestConfigFiles:

@@ -354,7 +354,7 @@ class TestFisherSeparate:
     def test_counting_block_split_matches_direct_scan(self, n):
         # count_ops books the direct scan but runs the prefix scan; on the
         # counting block both must pick the same split.
-        last = _counting_block(n, n).frames[-1].bins
+        last = _counting_block(n, n).spectral[-1]
         p = (last.real**2 + last.imag**2) / n
         counted = fisher_separate(spectrum(p), ops=OpCounter())
         assert counted.aux["split"] == self.fisher_oracle(p)

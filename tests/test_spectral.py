@@ -15,8 +15,10 @@ from noisebench import (
     block_from_frames,
     dft,
     frame_signal,
+    power_matrix,
     power_spectrum,
 )
+from noisebench.opcount import OpCounter
 
 from conftest import white_frame
 
@@ -126,15 +128,15 @@ class TestAveragedPeriodogram:
 
     def test_single_frame_identity(self):
         frame = self._frame_with_powers([1.0, 3.0], 0)
-        block = ResourceBlock(frames=(frame,))
+        block = ResourceBlock(frame.bins[None, :])
         np.testing.assert_allclose(averaged_periodogram(block).power,
                                    power_spectrum(frame).power)
 
     def test_two_frame_mean(self):
-        block = ResourceBlock(frames=(
-            self._frame_with_powers([1.0, 3.0], 0),
-            self._frame_with_powers([3.0, 1.0], 1),
-        ))
+        block = ResourceBlock(np.stack([
+            self._frame_with_powers([1.0, 3.0], 0).bins,
+            self._frame_with_powers([3.0, 1.0], 1).bins,
+        ]))
         np.testing.assert_allclose(averaged_periodogram(block).power, [2.0, 2.0])
 
     def test_white_noise_block_levels(self):
@@ -157,19 +159,87 @@ class TestAveragedPeriodogram:
                                    averaged_periodogram(shuffled).power, rtol=1e-12)
 
 
-class TestValueTypes:
-    def test_block_requires_uniform_bins(self):
-        with pytest.raises(ValueError, match="share the bin count"):
-            ResourceBlock(frames=(
-                SpectralFrame(bins=np.ones(4, dtype=complex), frame_index=0),
-                SpectralFrame(bins=np.ones(8, dtype=complex), frame_index=1),
-            ))
+class TestPowerMatrix:
+    def test_matches_stacked_power_spectra(self):
+        # Values and bookings equal power_spectrum frame by frame.
+        rng = np.random.default_rng(8)
+        block = block_from_frames([white_frame(rng, 64) for _ in range(7)])
+        got_ops, want_ops = OpCounter(), OpCounter()
+        got = power_matrix(block, ops=got_ops)
+        want = np.stack([
+            power_spectrum(SpectralFrame(bins=row, frame_index=i), ops=want_ops).power
+            for i, row in enumerate(block.spectral)
+        ])
+        np.testing.assert_array_equal(got, want)
+        assert got_ops.counts == want_ops.counts
+        assert not got.flags.writeable
 
-    def test_block_requires_consecutive_indices(self):
-        with pytest.raises(ValueError, match="consecutive"):
-            ResourceBlock(frames=(
-                SpectralFrame(bins=np.ones(4, dtype=complex), frame_index=1),
-            ))
+
+class TestBlockFromFrames:
+    def test_matches_per_frame_dft(self):
+        rng = np.random.default_rng(9)
+        frames = [white_frame(rng, 48) for _ in range(6)]
+        got_ops, want_ops = OpCounter(), OpCounter()
+        block = block_from_frames(frames, ops=got_ops)
+        want = np.stack([dft(fr, frame_index=i, ops=want_ops).bins
+                         for i, fr in enumerate(frames)])
+        np.testing.assert_array_equal(block.spectral, want)
+        assert got_ops.counts == want_ops.counts
+
+    def test_frame_signal_rows_round_trip(self):
+        data = np.arange(12, dtype=complex)
+        block = block_from_frames(frame_signal(series(data), 4, 3))
+        assert (block.n_frames, block.n_bins) == (3, 4)
+        np.testing.assert_allclose(np.fft.ifft(block.spectral, axis=1).ravel(), data,
+                                   atol=1e-12)
+
+
+class TestValueTypes:
+    @pytest.mark.parametrize("values, message", [
+        (np.ones(4, dtype=complex), "2-D"),
+        (np.ones((2, 3, 4), dtype=complex), "2-D"),
+        (np.ones((0, 4), dtype=complex), "at least one frame"),
+        (np.ones((3, 1), dtype=complex), "at least 2 bins"),
+    ], ids=["1-D", "3-D", "no-frames", "one-bin"])
+    def test_block_rejects_bad_shapes(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            ResourceBlock(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_block_rejects_non_finite(self, bad):
+        values = np.ones((4, 6), dtype=complex)
+        values[2, 3] = bad
+        values[3, 0] = bad
+        with pytest.raises(ValueError, match="non-finite value at frame 2, bin 3"):
+            ResourceBlock(values)
+
+    def test_block_requires_uniform_bins(self):
+        with pytest.raises(ValueError):
+            ResourceBlock([np.ones(4, dtype=complex), np.ones(8, dtype=complex)])
+
+    def test_block_copies_only_writeable_input(self):
+        values = np.ones((3, 4), dtype=complex)
+        block = ResourceBlock(values)
+        assert not np.shares_memory(block.spectral, values)
+        assert not block.spectral.flags.writeable
+        values.setflags(write=False)
+        assert ResourceBlock(values).spectral is values
+        assert block.spectral_matrix() is block.spectral
+
+    def test_window_rows_reindexed_from_zero(self):
+        rng = np.random.default_rng(3)
+        block = block_from_frames([white_frame(rng, 8) for _ in range(10)])
+        sub = block.window(2, 7)
+        assert (sub.n_frames, sub.n_bins) == (5, 8)
+        assert np.shares_memory(sub.spectral, block.spectral)
+        np.testing.assert_array_equal(sub.spectral, block.spectral[2:7])
+        assert averaged_periodogram(sub).frame_index == 4
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 11)])
+    def test_window_bounds_checked(self, lo, hi):
+        block = ResourceBlock(np.ones((10, 4), dtype=complex))
+        with pytest.raises(ValueError, match="outside"):
+            block.window(lo, hi)
 
     def test_power_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
