@@ -32,6 +32,7 @@ from .estimators import (
     ml_estimate,
     mmse_estimate,
     mmse_fit,
+    mmse_fit_windows,
     mp_cdf,
     mvu_estimate,
     mvu_fit,

@@ -15,10 +15,11 @@ erosion bandwidth search at low SNR).
 All methods of one seed share a context: the scenario's resource block (one
 (M, N) spectral array), its power matrix, a mask cache and, for CBE, one Gram
 matrix.  The erosion cascades of a method's ROF windows run batched, one stack
-of averaged spectra at a time; MVU folds per-frame noise sums; MMSE and CBE
-read each window as a slice of the seed's matrices, never a rebuilt block.
-With timing on, each method's evaluation is timed inside the same per-seed
-loop and summed over seeds.
+of averaged spectra at a time; MVU folds per-frame noise sums; CBE reads each
+window as a slice of the Gram matrix; MMSE evaluates every window of the seed
+in one batched pass over the spectral array (sliding window sums, FFT lags,
+one Levinson solve per window).  With timing on, each method's evaluation is
+timed inside the same per-seed loop and summed over seeds.
 """
 
 from __future__ import annotations
@@ -276,6 +277,11 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
             ml = est.ml_estimate(PowerSpectrum(power[f], f), mask)
             frames.append(f)
             values.append(ml.value_mw)
+    elif method.estimator == "MMSE":
+        for fit in est.mmse_fit_windows(ctx.block.spectral, window,
+                                        blind=bool(method.params.get("blind", True))):
+            frames.append(fit.frame_index)
+            values.append(fit.value_mw)
     else:
         bounds = [(f - window + 1, f + 1) for f in range(window - 1, n_frames)]
         if method.estimator == "MVU" and method.separation == "rof":
@@ -296,15 +302,11 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
             elif method.estimator == "AIC":
                 pg = PowerSpectrum(power[lo:hi].mean(axis=0), f)
                 value = est.aic_estimate(pg, hi - lo).value_mw
-            elif method.estimator == "CBE":
+            else:  # CBE
                 fraction = _occupancy(method, truth, f, power[lo:hi])
                 value = est.cbe_fit(
                     ctx.gram[lo:hi, lo:hi], n_bins, fraction,
                     grid_size=int(method.params.get("grid_size", 100)),
-                ).value_mw
-            else:  # MMSE
-                value = est.mmse_fit(
-                    ctx.block.spectral[lo:hi], blind=bool(method.params.get("blind", True))
                 ).value_mw
             frames.append(f)
             values.append(value)
@@ -382,13 +384,15 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
     opt-in; by default the column is written as 0.0 so that identical runs
     emit byte-identical reports.
     """
-    reports = []
-    counting_blocks: dict[tuple[int, int], ResourceBlock] = {}
+    owned = []
     for method in methods:
         own = [s for s in series
                if s.method == method.estimator and s.separation == method.separation]
-        if not own:
-            continue
+        if own:
+            owned.append((method, own))
+    counters = count_ops_sweep([m for m, _ in owned], [config.n_bins])
+    reports = []
+    for i, (method, own) in enumerate(owned):
         rmses, stds, biases = [], [], []
         for s in own:
             truth = truths[s.seed]
@@ -397,10 +401,6 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
             rmses.append(_metric_or_nan(rmse_db, s, truth))
             biases.append(_metric_or_nan(mean_bias_db, s, truth))
             stds.append(_metric_or_nan(std_dev_db, s))
-        shape = _counting_shape(method, config.n_bins)
-        if shape not in counting_blocks:
-            counting_blocks[shape] = _counting_block(*shape)
-        counter = count_ops(method, config.n_bins, counting_blocks[shape])
         reports.append(BenchmarkReport(
             scenario_id=config.name,
             method=method.estimator,
@@ -409,7 +409,7 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
             rmse_db=float(np.mean(rmses)),
             std_dev_db=float(np.mean(stds)),
             mean_bias_db=float(np.mean(biases)),
-            ops=counter.counts,
+            ops=counters[i, config.n_bins].counts,
             wall_time_ms=(wall_times_ms or {}).get(method.label, 0.0),
         ))
     return reports
@@ -501,6 +501,26 @@ def count_ops(method: MethodSpec, n: int, block: ResourceBlock | None = None) ->
         power_spectrum(last, ops=ops)
         est.mmse_estimate(block, blind=bool(method.params.get("blind", True)), ops=ops)
     return ops
+
+
+def count_ops_sweep(methods: list[MethodSpec],
+                    sizes: list[int]) -> dict[tuple[int, int], OpCounter]:
+    """:func:`count_ops` of every (method position, size), one counting block per shape.
+
+    Blocks are built one shape at a time and dropped before the next, so at
+    most one is alive; the counts equal those on a fresh block per call.
+    """
+    jobs: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for i, method in enumerate(methods):
+        for size in sizes:
+            jobs.setdefault(_counting_shape(method, size), []).append((i, size))
+    counters = {}
+    for shape, keys in jobs.items():
+        block = _counting_block(*shape)
+        for i, size in keys:
+            counters[i, size] = count_ops(methods[i], size, block)
+        del block
+    return counters
 
 
 # --- CSV emission -------------------------------------------------------------

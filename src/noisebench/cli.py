@@ -186,10 +186,11 @@ def cmd_ops(args) -> int:
     if min(sizes) < 16:
         raise ValueError("sizes must be >= 16")
     methods = [_parse_method(m) for m in (args.method or ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"])]
+    counters = bench.count_ops_sweep(methods, sizes)
     lines = ["method,separation,size,ops_add,ops_mul,ops_cmp,ops_transcendental,ops_total"]
-    for method in methods:
+    for i, method in enumerate(methods):
         for size in sizes:
-            counts = bench.count_ops(method, size).counts
+            counts = counters[i, size].counts
             lines.append("%s,%s,%d,%d,%d,%d,%d,%d" % (
                 method.estimator, method.separation, size, counts.adds, counts.muls,
                 counts.cmps, counts.transcendental, counts.total(),

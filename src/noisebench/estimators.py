@@ -10,7 +10,7 @@ its candidate grid).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Any
 
@@ -25,6 +25,9 @@ from .spectral import PowerSpectrum, ResourceBlock
 log = logging.getLogger(__name__)
 
 POWER_FLOOR = 1e-30  # guards logarithms against zero bins
+MMSE_CHUNK = 64  # windows per batched MMSE pass
+# Sliding-sum variances below this fraction of their running sum are recomputed directly.
+_MMSE_SUM_GUARD = 1e-3
 
 # Mean magnitude of the Tracy-Widom beta=2 law; the smallest eigenvalue of a
 # finite complex Wishart matrix sits this many edge-fluctuation units inside
@@ -409,52 +412,133 @@ def mmse_fit(spectral: np.ndarray, blind: bool = True, frame_index: int | None =
     the raw solution's sum is a fixed property of the lag taper (0.943 at
     N=512, a -0.17 dB structural bias on white noise).  Diagnostics carry the
     raw system residual.
+
+    This is the one-window case of :func:`mmse_fit_windows`, which takes the
+    blind mean and the variances from sliding sums over the rows.  C is a
+    biased autocorrelation matrix and so positive semi-definite; C + r(0) I
+    is positive definite, Levinson meets no singular leading minor, and the
+    ridge fallback can only be reached through round-off or overflow.
     """
-    m, n = spectral.shape
-    if m < 3:
+    fit = mmse_fit_windows(spectral, spectral.shape[0], blind=blind, ops=ops)[0]
+    return replace(fit, frame_index=frame_index)
+
+
+def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = True,
+                     ops: OpCounter | None = None) -> list[NoisePowerEstimate]:
+    """:func:`mmse_fit` of every trailing window of ``window`` rows of an (M, N) matrix.
+
+    Entry j covers rows j..j+window-1 and reports at row j+window-1, its
+    ``frame_index``.  Windows are evaluated ``MMSE_CHUNK`` at a time: the
+    chunk's rows are scaled once, each window's blind mean and variances come
+    from running sums over those rows (shifted by the chunk's mean, so the
+    variance subtraction does not cancel), all lag vectors from one FFT pair
+    of length 2N and all system residuals from one FFT circulant product.
+    Each window still gets its own Levinson solve, and windows are checked in
+    order, so the first failing window raises.
+    """
+    total, n = spectral.shape
+    if window < 3:
         raise ValueError("need at least 3 frames")
-    x = spectral / np.sqrt(n)
-    if blind:
-        x = x - x[:m - 1].mean(axis=0, keepdims=True)
+    if window > total:
+        raise ValueError(f"a {window}-frame window does not fit in {total} frames")
+    fits: list[NoisePowerEstimate] = []
+    for first in range(0, total - window + 1, MMSE_CHUNK):
+        rows = spectral[first:min(first + MMSE_CHUNK, total - window + 1) + window - 1]
+        fits.extend(_mmse_chunk(rows / np.sqrt(n), window, blind, first, ops))
+    return fits
+
+
+def _mmse_chunk(x: np.ndarray, m: int, blind: bool, first: int,
+                ops: OpCounter | None) -> list[NoisePowerEstimate]:
+    """MMSE fits of the windows of m consecutive rows of the scaled chunk x."""
+    count, n = x.shape[0] - m + 1, x.shape[1]
+    variance, last_power = _mmse_moments(x, m, blind)
+    r0 = np.einsum("ij,ij->i", variance, variance) / n
+    spectra = np.fft.rfft(variance, 2 * n, axis=1)
+    lags = np.fft.irfft(spectra.real**2 + spectra.imag**2, 2 * n, axis=1)[:, :n] / n
+    columns = np.empty_like(lags)
+    raw_weights = np.empty_like(lags)
+    fits = []
+    for j in range(count):
         if ops is not None:
-            ops.add(2 * m * n)
-            ops.mul(n)
-    power = x.real**2 + x.imag**2
-    variance = power[:m - 1].sum(axis=0) / (m - 1)
-    if ops is not None:
-        ops.mul(2 * n * (m - 1) + n)
-        ops.add(n * (m - 1))
-    r0 = float(variance @ variance) / n
-    if r0 == 0.0:
-        raise ZeroPowerError("all-zero residual block; nothing to estimate")
-    lags = np.correlate(variance, variance, mode="full")[n - 1:]
-    r = lags / n
-    if ops is not None:
-        ops.mul(n * (n + 1) // 2 + n)
-        ops.add(n * (n + 1) // 2)
-    raw_weights, residual = _solve_mmse_weights(r, ops=ops)
-    weight_sum = float(raw_weights.sum())
-    if weight_sum == 0.0:
-        raise ZeroPowerError("MMSE weights sum to zero")
-    weights = raw_weights / weight_sum
-    estimate = float(weights @ power[m - 1])
-    if ops is not None:
-        ops.mul(3 * n)
-        ops.add(n)
-    if estimate <= 0:
-        raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
-    return NoisePowerEstimate(
-        value_mw=estimate, method="mmse", frame_index=frame_index,
-        diagnostics={
-            "raw_weight_sum": weight_sum,
-            "weight_max": float(np.abs(weights).max()),
-            "system_residual": residual,
-            "blind": blind,
-        },
-    )
+            if blind:
+                ops.add(2 * m * n)
+                ops.mul(n)
+            ops.mul(2 * n * (m - 1) + n)
+            ops.add(n * (m - 1))
+        if r0[j] == 0.0:
+            raise ZeroPowerError("all-zero residual block; nothing to estimate")
+        if ops is not None:
+            ops.mul(n * (n + 1) // 2 + n)
+            ops.add(n * (n + 1) // 2)
+        raw_weights[j], columns[j] = _solve_mmse_weights(lags[j], ops=ops)
+        weight_sum = float(raw_weights[j].sum())
+        if weight_sum == 0.0:
+            raise ZeroPowerError("MMSE weights sum to zero")
+        weights = raw_weights[j] / weight_sum
+        estimate = float(weights @ last_power[j])
+        if ops is not None:
+            ops.mul(3 * n)
+            ops.add(n)
+        if estimate <= 0:
+            raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
+        fits.append((estimate, weight_sum, float(np.abs(weights).max())))
+    residuals = _toeplitz_residuals(columns, raw_weights, lags)
+    return [
+        NoisePowerEstimate(
+            value_mw=estimate, method="mmse", frame_index=first + j + m - 1,
+            diagnostics={
+                "raw_weight_sum": weight_sum,
+                "weight_max": weight_max,
+                "system_residual": float(residuals[j]),
+                "blind": blind,
+            },
+        )
+        for j, (estimate, weight_sum, weight_max) in enumerate(fits)
+    ]
 
 
-def _solve_mmse_weights(r: np.ndarray, ops: OpCounter | None = None) -> tuple[np.ndarray, float]:
+def _mmse_moments(x: np.ndarray, m: int, blind: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window subcarrier variances over the first m-1 rows, and last-row powers.
+
+    Row j of each result belongs to the window of rows j..j+m-1 of x.  A
+    window whose variance in some bin falls below ``_MMSE_SUM_GUARD`` of the
+    running sum it was taken from (identical or near-identical reference
+    rows) is recomputed from its own rows, exactly as a lone window would be.
+    """
+    count, ref = x.shape[0] - m + 1, m - 1
+    y = x - x.mean(axis=0) if blind else x
+    power = y.real**2 + y.imag**2
+    power_sums = np.cumsum(power, axis=0)
+    variance = _window_sums(power_sums, ref, count) / ref
+    if blind:
+        mean = _window_sums(np.cumsum(y, axis=0), ref, count) / ref
+        variance -= mean.real**2 + mean.imag**2
+        last = y[ref:] - mean
+        last_power = last.real**2 + last.imag**2
+    else:
+        last_power = power[ref:].copy()
+    running = power_sums[ref - 1:ref - 1 + count] / ref
+    for j in np.flatnonzero((variance < _MMSE_SUM_GUARD * running).any(axis=1)):
+        rows = x[j:j + m]
+        if blind:
+            rows = rows - rows[:ref].mean(axis=0, keepdims=True)
+        rows_power = rows.real**2 + rows.imag**2
+        variance[j] = rows_power[:ref].sum(axis=0) / ref
+        last_power[j] = rows_power[ref]
+    return variance, last_power
+
+
+def _window_sums(cumulative: np.ndarray, length: int, count: int) -> np.ndarray:
+    """Sums of rows j..j+length-1, j < count, from running sums along axis 0."""
+    sums = cumulative[length - 1:length - 1 + count].copy()
+    sums[1:] -= cumulative[:count - 1]
+    return sums
+
+
+def _solve_mmse_weights(r: np.ndarray,
+                        ops: OpCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Weights w of (C + r(0) I) w = r and the Toeplitz column they solve."""
     n = r.size
     column = r.copy()
     column[0] = 2.0 * r[0]  # C + r(0) I along the diagonal
@@ -469,9 +553,7 @@ def _solve_mmse_weights(r: np.ndarray, ops: OpCounter | None = None) -> tuple[np
         w = _try_toeplitz(column, r)
         if w is None:
             raise ValueError("MMSE weight system is singular even after ridge")
-    residual = scipy.linalg.matmul_toeplitz((column, column), w) - r
-    rel = float(np.linalg.norm(residual) / np.linalg.norm(r))
-    return w, rel
+    return w, column
 
 
 def _try_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
@@ -480,6 +562,20 @@ def _try_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     except np.linalg.LinAlgError:
         return None
     return w if np.all(np.isfinite(w)) else None
+
+
+def _toeplitz_residuals(columns: np.ndarray, solutions: np.ndarray,
+                        rhs: np.ndarray) -> np.ndarray:
+    """||T x - b|| / ||b|| per row, T the symmetric Toeplitz matrix of that row's column.
+
+    T x is read off the circulant of size 2N that embeds T, one FFT product
+    for all rows.
+    """
+    count, n = columns.shape
+    circulant = np.concatenate([columns, np.zeros((count, 1)), columns[:, :0:-1]], axis=1)
+    product = np.fft.irfft(np.fft.rfft(circulant, axis=1) * np.fft.rfft(solutions, 2 * n, axis=1),
+                           2 * n, axis=1)[:, :n]
+    return np.linalg.norm(product - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
 
 
 def snr_from_powers(sigma_x_sq: float, sigma_w_sq: float) -> tuple[float, float]:

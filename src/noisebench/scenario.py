@@ -186,6 +186,12 @@ class GroundTruth:
         return float(self.signal_bin_mask[frame].mean())
 
 
+def _hand_over(samples: np.ndarray, sample_rate_hz: float) -> ComplexSeries:
+    """A series around a freshly computed array: frozen in place, not copied, still checked."""
+    samples.setflags(write=False)
+    return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
+
+
 def load_iq_trace(path: str | Path, sample_rate_hz: float = 10e6) -> ComplexSeries:
     """Read interleaved little-endian float32 (I, Q) pairs in capture order."""
     raw = Path(path).read_bytes()
@@ -199,7 +205,7 @@ def load_iq_trace(path: str | Path, sample_rate_hz: float = 10e6) -> ComplexSeri
         idx = int(np.flatnonzero(~finite)[0]) // 2
         raise TraceFormatError(f"{path}: non-finite value at sample {idx}")
     samples = floats[0::2].astype(np.float64) + 1j * floats[1::2].astype(np.float64)
-    return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
+    return _hand_over(samples, sample_rate_hz)
 
 
 def write_iq_trace(path: str | Path, series: ComplexSeries) -> None:
@@ -218,7 +224,7 @@ def rescale_to_power(series: ComplexSeries, target_mw: float) -> ComplexSeries:
     if current == 0.0:
         raise ZeroPowerError("cannot rescale an all-zero series")
     factor = np.sqrt(target_mw / current)
-    return ComplexSeries(samples=series.samples * factor, sample_rate_hz=series.sample_rate_hz)
+    return _hand_over(series.samples * factor, series.sample_rate_hz)
 
 
 def synth_white_noise(length: int, power_mw: float, seed: int,
@@ -231,7 +237,7 @@ def synth_white_noise(length: int, power_mw: float, seed: int,
     rng = _rng(seed)
     scale = np.sqrt(power_mw / 2.0)
     samples = scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
-    return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
+    return _hand_over(samples, sample_rate_hz)
 
 
 def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: float,
@@ -262,8 +268,7 @@ def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: 
             base = _one_pole_lowpass(base, rho)
         else:
             base = np.concatenate([[base[0]], base[1:] - rho * base[:-1]])
-    series = ComplexSeries(samples=base, sample_rate_hz=sample_rate_hz)
-    return rescale_to_power(series, power_mw)
+    return rescale_to_power(_hand_over(base, sample_rate_hz), power_mw)
 
 
 def _one_pole_lowpass(x: np.ndarray, rho: float) -> np.ndarray:
@@ -406,8 +411,7 @@ def build_scenario(config: ScenarioConfig) -> tuple[ResourceBlock, GroundTruth]:
 
 def time_series_of(block: ResourceBlock, sample_rate_hz: float) -> ComplexSeries:
     """Inverse-transform a block back to one contiguous time-domain stream."""
-    samples = np.fft.ifft(block.spectral, axis=1).ravel()
-    return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
+    return _hand_over(np.fft.ifft(block.spectral, axis=1).ravel(), sample_rate_hz)
 
 
 # --- configuration files ----------------------------------------------------

@@ -26,16 +26,20 @@ log = logging.getLogger(__name__)
 
 
 def _as_finite_complex(values, what: str) -> np.ndarray:
+    """Checked, read-only complex vector; a writeable input array is copied.
+
+    A read-only array is kept as is, so code that has just computed an array
+    hands it over by freezing it first.
+    """
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
-    if isinstance(values, np.ndarray) and not arr.flags.writeable and arr is values:
-        return arr  # already validated and frozen by an earlier constructor
     finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"{what} contains a non-finite value at sample {idx}")
-    arr = arr.copy()
+    if arr.flags.writeable and isinstance(values, np.ndarray):
+        arr = arr.copy()  # the caller can still write through its array
     arr.setflags(write=False)
     return arr
 

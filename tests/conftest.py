@@ -1,13 +1,18 @@
-"""Shared scenario builders for the test suite, and the frame-by-frame builders
-that the array-backed ones are checked against."""
+"""Scenario helpers shared by the test suite, and the frame-by-frame and
+window-by-window implementations that the array-backed ones are checked against."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from noisebench import (
     GroundTruth,
+    NoisePowerEstimate,
     NoiseSource,
     ScenarioConfig,
     SubbandSignal,
@@ -15,7 +20,15 @@ from noisebench import (
     dft,
     power_matrix,
 )
-from noisebench.scenario import _frame_amplitudes, _noise_series
+from noisebench import estimators
+from noisebench.errors import ZeroPowerError
+from noisebench.scenario import (
+    _frame_amplitudes,
+    _noise_series,
+    scenario_config_from_dict,
+    time_series_of,
+    write_iq_trace,
+)
 
 N_BINS = 512
 N_FRAMES = 100
@@ -58,6 +71,41 @@ def noise_block():
     return block, truth, power_matrix(block)
 
 
+SWITCH_FRAMES = 300
+
+
+@pytest.fixture(scope="session")
+def switching_trace_config(tmp_path_factory) -> Path:
+    """Run config over an impulsive surrogate trace in which a transmitter
+    switches from subband 1 to subband 3 at the midpoint (10 dB, half occupancy).
+
+    Blind MMSE with 100-frame windows fails on it with a non-positive
+    estimate at window 52, the first whose last frame follows the switch.
+    """
+    work = tmp_path_factory.mktemp("switching")
+    trace = work / "noise.iq"
+    noise = scenario_config_from_dict({
+        "n_bins": N_BINS, "n_frames": SWITCH_FRAMES, "signals": [],
+        "noise": {"kind": "surrogate-industrial", "seed": 0,
+                  "params": {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
+                             "spectral_tilt_db_per_decade": -3.0}},
+    })
+    write_iq_trace(trace, time_series_of(build_scenario(noise)[0], noise.sample_rate_hz))
+    half = SWITCH_FRAMES // 2
+    path = work / "run.json"
+    path.write_text(json.dumps({
+        "name": "switching", "n_bins": N_BINS, "n_frames": SWITCH_FRAMES,
+        "noise": {"kind": "trace-file", "path": str(trace)},
+        "signals": [
+            {"subband_index": 1, "occupancy_fraction": 0.5, "target_snr_db": 10.0,
+             "frame_end": half},
+            {"subband_index": 3, "occupancy_fraction": 0.5, "target_snr_db": 10.0,
+             "frame_start": half},
+        ],
+    }))
+    return path
+
+
 def build_scenario_per_frame(config: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
     """Oracle for build_scenario: one FFT and one signal pass per frame."""
     n, m = config.n_bins, config.n_frames
@@ -90,6 +138,52 @@ def counting_block_per_frame(n_frames: int, n_bins: int) -> np.ndarray:
         t = (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins)) / np.sqrt(2)
         rows.append(dft(t, frame_index=i).bins)
     return np.stack(rows)
+
+
+def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerEstimate:
+    """Oracle for estimators.mmse_fit_windows: one window's MMSE fit from its own rows.
+
+    Direct mean and variance sums, lags by np.correlate and the residual by
+    matmul_toeplitz.  The Toeplitz attempts go through estimators._try_toeplitz,
+    so a test that patches it reaches both implementations.
+    """
+    m, n = spectral.shape
+    if m < 3:
+        raise ValueError("need at least 3 frames")
+    x = spectral / np.sqrt(n)
+    if blind:
+        x = x - x[:m - 1].mean(axis=0, keepdims=True)
+    power = x.real**2 + x.imag**2
+    variance = power[:m - 1].sum(axis=0) / (m - 1)
+    r0 = float(variance @ variance) / n
+    if r0 == 0.0:
+        raise ZeroPowerError("all-zero residual block; nothing to estimate")
+    r = np.correlate(variance, variance, mode="full")[n - 1:] / n
+    column = r.copy()
+    column[0] = 2.0 * r[0]
+    w = estimators._try_toeplitz(column, r)
+    if w is None:
+        column[0] = 2.0 * r[0] + 1e-6 * r[0]
+        w = estimators._try_toeplitz(column, r)
+        if w is None:
+            raise ValueError("MMSE weight system is singular even after ridge")
+    residual = scipy.linalg.matmul_toeplitz((column, column), w) - r
+    weight_sum = float(w.sum())
+    if weight_sum == 0.0:
+        raise ZeroPowerError("MMSE weights sum to zero")
+    weights = w / weight_sum
+    estimate = float(weights @ power[m - 1])
+    if estimate <= 0:
+        raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
+    return NoisePowerEstimate(
+        value_mw=estimate, method="mmse", frame_index=m - 1,
+        diagnostics={
+            "raw_weight_sum": weight_sum,
+            "weight_max": float(np.abs(weights).max()),
+            "system_residual": float(np.linalg.norm(residual) / np.linalg.norm(r)),
+            "blind": blind,
+        },
+    )
 
 
 def complex_rng(seed: int) -> np.random.Generator:

@@ -221,17 +221,21 @@ class TestRunScenario:
 
     def test_mmse_slices_match_window_blocks(self):
         from noisebench import mmse_estimate, mmse_fit
-        from noisebench.bench import _SeedContext
+        from noisebench.bench import _evaluate_method, _SeedContext
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
         ctx = _SeedContext(cfg, cfg.noise.seed)
         window = 100
+        # The bench evaluates all windows of the seed in one batched pass.
+        series = _evaluate_method(MethodSpec("MMSE"), ctx, cfg.name, cfg.noise.seed)
+        np.testing.assert_array_equal(series.frame_index, np.arange(window - 1, cfg.n_frames))
         for lo in range(cfg.n_frames - window + 1):
             hi = lo + window
             got = mmse_fit(ctx.block.spectral[lo:hi])
             want = mmse_estimate(ctx.block.window(lo, hi))
             assert got.value_mw == want.value_mw
             assert got.diagnostics == want.diagnostics
+            assert series.noise_power_est_mw[lo] == pytest.approx(want.value_mw, rel=1e-12)
 
     def test_batched_rof_masks_match_single_windows(self):
         # Masks built from batched cascades equal masks built window by window.
@@ -362,19 +366,43 @@ class TestCountOps:
 
     @pytest.mark.parametrize("n", [16, 512])
     def test_shared_counting_block_matches_fresh_build(self, n):
-        # build_reports counts every method on one counting block per shape.
-        from noisebench.bench import _counting_block, _counting_shape
+        # build_reports and noisebench ops count on one counting block per shape.
+        from noisebench.bench import count_ops_sweep
         from noisebench.cli import _DEFAULT_METHODS, _parse_method
-        blocks = {}
-        for spec in map(_parse_method, _DEFAULT_METHODS):
-            shape = _counting_shape(spec, n)
-            if shape not in blocks:
-                blocks[shape] = _counting_block(*shape)
-            shared = count_ops(spec, n, blocks[shape])
+        specs = [_parse_method(m) for m in _DEFAULT_METHODS]
+        shared = count_ops_sweep(specs, [n])
+        for i, spec in enumerate(specs):
             fresh = count_ops(spec, n)
-            assert shared.counts == fresh.counts, spec.label
-            assert shared.stages == fresh.stages, spec.label
-        assert len(blocks) == 2
+            assert shared[i, n].counts == fresh.counts, spec.label
+            assert shared[i, n].stages == fresh.stages, spec.label
+
+    def test_ops_sweep_builds_one_block_per_shape(self, monkeypatch, tmp_path):
+        import weakref
+        from noisebench import bench
+        from noisebench.cli import _parse_method, main
+        original = bench._counting_block
+        built, alive_at_build = [], []
+
+        def recording_block(n_frames, n_bins):
+            alive_at_build.append(sum(ref() is not None for _, ref in built))
+            block = original(n_frames, n_bins)
+            built.append(((n_frames, n_bins), weakref.ref(block)))
+            return block
+
+        monkeypatch.setattr(bench, "_counting_block", recording_block)
+        out = tmp_path / "ops.csv"
+        assert main(["ops", "--sizes", "16,32", "--out", str(out)]) == 0
+        assert [shape for shape, _ in built] == [(16, 16), (32, 32), (16, 32), (32, 64)]
+        assert alive_at_build == [0, 0, 0, 0]
+        monkeypatch.undo()
+        want = []
+        for spec in map(_parse_method, ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"]):
+            for size in (16, 32):
+                c = count_ops(spec, size).counts
+                want.append("%s,%s,%d,%d,%d,%d,%d,%d" % (
+                    spec.estimator, spec.separation, size, c.adds, c.muls, c.cmps,
+                    c.transcendental, c.total()))
+        assert out.read_text().splitlines()[1:] == want
 
     @pytest.mark.parametrize("shape", [(16, 16), (64, 128), (512, 512), (512, 1024)],
                              ids=lambda s: f"{s[0]}x{s[1]}")

@@ -144,6 +144,12 @@ class TestRun:
                    "--method", "MVU:rof"])
         assert rc == 0
 
+    def test_mmse_on_switching_trace_exits_3(self, switching_trace_config, tmp_path, capsys):
+        rc = main(["run", "--config", str(switching_trace_config), "--out", str(tmp_path / "r"),
+                   "--method", "MMSE"])
+        assert rc == 3
+        assert "non-positive estimate" in capsys.readouterr().err
+
     def test_override_determinism(self, small_config, tmp_path):
         outputs = []
         for name in ("r1", "r2"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,17 +25,22 @@ from noisebench import (
     ml_estimate,
     mmse_estimate,
     mmse_fit,
+    mmse_fit_windows,
     mp_cdf,
     mvu_estimate,
     mvu_fit,
     power_matrix,
     snr_from_powers,
 )
+from noisebench import estimators
 from noisebench.bench import _counting_block
 from noisebench.errors import EmptyNoiseGroupError
 from noisebench.opcount import OpCounter
+from noisebench.scenario import scenario_config_from_file, with_seed
 
-from conftest import reference_config, white_frame
+from conftest import mmse_fit_per_window, reference_config, white_frame
+
+CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
 
 def spectrum(values, index=0) -> PowerSpectrum:
@@ -422,6 +429,122 @@ class TestMmseEstimate:
         assert got.value_mw == want.value_mw
         assert got.diagnostics == want.diagnostics
         assert got.frame_index == want.frame_index == 29
+
+
+def _oracle_windows(spectral: np.ndarray, window: int, blind: bool):
+    """Oracle fits of the windows in order up to the first that raises, and its error."""
+    fits = []
+    for lo in range(spectral.shape[0] - window + 1):
+        try:
+            fits.append(mmse_fit_per_window(spectral[lo:lo + window], blind))
+        except ZeroPowerError as exc:
+            return fits, exc
+    return fits, None
+
+
+@pytest.fixture(scope="module")
+def mmse_oracle_cases(switching_trace_config):
+    cfg = scenario_config_from_file(CONFIG)
+    matrices = {f"reference-seed{s}": build_scenario(with_seed(cfg, s))[0].spectral
+                for s in (0, 1)}
+    trace_cfg = scenario_config_from_file(switching_trace_config)
+    matrices["switching-trace"] = build_scenario(trace_cfg)[0].spectral
+    return {(name, blind): (spectral, *_oracle_windows(spectral, 100, blind))
+            for name, spectral in matrices.items() for blind in (True, False)}
+
+
+class TestMmseFitWindows:
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+    @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
+    @pytest.mark.parametrize("case", ["reference-seed0", "reference-seed1", "switching-trace"])
+    def test_windows_match_oracle(self, mmse_oracle_cases, monkeypatch, case, blind, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(estimators, "MMSE_CHUNK", chunk)
+        spectral, want, error = mmse_oracle_cases[case, blind]
+        assert want, "the oracle fails on the first window"
+        got = mmse_fit_windows(spectral[:len(want) + 99], 100, blind=blind)
+        assert len(got) == len(want)
+        for lo, (g, w) in enumerate(zip(got, want)):
+            assert g.frame_index == lo + 99
+            assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
+            assert g.diagnostics["raw_weight_sum"] == pytest.approx(
+                w.diagnostics["raw_weight_sum"], rel=1e-12)
+            # The residual is itself a norm ratio at round-off level (~1e-16),
+            # so it is compared absolutely.
+            assert g.diagnostics["system_residual"] == pytest.approx(
+                w.diagnostics["system_residual"], abs=1e-12)
+            assert g.diagnostics["blind"] is blind
+        if error is None:
+            assert len(want) == spectral.shape[0] - 99
+        else:
+            # The first window the oracle rejects is rejected with the same error.
+            prefix = str(error).split("(")[0]
+            with pytest.raises(ZeroPowerError, match=prefix) as caught:
+                mmse_fit_windows(spectral[:len(want) + 100], 100, blind=blind)
+            assert type(caught.value) is type(error)
+
+    def test_switching_trace_fails_after_the_switch(self, mmse_oracle_cases):
+        _, want, error = mmse_oracle_cases["switching-trace", True]
+        assert len(want) == 52
+        assert "non-positive estimate" in str(error)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+    @pytest.mark.parametrize("repeated", ["dyadic", "random"])
+    def test_identical_frames_follow_the_oracle(self, monkeypatch, chunk, repeated):
+        # From frame 20 on every frame repeats one row.  With dyadic values the
+        # blind mean of the copies is exact, so the first window whose reference
+        # frames are all copies has zero residual and raises, and no earlier
+        # window does.  With random values the mean is rounded and every window
+        # evaluates, on round-off residuals.  Either way the sliding sums have
+        # cancelled there, and the window must come out as a lone one would.
+        if chunk is not None:
+            monkeypatch.setattr(estimators, "MMSE_CHUNK", chunk)
+        n, window, start = 16, 10, 20
+        spectral = white_block(8, n_frames=40, n_bins=n).spectral.copy()
+        if repeated == "dyadic":
+            spectral[start:] = np.arange(n) % 5 + 1j * (np.arange(n) % 3)
+        else:
+            spectral[start:] = spectral[start]
+        want, error = _oracle_windows(spectral, window, blind=True)
+        got = mmse_fit_windows(spectral[:len(want) + window - 1], window)
+        for g, w in zip(got, want):
+            assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
+        if repeated == "dyadic":
+            assert len(want) == start
+            assert "all-zero residual" in str(error)
+            with pytest.raises(ZeroPowerError, match="all-zero residual"):
+                mmse_fit_windows(spectral, window)
+        else:
+            assert error is None
+            assert len(got) == spectral.shape[0] - window + 1
+
+    def test_ridge_fallback_only_for_the_failed_window(self, monkeypatch):
+        spectral = white_block(9, n_frames=40, n_bins=64).spectral
+        plain = [mmse_fit_per_window(spectral[lo:lo + 20]) for lo in range(21)]
+        original = estimators._try_toeplitz
+        diagonals = []
+
+        def first_attempt_fails(column, rhs):
+            diagonals.append(column[0] / rhs[0])
+            return None if len(diagonals) == 1 else original(column, rhs)
+
+        monkeypatch.setattr(estimators, "_try_toeplitz", first_attempt_fails)
+        got = mmse_fit_windows(spectral, 20)
+        assert diagonals == pytest.approx([2.0, 2.0 + 1e-6] + [2.0] * 20, rel=1e-12)
+        diagonals.clear()
+        ridge = mmse_fit_per_window(spectral[:20])  # its first attempt fails as well
+        assert got[0].value_mw == pytest.approx(ridge.value_mw, rel=1e-12)
+        assert got[0].value_mw != pytest.approx(plain[0].value_mw, rel=1e-9)
+        for g, w in zip(got[1:], plain[1:]):
+            assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
+
+    def test_window_bounds(self):
+        spectral = white_block(10, n_frames=8, n_bins=16).spectral
+        with pytest.raises(ValueError, match="3 frames"):
+            mmse_fit_windows(spectral, 2)
+        with pytest.raises(ValueError, match="does not fit"):
+            mmse_fit_windows(spectral, 9)
+        assert len(mmse_fit_windows(spectral, 8)) == 1
 
 
 class TestSnrFromPowers:

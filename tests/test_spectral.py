@@ -226,6 +226,19 @@ class TestValueTypes:
         assert ResourceBlock(values).spectral is values
         assert block.spectral_matrix() is block.spectral
 
+    def test_series_copies_only_writeable_input_and_checks_every_input(self):
+        values = np.ones(6, dtype=complex)
+        s = ComplexSeries(samples=values, sample_rate_hz=1.0)
+        assert not np.shares_memory(s.samples, values)
+        assert not s.samples.flags.writeable
+        values.setflags(write=False)
+        assert ComplexSeries(samples=values, sample_rate_hz=1.0).samples is values
+        bad = np.ones(6, dtype=complex)
+        bad[4] = np.nan
+        bad.setflags(write=False)
+        with pytest.raises(ValueError, match="sample 4"):
+            ComplexSeries(samples=bad, sample_rate_hz=1.0)
+
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
         block = block_from_frames([white_frame(rng, 8) for _ in range(10)])
