@@ -66,7 +66,6 @@ from .separation import (
     ideal_separate,
     rof_energy_drops,
     rof_energy_drops_rows,
-    rof_erode,
     rof_find_band_width,
     rof_separate,
 )

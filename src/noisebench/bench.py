@@ -20,12 +20,18 @@ window as a slice of the Gram matrix; MMSE evaluates every window of the seed
 in one batched pass over the spectral array (sliding window sums, FFT lags,
 one Levinson solve per window).  With timing on, each method's evaluation is
 timed inside the same per-seed loop and summed over seeds.
+
+Operation counts are the paper's complexity model, kept in one place:
+:func:`count_ops` books each method's closed forms in the block size.  The
+estimators book nothing; the few data-dependent terms are read off uncounted
+decisions on one counting frame.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Any
 
@@ -36,13 +42,12 @@ from . import separation as sep
 from .errors import DegenerateSpectrumError
 from .opcount import OpCounter, OpCounts
 from .scenario import GroundTruth, ScenarioConfig, build_scenario, with_seed
-from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, power_matrix, power_spectrum
+from .spectral import PowerSpectrum, SpectralFrame, power_matrix, power_spectrum
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
 ROF_CHUNK = 32  # averaged window spectra per batched erosion cascade
-COUNTING_CHUNK = 64  # counting-block frames drawn and transformed at a time
 
 
 @dataclass(frozen=True)
@@ -384,15 +389,12 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
     opt-in; by default the column is written as 0.0 so that identical runs
     emit byte-identical reports.
     """
-    owned = []
+    reports = []
     for method in methods:
         own = [s for s in series
                if s.method == method.estimator and s.separation == method.separation]
-        if own:
-            owned.append((method, own))
-    counters = count_ops_sweep([m for m, _ in owned], [config.n_bins])
-    reports = []
-    for i, (method, own) in enumerate(owned):
+        if not own:
+            continue
         rmses, stds, biases = [], [], []
         for s in own:
             truth = truths[s.seed]
@@ -409,7 +411,7 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
             rmse_db=float(np.mean(rmses)),
             std_dev_db=float(np.mean(stds)),
             mean_bias_db=float(np.mean(biases)),
-            ops=counters[i, config.n_bins].counts,
+            ops=count_ops(method, config.n_bins).counts,
             wall_time_ms=(wall_times_ms or {}).get(method.label, 0.0),
         ))
     return reports
@@ -431,96 +433,150 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 # --- operation counting ------------------------------------------------------
 
 
-def _counting_shape(method: MethodSpec, n: int) -> tuple[int, int]:
-    return n, (2 * n if method.estimator == "CBE" else n)
+@lru_cache(maxsize=4)
+def _counting_frame(n: int) -> np.ndarray:
+    """DFT of the last frame of an n-frame, n-bin unit-power white block; read-only.
 
-
-def _counting_block(n_frames: int, n_bins: int) -> ResourceBlock:
-    """Unit-power white block from a fixed Philox key, filled a chunk of frames at a time.
-
-    Each frame draws its n_bins real parts, then its n_bins imaginary parts,
-    so the block does not depend on the chunk size; chunking keeps the
-    transients of the largest blocks small.
+    Frame i of that block is the DFT of 2n standard normals from a fixed
+    Philox key (n real parts, then n imaginary parts) over sqrt(2).  The
+    n - 1 earlier frames are drawn 64 at a time into one buffer and dropped;
+    only the last one is transformed.
     """
     rng = np.random.Generator(np.random.Philox(key=12345))
-    spectral = np.empty((n_frames, n_bins), dtype=np.complex128)
-    for lo in range(0, n_frames, COUNTING_CHUNK):
-        hi = min(lo + COUNTING_CHUNK, n_frames)
-        draws = rng.standard_normal((hi - lo, 2, n_bins))
-        spectral[lo:hi] = np.fft.fft((draws[:, 0] + 1j * draws[:, 1]) / np.sqrt(2), axis=1)
-    spectral.setflags(write=False)
-    return ResourceBlock(spectral)
+    skip = np.empty((min(n - 1, 64), 2 * n))
+    for lo in range(0, n - 1, len(skip)):
+        rng.standard_normal(out=skip[:n - 1 - lo])
+    draws = rng.standard_normal((2, n))
+    frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
+    frame.setflags(write=False)
+    return frame
 
 
-def count_ops(method: MethodSpec, n: int, block: ResourceBlock | None = None) -> OpCounter:
-    """Count scalar operations of one estimation pass at block size n.
+def _book_rof(ops: OpCounter, power: PowerSpectrum) -> sep.SeparationMask:
+    n = power.n_bins
+    mask = sep.rof_separate(power)  # at the default thresholds
+    # Per window size k = 2..n: n comparisons, an (n-1)-addition energy sum,
+    # and one subtraction plus two multiplications for its drop.
+    ops.cmp(n * (n - 1))
+    ops.add(n * (n - 1))
+    ops.mul(2 * (n - 1))
+    # Bandwidth search: the curve's argmax, then one comparison per walk step.
+    walk = mask.aux["K"] - (int(np.argmax(mask.aux["d_curve"])) + 2)
+    ops.cmp(n - 1 + walk)
+    ops.add(3 * n)  # running sum updates and forward differences
+    ops.mul(n)
+    ops.cmp(2 * n)  # sign tests and run-width checks
+    return mask
 
-    ML/MVU/AIC/MMSE run on an n-frame by n-bin block as in the complexity
-    model; CBE runs on an n-frame by 2n-bin block because the
-    Marchenko-Pastur edge formulas degenerate on square blocks (the
-    covariance matrix it decomposes is n x n either way).  A caller counting
-    several methods may pass the counting block of that shape, built once.
+
+def _book_fisher(ops: OpCounter, power: PowerSpectrum) -> sep.SeparationMask:
+    n = power.n_bins
+    amplitude = np.sqrt(power.power)
+    ops.transcend(n)
+    ops.cmp(int(n * np.log2(n)))  # sorting the amplitudes
+    if amplitude.min() < amplitude.max():
+        # The direct scan: scoring one split is ~4N operations and N-3 splits
+        # are scanned.  A constant spectrum stops before the scan.
+        ops.add(4 * n * (n - 3))
+        ops.mul(6 * (n - 3))
+        ops.cmp(n - 3)
+    return sep.fisher_separate(power)
+
+
+def _book_aic(ops: OpCounter, power: PowerSpectrum) -> None:
+    n = power.n_bins
+    ops.mul(n)  # running periodogram average update
+    ops.add(n)
+    n_min = est.aic_estimate(power, n).diagnostics["n_min"]
+    ops.cmp(int(n * np.log2(n)))  # sorting the bins
+    # The per-order direct evaluation: a t-bin tail costs 2(t-1) additions,
+    # t+4 multiplications and t+2 transcendentals, summed over t = 1..n.
+    ops.add(n * (n - 1))
+    ops.mul(n * (n + 1) // 2 + 4 * n)
+    ops.transcend(n * (n + 1) // 2 + 2 * n)
+    ops.cmp(n - 1)  # the minimizing order
+    ops.add(n - n_min)  # mean of the bins below it
+
+
+def _book_cbe(ops: OpCounter, m: int, occupied_fraction: float, grid_size: int) -> None:
+    """Covariance of m frames of 2m bins, its eigensolve and the grid fit."""
+    n = 2 * m
+    s = int(round(m * occupied_fraction))
+    if not 0.0 <= occupied_fraction < 1.0 or s >= m or grid_size < 2:
+        raise ValueError(f"CBE at {m} frames needs 0 <= occupied_fraction < 1 with a noise "
+                         f"group left and grid_size >= 2, got {occupied_fraction} and {grid_size}")
+    with ops.stage("covariance-matmul"):
+        ops.mul(m * m * n)
+        ops.add(m * m * (n - 1))
+    with ops.stage("eigensolve"):
+        ops.mul(4 * m**3 // 3)
+        ops.add(4 * m**3 // 3)
+    cells = grid_size * (m - s)  # every candidate power against every noise eigenvalue
+    with ops.stage("mp-fit"):
+        ops.transcend(cells)
+        ops.add(3 * cells)
+        ops.mul(2 * cells)
+        ops.cmp(grid_size)
+
+
+def _book_mmse(ops: OpCounter, n: int, blind: bool) -> None:
+    """One window of n frames of n bins; the weight system is n x n."""
+    if blind:
+        ops.add(2 * n * n)  # reference mean, subtracted from every frame
+        ops.mul(n)
+    ops.mul(2 * n * (n - 1) + n)  # subcarrier variances
+    ops.add(n * (n - 1))
+    ops.mul(n * (n + 1) // 2 + n)  # frequency-lag autocorrelation
+    ops.add(n * (n + 1) // 2)
+    ops.mul(2 * n * n)  # Levinson recursion on a symmetric Toeplitz system
+    ops.add(2 * n * n)
+    ops.mul(3 * n)  # normalized weights applied to the last frame's powers
+    ops.add(n)
+
+
+def _counting_power(n: int) -> PowerSpectrum:
+    return power_spectrum(SpectralFrame(_counting_frame(n), n - 1))
+
+
+def count_ops(method: MethodSpec, n: int) -> OpCounter:
+    """Scalar operations of one estimation pass at block size n: the complexity model.
+
+    Every method is charged in closed form on an n-frame block: ML, MVU, AIC
+    and MMSE at n bins, CBE at 2n bins because the Marchenko-Pastur edge
+    formulas degenerate on square blocks (the covariance matrix it
+    decomposes is n x n either way).  Only the final frame's transform is
+    booked: the model charges one FFT per batch of N new samples.  The few
+    data-dependent terms (the ROF bandwidth walk, whether Fisher's spectrum
+    is constant, the ML/MVU noise-bin count and AIC's selected order) are
+    read off uncounted decisions on one counting frame, the last frame of a
+    fixed white block; CBE, MMSE and ideal separation draw no frame.  CBE's
+    Marchenko-Pastur fit is charged for ``grid_size`` candidates, also where
+    an estimate's candidate range collapses to a single point.
     """
     if n < 16:
         raise ValueError("operation counting needs n >= 16")
-    shape = _counting_shape(method, n)
-    if block is None:
-        block = _counting_block(*shape)
-    elif (block.n_frames, block.n_bins) != shape:
-        raise ValueError(f"counting block is {block.n_frames}x{block.n_bins}, "
-                         f"{method.label} at n={n} needs {shape[0]}x{shape[1]}")
     ops = OpCounter()
-    # Only the final frame's transform is booked: the complexity model
-    # charges one FFT per batch of N new samples.
-    ops.fft(shape[1])
-    last = SpectralFrame(bins=block.spectral[-1], frame_index=block.n_frames - 1)
-
-    if method.estimator in ("ML", "MVU"):
-        power = power_spectrum(last, ops=ops)
-        if method.separation == "rof":
-            mask = sep.rof_separate(power, ops=ops)
-        elif method.separation == "fisher":
-            mask = sep.fisher_separate(power, ops=ops)
-        else:
-            mask = sep.SeparationMask(is_signal=np.zeros(n, dtype=bool), method="ideal")
-        est.ml_estimate(power, mask, ops=ops)
+    bins = 2 * n if method.estimator == "CBE" else n
+    ops.fft(bins)
+    ops.mul(3 * bins)  # power spectrum: two squarings per bin, then the 1/N scaling
+    ops.add(bins)
+    if method.estimator == "CBE":
+        _book_cbe(ops, n, float(method.params.get("occupied_fraction", 0.25)),
+                  int(method.params.get("grid_size", 100)))
+    elif method.estimator == "MMSE":
+        _book_mmse(ops, n, bool(method.params.get("blind", True)))
+    elif method.estimator == "AIC":
+        _book_aic(ops, _counting_power(n))
+    else:
+        noise = n
+        if method.separation != "ideal":
+            book = _book_rof if method.separation == "rof" else _book_fisher
+            noise = int(np.count_nonzero(book(ops, _counting_power(n)).noise_bins))
+        ops.add(noise - 1)  # mean over the noise bins
+        ops.mul(1)
         if method.estimator == "MVU":
             ops.add(n)  # fold the frame into the block's running noise mean
-    elif method.estimator == "AIC":
-        power = power_spectrum(last, ops=ops)
-        ops.mul(n)  # running periodogram average update
-        ops.add(n)
-        pg = PowerSpectrum(power.power, last.frame_index)
-        est.aic_estimate(pg, block.n_frames, ops=ops)
-    elif method.estimator == "CBE":
-        power_spectrum(last, ops=ops)
-        fraction = float(method.params.get("occupied_fraction", 0.25))
-        est.cbe_estimate(block, fraction,
-                         grid_size=int(method.params.get("grid_size", 100)), ops=ops)
-    else:  # MMSE
-        power_spectrum(last, ops=ops)
-        est.mmse_estimate(block, blind=bool(method.params.get("blind", True)), ops=ops)
     return ops
-
-
-def count_ops_sweep(methods: list[MethodSpec],
-                    sizes: list[int]) -> dict[tuple[int, int], OpCounter]:
-    """:func:`count_ops` of every (method position, size), one counting block per shape.
-
-    Blocks are built one shape at a time and dropped before the next, so at
-    most one is alive; the counts equal those on a fresh block per call.
-    """
-    jobs: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, method in enumerate(methods):
-        for size in sizes:
-            jobs.setdefault(_counting_shape(method, size), []).append((i, size))
-    counters = {}
-    for shape, keys in jobs.items():
-        block = _counting_block(*shape)
-        for i, size in keys:
-            counters[i, size] = count_ops(methods[i], size, block)
-        del block
-    return counters
 
 
 # --- CSV emission -------------------------------------------------------------

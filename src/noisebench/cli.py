@@ -186,7 +186,8 @@ def cmd_ops(args) -> int:
     if min(sizes) < 16:
         raise ValueError("sizes must be >= 16")
     methods = [_parse_method(m) for m in (args.method or ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"])]
-    counters = bench.count_ops_sweep(methods, sizes)
+    counters = {(i, size): bench.count_ops(method, size)
+                for size in sizes for i, method in enumerate(methods)}
     lines = ["method,separation,size,ops_add,ops_mul,ops_cmp,ops_transcendental,ops_total"]
     for i, method in enumerate(methods):
         for size in sizes:

@@ -18,7 +18,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EmptyNoiseGroupError, ZeroPowerError
-from .opcount import OpCounter
 from .separation import SeparationMask
 from .spectral import PowerSpectrum, ResourceBlock
 
@@ -93,17 +92,13 @@ class MpFitRange:
         return np.linspace(self.sigma_min_sq, self.sigma_max_sq, self.grid_size)
 
 
-def ml_estimate(power: PowerSpectrum, mask: SeparationMask,
-                ops: OpCounter | None = None) -> NoisePowerEstimate:
+def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> NoisePowerEstimate:
     """Mean bin power over the noise-classified bins of a single frame."""
     if mask.n_bins != power.n_bins:
         raise ValueError("mask length does not match the spectrum")
     noise = power.power[mask.noise_bins]
     if noise.size == 0:
         raise EmptyNoiseGroupError("no bins classified as noise")
-    if ops is not None:
-        ops.add(noise.size - 1)
-        ops.mul(1)
     value = float(noise.mean())
     return NoisePowerEstimate(
         value_mw=value, method="ml", frame_index=power.frame_index,
@@ -111,8 +106,7 @@ def ml_estimate(power: PowerSpectrum, mask: SeparationMask,
     )
 
 
-def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask],
-                 ops: OpCounter | None = None) -> NoisePowerEstimate:
+def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> NoisePowerEstimate:
     """Mean over all noise-classified bins across all frames of a block.
 
     Equivalent to the noise-bin-count-weighted mean of the per-frame ML
@@ -129,12 +123,11 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask],
         sums.append(float(noise.sum()))
         counts.append(noise.size)
     return mvu_fit(sums, counts, frame_index=powers[-1].frame_index,
-                   separation=masks[0].method, ops=ops)
+                   separation=masks[0].method)
 
 
 def mvu_fit(noise_sums: list[float], noise_counts: list[int], frame_index: int | None = None,
-            separation: str | None = None,
-            ops: OpCounter | None = None) -> NoisePowerEstimate:
+            separation: str | None = None) -> NoisePowerEstimate:
     """MVU estimate from each frame's noise-bin power sum and noise-bin count.
 
     The sums are folded in frame order, so equal per-frame sums give the same
@@ -147,20 +140,15 @@ def mvu_fit(noise_sums: list[float], noise_counts: list[int], frame_index: int |
     for frame_sum, frame_count in zip(noise_sums, noise_counts):
         total += frame_sum
         count += frame_count
-        if ops is not None:
-            ops.add(frame_count)
     if count == 0:
         raise EmptyNoiseGroupError("no bins classified as noise in any frame")
-    if ops is not None:
-        ops.mul(1)
     return NoisePowerEstimate(
         value_mw=total / count, method="mvu", frame_index=frame_index,
         diagnostics={"noise_bin_count": count, "separation": separation},
     )
 
 
-def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int,
-                 ops: OpCounter | None = None) -> NoisePowerEstimate:
+def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEstimate:
     """Model-order-selected noise power from the sorted averaged periodogram.
 
     The descending-sorted bin powers stand in for eigenvalues.  For each model
@@ -181,19 +169,8 @@ def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int,
                     int((p <= 0).sum()), POWER_FLOOR)
         p = np.maximum(p, POWER_FLOOR)
     lam = np.sort(p)[::-1]
-    if ops is not None:
-        ops.cmp(int(n * np.log2(n)))
-        # Booked as the per-order direct evaluation the complexity model
-        # counts: a t-bin tail costs 2(t-1) additions, t+4 multiplications
-        # and t+2 transcendentals, summed over t = 1..n.
-        ops.add(n * (n - 1))
-        ops.mul(n * (n + 1) // 2 + 4 * n)
-        ops.transcend(n * (n + 1) // 2 + 2 * n)
     aic = _aic_curve(lam, n_frames * n)
     n_min = int(np.argmin(aic))
-    if ops is not None:
-        ops.cmp(n - 1)
-        ops.add(n - n_min)
     value = float(lam[n_min:].mean())
     return NoisePowerEstimate(
         value_mw=value, method="aic", frame_index=avg_periodogram.frame_index,
@@ -211,7 +188,7 @@ def _aic_curve(lam: np.ndarray, m: int) -> np.ndarray:
     return tail * m * log_alpha + orders * (2 * n - orders)
 
 
-def sample_covariance(block: ResourceBlock, ops: OpCounter | None = None) -> np.ndarray:
+def sample_covariance(block: ResourceBlock) -> np.ndarray:
     """Frame-by-frame sample covariance C = (1/N) X X^H of a block.
 
     Rows of X are the block's frames with bins scaled by 1/sqrt(N), so that C
@@ -220,17 +197,12 @@ def sample_covariance(block: ResourceBlock, ops: OpCounter | None = None) -> np.
     inject a spurious rank-one spike and push the bulk spectrum off the
     Marchenko-Pastur support.
     """
-    m, n = block.n_frames, block.n_bins
+    n = block.n_bins
     x = block.spectral_matrix() / np.sqrt(n)
-    if ops is not None:
-        with ops.stage("covariance-matmul"):
-            ops.mul(m * m * n)
-            ops.add(m * m * (n - 1))
     return (x @ x.conj().T) / n
 
 
-def covariance_spectrum(cov: np.ndarray, n_bins: int,
-                        ops: OpCounter | None = None) -> EigenSpectrum:
+def covariance_spectrum(cov: np.ndarray, n_bins: int) -> EigenSpectrum:
     """Descending eigenvalues of an M x M sample covariance over N bins."""
     m = cov.shape[0]
     if m < 2:
@@ -238,10 +210,6 @@ def covariance_spectrum(cov: np.ndarray, n_bins: int,
     if n_bins < m:
         raise ValueError("need n_bins >= n_frames for an aspect ratio below 1")
     cov = 0.5 * (cov + cov.conj().T)
-    if ops is not None:
-        with ops.stage("eigensolve"):
-            ops.mul(4 * m**3 // 3)
-            ops.add(4 * m**3 // 3)
     try:
         ev = np.linalg.eigvalsh(cov)
     except np.linalg.LinAlgError as exc:
@@ -249,9 +217,9 @@ def covariance_spectrum(cov: np.ndarray, n_bins: int,
     return EigenSpectrum(eigenvalues=ev[::-1], n_frames=m, n_bins=n_bins)
 
 
-def covariance_eigenvalues(block: ResourceBlock, ops: OpCounter | None = None) -> EigenSpectrum:
+def covariance_eigenvalues(block: ResourceBlock) -> EigenSpectrum:
     """Eigenvalues of the block's frame-by-frame sample covariance matrix."""
-    return covariance_spectrum(sample_covariance(block, ops=ops), block.n_bins, ops=ops)
+    return covariance_spectrum(sample_covariance(block), block.n_bins)
 
 
 def _unit_mp_nodes(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -338,16 +306,15 @@ def cbe_fit_range(eigen: EigenSpectrum, signal_count: int, grid_size: int) -> Mp
                       grid_size=grid_size)
 
 
-def cbe_estimate(block: ResourceBlock, occupied_fraction: float, grid_size: int = 100,
-                 ops: OpCounter | None = None) -> NoisePowerEstimate:
+def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
+                 grid_size: int = 100) -> NoisePowerEstimate:
     """Covariance-based estimate of one block; see :func:`cbe_fit`."""
-    return cbe_fit(sample_covariance(block, ops=ops), block.n_bins, occupied_fraction,
-                   grid_size=grid_size, frame_index=block.n_frames - 1, ops=ops)
+    return cbe_fit(sample_covariance(block), block.n_bins, occupied_fraction,
+                   grid_size=grid_size, frame_index=block.n_frames - 1)
 
 
 def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: int = 100,
-            frame_index: int | None = None,
-            ops: OpCounter | None = None) -> NoisePowerEstimate:
+            frame_index: int | None = None) -> NoisePowerEstimate:
     """Best Marchenko-Pastur fit over a power grid to a sample covariance's spectrum.
 
     The top S = round(M * occupied_fraction) eigenvalues are attributed to the
@@ -364,18 +331,12 @@ def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: i
     s = int(round(m * occupied_fraction))
     if s >= m:
         raise ValueError(f"S={s} signal eigenvalues leave no noise group (M={m})")
-    eigen = covariance_spectrum(cov, n_bins, ops=ops)
+    eigen = covariance_spectrum(cov, n_bins)
     fit = cbe_fit_range(eigen, s, grid_size)
     noise_eigs = eigen.eigenvalues[s:][::-1]  # ascending
     n_noise = noise_eigs.size
     ecdf = np.arange(1, n_noise + 1) / n_noise
     grid = fit.grid()
-    if ops is not None:
-        with ops.stage("mp-fit"):
-            ops.transcend(grid.size * n_noise)
-            ops.add(3 * grid.size * n_noise)
-            ops.mul(2 * grid.size * n_noise)
-            ops.cmp(grid.size)
     # One row per candidate power: the noise eigenvalues in that candidate's units.
     diff = ecdf - mp_cdf(noise_eigs / grid[:, None], (m - s) / n_bins, 1.0)
     distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -389,15 +350,13 @@ def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: i
     )
 
 
-def mmse_estimate(block: ResourceBlock, blind: bool = True,
-                  ops: OpCounter | None = None) -> NoisePowerEstimate:
+def mmse_estimate(block: ResourceBlock, blind: bool = True) -> NoisePowerEstimate:
     """Per-subcarrier MMSE-filter estimate from the block's last frame; see :func:`mmse_fit`."""
-    return mmse_fit(block.spectral_matrix(), blind=blind,
-                    frame_index=block.n_frames - 1, ops=ops)
+    return mmse_fit(block.spectral_matrix(), blind=blind, frame_index=block.n_frames - 1)
 
 
-def mmse_fit(spectral: np.ndarray, blind: bool = True, frame_index: int | None = None,
-             ops: OpCounter | None = None) -> NoisePowerEstimate:
+def mmse_fit(spectral: np.ndarray, blind: bool = True,
+             frame_index: int | None = None) -> NoisePowerEstimate:
     """Per-subcarrier MMSE-filter estimate from the last row of an (M, N) spectral matrix.
 
     In the blind adaptation each subcarrier's time mean over the first M-1
@@ -419,12 +378,12 @@ def mmse_fit(spectral: np.ndarray, blind: bool = True, frame_index: int | None =
     is positive definite, Levinson meets no singular leading minor, and the
     ridge fallback can only be reached through round-off or overflow.
     """
-    fit = mmse_fit_windows(spectral, spectral.shape[0], blind=blind, ops=ops)[0]
+    fit = mmse_fit_windows(spectral, spectral.shape[0], blind=blind)[0]
     return replace(fit, frame_index=frame_index)
 
 
-def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = True,
-                     ops: OpCounter | None = None) -> list[NoisePowerEstimate]:
+def mmse_fit_windows(spectral: np.ndarray, window: int,
+                     blind: bool = True) -> list[NoisePowerEstimate]:
     """:func:`mmse_fit` of every trailing window of ``window`` rows of an (M, N) matrix.
 
     Entry j covers rows j..j+window-1 and reports at row j+window-1, its
@@ -444,12 +403,11 @@ def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = True,
     fits: list[NoisePowerEstimate] = []
     for first in range(0, total - window + 1, MMSE_CHUNK):
         rows = spectral[first:min(first + MMSE_CHUNK, total - window + 1) + window - 1]
-        fits.extend(_mmse_chunk(rows / np.sqrt(n), window, blind, first, ops))
+        fits.extend(_mmse_chunk(rows / np.sqrt(n), window, blind, first))
     return fits
 
 
-def _mmse_chunk(x: np.ndarray, m: int, blind: bool, first: int,
-                ops: OpCounter | None) -> list[NoisePowerEstimate]:
+def _mmse_chunk(x: np.ndarray, m: int, blind: bool, first: int) -> list[NoisePowerEstimate]:
     """MMSE fits of the windows of m consecutive rows of the scaled chunk x."""
     count, n = x.shape[0] - m + 1, x.shape[1]
     variance, last_power = _mmse_moments(x, m, blind)
@@ -460,26 +418,14 @@ def _mmse_chunk(x: np.ndarray, m: int, blind: bool, first: int,
     raw_weights = np.empty_like(lags)
     fits = []
     for j in range(count):
-        if ops is not None:
-            if blind:
-                ops.add(2 * m * n)
-                ops.mul(n)
-            ops.mul(2 * n * (m - 1) + n)
-            ops.add(n * (m - 1))
         if r0[j] == 0.0:
             raise ZeroPowerError("all-zero residual block; nothing to estimate")
-        if ops is not None:
-            ops.mul(n * (n + 1) // 2 + n)
-            ops.add(n * (n + 1) // 2)
-        raw_weights[j], columns[j] = _solve_mmse_weights(lags[j], ops=ops)
+        raw_weights[j], columns[j] = _solve_mmse_weights(lags[j])
         weight_sum = float(raw_weights[j].sum())
         if weight_sum == 0.0:
             raise ZeroPowerError("MMSE weights sum to zero")
         weights = raw_weights[j] / weight_sum
         estimate = float(weights @ last_power[j])
-        if ops is not None:
-            ops.mul(3 * n)
-            ops.add(n)
         if estimate <= 0:
             raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
         fits.append((estimate, weight_sum, float(np.abs(weights).max())))
@@ -536,16 +482,10 @@ def _window_sums(cumulative: np.ndarray, length: int, count: int) -> np.ndarray:
     return sums
 
 
-def _solve_mmse_weights(r: np.ndarray,
-                        ops: OpCounter | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _solve_mmse_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights w of (C + r(0) I) w = r and the Toeplitz column they solve."""
-    n = r.size
     column = r.copy()
     column[0] = 2.0 * r[0]  # C + r(0) I along the diagonal
-    if ops is not None:
-        # Levinson recursion on a symmetric Toeplitz system.
-        ops.mul(2 * n * n)
-        ops.add(2 * n * n)
     w = _try_toeplitz(column, r)
     if w is None:
         # Single ridge fallback: 1e-6 * trace(C)/N on the diagonal, then give up.

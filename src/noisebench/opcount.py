@@ -1,13 +1,14 @@
 """Arithmetic operation counters for complexity validation.
 
-Estimator and separation routines accept an optional :class:`OpCounter` and
-report how many scalar additions, multiplications, comparisons and
-transcendental evaluations one estimation pass performs.  Counts follow the
-algorithm as defined (e.g. a k-window minimum cascade is N comparisons per
-window size), while the actual computation stays vectorized; divisions and
-subtractions are tallied as multiplications and additions respectively, and
-an N-point FFT is booked as N*log2(N) additions plus the same number of
-multiplications.
+An :class:`OpCounter` tallies how many scalar additions, multiplications,
+comparisons and transcendental evaluations one estimation pass performs.
+The estimator and separation routines take no counter: the complexity model
+is one table, ``bench.count_ops``, that books each method's closed forms
+here.  Counts follow the algorithm as defined (e.g. a k-window minimum
+cascade is N comparisons per window size), not the vectorized computation;
+divisions and subtractions are tallied as multiplications and additions
+respectively, and an N-point FFT is booked as N*log2(N) additions plus the
+same number of multiplications.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ from typing import Any
 import numpy as np
 
 from .errors import DegenerateSpectrumError
-from .opcount import OpCounter
 from .scenario import GroundTruth
 from .spectral import PowerSpectrum
 
@@ -71,21 +70,7 @@ class RofParams:
             raise ValueError("lambda2_fraction must lie in (0, 1)")
 
 
-def rof_erode(power: PowerSpectrum, k: int, ops: OpCounter | None = None) -> PowerSpectrum:
-    """Minimum over a centered k-bin window, boundary values replicated at the edges."""
-    p = power.power
-    n = p.size
-    if not 2 <= k <= n:
-        raise ValueError(f"window size k={k} outside [2, {n}]")
-    left = k // 2
-    padded = np.concatenate([np.full(left, p[0]), p, np.full(k - 1 - left, p[-1])])
-    if ops is not None:
-        ops.cmp((k - 1) * n)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k)
-    return PowerSpectrum(power=windows.min(axis=1), frame_index=power.frame_index)
-
-
-def rof_energy_drops(power: PowerSpectrum, ops: OpCounter | None = None) -> np.ndarray:
+def rof_energy_drops(power: PowerSpectrum) -> np.ndarray:
     """Percentage energy drop D(k) for k = 2..N, from the iterative erosion cascade.
 
     The cascade updates the k-window minimum from the (k-1)-window minimum with
@@ -98,10 +83,10 @@ def rof_energy_drops(power: PowerSpectrum, ops: OpCounter | None = None) -> np.n
         raise ValueError("need at least 4 bins")
     if not p.any():
         raise DegenerateSpectrumError("all-zero power spectrum")
-    return rof_energy_drops_rows(p[None, :], ops=ops)[0]
+    return rof_energy_drops_rows(p[None, :])[0]
 
 
-def rof_energy_drops_rows(spectra: np.ndarray, ops: OpCounter | None = None) -> np.ndarray:
+def rof_energy_drops_rows(spectra: np.ndarray) -> np.ndarray:
     """Energy-drop curves of a (W, N) stack of spectra, one row per spectrum.
 
     Row i equals :func:`rof_energy_drops` of ``spectra[i]`` bit for bit; each
@@ -125,12 +110,6 @@ def rof_energy_drops_rows(spectra: np.ndarray, ops: OpCounter | None = None) -> 
         shift = -left if k % 2 == 0 else k - 1 - left
         np.minimum(eroded, padded[:, pad + shift:pad + shift + n], out=eroded)
         energy[k - 1] = eroded.sum(axis=1)
-    if ops is not None:
-        # Per spectrum and window size: n comparisons, an (n-1)-addition
-        # energy sum, and one subtraction plus two multiplications for its drop.
-        ops.cmp(w * n * (n - 1))
-        ops.add(w * n * (n - 1))
-        ops.mul(w * 2 * (n - 1))
     prev, cur = energy[:-1].T, energy[1:].T
     drops = np.zeros((w, n - 1))
     np.divide(100.0 * (prev - cur), prev, out=drops, where=prev > 0)
@@ -138,7 +117,6 @@ def rof_energy_drops_rows(spectra: np.ndarray, ops: OpCounter | None = None) -> 
 
 
 def rof_find_band_width(power: PowerSpectrum, lambda1_pct: float = 5.0,
-                        ops: OpCounter | None = None,
                         drops: np.ndarray | None = None) -> int:
     """Widest occupied bandwidth K read off the energy-drop curve.
 
@@ -147,17 +125,13 @@ def rof_find_band_width(power: PowerSpectrum, lambda1_pct: float = 5.0,
     curve) yields K = 2 with no extension.
     """
     if drops is None:
-        drops = rof_energy_drops(power, ops=ops)
+        drops = rof_energy_drops(power)
     n = power.n_bins
     peak = float(drops.max())
     k = int(np.argmax(drops)) + 2
-    if ops is not None:
-        ops.cmp(n - 1)
     threshold = (lambda1_pct / 100.0) * peak
     while k + 1 <= n and drops[k + 1 - 2] > threshold:
         k += 1
-        if ops is not None:
-            ops.cmp(1)
     return k
 
 
@@ -187,7 +161,6 @@ def _positive_runs(diff: np.ndarray) -> list[tuple[int, int]]:
 
 
 def rof_separate(power: PowerSpectrum, params: RofParams = RofParams(),
-                 ops: OpCounter | None = None,
                  drops: np.ndarray | None = None) -> SeparationMask:
     """Classify bins via rank-order filtering.
 
@@ -196,19 +169,15 @@ def rof_separate(power: PowerSpectrum, params: RofParams = RofParams(),
     lambda2_fraction * N become signal bands (a run over difference indices
     [i, j] straddles bins [i, j+1]).  Everything else is noise.  A drop curve
     computed beforehand (e.g. one row of :func:`rof_energy_drops_rows`) skips
-    the cascade together with its checks and op bookings.
+    the cascade together with its checks.
     """
     p = power.power
     n = p.size
     if drops is None:
-        drops = rof_energy_drops(power, ops=ops)
-    k = rof_find_band_width(power, params.lambda1_pct, ops=ops, drops=drops)
+        drops = rof_energy_drops(power)
+    k = rof_find_band_width(power, params.lambda1_pct, drops=drops)
     smoothed = _smooth_trailing(p, k)
     diff = np.diff(smoothed)
-    if ops is not None:
-        ops.add(3 * n)   # running sum updates and forward differences
-        ops.mul(n)
-        ops.cmp(2 * n)   # sign tests and run-width checks
     min_width = params.lambda2_fraction * n
     mask = np.zeros(n, dtype=bool)
     runs = []
@@ -222,7 +191,7 @@ def rof_separate(power: PowerSpectrum, params: RofParams = RofParams(),
     return SeparationMask(is_signal=mask, method="rof", aux=aux)
 
 
-def fisher_separate(power: PowerSpectrum, ops: OpCounter | None = None) -> SeparationMask:
+def fisher_separate(power: PowerSpectrum) -> SeparationMask:
     """Two-group split of the amplitude spectrum maximizing Fisher's criterion.
 
     Amplitudes (sqrt of bin powers) are sorted ascending; every split point
@@ -236,21 +205,12 @@ def fisher_separate(power: PowerSpectrum, ops: OpCounter | None = None) -> Separ
     if n < 4:
         raise ValueError("need at least 4 bins")
     amplitude = np.sqrt(p)
-    if ops is not None:
-        ops.transcend(n)
-        ops.cmp(int(n * np.log2(n)))
     order = np.argsort(amplitude, kind="stable")
     a = amplitude[order]
     if a[0] == a[-1]:
         return SeparationMask(is_signal=np.zeros(n, dtype=bool), method="fisher",
                               aux={"split": None, "criterion": None})
 
-    if ops is not None:
-        # Booked as the direct scan the complexity model counts: scoring one
-        # split is ~4N operations and N-3 splits are scanned.
-        ops.add(4 * n * (n - 3))
-        ops.mul(6 * (n - 3))
-        ops.cmp(n - 3)
     best_t, best_j = _fisher_scan_prefix(a)
     if best_t is None:
         return SeparationMask(is_signal=np.zeros(n, dtype=bool), method="fisher",

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InsufficientSamplesError
-from .opcount import OpCounter
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +90,11 @@ class SpectralFrame:
 
 @dataclass(frozen=True)
 class PowerSpectrum:
-    """Non-negative per-bin powers of one frame (mW when scenario-scaled)."""
+    """Non-negative per-bin powers of one frame (mW when scenario-scaled).
+
+    Every input is checked; a writeable input array is copied and frozen, a
+    read-only one is kept as is.
+    """
 
     power: np.ndarray
     frame_index: int = 0
@@ -100,13 +103,13 @@ class PowerSpectrum:
         arr = np.asarray(self.power, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("power must be one-dimensional")
-        if not (isinstance(self.power, np.ndarray) and not arr.flags.writeable and arr is self.power):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("power contains non-finite entries")
-            if np.any(arr < 0):
-                raise ValueError("power entries must be non-negative")
-            arr = arr.copy()
-            arr.setflags(write=False)
+        if not np.isfinite(arr).all():
+            raise ValueError("power contains non-finite entries")
+        if (arr < 0).any():
+            raise ValueError("power entries must be non-negative")
+        if arr.flags.writeable and isinstance(self.power, np.ndarray):
+            arr = arr.copy()  # the caller can still write through its array
+        arr.setflags(write=False)
         object.__setattr__(self, "power", arr)
 
     @property
@@ -179,62 +182,43 @@ def frame_signal(series: ComplexSeries, frame_len: int, frame_count: int) -> np.
     return series.samples[:needed].reshape(frame_count, frame_len)
 
 
-def dft(frame: np.ndarray, frame_index: int = 0, ops: OpCounter | None = None) -> SpectralFrame:
+def dft(frame: np.ndarray, frame_index: int = 0) -> SpectralFrame:
     """Unnormalized forward DFT of one time-domain frame (any N >= 2)."""
     arr = _as_finite_complex(frame, "frame")
     if arr.size < 2:
         raise ValueError("frame must have at least 2 samples")
-    if ops is not None:
-        ops.fft(arr.size)
     return SpectralFrame(bins=np.fft.fft(arr), frame_index=frame_index)
 
 
-def power_spectrum(frame: SpectralFrame, ops: OpCounter | None = None) -> PowerSpectrum:
+def power_spectrum(frame: SpectralFrame) -> PowerSpectrum:
     """Per-bin power |X(n)|^2 / N; its bin mean equals the time-domain mean power."""
     n = frame.n_bins
-    if ops is not None:
-        # |X|^2 is two squarings plus one addition per bin; 1/N one more multiply.
-        ops.mul(2 * n)
-        ops.add(n)
-        ops.mul(n)
     power = (frame.bins.real**2 + frame.bins.imag**2) / n
     return PowerSpectrum(power=power, frame_index=frame.frame_index)
 
 
-def averaged_periodogram(block: ResourceBlock, ops: OpCounter | None = None) -> PowerSpectrum:
+def averaged_periodogram(block: ResourceBlock) -> PowerSpectrum:
     """Bin-wise mean of the per-frame power spectra over the whole block."""
-    mat = power_matrix(block, ops=ops)
-    if ops is not None:
-        ops.add((block.n_frames - 1) * block.n_bins)
-        ops.mul(block.n_bins)
-    return PowerSpectrum(power=mat.mean(axis=0), frame_index=block.n_frames - 1)
+    return PowerSpectrum(power=power_matrix(block).mean(axis=0), frame_index=block.n_frames - 1)
 
 
-def power_matrix(block: ResourceBlock, ops: OpCounter | None = None) -> np.ndarray:
+def power_matrix(block: ResourceBlock) -> np.ndarray:
     """(M, N) matrix of per-frame bin powers in the |X|^2/N convention.
 
-    Row i equals ``power_spectrum`` of frame i, and so do the bookings: M
-    times one frame's.
+    Row i equals ``power_spectrum`` of frame i.
     """
     spectral = block.spectral
-    m, n = spectral.shape
-    if ops is not None:
-        ops.mul(2 * n * m)
-        ops.add(n * m)
-        ops.mul(n * m)
+    n = spectral.shape[1]
     mat = (spectral.real**2 + spectral.imag**2) / n
     mat.setflags(write=False)
     return mat
 
 
-def block_from_frames(time_frames, ops: OpCounter | None = None) -> ResourceBlock:
+def block_from_frames(time_frames) -> ResourceBlock:
     """Transform time-domain frames (rows of an (M, N) array) into a resource block."""
     frames = np.asarray(time_frames, dtype=np.complex128)
     if frames.ndim != 2:
         raise ValueError("time frames must form a 2-D (frames, samples) array")
-    if ops is not None:
-        for _ in range(frames.shape[0]):
-            ops.fft(frames.shape[1])
     spectral = np.fft.fft(frames, axis=1)
     spectral.setflags(write=False)
     return ResourceBlock(spectral)

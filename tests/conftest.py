@@ -131,7 +131,10 @@ def build_scenario_per_frame(config: ScenarioConfig) -> tuple[np.ndarray, Ground
 
 
 def counting_block_per_frame(n_frames: int, n_bins: int) -> np.ndarray:
-    """Oracle for bench._counting_block: one draw pair and one dft per frame."""
+    """The whole counting block, one draw pair and one dft per frame.
+
+    Oracle for bench._counting_frame, which is its last row.
+    """
     rng = np.random.Generator(np.random.Philox(key=12345))
     rows = []
     for i in range(n_frames):

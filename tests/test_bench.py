@@ -19,6 +19,7 @@ from noisebench import (
     write_report_csv,
     write_series_csv,
 )
+from noisebench import bench
 from noisebench.bench import ground_truths, sample_std
 
 from conftest import counting_block_per_frame, noise_only_config, reference_config
@@ -334,6 +335,146 @@ class TestStepResponse:
         assert mvu_settle - ml_settle >= window // 2
 
 
+# count_ops of each variant, recorded when the estimators still booked their
+# own operations on a full counting block.
+PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
+    ("ML(ideal)", 16): (95, 113, 0, 0),
+    ("ML(ideal)", 17): (102, 121, 0, 0),
+    ("ML(ideal)", 31): (215, 248, 0, 0),
+    ("ML(ideal)", 64): (511, 577, 0, 0),
+    ("ML(ideal)", 100): (863, 965, 0, 0),
+    ("ML(ideal)", 257): (2570, 2829, 0, 0),
+    ("ML(ideal)", 512): (5631, 6145, 0, 0),
+    ("ML(fisher)", 16): (924, 191, 77, 16),
+    ("ML(fisher)", 17): (1052, 205, 83, 17),
+    ("ML(fisher)", 31): (3682, 416, 181, 31),
+    ("ML(fisher)", 64): (16125, 943, 445, 64),
+    ("ML(fisher)", 100): (39660, 1547, 761, 100),
+    ("ML(fisher)", 257): (263679, 4353, 2311, 257),
+    ("ML(fisher)", 512): (1048061, 9199, 5117, 512),
+    ("ML(rof)", 16): (372, 159, 295, 0),
+    ("ML(rof)", 17): (414, 170, 332, 0),
+    ("ML(rof)", 31): (1226, 339, 1046, 0),
+    ("ML(rof)", 64): (4729, 767, 4236, 0),
+    ("ML(rof)", 100): (11063, 1263, 10244, 0),
+    ("ML(rof)", 257): (69133, 3598, 66579, 0),
+    ("ML(rof)", 512): (268799, 7679, 263207, 0),
+    ("MVU(ideal)", 16): (111, 113, 0, 0),
+    ("MVU(ideal)", 17): (119, 121, 0, 0),
+    ("MVU(ideal)", 31): (246, 248, 0, 0),
+    ("MVU(ideal)", 64): (575, 577, 0, 0),
+    ("MVU(ideal)", 100): (963, 965, 0, 0),
+    ("MVU(ideal)", 257): (2827, 2829, 0, 0),
+    ("MVU(ideal)", 512): (6143, 6145, 0, 0),
+    ("MVU(fisher)", 16): (940, 191, 77, 16),
+    ("MVU(fisher)", 17): (1069, 205, 83, 17),
+    ("MVU(fisher)", 31): (3713, 416, 181, 31),
+    ("MVU(fisher)", 64): (16189, 943, 445, 64),
+    ("MVU(fisher)", 100): (39760, 1547, 761, 100),
+    ("MVU(fisher)", 257): (263936, 4353, 2311, 257),
+    ("MVU(fisher)", 512): (1048573, 9199, 5117, 512),
+    ("MVU(rof)", 16): (388, 159, 295, 0),
+    ("MVU(rof)", 17): (431, 170, 332, 0),
+    ("MVU(rof)", 31): (1257, 339, 1046, 0),
+    ("MVU(rof)", 64): (4793, 767, 4236, 0),
+    ("MVU(rof)", 100): (11163, 1263, 10244, 0),
+    ("MVU(rof)", 257): (69390, 3598, 66579, 0),
+    ("MVU(rof)", 512): (269311, 7679, 263207, 0),
+    ("AIC", 16): (337, 328, 79, 168),
+    ("AIC", 17): (376, 358, 85, 187),
+    ("AIC", 31): (1147, 898, 183, 558),
+    ("AIC", 64): (4546, 2976, 447, 2208),
+    ("AIC", 100): (10765, 6514, 763, 5250),
+    ("AIC", 257): (68364, 37266, 2313, 33667),
+    ("AIC", 512): (267265, 140032, 5119, 132352),
+    ("CBE", 16): (17189, 16309, 100, 1200),
+    ("CBE", 17): (20194, 19251, 100, 1300),
+    ("CBE", 31): (105673, 104458, 100, 2300),
+    ("CBE", 64): (885141, 884693, 100, 4800),
+    ("CBE", 100): (3347562, 3350462, 100, 7500),
+    ("CBE", 257): (56578970, 56626747, 100, 19300),
+    ("CBE", 512): (447256746, 447482538, 100, 38400),
+    ("CBE grid_size=7", 16): (13841, 14077, 7, 84),
+    ("CBE grid_size=7", 17): (16567, 16833, 7, 91),
+    ("CBE grid_size=7", 31): (99256, 100180, 7, 161),
+    ("CBE grid_size=7", 64): (871749, 875765, 7, 336),
+    ("CBE grid_size=7", 100): (3326637, 3336512, 7, 525),
+    ("CBE grid_size=7", 257): (56525123, 56590849, 7, 1351),
+    ("CBE grid_size=7", 512): (447149610, 447411114, 7, 2688),
+    ("MMSE", 16): (1496, 1336, 0, 0),
+    ("MMSE", 17): (1684, 1497, 0, 0),
+    ("MMSE", 31): (5486, 4711, 0, 0),
+    ("MMSE", 64): (23008, 19296, 0, 0),
+    ("MMSE", 100): (55814, 46414, 0, 0),
+    ("MMSE", 257): (365712, 301205, 0, 0),
+    ("MMSE", 512): (1447168, 1188096, 0, 0),
+    ("MMSE blind=False", 16): (984, 1320, 0, 0),
+    ("MMSE blind=False", 17): (1106, 1480, 0, 0),
+    ("MMSE blind=False", 31): (3564, 4680, 0, 0),
+    ("MMSE blind=False", 64): (14816, 19232, 0, 0),
+    ("MMSE blind=False", 100): (35814, 46314, 0, 0),
+    ("MMSE blind=False", 257): (233614, 300948, 0, 0),
+    ("MMSE blind=False", 512): (922880, 1187584, 0, 0),
+}
+PINNED_STAGES = {  # (variant, n, stage): (adds, muls, cmps, transcendental)
+    ("CBE", 16, "covariance-matmul"): (7936, 8192, 0, 0),
+    ("CBE", 16, "eigensolve"): (5461, 5461, 0, 0),
+    ("CBE", 16, "mp-fit"): (3600, 2400, 100, 1200),
+    ("CBE", 17, "covariance-matmul"): (9537, 9826, 0, 0),
+    ("CBE", 17, "eigensolve"): (6550, 6550, 0, 0),
+    ("CBE", 17, "mp-fit"): (3900, 2600, 100, 1300),
+    ("CBE", 31, "covariance-matmul"): (58621, 59582, 0, 0),
+    ("CBE", 31, "eigensolve"): (39721, 39721, 0, 0),
+    ("CBE", 31, "mp-fit"): (6900, 4600, 100, 2300),
+    ("CBE", 64, "covariance-matmul"): (520192, 524288, 0, 0),
+    ("CBE", 64, "eigensolve"): (349525, 349525, 0, 0),
+    ("CBE", 64, "mp-fit"): (14400, 9600, 100, 4800),
+    ("CBE", 100, "covariance-matmul"): (1990000, 2000000, 0, 0),
+    ("CBE", 100, "eigensolve"): (1333333, 1333333, 0, 0),
+    ("CBE", 100, "mp-fit"): (22500, 15000, 100, 7500),
+    ("CBE", 257, "covariance-matmul"): (33883137, 33949186, 0, 0),
+    ("CBE", 257, "eigensolve"): (22632790, 22632790, 0, 0),
+    ("CBE", 257, "mp-fit"): (57900, 38600, 100, 19300),
+    ("CBE", 512, "covariance-matmul"): (268173312, 268435456, 0, 0),
+    ("CBE", 512, "eigensolve"): (178956970, 178956970, 0, 0),
+    ("CBE", 512, "mp-fit"): (115200, 76800, 100, 38400),
+    ("CBE grid_size=7", 16, "covariance-matmul"): (7936, 8192, 0, 0),
+    ("CBE grid_size=7", 16, "eigensolve"): (5461, 5461, 0, 0),
+    ("CBE grid_size=7", 16, "mp-fit"): (252, 168, 7, 84),
+    ("CBE grid_size=7", 17, "covariance-matmul"): (9537, 9826, 0, 0),
+    ("CBE grid_size=7", 17, "eigensolve"): (6550, 6550, 0, 0),
+    ("CBE grid_size=7", 17, "mp-fit"): (273, 182, 7, 91),
+    ("CBE grid_size=7", 31, "covariance-matmul"): (58621, 59582, 0, 0),
+    ("CBE grid_size=7", 31, "eigensolve"): (39721, 39721, 0, 0),
+    ("CBE grid_size=7", 31, "mp-fit"): (483, 322, 7, 161),
+    ("CBE grid_size=7", 64, "covariance-matmul"): (520192, 524288, 0, 0),
+    ("CBE grid_size=7", 64, "eigensolve"): (349525, 349525, 0, 0),
+    ("CBE grid_size=7", 64, "mp-fit"): (1008, 672, 7, 336),
+    ("CBE grid_size=7", 100, "covariance-matmul"): (1990000, 2000000, 0, 0),
+    ("CBE grid_size=7", 100, "eigensolve"): (1333333, 1333333, 0, 0),
+    ("CBE grid_size=7", 100, "mp-fit"): (1575, 1050, 7, 525),
+    ("CBE grid_size=7", 257, "covariance-matmul"): (33883137, 33949186, 0, 0),
+    ("CBE grid_size=7", 257, "eigensolve"): (22632790, 22632790, 0, 0),
+    ("CBE grid_size=7", 257, "mp-fit"): (4053, 2702, 7, 1351),
+    ("CBE grid_size=7", 512, "covariance-matmul"): (268173312, 268435456, 0, 0),
+    ("CBE grid_size=7", 512, "eigensolve"): (178956970, 178956970, 0, 0),
+    ("CBE grid_size=7", 512, "mp-fit"): (8064, 5376, 7, 2688),
+}
+PINNED_VARIANTS = {
+    "ML(ideal)": MethodSpec("ML", "ideal"),
+    "ML(fisher)": MethodSpec("ML", "fisher"),
+    "ML(rof)": MethodSpec("ML", "rof"),
+    "MVU(ideal)": MethodSpec("MVU", "ideal"),
+    "MVU(fisher)": MethodSpec("MVU", "fisher"),
+    "MVU(rof)": MethodSpec("MVU", "rof"),
+    "AIC": MethodSpec("AIC"),
+    "CBE": MethodSpec("CBE"),
+    "CBE grid_size=7": MethodSpec("CBE", params={"grid_size": 7}),
+    "MMSE": MethodSpec("MMSE"),
+    "MMSE blind=False": MethodSpec("MMSE", params={"blind": False}),
+}
+
+
 class TestCountOps:
     @pytest.mark.parametrize("spec", [
         MethodSpec("ML", "rof"), MethodSpec("ML", "fisher"), MethodSpec("ML", "ideal"),
@@ -364,95 +505,57 @@ class TestCountOps:
         with pytest.raises(ValueError):
             count_ops(MethodSpec("AIC"), 8)
 
-    @pytest.mark.parametrize("n", [16, 512])
-    def test_shared_counting_block_matches_fresh_build(self, n):
-        # build_reports and noisebench ops count on one counting block per shape.
-        from noisebench.bench import count_ops_sweep
-        from noisebench.cli import _DEFAULT_METHODS, _parse_method
-        specs = [_parse_method(m) for m in _DEFAULT_METHODS]
-        shared = count_ops_sweep(specs, [n])
-        for i, spec in enumerate(specs):
-            fresh = count_ops(spec, n)
-            assert shared[i, n].counts == fresh.counts, spec.label
-            assert shared[i, n].stages == fresh.stages, spec.label
+    @pytest.mark.parametrize("variant", PINNED_VARIANTS)
+    def test_counts_and_stages_match_pinned_table(self, variant):
+        for n in (16, 17, 31, 64, 100, 257, 512):
+            counter = count_ops(PINNED_VARIANTS[variant], n)
+            c = counter.counts
+            assert (c.adds, c.muls, c.cmps, c.transcendental) == PINNED_COUNTS[variant, n], n
+            stages = {name: (s.adds, s.muls, s.cmps, s.transcendental)
+                      for name, s in counter.stages.items()}
+            assert stages == {stage: counts for (v, size, stage), counts in PINNED_STAGES.items()
+                              if (v, size) == (variant, n)}, n
 
-    def test_ops_sweep_builds_one_block_per_shape(self, monkeypatch, tmp_path):
-        import weakref
-        from noisebench import bench
+    @pytest.mark.parametrize("n", [16, 17, 512])
+    def test_counting_frame_matches_per_frame_build(self, n):
+        frame = bench._counting_frame(n)
+        np.testing.assert_array_equal(frame, counting_block_per_frame(n, n)[-1])
+        assert not frame.flags.writeable
+
+    def test_data_free_counts_draw_no_frame(self):
+        bench._counting_frame.cache_clear()
+        for variant in ("CBE", "CBE grid_size=7", "MMSE", "MMSE blind=False",
+                        "ML(ideal)", "MVU(ideal)"):
+            count_ops(PINNED_VARIANTS[variant], 64)
+        info = bench._counting_frame.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
+    def test_ops_sweep_draws_one_frame_per_size(self, tmp_path):
         from noisebench.cli import _parse_method, main
-        original = bench._counting_block
-        built, alive_at_build = [], []
-
-        def recording_block(n_frames, n_bins):
-            alive_at_build.append(sum(ref() is not None for _, ref in built))
-            block = original(n_frames, n_bins)
-            built.append(((n_frames, n_bins), weakref.ref(block)))
-            return block
-
-        monkeypatch.setattr(bench, "_counting_block", recording_block)
+        # More sizes than the frame memo holds: only a size-major sweep draws
+        # each frame once.
+        sizes = (16, 17, 31, 32, 64)
+        bench._counting_frame.cache_clear()
         out = tmp_path / "ops.csv"
-        assert main(["ops", "--sizes", "16,32", "--out", str(out)]) == 0
-        assert [shape for shape, _ in built] == [(16, 16), (32, 32), (16, 32), (32, 64)]
-        assert alive_at_build == [0, 0, 0, 0]
-        monkeypatch.undo()
+        assert main(["ops", "--sizes", ",".join(map(str, sizes)), "--out", str(out)]) == 0
+        assert bench._counting_frame.cache_info().misses == len(sizes)
         want = []
         for spec in map(_parse_method, ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"]):
-            for size in (16, 32):
+            for size in sizes:
                 c = count_ops(spec, size).counts
                 want.append("%s,%s,%d,%d,%d,%d,%d,%d" % (
                     spec.estimator, spec.separation, size, c.adds, c.muls, c.cmps,
                     c.transcendental, c.total()))
         assert out.read_text().splitlines()[1:] == want
 
-    @pytest.mark.parametrize("shape", [(16, 16), (64, 128), (512, 512), (512, 1024)],
-                             ids=lambda s: f"{s[0]}x{s[1]}")
-    def test_counting_block_matches_per_frame_build(self, shape):
-        from noisebench.bench import _counting_block
-        block = _counting_block(*shape)
-        np.testing.assert_array_equal(block.spectral, counting_block_per_frame(*shape))
-
-    def test_counting_block_shape_checked(self):
-        from noisebench.bench import _counting_block
-        with pytest.raises(ValueError, match="needs 32x64"):
-            count_ops(MethodSpec("CBE"), 32, _counting_block(32, 32))
-
-    def test_reports_build_one_counting_block_per_shape(self, monkeypatch):
-        from noisebench import bench
-        shapes = []
-        original = bench._counting_block
-
-        def recording_block(n_frames, n_bins):
-            shapes.append((n_frames, n_bins))
-            return original(n_frames, n_bins)
-
-        monkeypatch.setattr(bench, "_counting_block", recording_block)
+    def test_reports_draw_one_counting_frame(self):
+        bench._counting_frame.cache_clear()
         cfg = reference_config(seed=0, n_frames=20)
-        methods = [MethodSpec("ML", "ideal"), MethodSpec("MVU", "ideal"),
-                   MethodSpec("AIC"), MethodSpec("CBE")]
+        methods = [MethodSpec("ML", "ideal"), MethodSpec("ML", "fisher"),
+                   MethodSpec("MVU", "ideal"), MethodSpec("AIC"), MethodSpec("CBE")]
         run_benchmark(cfg, methods, [0])
-        assert shapes == [(512, 512), (512, 1024)]
-
-    def test_counted_aic_matches_uncounted(self):
-        # Counting must not change the selected order.
-        from noisebench import aic_estimate, PowerSpectrum
-        from noisebench.opcount import OpCounter
-        rng = np.random.default_rng(55)
-        p = rng.exponential(1.0, 64)
-        p[:9] += 20.0
-        fast = aic_estimate(PowerSpectrum(power=p), 16)
-        counted = aic_estimate(PowerSpectrum(power=p), 16, ops=OpCounter())
-        assert counted.diagnostics["n_min"] == fast.diagnostics["n_min"]
-        assert counted.value_mw == pytest.approx(fast.value_mw, rel=1e-12)
-
-    def test_counted_fisher_matches_uncounted(self):
-        from noisebench import fisher_separate, PowerSpectrum
-        from noisebench.opcount import OpCounter
-        rng = np.random.default_rng(56)
-        p = rng.exponential(1.0, 48)
-        p[:8] += 25.0
-        fast = fisher_separate(PowerSpectrum(power=p))
-        counted = fisher_separate(PowerSpectrum(power=p), ops=OpCounter())
-        np.testing.assert_array_equal(fast.is_signal, counted.is_signal)
+        info = bench._counting_frame.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
 
 
 class TestCsvEmission:

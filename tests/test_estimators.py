@@ -33,9 +33,8 @@ from noisebench import (
     snr_from_powers,
 )
 from noisebench import estimators
-from noisebench.bench import _counting_block
+from noisebench.bench import MethodSpec, _counting_power, count_ops
 from noisebench.errors import EmptyNoiseGroupError
-from noisebench.opcount import OpCounter
 from noisebench.scenario import scenario_config_from_file, with_seed
 
 from conftest import mmse_fit_per_window, reference_config, white_frame
@@ -224,25 +223,26 @@ class TestAicEstimate:
 
     @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512])
     def test_counting_block_order_matches_direct_curve(self, n):
-        # count_ops books the per-order evaluation but runs the cumulative
-        # curve; on the counting block both must pick the same order.
-        last = _counting_block(n, n).spectral[-1]
-        p = (last.real**2 + last.imag**2) / n
+        # count_ops books the per-order evaluation but reads the order off the
+        # cumulative curve; on the counting block's last frame both must pick
+        # the same order.
+        p = _counting_power(n).power
         lam = np.sort(np.maximum(p, 1e-30))[::-1]
-        counted = aic_estimate(spectrum(p), n, ops=OpCounter())
-        assert counted.diagnostics["n_min"] == int(np.argmin(aic_curve_naive(lam, n * n)))
+        got = aic_estimate(spectrum(p), n)
+        assert got.diagnostics["n_min"] == int(np.argmin(aic_curve_naive(lam, n * n)))
 
     def test_counted_curve_books_per_order_evaluation(self):
+        # AIC's count less the frame's FFT, power spectrum and periodogram
+        # update is the per-order evaluation's.
         n = 40
-        p = np.random.default_rng(19).exponential(1.0, n)
-        p[:6] += 15.0
-        counter = OpCounter()
-        n_min = aic_estimate(spectrum(p), 8, ops=counter).diagnostics["n_min"]
+        n_min = aic_estimate(_counting_power(n), n).diagnostics["n_min"]
+        counts = count_ops(MethodSpec("AIC"), n).counts
+        fft = round(n * np.log2(n))
         tails = range(1, n + 1)
-        assert counter.counts.adds == sum(2 * (t - 1) for t in tails) + (n - n_min)
-        assert counter.counts.muls == sum(t + 4 for t in tails)
-        assert counter.counts.transcendental == sum(t + 2 for t in tails)
-        assert counter.counts.cmps == int(n * np.log2(n)) + (n - 1)
+        assert counts.adds - fft - 2 * n == sum(2 * (t - 1) for t in tails) + (n - n_min)
+        assert counts.muls - fft - 4 * n == sum(t + 4 for t in tails)
+        assert counts.transcendental == sum(t + 2 for t in tails)
+        assert counts.cmps == int(n * np.log2(n)) + (n - 1)
 
     def test_zero_bins_floored(self):
         p = np.ones(16)

@@ -15,12 +15,10 @@ from noisebench import (
     power_matrix,
     rof_energy_drops,
     rof_energy_drops_rows,
-    rof_erode,
     rof_find_band_width,
     rof_separate,
 )
-from noisebench.bench import _counting_block
-from noisebench.opcount import OpCounter
+from noisebench.bench import MethodSpec, _counting_power, count_ops
 from noisebench.scenario import GroundTruth
 
 from conftest import reference_config
@@ -96,47 +94,6 @@ def synthetic_band(n: int, lo: int, width: int, height: float,
     return spectrum(p)
 
 
-class TestRofErode:
-    def test_full_window_covers_global_min(self):
-        # With clamped centered windows, k=N yields the global minimum at every
-        # position whose window still spans the minimum; edge windows shrink.
-        p = spectrum([3.0, 1.0, 7.0, 2.0, 9.0])
-        out = rof_erode(p, 5)
-        np.testing.assert_array_equal(out.power, erode_oracle(p.power, 5))
-        assert out.power.min() == p.power.min()
-        assert (out.power[:4] == p.power.min()).all()
-
-    def test_constant_unchanged(self):
-        p = spectrum(np.full(6, 4.2))
-        for k in range(2, 7):
-            np.testing.assert_array_equal(rof_erode(p, k).power, p.power)
-
-    def test_hand_case_centered_clamped(self):
-        out = rof_erode(spectrum([5.0, 1.0, 5.0, 5.0, 5.0]), 3)
-        np.testing.assert_array_equal(out.power, [1, 1, 1, 5, 5])
-
-    @given(st.integers(0, 300))
-    @settings(max_examples=30, deadline=None)
-    def test_matches_direct_window_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.exponential(1.0, rng.integers(4, 48))
-        for k in range(2, p.size + 1):
-            np.testing.assert_array_equal(rof_erode(spectrum(p), k).power,
-                                          erode_oracle(p, k))
-
-    def test_k_out_of_range(self):
-        with pytest.raises(ValueError):
-            rof_erode(spectrum([1.0, 2.0, 3.0]), 1)
-        with pytest.raises(ValueError):
-            rof_erode(spectrum([1.0, 2.0, 3.0]), 4)
-
-    def test_preserves_global_minimum(self):
-        rng = np.random.default_rng(8)
-        p = rng.exponential(1.0, 32)
-        for k in (2, 7, 32):
-            assert rof_erode(spectrum(p), k).power.min() == p.min()
-
-
 class TestEnergyDrops:
     @given(st.integers(0, 200))
     @settings(max_examples=20, deadline=None)
@@ -191,15 +148,6 @@ class TestEnergyDrops:
                 np.testing.assert_array_equal(curve, rof_energy_drops(spectrum(row)))
             else:
                 np.testing.assert_array_equal(curve, np.zeros(n - 1))
-
-    def test_rows_book_one_cascade_per_row(self):
-        rows = np.random.default_rng(3).exponential(1.0, (5, 32))
-        batched, single = OpCounter(), OpCounter()
-        rof_energy_drops_rows(rows, ops=batched)
-        rof_energy_drops(spectrum(rows[0]), ops=single)
-        assert batched.counts.adds == 5 * single.counts.adds
-        assert batched.counts.muls == 5 * single.counts.muls
-        assert batched.counts.cmps == 5 * single.counts.cmps
 
     def test_rows_need_four_bins(self):
         with pytest.raises(ValueError, match="4 bins"):
@@ -352,22 +300,23 @@ class TestFisherSeparate:
 
     @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512])
     def test_counting_block_split_matches_direct_scan(self, n):
-        # count_ops books the direct scan but runs the prefix scan; on the
-        # counting block both must pick the same split.
-        last = _counting_block(n, n).spectral[-1]
-        p = (last.real**2 + last.imag**2) / n
-        counted = fisher_separate(spectrum(p), ops=OpCounter())
-        assert counted.aux["split"] == self.fisher_oracle(p)
+        # count_ops books the direct scan but reads the split off the prefix
+        # scan; on the counting block's last frame both must pick the same split.
+        p = _counting_power(n).power
+        assert fisher_separate(spectrum(p)).aux["split"] == self.fisher_oracle(p)
 
     def test_counted_scan_books_direct_scan(self):
+        # ML(fisher)'s count less the frame's FFT and power spectrum and the
+        # mean over the noise bins is the direct scan's.
         n = 48
-        counter = OpCounter()
-        fisher_separate(spectrum(np.random.default_rng(9).exponential(1.0, n)), ops=counter)
+        noise = int(fisher_separate(_counting_power(n)).noise_bins.sum())
+        counts = count_ops(MethodSpec("ML", "fisher"), n).counts
+        fft = round(n * np.log2(n))
         splits = n - 3
-        assert counter.counts.adds == 4 * n * splits
-        assert counter.counts.muls == 6 * splits
-        assert counter.counts.cmps == int(n * np.log2(n)) + splits
-        assert counter.counts.transcendental == n
+        assert counts.adds - fft - n - (noise - 1) == 4 * n * splits
+        assert counts.muls - fft - 3 * n - 1 == 6 * splits
+        assert counts.cmps == int(n * np.log2(n)) + splits
+        assert counts.transcendental == n
 
     def test_signal_group_is_high_amplitudes(self):
         rng = np.random.default_rng(13)

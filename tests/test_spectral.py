@@ -18,7 +18,6 @@ from noisebench import (
     power_matrix,
     power_spectrum,
 )
-from noisebench.opcount import OpCounter
 
 from conftest import white_frame
 
@@ -161,17 +160,14 @@ class TestAveragedPeriodogram:
 
 class TestPowerMatrix:
     def test_matches_stacked_power_spectra(self):
-        # Values and bookings equal power_spectrum frame by frame.
         rng = np.random.default_rng(8)
         block = block_from_frames([white_frame(rng, 64) for _ in range(7)])
-        got_ops, want_ops = OpCounter(), OpCounter()
-        got = power_matrix(block, ops=got_ops)
+        got = power_matrix(block)
         want = np.stack([
-            power_spectrum(SpectralFrame(bins=row, frame_index=i), ops=want_ops).power
+            power_spectrum(SpectralFrame(bins=row, frame_index=i)).power
             for i, row in enumerate(block.spectral)
         ])
         np.testing.assert_array_equal(got, want)
-        assert got_ops.counts == want_ops.counts
         assert not got.flags.writeable
 
 
@@ -179,12 +175,9 @@ class TestBlockFromFrames:
     def test_matches_per_frame_dft(self):
         rng = np.random.default_rng(9)
         frames = [white_frame(rng, 48) for _ in range(6)]
-        got_ops, want_ops = OpCounter(), OpCounter()
-        block = block_from_frames(frames, ops=got_ops)
-        want = np.stack([dft(fr, frame_index=i, ops=want_ops).bins
-                         for i, fr in enumerate(frames)])
+        block = block_from_frames(frames)
+        want = np.stack([dft(fr, frame_index=i).bins for i, fr in enumerate(frames)])
         np.testing.assert_array_equal(block.spectral, want)
-        assert got_ops.counts == want_ops.counts
 
     def test_frame_signal_rows_round_trip(self):
         data = np.arange(12, dtype=complex)
@@ -238,6 +231,20 @@ class TestValueTypes:
         bad.setflags(write=False)
         with pytest.raises(ValueError, match="sample 4"):
             ComplexSeries(samples=bad, sample_rate_hz=1.0)
+
+    def test_power_copies_only_writeable_input_and_checks_every_input(self):
+        values = np.ones(6)
+        ps = PowerSpectrum(power=values)
+        assert not np.shares_memory(ps.power, values)
+        assert not ps.power.flags.writeable
+        values.setflags(write=False)
+        assert PowerSpectrum(power=values).power is values
+        for bad, message in (([np.nan, -1, 2, 3, 1, 0.5], "non-finite"),
+                             ([1, -1, 2, 3, 1, 0.5], "non-negative")):
+            frozen = np.array(bad, dtype=float)
+            frozen.setflags(write=False)
+            with pytest.raises(ValueError, match=message):
+                PowerSpectrum(power=frozen)
 
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
