@@ -30,13 +30,16 @@ from .estimators import (
     covariance_eigenvalues,
     covariance_spectrum,
     ml_estimate,
+    ml_fit_frames,
     mmse_estimate,
     mmse_fit,
     mmse_fit_windows,
     mp_cdf,
     mvu_estimate,
     mvu_fit,
+    mvu_fit_windows,
     sample_covariance,
+    snr_db_from_powers,
     snr_from_powers,
 )
 from .opcount import OpCounter, OpCounts
@@ -63,6 +66,7 @@ from .separation import (
     RofParams,
     SeparationMask,
     fisher_separate,
+    fisher_signal_rows,
     ideal_separate,
     rof_energy_drops,
     rof_energy_drops_rows,

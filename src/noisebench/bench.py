@@ -8,18 +8,22 @@ window's last frame.  The SNR attached to each entry applies the excess-power
 definition with the numerator measured on that frame's whole-band mean power.
 
 Separation inputs follow each strategy's working regime: ideal and Fisher
-masks are computed per frame, while the ROF mask is computed on the trailing
-window's averaged periodogram (per-frame spectra fluctuate too much for the
-erosion bandwidth search at low SNR).
+masks are per frame, while the ROF mask is computed on the trailing window's
+averaged periodogram (per-frame spectra fluctuate too much for the erosion
+bandwidth search at low SNR).
 
 All methods of one seed share a context: the scenario's resource block (one
 (M, N) spectral array), its power matrix, a mask cache and, for CBE, one Gram
-matrix.  The erosion cascades of a method's ROF windows run batched, one stack
-of averaged spectra at a time; MVU folds per-frame noise sums; CBE reads each
-window as a slice of the Gram matrix; MMSE evaluates every window of the seed
-in one batched pass over the spectral array (sliding window sums, FFT lags,
-one Levinson solve per window).  With timing on, each method's evaluation is
-timed inside the same per-seed loop and summed over seeds.
+matrix.  Ideal and Fisher separation run once over the whole power matrix
+(Fisher as one sorted scan per chunk of frames) and leave each frame's
+noise-bin power sum and count, so ML divides two arrays and MVU folds the
+sums of each window.  The erosion cascades of a method's ROF windows run
+batched, one stack of averaged spectra at a time; CBE reads each window as a
+slice of the Gram matrix; MMSE evaluates every window of the seed in one
+batched pass over the spectral array (sliding window sums, FFT lags, one
+Levinson solve per window).  The SNR of every entry comes from one array
+expression.  With timing on, each method's evaluation is timed inside the
+same per-seed loop and summed over seeds.
 
 Operation counts are the paper's complexity model, kept in one place:
 :func:`count_ops` books each method's closed forms in the block size.  The
@@ -161,43 +165,40 @@ def _rof_params(method: MethodSpec) -> sep.RofParams:
 class _MaskProvider:
     """Per-seed cache of separation masks over one scenario's power matrix.
 
-    Ideal and Fisher masks are cached per frame, together with each frame's
-    noise-bin power sum.  ROF masks are cached per trailing window and
-    threshold set, so every method with the same ROF parameters reuses one
-    computation per window.
+    Ideal and Fisher separation run once per seed over the whole matrix (the
+    ground-truth mask, :func:`separation.fisher_signal_rows`); what the
+    estimators need of them, each frame's noise-bin power sum and count, is
+    kept per kind.  ROF masks are cached per trailing window and threshold
+    set, so every method with the same ROF parameters reuses one computation
+    per window.
     """
 
     def __init__(self, power: np.ndarray, truth: GroundTruth):
         self.power = power
         self.truth = truth
-        self._frame_cache: dict[tuple[str, int], sep.SeparationMask] = {}
-        self._noise_sums: dict[str, tuple[list[float], list[int]]] = {}
+        self._noise_sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._window_cache: dict[tuple[int, int, sep.RofParams], sep.SeparationMask] = {}
 
-    def frame_mask(self, kind: str, frame: int) -> sep.SeparationMask:
-        key = (kind, frame)
-        if key not in self._frame_cache:
-            if kind == "ideal":
-                mask = sep.ideal_separate(self.truth, frame)
-            elif kind == "fisher":
-                mask = sep.fisher_separate(PowerSpectrum(self.power[frame], frame))
-            else:
-                raise ValueError(f"no per-frame mask for {kind!r}")
-            self._frame_cache[key] = mask
-        return self._frame_cache[key]
-
-    def frame_noise_sums(self, kind: str, lo: int,
-                         hi: int) -> tuple[list[float], list[int]]:
+    def frame_noise(self, kind: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
         """Noise-bin power sums and counts of frames lo..hi-1 under their own masks.
 
-        Frames are added in order up to the last one asked for, so a failing
-        mask surfaces at the same window as it would frame by frame.
+        Raises DegenerateSpectrumError if one of those frames is all signal.
         """
-        sums, counts = self._noise_sums.setdefault(kind, ([], []))
-        for f in range(len(sums), hi):
-            noise = self.power[f][self.frame_mask(kind, f).noise_bins]
-            sums.append(float(noise.sum()))
-            counts.append(noise.size)
+        if kind not in self._noise_sums:
+            if kind == "ideal":
+                signal = self.truth.signal_bin_mask
+            elif kind == "fisher":
+                signal = sep.fisher_signal_rows(self.power)[0]
+            else:
+                raise ValueError(f"no per-frame mask for {kind!r}")
+            noise = ~signal
+            # compress keeps each row contiguous, so its sum is the same
+            # pairwise sum as that of the frame's noise bins alone.
+            sums = np.array([np.compress(keep, row).sum() for keep, row in zip(noise, self.power)])
+            self._noise_sums[kind] = (sums, np.count_nonzero(noise, axis=1))
+        sums, counts = self._noise_sums[kind]
+        if not counts[lo:hi].all():
+            raise DegenerateSpectrumError("mask classifies every bin as signal")
         return sums[lo:hi], counts[lo:hi]
 
     def prefill_rof(self, bounds: list[tuple[int, int]], params: sep.RofParams) -> None:
@@ -260,76 +261,72 @@ def _occupancy(method: MethodSpec, truth: GroundTruth, frame: int,
 
 
 def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
-                     seed: int) -> EstimateSeries:
+                     seed: int, last_only: bool = False) -> EstimateSeries:
+    """One method's series on a seed; with last_only, its entry at the last frame alone."""
     power, truth, masks = ctx.power, ctx.truth, ctx.masks
-    n_frames, n_bins = power.shape
+    n_frames = power.shape[0]
     window = int(method.params.get("window_frames", min(n_frames, DEFAULT_WINDOW_FRAMES)))
     window = max(1, min(window, n_frames))
     rof = _rof_params(method)
 
-    frames: list[int] = []
-    values: list[float] = []
-    if method.estimator == "ML":
-        bounds = [(max(0, f - window + 1), f + 1) for f in range(n_frames)]
+    # ML reports at every frame, the windowed methods once their window is full.
+    if last_only:
+        first = n_frames - 1
+    else:
+        first = 0 if method.estimator == "ML" else window - 1
+    frames = np.arange(first, n_frames)
+    start = max(0, first - window + 1)  # the first frame any entry reads
+    if method.separation in ("ideal", "fisher"):
+        if method.estimator == "ML":
+            values = est.ml_fit_frames(*masks.frame_noise(method.separation, first, n_frames))
+        else:
+            sums, counts = masks.frame_noise(method.separation, start, n_frames)
+            values = est.mvu_fit_windows(sums, counts, window)
+    elif method.estimator == "MMSE":
+        fits = est.mmse_fit_windows(ctx.block.spectral[start:], window,
+                                    blind=bool(method.params.get("blind", True)))
+        values = np.array([fit.value_mw for fit in fits])
+    else:
+        bounds = [(max(0, f - window + 1), f + 1) for f in range(first, n_frames)]
         if method.separation == "rof":
             masks.prefill_rof(bounds, rof)
-        for lo, hi in bounds:
-            f = hi - 1
-            if method.separation == "rof":
-                mask = masks.rof_window_mask(lo, hi, rof)
-            else:
-                mask = masks.frame_mask(method.separation, f)
-            ml = est.ml_estimate(PowerSpectrum(power[f], f), mask)
-            frames.append(f)
-            values.append(ml.value_mw)
-    elif method.estimator == "MMSE":
-        for fit in est.mmse_fit_windows(ctx.block.spectral, window,
-                                        blind=bool(method.params.get("blind", True))):
-            frames.append(fit.frame_index)
-            values.append(fit.value_mw)
-    else:
-        bounds = [(f - window + 1, f + 1) for f in range(window - 1, n_frames)]
-        if method.estimator == "MVU" and method.separation == "rof":
-            masks.prefill_rof(bounds, rof)
-        for lo, hi in bounds:
-            f = hi - 1
-            if method.estimator == "MVU":
-                if method.separation == "rof":
-                    noise = masks.rof_window_mask(lo, hi, rof).noise_bins
-                    # compress keeps rows contiguous, so each row sum is the
-                    # same pairwise sum as the frame's own (a boolean column
-                    # index would lay the copy out column-major).
-                    sums = np.compress(noise, power[lo:hi], axis=1).sum(axis=1).tolist()
-                    counts = [int(np.count_nonzero(noise))] * (hi - lo)
-                else:
-                    sums, counts = masks.frame_noise_sums(method.separation, lo, hi)
-                value = est.mvu_fit(sums, counts).value_mw
-            elif method.estimator == "AIC":
-                pg = PowerSpectrum(power[lo:hi].mean(axis=0), f)
-                value = est.aic_estimate(pg, hi - lo).value_mw
-            else:  # CBE
-                fraction = _occupancy(method, truth, f, power[lo:hi])
-                value = est.cbe_fit(
-                    ctx.gram[lo:hi, lo:hi], n_bins, fraction,
-                    grid_size=int(method.params.get("grid_size", 100)),
-                ).value_mw
-            frames.append(f)
-            values.append(value)
+        if method.estimator == "ML":
+            sums, counts = np.empty(len(bounds)), np.empty(len(bounds), dtype=np.int64)
+            for i, (lo, hi) in enumerate(bounds):
+                noise = masks.rof_window_mask(lo, hi, rof).noise_bins
+                sums[i] = np.compress(noise, power[hi - 1]).sum()
+                counts[i] = np.count_nonzero(noise)
+            values = est.ml_fit_frames(sums, counts)
+        else:
+            values = np.array([_window_value(method, ctx, lo, hi, rof) for lo, hi in bounds])
 
-    frames_arr = np.asarray(frames, dtype=np.int64)
-    values_arr = np.asarray(values, dtype=np.float64)
-    snr = np.array([
-        est.snr_from_powers(ctx.frame_mean[f], v)[1] for f, v in zip(frames_arr, values_arr)
-    ])
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
         method=method.estimator, separation=method.separation,
-        frame_index=frames_arr,
-        noise_power_est_mw=values_arr,
-        noise_power_true_mw=truth.noise_power_mw[frames_arr],
-        snr_est_db=snr,
-        snr_true_db=truth.true_snr_db[frames_arr],
+        frame_index=frames,
+        noise_power_est_mw=values,
+        noise_power_true_mw=truth.noise_power_mw[frames],
+        snr_est_db=est.snr_db_from_powers(ctx.frame_mean[frames], values),
+        snr_true_db=truth.true_snr_db[frames],
     )
+
+
+def _window_value(method: MethodSpec, ctx: _SeedContext, lo: int, hi: int,
+                  rof: sep.RofParams) -> float:
+    """MVU(rof), AIC or CBE estimate of the window of frames lo..hi-1."""
+    power, f = ctx.power, hi - 1
+    if method.estimator == "MVU":
+        noise = ctx.masks.rof_window_mask(lo, hi, rof).noise_bins
+        # compress keeps rows contiguous, so each row sum is the same
+        # pairwise sum as the frame's own (a boolean column index would lay
+        # the copy out column-major).
+        sums = np.compress(noise, power[lo:hi], axis=1).sum(axis=1)
+        return est.mvu_fit(sums, np.full(hi - lo, np.count_nonzero(noise))).value_mw
+    if method.estimator == "AIC":
+        return est.aic_estimate(PowerSpectrum(power[lo:hi].mean(axis=0), f), hi - lo).value_mw
+    fraction = _occupancy(method, ctx.truth, f, power[lo:hi])
+    return est.cbe_fit(ctx.gram[lo:hi, lo:hi], power.shape[1], fraction,
+                       grid_size=int(method.params.get("grid_size", 100))).value_mw
 
 
 def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int]
@@ -366,6 +363,19 @@ def run_scenario(config: ScenarioConfig, methods: list[MethodSpec],
     reference matrix slower than a serial loop on a two-core machine.
     """
     return _run_seeds(config, methods, seeds)[0]
+
+
+def last_window_estimate(config: ScenarioConfig, method: MethodSpec,
+                         seed: int) -> EstimateSeries:
+    """The method's one-entry series at the scenario's last frame.
+
+    Only the window ending there is evaluated (ideal and Fisher masks still
+    cover the whole seed, which costs one batched pass).  The entry is the
+    last entry of the full series; for MMSE up to rounding, because its lone
+    window is not evaluated inside the batched chunk that holds it there.
+    """
+    return _evaluate_method(method, _SeedContext(config, seed), config.name, seed,
+                            last_only=True)
 
 
 def ground_truths(config: ScenarioConfig, seeds: list[int]) -> dict[int, GroundTruth]:
@@ -452,9 +462,9 @@ def _counting_frame(n: int) -> np.ndarray:
     return frame
 
 
-def _book_rof(ops: OpCounter, power: PowerSpectrum) -> sep.SeparationMask:
+def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> sep.SeparationMask:
     n = power.n_bins
-    mask = sep.rof_separate(power)  # at the default thresholds
+    mask = sep.rof_separate(power, params)
     # Per window size k = 2..n: n comparisons, an (n-1)-addition energy sum,
     # and one subtraction plus two multiplications for its drop.
     ops.cmp(n * (n - 1))
@@ -546,12 +556,13 @@ def count_ops(method: MethodSpec, n: int) -> OpCounter:
     formulas degenerate on square blocks (the covariance matrix it
     decomposes is n x n either way).  Only the final frame's transform is
     booked: the model charges one FFT per batch of N new samples.  The few
-    data-dependent terms (the ROF bandwidth walk, whether Fisher's spectrum
-    is constant, the ML/MVU noise-bin count and AIC's selected order) are
-    read off uncounted decisions on one counting frame, the last frame of a
-    fixed white block; CBE, MMSE and ideal separation draw no frame.  CBE's
-    Marchenko-Pastur fit is charged for ``grid_size`` candidates, also where
-    an estimate's candidate range collapses to a single point.
+    data-dependent terms (the ROF bandwidth walk at the method's own
+    thresholds, whether Fisher's spectrum is constant, the ML/MVU noise-bin
+    count and AIC's selected order) are read off uncounted decisions on one
+    counting frame, the last frame of a fixed white block; CBE, MMSE and
+    ideal separation draw no frame.  CBE's Marchenko-Pastur fit is charged
+    for ``grid_size`` candidates, also where an estimate's candidate range
+    collapses to a single point.
     """
     if n < 16:
         raise ValueError("operation counting needs n >= 16")
@@ -569,9 +580,11 @@ def count_ops(method: MethodSpec, n: int) -> OpCounter:
         _book_aic(ops, _counting_power(n))
     else:
         noise = n
-        if method.separation != "ideal":
-            book = _book_rof if method.separation == "rof" else _book_fisher
-            noise = int(np.count_nonzero(book(ops, _counting_power(n)).noise_bins))
+        if method.separation == "rof":
+            mask = _book_rof(ops, _counting_power(n), _rof_params(method))
+            noise = int(np.count_nonzero(mask.noise_bins))
+        elif method.separation == "fisher":
+            noise = int(np.count_nonzero(_book_fisher(ops, _counting_power(n)).noise_bins))
         ops.add(noise - 1)  # mean over the noise bins
         ops.mul(1)
         if method.estimator == "MVU":

@@ -169,12 +169,11 @@ def cmd_separate(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load_config(args.config, args.override)
     method = _parse_method(args.method)
-    series = bench.run_scenario(config, [method], [config.noise.seed])[0]
+    entry = bench.last_window_estimate(config, method, config.noise.seed)
     print("method,separation,frame_index,noise_power_est_mw,snr_est_db")
-    i = len(series) - 1
     print("%s,%s,%d,%.9g,%.9g" % (
-        series.method, series.separation, series.frame_index[i],
-        series.noise_power_est_mw[i], series.snr_est_db[i],
+        entry.method, entry.separation, entry.frame_index[0],
+        entry.noise_power_est_mw[0], entry.snr_est_db[0],
     ))
     return 0
 

@@ -93,17 +93,28 @@ class MpFitRange:
 
 
 def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> NoisePowerEstimate:
-    """Mean bin power over the noise-classified bins of a single frame."""
+    """Mean bin power over the noise-classified bins of one frame; see :func:`ml_fit_frames`."""
     if mask.n_bins != power.n_bins:
         raise ValueError("mask length does not match the spectrum")
     noise = power.power[mask.noise_bins]
-    if noise.size == 0:
-        raise EmptyNoiseGroupError("no bins classified as noise")
-    value = float(noise.mean())
+    value = ml_fit_frames(np.array([noise.sum()]), np.array([noise.size]))[0]
     return NoisePowerEstimate(
-        value_mw=value, method="ml", frame_index=power.frame_index,
+        value_mw=float(value), method="ml", frame_index=power.frame_index,
         diagnostics={"noise_bin_count": int(noise.size), "separation": mask.method},
     )
+
+
+def ml_fit_frames(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
+    """ML estimate of each frame from its noise-bin power sum and noise-bin count.
+
+    The first frame without noise bins raises EmptyNoiseGroupError, the first
+    non-positive or non-finite estimate ZeroPowerError, in frame order.
+    """
+    sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = sums / counts
+    _check_estimates("ml", values, counts, "no bins classified as noise")
+    return values
 
 
 def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> NoisePowerEstimate:
@@ -126,26 +137,60 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> No
                    separation=masks[0].method)
 
 
-def mvu_fit(noise_sums: list[float], noise_counts: list[int], frame_index: int | None = None,
-            separation: str | None = None) -> NoisePowerEstimate:
+def mvu_fit(noise_sums: np.ndarray | list[float], noise_counts: np.ndarray | list[int],
+            frame_index: int | None = None, separation: str | None = None) -> NoisePowerEstimate:
     """MVU estimate from each frame's noise-bin power sum and noise-bin count.
 
-    The sums are folded in frame order, so equal per-frame sums give the same
-    estimate bit for bit whichever way they were computed.
+    The one-window case of :func:`mvu_fit_windows`: the sums are folded in
+    frame order, so equal per-frame sums give the same estimate bit for bit
+    whichever way they were computed.
     """
-    if len(noise_sums) != len(noise_counts) or not noise_sums:
-        raise ValueError("noise sums and counts must be non-empty and aligned")
-    total = 0.0
-    count = 0
-    for frame_sum, frame_count in zip(noise_sums, noise_counts):
-        total += frame_sum
-        count += frame_count
-    if count == 0:
-        raise EmptyNoiseGroupError("no bins classified as noise in any frame")
+    sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
+    value = mvu_fit_windows(sums, counts, sums.size)[0]
     return NoisePowerEstimate(
-        value_mw=total / count, method="mvu", frame_index=frame_index,
-        diagnostics={"noise_bin_count": count, "separation": separation},
+        value_mw=float(value), method="mvu", frame_index=frame_index,
+        diagnostics={"noise_bin_count": int(counts.sum()), "separation": separation},
     )
+
+
+def mvu_fit_windows(noise_sums: np.ndarray, noise_counts: np.ndarray,
+                    window: int) -> np.ndarray:
+    """MVU estimate of every trailing window of ``window`` frames.
+
+    Entry j covers frames j..j+window-1.  Each window's sums are folded left
+    to right (one running sum along each row of a sliding view), the same
+    fold as a loop over the frames.  The first window without noise bins
+    raises EmptyNoiseGroupError, the first non-positive or non-finite
+    estimate ZeroPowerError, in window order.
+    """
+    sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
+    if not 1 <= window <= sums.size:
+        raise ValueError(f"a {window}-frame window does not fit in {sums.size} frames")
+    totals = np.cumsum(np.lib.stride_tricks.sliding_window_view(sums, window), axis=1)[:, -1]
+    cumulative = np.concatenate([[0], np.cumsum(counts)])
+    window_counts = cumulative[window:] - cumulative[:-window]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = totals / window_counts
+    _check_estimates("mvu", values, window_counts, "no bins classified as noise in any frame")
+    return values
+
+
+def _aligned_noise_sums(noise_sums, noise_counts) -> tuple[np.ndarray, np.ndarray]:
+    sums = np.asarray(noise_sums, dtype=np.float64)
+    counts = np.asarray(noise_counts, dtype=np.int64)
+    if sums.ndim != 1 or sums.shape != counts.shape or not sums.size:
+        raise ValueError("noise sums and counts must be non-empty and aligned")
+    return sums, counts
+
+
+def _check_estimates(method: str, values: np.ndarray, counts: np.ndarray, empty: str) -> None:
+    """Raise for the first entry without noise bins or with an unusable estimate."""
+    bad = (counts == 0) | ~(np.isfinite(values) & (values > 0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if counts[i] == 0:
+            raise EmptyNoiseGroupError(empty)
+        raise ZeroPowerError(f"{method}: estimate must be finite and positive, got {values[i]}")
 
 
 def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEstimate:
@@ -527,3 +572,16 @@ def snr_from_powers(sigma_x_sq: float, sigma_w_sq: float) -> tuple[float, float]
     linear = (sigma_x_sq - sigma_w_sq) / sigma_w_sq
     db = 10.0 * np.log10(linear) if linear > 0 else -np.inf
     return linear, float(db)
+
+
+def snr_db_from_powers(sigma_x_sq: np.ndarray, sigma_w_sq: np.ndarray) -> np.ndarray:
+    """:func:`snr_from_powers` in dB of aligned arrays, element by element."""
+    sigma_x_sq = np.asarray(sigma_x_sq, dtype=np.float64)
+    sigma_w_sq = np.asarray(sigma_w_sq, dtype=np.float64)
+    if np.any(sigma_w_sq <= 0):
+        raise ZeroPowerError("noise power must be positive")
+    if np.any(sigma_x_sq < 0):
+        raise ValueError("received power must be non-negative")
+    linear = (sigma_x_sq - sigma_w_sq) / sigma_w_sq
+    excess = linear > 0
+    return np.where(excess, 10.0 * np.log10(np.where(excess, linear, 1.0)), -np.inf)

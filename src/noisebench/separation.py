@@ -20,6 +20,7 @@ from .scenario import GroundTruth
 from .spectral import PowerSpectrum
 
 SEPARATION_METHODS = ("ideal", "fisher", "rof")
+FISHER_CHUNK = 32  # frames per batched Fisher scan
 
 
 @dataclass(frozen=True)
@@ -199,50 +200,91 @@ def fisher_separate(power: PowerSpectrum) -> SeparationMask:
     using unbiased group variances.  Bins whose amplitude lands in the high
     group are signal; ties in J go to the split with fewer signal bins.  A
     constant spectrum has no defined split and yields an all-noise mask.
+    This is the one-row case of :func:`fisher_signal_rows`.
     """
-    p = power.power
-    n = p.size
+    signal, split, criterion = fisher_signal_rows(power.power[None, :])
+    if split[0] < 0:
+        aux = {"split": None, "criterion": None}
+    else:
+        aux = {"split": int(split[0]), "criterion": float(criterion[0])}
+    return SeparationMask(is_signal=signal[0], method="fisher", aux=aux)
+
+
+def fisher_signal_rows(power: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Fisher separation of every row of an (M, N) power matrix.
+
+    Returns the (M, N) signal mask, each row's split t (-1 where the row has
+    no defined split) and its criterion J(t) (NaN there); row i is
+    :func:`fisher_separate` of ``power[i]``.  Rows are scored
+    ``FISHER_CHUNK`` at a time from sorted amplitudes and prefix sums.  The
+    signal bins are those with amplitude >= a[t]; only a row whose split
+    falls inside a run of equal amplitudes is ranked by a stable argsort,
+    which puts the tied bins of lower index into the noise group.
+    """
+    m, n = power.shape
     if n < 4:
         raise ValueError("need at least 4 bins")
-    amplitude = np.sqrt(p)
-    order = np.argsort(amplitude, kind="stable")
-    a = amplitude[order]
-    if a[0] == a[-1]:
-        return SeparationMask(is_signal=np.zeros(n, dtype=bool), method="fisher",
-                              aux={"split": None, "criterion": None})
+    signal = np.zeros((m, n), dtype=bool)
+    split = np.full(m, -1, dtype=np.int64)
+    criterion = np.full(m, np.nan)
+    for lo in range(0, m, FISHER_CHUNK):
+        hi = min(lo + FISHER_CHUNK, m)
+        amplitude = np.sqrt(power[lo:hi])
+        a = np.sort(amplitude, axis=1)
+        t, j = _fisher_scan_rows(a)
+        found = t >= 0
+        split[lo:hi] = t
+        criterion[lo:hi] = np.where(found, j, np.nan)
+        rows = np.arange(hi - lo)
+        threshold = a[rows, t]
+        signal[lo:hi] = (amplitude >= threshold[:, None]) & found[:, None]
+        tied = found & (a[rows, t - 1] == threshold)
+        for i in np.flatnonzero(tied):
+            order = np.argsort(amplitude[i], kind="stable")
+            signal[lo + i] = False
+            signal[lo + i, order[t[i]:]] = True
+    return signal, split, criterion
 
-    best_t, best_j = _fisher_scan_prefix(a)
-    if best_t is None:
-        return SeparationMask(is_signal=np.zeros(n, dtype=bool), method="fisher",
-                              aux={"split": None, "criterion": None})
-    mask = np.zeros(n, dtype=bool)
-    mask[order[best_t:]] = True
-    return SeparationMask(is_signal=mask, method="fisher",
-                          aux={"split": int(best_t), "criterion": float(best_j)})
 
+def _fisher_scan_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best split and criterion of each row of ascending amplitudes; -1 where undefined.
 
-def _fisher_scan_prefix(a: np.ndarray) -> tuple[int | None, float]:
-    n = a.size
-    cs = np.concatenate([[0.0], np.cumsum(a)])
-    cs2 = np.concatenate([[0.0], np.cumsum(a * a)])
-    t = np.arange(2, n - 1)
-    cnt_l = t.astype(float)
+    The criterion is evaluated in place, term by term, on (W, N-3) arrays.
+    """
+    n = a.shape[1]
+    cs = np.cumsum(a, axis=1)  # cs[:, t - 1]: sum of the t lowest amplitudes
+    cs2 = np.cumsum(a * a, axis=1)
+    cnt_l = np.arange(2, n - 1, dtype=np.float64)  # low-group sizes of splits t = 2..n-2
     cnt_h = n - cnt_l
-    sum_l, sum_h = cs[t], cs[-1] - cs[t]
-    sq_l, sq_h = cs2[t], cs2[-1] - cs2[t]
-    mu_l, mu_h = sum_l / cnt_l, sum_h / cnt_h
-    var_l = np.maximum(sq_l - cnt_l * mu_l**2, 0.0) / (cnt_l - 1)
-    var_h = np.maximum(sq_h - cnt_h * mu_h**2, 0.0) / (cnt_h - 1)
-    num = (mu_l - mu_h) ** 2
-    den = var_l + var_h
+    sum_l, sq_l = cs[:, 1:n - 2], cs2[:, 1:n - 2]
+    mu_l = sum_l / cnt_l
+    mu_h = cs[:, -1:] - sum_l
+    mu_h /= cnt_h
+    var_l = _group_variance(sq_l, mu_l, cnt_l)
+    var_h = _group_variance(cs2[:, -1:] - sq_l, mu_h, cnt_h)
+    num = np.subtract(mu_l, mu_h, out=mu_l)
+    num **= 2
+    den = np.add(var_l, var_h, out=var_l)
+    # Equal group means over zero variance score -inf, distinct ones +inf.
     with np.errstate(divide="ignore", invalid="ignore"):
-        j = np.where(den > 0, num / den, np.where(num > 0, np.inf, -np.inf))
-    if np.all(np.isneginf(j)):
-        return None, -np.inf
-    best = float(np.nanmax(j))
+        j = np.divide(num, den, out=num)
+    j[np.isnan(j)] = -np.inf
+    best = j.max(axis=1)
     # Ties resolved toward the largest split index, i.e. the smaller signal group.
-    best_t = int(t[np.flatnonzero(j == best)[-1]])
+    best_t = n - 2 - np.argmax((j == best[:, None])[:, ::-1], axis=1)
+    # A constant row has no split, nor has a row whose every criterion is -inf.
+    best_t[(a[:, 0] == a[:, -1]) | np.isneginf(best)] = -1
     return best_t, best
+
+
+def _group_variance(sq: np.ndarray, mu: np.ndarray, cnt: np.ndarray) -> np.ndarray:
+    """Unbiased variance max(sum(a^2) - cnt * mu^2, 0) / (cnt - 1), computed into a new array."""
+    var = mu**2
+    var *= cnt
+    np.subtract(sq, var, out=var)
+    np.maximum(var, 0.0, out=var)
+    var /= cnt - 1
+    return var
 
 
 def ideal_separate(truth: GroundTruth, frame_index: int) -> SeparationMask:

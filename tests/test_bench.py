@@ -190,10 +190,12 @@ class TestRunScenario:
 
     @pytest.mark.parametrize("separation", ["ideal", "fisher", "rof"])
     def test_mvu_sums_match_list_form(self, separation):
-        # The bench feeds MVU per-frame noise sums (cached per frame for
-        # ideal/Fisher, one row sum per ROF window); the list form over the
-        # same masks must give the very same estimates.
-        from noisebench import PowerSpectrum, RofParams, mvu_estimate
+        # The bench feeds MVU per-frame noise sums (one batched pass per seed
+        # for ideal/Fisher, one row sum per ROF window); the list form over
+        # the masks of the public separation functions must give the very
+        # same estimates.
+        from noisebench import (PowerSpectrum, RofParams, fisher_separate, ideal_separate,
+                                mvu_estimate)
         from noisebench.bench import _SeedContext, _evaluate_method
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
@@ -201,14 +203,18 @@ class TestRunScenario:
         series = _evaluate_method(MethodSpec("MVU", separation), ctx, cfg.name, cfg.noise.seed)
         window = 100
         assert len(series) == cfg.n_frames - window + 1
+        spectra = [PowerSpectrum(row, g) for g, row in enumerate(ctx.power)]
+        if separation == "ideal":
+            frame_masks = [ideal_separate(ctx.truth, g) for g in range(cfg.n_frames)]
+        elif separation == "fisher":
+            frame_masks = [fisher_separate(ps) for ps in spectra]
         for f, got in zip(series.frame_index, series.noise_power_est_mw):
             lo, hi = f - window + 1, f + 1
             if separation == "rof":
                 masks = [ctx.masks.rof_window_mask(lo, hi, RofParams())] * window
             else:
-                masks = [ctx.masks.frame_mask(separation, g) for g in range(lo, hi)]
-            spectra = [PowerSpectrum(ctx.power[g], g) for g in range(lo, hi)]
-            assert got == mvu_estimate(spectra, masks).value_mw
+                masks = frame_masks[lo:hi]
+            assert got == mvu_estimate(spectra[lo:hi], masks).value_mw
 
     def test_seed_context_holds_one_spectral_matrix(self):
         from noisebench.bench import _SeedContext
@@ -547,6 +553,24 @@ class TestCountOps:
                     spec.estimator, spec.separation, size, c.adds, c.muls, c.cmps,
                     c.transcendental, c.total()))
         assert out.read_text().splitlines()[1:] == want
+
+    @pytest.mark.parametrize("estimator", ["ML", "MVU"])
+    def test_rof_walk_booked_at_own_thresholds(self, estimator):
+        from noisebench import RofParams, rof_separate
+        n = 512
+        params = {"lambda1_pct": 50.0, "lambda2_fraction": 0.2}
+        tuned = count_ops(MethodSpec(estimator, "rof", params), n).counts
+        default = count_ops(MethodSpec(estimator, "rof"), n).counts
+        frame = bench._counting_power(n)
+        tuned_mask = rof_separate(frame, RofParams(**params))
+        default_mask = rof_separate(frame)
+        assert (tuned_mask.aux["K"], default_mask.aux["K"]) == (3, 42)
+        # The curve's argmax does not depend on the thresholds: the walks
+        # differ by the difference in K, the noise-bin means by the masks.
+        assert tuned.cmps - default.cmps == 3 - 42
+        noise_diff = int(tuned_mask.noise_bins.sum()) - int(default_mask.noise_bins.sum())
+        assert tuned.adds - default.adds == noise_diff
+        assert tuned.muls == default.muls
 
     def test_reports_draw_one_counting_frame(self):
         bench._counting_frame.cache_clear()

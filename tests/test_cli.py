@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from noisebench import ComplexSeries, load_iq_trace, write_iq_trace
-from noisebench.cli import main
+from noisebench import (ComplexSeries, ZeroPowerError, bench, load_iq_trace,
+                        scenario_config_from_dict, write_iq_trace)
+from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
 
 @pytest.fixture
@@ -144,6 +145,48 @@ class TestRun:
                    "--method", "MVU:rof"])
         assert rc == 0
 
+    @pytest.mark.parametrize("method", ["ML:ideal", "MVU:ideal"])
+    def test_all_signal_ideal_frame_exits_3(self, tmp_path, capsys, method):
+        # One subband spanning the band, fully occupied from frame 30 on:
+        # those ground-truth frames have no noise bin to estimate from.
+        config = tmp_path / "full.json"
+        config.write_text(json.dumps({
+            "name": "all-signal", "n_bins": 64, "n_frames": 40, "subband_count": 1,
+            "noise": {"kind": "white-gaussian", "seed": 2},
+            "signals": [{"subband_index": 0, "occupancy_fraction": 1.0,
+                         "target_snr_db": 0.0, "frame_start": 30}],
+        }))
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                   "--method", method])
+        assert rc == 3
+        assert capsys.readouterr().err.strip() == "error: mask classifies every bin as signal"
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                   "--method", method.replace("ideal", "fisher")])
+        assert rc == 0
+
+    @pytest.mark.parametrize("method", ["ML:ideal", "ML:fisher"])
+    def test_zero_power_frame_under_ml(self, tmp_path, capsys, method):
+        # A silent third frame: every separation leaves noise bins of zero
+        # power there, and ML's estimate of that frame is 0.
+        n_bins, n_frames = 32, 8
+        rng = np.random.default_rng(6)
+        size = n_bins * n_frames
+        samples = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        samples[2 * n_bins:3 * n_bins] = 0.0
+        trace = tmp_path / "silent.iq"
+        write_iq_trace(trace, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        data = {"name": "silent-frame", "n_bins": n_bins, "n_frames": n_frames,
+                "noise": {"kind": "trace-file", "path": str(trace)}}
+        config = tmp_path / "silent.json"
+        config.write_text(json.dumps(data))
+        spec = bench.MethodSpec("ML", method.partition(":")[2])
+        with pytest.raises(ZeroPowerError, match="ml: .* positive, got 0.0"):
+            bench.run_scenario(scenario_config_from_dict(data), [spec], [0])
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                   "--method", method])
+        assert rc == 3
+        assert "ml: estimate must be finite and positive" in capsys.readouterr().err
+
     def test_mmse_on_switching_trace_exits_3(self, switching_trace_config, tmp_path, capsys):
         rc = main(["run", "--config", str(switching_trace_config), "--out", str(tmp_path / "r"),
                    "--method", "MMSE"])
@@ -223,6 +266,32 @@ class TestEstimate:
         fields = out[1].split(",")
         assert fields[0] == "AIC"
         assert float(fields[3]) > 0
+
+
+class TestEstimateLastWindow:
+    # More frames than the 100-frame default window, so the windowed methods
+    # have 31 windows and the estimate evaluates only the last of them.
+    DATA = {
+        "name": "estimate-last", "n_bins": 128, "n_frames": 130,
+        "noise": {"kind": "white-gaussian", "seed": 4},
+        "signals": [{"subband_index": 2, "occupancy_fraction": 1.0, "target_snr_db": 0.0}],
+    }
+
+    @pytest.mark.parametrize("method", _DEFAULT_METHODS)
+    def test_line_matches_last_series_entry(self, tmp_path, capsys, method):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(self.DATA))
+        assert main(["estimate", "--config", str(config), "--method", method]) == 0
+        printed = capsys.readouterr().out
+        spec = _parse_method(method)
+        series = bench.run_scenario(scenario_config_from_dict(self.DATA), [spec], [4])[0]
+        i = len(series) - 1
+        header = "method,separation,frame_index,noise_power_est_mw,snr_est_db\n"
+        want = header + "%s,%s,%d,%.9g,%.9g\n" % (
+            series.method, series.separation, series.frame_index[i],
+            series.noise_power_est_mw[i], series.snr_est_db[i])
+        assert printed == want
+        assert series.frame_index[i] == 129
 
 
 class TestOps:

@@ -23,13 +23,16 @@ from noisebench import (
     covariance_eigenvalues,
     ideal_separate,
     ml_estimate,
+    ml_fit_frames,
     mmse_estimate,
     mmse_fit,
     mmse_fit_windows,
     mp_cdf,
     mvu_estimate,
     mvu_fit,
+    mvu_fit_windows,
     power_matrix,
+    snr_db_from_powers,
     snr_from_powers,
 )
 from noisebench import estimators
@@ -148,6 +151,32 @@ class TestMvuEstimate:
             mvu_fit([], [])
         with pytest.raises(EmptyNoiseGroupError):
             mvu_fit([0.0], [0])
+
+    @given(st.integers(0, 300))
+    @settings(max_examples=25, deadline=None)
+    def test_windows_match_left_fold(self, seed):
+        rng = np.random.default_rng(seed)
+        frames = int(rng.integers(1, 40))
+        window = int(rng.integers(1, frames + 1))
+        sums = rng.exponential(1.0, frames) * 10.0 ** rng.uniform(-3, 3, frames)
+        counts = rng.integers(1, 64, frames)
+        got = mvu_fit_windows(sums, counts, window)
+        assert got.shape == (frames - window + 1,)
+        for j, value in enumerate(got):
+            total, count = 0.0, 0
+            for frame_sum, frame_count in zip(sums[j:j + window], counts[j:j + window]):
+                total += float(frame_sum)
+                count += int(frame_count)
+            assert value == total / count
+            assert value == mvu_fit(sums[j:j + window], counts[j:j + window]).value_mw
+
+    def test_windows_guards_in_window_order(self):
+        with pytest.raises(ValueError, match="does not fit"):
+            mvu_fit_windows(np.ones(3), np.ones(3, dtype=int), 4)
+        with pytest.raises(ZeroPowerError, match="mvu: .* got 0.0"):
+            mvu_fit_windows(np.array([1.0, 0.0, 0.0, 1.0]), np.array([2, 2, 2, 2]), 2)
+        with pytest.raises(EmptyNoiseGroupError):
+            mvu_fit_windows(np.array([1.0, 0.0, 0.0, 0.0]), np.array([2, 0, 0, 2]), 2)
 
     def test_stability_gain_over_ml(self):
         # Block averaging shrinks the spread by about sqrt(M) = 10.
@@ -565,6 +594,47 @@ class TestSnrFromPowers:
     def test_rejects_bad_noise_power(self):
         with pytest.raises(ZeroPowerError):
             snr_from_powers(1.0, 0.0)
+
+
+class TestSnrDbFromPowers:
+    def test_matches_scalar_form(self):
+        rng = np.random.default_rng(8)
+        noise = rng.exponential(1.0, 500)
+        received = noise * rng.uniform(0.5, 3.0, 500)
+        received[:20] = noise[:20]          # no excess power: -inf
+        received[20:40] = 0.0
+        got = snr_db_from_powers(received, noise)
+        want = [snr_from_powers(x, w)[1] for x, w in zip(received, noise)]
+        np.testing.assert_array_equal(got, want)
+        assert np.isneginf(got[:40]).all() and np.isfinite(got[40:]).any()
+
+    def test_guards(self):
+        with pytest.raises(ZeroPowerError):
+            snr_db_from_powers(np.array([2.0, 2.0]), np.array([1.0, 0.0]))
+        with pytest.raises(ZeroPowerError):
+            snr_db_from_powers(np.array([2.0]), np.array([-1.0]))
+        with pytest.raises(ValueError, match="non-negative"):
+            snr_db_from_powers(np.array([-1.0]), np.array([1.0]))
+
+
+class TestMlFitFrames:
+    def test_matches_noise_bin_means(self):
+        rng = np.random.default_rng(12)
+        p = rng.exponential(1.0, (30, 64))
+        signal = rng.random((30, 64)) < 0.4
+        noise = ~signal
+        sums = np.array([row[keep].sum() for row, keep in zip(p, noise)])
+        got = ml_fit_frames(sums, noise.sum(axis=1))
+        want = [row[keep].mean() for row, keep in zip(p, noise)]
+        np.testing.assert_array_equal(got, want)
+
+    def test_guards_in_frame_order(self):
+        with pytest.raises(ZeroPowerError, match="ml: .* got 0.0"):
+            ml_fit_frames(np.array([1.0, 0.0, 1.0]), np.array([2, 2, 0]))
+        with pytest.raises(EmptyNoiseGroupError):
+            ml_fit_frames(np.array([1.0, 0.0, 0.0]), np.array([2, 0, 2]))
+        with pytest.raises(ValueError, match="aligned"):
+            ml_fit_frames(np.ones(2), np.ones(3, dtype=int))
 
 
 class TestScaleEquivariance:

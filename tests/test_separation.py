@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisebench import (
@@ -11,6 +11,7 @@ from noisebench import (
     RofParams,
     build_scenario,
     fisher_separate,
+    fisher_signal_rows,
     ideal_separate,
     power_matrix,
     rof_energy_drops,
@@ -20,6 +21,7 @@ from noisebench import (
 )
 from noisebench.bench import MethodSpec, _counting_power, count_ops
 from noisebench.scenario import GroundTruth
+from noisebench.separation import FISHER_CHUNK
 
 from conftest import reference_config
 
@@ -73,15 +75,20 @@ def clip_cascade_oracle(p: np.ndarray) -> np.ndarray:
     return drops
 
 
+def fisher_criterion_naive(a: np.ndarray, t: int) -> float:
+    """Fisher's J of splitting ascending amplitudes before index t, from the two groups."""
+    low, high = a[:t], a[t:]
+    num = (low.mean() - high.mean()) ** 2
+    den = low.var(ddof=1) + high.var(ddof=1)
+    return num / den if den > 0 else (np.inf if num > 0 else -np.inf)
+
+
 def fisher_scan_naive(a: np.ndarray) -> tuple[int | None, float]:
     """Direct scan of every split of ascending amplitudes; ties go to the larger split."""
     n = a.size
     best_t, best_j = None, -np.inf
     for t in range(2, n - 1):
-        low, high = a[:t], a[t:]
-        num = (low.mean() - high.mean()) ** 2
-        den = low.var(ddof=1) + high.var(ddof=1)
-        j = num / den if den > 0 else (np.inf if num > 0 else -np.inf)
+        j = fisher_criterion_naive(a, t)
         if j >= best_j and j > -np.inf:
             best_t, best_j = t, j
     return best_t, best_j
@@ -325,6 +332,81 @@ class TestFisherSeparate:
         mask = fisher_separate(spectrum(p))
         assert mask.is_signal.any()
         assert p[mask.is_signal].min() >= p[mask.noise_bins].max()
+
+
+def amplitude_rows(n: int):
+    """Rows of n amplitudes: quantised (ties at every split), constant (all-zero
+    too) or continuous."""
+    return st.one_of(
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.integers(0, 3).map(lambda v: [v] * n),
+        st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n),
+    )
+
+
+def fisher_rows_cases():
+    return st.integers(4, 24).flatmap(
+        lambda n: st.lists(amplitude_rows(n), min_size=1, max_size=6))
+
+
+class TestFisherSignalRows:
+    @given(fisher_rows_cases())
+    @example([[0, 1, 1, 2]])            # n = 4, one split, ties beside it
+    @example([[1, 1, 1, 1], [0, 0, 0, 0], [0, 2, 2, 2]])
+    @example([[2, 0, 2, 0, 1, 2, 1, 0]])
+    @settings(max_examples=80, deadline=None)
+    def test_matches_naive_scan(self, rows):
+        amplitude = np.array(rows, dtype=float)
+        signal, split, criterion = fisher_signal_rows(amplitude**2)
+        for i, amp in enumerate(np.sqrt(amplitude**2)):
+            if amp.min() == amp.max():
+                # No split on a constant (or all-zero) row: everything is noise.
+                assert split[i] == -1 and np.isnan(criterion[i])
+                assert not signal[i].any()
+                continue
+            order = np.argsort(amp, kind="stable")
+            a = amp[order]
+            j = np.array([fisher_criterion_naive(a, t) for t in range(2, a.size - 1)])
+            best = j.max()
+            # The chosen split is optimal up to rounding of the criterion;
+            # where the optimum is clear it is the naive scan's own split.
+            near = np.isclose(j, best, rtol=1e-9, atol=0.0) | (j == best)
+            candidates = np.flatnonzero(near) + 2
+            assert split[i] in candidates
+            if candidates.size == 1:
+                assert split[i] == fisher_scan_naive(a)[0]
+            assert criterion[i] == pytest.approx(best, rel=1e-9)
+            # Signal bins are the high group in stable order, ties included.
+            want = np.zeros(amp.size, dtype=bool)
+            want[order[split[i]:]] = True
+            np.testing.assert_array_equal(signal[i], want)
+
+    def test_rows_independent_of_chunking(self):
+        rng = np.random.default_rng(21)
+        m, n = 3 * FISHER_CHUNK + 5, 40
+        power = rng.exponential(1.0, (m, n))
+        power[::7] = np.round(power[::7] * 2) ** 2     # quantised rows with ties
+        power[5] = 0.0
+        power[6] = 4.0
+        power[::11, :8] += 30.0
+        signal, split, criterion = fisher_signal_rows(power)
+        for i in range(m):
+            one = fisher_signal_rows(power[i:i + 1])
+            np.testing.assert_array_equal(signal[i], one[0][0])
+            assert split[i] == one[1][0]
+            np.testing.assert_array_equal(criterion[i], one[2][0])
+        assert (split == -1).sum() >= 2
+
+    def test_fisher_separate_is_one_row(self):
+        p = np.array([4.0, 1.0, 1.0, 9.0, 1.0, 16.0, 9.0, 0.0])
+        mask = fisher_separate(spectrum(p))
+        signal, split, criterion = fisher_signal_rows(p[None, :])
+        np.testing.assert_array_equal(mask.is_signal, signal[0])
+        assert mask.aux == {"split": int(split[0]), "criterion": float(criterion[0])}
+
+    def test_needs_four_bins(self):
+        with pytest.raises(ValueError, match="4 bins"):
+            fisher_signal_rows(np.ones((2, 3)))
 
 
 class TestIdealSeparate:
