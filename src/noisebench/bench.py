@@ -19,11 +19,13 @@ matrix.  Ideal and Fisher separation run once over the whole power matrix
 noise-bin power sum and count, so ML divides two arrays and MVU folds the
 sums of each window.  The erosion cascades of a method's ROF windows run
 batched, one stack of averaged spectra at a time; CBE reads each window as a
-slice of the Gram matrix; MMSE evaluates every window of the seed in one
-batched pass over the spectral array (sliding window sums, FFT lags, one
-Levinson solve per window).  The SNR of every entry comes from one array
-expression.  With timing on, each method's evaluation is timed inside the
-same per-seed loop and summed over seeds.
+slice of the Gram matrix; AIC sorts and scores a stack of averaged window
+spectra at a time; MMSE evaluates every window of the seed in one batched
+pass over the spectral array (sliding window sums, FFT lags, one batched
+preconditioned conjugate-gradient solve per chunk of windows, Levinson for
+a window that does not converge).  The SNR of every entry comes from one
+array expression.  With timing on, each method's evaluation is timed inside
+the same per-seed loop and summed over seeds.
 
 Operation counts are the paper's complexity model, kept in one place:
 :func:`count_ops` books each method's closed forms in the block size.  The
@@ -52,6 +54,7 @@ ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
 ROF_CHUNK = 32  # averaged window spectra per batched erosion cascade
+AIC_CHUNK = 64  # averaged window spectra per batched AIC fit
 
 
 @dataclass(frozen=True)
@@ -286,6 +289,13 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
         fits = est.mmse_fit_windows(ctx.block.spectral[start:], window,
                                     blind=bool(method.params.get("blind", True)))
         values = np.array([fit.value_mw for fit in fits])
+    elif method.estimator == "AIC":
+        # Every window is full here, so each holds ``window`` frames.
+        values = np.concatenate([
+            est.aic_fit_rows(np.stack([power[f - window + 1:f + 1].mean(axis=0)
+                                       for f in frames[i:i + AIC_CHUNK]]), window)[0]
+            for i in range(0, frames.size, AIC_CHUNK)
+        ])
     else:
         bounds = [(max(0, f - window + 1), f + 1) for f in range(first, n_frames)]
         if method.separation == "rof":
@@ -313,7 +323,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
 
 def _window_value(method: MethodSpec, ctx: _SeedContext, lo: int, hi: int,
                   rof: sep.RofParams) -> float:
-    """MVU(rof), AIC or CBE estimate of the window of frames lo..hi-1."""
+    """MVU(rof) or CBE estimate of the window of frames lo..hi-1."""
     power, f = ctx.power, hi - 1
     if method.estimator == "MVU":
         noise = ctx.masks.rof_window_mask(lo, hi, rof).noise_bins
@@ -322,8 +332,6 @@ def _window_value(method: MethodSpec, ctx: _SeedContext, lo: int, hi: int,
         # the copy out column-major).
         sums = np.compress(noise, power[lo:hi], axis=1).sum(axis=1)
         return est.mvu_fit(sums, np.full(hi - lo, np.count_nonzero(noise))).value_mw
-    if method.estimator == "AIC":
-        return est.aic_estimate(PowerSpectrum(power[lo:hi].mean(axis=0), f), hi - lo).value_mw
     fraction = _occupancy(method, ctx.truth, f, power[lo:hi])
     return est.cbe_fit(ctx.gram[lo:hi, lo:hi], power.shape[1], fraction,
                        grid_size=int(method.params.get("grid_size", 100))).value_mw

@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 import scipy.linalg
 
-from .errors import EmptyNoiseGroupError, ZeroPowerError
+from .errors import DegenerateSpectrumError, EmptyNoiseGroupError, ZeroPowerError
 from .separation import SeparationMask
 from .spectral import PowerSpectrum, ResourceBlock
 
@@ -25,6 +25,12 @@ log = logging.getLogger(__name__)
 
 POWER_FLOOR = 1e-30  # guards logarithms against zero bins
 MMSE_CHUNK = 64  # windows per batched MMSE pass
+# Batched conjugate-gradient solves of the MMSE weight systems: relative
+# residual at which a window's iteration stops, the iteration cap, and the
+# largest true residual accepted before the window is re-solved by Levinson.
+MMSE_PCG_TOL = 1e-15
+MMSE_PCG_MAX_ITER = 64
+MMSE_PCG_RESIDUAL = 1e-13
 # Sliding-sum variances below this fraction of their running sum are recomputed directly.
 _MMSE_SUM_GUARD = 1e-3
 
@@ -204,31 +210,48 @@ def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEst
     alone the n*(2N - n) penalty dominates whenever frames < bins and the
     selected order degenerates to zero for any signal strength.  Zero bins are
     floored at a tiny epsilon so the geometric mean stays defined.
+
+    This is the one-row case of :func:`aic_fit_rows`.
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    p = avg_periodogram.power
-    n = p.size
-    if np.any(p <= 0):
-        log.warning("flooring %d non-positive periodogram bins at %.0e",
-                    int((p <= 0).sum()), POWER_FLOOR)
-        p = np.maximum(p, POWER_FLOOR)
-    lam = np.sort(p)[::-1]
-    aic = _aic_curve(lam, n_frames * n)
-    n_min = int(np.argmin(aic))
-    value = float(lam[n_min:].mean())
+    values, orders, minima = aic_fit_rows(avg_periodogram.power[None, :], n_frames)
     return NoisePowerEstimate(
-        value_mw=value, method="aic", frame_index=avg_periodogram.frame_index,
-        diagnostics={"n_min": n_min, "aic_min": float(aic[n_min])},
+        value_mw=float(values[0]), method="aic", frame_index=avg_periodogram.frame_index,
+        diagnostics={"n_min": int(orders[0]), "aic_min": float(minima[0])},
     )
 
 
+def aic_fit_rows(avg: np.ndarray, n_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aic_estimate` of every row of a (W, N) stack of averaged periodograms.
+
+    Returns each row's estimate, selected order n_min and AIC minimum.  One
+    sort and one curve cover the stack; each row's tail mean is taken alone,
+    so every row comes out as it would on its own.
+    """
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
+    p = np.asarray(avg, dtype=np.float64)
+    if p.ndim != 2 or not p.shape[1]:
+        raise ValueError("need a (W, N) stack of periodograms with N >= 1")
+    n = p.shape[1]
+    floored = (p <= 0).sum(axis=1)
+    for count in floored[floored > 0]:
+        log.warning("flooring %d non-positive periodogram bins at %.0e", int(count), POWER_FLOOR)
+    if floored.any():
+        p = np.maximum(p, POWER_FLOOR)
+    lam = np.sort(p, axis=1)[:, ::-1]
+    aic = _aic_curve(lam, n_frames * n)
+    orders = np.argmin(aic, axis=1)
+    values = np.array([row[k:].mean() for row, k in zip(lam, orders)])
+    return values, orders, aic[np.arange(len(orders)), orders]
+
+
 def _aic_curve(lam: np.ndarray, m: int) -> np.ndarray:
-    n = lam.size
+    """AIC of every model order along the last axis of descending-sorted bin powers."""
+    n = lam.shape[-1]
     orders = np.arange(n)
     tail = (n - orders).astype(float)
-    suffix_sum = np.cumsum(lam[::-1])[::-1]
-    suffix_log = np.cumsum(np.log(lam[::-1]))[::-1]
+    suffix_sum = np.cumsum(lam[..., ::-1], axis=-1)[..., ::-1]
+    suffix_log = np.cumsum(np.log(lam[..., ::-1]), axis=-1)[..., ::-1]
     log_alpha = np.log(suffix_sum / tail) - suffix_log / tail
     return tail * m * log_alpha + orders * (2 * n - orders)
 
@@ -411,17 +434,19 @@ def mmse_fit(spectral: np.ndarray, blind: bool = True,
     biases the estimate low).  Subcarrier variances over the first M-1 frames
     feed a frequency-lag autocorrelation r with biased (1/N) normalization,
     the Toeplitz system (C + r(0) I) w = r is solved for the weights
-    (Levinson recursion), and the estimate is the weighted power of the
-    final frame.  The weights are normalized to unit sum before weighting:
-    the raw solution's sum is a fixed property of the lag taper (0.943 at
-    N=512, a -0.17 dB structural bias on white noise).  Diagnostics carry the
-    raw system residual.
+    (preconditioned conjugate gradients, with Levinson recursion as the
+    fallback), and the estimate is the weighted power of the final frame.
+    The weights are normalized to unit sum before weighting: the raw
+    solution's sum is a fixed property of the lag taper (0.943 at N=512, a
+    -0.17 dB structural bias on white noise).  Diagnostics carry the raw
+    system residual.
 
     This is the one-window case of :func:`mmse_fit_windows`, which takes the
     blind mean and the variances from sliding sums over the rows.  C is a
     biased autocorrelation matrix and so positive semi-definite; C + r(0) I
-    is positive definite, Levinson meets no singular leading minor, and the
-    ridge fallback can only be reached through round-off or overflow.
+    is positive definite, conjugate gradients apply, Levinson meets no
+    singular leading minor, and the ridge fallback can only be reached
+    through round-off or overflow.
     """
     fit = mmse_fit_windows(spectral, spectral.shape[0], blind=blind)[0]
     return replace(fit, frame_index=frame_index)
@@ -437,8 +462,10 @@ def mmse_fit_windows(spectral: np.ndarray, window: int,
     from running sums over those rows (shifted by the chunk's mean, so the
     variance subtraction does not cancel), all lag vectors from one FFT pair
     of length 2N and all system residuals from one FFT circulant product.
-    Each window still gets its own Levinson solve, and windows are checked in
-    order, so the first failing window raises.
+    The chunk's weight systems are solved together by preconditioned
+    conjugate gradients, as batched FFTs; a window that does not converge to
+    a true residual of ``MMSE_PCG_RESIDUAL`` gets its own Levinson solve.
+    Windows are checked in order, so the first failing window raises.
     """
     total, n = spectral.shape
     if window < 3:
@@ -448,24 +475,44 @@ def mmse_fit_windows(spectral: np.ndarray, window: int,
     fits: list[NoisePowerEstimate] = []
     for first in range(0, total - window + 1, MMSE_CHUNK):
         rows = spectral[first:min(first + MMSE_CHUNK, total - window + 1) + window - 1]
-        fits.extend(_mmse_chunk(rows / np.sqrt(n), window, blind, first))
+        fits.extend(_mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window, blind), blind,
+                                first + window - 1))
     return fits
 
 
-def _mmse_chunk(x: np.ndarray, m: int, blind: bool, first: int) -> list[NoisePowerEstimate]:
-    """MMSE fits of the windows of m consecutive rows of the scaled chunk x."""
-    count, n = x.shape[0] - m + 1, x.shape[1]
-    variance, last_power = _mmse_moments(x, m, blind)
+def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray, blind: bool,
+                first_frame: int) -> list[NoisePowerEstimate]:
+    """MMSE fits of consecutive windows from their variances and last-row powers.
+
+    Row j of both arrays belongs to the window that reports at first_frame + j.
+    The weight systems are solved together by :func:`_pcg_toeplitz`, up to
+    the first window with an all-zero residual block, which raises.  A window
+    whose solve does not converge, is not finite or leaves a true residual
+    above ``MMSE_PCG_RESIDUAL`` is solved again by Levinson recursion
+    (:func:`_solve_mmse_weights`) when the in-order check loop reaches it.
+    """
+    count, n = variance.shape
     r0 = np.einsum("ij,ij->i", variance, variance) / n
-    spectra = np.fft.rfft(variance, 2 * n, axis=1)
-    lags = np.fft.irfft(spectra.real**2 + spectra.imag**2, 2 * n, axis=1)[:, :n] / n
-    columns = np.empty_like(lags)
-    raw_weights = np.empty_like(lags)
+    lags = _mmse_lags(variance)
+    columns = lags.copy()
+    columns[:, 0] *= 2.0  # C + r(0) I along the diagonal
+    raw_weights = np.zeros_like(lags)
+    residuals = np.zeros(count)
+    solved = np.zeros(count, dtype=bool)
+    # The loop below raises at the first all-zero block, so no later window is solved.
+    usable = count if r0.all() else int(np.argmax(r0 == 0.0))
+    if usable:
+        w, converged = _pcg_toeplitz(columns[:usable], lags[:usable])
+        raw_weights[:usable] = w
+        residuals[:usable] = _toeplitz_residuals(columns[:usable], w, lags[:usable])
+        solved[:usable] = (converged & np.isfinite(w).all(axis=1)
+                           & (residuals[:usable] <= MMSE_PCG_RESIDUAL))
     fits = []
     for j in range(count):
         if r0[j] == 0.0:
             raise ZeroPowerError("all-zero residual block; nothing to estimate")
-        raw_weights[j], columns[j] = _solve_mmse_weights(lags[j])
+        if not solved[j]:
+            raw_weights[j], columns[j] = _solve_mmse_weights(lags[j])
         weight_sum = float(raw_weights[j].sum())
         if weight_sum == 0.0:
             raise ZeroPowerError("MMSE weights sum to zero")
@@ -474,10 +521,13 @@ def _mmse_chunk(x: np.ndarray, m: int, blind: bool, first: int) -> list[NoisePow
         if estimate <= 0:
             raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
         fits.append((estimate, weight_sum, float(np.abs(weights).max())))
-    residuals = _toeplitz_residuals(columns, raw_weights, lags)
+    levinson = np.flatnonzero(~solved)
+    if levinson.size:
+        residuals[levinson] = _toeplitz_residuals(columns[levinson], raw_weights[levinson],
+                                                  lags[levinson])
     return [
         NoisePowerEstimate(
-            value_mw=estimate, method="mmse", frame_index=first + j + m - 1,
+            value_mw=estimate, method="mmse", frame_index=first_frame + j,
             diagnostics={
                 "raw_weight_sum": weight_sum,
                 "weight_max": weight_max,
@@ -520,6 +570,13 @@ def _mmse_moments(x: np.ndarray, m: int, blind: bool) -> tuple[np.ndarray, np.nd
     return variance, last_power
 
 
+def _mmse_lags(variance: np.ndarray) -> np.ndarray:
+    """Biased (1/N) frequency-lag autocorrelation of each row, from one FFT pair of length 2N."""
+    n = variance.shape[1]
+    spectra = np.fft.rfft(variance, 2 * n, axis=1)
+    return np.fft.irfft(spectra.real**2 + spectra.imag**2, 2 * n, axis=1)[:, :n] / n
+
+
 def _window_sums(cumulative: np.ndarray, length: int, count: int) -> np.ndarray:
     """Sums of rows j..j+length-1, j < count, from running sums along axis 0."""
     sums = cumulative[length - 1:length - 1 + count].copy()
@@ -537,7 +594,7 @@ def _solve_mmse_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         column[0] = 2.0 * r[0] + 1e-6 * r[0]
         w = _try_toeplitz(column, r)
         if w is None:
-            raise ValueError("MMSE weight system is singular even after ridge")
+            raise DegenerateSpectrumError("MMSE weight system is singular even after ridge")
     return w, column
 
 
@@ -549,6 +606,85 @@ def _try_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return w if np.all(np.isfinite(w)) else None
 
 
+def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Solve T x = b for every row by preconditioned conjugate gradients.
+
+    T is the symmetric positive-definite Toeplitz matrix of that row's column.
+    Products with T come from its 2N circulant embedding, and the
+    preconditioner is T. Chan's optimal circulant (SIAM J. Sci. Stat. Comput.
+    1988), c_k = ((N - k) t_k + k t_(N-k)) / N, applied by an N-point FFT; for
+    a positive-definite T it is positive definite too.  A row stops once its
+    recursive residual falls to ``MMSE_PCG_TOL`` of ||b||.  Returns the
+    solutions and which rows converged within ``MMSE_PCG_MAX_ITER`` iterations.
+    """
+    count, n = columns.shape
+    embedding = np.fft.rfft(_circulant_embedding(columns), axis=1)
+    k = np.arange(n)
+    chan = columns * (n - k)
+    chan[:, 1:] += k[1:] * columns[:, :0:-1]
+    chan = np.fft.rfft(chan / n, axis=1).real.copy()
+    solutions = np.zeros_like(rhs)
+    converged = np.zeros(count, dtype=bool)
+    stop = (MMSE_PCG_TOL * np.linalg.norm(rhs, axis=1)) ** 2
+    # Rows still iterating.  Their state is compressed to them when one stops;
+    # the buffers (padded, spectrum, z) are used through their first len(active) rows.
+    active = np.arange(count)
+    padded = np.zeros((count, 2 * n))
+    spectrum = np.empty((count, n + 1), dtype=complex)
+    z = np.empty_like(rhs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    _apply_circulant_inverse(r, chan, spectrum[:, :n // 2 + 1], z)
+    p = z.copy()
+    rz = np.einsum("ij,ij->i", r, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(MMSE_PCG_MAX_ITER):
+            rows = active.size
+            padded[:rows, :n] = p
+            padded[:rows, n:] = 0.0
+            np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
+            spectrum[:rows] *= embedding
+            # T p is the leading half of the circulant product, written over the padding.
+            tp = np.fft.irfft(spectrum[:rows], 2 * n, axis=1, out=padded[:rows])[:, :n]
+            alpha = (rz / np.einsum("ij,ij->i", p, tp))[:, None]
+            # z is free until the preconditioner step below; it holds the updates.
+            x += np.multiply(alpha, p, out=z[:rows])
+            r -= np.multiply(alpha, tp, out=z[:rows])
+            done = np.einsum("ij,ij->i", r, r) <= stop
+            if done.any():
+                solutions[active[done]] = x[done]
+                converged[active[done]] = True
+                keep = ~done
+                if not keep.any():
+                    break
+                active, x, r, p, rz, stop = (active[keep], x[keep], r[keep], p[keep],
+                                             rz[keep], stop[keep])
+                embedding, chan = embedding[keep], chan[keep]
+                rows = active.size
+            _apply_circulant_inverse(r, chan, spectrum[:rows, :n // 2 + 1], z[:rows])
+            rz_next = np.einsum("ij,ij->i", r, z[:rows])
+            p *= (rz_next / rz)[:, None]
+            p += z[:rows]
+            rz = rz_next
+        else:
+            solutions[active] = x
+    return solutions, converged
+
+
+def _apply_circulant_inverse(rows: np.ndarray, eigenvalues: np.ndarray, spectra: np.ndarray,
+                             out: np.ndarray) -> None:
+    """Each row times the inverse of the symmetric circulant with those real
+    eigenvalues, into out; spectra is a buffer for the rows' rfft."""
+    np.fft.rfft(rows, axis=1, out=spectra)
+    spectra /= eigenvalues
+    np.fft.irfft(spectra, rows.shape[1], axis=1, out=out)
+
+
+def _circulant_embedding(columns: np.ndarray) -> np.ndarray:
+    """First column of the 2N circulant whose leading N x N block is each row's Toeplitz matrix."""
+    return np.concatenate([columns, np.zeros((columns.shape[0], 1)), columns[:, :0:-1]], axis=1)
+
+
 def _toeplitz_residuals(columns: np.ndarray, solutions: np.ndarray,
                         rhs: np.ndarray) -> np.ndarray:
     """||T x - b|| / ||b|| per row, T the symmetric Toeplitz matrix of that row's column.
@@ -556,10 +692,9 @@ def _toeplitz_residuals(columns: np.ndarray, solutions: np.ndarray,
     T x is read off the circulant of size 2N that embeds T, one FFT product
     for all rows.
     """
-    count, n = columns.shape
-    circulant = np.concatenate([columns, np.zeros((count, 1)), columns[:, :0:-1]], axis=1)
-    product = np.fft.irfft(np.fft.rfft(circulant, axis=1) * np.fft.rfft(solutions, 2 * n, axis=1),
-                           2 * n, axis=1)[:, :n]
+    n = columns.shape[1]
+    product = np.fft.irfft(np.fft.rfft(_circulant_embedding(columns), axis=1)
+                           * np.fft.rfft(solutions, 2 * n, axis=1), 2 * n, axis=1)[:, :n]
     return np.linalg.norm(product - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
 
 

@@ -21,7 +21,7 @@ from noisebench import (
     power_matrix,
 )
 from noisebench import estimators
-from noisebench.errors import ZeroPowerError
+from noisebench.errors import DegenerateSpectrumError, ZeroPowerError
 from noisebench.scenario import (
     _frame_amplitudes,
     _noise_series,
@@ -169,7 +169,7 @@ def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerE
         column[0] = 2.0 * r[0] + 1e-6 * r[0]
         w = estimators._try_toeplitz(column, r)
         if w is None:
-            raise ValueError("MMSE weight system is singular even after ridge")
+            raise DegenerateSpectrumError("MMSE weight system is singular even after ridge")
     residual = scipy.linalg.matmul_toeplitz((column, column), w) - r
     weight_sum = float(w.sum())
     if weight_sum == 0.0:

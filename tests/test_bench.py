@@ -10,8 +10,12 @@ from noisebench import (
     EstimateSeries,
     GroundTruth,
     MethodSpec,
+    PowerSpectrum,
+    aic_estimate,
+    build_scenario,
     count_ops,
     mean_bias_db,
+    power_matrix,
     rmse_db,
     run_benchmark,
     run_scenario,
@@ -21,6 +25,7 @@ from noisebench import (
 )
 from noisebench import bench
 from noisebench.bench import ground_truths, sample_std
+from noisebench.scenario import with_seed
 
 from conftest import counting_block_per_frame, noise_only_config, reference_config
 
@@ -158,6 +163,18 @@ class TestRunScenario:
                 np.testing.assert_array_equal(a.frame_index, b.frame_index)
                 np.testing.assert_array_equal(a.noise_power_est_mw, b.noise_power_est_mw)
                 np.testing.assert_array_equal(a.snr_est_db, b.snr_est_db)
+
+    @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
+    def test_aic_windows_match_one_window_estimates(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(bench, "AIC_CHUNK", chunk)
+        cfg = reference_config(seed=4, n_frames=90)
+        series = run_scenario(cfg, [MethodSpec("AIC", params={"window_frames": 20})], [4])[0]
+        power = power_matrix(build_scenario(with_seed(cfg, 4))[0])
+        want = [aic_estimate(PowerSpectrum(power[f - 19:f + 1].mean(axis=0), f), 20).value_mw
+                for f in range(19, 90)]
+        np.testing.assert_array_equal(series.frame_index, np.arange(19, 90))
+        assert series.noise_power_est_mw.tolist() == want
 
     def test_rof_masks_keyed_by_thresholds(self):
         # Methods with different ROF thresholds must not share window masks.

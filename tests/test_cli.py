@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from noisebench import (ComplexSeries, ZeroPowerError, bench, load_iq_trace,
+from noisebench import (ComplexSeries, ZeroPowerError, bench, estimators, load_iq_trace,
                         scenario_config_from_dict, write_iq_trace)
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
@@ -192,6 +192,16 @@ class TestRun:
                    "--method", "MMSE"])
         assert rc == 3
         assert "non-positive estimate" in capsys.readouterr().err
+
+    def test_singular_mmse_system_exits_3(self, small_config, tmp_path, capsys, monkeypatch):
+        # No window converges by conjugate gradients, and Levinson fails even with the ridge.
+        monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 0)
+        monkeypatch.setattr(estimators, "_try_toeplitz", lambda column, rhs: None)
+        rc = main(["run", "--config", str(small_config), "--out", str(tmp_path / "r"),
+                   "--method", "MMSE"])
+        assert rc == 3
+        assert capsys.readouterr().err.strip() == (
+            "error: MMSE weight system is singular even after ridge")
 
     def test_override_determinism(self, small_config, tmp_path):
         outputs = []

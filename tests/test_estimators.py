@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import logging
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +21,7 @@ from noisebench import (
     SurrogateNoiseParams,
     ZeroPowerError,
     aic_estimate,
+    aic_fit_rows,
     build_scenario,
     cbe_estimate,
     covariance_eigenvalues,
@@ -37,7 +41,7 @@ from noisebench import (
 )
 from noisebench import estimators
 from noisebench.bench import MethodSpec, _counting_power, count_ops
-from noisebench.errors import EmptyNoiseGroupError
+from noisebench.errors import DegenerateSpectrumError, EmptyNoiseGroupError
 from noisebench.scenario import scenario_config_from_file, with_seed
 
 from conftest import mmse_fit_per_window, reference_config, white_frame
@@ -279,6 +283,29 @@ class TestAicEstimate:
         est = aic_estimate(spectrum(p), n_frames=4)
         assert est.value_mw > 0
 
+    @pytest.mark.parametrize("n", [4, 64])
+    def test_rows_match_one_row_estimates(self, n, caplog):
+        rng = np.random.default_rng(n)
+        rows = rng.exponential(1.0, (9, n))
+        rows[2:5, :n // 4 + 1] += 20.0  # occupied bins
+        rows[5] = 2.5  # constant
+        rows[6, ::3] = 0.0  # some zero bins
+        rows[7] = 0.0  # all zero
+        with caplog.at_level(logging.WARNING, logger="noisebench.estimators"):
+            values, orders, minima = aic_fit_rows(rows, 10)
+        floored = [r.getMessage() for r in caplog.records]
+        # One flooring warning per affected row, with that row's count.
+        assert floored == [f"flooring {k} non-positive periodogram bins at 1e-30"
+                           for k in (len(range(0, n, 3)), n)]
+        for row, value, order, minimum in zip(rows, values, orders, minima):
+            one = aic_estimate(spectrum(row), 10)
+            assert value == one.value_mw
+            assert order == one.diagnostics["n_min"]
+            assert minimum == one.diagnostics["aic_min"]
+            # The tail mean of the descending-sorted row, as a lone window takes it.
+            assert value == np.sort(np.maximum(row, 1e-30))[::-1][order:].mean()
+        assert orders[5] == 0 and values[5] == 2.5
+
 
 class TestCovarianceEigenvalues:
     def test_rank_one_block(self):
@@ -471,6 +498,29 @@ def _oracle_windows(spectral: np.ndarray, window: int, blind: bool):
     return fits, None
 
 
+def _levinson_fit_windows(spectral: np.ndarray, window: int,
+                          blind: bool) -> list[SimpleNamespace]:
+    """Reference for the MMSE engine with one Levinson solve per window and no
+    conjugate gradients: value_mw and diagnostics of every window, chunk by chunk."""
+    total, n = spectral.shape
+    fits = []
+    for first in range(0, total - window + 1, estimators.MMSE_CHUNK):
+        x = spectral[first:min(first + estimators.MMSE_CHUNK, total - window + 1) + window - 1]
+        variance, last_power = estimators._mmse_moments(x / np.sqrt(n), window, blind)
+        lags = estimators._mmse_lags(variance)
+        solved = [estimators._solve_mmse_weights(r) for r in lags]
+        raw_weights = np.stack([w for w, _ in solved])
+        residuals = estimators._toeplitz_residuals(np.stack([c for _, c in solved]),
+                                                   raw_weights, lags)
+        for w, power, residual in zip(raw_weights, last_power, residuals):
+            weight_sum = float(w.sum())
+            weights = w / weight_sum
+            fits.append(SimpleNamespace(value_mw=float(weights @ power), diagnostics={
+                "raw_weight_sum": weight_sum, "weight_max": float(np.abs(weights).max()),
+                "system_residual": float(residual), "blind": blind}))
+    return fits
+
+
 @pytest.fixture(scope="module")
 def mmse_oracle_cases(switching_trace_config):
     cfg = scenario_config_from_file(CONFIG)
@@ -550,6 +600,13 @@ class TestMmseFitWindows:
     def test_ridge_fallback_only_for_the_failed_window(self, monkeypatch):
         spectral = white_block(9, n_frames=40, n_bins=64).spectral
         plain = [mmse_fit_per_window(spectral[lo:lo + 20]) for lo in range(21)]
+        pcg = estimators._pcg_toeplitz
+
+        def first_window_unconverged(columns, rhs):
+            solutions, converged = pcg(columns, rhs)
+            converged[0] = False
+            return solutions, converged
+
         original = estimators._try_toeplitz
         diagonals = []
 
@@ -557,15 +614,63 @@ class TestMmseFitWindows:
             diagonals.append(column[0] / rhs[0])
             return None if len(diagonals) == 1 else original(column, rhs)
 
+        monkeypatch.setattr(estimators, "_pcg_toeplitz", first_window_unconverged)
         monkeypatch.setattr(estimators, "_try_toeplitz", first_attempt_fails)
         got = mmse_fit_windows(spectral, 20)
-        assert diagonals == pytest.approx([2.0, 2.0 + 1e-6] + [2.0] * 20, rel=1e-12)
+        # Only window 0 goes to Levinson; its first attempt fails and the ridge retry solves it.
+        assert diagonals == pytest.approx([2.0, 2.0 + 1e-6], rel=1e-12)
         diagonals.clear()
         ridge = mmse_fit_per_window(spectral[:20])  # its first attempt fails as well
         assert got[0].value_mw == pytest.approx(ridge.value_mw, rel=1e-12)
         assert got[0].value_mw != pytest.approx(plain[0].value_mw, rel=1e-9)
         for g, w in zip(got[1:], plain[1:]):
             assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
+
+    def test_singular_after_ridge_is_a_data_error(self, monkeypatch):
+        spectral = white_block(11, n_frames=12, n_bins=32).spectral
+        monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 0)
+        monkeypatch.setattr(estimators, "_try_toeplitz", lambda column, rhs: None)
+        for fit in (lambda: mmse_fit_windows(spectral, 10), lambda: mmse_fit_per_window(spectral)):
+            with pytest.raises(DegenerateSpectrumError, match="singular even after ridge"):
+                fit()
+
+    @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
+    @pytest.mark.parametrize("case", ["reference-seed0", "reference-seed1", "switching-trace"])
+    def test_pcg_weights_match_dense_solve(self, mmse_oracle_cases, case, blind):
+        spectral = mmse_oracle_cases[case, blind][0]
+        n, window = spectral.shape[1], 100
+        variance, _ = estimators._mmse_moments(spectral / np.sqrt(n), window, blind)
+        picked = variance[::10]
+        lags = np.stack([np.correlate(v, v, mode="full")[n - 1:] / n for v in picked])
+        columns = lags.copy()
+        columns[:, 0] *= 2.0
+        solutions, converged = estimators._pcg_toeplitz(columns, lags)
+        assert converged.all()
+        for column, r, w in zip(columns, lags, solutions):
+            dense = scipy.linalg.solve(scipy.linalg.toeplitz(column), r, assume_a="pos")
+            np.testing.assert_allclose(w, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
+
+    @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
+    def test_iteration_cap_of_one_is_the_levinson_engine(self, mmse_oracle_cases, monkeypatch,
+                                                         blind):
+        # One iteration converges no window, so every window is solved by
+        # Levinson, and the fits are those of the Levinson-only engine.
+        spectral = mmse_oracle_cases["reference-seed0", blind][0]
+        want = _levinson_fit_windows(spectral, 100, blind)
+        calls = []
+        original = estimators._try_toeplitz
+
+        def counted(column, rhs):
+            calls.append(1)
+            return original(column, rhs)
+
+        monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 1)
+        monkeypatch.setattr(estimators, "_try_toeplitz", counted)
+        got = mmse_fit_windows(spectral, 100, blind=blind)
+        assert len(calls) == len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.value_mw == w.value_mw
+            assert g.diagnostics == w.diagnostics
 
     def test_window_bounds(self):
         spectral = white_block(10, n_frames=8, n_bins=16).spectral
