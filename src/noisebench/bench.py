@@ -14,18 +14,19 @@ bandwidth search at low SNR).
 
 All methods of one seed share a context: the scenario's resource block (one
 (M, N) spectral array), its power matrix, a mask cache and, for CBE, one Gram
-matrix.  Ideal and Fisher separation run once over the whole power matrix
-(Fisher as one sorted scan per chunk of frames) and leave each frame's
-noise-bin power sum and count, so ML divides two arrays and MVU folds the
-sums of each window.  The erosion cascades of a method's ROF windows run
-batched, one stack of averaged spectra at a time; CBE reads each window as a
-slice of the Gram matrix; AIC sorts and scores a stack of averaged window
-spectra at a time; MMSE evaluates every window of the seed in one batched
-pass over the spectral array (sliding window sums, FFT lags, one batched
-preconditioned conjugate-gradient solve per chunk of windows, Levinson for
-a window that does not converge).  The SNR of every entry comes from one
-array expression.  With timing on, each method's evaluation is timed inside
-the same per-seed loop and summed over seeds.
+matrix.  The mask cache holds, per separation in use, one row per frame: the
+mask that applies at that frame and the frame's noise-bin power sum and count.
+Rows are separated in batched passes on first request (Fisher as one sorted
+scan, ROF as one erosion cascade and one vectorised decision per chunk), so
+ML divides two arrays for every separation; MVU folds the sums of each window
+(ideal, Fisher) or reads each window's ROF mask row.  CBE reads each window
+as a slice of the Gram matrix; AIC sorts and scores a stack of averaged
+window spectra at a time; MMSE evaluates every window of the seed in one
+batched pass over the spectral array (sliding window sums, FFT lags, one
+batched preconditioned conjugate-gradient solve per chunk of windows,
+Levinson for a window that does not converge).  The SNR of every entry comes
+from one array expression.  With timing on, each method's evaluation is timed
+inside the same per-seed loop and summed over seeds.
 
 Operation counts are the paper's complexity model, kept in one place:
 :func:`count_ops` books each method's closed forms in the block size.  The
@@ -53,7 +54,6 @@ from .spectral import PowerSpectrum, SpectralFrame, power_matrix, power_spectrum
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
-ROF_CHUNK = 32  # averaged window spectra per batched erosion cascade
 AIC_CHUNK = 64  # averaged window spectra per batched AIC fit
 
 
@@ -168,69 +168,52 @@ def _rof_params(method: MethodSpec) -> sep.RofParams:
 class _MaskProvider:
     """Per-seed cache of separation masks over one scenario's power matrix.
 
-    Ideal and Fisher separation run once per seed over the whole matrix (the
-    ground-truth mask, :func:`separation.fisher_signal_rows`); what the
-    estimators need of them, each frame's noise-bin power sum and count, is
-    kept per kind.  ROF masks are cached per trailing window and threshold
-    set, so every method with the same ROF parameters reuses one computation
-    per window.
+    A separation is keyed ``"ideal"``, ``"fisher"`` or ``("rof", window,
+    RofParams)``.  Row f of its cache is the noise mask that applies at frame
+    f: the frame's own for ideal and Fisher, that of the trailing window
+    ending at f (its averaged spectrum, at most ``window`` frames) for ROF.
+    Rows are separated on first request, all missing rows of a request in one
+    batched pass, and each frame's noise-bin power sum and count are kept
+    next to its mask, so methods sharing a separation share one computation.
     """
 
     def __init__(self, power: np.ndarray, truth: GroundTruth):
         self.power = power
         self.truth = truth
-        self._noise_sums: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._window_cache: dict[tuple[int, int, sep.RofParams], sep.SeparationMask] = {}
+        self._rows: dict[Any, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def frame_noise(self, kind: str, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
-        """Noise-bin power sums and counts of frames lo..hi-1 under their own masks.
+    def noise_rows(self, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Noise masks of rows lo..hi-1, and each frame's noise-bin power sum and count.
 
-        Raises DegenerateSpectrumError if one of those frames is all signal.
+        Raises DegenerateSpectrumError if one of those rows is all signal.
         """
-        if kind not in self._noise_sums:
-            if kind == "ideal":
-                signal = self.truth.signal_bin_mask
-            elif kind == "fisher":
-                signal = sep.fisher_signal_rows(self.power)[0]
-            else:
-                raise ValueError(f"no per-frame mask for {kind!r}")
-            noise = ~signal
+        if key not in self._rows:
+            m, n = self.power.shape
+            self._rows[key] = (np.zeros(m, dtype=bool), np.empty((m, n), dtype=bool),
+                               np.empty(m), np.empty(m, dtype=np.int64))
+        done, noise, sums, counts = self._rows[key]
+        missing = lo + np.flatnonzero(~done[lo:hi])
+        if missing.size:
+            noise[missing] = ~self._signal_rows(key, missing)
             # compress keeps each row contiguous, so its sum is the same
             # pairwise sum as that of the frame's noise bins alone.
-            sums = np.array([np.compress(keep, row).sum() for keep, row in zip(noise, self.power)])
-            self._noise_sums[kind] = (sums, np.count_nonzero(noise, axis=1))
-        sums, counts = self._noise_sums[kind]
+            sums[missing] = [np.compress(keep, self.power[f]).sum()
+                             for f, keep in zip(missing, noise[missing])]
+            counts[missing] = np.count_nonzero(noise[missing], axis=1)
+            done[missing] = True
         if not counts[lo:hi].all():
             raise DegenerateSpectrumError("mask classifies every bin as signal")
-        return sums[lo:hi], counts[lo:hi]
+        return noise[lo:hi], sums[lo:hi], counts[lo:hi]
 
-    def prefill_rof(self, bounds: list[tuple[int, int]], params: sep.RofParams) -> None:
-        """Build the ROF masks of the uncached windows [lo, hi) in batched cascades.
-
-        A window whose mask cannot be built (all-zero average, every bin
-        signal) is left uncached: requesting it recomputes it alone and
-        raises there, in window order.
-        """
-        missing = [(lo, hi) for lo, hi in bounds if (lo, hi, params) not in self._window_cache]
-        for start in range(0, len(missing), ROF_CHUNK):
-            chunk = missing[start:start + ROF_CHUNK]
-            spectra = np.stack([self.power[lo:hi].mean(axis=0) for lo, hi in chunk])
-            for (lo, hi), spectrum, drops in zip(chunk, spectra,
-                                                 sep.rof_energy_drops_rows(spectra)):
-                if not spectrum.any():
-                    continue
-                try:
-                    mask = sep.rof_separate(PowerSpectrum(spectrum, hi - 1), params, drops=drops)
-                except DegenerateSpectrumError:
-                    continue
-                self._window_cache[(lo, hi, params)] = mask
-
-    def rof_window_mask(self, lo: int, hi: int, params: sep.RofParams) -> sep.SeparationMask:
-        key = (lo, hi, params)
-        if key not in self._window_cache:
-            averaged = PowerSpectrum(self.power[lo:hi].mean(axis=0), hi - 1)
-            self._window_cache[key] = sep.rof_separate(averaged, params)
-        return self._window_cache[key]
+    def _signal_rows(self, key, frames: np.ndarray) -> np.ndarray:
+        if key == "ideal":
+            return self.truth.signal_bin_mask[frames]
+        if key == "fisher":
+            return sep.fisher_signal_rows(self.power[frames])[0]
+        _, window, params = key
+        spectra = np.stack([self.power[max(0, f - window + 1):f + 1].mean(axis=0)
+                            for f in frames])
+        return sep.rof_signal_rows(spectra, params)
 
 
 class _SeedContext:
@@ -257,9 +240,8 @@ def _occupancy(method: MethodSpec, truth: GroundTruth, frame: int,
     if explicit is not None:
         return float(explicit)
     if method.params.get("occupancy_from") == "aic":
-        window_pg = PowerSpectrum(window_power.mean(axis=0), frame)
-        n_min = est.aic_estimate(window_pg, len(window_power)).diagnostics["n_min"]
-        return n_min / window_pg.n_bins
+        orders = est.aic_fit_rows(window_power.mean(axis=0)[None, :], len(window_power))[1]
+        return int(orders[0]) / window_power.shape[1]
     return truth.occupied_fraction(frame)
 
 
@@ -270,7 +252,6 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     n_frames = power.shape[0]
     window = int(method.params.get("window_frames", min(n_frames, DEFAULT_WINDOW_FRAMES)))
     window = max(1, min(window, n_frames))
-    rof = _rof_params(method)
 
     # ML reports at every frame, the windowed methods once their window is full.
     if last_only:
@@ -278,15 +259,23 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     else:
         first = 0 if method.estimator == "ML" else window - 1
     frames = np.arange(first, n_frames)
-    start = max(0, first - window + 1)  # the first frame any entry reads
-    if method.separation in ("ideal", "fisher"):
-        if method.estimator == "ML":
-            values = est.ml_fit_frames(*masks.frame_noise(method.separation, first, n_frames))
-        else:
-            sums, counts = masks.frame_noise(method.separation, start, n_frames)
-            values = est.mvu_fit_windows(sums, counts, window)
+    key = ("rof", window, _rof_params(method)) if method.separation == "rof" else method.separation
+    if method.estimator == "ML":
+        values = est.ml_fit_frames(*masks.noise_rows(key, first, n_frames)[1:])
+    elif method.separation == "rof":
+        # MVU; every window is full here, and the mask of the window ending
+        # at f applies to all of its frames.
+        noise, _, counts = masks.noise_rows(key, first, n_frames)
+        values = np.array([
+            est.mvu_fit(np.compress(keep, power[f - window + 1:f + 1], axis=1).sum(axis=1),
+                        np.full(window, count)).value_mw
+            for f, keep, count in zip(frames, noise, counts)
+        ])
+    elif method.estimator == "MVU":
+        values = est.mvu_fit_windows(*masks.noise_rows(key, first - window + 1, n_frames)[1:],
+                                     window)
     elif method.estimator == "MMSE":
-        fits = est.mmse_fit_windows(ctx.block.spectral[start:], window,
+        fits = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
                                     blind=bool(method.params.get("blind", True)))
         values = np.array([fit.value_mw for fit in fits])
     elif method.estimator == "AIC":
@@ -297,18 +286,13 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
             for i in range(0, frames.size, AIC_CHUNK)
         ])
     else:
-        bounds = [(max(0, f - window + 1), f + 1) for f in range(first, n_frames)]
-        if method.separation == "rof":
-            masks.prefill_rof(bounds, rof)
-        if method.estimator == "ML":
-            sums, counts = np.empty(len(bounds)), np.empty(len(bounds), dtype=np.int64)
-            for i, (lo, hi) in enumerate(bounds):
-                noise = masks.rof_window_mask(lo, hi, rof).noise_bins
-                sums[i] = np.compress(noise, power[hi - 1]).sum()
-                counts[i] = np.count_nonzero(noise)
-            values = est.ml_fit_frames(sums, counts)
-        else:
-            values = np.array([_window_value(method, ctx, lo, hi, rof) for lo, hi in bounds])
+        grid_size = int(method.params.get("grid_size", 100))
+        values = np.array([
+            est.cbe_fit(ctx.gram[f - window + 1:f + 1, f - window + 1:f + 1], power.shape[1],
+                        _occupancy(method, truth, f, power[f - window + 1:f + 1]),
+                        grid_size=grid_size).value_mw
+            for f in frames
+        ])
 
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
@@ -319,22 +303,6 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
         snr_est_db=est.snr_db_from_powers(ctx.frame_mean[frames], values),
         snr_true_db=truth.true_snr_db[frames],
     )
-
-
-def _window_value(method: MethodSpec, ctx: _SeedContext, lo: int, hi: int,
-                  rof: sep.RofParams) -> float:
-    """MVU(rof) or CBE estimate of the window of frames lo..hi-1."""
-    power, f = ctx.power, hi - 1
-    if method.estimator == "MVU":
-        noise = ctx.masks.rof_window_mask(lo, hi, rof).noise_bins
-        # compress keeps rows contiguous, so each row sum is the same
-        # pairwise sum as the frame's own (a boolean column index would lay
-        # the copy out column-major).
-        sums = np.compress(noise, power[lo:hi], axis=1).sum(axis=1)
-        return est.mvu_fit(sums, np.full(hi - lo, np.count_nonzero(noise))).value_mw
-    fraction = _occupancy(method, ctx.truth, f, power[lo:hi])
-    return est.cbe_fit(ctx.gram[lo:hi, lo:hi], power.shape[1], fraction,
-                       grid_size=int(method.params.get("grid_size", 100))).value_mw
 
 
 def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int]

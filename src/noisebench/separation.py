@@ -21,6 +21,8 @@ from .spectral import PowerSpectrum
 
 SEPARATION_METHODS = ("ideal", "fisher", "rof")
 FISHER_CHUNK = 32  # frames per batched Fisher scan
+ROF_CHUNK = 32  # spectra per batched erosion cascade and ROF decision
+_FISHER_TIGHT = 1e-6  # see _fisher_scan_rows
 
 
 @dataclass(frozen=True)
@@ -117,79 +119,93 @@ def rof_energy_drops_rows(spectra: np.ndarray) -> np.ndarray:
     return drops
 
 
-def rof_find_band_width(power: PowerSpectrum, lambda1_pct: float = 5.0,
-                        drops: np.ndarray | None = None) -> int:
+def rof_find_band_width(power: PowerSpectrum, lambda1_pct: float = 5.0) -> int:
     """Widest occupied bandwidth K read off the energy-drop curve.
 
     K starts at the largest drop and walks right while the drop stays above
     lambda1_pct percent of the peak drop.  A flat spectrum (numerically zero
     curve) yields K = 2 with no extension.
     """
-    if drops is None:
-        drops = rof_energy_drops(power)
-    n = power.n_bins
-    peak = float(drops.max())
-    k = int(np.argmax(drops)) + 2
-    threshold = (lambda1_pct / 100.0) * peak
-    while k + 1 <= n and drops[k + 1 - 2] > threshold:
-        k += 1
-    return k
+    return int(_rof_band_widths(rof_energy_drops(power)[None, :], lambda1_pct)[0])
 
 
-def _smooth_trailing(p: np.ndarray, k: int) -> np.ndarray:
-    # Trailing k-point mean; expanding mean over the available samples at the
+def _rof_band_widths(drops: np.ndarray, lambda1_pct: float) -> np.ndarray:
+    """K of each row of a (W, N-1) stack of drop curves (drop j belongs to k = j + 2).
+
+    The walk stops at the first drop after the peak that is not above the
+    threshold, so K is that drop's index plus one, or N where none stops it.
+    """
+    threshold = (lambda1_pct / 100.0) * drops.max(axis=1)
+    after_peak = np.arange(drops.shape[1]) > np.argmax(drops, axis=1)[:, None]
+    stop = after_peak & ~(drops > threshold[:, None])
+    return np.where(stop.any(axis=1), np.argmax(stop, axis=1) + 1, drops.shape[1] + 1)
+
+
+def _rof_rows(spectra: np.ndarray, drops: np.ndarray, params: RofParams
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`rof_separate`'s decisions on a (W, N) stack of spectra and their drop curves.
+
+    Returns the signal masks, each row's K, the smoothed spectra and the kept
+    bands as (row, first bin, end bin) rows.  The first row that is all zero
+    or all signal raises.
+    """
+    w, n = spectra.shape
+    k = _rof_band_widths(drops, params.lambda1_pct)
+    # Trailing K-point mean; expanding mean over the available samples at the
     # left edge (replicating the first bin there would fabricate long rising
     # runs whenever bin 0 is a low outlier).
-    cs = np.concatenate([[0.0], np.cumsum(p)])
-    n = np.arange(p.size)
-    lo = np.maximum(0, n - k + 1)
-    return (cs[n + 1] - cs[lo]) / (n + 1 - lo)
+    cs = np.zeros((w, n + 1))
+    np.cumsum(spectra, axis=1, out=cs[:, 1:])
+    lo = np.maximum(0, np.arange(n) - k[:, None] + 1)
+    smoothed = (cs[:, 1:] - np.take_along_axis(cs, lo, axis=1)) / (np.arange(1, n + 1) - lo)
+    rising = np.diff(smoothed, axis=1) > 0
+    start = rising.copy()
+    start[:, 1:] &= ~rising[:, :-1]
+    run = np.cumsum(start).reshape(rising.shape)  # run number, from 1, of each rising step
+    width = np.bincount(run[rising], minlength=1)
+    wide = width > params.lambda2_fraction * n
+    band = rising & wide[run]
+    signal = np.pad(band, ((0, 0), (0, 1))) | np.pad(band, ((0, 0), (1, 0)))
+    bad = ~spectra.any(axis=1) | signal.all(axis=1)
+    if bad.any():
+        if not spectra[np.argmax(bad)].any():
+            raise DegenerateSpectrumError("all-zero power spectrum")
+        raise DegenerateSpectrumError("ROF marked every bin as signal")
+    row, first = np.divmod(np.flatnonzero(start), n - 1)
+    kept = wide[1:]
+    bands = np.column_stack([row[kept], first[kept], first[kept] + width[1:][kept] + 1])
+    return signal, k, smoothed, bands
 
 
-def _positive_runs(diff: np.ndarray) -> list[tuple[int, int]]:
-    """Maximal runs [i, j] (inclusive, in difference indices) of strictly positive values."""
-    pos = diff > 0
-    if not pos.any():
-        return []
-    edges = np.diff(pos.astype(np.int8))
-    starts = list(np.flatnonzero(edges == 1) + 1)
-    ends = list(np.flatnonzero(edges == -1))
-    if pos[0]:
-        starts.insert(0, 0)
-    if pos[-1]:
-        ends.append(pos.size - 1)
-    return list(zip(starts, ends))
-
-
-def rof_separate(power: PowerSpectrum, params: RofParams = RofParams(),
-                 drops: np.ndarray | None = None) -> SeparationMask:
+def rof_separate(power: PowerSpectrum, params: RofParams = RofParams()) -> SeparationMask:
     """Classify bins via rank-order filtering.
 
     Pipeline: bandwidth K from the erosion energy-drop curve; K-point trailing
     moving average; forward differences; strictly positive runs wider than
     lambda2_fraction * N become signal bands (a run over difference indices
-    [i, j] straddles bins [i, j+1]).  Everything else is noise.  A drop curve
-    computed beforehand (e.g. one row of :func:`rof_energy_drops_rows`) skips
-    the cascade together with its checks.
+    [i, j] straddles bins [i, j+1]).  Everything else is noise.  This is the
+    one-row case of :func:`rof_signal_rows`.
     """
-    p = power.power
-    n = p.size
-    if drops is None:
-        drops = rof_energy_drops(power)
-    k = rof_find_band_width(power, params.lambda1_pct, drops=drops)
-    smoothed = _smooth_trailing(p, k)
-    diff = np.diff(smoothed)
-    min_width = params.lambda2_fraction * n
-    mask = np.zeros(n, dtype=bool)
-    runs = []
-    for i, j in _positive_runs(diff):
-        if (j - i + 1) > min_width:
-            mask[i:j + 2] = True
-            runs.append((int(i), int(j + 2)))
-    aux = {"K": int(k), "d_curve": drops, "smoothed": smoothed, "runs": runs}
-    if mask.all():
-        raise DegenerateSpectrumError("ROF marked every bin as signal")
-    return SeparationMask(is_signal=mask, method="rof", aux=aux)
+    drops = rof_energy_drops(power)
+    signal, k, smoothed, bands = _rof_rows(power.power[None, :], drops[None, :], params)
+    aux = {"K": int(k[0]), "d_curve": drops, "smoothed": smoothed[0],
+           "runs": [(int(i), int(j)) for _, i, j in bands]}
+    return SeparationMask(is_signal=signal[0], method="rof", aux=aux)
+
+
+def rof_signal_rows(spectra: np.ndarray, params: RofParams = RofParams()) -> np.ndarray:
+    """ROF signal mask of every row of a (W, N) stack of spectra.
+
+    Row i is :func:`rof_separate` of ``spectra[i]``.  ``ROF_CHUNK`` rows at a
+    time share one erosion cascade, K walk, smoothing and run search.  The
+    first row that is all zero or all signal raises DegenerateSpectrumError.
+    """
+    spectra = np.asarray(spectra, dtype=np.float64)
+    signal = np.empty(spectra.shape, dtype=bool)
+    for lo in range(0, len(spectra), ROF_CHUNK):
+        chunk = spectra[lo:lo + ROF_CHUNK]
+        signal[lo:lo + ROF_CHUNK] = _rof_rows(chunk, rof_energy_drops_rows(chunk), params)[0]
+    return signal
 
 
 def fisher_separate(power: PowerSpectrum) -> SeparationMask:
@@ -274,6 +290,21 @@ def _fisher_scan_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     best_t = n - 2 - np.argmax((j == best[:, None])[:, ::-1], axis=1)
     # A constant row has no split, nor has a row whose every criterion is -inf.
     best_t[(a[:, 0] == a[:, -1]) | np.isneginf(best)] = -1
+    # sum(a^2) - cnt * mu^2 cancels for tight groups.  Where the chosen split's
+    # variance sum is below _FISHER_TIGHT of the row's sum of squares, J is
+    # re-scored from the two groups directly, with two-pass variances.
+    found = np.flatnonzero(best_t >= 0)
+    rows = found[den[found, best_t[found] - 2] < _FISHER_TIGHT * cs2[found, -1]]
+    if rows.size:
+        t = best_t[rows]
+        cnt = np.column_stack([t, n - t])
+        starts = (np.column_stack([0 * t, t]) + n * np.arange(rows.size)[:, None]).ravel()
+        mu = np.add.reduceat(a[rows].ravel(), starts).reshape(-1, 2) / cnt
+        dev = a[rows].ravel() - np.repeat(mu.ravel(), cnt.ravel())
+        var = np.add.reduceat(dev * dev, starts).reshape(-1, 2) / (cnt - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            j = (mu[:, 0] - mu[:, 1]) ** 2 / var.sum(axis=1)
+        best[rows] = np.where(np.isnan(j), best[rows], j)
     return best_t, best
 
 

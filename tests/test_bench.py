@@ -208,11 +208,11 @@ class TestRunScenario:
     @pytest.mark.parametrize("separation", ["ideal", "fisher", "rof"])
     def test_mvu_sums_match_list_form(self, separation):
         # The bench feeds MVU per-frame noise sums (one batched pass per seed
-        # for ideal/Fisher, one row sum per ROF window); the list form over
-        # the masks of the public separation functions must give the very
-        # same estimates.
+        # for ideal/Fisher, row sums under each window's ROF mask); the list
+        # form over the masks of the public separation functions must give
+        # the very same estimates.
         from noisebench import (PowerSpectrum, RofParams, fisher_separate, ideal_separate,
-                                mvu_estimate)
+                                mvu_estimate, rof_separate)
         from noisebench.bench import _SeedContext, _evaluate_method
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
@@ -228,7 +228,8 @@ class TestRunScenario:
         for f, got in zip(series.frame_index, series.noise_power_est_mw):
             lo, hi = f - window + 1, f + 1
             if separation == "rof":
-                masks = [ctx.masks.rof_window_mask(lo, hi, RofParams())] * window
+                averaged = PowerSpectrum(ctx.power[lo:hi].mean(axis=0), f)
+                masks = [rof_separate(averaged, RofParams())] * window
             else:
                 masks = frame_masks[lo:hi]
             assert got == mvu_estimate(spectra[lo:hi], masks).value_mw
@@ -262,35 +263,38 @@ class TestRunScenario:
             assert series.noise_power_est_mw[lo] == pytest.approx(want.value_mw, rel=1e-12)
 
     def test_batched_rof_masks_match_single_windows(self):
-        # Masks built from batched cascades equal masks built window by window.
+        # Row f of the ROF cache is the mask of the window ending at f, built
+        # in batched passes; it equals rof_separate of that window's average,
+        # however the requests split the rows.
         from noisebench import PowerSpectrum, RofParams, rof_separate
         from noisebench.bench import _SeedContext
         cfg = reference_config(seed=4, n_frames=45)
         ctx = _SeedContext(cfg, 4)
-        bounds = [(max(0, f - 9), f + 1) for f in range(45)]
-        ctx.masks.prefill_rof(bounds, RofParams())
-        for lo, hi in bounds:
-            got = ctx.masks.rof_window_mask(lo, hi, RofParams())
-            want = rof_separate(PowerSpectrum(ctx.power[lo:hi].mean(axis=0), hi - 1))
-            np.testing.assert_array_equal(got.is_signal, want.is_signal)
-            np.testing.assert_array_equal(got.aux["d_curve"], want.aux["d_curve"])
-            assert got.aux["K"] == want.aux["K"]
+        key = ("rof", 10, RofParams())
+        ctx.masks.noise_rows(key, 20, 30)
+        noise, sums, counts = ctx.masks.noise_rows(key, 0, 45)
+        for f in range(45):
+            lo = max(0, f - 9)
+            want = rof_separate(PowerSpectrum(ctx.power[lo:f + 1].mean(axis=0), f)).noise_bins
+            np.testing.assert_array_equal(noise[f], want)
+            assert sums[f] == np.compress(want, ctx.power[f]).sum()
+            assert counts[f] == np.count_nonzero(want)
 
     def test_unbuildable_rof_windows_raise_on_request(self):
-        # Batching leaves windows without a mask uncached, so each raises
-        # rof_separate's own error when the method reaches it.
+        # Frame 0 alone, the only partial 2-frame window, has no ROF mask:
+        # ML's request, which reads it, raises rof_separate's error; MVU's,
+        # over the full windows only, does not.
         from noisebench import DegenerateSpectrumError, RofParams
         from noisebench.bench import _MaskProvider
-        power = np.random.default_rng(7).exponential(1.0, (4, 64))
-        power[0] = 0.0                                     # window [0, 1): all zero
-        power[2] = 2.0 * np.linspace(10.0, 60.0, 64) - power[1]  # [1, 3): a rising ramp
-        masks = _MaskProvider(power, truth=None)
-        params = RofParams()
-        masks.prefill_rof([(0, 1), (0, 2), (1, 3), (2, 4)], params)
-        for lo, hi, message in ((0, 1, "all-zero"), (1, 3, "every bin")):
+        key = ("rof", 2, RofParams())
+        for head, message in ((0.0, "all-zero"), (np.linspace(10.0, 60.0, 64), "every bin")):
+            power = np.random.default_rng(7).exponential(1.0, (5, 64))
+            power[0] = head
+            masks = _MaskProvider(power, truth=None)
             with pytest.raises(DegenerateSpectrumError, match=message):
-                masks.rof_window_mask(lo, hi, params)
-        assert set(masks._window_cache) == {(0, 2, params), (2, 4, params)}
+                masks.noise_rows(key, 0, 5)
+            noise, _, counts = masks.noise_rows(key, 1, 5)
+            assert noise.shape == (4, 64) and counts.all()
 
     def test_mvu_more_stable_than_ml(self):
         cfg = reference_config(seed=9, n_frames=150)
@@ -326,6 +330,15 @@ class TestRunScenario:
         # Blind occupancy lands near the true 25%, so estimates stay close.
         assert from_aic.noise_power_est_mw[0] == pytest.approx(
             from_truth.noise_power_est_mw[0], rel=0.15)
+        # The fraction is AIC's order over the window's averaged periodogram.
+        from noisebench.bench import _SeedContext
+        from noisebench.estimators import cbe_fit
+        ctx = _SeedContext(cfg, 12)
+        for i, f in enumerate(from_aic.frame_index):
+            window = ctx.power[f - 99:f + 1]
+            n_min = aic_estimate(PowerSpectrum(window.mean(axis=0), f), 100).diagnostics["n_min"]
+            want = cbe_fit(ctx.gram[f - 99:f + 1, f - 99:f + 1], cfg.n_bins, n_min / cfg.n_bins)
+            assert from_aic.noise_power_est_mw[i] == want.value_mw
 
 
 class TestStepResponse:

@@ -18,10 +18,12 @@ from noisebench import (
     rof_energy_drops_rows,
     rof_find_band_width,
     rof_separate,
+    rof_signal_rows,
 )
+from noisebench import separation
 from noisebench.bench import MethodSpec, _counting_power, count_ops
 from noisebench.scenario import GroundTruth
-from noisebench.separation import FISHER_CHUNK
+from noisebench.separation import FISHER_CHUNK, ROF_CHUNK
 
 from conftest import reference_config
 
@@ -92,6 +94,39 @@ def fisher_scan_naive(a: np.ndarray) -> tuple[int | None, float]:
         if j >= best_j and j > -np.inf:
             best_t, best_j = t, j
     return best_t, best_j
+
+
+def rof_decision_naive(p: np.ndarray, drops: np.ndarray, params: RofParams
+                       ) -> tuple[np.ndarray, int, np.ndarray, list[tuple[int, int]]]:
+    """One spectrum's ROF decision step by step: mask, K, smoothed spectrum, bands.
+
+    The bandwidth walk, the trailing K-point mean (expanding at the left
+    edge) and the scan for strictly rising runs, one bin at a time.
+    """
+    n = p.size
+    k = int(np.argmax(drops)) + 2
+    threshold = (params.lambda1_pct / 100.0) * float(drops.max())
+    while k + 1 <= n and drops[k + 1 - 2] > threshold:
+        k += 1
+    cs = np.concatenate([[0.0], np.cumsum(p)])
+    idx = np.arange(n)
+    lo = np.maximum(0, idx - k + 1)
+    smoothed = (cs[idx + 1] - cs[lo]) / (idx + 1 - lo)
+    diff = np.diff(smoothed)
+    mask = np.zeros(n, dtype=bool)
+    bands = []
+    i = 0
+    while i < diff.size:
+        if diff[i] > 0:
+            j = i
+            while j + 1 < diff.size and diff[j + 1] > 0:
+                j += 1
+            if j - i + 1 > params.lambda2_fraction * n:
+                mask[i:j + 2] = True
+                bands.append((i, j + 2))
+            i = j
+        i += 1
+    return mask, k, smoothed, bands
 
 
 def synthetic_band(n: int, lo: int, width: int, height: float,
@@ -253,21 +288,108 @@ class TestRofSeparate:
         with pytest.raises(DegenerateSpectrumError):
             rof_separate(spectrum(np.linspace(1.0, 50.0, 64)))
 
-    def test_precomputed_drops_give_the_same_mask(self):
-        rng = np.random.default_rng(21)
-        p = rng.exponential(1.0, 128)
-        p[40:70] += 20.0
-        want = rof_separate(spectrum(p))
-        got = rof_separate(spectrum(p), drops=rof_energy_drops(spectrum(p)))
-        np.testing.assert_array_equal(got.is_signal, want.is_signal)
-        assert got.aux["K"] == want.aux["K"]
-        assert got.aux["runs"] == want.aux["runs"]
-
     def test_diagnostics_shapes(self):
         mask = rof_separate(spectrum(np.random.default_rng(1).exponential(1.0, 64)))
         assert mask.aux["d_curve"].shape == (63,)
         assert mask.aux["smoothed"].shape == (64,)
         assert 2 <= mask.aux["K"] <= 64
+
+
+def rof_rows(n: int):
+    """Rows of n bin powers: continuous, quantised (ties), flat (all-zero too),
+    ramps and a band over quantised noise."""
+    return st.one_of(
+        st.lists(st.floats(0.0, 100.0), min_size=n, max_size=n),
+        st.lists(st.integers(0, 3), min_size=n, max_size=n),
+        st.integers(0, 3).map(lambda v: [v] * n),
+        st.tuples(st.floats(0.5, 50.0), st.floats(0.5, 50.0)).map(
+            lambda ends: np.linspace(*ends, n).tolist()),
+        st.tuples(st.lists(st.integers(1, 4), min_size=n, max_size=n),
+                  st.integers(0, n - 1), st.integers(1, n), st.integers(5, 60)).map(
+            lambda c: [v + c[3] * (c[1] <= i < c[1] + c[2]) for i, v in enumerate(c[0])]),
+    )
+
+
+def rof_cases():
+    return st.tuples(
+        st.integers(4, 48).flatmap(lambda n: st.lists(rof_rows(n), min_size=1, max_size=5)),
+        st.builds(RofParams, st.sampled_from([1.0, 5.0, 50.0, 95.0]),
+                  st.sampled_from([0.01, 0.05, 0.3])),
+    )
+
+
+def rof_expected(p: np.ndarray, params: RofParams):
+    """The oracle's decision on one row, or the message rof_separate raises."""
+    if not p.any():
+        return "all-zero power spectrum"
+    drops = rof_energy_drops(spectrum(p))
+    mask, k, smoothed, bands = rof_decision_naive(p, drops, params)
+    if mask.all():
+        return "ROF marked every bin as signal"
+    return mask, k, drops, smoothed, bands
+
+
+class TestRofSignalRows:
+    @given(rof_cases())
+    @example(([[0, 1, 1, 2]], RofParams()))                       # n = 4
+    @example(([[1.0, 2.0, 3.0, 4.0, 5.0]], RofParams()))          # a ramp: all signal
+    @example(([[0, 0, 0, 0], [1, 3, 0, 2]], RofParams()))         # all zero first
+    @example(([[2, 2, 2, 2, 2, 2], [0, 1, 2, 3, 2, 1]], RofParams(50.0, 0.3)))
+    @settings(max_examples=120, deadline=None)
+    def test_rows_match_one_row_oracle(self, case):
+        rows, params = case
+        spectra = np.array(rows, dtype=float)
+        expected = [rof_expected(p, params) for p in spectra]
+        for p, want in zip(spectra, expected):
+            if isinstance(want, str):
+                with pytest.raises(DegenerateSpectrumError, match=want):
+                    rof_separate(spectrum(p), params)
+                continue
+            mask = rof_separate(spectrum(p), params)
+            np.testing.assert_array_equal(mask.is_signal, want[0])
+            assert mask.aux["K"] == want[1]
+            np.testing.assert_array_equal(mask.aux["d_curve"], want[2])
+            np.testing.assert_array_equal(mask.aux["smoothed"], want[3])
+            assert mask.aux["runs"] == want[4]
+        bad = [i for i, want in enumerate(expected) if isinstance(want, str)]
+        if bad:
+            with pytest.raises(DegenerateSpectrumError, match=expected[bad[0]]):
+                rof_signal_rows(spectra, params)
+        good = spectra[:bad[0]] if bad else spectra
+        for row, want in zip(rof_signal_rows(good, params), expected):
+            np.testing.assert_array_equal(row, want[0])
+
+    @pytest.mark.parametrize("chunk", [1, 7, ROF_CHUNK])
+    def test_rows_independent_of_chunking(self, monkeypatch, chunk):
+        rng = np.random.default_rng(31)
+        spectra = rng.exponential(1.0, (2 * ROF_CHUNK + 3, 64))
+        spectra[::3, 20:36] += 15.0
+        spectra[::5] = np.round(spectra[::5])           # quantised rows with ties
+        spectra[7] = 2.0
+        monkeypatch.setattr(separation, "ROF_CHUNK", chunk)
+        got = rof_signal_rows(spectra)
+        for row, p in zip(got, spectra):
+            np.testing.assert_array_equal(row, rof_separate(spectrum(p)).is_signal)
+        assert got[::3].any(axis=1).all()
+
+    @pytest.mark.parametrize("chunk", [1, 2, ROF_CHUNK])
+    @pytest.mark.parametrize("order, message", [
+        (("ramp", "zero"), "ROF marked every bin as signal"),
+        (("zero", "ramp"), "all-zero power spectrum"),
+    ])
+    def test_first_degenerate_row_raises(self, monkeypatch, chunk, order, message):
+        rng = np.random.default_rng(8)
+        spectra = rng.exponential(1.0, (6, 32))
+        bad = {"ramp": np.linspace(1.0, 50.0, 32), "zero": np.zeros(32)}
+        spectra[3], spectra[4] = bad[order[0]], bad[order[1]]
+        monkeypatch.setattr(separation, "ROF_CHUNK", chunk)
+        with pytest.raises(DegenerateSpectrumError, match=message):
+            rof_signal_rows(spectra)
+        assert rof_signal_rows(spectra[:3]).shape == (3, 32)
+
+    def test_rows_need_four_bins(self):
+        with pytest.raises(ValueError, match="4 bins"):
+            rof_signal_rows(np.ones((2, 3)))
 
 
 class TestFisherSeparate:
@@ -354,6 +476,8 @@ class TestFisherSignalRows:
     @example([[0, 1, 1, 2]])            # n = 4, one split, ties beside it
     @example([[1, 1, 1, 1], [0, 0, 0, 0], [0, 2, 2, 2]])
     @example([[2, 0, 2, 0, 1, 2, 1, 0]])
+    @example([[0, 0, 3.0625, 3.0635856462404947]])   # a tight high group
+    @example([[0, 0, 6.921875, 6.923042012744874]])
     @settings(max_examples=80, deadline=None)
     def test_matches_naive_scan(self, rows):
         amplitude = np.array(rows, dtype=float)
