@@ -21,23 +21,19 @@ from .errors import (
     ZeroPowerError,
 )
 from .estimators import (
-    EigenSpectrum,
-    MpFitRange,
     NoisePowerEstimate,
     aic_estimate,
     aic_fit_rows,
     cbe_estimate,
-    cbe_fit,
+    cbe_fit_windows,
     covariance_eigenvalues,
-    covariance_spectrum,
     ml_estimate,
     ml_fit_frames,
     mmse_estimate,
-    mmse_fit,
     mmse_fit_windows,
     mp_cdf,
     mvu_estimate,
-    mvu_fit,
+    mvu_fit_rows,
     mvu_fit_windows,
     sample_covariance,
     snr_db_from_powers,

@@ -19,14 +19,13 @@ mask that applies at that frame and the frame's noise-bin power sum and count.
 Rows are separated in batched passes on first request (Fisher as one sorted
 scan, ROF as one erosion cascade and one vectorised decision per chunk), so
 ML divides two arrays for every separation; MVU folds the sums of each window
-(ideal, Fisher) or reads each window's ROF mask row.  CBE reads each window
-as a slice of the Gram matrix; AIC sorts and scores a stack of averaged
-window spectra at a time; MMSE evaluates every window of the seed in one
-batched pass over the spectral array (sliding window sums, FFT lags, one
-batched preconditioned conjugate-gradient solve per chunk of windows,
-Levinson for a window that does not converge).  The SNR of every entry comes
-from one array expression.  With timing on, each method's evaluation is timed
-inside the same per-seed loop and summed over seeds.
+(ideal, Fisher) or its frames' sums under its ROF mask.  Every method ends in
+one call of an array engine of :mod:`estimators` over all its windows, and no
+per-window estimate object is built: AIC scores stacks of averaged window
+spectra, CBE fits the Gram matrix's diagonal blocks with one signal count per
+window, MMSE runs batched sliding sums, FFT lags and conjugate-gradient solves.
+The SNR of every entry comes from one array expression.  With timing on, each
+method's evaluation is timed inside the same per-seed loop and summed over seeds.
 
 Operation counts are the paper's complexity model, kept in one place:
 :func:`count_ops` books each method's closed forms in the block size.  The
@@ -211,9 +210,12 @@ class _MaskProvider:
         if key == "fisher":
             return sep.fisher_signal_rows(self.power[frames])[0]
         _, window, params = key
-        spectra = np.stack([self.power[max(0, f - window + 1):f + 1].mean(axis=0)
-                            for f in frames])
-        return sep.rof_signal_rows(spectra, params)
+        return sep.rof_signal_rows(_window_means(self.power, frames, window), params)
+
+
+def _window_means(power: np.ndarray, frames: np.ndarray, window: int) -> np.ndarray:
+    """Mean spectrum of the trailing window of at most ``window`` frames ending at each frame."""
+    return np.stack([power[max(0, f - window + 1):f + 1].mean(axis=0) for f in frames])
 
 
 class _SeedContext:
@@ -234,15 +236,29 @@ class _SeedContext:
         return self._gram
 
 
-def _occupancy(method: MethodSpec, truth: GroundTruth, frame: int,
-               window_power: np.ndarray) -> float:
+def _aic_windows(power: np.ndarray, frames: np.ndarray,
+                 window: int) -> tuple[np.ndarray, np.ndarray]:
+    """AIC estimate and order of the full window ending at each frame, ``AIC_CHUNK`` at a time."""
+    fits = [est.aic_fit_rows(_window_means(power, frames[i:i + AIC_CHUNK], window), window)
+            for i in range(0, frames.size, AIC_CHUNK)]
+    return np.concatenate([f[0] for f in fits]), np.concatenate([f[1] for f in fits])
+
+
+def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
+                   window: int) -> np.ndarray:
+    """CBE's signal count S = round(window * fraction) per window: the fraction is the
+    method's ``occupied_fraction``, AIC's order over the bin count, or ground truth at
+    the window's last frame."""
     explicit = method.params.get("occupied_fraction")
     if explicit is not None:
-        return float(explicit)
-    if method.params.get("occupancy_from") == "aic":
-        orders = est.aic_fit_rows(window_power.mean(axis=0)[None, :], len(window_power))[1]
-        return int(orders[0]) / window_power.shape[1]
-    return truth.occupied_fraction(frame)
+        if not 0.0 <= explicit < 1.0:
+            raise ValueError("occupied_fraction must lie in [0, 1)")
+        fractions = np.full(frames.size, float(explicit))
+    elif method.params.get("occupancy_from") == "aic":
+        fractions = _aic_windows(ctx.power, frames, window)[1] / ctx.power.shape[1]
+    else:
+        fractions = ctx.truth.signal_bin_mask[frames].mean(axis=1)
+    return np.rint(window * fractions).astype(np.int64)
 
 
 def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
@@ -266,33 +282,23 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
         # MVU; every window is full here, and the mask of the window ending
         # at f applies to all of its frames.
         noise, _, counts = masks.noise_rows(key, first, n_frames)
-        values = np.array([
-            est.mvu_fit(np.compress(keep, power[f - window + 1:f + 1], axis=1).sum(axis=1),
-                        np.full(window, count)).value_mw
-            for f, keep, count in zip(frames, noise, counts)
-        ])
+        sums = np.stack([np.compress(keep, power[f - window + 1:f + 1], axis=1).sum(axis=1)
+                         for f, keep in zip(frames, noise)])
+        values = est.mvu_fit_rows(sums, np.broadcast_to(counts[:, None], sums.shape))
     elif method.estimator == "MVU":
         values = est.mvu_fit_windows(*masks.noise_rows(key, first - window + 1, n_frames)[1:],
                                      window)
     elif method.estimator == "MMSE":
-        fits = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
-                                    blind=bool(method.params.get("blind", True)))
-        values = np.array([fit.value_mw for fit in fits])
+        values = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
+                                      blind=bool(method.params.get("blind", True)))[0]
     elif method.estimator == "AIC":
         # Every window is full here, so each holds ``window`` frames.
-        values = np.concatenate([
-            est.aic_fit_rows(np.stack([power[f - window + 1:f + 1].mean(axis=0)
-                                       for f in frames[i:i + AIC_CHUNK]]), window)[0]
-            for i in range(0, frames.size, AIC_CHUNK)
-        ])
+        values = _aic_windows(power, frames, window)[0]
     else:
-        grid_size = int(method.params.get("grid_size", 100))
-        values = np.array([
-            est.cbe_fit(ctx.gram[f - window + 1:f + 1, f - window + 1:f + 1], power.shape[1],
-                        _occupancy(method, truth, f, power[f - window + 1:f + 1]),
-                        grid_size=grid_size).value_mw
-            for f in frames
-        ])
+        lo = first - window + 1
+        values = est.cbe_fit_windows(ctx.gram[lo:, lo:], power.shape[1], window,
+                                     _signal_counts(method, ctx, frames, window),
+                                     int(method.params.get("grid_size", 100)))[0]
 
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
@@ -537,8 +543,8 @@ def count_ops(method: MethodSpec, n: int) -> OpCounter:
     count and AIC's selected order) are read off uncounted decisions on one
     counting frame, the last frame of a fixed white block; CBE, MMSE and
     ideal separation draw no frame.  CBE's Marchenko-Pastur fit is charged
-    for ``grid_size`` candidates, also where an estimate's candidate range
-    collapses to a single point.
+    for ``grid_size`` candidates, which is what the fit evaluates: a
+    collapsed candidate range is ``grid_size`` equal candidates.
     """
     if n < 16:
         raise ValueError("operation counting needs n >= 16")

@@ -5,12 +5,18 @@ to 1 mW they report values directly comparable to the reference power.  Every
 method is scale-equivariant: multiplying the input power by a positive factor
 multiplies the estimate by the same factor (for CBE up to the resolution of
 its candidate grid).
+
+Each estimator is one array engine over a stack of frames or windows
+(``ml_fit_frames``, ``mvu_fit_*``, ``aic_fit_rows``, ``cbe_fit_windows``,
+``mmse_fit_windows``) returning the estimates, or a tuple of arrays with the
+estimates first; it raises at the first entry that fails.  Only the one-block
+``*_estimate`` wrappers build a :class:`NoisePowerEstimate`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Any
 
@@ -56,48 +62,6 @@ class NoisePowerEstimate:
             )
 
 
-@dataclass(frozen=True)
-class EigenSpectrum:
-    """Descending eigenvalues of a block's sample covariance matrix."""
-
-    eigenvalues: np.ndarray
-    n_frames: int
-    n_bins: int
-
-    def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=np.float64).copy()
-        if ev.ndim != 1 or ev.size == 0:
-            raise ValueError("eigenvalues must be a non-empty vector")
-        if np.any(np.diff(ev) > 0):
-            raise ValueError("eigenvalues must be in descending order")
-        tol = 1e-10 * max(ev[0], 1.0)
-        if ev[-1] < -tol:
-            raise ValueError(f"eigenvalue {ev[-1]} below -{tol} tolerance")
-        np.clip(ev, 0.0, None, out=ev)
-        ev.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", ev)
-
-
-@dataclass(frozen=True)
-class MpFitRange:
-    """Linearly spaced candidate noise powers for the Marchenko-Pastur fit."""
-
-    sigma_min_sq: float
-    sigma_max_sq: float
-    grid_size: int
-
-    def __post_init__(self):
-        if not 0 < self.sigma_min_sq <= self.sigma_max_sq:
-            raise ValueError("need 0 < sigma_min_sq <= sigma_max_sq")
-        if self.grid_size < 2:
-            raise ValueError("grid_size must be >= 2")
-
-    def grid(self) -> np.ndarray:
-        if self.sigma_min_sq == self.sigma_max_sq:
-            return np.array([self.sigma_min_sq])
-        return np.linspace(self.sigma_min_sq, self.sigma_max_sq, self.grid_size)
-
-
 def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> NoisePowerEstimate:
     """Mean bin power over the noise-classified bins of one frame; see :func:`ml_fit_frames`."""
     if mask.n_bins != power.n_bins:
@@ -128,7 +92,7 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> No
 
     Equivalent to the noise-bin-count-weighted mean of the per-frame ML
     estimates; with one frame it reduces to :func:`ml_estimate`.  The
-    per-frame noise sums feed :func:`mvu_fit`.
+    per-frame noise sums are folded by :func:`mvu_fit_windows` as one window.
     """
     if len(powers) != len(masks) or not powers:
         raise ValueError("powers and masks must be non-empty and aligned")
@@ -139,45 +103,41 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> No
         noise = ps.power[mk.noise_bins]
         sums.append(float(noise.sum()))
         counts.append(noise.size)
-    return mvu_fit(sums, counts, frame_index=powers[-1].frame_index,
-                   separation=masks[0].method)
-
-
-def mvu_fit(noise_sums: np.ndarray | list[float], noise_counts: np.ndarray | list[int],
-            frame_index: int | None = None, separation: str | None = None) -> NoisePowerEstimate:
-    """MVU estimate from each frame's noise-bin power sum and noise-bin count.
-
-    The one-window case of :func:`mvu_fit_windows`: the sums are folded in
-    frame order, so equal per-frame sums give the same estimate bit for bit
-    whichever way they were computed.
-    """
-    sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
-    value = mvu_fit_windows(sums, counts, sums.size)[0]
+    value = mvu_fit_windows(sums, counts, len(sums))[0]
     return NoisePowerEstimate(
-        value_mw=float(value), method="mvu", frame_index=frame_index,
-        diagnostics={"noise_bin_count": int(counts.sum()), "separation": separation},
+        value_mw=float(value), method="mvu", frame_index=powers[-1].frame_index,
+        diagnostics={"noise_bin_count": int(sum(counts)), "separation": masks[0].method},
     )
 
 
-def mvu_fit_windows(noise_sums: np.ndarray, noise_counts: np.ndarray,
+def mvu_fit_windows(noise_sums: np.ndarray | list[float], noise_counts: np.ndarray | list[int],
                     window: int) -> np.ndarray:
     """MVU estimate of every trailing window of ``window`` frames.
 
-    Entry j covers frames j..j+window-1.  Each window's sums are folded left
-    to right (one running sum along each row of a sliding view), the same
-    fold as a loop over the frames.  The first window without noise bins
-    raises EmptyNoiseGroupError, the first non-positive or non-finite
-    estimate ZeroPowerError, in window order.
+    Entry j covers frames j..j+window-1; the windows are the rows of a
+    sliding view, folded by :func:`mvu_fit_rows`.
     """
     sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
     if not 1 <= window <= sums.size:
         raise ValueError(f"a {window}-frame window does not fit in {sums.size} frames")
-    totals = np.cumsum(np.lib.stride_tricks.sliding_window_view(sums, window), axis=1)[:, -1]
-    cumulative = np.concatenate([[0], np.cumsum(counts)])
-    window_counts = cumulative[window:] - cumulative[:-window]
+    view = np.lib.stride_tricks.sliding_window_view
+    return mvu_fit_rows(view(sums, window), view(counts, window))
+
+
+def mvu_fit_rows(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
+    """MVU estimate of each row of (W, F) per-frame noise-bin power sums and counts.
+
+    Each row's sums are folded left to right (one running sum along the
+    row), the same fold as a loop over its frames, so equal per-frame sums
+    give the same estimate bit for bit whichever way they were computed.
+    The first row without noise bins raises EmptyNoiseGroupError, the first
+    non-positive or non-finite estimate ZeroPowerError, in row order.
+    """
+    totals = np.cumsum(noise_sums, axis=1)[:, -1]
+    counts = np.sum(noise_counts, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        values = totals / window_counts
-    _check_estimates("mvu", values, window_counts, "no bins classified as noise in any frame")
+        values = totals / counts
+    _check_estimates("mvu", values, counts, "no bins classified as noise in any frame")
     return values
 
 
@@ -270,24 +230,34 @@ def sample_covariance(block: ResourceBlock) -> np.ndarray:
     return (x @ x.conj().T) / n
 
 
-def covariance_spectrum(cov: np.ndarray, n_bins: int) -> EigenSpectrum:
-    """Descending eigenvalues of an M x M sample covariance over N bins."""
-    m = cov.shape[0]
+def covariance_eigenvalues(block: ResourceBlock) -> np.ndarray:
+    """Descending eigenvalues of the block's sample covariance, clipped at zero."""
+    _check_window_shape(block.n_frames, block.n_bins)
+    return _descending_eigenvalues(sample_covariance(block))
+
+
+def _check_window_shape(m: int, n: int) -> None:
     if m < 2:
         raise ValueError("need at least 2 frames")
-    if n_bins < m:
+    if n < m:
         raise ValueError("need n_bins >= n_frames for an aspect ratio below 1")
+
+
+def _descending_eigenvalues(cov: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian-symmetrised covariance, largest first.
+
+    A negative eigenvalue within 1e-10 of the largest (or of 1) is round-off
+    and is clipped to zero; one further below raises.
+    """
     cov = 0.5 * (cov + cov.conj().T)
     try:
-        ev = np.linalg.eigvalsh(cov)
+        ev = np.linalg.eigvalsh(cov)[::-1].copy()
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolver failed on the sample covariance: {exc}") from exc
-    return EigenSpectrum(eigenvalues=ev[::-1], n_frames=m, n_bins=n_bins)
-
-
-def covariance_eigenvalues(block: ResourceBlock) -> EigenSpectrum:
-    """Eigenvalues of the block's frame-by-frame sample covariance matrix."""
-    return covariance_spectrum(sample_covariance(block), block.n_bins)
+    tol = 1e-10 * max(ev[0], 1.0)
+    if ev[-1] < -tol:
+        raise ValueError(f"eigenvalue {ev[-1]} below -{tol} tolerance")
+    return np.clip(ev, 0.0, None, out=ev)
 
 
 def _unit_mp_nodes(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -358,74 +328,86 @@ def _mp_edge_offset(m: int, n: int) -> float:
     return _TW2_MEAN_ABS * scale
 
 
-def cbe_fit_range(eigen: EigenSpectrum, signal_count: int, grid_size: int) -> MpFitRange:
-    """Candidate noise-power range from the extreme non-signal eigenvalues."""
-    m, n = eigen.n_frames, eigen.n_bins
-    lam = eigen.eigenvalues
-    edge = (1.0 - np.sqrt(m / n)) ** 2
-    if edge == 0.0:
-        raise ZeroPowerError("square blocks leave no Marchenko-Pastur margin")
-    sigma_min = lam[-1] / (edge + _mp_edge_offset(m, n))
-    sigma_max = lam[signal_count] / edge
-    if sigma_min <= 0:
-        raise ZeroPowerError("smallest eigenvalue is zero; no noise floor to fit")
-    return MpFitRange(sigma_min_sq=float(sigma_min),
-                      sigma_max_sq=float(max(sigma_min, sigma_max)),
-                      grid_size=grid_size)
-
-
 def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
                  grid_size: int = 100) -> NoisePowerEstimate:
-    """Covariance-based estimate of one block; see :func:`cbe_fit`."""
-    return cbe_fit(sample_covariance(block), block.n_bins, occupied_fraction,
-                   grid_size=grid_size, frame_index=block.n_frames - 1)
-
-
-def cbe_fit(cov: np.ndarray, n_bins: int, occupied_fraction: float, grid_size: int = 100,
-            frame_index: int | None = None) -> NoisePowerEstimate:
-    """Best Marchenko-Pastur fit over a power grid to a sample covariance's spectrum.
-
-    The top S = round(M * occupied_fraction) eigenvalues are attributed to the
-    signal; the remaining ones are compared, through their empirical CDF
-    evaluated at the eigenvalues themselves, against the MP law with ratio
-    (M - S)/N for each candidate power on the grid.  The candidate with the
-    smallest root-sum-square CDF misfit wins.
-    """
+    """Covariance-based estimate of one block with S = round(M * occupied_fraction)
+    signal eigenvalues; the one-window case of :func:`cbe_fit_windows`."""
     if not 0.0 <= occupied_fraction < 1.0:
         raise ValueError("occupied_fraction must lie in [0, 1)")
-    if grid_size < 2:
-        raise ValueError("grid_size must be >= 2")
-    m = cov.shape[0]
+    m = block.n_frames
     s = int(round(m * occupied_fraction))
-    if s >= m:
-        raise ValueError(f"S={s} signal eigenvalues leave no noise group (M={m})")
-    eigen = covariance_spectrum(cov, n_bins)
-    fit = cbe_fit_range(eigen, s, grid_size)
-    noise_eigs = eigen.eigenvalues[s:][::-1]  # ascending
-    n_noise = noise_eigs.size
-    ecdf = np.arange(1, n_noise + 1) / n_noise
-    grid = fit.grid()
-    # One row per candidate power: the noise eigenvalues in that candidate's units.
-    diff = ecdf - mp_cdf(noise_eigs / grid[:, None], (m - s) / n_bins, 1.0)
-    distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    best = int(np.argmin(distances))
+    values, grids, distances = cbe_fit_windows(sample_covariance(block), block.n_bins, m,
+                                               np.array([s]), grid_size)
     return NoisePowerEstimate(
-        value_mw=float(grid[best]), method="cbe", frame_index=frame_index,
+        value_mw=float(values[0]), method="cbe", frame_index=m - 1,
         diagnostics={
-            "signal_count": s, "grid": grid, "distances": distances,
-            "sigma_min_sq": fit.sigma_min_sq, "sigma_max_sq": fit.sigma_max_sq,
+            "signal_count": s, "grid": grids[0], "distances": distances[0],
+            "sigma_min_sq": float(grids[0, 0]), "sigma_max_sq": float(grids[0, -1]),
         },
     )
 
 
+def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: np.ndarray,
+                    grid_size: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best Marchenko-Pastur fit to the covariance spectrum of every trailing window.
+
+    Window j's covariance is the diagonal block j..j+window-1 of gram, the
+    frame Gram matrix of :func:`sample_covariance`.  Its top signal_counts[j]
+    = S eigenvalues are attributed to the signal; the rest are compared,
+    through their empirical CDF at the eigenvalues themselves, against the MP
+    law with ratio (window - S)/N for grid_size candidate powers spaced
+    linearly from the smallest eigenvalue over the finite-size lower edge to
+    the (S+1)-th largest over the asymptotic edge (equal candidates when that
+    range collapses).  The smallest root-sum-square misfit wins.
+
+    Returns the estimates and the (W, grid_size) grids and misfits.  Windows
+    are solved one at a time, so no stack of covariances is built, and
+    checked in order: S leaving no noise eigenvalue raises
+    EmptyNoiseGroupError, a negative eigenvalue beyond round-off ValueError,
+    a square window, a zero smallest eigenvalue or an unusable estimate
+    ZeroPowerError.
+    """
+    counts = np.asarray(signal_counts)
+    if grid_size < 2:
+        raise ValueError("grid_size must be >= 2")
+    _check_window_shape(window, n_bins)
+    if window > gram.shape[0]:
+        raise ValueError(f"a {window}-frame window does not fit in {gram.shape[0]} frames")
+    if (counts.shape != (gram.shape[0] - window + 1,) or counts.dtype.kind not in "iu"
+            or (counts < 0).any()):
+        raise ValueError("need one non-negative integer signal count per window")
+    m = window
+    edge = (1.0 - np.sqrt(m / n_bins)) ** 2
+    lower_edge = edge + _mp_edge_offset(m, n_bins)
+    values = np.empty(counts.size)
+    # Stacked once at the end: (W, grid_size) outputs held through the loop
+    # raised the peak resident memory of a 2-seed reference run by 4.5 MB in
+    # most runs (glibc heap layout, 2-vCPU x86-64 VM).
+    grids, distances = [], []
+    for j, s in enumerate(counts.tolist()):
+        if s >= m:
+            raise EmptyNoiseGroupError(f"S={s} signal eigenvalues leave no noise group (M={m})")
+        lam = _descending_eigenvalues(gram[j:j + m, j:j + m])
+        if edge == 0.0:
+            raise ZeroPowerError("square blocks leave no Marchenko-Pastur margin")
+        sigma_min = lam[-1] / lower_edge
+        if sigma_min <= 0:
+            raise ZeroPowerError("smallest eigenvalue is zero; no noise floor to fit")
+        grid = np.linspace(sigma_min, max(sigma_min, lam[s] / edge), grid_size)
+        noise = lam[s:][::-1]  # ascending
+        ecdf = np.arange(1, m - s + 1) / (m - s)
+        # One row per candidate power: the noise eigenvalues in that candidate's units.
+        diff = ecdf - mp_cdf(noise / grid[:, None], (m - s) / n_bins, 1.0)
+        distances.append(np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+        grids.append(grid)
+        values[j] = grid[np.argmin(distances[-1])]
+        if not (np.isfinite(values[j]) and values[j] > 0):
+            raise ZeroPowerError(f"cbe: estimate must be finite and positive, got {values[j]}")
+    return values, np.stack(grids), np.stack(distances)
+
+
 def mmse_estimate(block: ResourceBlock, blind: bool = True) -> NoisePowerEstimate:
-    """Per-subcarrier MMSE-filter estimate from the block's last frame; see :func:`mmse_fit`."""
-    return mmse_fit(block.spectral_matrix(), blind=blind, frame_index=block.n_frames - 1)
-
-
-def mmse_fit(spectral: np.ndarray, blind: bool = True,
-             frame_index: int | None = None) -> NoisePowerEstimate:
-    """Per-subcarrier MMSE-filter estimate from the last row of an (M, N) spectral matrix.
+    """Per-subcarrier MMSE-filter estimate from the block's last frame.
 
     In the blind adaptation each subcarrier's time mean over the first M-1
     frames is subtracted from the whole block, reducing a deterministic
@@ -441,54 +423,64 @@ def mmse_fit(spectral: np.ndarray, blind: bool = True,
     -0.17 dB structural bias on white noise).  Diagnostics carry the raw
     system residual.
 
-    This is the one-window case of :func:`mmse_fit_windows`, which takes the
-    blind mean and the variances from sliding sums over the rows.  C is a
-    biased autocorrelation matrix and so positive semi-definite; C + r(0) I
-    is positive definite, conjugate gradients apply, Levinson meets no
-    singular leading minor, and the ridge fallback can only be reached
-    through round-off or overflow.
+    This is the one-window case of :func:`mmse_fit_windows`.  C is a biased
+    autocorrelation matrix and so positive semi-definite; C + r(0) I is
+    positive definite, conjugate gradients apply, Levinson meets no singular
+    leading minor, and the ridge fallback can only be reached through
+    round-off or overflow.
     """
-    fit = mmse_fit_windows(spectral, spectral.shape[0], blind=blind)[0]
-    return replace(fit, frame_index=frame_index)
+    values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
+        block.spectral_matrix(), block.n_frames, blind=blind)
+    return NoisePowerEstimate(
+        value_mw=float(values[0]), method="mmse", frame_index=block.n_frames - 1,
+        diagnostics={
+            "raw_weight_sum": float(weight_sums[0]),
+            "weight_max": float(weight_maxes[0]),
+            "system_residual": float(residuals[0]),
+            "blind": blind,
+        },
+    )
 
 
-def mmse_fit_windows(spectral: np.ndarray, window: int,
-                     blind: bool = True) -> list[NoisePowerEstimate]:
-    """:func:`mmse_fit` of every trailing window of ``window`` rows of an (M, N) matrix.
+def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = True
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`mmse_estimate` of every trailing window of ``window`` rows of an (M, N) matrix.
 
-    Entry j covers rows j..j+window-1 and reports at row j+window-1, its
-    ``frame_index``.  Windows are evaluated ``MMSE_CHUNK`` at a time: the
-    chunk's rows are scaled once, each window's blind mean and variances come
-    from running sums over those rows (shifted by the chunk's mean, so the
-    variance subtraction does not cancel), all lag vectors from one FFT pair
-    of length 2N and all system residuals from one FFT circulant product.
-    The chunk's weight systems are solved together by preconditioned
-    conjugate gradients, as batched FFTs; a window that does not converge to
-    a true residual of ``MMSE_PCG_RESIDUAL`` gets its own Levinson solve.
-    Windows are checked in order, so the first failing window raises.
+    Entry j covers rows j..j+window-1 and reports at row j+window-1.
+    Returns each window's estimate, raw weight sum, largest normalised weight
+    magnitude and relative system residual.  Windows are evaluated
+    ``MMSE_CHUNK`` at a time: the chunk's rows are scaled once, each window's
+    blind mean and variances come from running sums over those rows (shifted
+    by the chunk's mean, so the variance subtraction does not cancel), all
+    lag vectors from one FFT pair of length 2N and all system residuals from
+    one FFT circulant product.  The chunk's weight systems are solved
+    together by preconditioned conjugate gradients, as batched FFTs; a
+    window that does not converge to a true residual of ``MMSE_PCG_RESIDUAL``
+    gets its own Levinson solve.  Windows are checked in order, so the first
+    failing window raises.
     """
     total, n = spectral.shape
     if window < 3:
         raise ValueError("need at least 3 frames")
     if window > total:
         raise ValueError(f"a {window}-frame window does not fit in {total} frames")
-    fits: list[NoisePowerEstimate] = []
+    chunks = []
     for first in range(0, total - window + 1, MMSE_CHUNK):
         rows = spectral[first:min(first + MMSE_CHUNK, total - window + 1) + window - 1]
-        fits.extend(_mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window, blind), blind,
-                                first + window - 1))
-    return fits
+        chunks.append(_mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window, blind)))
+    return tuple(np.concatenate(column) for column in zip(*chunks))
 
 
-def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray, blind: bool,
-                first_frame: int) -> list[NoisePowerEstimate]:
+def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MMSE fits of consecutive windows from their variances and last-row powers.
 
-    Row j of both arrays belongs to the window that reports at first_frame + j.
-    The weight systems are solved together by :func:`_pcg_toeplitz`, up to
-    the first window with an all-zero residual block, which raises.  A window
-    whose solve does not converge, is not finite or leaves a true residual
-    above ``MMSE_PCG_RESIDUAL`` is solved again by Levinson recursion
+    Row j of both arrays belongs to window j of the chunk; the four results
+    are those of :func:`mmse_fit_windows`.  The weight systems are solved
+    together by :func:`_pcg_toeplitz`, up to the first window with an
+    all-zero residual block, which raises.  A window whose solve does not
+    converge, is not finite or leaves a true residual above
+    ``MMSE_PCG_RESIDUAL`` is solved again by Levinson recursion
     (:func:`_solve_mmse_weights`) when the in-order check loop reaches it.
     """
     count, n = variance.shape
@@ -507,7 +499,7 @@ def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray, blind: bool,
         residuals[:usable] = _toeplitz_residuals(columns[:usable], w, lags[:usable])
         solved[:usable] = (converged & np.isfinite(w).all(axis=1)
                            & (residuals[:usable] <= MMSE_PCG_RESIDUAL))
-    fits = []
+    values, weight_sums, weight_maxes = np.empty(count), np.empty(count), np.empty(count)
     for j in range(count):
         if r0[j] == 0.0:
             raise ZeroPowerError("all-zero residual block; nothing to estimate")
@@ -520,23 +512,14 @@ def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray, blind: bool,
         estimate = float(weights @ last_power[j])
         if estimate <= 0:
             raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
-        fits.append((estimate, weight_sum, float(np.abs(weights).max())))
+        if not np.isfinite(estimate):
+            raise ZeroPowerError(f"mmse: estimate must be finite and positive, got {estimate}")
+        values[j], weight_sums[j], weight_maxes[j] = estimate, weight_sum, np.abs(weights).max()
     levinson = np.flatnonzero(~solved)
     if levinson.size:
         residuals[levinson] = _toeplitz_residuals(columns[levinson], raw_weights[levinson],
                                                   lags[levinson])
-    return [
-        NoisePowerEstimate(
-            value_mw=estimate, method="mmse", frame_index=first_frame + j,
-            diagnostics={
-                "raw_weight_sum": weight_sum,
-                "weight_max": weight_max,
-                "system_residual": float(residuals[j]),
-                "blind": blind,
-            },
-        )
-        for j, (estimate, weight_sum, weight_max) in enumerate(fits)
-    ]
+    return values, weight_sums, weight_maxes, residuals
 
 
 def _mmse_moments(x: np.ndarray, m: int, blind: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,6 +188,32 @@ def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerE
             "blind": blind,
         },
     )
+
+
+def cbe_fit_naive(cov: np.ndarray, n_bins: int, signal_count: int,
+                  grid_size: int = 100) -> SimpleNamespace:
+    """Oracle for estimators.cbe_fit_windows: one window's Marchenko-Pastur fit.
+
+    The symmetrised window covariance, its eigvalsh spectrum (descending,
+    clipped at zero), a linspace grid of candidate powers (a single candidate
+    when the range collapses), mp_cdf at the noise eigenvalues and the argmin
+    of the root-sum-square misfits.  The guards are left to the engine.
+    """
+    m, s = cov.shape[0], signal_count
+    lam = np.clip(np.linalg.eigvalsh(0.5 * (cov + cov.conj().T))[::-1], 0.0, None)
+    edge = (1.0 - np.sqrt(m / n_bins)) ** 2
+    sigma_min = float(lam[-1] / (edge + estimators._mp_edge_offset(m, n_bins)))
+    sigma_max = float(max(sigma_min, lam[s] / edge))
+    if sigma_min == sigma_max:
+        grid = np.array([sigma_min])
+    else:
+        grid = np.linspace(sigma_min, sigma_max, grid_size)
+    noise = lam[s:][::-1]
+    ecdf = np.arange(1, m - s + 1) / (m - s)
+    diff = ecdf - estimators.mp_cdf(noise / grid[:, None], (m - s) / n_bins, 1.0)
+    distances = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    return SimpleNamespace(value_mw=float(grid[np.argmin(distances)]), grid=grid,
+                           distances=distances)
 
 
 def complex_rng(seed: int) -> np.random.Generator:

@@ -191,19 +191,19 @@ class TestRunScenario:
         # Every window's covariance is a diagonal block of the seed's Gram
         # matrix; the fit on that block must agree with the per-window path.
         from noisebench.bench import _SeedContext
-        from noisebench.estimators import cbe_estimate, cbe_fit
+        from noisebench.estimators import cbe_estimate, cbe_fit_windows
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
         ctx = _SeedContext(cfg, cfg.noise.seed)
         window = 100
-        for lo in range(cfg.n_frames - window + 1):
-            hi = lo + window
-            fraction = ctx.truth.occupied_fraction(hi - 1)
-            got = cbe_fit(ctx.gram[lo:hi, lo:hi], cfg.n_bins, fraction)
-            want = cbe_estimate(ctx.block.window(lo, hi), fraction)
-            for key in ("sigma_min_sq", "sigma_max_sq"):
-                assert got.diagnostics[key] == pytest.approx(want.diagnostics[key], rel=1e-12)
-            assert got.value_mw == pytest.approx(want.value_mw, rel=1e-12)
+        fractions = [ctx.truth.occupied_fraction(hi - 1) for hi in range(window, cfg.n_frames + 1)]
+        values, grids, _ = cbe_fit_windows(ctx.gram, cfg.n_bins, window,
+                                           np.array([round(window * f) for f in fractions]))
+        for lo, fraction in enumerate(fractions):
+            want = cbe_estimate(ctx.block.window(lo, lo + window), fraction)
+            assert grids[lo, 0] == pytest.approx(want.diagnostics["sigma_min_sq"], rel=1e-12)
+            assert grids[lo, -1] == pytest.approx(want.diagnostics["sigma_max_sq"], rel=1e-12)
+            assert values[lo] == pytest.approx(want.value_mw, rel=1e-12)
 
     @pytest.mark.parametrize("separation", ["ideal", "fisher", "rof"])
     def test_mvu_sums_match_list_form(self, separation):
@@ -245,7 +245,7 @@ class TestRunScenario:
         assert not any(v.dtype.kind == "c" or np.shares_memory(v, spectral) for v in held)
 
     def test_mmse_slices_match_window_blocks(self):
-        from noisebench import mmse_estimate, mmse_fit
+        from noisebench import mmse_estimate, mmse_fit_windows
         from noisebench.bench import _evaluate_method, _SeedContext
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
@@ -256,10 +256,13 @@ class TestRunScenario:
         np.testing.assert_array_equal(series.frame_index, np.arange(window - 1, cfg.n_frames))
         for lo in range(cfg.n_frames - window + 1):
             hi = lo + window
-            got = mmse_fit(ctx.block.spectral[lo:hi])
+            values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
+                ctx.block.spectral[lo:hi], window)
             want = mmse_estimate(ctx.block.window(lo, hi))
-            assert got.value_mw == want.value_mw
-            assert got.diagnostics == want.diagnostics
+            assert values.tolist() == [want.value_mw]
+            assert want.diagnostics == {
+                "raw_weight_sum": weight_sums[0], "weight_max": weight_maxes[0],
+                "system_residual": residuals[0], "blind": True}
             assert series.noise_power_est_mw[lo] == pytest.approx(want.value_mw, rel=1e-12)
 
     def test_batched_rof_masks_match_single_windows(self):
@@ -332,13 +335,69 @@ class TestRunScenario:
             from_truth.noise_power_est_mw[0], rel=0.15)
         # The fraction is AIC's order over the window's averaged periodogram.
         from noisebench.bench import _SeedContext
-        from noisebench.estimators import cbe_fit
+        from noisebench.estimators import cbe_fit_windows
         ctx = _SeedContext(cfg, 12)
         for i, f in enumerate(from_aic.frame_index):
             window = ctx.power[f - 99:f + 1]
             n_min = aic_estimate(PowerSpectrum(window.mean(axis=0), f), 100).diagnostics["n_min"]
-            want = cbe_fit(ctx.gram[f - 99:f + 1, f - 99:f + 1], cfg.n_bins, n_min / cfg.n_bins)
-            assert from_aic.noise_power_est_mw[i] == want.value_mw
+            s = int(round(100 * (n_min / cfg.n_bins)))
+            want = cbe_fit_windows(ctx.gram[f - 99:f + 1, f - 99:f + 1], cfg.n_bins, 100,
+                                   np.array([s]))[0]
+            assert from_aic.noise_power_est_mw[i] == want[0]
+
+    def test_cbe_signal_counts(self):
+        # One S = round(window * fraction) per window, from the method's
+        # explicit fraction, from ground truth at the window's last frame, or
+        # from AIC's order over the window's averaged spectrum.
+        from noisebench.bench import _SeedContext, _signal_counts
+        cfg = reference_config(seed=12, n_frames=110)
+        ctx = _SeedContext(cfg, 12)
+        frames = np.arange(99, 110)
+        explicit = _signal_counts(MethodSpec("CBE", params={"occupied_fraction": 0.3}),
+                                  ctx, frames, 100)
+        assert explicit.tolist() == [30] * 11
+        truth = _signal_counts(MethodSpec("CBE"), ctx, frames, 100)
+        assert truth.tolist() == [round(100 * ctx.truth.occupied_fraction(f)) for f in frames]
+        aic = _signal_counts(MethodSpec("CBE", params={"occupancy_from": "aic"}), ctx, frames, 100)
+        for f, s in zip(frames, aic):
+            n_min = aic_estimate(PowerSpectrum(ctx.power[f - 99:f + 1].mean(axis=0), f),
+                                 100).diagnostics["n_min"]
+            assert s == round(100 * (n_min / cfg.n_bins))
+        for fraction in (1.0, -0.25):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
+                _signal_counts(MethodSpec("CBE", params={"occupied_fraction": fraction}),
+                               ctx, frames, 100)
+
+    def test_full_occupancy_is_an_empty_noise_group(self):
+        # Ground truth marks every bin as signal, so S = window leaves CBE no
+        # noise eigenvalue: a data error, not a configuration error.
+        from noisebench import EmptyNoiseGroupError, ScenarioConfig, NoiseSource, SubbandSignal
+        cfg = ScenarioConfig(
+            n_bins=64, n_frames=30, noise=NoiseSource(seed=3),
+            signals=tuple(SubbandSignal(subband_index=i, occupancy_fraction=1.0,
+                                        target_snr_db=0.0) for i in range(4)),
+        )
+        with pytest.raises(EmptyNoiseGroupError, match="S=20 .* no noise group"):
+            run_scenario(cfg, [MethodSpec("CBE", params={"window_frames": 20})], [3])
+
+    def test_engine_builds_no_estimate_objects(self, monkeypatch):
+        # The nine default methods run on array engines end to end; only the
+        # one-block *_estimate wrappers build NoisePowerEstimate objects.
+        from noisebench.cli import _DEFAULT_METHODS, _parse_method
+        from noisebench.estimators import NoisePowerEstimate
+        from noisebench.scenario import scenario_config_from_file
+        built = []
+        original = NoisePowerEstimate.__post_init__
+
+        def counted(self):
+            built.append(self.method)
+            original(self)
+
+        monkeypatch.setattr(NoisePowerEstimate, "__post_init__", counted)
+        cfg = scenario_config_from_file(CONFIG)
+        series = run_scenario(cfg, [_parse_method(m) for m in _DEFAULT_METHODS], [0])
+        assert len(series) == 9
+        assert built == []
 
 
 class TestStepResponse:

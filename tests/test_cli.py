@@ -164,6 +164,37 @@ class TestRun:
                    "--method", method.replace("ideal", "fisher")])
         assert rc == 0
 
+    @pytest.mark.parametrize("method, message", [
+        ("CBE", "error: S=100 signal eigenvalues leave no noise group (M=100)"),
+        ("MVU:ideal", "error: mask classifies every bin as signal"),
+    ])
+    def test_full_occupancy_exits_3(self, tmp_path, capsys, method, message):
+        # A valid config whose four signals cover every bin: ground truth
+        # leaves no noise bin, so every method that reads it meets bad data.
+        signals = [{"subband_index": i, "occupancy_fraction": 1.0, "target_snr_db": 0.0}
+                   for i in range(4)]
+        config = tmp_path / "full.json"
+        config.write_text(json.dumps({
+            "name": "full-occupancy", "n_bins": 128, "n_frames": 110,
+            "noise": {"kind": "white-gaussian", "seed": 3}, "signals": signals,
+        }))
+        rc = main(["run", "--config", str(config), "--out", str(tmp_path / "r"),
+                   "--method", method])
+        assert rc == 3
+        assert capsys.readouterr().err.strip() == message
+
+    @pytest.mark.parametrize("fraction", [1.0, -0.1])
+    def test_explicit_occupied_fraction_out_of_range_exits_2(self, small_config, tmp_path,
+                                                             capsys, monkeypatch, fraction):
+        # The CLI has no flag for method parameters, so the parsed method is swapped in.
+        from noisebench import cli
+        monkeypatch.setattr(cli, "_parse_method", lambda text: bench.MethodSpec(
+            "CBE", params={"occupied_fraction": fraction, "window_frames": 20}))
+        rc = main(["run", "--config", str(small_config), "--out", str(tmp_path / "r"),
+                   "--method", "CBE"])
+        assert rc == 2
+        assert capsys.readouterr().err.strip() == "error: occupied_fraction must lie in [0, 1)"
+
     @pytest.mark.parametrize("method", ["ML:ideal", "ML:fisher"])
     def test_zero_power_frame_under_ml(self, tmp_path, capsys, method):
         # A silent third frame: every separation leaves noise bins of zero

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisebench import (
-    EigenSpectrum,
     NoiseSource,
     PowerSpectrum,
     ResourceBlock,
@@ -24,16 +23,16 @@ from noisebench import (
     aic_fit_rows,
     build_scenario,
     cbe_estimate,
+    cbe_fit_windows,
     covariance_eigenvalues,
     ideal_separate,
     ml_estimate,
     ml_fit_frames,
     mmse_estimate,
-    mmse_fit,
     mmse_fit_windows,
     mp_cdf,
     mvu_estimate,
-    mvu_fit,
+    mvu_fit_rows,
     mvu_fit_windows,
     power_matrix,
     snr_db_from_powers,
@@ -42,9 +41,9 @@ from noisebench import (
 from noisebench import estimators
 from noisebench.bench import MethodSpec, _counting_power, count_ops
 from noisebench.errors import DegenerateSpectrumError, EmptyNoiseGroupError
-from noisebench.scenario import scenario_config_from_file, with_seed
+from noisebench.scenario import scenario_config_from_dict, scenario_config_from_file, with_seed
 
-from conftest import mmse_fit_per_window, reference_config, white_frame
+from conftest import cbe_fit_naive, mmse_fit_per_window, reference_config, white_frame
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
@@ -142,19 +141,21 @@ class TestMvuEstimate:
         masks = [mask_of(rng.random(16) < 0.3) for _ in range(5)]
         sums = [float(p.power[m.noise_bins].sum()) for p, m in zip(powers, masks)]
         counts = [int(m.noise_bins.sum()) for m in masks]
-        got = mvu_fit(sums, counts, frame_index=4, separation="ideal")
+        got = mvu_fit_windows(sums, counts, 5)
         want = mvu_estimate(powers, masks)
-        assert got.value_mw == want.value_mw
-        assert got.diagnostics == want.diagnostics
-        assert got.frame_index == want.frame_index
+        assert got.tolist() == [want.value_mw]
+        assert want.diagnostics == {"noise_bin_count": sum(counts), "separation": "ideal"}
+        assert want.frame_index == 4
 
     def test_fit_rejects_misaligned_or_empty(self):
         with pytest.raises(ValueError, match="aligned"):
-            mvu_fit([1.0, 2.0], [3])
+            mvu_fit_windows([1.0, 2.0], [3], 1)
         with pytest.raises(ValueError, match="aligned"):
-            mvu_fit([], [])
+            mvu_fit_windows([], [], 1)
+        with pytest.raises(ValueError, match="aligned"):
+            mvu_estimate([], [])
         with pytest.raises(EmptyNoiseGroupError):
-            mvu_fit([0.0], [0])
+            mvu_fit_windows([0.0], [0], 1)
 
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)
@@ -172,7 +173,8 @@ class TestMvuEstimate:
                 total += float(frame_sum)
                 count += int(frame_count)
             assert value == total / count
-            assert value == mvu_fit(sums[j:j + window], counts[j:j + window]).value_mw
+            assert value == mvu_fit_windows(sums[j:j + window], counts[j:j + window], window)[0]
+            assert value == mvu_fit_rows(sums[None, j:j + window], counts[None, j:j + window])[0]
 
     def test_windows_guards_in_window_order(self):
         with pytest.raises(ValueError, match="does not fit"):
@@ -181,6 +183,13 @@ class TestMvuEstimate:
             mvu_fit_windows(np.array([1.0, 0.0, 0.0, 1.0]), np.array([2, 2, 2, 2]), 2)
         with pytest.raises(EmptyNoiseGroupError):
             mvu_fit_windows(np.array([1.0, 0.0, 0.0, 0.0]), np.array([2, 0, 0, 2]), 2)
+
+    def test_rows_guards_in_row_order(self):
+        sums = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
+        with pytest.raises(ZeroPowerError, match="mvu: .* got 0.0"):
+            mvu_fit_rows(sums, np.array([[1, 1], [1, 1], [0, 0]]))
+        with pytest.raises(EmptyNoiseGroupError):
+            mvu_fit_rows(sums, np.array([[1, 1], [0, 0], [1, 1]]))
 
     def test_stability_gain_over_ml(self):
         # Block averaging shrinks the spread by about sqrt(M) = 10.
@@ -312,17 +321,17 @@ class TestCovarianceEigenvalues:
         row = np.full(8, 2.0, dtype=complex)
         block = ResourceBlock(np.stack([row, row]))
         eig = covariance_eigenvalues(block)
-        assert eig.eigenvalues[1] == pytest.approx(0.0, abs=1e-12)
+        assert eig[1] == pytest.approx(0.0, abs=1e-12)
         # trace identity fixes the scale of the single non-zero eigenvalue
         x = block.spectral_matrix() / np.sqrt(8)
-        assert eig.eigenvalues.sum() == pytest.approx(
+        assert eig.sum() == pytest.approx(
             np.sum(np.abs(x) ** 2) / 8, rel=1e-9)
 
     def test_orthogonal_equal_norm_rows(self):
         bins_a = np.array([1, 1, 1, 1], dtype=complex)
         bins_b = np.array([1, -1, 1, -1], dtype=complex)
         block = ResourceBlock(np.stack([bins_a, bins_b]))
-        ev = covariance_eigenvalues(block).eigenvalues
+        ev = covariance_eigenvalues(block)
         assert ev[0] == pytest.approx(ev[1], rel=1e-12)
 
     @given(st.integers(0, 200))
@@ -333,7 +342,7 @@ class TestCovarianceEigenvalues:
         block = white_block(seed, n_frames=m, n_bins=n)
         eig = covariance_eigenvalues(block)
         x = block.spectral_matrix() / np.sqrt(n)
-        assert eig.eigenvalues.sum() == pytest.approx(
+        assert eig.sum() == pytest.approx(
             np.sum(np.abs(x) ** 2) / n, rel=1e-9)
 
     def test_white_noise_spread_matches_mp_support(self):
@@ -345,14 +354,21 @@ class TestCovarianceEigenvalues:
         mins, maxs = [], []
         for seed in range(30):
             eig = covariance_eigenvalues(white_block(seed, n_frames=64))
-            mins.append(eig.eigenvalues[-1])
-            maxs.append(eig.eigenvalues[0])
+            mins.append(eig[-1])
+            maxs.append(eig[0])
         assert np.mean(mins) / a == pytest.approx(1.054, abs=0.02)
         assert np.mean(maxs) / b == pytest.approx(0.968, abs=0.02)
 
-    def test_descending_invariant(self):
-        with pytest.raises(ValueError, match="descending"):
-            EigenSpectrum(eigenvalues=np.array([1.0, 2.0]), n_frames=2, n_bins=4)
+    def test_descending_and_clipped(self):
+        ev = covariance_eigenvalues(white_block(3, n_frames=8, n_bins=32))
+        assert ev.shape == (8,)
+        assert (np.diff(ev) <= 0).all() and ev[-1] >= 0.0
+
+    def test_shape_guards(self):
+        with pytest.raises(ValueError, match="at least 2 frames"):
+            covariance_eigenvalues(white_block(3, n_frames=1, n_bins=8))
+        with pytest.raises(ValueError, match="aspect ratio"):
+            covariance_eigenvalues(white_block(3, n_frames=9, n_bins=8))
 
 
 class TestMpCdf:
@@ -423,6 +439,11 @@ class TestCbeEstimate:
         block = white_block(1, n_frames=8, n_bins=32)
         with pytest.raises(ValueError, match="noise group"):
             cbe_estimate(block, 0.99)
+        with pytest.raises(EmptyNoiseGroupError):
+            cbe_estimate(block, 0.99)
+        for fraction in (1.0, -0.1):
+            with pytest.raises(ValueError, match=r"occupied_fraction must lie in \[0, 1\)"):
+                cbe_estimate(block, fraction)
 
     def test_diagnostics_carry_fit_curve(self):
         est = cbe_estimate(white_block(2, n_frames=16, n_bins=64), 0.0, grid_size=40)
@@ -430,6 +451,107 @@ class TestCbeEstimate:
         assert est.diagnostics["grid"].shape == (40,)
         best = int(np.argmin(est.diagnostics["distances"]))
         assert est.value_mw == est.diagnostics["grid"][best]
+
+
+def _truth_counts(truth, frames, window: int) -> list[int]:
+    """Per-window S the way the parent's bench took it: one frame's fraction at a time."""
+    return [int(round(window * truth.occupied_fraction(int(f)))) for f in frames]
+
+
+def _assert_matches_naive(gram, n_bins, window, counts, grid_size=100):
+    values, grids, distances = cbe_fit_windows(gram, n_bins, window, np.array(counts),
+                                               grid_size)
+    assert values.shape == (len(counts),)
+    assert grids.shape == distances.shape == (len(counts), grid_size)
+    collapsed = 0
+    for j, s in enumerate(counts):
+        want = cbe_fit_naive(gram[j:j + window, j:j + window], n_bins, s, grid_size)
+        assert values[j] == want.value_mw
+        assert (grids[j, 0], grids[j, -1]) == (want.grid[0], want.grid[-1])
+        assert values[j] == grids[j, np.argmin(distances[j])]
+        collapsed += want.grid.size == 1
+    return collapsed
+
+
+class TestCbeFitWindows:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_reference_seeds_match_naive(self, seed):
+        cfg = with_seed(scenario_config_from_file(CONFIG), seed)
+        block, truth = build_scenario(cfg)
+        frames = np.arange(99, cfg.n_frames)
+        _assert_matches_naive(estimators.sample_covariance(block), cfg.n_bins, 100,
+                              _truth_counts(truth, frames, 100))
+
+    def test_signal_stopping_mid_run_matches_naive(self):
+        # The transmitter stops at frame 170: S is 25 for the windows ending
+        # before it and 0 after, and the fit follows the change window by window.
+        data = {"name": "stop", "n_bins": 512, "n_frames": 250,
+                "noise": {"kind": "white-gaussian", "seed": 5},
+                "signals": [{"subband_index": 2, "occupancy_fraction": 1.0,
+                             "target_snr_db": 0.0, "frame_end": 170}]}
+        cfg = scenario_config_from_dict(data)
+        block, truth = build_scenario(cfg)
+        counts = _truth_counts(truth, np.arange(99, 250), 100)
+        assert counts[0] == 25 and counts[-1] == 0 and len(set(counts)) == 2
+        _assert_matches_naive(estimators.sample_covariance(block), 512, 100, counts)
+
+    def test_collapsed_range_matches_naive(self, monkeypatch):
+        # Half the asymptotic edge as the finite-size offset puts the lower end
+        # of the range above the upper one whenever a single noise eigenvalue
+        # is left, so those windows fit a collapsed range.
+        monkeypatch.setattr(estimators, "_mp_edge_offset",
+                            lambda m, n: -0.5 * (1.0 - np.sqrt(m / n)) ** 2)
+        gram = estimators.sample_covariance(white_block(21, n_frames=40, n_bins=128))
+        counts = [15 if j % 3 else 0 for j in range(25)]
+        collapsed = _assert_matches_naive(gram, 128, 16, counts, grid_size=30)
+        assert collapsed == counts.count(15)
+        values, grids, _ = cbe_fit_windows(gram, 128, 16, np.array(counts), 30)
+        assert (grids[1] == values[1]).all()
+
+    def test_aic_occupancy_matches_naive(self):
+        from noisebench.bench import MethodSpec, run_scenario
+        cfg = scenario_config_from_file(CONFIG)
+        block, _ = build_scenario(cfg)
+        power = power_matrix(block)
+        gram = estimators.sample_covariance(block)
+        series = run_scenario(cfg, [MethodSpec("CBE", params={"occupancy_from": "aic"})],
+                              [cfg.noise.seed])[0]
+        for f, value in zip(series.frame_index, series.noise_power_est_mw):
+            avg = spectrum(power[f - 99:f + 1].mean(axis=0), f)
+            s = int(round(100 * aic_estimate(avg, 100).diagnostics["n_min"] / cfg.n_bins))
+            assert value == cbe_fit_naive(gram[f - 99:f + 1, f - 99:f + 1], cfg.n_bins, s).value_mw
+
+    def test_guards_in_window_order(self):
+        # Frames 6..9 are silent, so window 6 (rows 6..9) has only zero
+        # eigenvalues; windows 0..2 hold no silent frame.
+        spectral = white_block(22, n_frames=12, n_bins=32).spectral.copy()
+        spectral[6:10] = 0.0
+        gram = estimators.sample_covariance(ResourceBlock(spectral))
+        counts = np.zeros(9, dtype=np.int64)
+        counts[7] = 4
+        with pytest.raises(ZeroPowerError, match="smallest eigenvalue is zero"):
+            cbe_fit_windows(gram, 32, 4, counts)
+        counts[2] = 4
+        with pytest.raises(EmptyNoiseGroupError, match="S=4 .* no noise group"):
+            cbe_fit_windows(gram, 32, 4, counts)
+        values = cbe_fit_windows(gram[:6, :6], 32, 4, np.zeros(3, dtype=np.int64))[0]
+        assert (values > 0).all()
+
+    def test_shape_and_count_guards(self):
+        gram = estimators.sample_covariance(white_block(23, n_frames=10, n_bins=16))
+        with pytest.raises(ZeroPowerError, match="square"):
+            cbe_fit_windows(gram[:8, :8], 8, 8, np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="grid_size"):
+            cbe_fit_windows(gram, 16, 4, np.zeros(7, dtype=np.int64), grid_size=1)
+        with pytest.raises(ValueError, match="aspect ratio"):
+            cbe_fit_windows(gram, 3, 4, np.zeros(7, dtype=np.int64))
+        with pytest.raises(ValueError, match="does not fit"):
+            cbe_fit_windows(gram[:3, :3], 16, 4, np.zeros(0, dtype=np.int64))
+        for counts in (np.zeros(6, dtype=np.int64), np.full(7, -1), np.zeros(7)):
+            with pytest.raises(ValueError, match="one non-negative integer signal count"):
+                cbe_fit_windows(gram, 16, 4, counts)
+        with pytest.raises(ValueError, match="below"):
+            cbe_fit_windows(-np.eye(4), 16, 4, np.zeros(1, dtype=np.int64))
 
 
 class TestMmseEstimate:
@@ -480,11 +602,17 @@ class TestMmseEstimate:
 
     def test_fit_on_matrix_matches_block(self):
         block = white_block(6, n_frames=30, n_bins=64)
-        got = mmse_fit(block.spectral_matrix(), frame_index=29)
+        values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
+            block.spectral_matrix(), 30)
+        for blind in (True, False):
+            want = mmse_estimate(block, blind=blind)
+            assert want.frame_index == 29
+            assert want.diagnostics["blind"] is blind
         want = mmse_estimate(block)
-        assert got.value_mw == want.value_mw
-        assert got.diagnostics == want.diagnostics
-        assert got.frame_index == want.frame_index == 29
+        assert values.tolist() == [want.value_mw]
+        assert want.diagnostics == {
+            "raw_weight_sum": weight_sums[0], "weight_max": weight_maxes[0],
+            "system_residual": residuals[0], "blind": True}
 
 
 def _oracle_windows(spectral: np.ndarray, window: int, blind: bool):
@@ -541,18 +669,15 @@ class TestMmseFitWindows:
             monkeypatch.setattr(estimators, "MMSE_CHUNK", chunk)
         spectral, want, error = mmse_oracle_cases[case, blind]
         assert want, "the oracle fails on the first window"
-        got = mmse_fit_windows(spectral[:len(want) + 99], 100, blind=blind)
-        assert len(got) == len(want)
-        for lo, (g, w) in enumerate(zip(got, want)):
-            assert g.frame_index == lo + 99
-            assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
-            assert g.diagnostics["raw_weight_sum"] == pytest.approx(
-                w.diagnostics["raw_weight_sum"], rel=1e-12)
+        values, weight_sums, _, residuals = mmse_fit_windows(spectral[:len(want) + 99], 100,
+                                                             blind=blind)
+        assert len(values) == len(want)
+        for lo, w in enumerate(want):
+            assert values[lo] == pytest.approx(w.value_mw, rel=1e-12)
+            assert weight_sums[lo] == pytest.approx(w.diagnostics["raw_weight_sum"], rel=1e-12)
             # The residual is itself a norm ratio at round-off level (~1e-16),
             # so it is compared absolutely.
-            assert g.diagnostics["system_residual"] == pytest.approx(
-                w.diagnostics["system_residual"], abs=1e-12)
-            assert g.diagnostics["blind"] is blind
+            assert residuals[lo] == pytest.approx(w.diagnostics["system_residual"], abs=1e-12)
         if error is None:
             assert len(want) == spectral.shape[0] - 99
         else:
@@ -585,9 +710,9 @@ class TestMmseFitWindows:
         else:
             spectral[start:] = spectral[start]
         want, error = _oracle_windows(spectral, window, blind=True)
-        got = mmse_fit_windows(spectral[:len(want) + window - 1], window)
+        got = mmse_fit_windows(spectral[:len(want) + window - 1], window)[0]
         for g, w in zip(got, want):
-            assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
+            assert g == pytest.approx(w.value_mw, rel=1e-12)
         if repeated == "dyadic":
             assert len(want) == start
             assert "all-zero residual" in str(error)
@@ -616,15 +741,15 @@ class TestMmseFitWindows:
 
         monkeypatch.setattr(estimators, "_pcg_toeplitz", first_window_unconverged)
         monkeypatch.setattr(estimators, "_try_toeplitz", first_attempt_fails)
-        got = mmse_fit_windows(spectral, 20)
+        got = mmse_fit_windows(spectral, 20)[0]
         # Only window 0 goes to Levinson; its first attempt fails and the ridge retry solves it.
         assert diagonals == pytest.approx([2.0, 2.0 + 1e-6], rel=1e-12)
         diagonals.clear()
         ridge = mmse_fit_per_window(spectral[:20])  # its first attempt fails as well
-        assert got[0].value_mw == pytest.approx(ridge.value_mw, rel=1e-12)
-        assert got[0].value_mw != pytest.approx(plain[0].value_mw, rel=1e-9)
+        assert got[0] == pytest.approx(ridge.value_mw, rel=1e-12)
+        assert got[0] != pytest.approx(plain[0].value_mw, rel=1e-9)
         for g, w in zip(got[1:], plain[1:]):
-            assert g.value_mw == pytest.approx(w.value_mw, rel=1e-12)
+            assert g == pytest.approx(w.value_mw, rel=1e-12)
 
     def test_singular_after_ridge_is_a_data_error(self, monkeypatch):
         spectral = white_block(11, n_frames=12, n_bins=32).spectral
@@ -666,11 +791,14 @@ class TestMmseFitWindows:
 
         monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 1)
         monkeypatch.setattr(estimators, "_try_toeplitz", counted)
-        got = mmse_fit_windows(spectral, 100, blind=blind)
-        assert len(calls) == len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.value_mw == w.value_mw
-            assert g.diagnostics == w.diagnostics
+        values, weight_sums, weight_maxes, residuals = mmse_fit_windows(spectral, 100,
+                                                                        blind=blind)
+        assert len(calls) == len(values) == len(want)
+        for j, w in enumerate(want):
+            assert values[j] == w.value_mw
+            assert w.diagnostics == {
+                "raw_weight_sum": weight_sums[j], "weight_max": weight_maxes[j],
+                "system_residual": residuals[j], "blind": blind}
 
     def test_window_bounds(self):
         spectral = white_block(10, n_frames=8, n_bins=16).spectral
@@ -678,7 +806,7 @@ class TestMmseFitWindows:
             mmse_fit_windows(spectral, 2)
         with pytest.raises(ValueError, match="does not fit"):
             mmse_fit_windows(spectral, 9)
-        assert len(mmse_fit_windows(spectral, 8)) == 1
+        assert [len(column) for column in mmse_fit_windows(spectral, 8)] == [1, 1, 1, 1]
 
 
 class TestSnrFromPowers:
