@@ -342,7 +342,10 @@ def run_scenario(config: ScenarioConfig, methods: list[MethodSpec],
     Seeds run one after another and results are ordered by (seed, method)
     position.  Threads do not pay here: the per-seed work is many small
     numpy calls that hold the interpreter lock, and a seed pool ran the
-    reference matrix slower than a serial loop on a two-core machine.
+    reference matrix slower than a serial loop on a two-core machine.  A
+    second BLAS thread does not pay either, so ``noisebench`` calls run
+    numpy's OpenBLAS on one thread (``cli.main``); called directly, this
+    function uses whatever BLAS thread count the caller has set.
     """
     return _run_seeds(config, methods, seeds)[0]
 

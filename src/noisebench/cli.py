@@ -12,6 +12,9 @@ Exit codes: 0 success, 2 usage or configuration error, 3 degenerate data,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
 import sys
 from pathlib import Path
@@ -284,11 +287,72 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Thread-count accessors of OpenBLAS builds, in the order they are tried:
+# numpy's bundled scipy-openblas (ILP64), then a system OpenBLAS, ILP64 or not.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """(get, set) of the thread count of the OpenBLAS numpy loaded, or None.
+
+    Resolved on the first call, from the libraries mapped into the process,
+    never at import.  None where no OpenBLAS symbol resolves (MKL,
+    Accelerate, or no /proc).  scipy's own OpenBLAS exports none of these
+    symbols, so it is left alone.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    libraries = []
+    for path in paths:
+        try:
+            libraries.append(ctypes.CDLL(path))
+        except OSError:
+            continue
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        for library in libraries:
+            get = getattr(library, get_name, None)
+            set_ = getattr(library, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                set_.argtypes, set_.restype = (ctypes.c_int,), None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the caller's count.
+
+    The program's BLAS calls (CBE's Gram matrix and eigensolves) gain nothing
+    from a second thread, and give the same results on one.
+    """
+    functions = _openblas_thread_functions()
+    if functions is None:
+        yield
+        return
+    get, set_ = functions
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except _DATA_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR

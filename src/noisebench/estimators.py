@@ -21,7 +21,6 @@ from functools import lru_cache
 from typing import Any
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateSpectrumError, EmptyNoiseGroupError, ZeroPowerError
 from .separation import SeparationMask
@@ -582,6 +581,10 @@ def _solve_mmse_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _try_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
+    # Imported here: no workload reaches this fallback, and scipy.linalg would
+    # otherwise dominate the package's import time.
+    import scipy.linalg
+
     try:
         w = scipy.linalg.solve_toeplitz((column, column), rhs)
     except np.linalg.LinAlgError:

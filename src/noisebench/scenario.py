@@ -271,10 +271,42 @@ def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: 
     return rescale_to_power(_hand_over(base, sample_rate_hz), power_mw)
 
 
-def _one_pole_lowpass(x: np.ndarray, rho: float) -> np.ndarray:
-    from scipy.signal import lfilter
+_LOWPASS_BLOCK = 32
 
-    return lfilter([1.0], [1.0, -rho], x)
+
+def _one_pole_lowpass(x: np.ndarray, rho: float) -> np.ndarray:
+    """y[n] = x[n] + rho y[n-1] from rest: scipy's lfilter([1], [1, -rho], x) to rounding."""
+    filtered = _one_pole_rows(np.stack([x.real, x.imag]), rho)
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real, out.imag = filtered
+    return out
+
+
+def _one_pole_rows(x: np.ndarray, rho: float) -> np.ndarray:
+    """The one-pole recursion along each row of ``x``, in blocks of ``_LOWPASS_BLOCK``.
+
+    Each block is filtered from rest by one lower-triangular matmul.  The
+    output at each block's end then obeys the same recursion across blocks
+    with pole rho^B, which this function solves on itself, and block b adds
+    rho^(k+1) times block b-1's end at its sample k.
+    """
+    m, n = x.shape
+    b = min(n, _LOWPASS_BLOCK)
+    powers = rho ** np.arange(b + 1)
+    # Subnormal powers (rho^B for small rho, one level down) change no output
+    # but slow the matmul many times over.
+    powers[powers < np.finfo(np.float64).tiny] = 0.0
+    lags = np.arange(b)[:, None] - np.arange(b)
+    lower = np.where(lags >= 0, powers[np.abs(lags)], 0.0)
+    if n <= b:
+        return x @ lower.T
+    n_blocks = -(-n // b)
+    padded = np.zeros((m, n_blocks * b))
+    padded[:, :n] = x
+    local = (padded.reshape(m * n_blocks, b) @ lower.T).reshape(m, n_blocks, b)
+    ends = _one_pole_rows(local[:, :, -1], rho ** b)
+    local[:, 1:, :] += ends[:, :-1, None] * powers[1:]
+    return local.reshape(m, n_blocks * b)[:, :n]
 
 
 def amplitude_for_snr(target_snr_db: float, noise_power_mw: float,

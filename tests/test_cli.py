@@ -1,13 +1,20 @@
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisebench import (ComplexSeries, ZeroPowerError, bench, estimators, load_iq_trace,
+from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, estimators, load_iq_trace,
                         scenario_config_from_dict, write_iq_trace)
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -383,3 +390,71 @@ class TestSampleConfig:
         cfg = scenario_config_from_file("configs/ism_benchmark.json")
         assert cfg.n_bins == 512
         assert cfg.signals[0].target_snr_db == 0.0
+
+
+@pytest.fixture
+def blas_threads():
+    """Reader of numpy's OpenBLAS thread count, set to 2 for the test and restored after."""
+    functions = cli._openblas_thread_functions()
+    if functions is None:
+        pytest.skip("no OpenBLAS thread-count symbol resolves in this numpy")
+    get, set_ = functions
+    original = get()
+    set_(2)
+    try:
+        yield get
+    finally:
+        set_(original)
+
+
+class TestBlasPin:
+    def test_run_computes_on_one_thread_and_restores(self, small_config, tmp_path,
+                                                     blas_threads, monkeypatch):
+        seen = []
+        fit = estimators.cbe_fit_windows
+
+        def recording_fit(*args, **kwargs):
+            seen.append(blas_threads())
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "cbe_fit_windows", recording_fit)
+        before = blas_threads()
+        assert main(["run", "--config", str(small_config), "--out", str(tmp_path / "r")]) == 0
+        assert seen == [1]
+        assert blas_threads() == before
+
+    def test_exit_3_restores(self, small_config, tmp_path, capsys, blas_threads, monkeypatch):
+        seen = []
+
+        def failing_toeplitz(column, rhs):
+            seen.append(blas_threads())
+            return None
+
+        monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 0)
+        monkeypatch.setattr(estimators, "_try_toeplitz", failing_toeplitz)
+        before = blas_threads()
+        rc = main(["run", "--config", str(small_config), "--out", str(tmp_path / "r"),
+                   "--method", "MMSE"])
+        assert rc == 3
+        assert "singular even after ridge" in capsys.readouterr().err
+        assert seen and set(seen) == {1}
+        assert blas_threads() == before
+
+    def test_outputs_match_unpinned_run(self, tmp_path, blas_threads, monkeypatch):
+        argv = ["run", "--config", str(ROOT / "configs" / "ism_benchmark.json"),
+                "--seeds", "0,1", "--out"]
+        assert main(argv + [str(tmp_path / "pinned")]) == 0
+        monkeypatch.setattr(cli, "_one_blas_thread", contextlib.nullcontext)
+        assert main(argv + [str(tmp_path / "free")]) == 0
+        for name in ("series.csv", "report.csv"):
+            assert ((tmp_path / "pinned" / name).read_bytes()
+                    == (tmp_path / "free" / name).read_bytes())
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = ("import sys, noisebench.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

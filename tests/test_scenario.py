@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import signal, stats
 
 from noisebench import (
     InsufficientSamplesError,
@@ -29,7 +29,8 @@ from noisebench import (
     synth_white_noise,
     write_iq_trace,
 )
-from noisebench.scenario import amplitude_mv_to_sqrt_mw, time_series_of
+from noisebench.scenario import (_LOWPASS_BLOCK, _one_pole_lowpass, amplitude_mv_to_sqrt_mw,
+                                 time_series_of)
 from noisebench.spectral import ComplexSeries, SpectralFrame
 
 from conftest import build_scenario_per_frame, reference_config
@@ -137,6 +138,19 @@ class TestSynthNoise:
         a = synth_industrial_noise(1024, params, 1.0, seed=3)
         b = synth_industrial_noise(1024, params, 1.0, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+class TestOnePoleLowpass:
+    @pytest.mark.parametrize("rho", [0.15, 0.5, 0.95])
+    @pytest.mark.parametrize("length", [1, _LOWPASS_BLOCK - 1, 1000, 40_003])
+    def test_matches_lfilter(self, rho, length):
+        # 1000 is no multiple of the block; 40_003 nests the carry recursion.
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        expected = signal.lfilter([1.0], [1.0, -rho], x)
+        got = _one_pole_lowpass(x, rho)
+        assert got.shape == expected.shape
+        assert np.max(np.abs(got - expected)) <= 1e-15 * np.max(np.abs(expected))
 
 
 class TestAmplitudeForSnr:
