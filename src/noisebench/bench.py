@@ -589,41 +589,38 @@ REPORT_COLUMNS = (
 )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, float):
-        return "%.9g" % value
-    return str(value)
+# One format per table: strings as they are, integers with %d, floats with
+# %.9g (so inf, -inf and nan print as such).
+_SERIES_ROW = "%s,%d,%s,%s,%d,%.9g,%.9g,%.9g,%.9g\n"
+_REPORT_ROW = "%s,%s,%s,%d,%.9g,%.9g,%.9g,%d,%d,%d,%d,%.9g\n"
 
 
 def write_series_csv(path: str | Path, series: list[EstimateSeries]) -> None:
     """Per-frame series rows, sorted by (method, separation, seed, frame)."""
-    rows = []
+    lines = []
     for s in sorted(series, key=lambda s: (s.method, s.separation, s.seed)):
-        for i in range(len(s)):
-            rows.append((
-                s.scenario_id, s.seed, s.method, s.separation, int(s.frame_index[i]),
-                float(s.noise_power_est_mw[i]), float(s.noise_power_true_mw[i]),
-                float(s.snr_est_db[i]), float(s.snr_true_db[i]),
-            ))
-    _write_csv(path, SERIES_COLUMNS, rows)
+        head = (s.scenario_id, s.seed, s.method, s.separation)
+        lines.extend(_SERIES_ROW % (head + row) for row in zip(
+            s.frame_index.tolist(), s.noise_power_est_mw.tolist(),
+            s.noise_power_true_mw.tolist(), s.snr_est_db.tolist(), s.snr_true_db.tolist(),
+        ))
+    _write_csv(path, SERIES_COLUMNS, lines)
 
 
 def write_report_csv(path: str | Path, reports: list[BenchmarkReport]) -> None:
     """Aggregated report rows, sorted by (method, separation)."""
-    rows = []
-    for r in sorted(reports, key=lambda r: (r.method, r.separation)):
-        rows.append((
+    lines = [
+        _REPORT_ROW % (
             r.scenario_id, r.method, r.separation, r.seed_count, r.rmse_db,
             r.std_dev_db, r.mean_bias_db, r.ops.adds, r.ops.muls, r.ops.cmps,
             r.ops.transcendental, r.wall_time_ms,
-        ))
-    _write_csv(path, REPORT_COLUMNS, rows)
+        )
+        for r in sorted(reports, key=lambda r: (r.method, r.separation))
+    ]
+    _write_csv(path, REPORT_COLUMNS, lines)
 
 
-def _write_csv(path: str | Path, columns: tuple[str, ...], rows: list[tuple]) -> None:
+def _write_csv(path: str | Path, columns: tuple[str, ...], lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)

@@ -31,6 +31,7 @@ from .errors import (
 )
 from .scenario import (
     ScenarioConfig,
+    _hand_over,
     build_scenario,
     load_iq_trace,
     scenario_config_from_dict,
@@ -38,7 +39,7 @@ from .scenario import (
     write_iq_trace,
 )
 from .separation import RofParams, rof_separate
-from .spectral import ComplexSeries, PowerSpectrum, averaged_periodogram, block_from_frames, frame_signal
+from .spectral import PowerSpectrum, averaged_periodogram, block_from_frames, frame_signal
 
 _DATA_ERRORS = (
     DegenerateSpectrumError, ZeroPowerError, TraceFormatError,
@@ -116,6 +117,7 @@ def cmd_generate(args) -> int:
     config = _load_config(args.config, args.override)
     block, truth = build_scenario(config)
     series = time_series_of(block, config.sample_rate_hz)
+    del block  # only the series is written; the block need not outlive its inverse FFT
     write_iq_trace(args.out, series)
     finite = truth.true_snr_db[np.isfinite(truth.true_snr_db)]
     print(f"wrote {len(series)} samples ({8 * len(series)} bytes) to {args.out}")
@@ -209,16 +211,15 @@ def cmd_ops(args) -> int:
 
 def cmd_convert(args) -> int:
     if args.to == "csv":
-        series = load_iq_trace(args.input)
+        samples = load_iq_trace(args.input).samples
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            for s in series.samples:
-                fh.write("%.9g,%.9g\n" % (s.real, s.imag))
+            fh.writelines("%.9g,%.9g\n" % pair
+                          for pair in zip(samples.real.tolist(), samples.imag.tolist()))
     else:
         pairs = np.loadtxt(args.input, delimiter=",", ndmin=2)
         if pairs.shape[1] != 2:
             raise TraceFormatError(f"{args.input}: expected two columns (I, Q)")
-        series = ComplexSeries(samples=pairs[:, 0] + 1j * pairs[:, 1], sample_rate_hz=10e6)
-        write_iq_trace(args.out, series)
+        write_iq_trace(args.out, _hand_over(pairs[:, 0] + 1j * pairs[:, 1], 10e6))
     print(f"wrote {args.out}")
     return 0
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientSamplesError, TraceFormatError, ZeroPowerError
-from .spectral import ComplexSeries, ResourceBlock, SpectralFrame, frame_signal
+from .spectral import ComplexSeries, ResourceBlock, SpectralFrame, frame_signal, mean_power
 
 NOISE_KINDS = ("white-gaussian", "surrogate-industrial", "trace-file")
 
@@ -187,57 +187,106 @@ class GroundTruth:
 
 
 def _hand_over(samples: np.ndarray, sample_rate_hz: float) -> ComplexSeries:
-    """A series around a freshly computed array: frozen in place, not copied, still checked."""
+    """A series around a freshly computed array: frozen in place, not copied, still checked.
+
+    The array must be one nothing else holds.  It is built once and written in
+    place while it is private (scaled, filtered); this is where it is frozen,
+    once, and nothing writes to it afterwards.
+    """
     samples.setflags(write=False)
     return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
 
 
-def load_iq_trace(path: str | Path, sample_rate_hz: float = 10e6) -> ComplexSeries:
-    """Read interleaved little-endian float32 (I, Q) pairs in capture order."""
+def _read_iq_trace(path: str | Path) -> np.ndarray:
+    """A fresh complex128 array of the interleaved little-endian float32 (I, Q) pairs."""
     raw = Path(path).read_bytes()
     if len(raw) % 8 != 0:
         raise TraceFormatError(
             f"{path}: length {len(raw)} bytes is not a whole number of float32 I/Q pairs"
         )
-    floats = np.frombuffer(raw, dtype="<f4")
-    finite = np.isfinite(floats)
+    finite = np.isfinite(np.frombuffer(raw, dtype="<f4"))
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0]) // 2
         raise TraceFormatError(f"{path}: non-finite value at sample {idx}")
-    samples = floats[0::2].astype(np.float64) + 1j * floats[1::2].astype(np.float64)
-    return _hand_over(samples, sample_rate_hz)
+    return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
+
+
+def load_iq_trace(path: str | Path, sample_rate_hz: float = 10e6) -> ComplexSeries:
+    """Read interleaved little-endian float32 (I, Q) pairs in capture order."""
+    return _hand_over(_read_iq_trace(path), sample_rate_hz)
 
 
 def write_iq_trace(path: str | Path, series: ComplexSeries) -> None:
     """Write a series in the raw float32 interleaved I/Q format."""
-    out = np.empty(2 * len(series), dtype="<f4")
-    out[0::2] = series.samples.real.astype(np.float32)
-    out[1::2] = series.samples.imag.astype(np.float32)
-    Path(path).write_bytes(out.tobytes())
+    series.samples.astype("<c8").tofile(path)
+
+
+def _scale_to_power(samples: np.ndarray, target_mw: float) -> None:
+    """Scale a private array in place by one real factor so the mean of |s|^2 is target_mw."""
+    if target_mw <= 0:
+        raise ValueError("target power must be positive")
+    current = mean_power(samples)
+    if current == 0.0:
+        raise ZeroPowerError("cannot rescale an all-zero series")
+    samples *= np.sqrt(target_mw / current)
 
 
 def rescale_to_power(series: ComplexSeries, target_mw: float) -> ComplexSeries:
-    """Scale by a single real factor so the mean of |s|^2 equals target_mw."""
-    if target_mw <= 0:
-        raise ValueError("target power must be positive")
-    current = series.mean_power()
-    if current == 0.0:
-        raise ZeroPowerError("cannot rescale an all-zero series")
-    factor = np.sqrt(target_mw / current)
-    return _hand_over(series.samples * factor, series.sample_rate_hz)
+    """Scale by a single real factor so the mean of |s|^2 equals target_mw; a new series."""
+    samples = series.samples.copy()
+    _scale_to_power(samples, target_mw)
+    return _hand_over(samples, series.sample_rate_hz)
+
+
+def _complex_normals(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
+    """A fresh complex128 array: the next ``draws.size`` standard normals as its real
+    parts, then as many more as its imaginary parts, drawn through the buffer ``draws``."""
+    samples = np.empty(draws.size, dtype=np.complex128)
+    samples.real = rng.standard_normal(out=draws)
+    samples.imag = rng.standard_normal(out=draws)
+    return samples
+
+
+def _white_samples(length: int, power_mw: float, seed: int) -> np.ndarray:
+    if length < 1:
+        raise ValueError("length must be >= 1")
+    if power_mw <= 0:
+        raise ValueError("power_mw must be positive")
+    samples = _complex_normals(_rng(seed), np.empty(length))
+    samples *= np.sqrt(power_mw / 2.0)
+    return samples
 
 
 def synth_white_noise(length: int, power_mw: float, seed: int,
                       sample_rate_hz: float = 10e6) -> ComplexSeries:
     """Circularly-symmetric complex Gaussian noise with E|w|^2 = power_mw."""
+    return _hand_over(_white_samples(length, power_mw, seed), sample_rate_hz)
+
+
+def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: float,
+                        seed: int) -> np.ndarray:
     if length < 1:
         raise ValueError("length must be >= 1")
-    if power_mw <= 0:
-        raise ValueError("power_mw must be positive")
     rng = _rng(seed)
-    scale = np.sqrt(power_mw / 2.0)
-    samples = scale * (rng.standard_normal(length) + 1j * rng.standard_normal(length))
-    return _hand_over(samples, sample_rate_hz)
+    draws = np.empty(length)
+    samples = _complex_normals(rng, draws)
+    samples /= np.sqrt(2.0)
+    hits = rng.random(out=draws) < params.impulse_rate
+    del draws  # the filter's copies below need the room
+    n_hits = int(hits.sum())
+    if n_hits:
+        phases = np.exp(2j * np.pi * rng.random(n_hits))
+        samples[hits] += params.impulse_amplitude_factor * phases
+    tilt = params.spectral_tilt_db_per_decade
+    if tilt != 0.0:
+        # One-pole recursion; |tilt|/20 maps one 20 dB/decade pole to rho = 1.
+        rho = min(abs(tilt) / 20.0, 0.95)
+        if tilt < 0:
+            _one_pole_lowpass(samples, rho)
+        else:
+            samples[1:] -= rho * samples[:-1]
+    _scale_to_power(samples, power_mw)
+    return samples
 
 
 def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: float,
@@ -251,44 +300,32 @@ def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: 
     white Gaussian noise.  This is a stand-in for real captures and carries
     no claim of matching any measured environment.
     """
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    rng = _rng(seed)
-    base = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) / np.sqrt(2.0)
-    hits = rng.random(length) < params.impulse_rate
-    n_hits = int(hits.sum())
-    if n_hits:
-        phases = np.exp(2j * np.pi * rng.random(n_hits))
-        base[hits] += params.impulse_amplitude_factor * phases
-    tilt = params.spectral_tilt_db_per_decade
-    if tilt != 0.0:
-        # One-pole recursion; |tilt|/20 maps one 20 dB/decade pole to rho = 1.
-        rho = min(abs(tilt) / 20.0, 0.95)
-        if tilt < 0:
-            base = _one_pole_lowpass(base, rho)
-        else:
-            base = np.concatenate([[base[0]], base[1:] - rho * base[:-1]])
-    return rescale_to_power(_hand_over(base, sample_rate_hz), power_mw)
+    return _hand_over(_industrial_samples(length, params, power_mw, seed), sample_rate_hz)
 
 
 _LOWPASS_BLOCK = 32
 
 
 def _one_pole_lowpass(x: np.ndarray, rho: float) -> np.ndarray:
-    """y[n] = x[n] + rho y[n-1] from rest: scipy's lfilter([1], [1, -rho], x) to rounding."""
-    filtered = _one_pole_rows(np.stack([x.real, x.imag]), rho)
-    out = np.empty(x.shape, dtype=np.complex128)
-    out.real, out.imag = filtered
-    return out
+    """y[n] = x[n] + rho y[n-1] from rest, written over the complex array ``x``, which is returned.
+
+    scipy's lfilter([1], [1, -rho], x) to rounding.  The real and the
+    imaginary part are the two rows of one float view of ``x``.
+    """
+    _one_pole_rows(x.view(np.float64).reshape(-1, 2).T, rho)
+    return x
 
 
-def _one_pole_rows(x: np.ndarray, rho: float) -> np.ndarray:
-    """The one-pole recursion along each row of ``x``, in blocks of ``_LOWPASS_BLOCK``.
+def _one_pole_rows(x: np.ndarray, rho: float) -> None:
+    """The one-pole recursion along each row of the float array ``x``, in place,
+    in blocks of ``_LOWPASS_BLOCK``.
 
-    Each block is filtered from rest by one lower-triangular matmul.  The
-    output at each block's end then obeys the same recursion across blocks
-    with pole rho^B, which this function solves on itself, and block b adds
-    rho^(k+1) times block b-1's end at its sample k.
+    Each block is filtered from rest by one lower-triangular matmul, a row at
+    a time through one contiguous copy of the row (zero-padded to whole
+    blocks when it needs to be).  The output at each block's end then obeys
+    the same recursion across blocks with pole rho^B, which this function
+    solves on itself, and block b adds rho^(k+1) times block b-1's end at its
+    sample k.
     """
     m, n = x.shape
     b = min(n, _LOWPASS_BLOCK)
@@ -299,14 +336,24 @@ def _one_pole_rows(x: np.ndarray, rho: float) -> np.ndarray:
     lags = np.arange(b)[:, None] - np.arange(b)
     lower = np.where(lags >= 0, powers[np.abs(lags)], 0.0)
     if n <= b:
-        return x @ lower.T
+        x[...] = np.ascontiguousarray(x) @ lower.T
+        return
     n_blocks = -(-n // b)
-    padded = np.zeros((m, n_blocks * b))
-    padded[:, :n] = x
-    local = (padded.reshape(m * n_blocks, b) @ lower.T).reshape(m, n_blocks, b)
-    ends = _one_pole_rows(local[:, :, -1], rho ** b)
-    local[:, 1:, :] += ends[:, :-1, None] * powers[1:]
-    return local.reshape(m, n_blocks * b)[:, :n]
+    ends = np.empty((m, n_blocks))
+    for row, end in zip(x, ends):
+        if n % b:
+            blocks = np.zeros(n_blocks * b)
+            blocks[:n] = row
+        else:
+            blocks = np.ascontiguousarray(row)
+        local = blocks.reshape(n_blocks, b) @ lower.T
+        del blocks  # one row's copy and product at a time, never two
+        end[:] = local[:, -1]
+        row[:] = local.reshape(-1)[:n]
+        del local
+    _one_pole_rows(ends, rho ** b)
+    for row, end in zip(x, ends):
+        row[b:] += (end[:-1, None] * powers[1:]).reshape(-1)[:n - b]
 
 
 def amplitude_for_snr(target_snr_db: float, noise_power_mw: float,
@@ -349,19 +396,21 @@ def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
 
 
 def _noise_series(config: ScenarioConfig) -> ComplexSeries:
+    """The noise stream at the reference power: one array, built and scaled in place."""
     total = config.n_bins * config.n_frames
     src = config.noise
     if src.kind == "white-gaussian":
-        series = synth_white_noise(total, 1.0, src.seed, config.sample_rate_hz)
+        samples = _white_samples(total, 1.0, src.seed)
     elif src.kind == "surrogate-industrial":
-        series = synth_industrial_noise(total, src.params, 1.0, src.seed, config.sample_rate_hz)
+        samples = _industrial_samples(total, src.params, 1.0, src.seed)
     else:
-        series = load_iq_trace(src.path, config.sample_rate_hz)
-        if len(series) < total:
+        samples = _read_iq_trace(src.path)
+        if samples.size < total:
             raise InsufficientSamplesError(
-                f"trace {src.path} has {len(series)} samples, scenario needs {total}"
+                f"trace {src.path} has {samples.size} samples, scenario needs {total}"
             )
-    return rescale_to_power(series, config.reference_noise_power_mw)
+    _scale_to_power(samples, config.reference_noise_power_mw)
+    return _hand_over(samples, config.sample_rate_hz)
 
 
 def _frame_amplitudes(config: ScenarioConfig, frame: int) -> list[tuple[int, int, float]]:

@@ -10,6 +10,12 @@ on the whole array at once; :class:`SpectralFrame` and :class:`PowerSpectrum`
 serve the single-frame functions.  All value types hold read-only arrays and
 every operation is a pure function, so results can be shared freely between
 threads.
+
+Ownership: a full-length array is built once and, while nothing else can
+see it, written in place (scaled, filtered, squared); it is frozen once, when
+it is handed to a value type, and nothing writes to it after that.  A value
+type keeps a read-only array as is and copies a writeable one, because the
+caller could still write through it.
 """
 
 from __future__ import annotations
@@ -64,9 +70,16 @@ class ComplexSeries:
 
     def mean_power(self) -> float:
         """Mean of |s|^2 over the series (linear power units)."""
-        if self.samples.size == 0:
-            raise InsufficientSamplesError("series is empty")
-        return float(np.mean(np.abs(self.samples) ** 2))
+        return mean_power(self.samples)
+
+
+def mean_power(samples: np.ndarray) -> float:
+    """Mean of |s|^2 over a complex sample array: abs, squared in place, then the mean."""
+    if samples.size == 0:
+        raise InsufficientSamplesError("series is empty")
+    power = np.abs(samples)
+    np.square(power, out=power)
+    return float(np.mean(power))
 
 
 @dataclass(frozen=True)
@@ -208,8 +221,9 @@ def power_matrix(block: ResourceBlock) -> np.ndarray:
     Row i equals ``power_spectrum`` of frame i.
     """
     spectral = block.spectral
-    n = spectral.shape[1]
-    mat = (spectral.real**2 + spectral.imag**2) / n
+    mat = spectral.real**2
+    mat += spectral.imag**2
+    mat /= spectral.shape[1]
     mat.setflags(write=False)
     return mat
 

@@ -4,6 +4,7 @@ window-by-window implementations that the array-backed ones are checked against.
 from __future__ import annotations
 
 import json
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -222,3 +223,19 @@ def complex_rng(seed: int) -> np.random.Generator:
 
 def white_frame(rng: np.random.Generator, n: int, power: float = 1.0) -> np.ndarray:
     return np.sqrt(power / 2.0) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes traced while ``fn()`` runs, above what was traced when it started."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return peak - before

@@ -721,6 +721,52 @@ class TestCsvEmission:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    @staticmethod
+    def _per_value_text(columns, rows) -> str:
+        """The writer's text as formatted one value at a time, then joined: the oracle."""
+        def fmt(value) -> str:
+            if isinstance(value, (int, np.integer)):
+                return str(int(value))
+            if isinstance(value, float):
+                return "%.9g" % value
+            return str(value)
+        return "".join(",".join(fmt(v) for v in row) + "\n" for row in [columns, *rows])
+
+    def test_table_formats_match_per_value_formatting(self, tmp_path):
+        specials = np.array([np.inf, -np.inf, np.nan, 0.1, -0.0, 1e-300, 123456789.123])
+        series = [EstimateSeries(
+            scenario_id="s", seed=seed, method=method, separation="rof",
+            frame_index=np.arange(3, 3 + specials.size, dtype=np.int64),
+            noise_power_est_mw=specials, noise_power_true_mw=specials[::-1].copy(),
+            snr_est_db=specials * 3, snr_true_db=np.full(specials.size, -np.inf),
+        ) for method, seed in (("ML", np.int64(7)), ("AIC", 2))]
+        reports = [bench.BenchmarkReport(
+            scenario_id="s", method=method, separation="none", seed_count=seeds,
+            rmse_db=rmse, std_dev_db=np.float64(-np.inf), mean_bias_db=np.nan,
+            ops=bench.OpCounts(np.int64(2**40), 3, np.int32(0), 12), wall_time_ms=wall,
+        ) for method, seeds, rmse, wall in (("CBE", np.int64(2), np.inf, 0.0),
+                                            ("ML", 20, 1.25, 3.5))]
+        write_series_csv(tmp_path / "series.csv", series)
+        write_report_csv(tmp_path / "report.csv", reports)
+
+        series_rows = [
+            (s.scenario_id, s.seed, s.method, s.separation, int(s.frame_index[i]),
+             float(s.noise_power_est_mw[i]), float(s.noise_power_true_mw[i]),
+             float(s.snr_est_db[i]), float(s.snr_true_db[i]))
+            for s in sorted(series, key=lambda s: (s.method, s.separation, s.seed))
+            for i in range(len(s))
+        ]
+        report_rows = [
+            (r.scenario_id, r.method, r.separation, r.seed_count, r.rmse_db, r.std_dev_db,
+             r.mean_bias_db, r.ops.adds, r.ops.muls, r.ops.cmps, r.ops.transcendental,
+             r.wall_time_ms)
+            for r in sorted(reports, key=lambda r: (r.method, r.separation))
+        ]
+        assert (tmp_path / "series.csv").read_text() == self._per_value_text(
+            bench.SERIES_COLUMNS, series_rows)
+        assert (tmp_path / "report.csv").read_text() == self._per_value_text(
+            bench.REPORT_COLUMNS, report_rows)
+
     def test_determinism_byte_identical(self, tmp_path):
         cfg = reference_config(seed=6, n_frames=15)
         methods = [MethodSpec("ML", "ideal"), MethodSpec("AIC")]

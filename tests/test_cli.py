@@ -14,6 +14,8 @@ from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, estimators, l
                         scenario_config_from_dict, write_iq_trace)
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
+from conftest import traced_peak
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -71,6 +73,24 @@ class TestGenerate:
         measured = series.mean_power()
         snr_db = 10 * np.log10(measured / 1.0 - 1.0)
         assert snr_db == pytest.approx(0.0, abs=0.2)
+
+    def test_long_stream_peak_within_three_streams(self, tmp_path, capsys):
+        # The long-stream workload's noise: 1000 frames of 512 bins of the
+        # impulsive, tilted surrogate.  Synthesis, spectra, inverse transform
+        # and the float32 write must fit in 3 complex128 copies of the stream.
+        n_bins, n_frames = 512, 1000
+        config = tmp_path / "generate.json"
+        config.write_text(json.dumps({
+            "name": "long-stream-noise", "n_bins": n_bins, "n_frames": n_frames,
+            "noise": {"kind": "surrogate-industrial", "seed": 0,
+                      "params": {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
+                                 "spectral_tilt_db_per_decade": -3.0}},
+        }))
+        argv = ["generate", "--config", str(config), "--out", str(tmp_path / "noise.iq")]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert peak <= 3 * 16 * n_bins * n_frames
 
     def test_missing_config_exits_2(self, tmp_path):
         rc = main(["generate", "--config", str(tmp_path / "nope.json"),
@@ -382,6 +402,15 @@ class TestConvert:
         assert main(["convert", "--input", str(as_csv), "--out", str(back),
                      "--to", "raw"]) == 0
         assert trace.read_bytes() == back.read_bytes()
+
+
+    def test_csv_text_matches_per_sample_formatting(self, noise_config, tmp_path):
+        trace = tmp_path / "t.iq"
+        main(["generate", "--config", str(noise_config), "--out", str(trace)])
+        as_csv = tmp_path / "t.csv"
+        assert main(["convert", "--input", str(trace), "--out", str(as_csv), "--to", "csv"]) == 0
+        want = "".join("%.9g,%.9g\n" % (s.real, s.imag) for s in load_iq_trace(trace).samples)
+        assert as_csv.read_text() == want
 
 
 class TestSampleConfig:

@@ -29,11 +29,83 @@ from noisebench import (
     synth_white_noise,
     write_iq_trace,
 )
-from noisebench.scenario import (_LOWPASS_BLOCK, _one_pole_lowpass, amplitude_mv_to_sqrt_mw,
-                                 time_series_of)
+from noisebench.scenario import (_LOWPASS_BLOCK, _noise_series, _one_pole_lowpass, _rng,
+                                 amplitude_mv_to_sqrt_mw, time_series_of)
 from noisebench.spectral import ComplexSeries, SpectralFrame
 
-from conftest import build_scenario_per_frame, reference_config
+from conftest import build_scenario_per_frame, reference_config, traced_peak
+
+# --- out-of-place oracles: the sample pipeline as it was first written --------
+
+
+def old_load_iq(raw: bytes) -> np.ndarray:
+    floats = np.frombuffer(raw, dtype="<f4")
+    return floats[0::2].astype(np.float64) + 1j * floats[1::2].astype(np.float64)
+
+
+def old_iq_bytes(samples: np.ndarray) -> bytes:
+    out = np.empty(2 * samples.size, dtype="<f4")
+    out[0::2] = samples.real.astype(np.float32)
+    out[1::2] = samples.imag.astype(np.float32)
+    return out.tobytes()
+
+
+def old_rescale(samples: np.ndarray, target_mw: float) -> np.ndarray:
+    return samples * np.sqrt(target_mw / float(np.mean(np.abs(samples) ** 2)))
+
+
+def old_white(length: int, power_mw: float, seed: int) -> np.ndarray:
+    rng = _rng(seed)
+    return np.sqrt(power_mw / 2.0) * (rng.standard_normal(length)
+                                      + 1j * rng.standard_normal(length))
+
+
+def old_one_pole_rows(x: np.ndarray, rho: float) -> np.ndarray:
+    m, n = x.shape
+    b = min(n, _LOWPASS_BLOCK)
+    powers = rho ** np.arange(b + 1)
+    powers[powers < np.finfo(np.float64).tiny] = 0.0
+    lags = np.arange(b)[:, None] - np.arange(b)
+    lower = np.where(lags >= 0, powers[np.abs(lags)], 0.0)
+    if n <= b:
+        return x @ lower.T
+    n_blocks = -(-n // b)
+    padded = np.zeros((m, n_blocks * b))
+    padded[:, :n] = x
+    local = (padded.reshape(m * n_blocks, b) @ lower.T).reshape(m, n_blocks, b)
+    ends = old_one_pole_rows(local[:, :, -1], rho ** b)
+    local[:, 1:, :] += ends[:, :-1, None] * powers[1:]
+    return local.reshape(m, n_blocks * b)[:, :n]
+
+
+def old_lowpass(x: np.ndarray, rho: float) -> np.ndarray:
+    """Both parts stacked as two rows of one matmul per block level, out of place."""
+    out = np.empty(x.shape, dtype=np.complex128)
+    out.real, out.imag = old_one_pole_rows(np.stack([x.real, x.imag]), rho)
+    return out
+
+
+def old_industrial(length: int, params: SurrogateNoiseParams, power_mw: float,
+                   seed: int) -> np.ndarray:
+    rng = _rng(seed)
+    base = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) / np.sqrt(2.0)
+    hits = rng.random(length) < params.impulse_rate
+    n_hits = int(hits.sum())
+    if n_hits:
+        base[hits] += params.impulse_amplitude_factor * np.exp(2j * np.pi * rng.random(n_hits))
+    tilt = params.spectral_tilt_db_per_decade
+    if tilt != 0.0:
+        rho = min(abs(tilt) / 20.0, 0.95)
+        if tilt < 0:
+            base = old_lowpass(base, rho)
+        else:
+            base = np.concatenate([[base[0]], base[1:] - rho * base[:-1]])
+    return old_rescale(base, power_mw)
+
+
+# The long-stream workload's surrogate: impulses and a -3 dB/decade tilt.
+LONG_STREAM_PARAMS = SurrogateNoiseParams(impulse_rate=0.002, impulse_amplitude_factor=8.0,
+                                          spectral_tilt_db_per_decade=-3.0)
 
 
 class TestIqTrace:
@@ -70,6 +142,49 @@ class TestIqTrace:
         np.testing.assert_array_equal(got.samples, expected.astype(complex))
 
 
+    def test_load_matches_two_float_oracle(self, tmp_path):
+        tiny = np.finfo(np.float32).smallest_subnormal
+        floats = np.concatenate([
+            np.random.default_rng(5).standard_normal(4000).astype("<f4"),
+            np.array([0.0, -0.0, -0.0, 0.0, -0.0, -0.0, tiny, -tiny, 3 * tiny, -1e-40,
+                      np.finfo(np.float32).max, -np.finfo(np.float32).max], dtype="<f4"),
+        ])
+        path = tmp_path / "t.iq"
+        path.write_bytes(floats.tobytes())
+        got = load_iq_trace(path).samples
+        want = old_load_iq(floats.tobytes())
+        np.testing.assert_array_equal(got, want)
+        # float32 subnormals keep their values in the cast.
+        assert got[-3] == complex(float(tiny), -float(tiny)) != 0
+        assert got[-2].imag == float(np.float32(-1e-40)) != 0
+        # The sign of zero: the cast keeps the file's sign bits.  The oracle's
+        # `1j *` product and sum turned some -0.0 into +0.0; the values are equal.
+        np.testing.assert_array_equal(np.signbit(got.real), np.signbit(floats[0::2]))
+        np.testing.assert_array_equal(np.signbit(got.imag), np.signbit(floats[1::2]))
+        assert np.signbit(floats[1::2]).sum() > np.signbit(want.imag).sum()
+
+    @pytest.mark.parametrize("position", [0, 1, 2, 7, 8, 999])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_reports_sample_index(self, tmp_path, position, bad):
+        floats = np.ones(1000, dtype="<f4")
+        floats[position] = bad
+        path = tmp_path / "bad.iq"
+        path.write_bytes(floats.tobytes())
+        with pytest.raises(TraceFormatError, match=f"non-finite value at sample {position // 2}$"):
+            load_iq_trace(path)
+
+    def test_write_bytes_match_two_float_oracle(self, tmp_path):
+        rng = np.random.default_rng(6)
+        samples = np.concatenate([
+            rng.standard_normal(3000) * 10.0 ** rng.integers(-45, 37, 3000)
+            + 1j * rng.standard_normal(3000),
+            np.array([0.0, -0.0 - 0.0j, complex(-0.0, 0.0), 1e-46 - 1e-46j, 1 + 2 ** -24j]),
+        ])
+        path = tmp_path / "w.iq"
+        write_iq_trace(path, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        assert path.read_bytes() == old_iq_bytes(samples)
+
+
 class TestRescale:
     def test_scales_by_two(self):
         out = rescale_to_power(
@@ -92,6 +207,16 @@ class TestRescale:
         once = rescale_to_power(noise, 2.0)
         twice = rescale_to_power(once, 2.0)
         np.testing.assert_allclose(once.samples, twice.samples, rtol=1e-14)
+
+    @pytest.mark.parametrize("target", [1.0, 0.37, 2.5e3])
+    def test_matches_out_of_place_oracle(self, target):
+        source = synth_industrial_noise(10_007, LONG_STREAM_PARAMS, 2.0, seed=3)
+        before = source.samples.copy()
+        out = rescale_to_power(source, target)
+        np.testing.assert_array_equal(out.samples, old_rescale(source.samples, target))
+        np.testing.assert_array_equal(source.samples, before)
+        assert not np.shares_memory(out.samples, source.samples)
+        assert not out.samples.flags.writeable
 
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerError):
@@ -138,6 +263,66 @@ class TestSynthNoise:
         a = synth_industrial_noise(1024, params, 1.0, seed=3)
         b = synth_industrial_noise(1024, params, 1.0, seed=3)
         np.testing.assert_array_equal(a.samples, b.samples)
+
+
+    @pytest.mark.parametrize("length", [1, 33, 10_007])
+    def test_white_matches_out_of_place_oracle(self, length):
+        np.testing.assert_array_equal(synth_white_noise(length, 2.5, seed=11).samples,
+                                      old_white(length, 2.5, 11))
+
+    @pytest.mark.parametrize("length", [1, 2, _LOWPASS_BLOCK, 10_007, 40_003])
+    @pytest.mark.parametrize("params", [
+        SurrogateNoiseParams(impulse_rate=0.0, spectral_tilt_db_per_decade=-3.0),
+        SurrogateNoiseParams(impulse_rate=0.01, impulse_amplitude_factor=8.0,
+                             spectral_tilt_db_per_decade=-15.0),
+        SurrogateNoiseParams(impulse_rate=0.01, spectral_tilt_db_per_decade=6.0),
+        SurrogateNoiseParams(impulse_rate=0.05, impulse_amplitude_factor=3.0),
+    ], ids=["tilt-3", "impulses-tilt-15", "impulses-tilt+6", "impulses"])
+    def test_surrogate_matches_out_of_place_oracle(self, length, params):
+        # 10_007 and 40_003 are no multiple of the 32-sample block, and nest
+        # the block-end recursion one and two levels deep.
+        got = synth_industrial_noise(length, params, 1.7, seed=5).samples
+        np.testing.assert_array_equal(got, old_industrial(length, params, 1.7, 5))
+
+    def test_long_stream_surrogate_matches_out_of_place_oracle(self):
+        n = 512 * 1000
+        got = synth_industrial_noise(n, LONG_STREAM_PARAMS, 1.0, seed=2).samples
+        np.testing.assert_array_equal(got, old_industrial(n, LONG_STREAM_PARAMS, 1.0, 2))
+
+    def test_row_at_a_time_block_matmul_agrees_to_rounding(self):
+        # Exact agreement above rests on BLAS computing each row of a matmul
+        # the same way whatever the row count.  The in-place filter multiplies
+        # one part's blocks at a time, the oracle both parts' at once, and
+        # near its small-matrix switch OpenBLAS picks a different kernel for
+        # the two counts: at 1000 samples (32 blocks against 64 rows) they
+        # may differ in the last bits.
+        params = SurrogateNoiseParams(impulse_rate=0.01, spectral_tilt_db_per_decade=-15.0)
+        got = synth_industrial_noise(1000, params, 1.0, seed=5).samples
+        want = old_industrial(1000, params, 1.0, 5)
+        assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
+    def test_noise_series_equals_public_builders_then_rescale(self, kind, tmp_path):
+        # The scenario's stream is the unit-power public series rescaled once
+        # more to the reference power, now without a copy per step.
+        n_bins, n_frames, seed = 64, 50, 4
+        noise = {"kind": kind, "seed": seed}
+        if kind == "surrogate-industrial":
+            unit = synth_industrial_noise(n_bins * n_frames, LONG_STREAM_PARAMS, 1.0, seed)
+            noise["params"] = {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
+                               "spectral_tilt_db_per_decade": -3.0}
+        elif kind == "white-gaussian":
+            unit = synth_white_noise(n_bins * n_frames, 1.0, seed)
+        else:
+            path = tmp_path / "noise.iq"
+            write_iq_trace(path, synth_white_noise(n_bins * n_frames + 5, 3.0, seed))
+            unit = load_iq_trace(path)
+            noise = {"kind": kind, "path": str(path)}
+        config = scenario_config_from_dict({"n_bins": n_bins, "n_frames": n_frames,
+                                            "reference_noise_power_mw": 2.5, "noise": noise})
+        series = _noise_series(config)
+        np.testing.assert_array_equal(series.samples, rescale_to_power(unit, 2.5).samples)
+        assert not series.samples.flags.writeable
 
 
 class TestOnePoleLowpass:
@@ -344,6 +529,30 @@ class TestArrayBuildersMatchPerFrame:
         series = time_series_of(block, 10e6)
         np.testing.assert_array_equal(series.samples, want)
         assert series.sample_rate_hz == 10e6
+
+
+
+class TestSampleMemory:
+    def test_trace_file_scenario_peak_within_two_and_a_half_streams(self, tmp_path):
+        # The long-stream run's shape: 1000 frames of 512 bins read from a
+        # trace, with a transmitter switch.  Read buffer, stream and spectra
+        # must fit in 2.5 complex128 copies of the stream.
+        n_bins, n_frames = 512, 1000
+        trace = tmp_path / "noise.iq"
+        write_iq_trace(trace, synth_industrial_noise(n_bins * n_frames, LONG_STREAM_PARAMS,
+                                                     1.0, seed=0))
+        config = scenario_config_from_dict({
+            "n_bins": n_bins, "n_frames": n_frames,
+            "noise": {"kind": "trace-file", "path": str(trace)},
+            "signals": [
+                {"subband_index": 1, "occupancy_fraction": 0.5, "target_snr_db": 10.0,
+                 "frame_end": 500},
+                {"subband_index": 3, "occupancy_fraction": 0.5, "target_snr_db": 10.0,
+                 "frame_start": 500},
+            ],
+        })
+        peak = traced_peak(lambda: build_scenario(config))
+        assert peak <= 2.5 * 16 * n_bins * n_frames
 
 
 class TestConfigFiles:

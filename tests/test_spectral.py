@@ -171,6 +171,23 @@ class TestPowerMatrix:
         assert not got.flags.writeable
 
 
+    def test_matches_out_of_place_oracle(self):
+        rng = np.random.default_rng(9)
+        spectral = (rng.standard_normal((30, 96)) + 1j * rng.standard_normal((30, 96))) * 1e3
+        spectral[0, :4] = [0.0, -0.0, 1e-160 + 1e-160j, -1e150j]
+        got = power_matrix(ResourceBlock(spectral))
+        np.testing.assert_array_equal(got, (spectral.real**2 + spectral.imag**2) / 96)
+
+
+class TestMeanPower:
+    def test_matches_out_of_place_oracle(self):
+        rng = np.random.default_rng(10)
+        samples = rng.standard_normal(10_007) * 3 + 1j * rng.standard_normal(10_007)
+        series = ComplexSeries(samples=samples, sample_rate_hz=1.0)
+        assert series.mean_power() == float(np.mean(np.abs(samples) ** 2))
+        np.testing.assert_array_equal(series.samples, samples)
+
+
 class TestBlockFromFrames:
     def test_matches_per_frame_dft(self):
         rng = np.random.default_rng(9)
