@@ -31,10 +31,10 @@ from .errors import (
 )
 from .scenario import (
     ScenarioConfig,
-    _hand_over,
     build_scenario,
     load_iq_trace,
     scenario_config_from_dict,
+    series_from_iq_pairs,
     time_series_of,
     write_iq_trace,
 )
@@ -209,17 +209,24 @@ def cmd_ops(args) -> int:
     return 0
 
 
+# Samples formatted per slice by `convert --to csv`: the Python floats of one
+# slice are alive at a time, not those of the whole trace.
+_CSV_SLICE = 65_536
+
+
 def cmd_convert(args) -> int:
     if args.to == "csv":
         samples = load_iq_trace(args.input).samples
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines("%.9g,%.9g\n" % pair
-                          for pair in zip(samples.real.tolist(), samples.imag.tolist()))
+            for start in range(0, len(samples), _CSV_SLICE):
+                part = samples[start:start + _CSV_SLICE]
+                fh.writelines("%.9g,%.9g\n" % pair
+                              for pair in zip(part.real.tolist(), part.imag.tolist()))
     else:
         pairs = np.loadtxt(args.input, delimiter=",", ndmin=2)
         if pairs.shape[1] != 2:
             raise TraceFormatError(f"{args.input}: expected two columns (I, Q)")
-        write_iq_trace(args.out, _hand_over(pairs[:, 0] + 1j * pairs[:, 1], 10e6))
+        write_iq_trace(args.out, series_from_iq_pairs(pairs))
     print(f"wrote {args.out}")
     return 0
 

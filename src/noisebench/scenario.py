@@ -216,6 +216,11 @@ def load_iq_trace(path: str | Path, sample_rate_hz: float = 10e6) -> ComplexSeri
     return _hand_over(_read_iq_trace(path), sample_rate_hz)
 
 
+def series_from_iq_pairs(pairs: np.ndarray, sample_rate_hz: float = 10e6) -> ComplexSeries:
+    """A series from an (n, 2) array of (I, Q) pairs, built as one fresh array."""
+    return _hand_over(pairs[:, 0] + 1j * pairs[:, 1], sample_rate_hz)
+
+
 def write_iq_trace(path: str | Path, series: ComplexSeries) -> None:
     """Write a series in the raw float32 interleaved I/Q format."""
     series.samples.astype("<c8").tofile(path)
@@ -321,11 +326,10 @@ def _one_pole_rows(x: np.ndarray, rho: float) -> None:
     in blocks of ``_LOWPASS_BLOCK``.
 
     Each block is filtered from rest by one lower-triangular matmul, a row at
-    a time through one contiguous copy of the row (zero-padded to whole
-    blocks when it needs to be).  The output at each block's end then obeys
-    the same recursion across blocks with pole rho^B, which this function
-    solves on itself, and block b adds rho^(k+1) times block b-1's end at its
-    sample k.
+    a time through one copy of the row zero-padded to whole blocks.  The
+    output at each block's end then obeys the same recursion across blocks
+    with pole rho^B, which this function solves on itself, and block b adds
+    rho^(k+1) times block b-1's end at its sample k.
     """
     m, n = x.shape
     b = min(n, _LOWPASS_BLOCK)
@@ -341,11 +345,8 @@ def _one_pole_rows(x: np.ndarray, rho: float) -> None:
     n_blocks = -(-n // b)
     ends = np.empty((m, n_blocks))
     for row, end in zip(x, ends):
-        if n % b:
-            blocks = np.zeros(n_blocks * b)
-            blocks[:n] = row
-        else:
-            blocks = np.ascontiguousarray(row)
+        blocks = np.zeros(n_blocks * b)
+        blocks[:n] = row
         local = blocks.reshape(n_blocks, b) @ lower.T
         del blocks  # one row's copy and product at a time, never two
         end[:] = local[:, -1]

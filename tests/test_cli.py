@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, estimators, load_iq_trace,
-                        scenario_config_from_dict, write_iq_trace)
+                        scenario_config_from_dict, synth_white_noise, write_iq_trace)
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
 from conftest import traced_peak
@@ -411,6 +411,19 @@ class TestConvert:
         assert main(["convert", "--input", str(trace), "--out", str(as_csv), "--to", "csv"]) == 0
         want = "".join("%.9g,%.9g\n" % (s.real, s.imag) for s in load_iq_trace(trace).samples)
         assert as_csv.read_text() == want
+
+    def test_csv_peak_within_two_streams(self, tmp_path, monkeypatch):
+        # The Python floats of one slice are alive at a time; those of the
+        # whole trace would add about 4 complex128 copies of the stream.
+        monkeypatch.setattr(cli, "_CSV_SLICE", 4096)
+        n = 16 * 4096
+        trace = tmp_path / "t.iq"
+        write_iq_trace(trace, synth_white_noise(n, 1.0, seed=0))
+        argv = ["convert", "--input", str(trace), "--out", str(tmp_path / "t.csv"), "--to", "csv"]
+        codes = []
+        peak = traced_peak(lambda: codes.append(main(argv)))
+        assert codes == [0]
+        assert peak <= 2 * 16 * n
 
 
 class TestSampleConfig:
