@@ -36,7 +36,7 @@ decisions on one counting frame.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Any
@@ -53,6 +53,8 @@ from .spectral import PowerSpectrum, SpectralFrame, power_matrix, power_spectrum
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
+METHOD_PARAMS = frozenset({"window_frames", "lambda1_pct", "lambda2_fraction", "occupied_fraction",
+                           "occupancy_from", "grid_size", "blind"})
 AIC_CHUNK = 64  # averaged window spectra per batched AIC fit
 
 
@@ -60,8 +62,9 @@ AIC_CHUNK = 64  # averaged window spectra per batched AIC fit
 class MethodSpec:
     """One benchmark entry: an estimator, its separation strategy, and overrides.
 
-    Recognized params: window_frames, lambda1_pct, lambda2_fraction,
-    occupied_fraction, occupancy_from ("truth" or "aic"), grid_size, blind.
+    ``params`` may set any of ``METHOD_PARAMS``; another key, an
+    ``occupancy_from`` other than "truth" or "aic", or an
+    ``occupied_fraction`` outside [0, 1) raises ValueError.
     """
 
     estimator: str
@@ -77,6 +80,15 @@ class MethodSpec:
             raise ValueError(f"{self.estimator} requires a separation strategy")
         if self.estimator in ("AIC", "CBE", "MMSE") and self.separation != "none":
             raise ValueError(f"{self.estimator} performs its own separation")
+        unknown = set(self.params) - METHOD_PARAMS
+        if unknown:
+            raise ValueError(f"unknown method param(s): {', '.join(sorted(unknown))}")
+        if self.params.get("occupancy_from", "truth") not in ("truth", "aic"):
+            raise ValueError(f"occupancy_from must be 'truth' or 'aic', "
+                             f"got {self.params['occupancy_from']!r}")
+        fraction = self.params.get("occupied_fraction")
+        if fraction is not None and not 0.0 <= fraction < 1.0:
+            raise ValueError("occupied_fraction must lie in [0, 1)")
 
     @property
     def label(self) -> str:
@@ -124,23 +136,22 @@ class BenchmarkReport:
     wall_time_ms: float = 0.0
 
 
-def rmse_db(series: EstimateSeries, truth: GroundTruth) -> float:
-    """Root-mean-square SNR error over frames with finite true SNR."""
-    true_db = truth.true_snr_db[series.frame_index]
-    keep = np.isfinite(true_db)
+def _snr_errors(series: EstimateSeries) -> np.ndarray:
+    """Estimated minus true SNR over the series' entries with finite true SNR."""
+    keep = np.isfinite(series.snr_true_db)
     if not keep.any():
         raise ValueError("no frames with finite true SNR to compare against")
-    err = series.snr_est_db[keep] - true_db[keep]
-    return float(np.sqrt(np.mean(err**2)))
+    return series.snr_est_db[keep] - series.snr_true_db[keep]
 
 
-def mean_bias_db(series: EstimateSeries, truth: GroundTruth) -> float:
-    """Mean signed SNR error over frames with finite true SNR."""
-    true_db = truth.true_snr_db[series.frame_index]
-    keep = np.isfinite(true_db)
-    if not keep.any():
-        raise ValueError("no frames with finite true SNR to compare against")
-    return float(np.mean(series.snr_est_db[keep] - true_db[keep]))
+def rmse_db(series: EstimateSeries) -> float:
+    """Root-mean-square SNR error over entries with finite true SNR."""
+    return float(np.sqrt(np.mean(_snr_errors(series) ** 2)))
+
+
+def mean_bias_db(series: EstimateSeries) -> float:
+    """Mean signed SNR error over entries with finite true SNR."""
+    return float(np.mean(_snr_errors(series)))
 
 
 def sample_std(values: np.ndarray) -> float:
@@ -158,10 +169,9 @@ def std_dev_db(series: EstimateSeries) -> float:
 
 
 def _rof_params(method: MethodSpec) -> sep.RofParams:
-    return sep.RofParams(
-        lambda1_pct=method.params.get("lambda1_pct", 5.0),
-        lambda2_fraction=method.params.get("lambda2_fraction", 0.05),
-    )
+    """The method's ROF thresholds; those it does not set keep RofParams' defaults."""
+    return sep.RofParams(**{f.name: method.params[f.name] for f in fields(sep.RofParams)
+                            if f.name in method.params})
 
 
 class _MaskProvider:
@@ -251,8 +261,6 @@ def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
     the window's last frame."""
     explicit = method.params.get("occupied_fraction")
     if explicit is not None:
-        if not 0.0 <= explicit < 1.0:
-            raise ValueError("occupied_fraction must lie in [0, 1)")
         fractions = np.full(frames.size, float(explicit))
     elif method.params.get("occupancy_from") == "aic":
         fractions = _aic_windows(ctx.power, frames, window)[1] / ctx.power.shape[1]
@@ -298,7 +306,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
         lo = first - window + 1
         values = est.cbe_fit_windows(ctx.gram[lo:, lo:], power.shape[1], window,
                                      _signal_counts(method, ctx, frames, window),
-                                     int(method.params.get("grid_size", 100)))[0]
+                                     int(method.params.get("grid_size", est.CBE_GRID_SIZE)))[0]
 
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
@@ -312,8 +320,8 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
 
 
 def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[int]
-               ) -> tuple[list[EstimateSeries], dict[int, GroundTruth], dict[str, float]]:
-    """Series, ground truth per seed, and each method's evaluation time in ms.
+               ) -> tuple[list[EstimateSeries], dict[str, float]]:
+    """Series, and each method's evaluation time in ms.
 
     A method's time is summed over seeds.  It excludes building the seed's
     context but includes the shared masks or Gram matrix it is first to need.
@@ -323,7 +331,6 @@ def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[in
     if not seeds:
         raise ValueError("need at least one seed")
     out: list[EstimateSeries] = []
-    truths: dict[int, GroundTruth] = {}
     wall = dict.fromkeys((m.label for m in methods), 0.0)
     for seed in seeds:
         ctx = _SeedContext(config, seed)
@@ -331,8 +338,7 @@ def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[in
             start = time.perf_counter()
             out.append(_evaluate_method(m, ctx, config.name, seed))
             wall[m.label] += 1e3 * (time.perf_counter() - start)
-        truths[seed] = ctx.truth
-    return out, truths, wall
+    return out, wall
 
 
 def run_scenario(config: ScenarioConfig, methods: list[MethodSpec],
@@ -368,20 +374,20 @@ def ground_truths(config: ScenarioConfig, seeds: list[int]) -> dict[int, GroundT
     return {s: build_scenario(with_seed(config, s))[1] for s in seeds}
 
 
-def _metric_or_nan(metric, *args) -> float:
+def _metric_or_nan(metric, series: EstimateSeries) -> float:
     try:
-        return metric(*args)
+        return metric(series)
     except ValueError:
         return float("nan")
 
 
 def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
-                  series: list[EstimateSeries], truths: dict[int, GroundTruth],
+                  series: list[EstimateSeries],
                   wall_times_ms: dict[str, float] | None = None) -> list[BenchmarkReport]:
     """Per-method aggregation: seed-averaged RMSE/stability plus operation counts.
 
-    truths maps every seed in series to its ground truth.  wall_times_ms is
-    opt-in; by default the column is written as 0.0 so that identical runs
+    The metrics read each series alone, its true SNR included.  wall_times_ms
+    is opt-in; by default the column is written as 0.0 so that identical runs
     emit byte-identical reports.
     """
     reports = []
@@ -392,11 +398,10 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
             continue
         rmses, stds, biases = [], [], []
         for s in own:
-            truth = truths[s.seed]
             # Scenarios without signal have no finite true SNR; the SNR-error
             # metrics are undefined there and reported as NaN.
-            rmses.append(_metric_or_nan(rmse_db, s, truth))
-            biases.append(_metric_or_nan(mean_bias_db, s, truth))
+            rmses.append(_metric_or_nan(rmse_db, s))
+            biases.append(_metric_or_nan(mean_bias_db, s))
             stds.append(_metric_or_nan(std_dev_db, s))
         reports.append(BenchmarkReport(
             scenario_id=config.name,
@@ -419,9 +424,8 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
     With timing, each report carries its method's evaluation time summed over
     seeds (scenario builds excluded); without, the column stays 0.0.
     """
-    series, truths, wall = _run_seeds(config, methods, seeds)
-    reports = build_reports(config, methods, series, truths,
-                            wall_times_ms=wall if timing else None)
+    series, wall = _run_seeds(config, methods, seeds)
+    reports = build_reports(config, methods, series, wall_times_ms=wall if timing else None)
     return series, reports
 
 
@@ -466,16 +470,16 @@ def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> se
 
 def _book_fisher(ops: OpCounter, power: PowerSpectrum) -> sep.SeparationMask:
     n = power.n_bins
-    amplitude = np.sqrt(power.power)
+    mask = sep.fisher_separate(power)
     ops.transcend(n)
     ops.cmp(int(n * np.log2(n)))  # sorting the amplitudes
-    if amplitude.min() < amplitude.max():
+    if mask.aux["split"] is not None:
         # The direct scan: scoring one split is ~4N operations and N-3 splits
-        # are scanned.  A constant spectrum stops before the scan.
+        # are scanned.  A spectrum without a split (a constant one) stops before it.
         ops.add(4 * n * (n - 3))
         ops.mul(6 * (n - 3))
         ops.cmp(n - 3)
-    return sep.fisher_separate(power)
+    return mask
 
 
 def _book_aic(ops: OpCounter, power: PowerSpectrum) -> None:
@@ -497,9 +501,9 @@ def _book_cbe(ops: OpCounter, m: int, occupied_fraction: float, grid_size: int) 
     """Covariance of m frames of 2m bins, its eigensolve and the grid fit."""
     n = 2 * m
     s = int(round(m * occupied_fraction))
-    if not 0.0 <= occupied_fraction < 1.0 or s >= m or grid_size < 2:
-        raise ValueError(f"CBE at {m} frames needs 0 <= occupied_fraction < 1 with a noise "
-                         f"group left and grid_size >= 2, got {occupied_fraction} and {grid_size}")
+    if s >= m or grid_size < 2:
+        raise ValueError(f"CBE at {m} frames needs a noise group left and grid_size >= 2, "
+                         f"got occupied_fraction {occupied_fraction} and grid_size {grid_size}")
     with ops.stage("covariance-matmul"):
         ops.mul(m * m * n)
         ops.add(m * m * (n - 1))
@@ -558,7 +562,7 @@ def count_ops(method: MethodSpec, n: int) -> OpCounter:
     ops.add(bins)
     if method.estimator == "CBE":
         _book_cbe(ops, n, float(method.params.get("occupied_fraction", 0.25)),
-                  int(method.params.get("grid_size", 100)))
+                  int(method.params.get("grid_size", est.CBE_GRID_SIZE)))
     elif method.estimator == "MMSE":
         _book_mmse(ops, n, bool(method.params.get("blind", True)))
     elif method.estimator == "AIC":

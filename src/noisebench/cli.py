@@ -267,9 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-bins", type=int, default=512, help="FFT size for trace input")
     p.add_argument("--frames", type=int, default=1,
                    help="frames to average before separation (trace input)")
-    p.add_argument("--lambda1", type=float, default=5.0,
+    p.add_argument("--lambda1", type=float, default=RofParams.lambda1_pct,
                    help="bandwidth-walk stop threshold, %% of the peak energy drop")
-    p.add_argument("--lambda2", type=float, default=0.05,
+    p.add_argument("--lambda2", type=float, default=RofParams.lambda2_fraction,
                    help="minimum signal-band width as a fraction of the bins")
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_separate)

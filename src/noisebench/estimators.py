@@ -30,6 +30,7 @@ log = logging.getLogger(__name__)
 
 POWER_FLOOR = 1e-30  # guards logarithms against zero bins
 MMSE_CHUNK = 64  # windows per batched MMSE pass
+CBE_GRID_SIZE = 100  # candidate noise powers of one CBE fit
 # Batched conjugate-gradient solves of the MMSE weight systems: relative
 # residual at which a window's iteration stops, the iteration cap, and the
 # largest true residual accepted before the window is re-solved by Levinson.
@@ -225,7 +226,7 @@ def sample_covariance(block: ResourceBlock) -> np.ndarray:
     Marchenko-Pastur support.
     """
     n = block.n_bins
-    x = block.spectral_matrix() / np.sqrt(n)
+    x = block.spectral / np.sqrt(n)
     return (x @ x.conj().T) / n
 
 
@@ -328,7 +329,7 @@ def _mp_edge_offset(m: int, n: int) -> float:
 
 
 def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
-                 grid_size: int = 100) -> NoisePowerEstimate:
+                 grid_size: int = CBE_GRID_SIZE) -> NoisePowerEstimate:
     """Covariance-based estimate of one block with S = round(M * occupied_fraction)
     signal eigenvalues; the one-window case of :func:`cbe_fit_windows`."""
     if not 0.0 <= occupied_fraction < 1.0:
@@ -347,7 +348,8 @@ def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
 
 
 def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: np.ndarray,
-                    grid_size: int = 100) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    grid_size: int = CBE_GRID_SIZE
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best Marchenko-Pastur fit to the covariance spectrum of every trailing window.
 
     Window j's covariance is the diagonal block j..j+window-1 of gram, the
@@ -429,7 +431,7 @@ def mmse_estimate(block: ResourceBlock, blind: bool = True) -> NoisePowerEstimat
     round-off or overflow.
     """
     values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
-        block.spectral_matrix(), block.n_frames, blind=blind)
+        block.spectral, block.n_frames, blind=blind)
     return NoisePowerEstimate(
         value_mw=float(values[0]), method="mmse", frame_index=block.n_frames - 1,
         diagnostics={

@@ -30,14 +30,6 @@ class OpCounts:
     def total(self) -> int:
         return self.adds + self.muls + self.cmps + self.transcendental
 
-    def merged(self, other: "OpCounts") -> "OpCounts":
-        return OpCounts(
-            self.adds + other.adds,
-            self.muls + other.muls,
-            self.cmps + other.cmps,
-            self.transcendental + other.transcendental,
-        )
-
 
 @dataclass
 class OpCounter:

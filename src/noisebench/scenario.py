@@ -16,7 +16,7 @@ interleaved little-endian float32 (I, Q) pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -498,21 +498,10 @@ def time_series_of(block: ResourceBlock, sample_rate_hz: float) -> ComplexSeries
 
 # --- configuration files ----------------------------------------------------
 
-_TOP_KEYS = {
-    "n_bins", "n_frames", "sample_rate_hz", "noise", "reference_noise_power_mw",
-    "subband_count", "signals", "snr_schedule", "name",
-}
-_NOISE_KEYS = {"kind", "seed", "path", "params"}
-_PARAM_KEYS = {"impulse_rate", "impulse_amplitude_factor", "spectral_tilt_db_per_decade"}
-_SIGNAL_KEYS = {
-    "subband_index", "occupancy_fraction", "amplitude_mv", "target_snr_db",
-    "frame_start", "frame_end",
-}
-_SCHEDULE_KEYS = {"frame_start", "frame_end", "target_snr_db"}
 
-
-def _check_keys(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
+def _check_keys(mapping: dict, cls: type, where: str) -> None:
+    """Reject keys of ``mapping`` that are not fields of the dataclass ``cls``."""
+    unknown = set(mapping) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
@@ -521,20 +510,20 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     """Build a ScenarioConfig from parsed structured text; unknown keys are rejected."""
     if not isinstance(data, dict):
         raise ValueError("scenario config must be a mapping")
-    _check_keys(data, _TOP_KEYS, "scenario config")
+    _check_keys(data, ScenarioConfig, "scenario config")
     noise_data = dict(data.get("noise", {}))
-    _check_keys(noise_data, _NOISE_KEYS, "noise")
+    _check_keys(noise_data, NoiseSource, "noise")
     params_data = dict(noise_data.pop("params", {}))
-    _check_keys(params_data, _PARAM_KEYS, "noise.params")
+    _check_keys(params_data, SurrogateNoiseParams, "noise.params")
     noise = NoiseSource(params=SurrogateNoiseParams(**params_data), **noise_data)
 
     signals = []
     for i, sig in enumerate(data.get("signals", [])):
-        _check_keys(dict(sig), _SIGNAL_KEYS, f"signals[{i}]")
+        _check_keys(dict(sig), SubbandSignal, f"signals[{i}]")
         signals.append(SubbandSignal(**sig))
     schedule = []
     for i, step in enumerate(data.get("snr_schedule", [])):
-        _check_keys(dict(step), _SCHEDULE_KEYS, f"snr_schedule[{i}]")
+        _check_keys(dict(step), SnrStep, f"snr_schedule[{i}]")
         schedule.append(SnrStep(**step))
 
     kwargs = {k: v for k, v in data.items() if k not in ("noise", "signals", "snr_schedule")}

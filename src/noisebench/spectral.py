@@ -165,10 +165,6 @@ class ResourceBlock:
     def n_bins(self) -> int:
         return self.spectral.shape[1]
 
-    def spectral_matrix(self) -> np.ndarray:
-        """(M, N) complex matrix of raw spectral coefficients, rows = frames (not a copy)."""
-        return self.spectral
-
     def window(self, lo: int, hi: int) -> ResourceBlock:
         """Frames lo..hi-1 as a block of their own: a view, rows re-indexed from 0."""
         if not 0 <= lo < hi <= self.n_frames:

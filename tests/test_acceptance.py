@@ -33,7 +33,6 @@ from noisebench import (
     run_scenario,
     std_dev_db,
 )
-from noisebench.bench import ground_truths
 from noisebench.cli import main as cli_main
 from noisebench.estimators import mp_cdf_normalization_error
 from noisebench.scenario import build_scenario, with_seed
@@ -54,12 +53,10 @@ def reference_runs():
         MethodSpec("MVU", "fisher"),
         MethodSpec("AIC"),
     ]
-    series = run_scenario(config, methods, SEEDS_50)
-    truths = ground_truths(config, SEEDS_50)
     by_key = {}
-    for s in series:
+    for s in run_scenario(config, methods, SEEDS_50):
         by_key.setdefault((s.method, s.separation), {})[s.seed] = s
-    return by_key, truths
+    return by_key
 
 
 def test_criterion_1_estimator_unbiasedness():
@@ -99,7 +96,7 @@ def test_criterion_1_estimator_unbiasedness():
 
 def test_criterion_2_stability_ordering(reference_runs):
     """MVU's SNR series is tighter than ML's in at least 95% of runs."""
-    by_key, _ = reference_runs
+    by_key = reference_runs
     wins = sum(
         std_dev_db(by_key[("MVU", "ideal")][seed]) < std_dev_db(by_key[("ML", "ideal")][seed])
         for seed in SEEDS_50
@@ -110,10 +107,9 @@ def test_criterion_2_stability_ordering(reference_runs):
 
 def test_criterion_3_separation_quality_ordering(reference_runs):
     """Rank-order filtering beats the Fisher discriminant on SNR RMSE."""
-    by_key, truths = reference_runs
+    by_key = reference_runs
     wins = sum(
-        rmse_db(by_key[("MVU", "rof")][seed], truths[seed])
-        < rmse_db(by_key[("MVU", "fisher")][seed], truths[seed])
+        rmse_db(by_key[("MVU", "rof")][seed]) < rmse_db(by_key[("MVU", "fisher")][seed])
         for seed in SEEDS_50
     )
     assert wins >= 0.90 * len(SEEDS_50), f"ROF beat Fisher in only {wins}/50 runs"
@@ -122,10 +118,10 @@ def test_criterion_3_separation_quality_ordering(reference_runs):
 
 def test_criterion_4_magnitude_reproduction(reference_runs):
     """AIC and MVU(ROF) SNR RMSE land in the 0.1..1.0 dB bracket."""
-    by_key, truths = reference_runs
+    by_key = reference_runs
     details = []
     for key in (("AIC", "none"), ("MVU", "rof")):
-        rmse = float(np.mean([rmse_db(by_key[key][s], truths[s]) for s in SEEDS_50]))
+        rmse = float(np.mean([rmse_db(by_key[key][s]) for s in SEEDS_50]))
         label = f"{key[0]}({key[1]})" if key[1] != "none" else key[0]
         assert 0.1 <= rmse <= 1.0, f"{label} RMSE {rmse:.3f} dB outside [0.1, 1.0]"
         details.append(f"{label} {rmse:.3f} dB")

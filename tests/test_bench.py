@@ -8,7 +8,6 @@ import pytest
 
 from noisebench import (
     EstimateSeries,
-    GroundTruth,
     MethodSpec,
     PowerSpectrum,
     aic_estimate,
@@ -45,14 +44,6 @@ def make_series(snr_est_db, snr_true_db=None, method="ML", separation="ideal"):
     )
 
 
-def make_truth(n, snr_db=0.0):
-    return GroundTruth(
-        noise_power_mw=np.ones(n),
-        true_snr_db=np.full(n, snr_db),
-        signal_bin_mask=np.zeros((n, 4), dtype=bool),
-    )
-
-
 class TestMethodSpec:
     def test_ml_requires_separation(self):
         with pytest.raises(ValueError, match="separation"):
@@ -66,21 +57,62 @@ class TestMethodSpec:
         assert MethodSpec("MVU", "rof").label == "MVU(rof)"
         assert MethodSpec("CBE").label == "CBE"
 
+    @pytest.mark.parametrize("params, message", [
+        ({"gridsize": 7}, "unknown method param(s): gridsize"),
+        ({"grid_size": 7, "window": 20, "blnd": False}, "unknown method param(s): blnd, window"),
+        ({"occupancy_from": "AIC"}, "occupancy_from must be 'truth' or 'aic', got 'AIC'"),
+        ({"occupancy_from": None}, "occupancy_from must be 'truth' or 'aic', got None"),
+        ({"occupied_fraction": 1.0}, "occupied_fraction must lie in [0, 1)"),
+        ({"occupied_fraction": -0.25}, "occupied_fraction must lie in [0, 1)"),
+    ])
+    def test_params_checked(self, params, message):
+        with pytest.raises(ValueError) as exc:
+            MethodSpec("CBE", params=params)
+        assert str(exc.value) == message
+
+    def test_known_params_accepted(self):
+        MethodSpec("CBE", params={"occupancy_from": "truth", "occupied_fraction": 0.0,
+                                  "grid_size": 7, "window_frames": 20, "blind": False})
+        MethodSpec("MVU", "rof", params={"lambda1_pct": 60.0, "lambda2_fraction": 0.2})
+
+    def test_rof_params_default_to_rof_params(self):
+        from noisebench import RofParams
+        assert bench._rof_params(MethodSpec("ML", "rof")) == RofParams()
+        tuned = MethodSpec("ML", "rof", params={"lambda2_fraction": 0.2})
+        assert bench._rof_params(tuned) == RofParams(lambda2_fraction=0.2)
+
 
 class TestMetrics:
     def test_perfect_series_has_zero_rmse(self):
-        s = make_series(np.zeros(8))
-        assert rmse_db(s, make_truth(8)) == 0.0
+        s = make_series(np.full(8, 3.0), np.full(8, 3.0))
+        assert rmse_db(s) == 0.0
 
     def test_constant_offset(self):
-        s = make_series(np.ones(8))
-        assert rmse_db(s, make_truth(8)) == pytest.approx(1.0)
-        assert mean_bias_db(s, make_truth(8)) == pytest.approx(1.0)
+        s = make_series(np.full(8, -2.0), np.full(8, -3.0))
+        assert rmse_db(s) == pytest.approx(1.0)
+        assert mean_bias_db(s) == pytest.approx(1.0)
 
     def test_alternating_errors(self):
-        s = make_series([0.5, -0.5] * 4)
-        assert rmse_db(s, make_truth(8)) == pytest.approx(0.5)
-        assert mean_bias_db(s, make_truth(8)) == pytest.approx(0.0)
+        s = make_series([1.5, 0.5] * 4, np.ones(8))
+        assert rmse_db(s) == pytest.approx(0.5)
+        assert mean_bias_db(s) == pytest.approx(0.0)
+
+    def test_errors_follow_the_series_own_true_snr(self):
+        # Each entry is compared with the true SNR the series carries for it.
+        s = make_series([1.0, 1.0, 1.0, 1.0], [0.0, 2.0, 1.0, 1.0])
+        assert rmse_db(s) == pytest.approx(np.sqrt(0.5))
+        assert mean_bias_db(s) == pytest.approx(0.0)
+
+    def test_no_finite_true_snr_raises(self):
+        s = make_series([1.0, 2.0], [-np.inf, -np.inf])
+        for metric in (rmse_db, mean_bias_db):
+            with pytest.raises(ValueError, match="no frames with finite true SNR"):
+                metric(s)
+
+    def test_no_excess_power_entry_makes_rmse_infinite(self):
+        s = make_series([1.0, -np.inf, 0.0], np.zeros(3))
+        assert rmse_db(s) == np.inf
+        assert mean_bias_db(s) == -np.inf
 
     def test_constant_series_zero_std(self):
         assert std_dev_db(make_series(np.full(6, 2.0))) == 0.0
@@ -93,23 +125,17 @@ class TestMetrics:
             std_dev_db(make_series([1.0]))
 
     def test_infinite_true_snr_excluded(self):
-        s = make_series([1.0, 2.0, 3.0])
-        truth = GroundTruth(
-            noise_power_mw=np.ones(3),
-            true_snr_db=np.array([0.0, -np.inf, 0.0]),
-            signal_bin_mask=np.zeros((3, 4), dtype=bool),
-        )
-        assert rmse_db(s, truth) == pytest.approx(np.sqrt((1.0 + 9.0) / 2))
+        s = make_series([1.0, 2.0, 3.0], [0.0, -np.inf, 0.0])
+        assert rmse_db(s) == pytest.approx(np.sqrt((1.0 + 9.0) / 2))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_bias_variance_identity(self, seed):
         rng = np.random.default_rng(seed)
         vals = rng.normal(0.3, 1.1, 64)
         s = make_series(vals)
-        truth = make_truth(64)
         n = 64
-        lhs = rmse_db(s, truth) ** 2
-        rhs = mean_bias_db(s, truth) ** 2 + std_dev_db(s) ** 2 * (n - 1) / n
+        lhs = rmse_db(s) ** 2
+        rhs = mean_bias_db(s) ** 2 + std_dev_db(s) ** 2 * (n - 1) / n
         assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_ml_power_series_delta_method(self):
@@ -239,7 +265,6 @@ class TestRunScenario:
         cfg = reference_config(seed=2, n_frames=30)
         ctx = _SeedContext(cfg, 2)
         spectral = ctx.block.spectral
-        assert ctx.block.spectral_matrix() is spectral
         held = [v for obj in (ctx, ctx.masks) for v in vars(obj).values()
                 if isinstance(v, np.ndarray)]
         assert not any(v.dtype.kind == "c" or np.shares_memory(v, spectral) for v in held)
@@ -661,6 +686,21 @@ class TestCountOps:
         assert tuned.adds - default.adds == noise_diff
         assert tuned.muls == default.muls
 
+    @pytest.mark.parametrize("params", [{"occupied_fraction": 0.99}, {"grid_size": 1}])
+    def test_cbe_count_needs_noise_group_and_grid(self, params):
+        with pytest.raises(ValueError, match="needs a noise group left and grid_size >= 2"):
+            count_ops(MethodSpec("CBE", params=params), 16)
+
+    def test_fisher_scan_booked_only_where_fisher_splits(self):
+        from noisebench import OpCounter
+        n = 64
+        flat, scanned = OpCounter(), OpCounter()
+        assert bench._book_fisher(flat, PowerSpectrum(np.ones(n))).aux["split"] is None
+        assert bench._book_fisher(scanned, bench._counting_power(n)).aux["split"] is not None
+        assert scanned.counts.adds - flat.counts.adds == 4 * n * (n - 3)
+        assert scanned.counts.muls - flat.counts.muls == 6 * (n - 3)
+        assert scanned.counts.cmps - flat.counts.cmps == n - 3
+
     def test_reports_draw_one_counting_frame(self):
         bench._counting_frame.cache_clear()
         cfg = reference_config(seed=0, n_frames=20)
@@ -787,12 +827,24 @@ class TestReports:
         methods = [MethodSpec("ML", "ideal")]
         series, reports = run_benchmark(cfg, methods, [0, 1, 2])
         assert reports[0].seed_count == 3
-        truths = ground_truths(cfg, [0, 1, 2])
-        manual = np.mean([rmse_db(s, truths[s.seed]) for s in series])
+        manual = np.mean([rmse_db(s) for s in series])
         assert reports[0].rmse_db == pytest.approx(manual)
 
+    def test_series_carry_ground_truth_snr(self):
+        # The metrics read the true SNR off the series alone; it must be the
+        # scenario's ground truth at the series' frames, bit for bit.
+        from noisebench.cli import _DEFAULT_METHODS, _parse_method
+        from noisebench.scenario import scenario_config_from_file
+        cfg = scenario_config_from_file(CONFIG)
+        series = run_scenario(cfg, [_parse_method(m) for m in _DEFAULT_METHODS], [0, 1])
+        truths = ground_truths(cfg, [0, 1])
+        assert len(series) == 18
+        for s in series:
+            want = truths[s.seed].true_snr_db[s.frame_index]
+            assert s.snr_true_db.tobytes() == want.tobytes(), (s.method, s.separation, s.seed)
+
     def test_each_seed_built_once(self, monkeypatch):
-        # The reports reuse the ground truth of the series pass.
+        # The reports read the series, so each seed's scenario is built once.
         from noisebench import bench
         calls = []
         original = bench.build_scenario

@@ -323,7 +323,7 @@ class TestCovarianceEigenvalues:
         eig = covariance_eigenvalues(block)
         assert eig[1] == pytest.approx(0.0, abs=1e-12)
         # trace identity fixes the scale of the single non-zero eigenvalue
-        x = block.spectral_matrix() / np.sqrt(8)
+        x = block.spectral / np.sqrt(8)
         assert eig.sum() == pytest.approx(
             np.sum(np.abs(x) ** 2) / 8, rel=1e-9)
 
@@ -341,7 +341,7 @@ class TestCovarianceEigenvalues:
         m, n = int(rng.integers(2, 8)), int(rng.integers(8, 24))
         block = white_block(seed, n_frames=m, n_bins=n)
         eig = covariance_eigenvalues(block)
-        x = block.spectral_matrix() / np.sqrt(n)
+        x = block.spectral / np.sqrt(n)
         assert eig.sum() == pytest.approx(
             np.sum(np.abs(x) ** 2) / n, rel=1e-9)
 
@@ -603,7 +603,7 @@ class TestMmseEstimate:
     def test_fit_on_matrix_matches_block(self):
         block = white_block(6, n_frames=30, n_bins=64)
         values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
-            block.spectral_matrix(), 30)
+            block.spectral, 30)
         for blind in (True, False):
             want = mmse_estimate(block, blind=blind)
             assert want.frame_index == 29

@@ -421,7 +421,7 @@ class TestBuildScenario:
         cfg = reference_config(seed=33)
         block_a, _ = build_scenario(cfg)
         block_b, _ = build_scenario(cfg)
-        np.testing.assert_array_equal(block_a.spectral_matrix(), block_b.spectral_matrix())
+        np.testing.assert_array_equal(block_a.spectral, block_b.spectral)
 
     def test_truth_snr_is_analytic(self):
         cfg = reference_config()
@@ -570,6 +570,48 @@ class TestConfigFiles:
         assert cfg.name == "demo"
         assert cfg.noise.seed == 5
         assert cfg.signals[0].subband_index == 2
+
+    # Every field of every section, each set to a value other than its default.
+    FULL = {
+        "name": "full", "n_bins": 64, "n_frames": 8, "sample_rate_hz": 1e6,
+        "reference_noise_power_mw": 2.0, "subband_count": 2,
+        "noise": {"kind": "surrogate-industrial", "seed": 5, "path": None,
+                  "params": {"impulse_rate": 0.01, "impulse_amplitude_factor": 5.0,
+                             "spectral_tilt_db_per_decade": -3.0}},
+        "signals": [{"subband_index": 1, "occupancy_fraction": 0.5, "amplitude_mv": None,
+                     "target_snr_db": 3.0, "frame_start": 1, "frame_end": 7}],
+        "snr_schedule": [{"frame_start": 0, "frame_end": 4, "target_snr_db": -3.0}],
+    }
+    SECTIONS = {
+        "scenario config": (lambda d: d, ScenarioConfig),
+        "noise": (lambda d: d["noise"], NoiseSource),
+        "noise.params": (lambda d: d["noise"]["params"], SurrogateNoiseParams),
+        "signals[0]": (lambda d: d["signals"][0], SubbandSignal),
+        "snr_schedule[0]": (lambda d: d["snr_schedule"][0], SnrStep),
+    }
+
+    def test_every_field_accepted(self):
+        from dataclasses import fields
+        for select, cls in self.SECTIONS.values():
+            assert set(select(self.FULL)) == {f.name for f in fields(cls)}
+        assert scenario_config_from_dict(json.loads(json.dumps(self.FULL))) == ScenarioConfig(
+            name="full", n_bins=64, n_frames=8, sample_rate_hz=1e6,
+            reference_noise_power_mw=2.0, subband_count=2,
+            noise=NoiseSource(kind="surrogate-industrial", seed=5, params=SurrogateNoiseParams(
+                impulse_rate=0.01, impulse_amplitude_factor=5.0,
+                spectral_tilt_db_per_decade=-3.0)),
+            signals=(SubbandSignal(subband_index=1, occupancy_fraction=0.5, target_snr_db=3.0,
+                                   frame_start=1, frame_end=7),),
+            snr_schedule=(SnrStep(frame_start=0, frame_end=4, target_snr_db=-3.0),),
+        )
+
+    @pytest.mark.parametrize("section", list(SECTIONS))
+    def test_unknown_key_message(self, section):
+        data = json.loads(json.dumps(self.FULL))
+        self.SECTIONS[section][0](data).update(color="pink", bandwidth=5e6)
+        with pytest.raises(ValueError) as exc:
+            scenario_config_from_dict(data)
+        assert str(exc.value) == f"unknown key(s) in {section}: bandwidth, color"
 
     def test_unknown_top_key_rejected(self):
         data = self._base()

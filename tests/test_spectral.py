@@ -234,7 +234,6 @@ class TestValueTypes:
         assert not block.spectral.flags.writeable
         values.setflags(write=False)
         assert ResourceBlock(values).spectral is values
-        assert block.spectral_matrix() is block.spectral
 
     def test_series_copies_only_writeable_input_and_checks_every_input(self):
         values = np.ones(6, dtype=complex)
