@@ -5,6 +5,7 @@ from .bench import (
     EstimateSeries,
     MethodSpec,
     count_ops,
+    count_ops_table,
     mean_bias_db,
     rmse_db,
     run_benchmark,

@@ -30,15 +30,18 @@ method's evaluation is timed inside the same per-seed loop and summed over seeds
 Operation counts are the paper's complexity model, kept in one place:
 :func:`count_ops` books each method's closed forms in the block size.  The
 estimators book nothing; the few data-dependent terms are read off uncounted
-decisions on one counting frame.
+decisions on one counting frame, a slice of one shared white stream.
+:func:`count_ops_table` books a whole size sweep from one walk of that stream.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any
 
 import numpy as np
@@ -64,14 +67,17 @@ class MethodSpec:
 
     ``params`` may set any of ``METHOD_PARAMS``; another key, an
     ``occupancy_from`` other than "truth" or "aic", or an
-    ``occupied_fraction`` outside [0, 1) raises ValueError.
+    ``occupied_fraction`` outside [0, 1) raises ValueError.  The spec keeps
+    a read-only copy of the params it checked, so setting a key afterwards
+    raises TypeError.
     """
 
     estimator: str
     separation: str = "none"
-    params: dict[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         if self.estimator not in ESTIMATOR_NAMES:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if self.separation not in SEPARATION_NAMES:
@@ -298,7 +304,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
                                      window)
     elif method.estimator == "MMSE":
         values = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
-                                      blind=bool(method.params.get("blind", True)))[0]
+                                      blind=bool(method.params.get("blind", est.MMSE_BLIND)))[0]
     elif method.estimator == "AIC":
         # Every window is full here, so each holds ``window`` frames.
         values = _aic_windows(power, frames, window)[0]
@@ -432,23 +438,50 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 # --- operation counting ------------------------------------------------------
 
 
+_COUNTING_KEY = 12345  # Philox key of the counting stream
+_COUNTING_DRAW = 65_536  # normals per draw while walking past the stream's unused part
+
+
+def _counting_frames(sizes) -> dict[int, np.ndarray]:
+    """Counting frame of each distinct size, from one walk of the counting stream.
+
+    The counting stream is the standard normals of ``Philox(key=12345)``.
+    Frame n is the last frame of an n-frame, n-bin unit-power white block
+    drawn from it, frame by frame: the DFT of normals [2n(n - 1), 2n^2) (n
+    real parts, then n imaginary parts) over sqrt(2), read-only.  These
+    ranges are disjoint and lie later for larger n, so one walk in ascending
+    size serves every size, drawing 2 max(n)^2 normals in all.  The normal
+    sampler takes a variable number of words per draw, so Philox cannot skip
+    ahead: the normals between two frames are drawn into one fixed buffer and
+    dropped.
+    """
+    rng = np.random.Generator(np.random.Philox(key=_COUNTING_KEY))
+    skip = np.empty(_COUNTING_DRAW)
+    drawn = 0
+    frames = {}
+    for n in sorted(set(sizes)):
+        start = 2 * n * (n - 1)
+        while drawn < start:
+            step = min(start - drawn, skip.size)
+            rng.standard_normal(out=skip[:step])
+            drawn += step
+        draws = rng.standard_normal((2, n))
+        drawn += 2 * n
+        frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
+        frame.setflags(write=False)
+        frames[n] = frame
+    return frames
+
+
 @lru_cache(maxsize=4)
 def _counting_frame(n: int) -> np.ndarray:
-    """DFT of the last frame of an n-frame, n-bin unit-power white block; read-only.
+    """The counting frame of size n (see :func:`_counting_frames`), memoised.
 
-    Frame i of that block is the DFT of 2n standard normals from a fixed
-    Philox key (n real parts, then n imaginary parts) over sqrt(2).  The
-    n - 1 earlier frames are drawn 64 at a time into one buffer and dropped;
-    only the last one is transformed.
+    ``run`` and ``estimate`` count their methods at one size per call, so a
+    small memo serves them; ``noisebench ops`` walks the stream once per call
+    through :func:`count_ops_table` instead and leaves this memo alone.
     """
-    rng = np.random.Generator(np.random.Philox(key=12345))
-    skip = np.empty((min(n - 1, 64), 2 * n))
-    for lo in range(0, n - 1, len(skip)):
-        rng.standard_normal(out=skip[:n - 1 - lo])
-    draws = rng.standard_normal((2, n))
-    frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
-    frame.setflags(write=False)
-    return frame
+    return _counting_frames((n,))[n]
 
 
 def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> sep.SeparationMask:
@@ -533,11 +566,18 @@ def _book_mmse(ops: OpCounter, n: int, blind: bool) -> None:
     ops.add(n)
 
 
-def _counting_power(n: int) -> PowerSpectrum:
-    return power_spectrum(SpectralFrame(_counting_frame(n), n - 1))
+def _counting_power(n: int, frames: dict[int, np.ndarray] | None = None) -> PowerSpectrum:
+    """Power spectrum of the counting frame of size n: from ``frames`` if given, else the memo."""
+    frame = _counting_frame(n) if frames is None else frames[n]
+    return power_spectrum(SpectralFrame(frame, n - 1))
 
 
-def count_ops(method: MethodSpec, n: int) -> OpCounter:
+def _reads_counting_frame(method: MethodSpec) -> bool:
+    return method.estimator == "AIC" or method.separation in ("rof", "fisher")
+
+
+def count_ops(method: MethodSpec, n: int, *,
+              frames: dict[int, np.ndarray] | None = None) -> OpCounter:
     """Scalar operations of one estimation pass at block size n: the complexity model.
 
     Every method is charged in closed form on an n-frame block: ML, MVU, AIC
@@ -547,15 +587,19 @@ def count_ops(method: MethodSpec, n: int) -> OpCounter:
     booked: the model charges one FFT per batch of N new samples.  The few
     data-dependent terms (the ROF bandwidth walk at the method's own
     thresholds, whether Fisher's spectrum is constant, the ML/MVU noise-bin
-    count and AIC's selected order) are read off uncounted decisions on one
-    counting frame, the last frame of a fixed white block; CBE, MMSE and
-    ideal separation draw no frame.  CBE's Marchenko-Pastur fit is charged
-    for ``grid_size`` candidates, which is what the fit evaluates: a
-    collapsed candidate range is ``grid_size`` equal candidates.
+    count and AIC's selected order) are read off uncounted decisions on the
+    counting frame of size n, a slice of one shared white stream (see
+    :func:`_counting_frames`); CBE, MMSE and ideal separation read no frame.
+    The frame comes from ``frames`` (the frames of one stream walk, keyed by
+    size) when given, else from the per-process memo.  CBE's
+    Marchenko-Pastur fit is charged for ``grid_size`` candidates, which is
+    what the fit evaluates: a collapsed candidate range is ``grid_size``
+    equal candidates.
     """
     if n < 16:
         raise ValueError("operation counting needs n >= 16")
     ops = OpCounter()
+    power = _counting_power(n, frames) if _reads_counting_frame(method) else None
     bins = 2 * n if method.estimator == "CBE" else n
     ops.fft(bins)
     ops.mul(3 * bins)  # power spectrum: two squarings per bin, then the 1/N scaling
@@ -564,21 +608,38 @@ def count_ops(method: MethodSpec, n: int) -> OpCounter:
         _book_cbe(ops, n, float(method.params.get("occupied_fraction", 0.25)),
                   int(method.params.get("grid_size", est.CBE_GRID_SIZE)))
     elif method.estimator == "MMSE":
-        _book_mmse(ops, n, bool(method.params.get("blind", True)))
+        _book_mmse(ops, n, bool(method.params.get("blind", est.MMSE_BLIND)))
     elif method.estimator == "AIC":
-        _book_aic(ops, _counting_power(n))
+        _book_aic(ops, power)
     else:
         noise = n
         if method.separation == "rof":
-            mask = _book_rof(ops, _counting_power(n), _rof_params(method))
+            mask = _book_rof(ops, power, _rof_params(method))
             noise = int(np.count_nonzero(mask.noise_bins))
         elif method.separation == "fisher":
-            noise = int(np.count_nonzero(_book_fisher(ops, _counting_power(n)).noise_bins))
+            noise = int(np.count_nonzero(_book_fisher(ops, power).noise_bins))
         ops.add(noise - 1)  # mean over the noise bins
         ops.mul(1)
         if method.estimator == "MVU":
             ops.add(n)  # fold the frame into the block's running noise mean
     return ops
+
+
+def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[OpCounter]]:
+    """:func:`count_ops` of every method at every size, one row per method.
+
+    Row i holds ``methods[i]``'s counters in the order of ``sizes``, a
+    repeated size included.  The counting frames of all sizes come
+    from one walk of the counting stream, O(max(sizes)^2) normals, made only
+    if a method reads a frame; the per-process memo of :func:`_counting_frame`
+    is neither read nor filled.
+    """
+    if not sizes:
+        raise ValueError("need at least one size")
+    if min(sizes) < 16:
+        raise ValueError("operation counting needs n >= 16")
+    frames = _counting_frames(sizes) if any(map(_reads_counting_frame, methods)) else {}
+    return [[count_ops(method, n, frames=frames) for n in sizes] for method in methods]
 
 
 # --- CSV emission -------------------------------------------------------------

@@ -185,17 +185,11 @@ def cmd_estimate(args) -> int:
 
 def cmd_ops(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    if not sizes:
-        raise ValueError("need at least one size")
-    if min(sizes) < 16:
-        raise ValueError("sizes must be >= 16")
     methods = [_parse_method(m) for m in (args.method or ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"])]
-    counters = {(i, size): bench.count_ops(method, size)
-                for size in sizes for i, method in enumerate(methods)}
     lines = ["method,separation,size,ops_add,ops_mul,ops_cmp,ops_transcendental,ops_total"]
-    for i, method in enumerate(methods):
-        for size in sizes:
-            counts = counters[i, size].counts
+    for method, row in zip(methods, bench.count_ops_table(methods, sizes)):
+        for size, counter in zip(sizes, row):
+            counts = counter.counts
             lines.append("%s,%s,%d,%d,%d,%d,%d,%d" % (
                 method.estimator, method.separation, size, counts.adds, counts.muls,
                 counts.cmps, counts.transcendental, counts.total(),

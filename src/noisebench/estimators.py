@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 POWER_FLOOR = 1e-30  # guards logarithms against zero bins
 MMSE_CHUNK = 64  # windows per batched MMSE pass
 CBE_GRID_SIZE = 100  # candidate noise powers of one CBE fit
+MMSE_BLIND = True  # MMSE subtracts each subcarrier's time mean unless told otherwise
 # Batched conjugate-gradient solves of the MMSE weight systems: relative
 # residual at which a window's iteration stops, the iteration cap, and the
 # largest true residual accepted before the window is re-solved by Levinson.
@@ -407,7 +408,7 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     return values, np.stack(grids), np.stack(distances)
 
 
-def mmse_estimate(block: ResourceBlock, blind: bool = True) -> NoisePowerEstimate:
+def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerEstimate:
     """Per-subcarrier MMSE-filter estimate from the block's last frame.
 
     In the blind adaptation each subcarrier's time mean over the first M-1
@@ -443,7 +444,7 @@ def mmse_estimate(block: ResourceBlock, blind: bool = True) -> NoisePowerEstimat
     )
 
 
-def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = True
+def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`mmse_estimate` of every trailing window of ``window`` rows of an (M, N) matrix.
 

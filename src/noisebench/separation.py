@@ -107,12 +107,12 @@ def rof_energy_drops_rows(spectra: np.ndarray) -> np.ndarray:
                              np.repeat(spectra[:, -1:], pad, axis=1)], axis=1)
     eroded = np.array(spectra, dtype=np.float64)
     energy = np.empty((n, w))  # energy[k - 1] = E(k) of every row
-    energy[0] = eroded.sum(axis=1)
+    np.add.reduce(eroded, axis=1, out=energy[0])
     for k in range(2, n + 1):
         left = k // 2
         shift = -left if k % 2 == 0 else k - 1 - left
         np.minimum(eroded, padded[:, pad + shift:pad + shift + n], out=eroded)
-        energy[k - 1] = eroded.sum(axis=1)
+        np.add.reduce(eroded, axis=1, out=energy[k - 1])
     prev, cur = energy[:-1].T, energy[1:].T
     drops = np.zeros((w, n - 1))
     np.divide(100.0 * (prev - cur), prev, out=drops, where=prev > 0)

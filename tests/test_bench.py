@@ -13,6 +13,7 @@ from noisebench import (
     aic_estimate,
     build_scenario,
     count_ops,
+    count_ops_table,
     mean_bias_db,
     power_matrix,
     rmse_db,
@@ -74,6 +75,17 @@ class TestMethodSpec:
         MethodSpec("CBE", params={"occupancy_from": "truth", "occupied_fraction": 0.0,
                                   "grid_size": 7, "window_frames": 20, "blind": False})
         MethodSpec("MVU", "rof", params={"lambda1_pct": 60.0, "lambda2_fraction": 0.2})
+
+    def test_params_read_only_after_checks(self):
+        given = {"grid_size": 7}
+        spec = MethodSpec("CBE", params=given)
+        with pytest.raises(TypeError):
+            spec.params["gridsize"] = 7
+        with pytest.raises(TypeError):
+            spec.params["grid_size"] = 9
+        given["gridsize"] = 7  # the spec holds its own copy
+        assert dict(spec.params) == {"grid_size": 7}
+        assert spec == MethodSpec("CBE", params={"grid_size": 7})
 
     def test_rof_params_default_to_rof_params(self):
         from noisebench import RofParams
@@ -472,6 +484,8 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("ML(fisher)", 100): (39660, 1547, 761, 100),
     ("ML(fisher)", 257): (263679, 4353, 2311, 257),
     ("ML(fisher)", 512): (1048061, 9199, 5117, 512),
+    ("ML(fisher)", 1024): (4194301, 19439, 11261, 1024),
+    ("ML(fisher)", 2048): (16779261, 40943, 24573, 2048),
     ("ML(rof)", 16): (372, 159, 295, 0),
     ("ML(rof)", 17): (414, 170, 332, 0),
     ("ML(rof)", 31): (1226, 339, 1046, 0),
@@ -479,6 +493,8 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("ML(rof)", 100): (11063, 1263, 10244, 0),
     ("ML(rof)", 257): (69133, 3598, 66579, 0),
     ("ML(rof)", 512): (268799, 7679, 263207, 0),
+    ("ML(rof)", 1024): (1062911, 16383, 1050659, 0),
+    ("ML(rof)", 2048): (4225023, 34815, 4198435, 0),
     ("MVU(ideal)", 16): (111, 113, 0, 0),
     ("MVU(ideal)", 17): (119, 121, 0, 0),
     ("MVU(ideal)", 31): (246, 248, 0, 0),
@@ -507,6 +523,8 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("AIC", 100): (10765, 6514, 763, 5250),
     ("AIC", 257): (68364, 37266, 2313, 33667),
     ("AIC", 512): (267265, 140032, 5119, 132352),
+    ("AIC", 1024): (1059841, 543232, 11263, 526848),
+    ("AIC", 2048): (4218881, 2137088, 24575, 2102272),
     ("CBE", 16): (17189, 16309, 100, 1200),
     ("CBE", 17): (20194, 19251, 100, 1300),
     ("CBE", 31): (105673, 104458, 100, 2300),
@@ -650,15 +668,42 @@ class TestCountOps:
         info = bench._counting_frame.cache_info()
         assert (info.hits, info.misses) == (0, 0)
 
-    def test_ops_sweep_draws_one_frame_per_size(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["ML(rof)", "ML(fisher)", "AIC"])
+    def test_large_counts_match_pinned_table(self, variant):
+        # Counts at the sizes only the ops sweep reaches, recorded before the
+        # counting frames came from one stream walk.
+        spec = PINNED_VARIANTS[variant]
+        for n, counter in zip((1024, 2048), count_ops_table([spec], [1024, 2048])[0]):
+            c = counter.counts
+            assert (c.adds, c.muls, c.cmps, c.transcendental) == PINNED_COUNTS[variant, n], n
+
+    def test_counting_frames_match_per_frame_build(self):
+        bench._counting_frame.cache_clear()
+        frames = bench._counting_frames((64, 16, 64, 17))
+        assert sorted(frames) == [16, 17, 64]
+        for n, frame in frames.items():
+            np.testing.assert_array_equal(frame, counting_block_per_frame(n, n)[-1])
+            assert not frame.flags.writeable
+        info = bench._counting_frame.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
+
+    def test_ops_sweep_walks_stream_once(self, tmp_path, monkeypatch):
         from noisebench.cli import _parse_method, main
-        # More sizes than the frame memo holds: only a size-major sweep draws
-        # each frame once.
-        sizes = (16, 17, 31, 32, 64)
+        walk, walks = bench._counting_frames, []
+
+        def counted_walk(sizes):
+            walks.append(tuple(sizes))
+            return walk(sizes)
+
+        monkeypatch.setattr(bench, "_counting_frames", counted_walk)
+        # More sizes than the frame memo holds, in no order and one repeated.
+        sizes = (31, 16, 64, 17, 32, 16)
         bench._counting_frame.cache_clear()
         out = tmp_path / "ops.csv"
         assert main(["ops", "--sizes", ",".join(map(str, sizes)), "--out", str(out)]) == 0
-        assert bench._counting_frame.cache_info().misses == len(sizes)
+        assert walks == [sizes]
+        info = bench._counting_frame.cache_info()
+        assert (info.hits, info.misses) == (0, 0)
         want = []
         for spec in map(_parse_method, ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"]):
             for size in sizes:
@@ -667,6 +712,25 @@ class TestCountOps:
                     spec.estimator, spec.separation, size, c.adds, c.muls, c.cmps,
                     c.transcendental, c.total()))
         assert out.read_text().splitlines()[1:] == want
+
+    def test_table_matches_count_ops(self, monkeypatch):
+        methods = [PINNED_VARIANTS[v] for v in ("ML(rof)", "MVU(fisher)", "AIC", "CBE", "MMSE")]
+        sizes = [64, 16, 64, 17]
+        table = count_ops_table(methods, sizes)
+        assert len(table) == len(methods)
+        for method, row in zip(methods, table):
+            assert len(row) == len(sizes)
+            for n, counter in zip(sizes, row):
+                want = count_ops(method, n)
+                assert (counter.counts, counter.stages) == (want.counts, want.stages)
+        monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
+        count_ops_table([PINNED_VARIANTS[v] for v in ("CBE", "MMSE", "ML(ideal)")], sizes)
+
+    @pytest.mark.parametrize("sizes", [[], [16, 15]])
+    def test_table_rejects_sizes_before_walking(self, sizes, monkeypatch):
+        monkeypatch.setattr(bench, "_counting_frames", None)
+        with pytest.raises(ValueError):
+            count_ops_table([MethodSpec("AIC")], sizes)
 
     @pytest.mark.parametrize("estimator", ["ML", "MVU"])
     def test_rof_walk_booked_at_own_thresholds(self, estimator):

@@ -384,6 +384,18 @@ class TestOps:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) - 1 == 5
 
+    def test_rows_follow_given_sizes(self, capsys):
+        assert main(["ops", "--sizes", "512,16,512,64"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        want = []
+        for spec in map(_parse_method, ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"]):
+            for size in (512, 16, 512, 64):
+                c = bench.count_ops(spec, size).counts
+                want.append("%s,%s,%d,%d,%d,%d,%d,%d" % (
+                    spec.estimator, spec.separation, size, c.adds, c.muls, c.cmps,
+                    c.transcendental, c.total()))
+        assert lines[1:] == want
+
     def test_output_file(self, tmp_path):
         out = tmp_path / "ops.csv"
         rc = main(["ops", "--sizes", "32", "--method", "AIC", "--out", str(out)])
