@@ -15,6 +15,7 @@ from .bench import (
     write_series_csv,
 )
 from .errors import (
+    DataError,
     DegenerateSpectrumError,
     EmptyNoiseGroupError,
     InsufficientSamplesError,

@@ -69,12 +69,13 @@ class MethodSpec:
     ``occupancy_from`` other than "truth" or "aic", or an
     ``occupied_fraction`` outside [0, 1) raises ValueError.  The spec keeps
     a read-only copy of the params it checked, so setting a key afterwards
-    raises TypeError.
+    raises TypeError.  Specs hash by estimator and separation, so they can
+    key a dict; equality also compares the params.
     """
 
     estimator: str
     separation: str = "none"
-    params: Mapping[str, Any] = field(default_factory=dict)
+    params: Mapping[str, Any] = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
@@ -366,10 +367,11 @@ def last_window_estimate(config: ScenarioConfig, method: MethodSpec,
                          seed: int) -> EstimateSeries:
     """The method's one-entry series at the scenario's last frame.
 
-    Only the window ending there is evaluated (ideal and Fisher masks still
-    cover the whole seed, which costs one batched pass).  The entry is the
-    last entry of the full series; for MMSE up to rounding, because its lone
-    window is not evaluated inside the batched chunk that holds it there.
+    Only the window ending there is evaluated, and ideal and Fisher separate
+    only the frames it reads: the last frame for ML, the window's frames for
+    MVU.  The entry is the last entry of the full series; for MMSE up to
+    rounding, because its lone window is not evaluated inside the batched
+    chunk that holds it there.
     """
     return _evaluate_method(method, _SeedContext(config, seed), config.name, seed,
                             last_only=True)

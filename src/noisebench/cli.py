@@ -22,17 +22,12 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .errors import (
-    DegenerateSpectrumError,
-    EmptyNoiseGroupError,
-    InsufficientSamplesError,
-    TraceFormatError,
-    ZeroPowerError,
-)
+from .errors import DataError, TraceFormatError
 from .scenario import (
     ScenarioConfig,
     build_scenario,
     load_iq_trace,
+    read_config_file,
     scenario_config_from_dict,
     series_from_iq_pairs,
     time_series_of,
@@ -40,11 +35,6 @@ from .scenario import (
 )
 from .separation import RofParams, rof_separate
 from .spectral import PowerSpectrum, averaged_periodogram, block_from_frames, frame_signal
-
-_DATA_ERRORS = (
-    DegenerateSpectrumError, ZeroPowerError, TraceFormatError,
-    InsufficientSamplesError, EmptyNoiseGroupError,
-)
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 2, 3, 1
 
@@ -91,8 +81,7 @@ def _apply_override(data: dict, spec: str) -> None:
 
 
 def _load_config(path: str, overrides: list[str]) -> ScenarioConfig:
-    with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_config_file(path)
     for spec in overrides or []:
         _apply_override(data, spec)
     return scenario_config_from_dict(data)
@@ -116,7 +105,7 @@ _DEFAULT_METHODS = [
 def cmd_generate(args) -> int:
     config = _load_config(args.config, args.override)
     block, truth = build_scenario(config)
-    series = time_series_of(block, config.sample_rate_hz)
+    series = time_series_of(block)
     del block  # only the series is written; the block need not outlive its inverse FFT
     write_iq_trace(args.out, series)
     finite = truth.true_snr_db[np.isfinite(truth.true_snr_db)]
@@ -355,10 +344,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _one_blas_thread():
             return args.func(args)
-    except _DATA_ERRORS as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return DATA_ERROR
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except Exception as exc:  # pragma: no cover - defensive

@@ -1,27 +1,31 @@
 """Exception types shared across the toolkit.
 
-All inherit ValueError so generic validation handling still works; the CLI
-maps the data-quality subclasses to its degenerate-data exit code.
+Every one is a :class:`DataError`, a ValueError, so generic validation
+handling still works; the CLI maps DataError to its degenerate-data exit code.
 """
 
 from __future__ import annotations
 
 
-class InsufficientSamplesError(ValueError):
+class DataError(ValueError):
+    """The data, not the request, rules out a result."""
+
+
+class InsufficientSamplesError(DataError):
     """Input sample stream is too short for the requested framing."""
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(DataError):
     """Raw IQ trace file is malformed (odd length, non-finite samples)."""
 
 
-class ZeroPowerError(ValueError):
+class ZeroPowerError(DataError):
     """An operation that requires strictly positive power received none."""
 
 
-class DegenerateSpectrumError(ValueError):
+class DegenerateSpectrumError(DataError):
     """Spectrum carries no usable structure (all-zero, or no noise group)."""
 
 
-class EmptyNoiseGroupError(ValueError):
+class EmptyNoiseGroupError(DataError):
     """A separation mask left no bins classified as noise."""

@@ -688,18 +688,20 @@ def _toeplitz_residuals(columns: np.ndarray, solutions: np.ndarray,
 
 
 def snr_from_powers(sigma_x_sq: float, sigma_w_sq: float) -> tuple[float, float]:
-    """Excess-power SNR (linear, dB); dB is -inf when no excess power remains."""
-    if sigma_w_sq <= 0:
-        raise ZeroPowerError("noise power must be positive")
-    if sigma_x_sq < 0:
-        raise ValueError("received power must be non-negative")
-    linear = (sigma_x_sq - sigma_w_sq) / sigma_w_sq
-    db = 10.0 * np.log10(linear) if linear > 0 else -np.inf
-    return linear, float(db)
+    """Excess-power SNR (linear, dB) of one received and one noise power: the
+    one-element case of :func:`snr_db_from_powers`."""
+    linear, db = _excess_snr(sigma_x_sq, sigma_w_sq)
+    return float(linear), float(db)
 
 
 def snr_db_from_powers(sigma_x_sq: np.ndarray, sigma_w_sq: np.ndarray) -> np.ndarray:
-    """:func:`snr_from_powers` in dB of aligned arrays, element by element."""
+    """Excess-power SNR in dB of aligned arrays, element by element; -inf where
+    no excess power remains."""
+    return _excess_snr(sigma_x_sq, sigma_w_sq)[1]
+
+
+def _excess_snr(sigma_x_sq, sigma_w_sq) -> tuple[np.ndarray, np.ndarray]:
+    """(linear, dB) excess-power SNR (x - w) / w of aligned arrays, checked."""
     sigma_x_sq = np.asarray(sigma_x_sq, dtype=np.float64)
     sigma_w_sq = np.asarray(sigma_w_sq, dtype=np.float64)
     if np.any(sigma_w_sq <= 0):
@@ -708,4 +710,4 @@ def snr_db_from_powers(sigma_x_sq: np.ndarray, sigma_w_sq: np.ndarray) -> np.nda
         raise ValueError("received power must be non-negative")
     linear = (sigma_x_sq - sigma_w_sq) / sigma_w_sq
     excess = linear > 0
-    return np.where(excess, 10.0 * np.log10(np.where(excess, linear, 1.0)), -np.inf)
+    return linear, np.where(excess, 10.0 * np.log10(np.where(excess, linear, 1.0)), -np.inf)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InsufficientSamplesError, TraceFormatError, ZeroPowerError
-from .spectral import ComplexSeries, ResourceBlock, SpectralFrame, frame_signal, mean_power
+from .spectral import ComplexSeries, ResourceBlock, SpectralFrame, frame_signal, frozen, mean_power
 
 NOISE_KINDS = ("white-gaussian", "surrogate-industrial", "trace-file")
 
@@ -113,6 +113,19 @@ class SubbandSignal:
         lo = self.subband_index * sub_width + (sub_width - width) // 2
         return lo, lo + width
 
+    def band_and_amplitude(self, n_bins: int, subband_count: int,
+                           reference_noise_power_mw: float) -> tuple[int, int, float]:
+        """(lo, hi, amplitude in sqrt-mW): the band of :meth:`occupied_bins` and
+        the amplitude_mv given, or the one that puts target_snr_db over the
+        reference noise power in that band."""
+        lo, hi = self.occupied_bins(n_bins, subband_count)
+        amplitude_mv = self.amplitude_mv
+        if amplitude_mv is None:
+            amplitude_mv = amplitude_for_snr(
+                self.target_snr_db, reference_noise_power_mw, (hi - lo) / n_bins
+            )
+        return lo, hi, amplitude_mv_to_sqrt_mw(amplitude_mv)
+
     def active_in(self, frame: int, n_frames: int) -> bool:
         end = n_frames if self.frame_end is None else self.frame_end
         return self.frame_start <= frame < end
@@ -137,7 +150,7 @@ class ScenarioConfig:
 
     n_bins: int
     n_frames: int
-    sample_rate_hz: float = 10e6
+    sample_rate_hz: float = 10e6  # recorded and checked; no computation reads it
     noise: NoiseSource = field(default_factory=NoiseSource)
     reference_noise_power_mw: float = 1.0
     subband_count: int = 4
@@ -148,6 +161,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_bins < 2 or self.n_frames < 1:
             raise ValueError("need n_bins >= 2 and n_frames >= 1")
+        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
+            raise ValueError("sample_rate_hz must be positive and finite")
         if self.reference_noise_power_mw <= 0:
             raise ValueError("reference_noise_power_mw must be positive")
         if self.subband_count < 1 or self.n_bins % self.subband_count != 0:
@@ -160,23 +175,22 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Per-frame reference noise power, analytic SNR and true signal mask."""
+    """Per-frame reference noise power, analytic SNR and true signal mask, each
+    array owned by the rule of :func:`noisebench.spectral.frozen`."""
 
     noise_power_mw: np.ndarray        # (M,)
     true_snr_db: np.ndarray           # (M,), -inf where no signal
     signal_bin_mask: np.ndarray       # (M, N) bool
 
     def __post_init__(self):
-        power = np.asarray(self.noise_power_mw, dtype=np.float64).copy()
-        snr = np.asarray(self.true_snr_db, dtype=np.float64).copy()
-        mask = np.asarray(self.signal_bin_mask, dtype=bool).copy()
+        power = np.asarray(self.noise_power_mw, dtype=np.float64)
+        snr = np.asarray(self.true_snr_db, dtype=np.float64)
+        mask = np.asarray(self.signal_bin_mask, dtype=bool)
         if mask.ndim != 2 or power.shape != (mask.shape[0],) or snr.shape != (mask.shape[0],):
             raise ValueError("ground truth arrays have inconsistent shapes")
-        for arr in (power, snr, mask):
-            arr.setflags(write=False)
-        object.__setattr__(self, "noise_power_mw", power)
-        object.__setattr__(self, "true_snr_db", snr)
-        object.__setattr__(self, "signal_bin_mask", mask)
+        object.__setattr__(self, "noise_power_mw", frozen(power, self.noise_power_mw))
+        object.__setattr__(self, "true_snr_db", frozen(snr, self.true_snr_db))
+        object.__setattr__(self, "signal_bin_mask", frozen(mask, self.signal_bin_mask))
 
     @property
     def n_frames(self) -> int:
@@ -186,7 +200,7 @@ class GroundTruth:
         return float(self.signal_bin_mask[frame].mean())
 
 
-def _hand_over(samples: np.ndarray, sample_rate_hz: float) -> ComplexSeries:
+def _hand_over(samples: np.ndarray) -> ComplexSeries:
     """A series around a freshly computed array: frozen in place, not copied, still checked.
 
     The array must be one nothing else holds.  It is built once and written in
@@ -194,7 +208,7 @@ def _hand_over(samples: np.ndarray, sample_rate_hz: float) -> ComplexSeries:
     once, and nothing writes to it afterwards.
     """
     samples.setflags(write=False)
-    return ComplexSeries(samples=samples, sample_rate_hz=sample_rate_hz)
+    return ComplexSeries(samples=samples)
 
 
 def _read_iq_trace(path: str | Path) -> np.ndarray:
@@ -211,14 +225,14 @@ def _read_iq_trace(path: str | Path) -> np.ndarray:
     return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
 
 
-def load_iq_trace(path: str | Path, sample_rate_hz: float = 10e6) -> ComplexSeries:
+def load_iq_trace(path: str | Path) -> ComplexSeries:
     """Read interleaved little-endian float32 (I, Q) pairs in capture order."""
-    return _hand_over(_read_iq_trace(path), sample_rate_hz)
+    return _hand_over(_read_iq_trace(path))
 
 
-def series_from_iq_pairs(pairs: np.ndarray, sample_rate_hz: float = 10e6) -> ComplexSeries:
+def series_from_iq_pairs(pairs: np.ndarray) -> ComplexSeries:
     """A series from an (n, 2) array of (I, Q) pairs, built as one fresh array."""
-    return _hand_over(pairs[:, 0] + 1j * pairs[:, 1], sample_rate_hz)
+    return _hand_over(pairs[:, 0] + 1j * pairs[:, 1])
 
 
 def write_iq_trace(path: str | Path, series: ComplexSeries) -> None:
@@ -240,7 +254,7 @@ def rescale_to_power(series: ComplexSeries, target_mw: float) -> ComplexSeries:
     """Scale by a single real factor so the mean of |s|^2 equals target_mw; a new series."""
     samples = series.samples.copy()
     _scale_to_power(samples, target_mw)
-    return _hand_over(samples, series.sample_rate_hz)
+    return _hand_over(samples)
 
 
 def _complex_normals(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
@@ -262,10 +276,9 @@ def _white_samples(length: int, power_mw: float, seed: int) -> np.ndarray:
     return samples
 
 
-def synth_white_noise(length: int, power_mw: float, seed: int,
-                      sample_rate_hz: float = 10e6) -> ComplexSeries:
+def synth_white_noise(length: int, power_mw: float, seed: int) -> ComplexSeries:
     """Circularly-symmetric complex Gaussian noise with E|w|^2 = power_mw."""
-    return _hand_over(_white_samples(length, power_mw, seed), sample_rate_hz)
+    return _hand_over(_white_samples(length, power_mw, seed))
 
 
 def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: float,
@@ -295,7 +308,7 @@ def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: flo
 
 
 def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: float,
-                           seed: int, sample_rate_hz: float = 10e6) -> ComplexSeries:
+                           seed: int) -> ComplexSeries:
     """Synthetic industrial-environment surrogate: impulsive, spectrally tilted noise.
 
     White Gaussian base, plus Bernoulli impulses of magnitude
@@ -305,7 +318,7 @@ def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: 
     white Gaussian noise.  This is a stand-in for real captures and carries
     no claim of matching any measured environment.
     """
-    return _hand_over(_industrial_samples(length, params, power_mw, seed), sample_rate_hz)
+    return _hand_over(_industrial_samples(length, params, power_mw, seed))
 
 
 _LOWPASS_BLOCK = 32
@@ -382,17 +395,9 @@ def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
     |X|^2/N power convention.  Bins outside the band are untouched.
     """
     n = frame.n_bins
-    lo, hi = signal.occupied_bins(n, subband_count)
-    if not (0 <= lo < hi <= n):
-        raise ValueError(f"band [{lo}, {hi}) outside the frame's {n} bins")
-    amplitude_mv = signal.amplitude_mv
-    if amplitude_mv is None:
-        amplitude_mv = amplitude_for_snr(
-            signal.target_snr_db, reference_noise_power_mw, (hi - lo) / n
-        )
-    offset = amplitude_mv_to_sqrt_mw(amplitude_mv) * np.sqrt(n)
+    lo, hi, a_sqrt_mw = signal.band_and_amplitude(n, subband_count, reference_noise_power_mw)
     bins = frame.bins.copy()
-    bins[lo:hi] += offset
+    bins[lo:hi] += a_sqrt_mw * np.sqrt(n)
     return SpectralFrame(bins=bins, frame_index=frame.frame_index)
 
 
@@ -411,7 +416,7 @@ def _noise_series(config: ScenarioConfig) -> ComplexSeries:
                 f"trace {src.path} has {samples.size} samples, scenario needs {total}"
             )
     _scale_to_power(samples, config.reference_noise_power_mw)
-    return _hand_over(samples, config.sample_rate_hz)
+    return _hand_over(samples)
 
 
 def _frame_amplitudes(config: ScenarioConfig, frame: int) -> list[tuple[int, int, float]]:
@@ -422,28 +427,16 @@ def _frame_amplitudes(config: ScenarioConfig, frame: int) -> list[tuple[int, int
     step = next(
         (s for s in config.snr_schedule if s.frame_start <= frame < s.frame_end), None
     )
-    out = []
-    if step is not None:
-        # A schedule step overrides amplitudes: every active signal gets the
-        # amplitude that makes the combined occupancy hit the target SNR.
-        combined = sum(
-            (hi - lo) for lo, hi in
-            (s.occupied_bins(config.n_bins, config.subband_count) for s in active)
-        ) / config.n_bins
-        a_mv = amplitude_for_snr(step.target_snr_db, config.reference_noise_power_mw, combined)
-        for s in active:
-            lo, hi = s.occupied_bins(config.n_bins, config.subband_count)
-            out.append((lo, hi, amplitude_mv_to_sqrt_mw(a_mv)))
-        return out
-    for s in active:
-        lo, hi = s.occupied_bins(config.n_bins, config.subband_count)
-        a_mv = s.amplitude_mv
-        if a_mv is None:
-            a_mv = amplitude_for_snr(
-                s.target_snr_db, config.reference_noise_power_mw, (hi - lo) / config.n_bins
-            )
-        out.append((lo, hi, amplitude_mv_to_sqrt_mw(a_mv)))
-    return out
+    if step is None:
+        return [s.band_and_amplitude(config.n_bins, config.subband_count,
+                                     config.reference_noise_power_mw) for s in active]
+    # A schedule step overrides amplitudes: every active signal gets the
+    # amplitude that makes the combined occupancy hit the target SNR.
+    bands = [s.occupied_bins(config.n_bins, config.subband_count) for s in active]
+    combined = sum(hi - lo for lo, hi in bands) / config.n_bins
+    a_sqrt_mw = amplitude_mv_to_sqrt_mw(
+        amplitude_for_snr(step.target_snr_db, config.reference_noise_power_mw, combined))
+    return [(lo, hi, a_sqrt_mw) for lo, hi in bands]
 
 
 def _constant_segments(config: ScenarioConfig) -> list[tuple[int, int]]:
@@ -482,18 +475,16 @@ def build_scenario(config: ScenarioConfig) -> tuple[ResourceBlock, GroundTruth]:
         if signal_power > 0:
             snr_db[start:end] = 10.0 * np.log10(signal_power / config.reference_noise_power_mw)
 
-    spectral.setflags(write=False)
-    truth = GroundTruth(
-        noise_power_mw=np.full(m, config.reference_noise_power_mw),
-        true_snr_db=snr_db,
-        signal_bin_mask=mask,
-    )
+    noise_power = np.full(m, config.reference_noise_power_mw)
+    for arr in (spectral, noise_power, snr_db, mask):
+        arr.setflags(write=False)  # handed over, not copied
+    truth = GroundTruth(noise_power_mw=noise_power, true_snr_db=snr_db, signal_bin_mask=mask)
     return ResourceBlock(spectral), truth
 
 
-def time_series_of(block: ResourceBlock, sample_rate_hz: float) -> ComplexSeries:
+def time_series_of(block: ResourceBlock) -> ComplexSeries:
     """Inverse-transform a block back to one contiguous time-domain stream."""
-    return _hand_over(np.fft.ifft(block.spectral, axis=1).ravel(), sample_rate_hz)
+    return _hand_over(np.fft.ifft(block.spectral, axis=1).ravel())
 
 
 # --- configuration files ----------------------------------------------------
@@ -532,14 +523,19 @@ def scenario_config_from_dict(data: dict) -> ScenarioConfig:
     )
 
 
-def scenario_config_from_file(path: str | Path) -> ScenarioConfig:
-    """Load a JSON scenario config file."""
+def read_config_file(path: str | Path):
+    """The parsed content of a JSON scenario config file; invalid JSON is a
+    ValueError that names the file."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_config_from_dict(data)
+
+
+def scenario_config_from_file(path: str | Path) -> ScenarioConfig:
+    """Load a JSON scenario config file."""
+    return scenario_config_from_dict(read_config_file(path))
 
 
 def with_seed(config: ScenarioConfig, seed: int) -> ScenarioConfig:

@@ -15,7 +15,8 @@ Ownership: a full-length array is built once and, while nothing else can
 see it, written in place (scaled, filtered, squared); it is frozen once, when
 it is handed to a value type, and nothing writes to it after that.  A value
 type keeps a read-only array as is and copies a writeable one, because the
-caller could still write through it.
+caller could still write through it; :func:`frozen` states this rule for
+every value type.
 """
 
 from __future__ import annotations
@@ -30,12 +31,22 @@ from .errors import InsufficientSamplesError
 log = logging.getLogger(__name__)
 
 
-def _as_finite_complex(values, what: str) -> np.ndarray:
-    """Checked, read-only complex vector; a writeable input array is copied.
+def frozen(arr: np.ndarray, given) -> np.ndarray:
+    """``arr``, which a value type converted from the value ``given``, made read-only.
 
-    A read-only array is kept as is, so code that has just computed an array
-    hands it over by freezing it first.
+    The ownership rule, stated once: ``arr`` is copied only when it may share
+    memory with ``given`` and ``given`` is a writeable array, which the caller
+    could still write through.  A read-only array is kept as is, and an array
+    the conversion has just built is frozen in place.
     """
+    if isinstance(given, np.ndarray) and given.flags.writeable and np.may_share_memory(arr, given):
+        arr = arr.copy()
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_finite_complex(values, what: str) -> np.ndarray:
+    """Checked, read-only complex vector, owned by the rule of :func:`frozen`."""
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
@@ -43,27 +54,21 @@ def _as_finite_complex(values, what: str) -> np.ndarray:
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"{what} contains a non-finite value at sample {idx}")
-    if arr.flags.writeable and isinstance(values, np.ndarray):
-        arr = arr.copy()  # the caller can still write through its array
-    arr.setflags(write=False)
-    return arr
+    return frozen(arr, values)
 
 
 @dataclass(frozen=True)
 class ComplexSeries:
-    """A stream of complex I/Q samples at a fixed sample rate.
+    """A stream of complex I/Q samples.
 
     A zero-length series is permitted (e.g. loading an empty trace file);
     operations that need data raise :class:`InsufficientSamplesError`.
     """
 
     samples: np.ndarray
-    sample_rate_hz: float
 
     def __post_init__(self):
         object.__setattr__(self, "samples", _as_finite_complex(self.samples, "samples"))
-        if not (self.sample_rate_hz > 0 and np.isfinite(self.sample_rate_hz)):
-            raise ValueError("sample_rate_hz must be positive and finite")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -105,8 +110,7 @@ class SpectralFrame:
 class PowerSpectrum:
     """Non-negative per-bin powers of one frame (mW when scenario-scaled).
 
-    Every input is checked; a writeable input array is copied and frozen, a
-    read-only one is kept as is.
+    Every input is checked; the array is owned by the rule of :func:`frozen`.
     """
 
     power: np.ndarray
@@ -120,10 +124,7 @@ class PowerSpectrum:
             raise ValueError("power contains non-finite entries")
         if (arr < 0).any():
             raise ValueError("power entries must be non-negative")
-        if arr.flags.writeable and isinstance(self.power, np.ndarray):
-            arr = arr.copy()  # the caller can still write through its array
-        arr.setflags(write=False)
-        object.__setattr__(self, "power", arr)
+        object.__setattr__(self, "power", frozen(arr, self.power))
 
     @property
     def n_bins(self) -> int:
@@ -134,8 +135,8 @@ class PowerSpectrum:
 class ResourceBlock:
     """M spectral frames of N bins as one read-only (M, N) complex array: the unit of analysis.
 
-    Row i holds frame i's coefficients.  The array is validated once, here;
-    a writeable input is copied and frozen, a read-only one is kept as is.
+    Row i holds frame i's coefficients.  The array is validated once, here,
+    and owned by the rule of :func:`frozen`.
     """
 
     spectral: np.ndarray
@@ -152,10 +153,7 @@ class ResourceBlock:
         if not finite.all():
             frame, bin_ = np.argwhere(~finite)[0]
             raise ValueError(f"block contains a non-finite value at frame {frame}, bin {bin_}")
-        if arr.flags.writeable:
-            arr = arr.copy()
-            arr.setflags(write=False)
-        object.__setattr__(self, "spectral", arr)
+        object.__setattr__(self, "spectral", frozen(arr, self.spectral))
 
     @property
     def n_frames(self) -> int:

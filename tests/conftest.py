@@ -92,7 +92,7 @@ def switching_trace_config(tmp_path_factory) -> Path:
                   "params": {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
                              "spectral_tilt_db_per_decade": -3.0}},
     })
-    write_iq_trace(trace, time_series_of(build_scenario(noise)[0], noise.sample_rate_hz))
+    write_iq_trace(trace, time_series_of(build_scenario(noise)[0]))
     half = SWITCH_FRAMES // 2
     path = work / "run.json"
     path.write_text(json.dumps({

@@ -87,6 +87,16 @@ class TestMethodSpec:
         assert dict(spec.params) == {"grid_size": 7}
         assert spec == MethodSpec("CBE", params={"grid_size": 7})
 
+    def test_specs_hash_and_key_dicts(self):
+        spec = MethodSpec("CBE", params={"grid_size": 7})
+        same = MethodSpec("CBE", params={"grid_size": 7})
+        assert hash(spec) == hash(same)
+        table = {spec: "cbe7", MethodSpec("CBE"): "cbe", MethodSpec("MVU", "rof"): "mvu"}
+        assert table[same] == "cbe7" and table[MethodSpec("CBE")] == "cbe"
+        assert len(table) == 3 and spec != MethodSpec("CBE")
+        with pytest.raises(TypeError):
+            spec.params["grid_size"] = 9
+
     def test_rof_params_default_to_rof_params(self):
         from noisebench import RofParams
         assert bench._rof_params(MethodSpec("ML", "rof")) == RofParams()

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, estimators, load_iq_trace,
+from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, errors, estimators, load_iq_trace,
                         scenario_config_from_dict, synth_white_noise, write_iq_trace)
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
@@ -158,7 +158,7 @@ class TestRun:
         else:
             samples[:n_bins] = np.fft.ifft(np.sqrt(n_bins * np.linspace(1.0, 50.0, n_bins)))
         trace = tmp_path / "head.iq"
-        write_iq_trace(trace, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        write_iq_trace(trace, ComplexSeries(samples=samples))
         config = tmp_path / "head.json"
         config.write_text(json.dumps({
             "name": "degenerate-head", "n_bins": n_bins, "n_frames": n_frames,
@@ -232,7 +232,7 @@ class TestRun:
         samples = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         samples[2 * n_bins:3 * n_bins] = 0.0
         trace = tmp_path / "silent.iq"
-        write_iq_trace(trace, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        write_iq_trace(trace, ComplexSeries(samples=samples))
         data = {"name": "silent-frame", "n_bins": n_bins, "n_frames": n_frames,
                 "noise": {"kind": "trace-file", "path": str(trace)}}
         config = tmp_path / "silent.json"
@@ -272,6 +272,36 @@ class TestRun:
             outputs.append(((out / "series.csv").read_bytes(),
                             (out / "report.csv").read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [
+        (errors.InsufficientSamplesError, 3), (errors.TraceFormatError, 3),
+        (errors.ZeroPowerError, 3), (errors.DegenerateSpectrumError, 3),
+        (errors.EmptyNoiseGroupError, 3), (ValueError, 2),
+    ])
+    def test_data_errors_exit_3_and_other_value_errors_2(self, error, code, monkeypatch,
+                                                          capsys):
+        def fail(args):
+            raise error("boom")
+        monkeypatch.setattr(cli, "cmd_ops", fail)
+        assert main(["ops", "--sizes", "16"]) == code
+        assert capsys.readouterr().err == "error: boom\n"
+
+    def test_invalid_json_config_names_the_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{bad")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: not valid JSON (")
+
+    @pytest.mark.parametrize("args", [["run", "--out", "r"], ["estimate", "--method", "AIC"]],
+                             ids=["run", "estimate"])
+    def test_bad_sample_rate_exits_2(self, small_config, tmp_path, monkeypatch, capsys, args):
+        monkeypatch.chdir(tmp_path)
+        rc = main([args[0], "--config", str(small_config), "--override", "sample_rate_hz=-1",
+                   *args[1:]])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: sample_rate_hz must be positive and finite\n"
 
 
 class TestSeparate:

@@ -828,6 +828,10 @@ class TestSnrFromPowers:
         with pytest.raises(ZeroPowerError):
             snr_from_powers(1.0, 0.0)
 
+    def test_rejects_negative_received_power(self):
+        with pytest.raises(ValueError, match="received power must be non-negative"):
+            snr_from_powers(-1.0, 1.0)
+
 
 class TestSnrDbFromPowers:
     def test_matches_scalar_form(self):

@@ -8,6 +8,7 @@ import pytest
 from scipy import signal, stats
 
 from noisebench import (
+    GroundTruth,
     InsufficientSamplesError,
     NoiseSource,
     ScenarioConfig,
@@ -136,7 +137,7 @@ class TestIqTrace:
         rng = np.random.default_rng(3)
         samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         path = tmp_path / "rt.iq"
-        write_iq_trace(path, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        write_iq_trace(path, ComplexSeries(samples=samples))
         got = load_iq_trace(path)
         expected = samples.real.astype(np.float32) + 1j * samples.imag.astype(np.float32)
         np.testing.assert_array_equal(got.samples, expected.astype(complex))
@@ -181,19 +182,19 @@ class TestIqTrace:
             np.array([0.0, -0.0 - 0.0j, complex(-0.0, 0.0), 1e-46 - 1e-46j, 1 + 2 ** -24j]),
         ])
         path = tmp_path / "w.iq"
-        write_iq_trace(path, ComplexSeries(samples=samples, sample_rate_hz=10e6))
+        write_iq_trace(path, ComplexSeries(samples=samples))
         assert path.read_bytes() == old_iq_bytes(samples)
 
 
 class TestRescale:
     def test_scales_by_two(self):
         out = rescale_to_power(
-            ComplexSeries(samples=np.array([1 + 0j, 1 + 0j]), sample_rate_hz=1.0), 4.0
+            ComplexSeries(samples=np.array([1 + 0j, 1 + 0j])), 4.0
         )
         np.testing.assert_allclose(out.samples, [2 + 0j, 2 + 0j])
 
     def test_identity_at_current_power(self):
-        s = ComplexSeries(samples=np.array([1 + 1j, 2 - 1j]), sample_rate_hz=1.0)
+        s = ComplexSeries(samples=np.array([1 + 1j, 2 - 1j]))
         out = rescale_to_power(s, s.mean_power())
         np.testing.assert_allclose(out.samples, s.samples, rtol=1e-15)
 
@@ -220,8 +221,7 @@ class TestRescale:
 
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerError):
-            rescale_to_power(ComplexSeries(samples=np.zeros(4, dtype=complex),
-                                           sample_rate_hz=1.0), 1.0)
+            rescale_to_power(ComplexSeries(samples=np.zeros(4, dtype=complex)), 1.0)
 
 
 class TestSynthNoise:
@@ -381,6 +381,22 @@ class TestInjectRectSignal:
         outside[lo:hi] = False
         np.testing.assert_array_equal(out.bins[outside], frame.bins[outside])
 
+    @pytest.mark.parametrize("signal", [
+        SubbandSignal(subband_index=1, occupancy_fraction=0.5, amplitude_mv=40.0),
+        SubbandSignal(subband_index=3, occupancy_fraction=0.3, target_snr_db=-2.5),
+    ], ids=["amplitude_mv", "target_snr_db"])
+    def test_matches_build_scenario_row(self, signal):
+        noise = ScenarioConfig(n_bins=64, n_frames=3, reference_noise_power_mw=2.5,
+                               noise=NoiseSource(seed=4))
+        noise_block, _ = build_scenario(noise)
+        block, _ = build_scenario(ScenarioConfig(
+            n_bins=64, n_frames=3, reference_noise_power_mw=2.5, noise=NoiseSource(seed=4),
+            signals=(signal,)))
+        for f in range(3):
+            out = inject_rect_signal(SpectralFrame(bins=noise_block.spectral[f], frame_index=f),
+                                     signal, reference_noise_power_mw=2.5)
+            np.testing.assert_array_equal(out.bins, block.spectral[f])
+
     def test_measured_snr_matches_target(self):
         # Whole-band SNR measured over a 100-frame block at the 0 dB amplitude.
         block, truth = build_scenario(reference_config(seed=21))
@@ -396,6 +412,19 @@ class TestBuildScenario:
         _, truth = build_scenario(cfg)
         assert np.all(np.isneginf(truth.true_snr_db))
         assert not truth.signal_bin_mask.any()
+
+    def test_ground_truth_keeps_read_only_arrays_and_copies_writeable_ones(self):
+        power, snr, mask = np.ones(3), np.full(3, -np.inf), np.zeros((3, 8), dtype=bool)
+        truth = GroundTruth(noise_power_mw=power, true_snr_db=snr, signal_bin_mask=mask)
+        for name, given in (("noise_power_mw", power), ("true_snr_db", snr),
+                            ("signal_bin_mask", mask)):
+            kept = getattr(truth, name)
+            assert not np.shares_memory(kept, given) and not kept.flags.writeable
+            given.setflags(write=False)
+        truth = GroundTruth(noise_power_mw=power, true_snr_db=snr, signal_bin_mask=mask)
+        assert truth.noise_power_mw is power
+        assert truth.true_snr_db is snr
+        assert truth.signal_bin_mask is mask
 
     def test_reference_band_placement(self):
         _, truth = build_scenario(reference_config())
@@ -522,9 +551,8 @@ class TestArrayBuildersMatchPerFrame:
     def test_time_series_matches_per_frame_ifft(self):
         block, _ = build_scenario(reference_config(seed=2, n_frames=20))
         want = np.concatenate([np.fft.ifft(row) for row in block.spectral])
-        series = time_series_of(block, 10e6)
+        series = time_series_of(block)
         np.testing.assert_array_equal(series.samples, want)
-        assert series.sample_rate_hz == 10e6
 
 
 
@@ -648,6 +676,14 @@ class TestConfigFiles:
         data["snr_schedule"] = [{"frame_start": 0, "frame_end": 4, "target_snr_db": -3.0}]
         cfg = scenario_config_from_dict(data)
         assert cfg.snr_schedule[0].target_snr_db == -3.0
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+    def test_sample_rate_checked(self, rate):
+        data = self._base()
+        data["sample_rate_hz"] = rate
+        with pytest.raises(ValueError) as exc:
+            scenario_config_from_dict(data)
+        assert str(exc.value) == "sample_rate_hz must be positive and finite"
 
     def test_subbands_must_partition(self):
         data = self._base()

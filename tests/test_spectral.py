@@ -18,6 +18,7 @@ from noisebench import (
     power_matrix,
     power_spectrum,
 )
+from noisebench.spectral import frozen
 
 from conftest import white_frame
 
@@ -30,7 +31,7 @@ def direct_dft(x: np.ndarray) -> np.ndarray:
 
 
 def series(samples) -> ComplexSeries:
-    return ComplexSeries(samples=np.asarray(samples, dtype=complex), sample_rate_hz=10e6)
+    return ComplexSeries(samples=np.asarray(samples, dtype=complex))
 
 
 class TestFrameSignal:
@@ -183,7 +184,7 @@ class TestMeanPower:
     def test_matches_out_of_place_oracle(self):
         rng = np.random.default_rng(10)
         samples = rng.standard_normal(10_007) * 3 + 1j * rng.standard_normal(10_007)
-        series = ComplexSeries(samples=samples, sample_rate_hz=1.0)
+        series = ComplexSeries(samples=samples)
         assert series.mean_power() == float(np.mean(np.abs(samples) ** 2))
         np.testing.assert_array_equal(series.samples, samples)
 
@@ -237,16 +238,16 @@ class TestValueTypes:
 
     def test_series_copies_only_writeable_input_and_checks_every_input(self):
         values = np.ones(6, dtype=complex)
-        s = ComplexSeries(samples=values, sample_rate_hz=1.0)
+        s = ComplexSeries(samples=values)
         assert not np.shares_memory(s.samples, values)
         assert not s.samples.flags.writeable
         values.setflags(write=False)
-        assert ComplexSeries(samples=values, sample_rate_hz=1.0).samples is values
+        assert ComplexSeries(samples=values).samples is values
         bad = np.ones(6, dtype=complex)
         bad[4] = np.nan
         bad.setflags(write=False)
         with pytest.raises(ValueError, match="sample 4"):
-            ComplexSeries(samples=bad, sample_rate_hz=1.0)
+            ComplexSeries(samples=bad)
 
     def test_power_copies_only_writeable_input_and_checks_every_input(self):
         values = np.ones(6)
@@ -261,6 +262,20 @@ class TestValueTypes:
             frozen.setflags(write=False)
             with pytest.raises(ValueError, match=message):
                 PowerSpectrum(power=frozen)
+
+    def test_frozen_copies_only_memory_of_a_writeable_input(self):
+        given = np.ones((3, 4))
+        fresh = np.asarray(given, dtype=np.complex128)  # conversion built it: kept
+        assert frozen(fresh, given) is fresh and not fresh.flags.writeable
+        listed = np.asarray([[1.0, 2.0]])
+        assert frozen(listed, [[1.0, 2.0]]) is listed
+        for arr in (given, given[1:]):  # the caller can still write through these
+            kept = frozen(arr, given)
+            assert not np.shares_memory(kept, given) and not kept.flags.writeable
+            np.testing.assert_array_equal(kept, arr)
+        assert given.flags.writeable
+        given.setflags(write=False)
+        assert frozen(given, given) is given
 
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
@@ -287,7 +302,7 @@ class TestValueTypes:
             frame.bins[0] = 5.0
 
     def test_empty_series_allowed_until_used(self):
-        empty = ComplexSeries(samples=np.array([], dtype=complex), sample_rate_hz=1.0)
+        empty = ComplexSeries(samples=np.array([], dtype=complex))
         assert len(empty) == 0
         with pytest.raises(InsufficientSamplesError):
             frame_signal(empty, 2, 1)
