@@ -224,11 +224,14 @@ def sample_covariance(block: ResourceBlock) -> np.ndarray:
     has the configured noise power as its eigenvalue scale.  The complex
     (Hermitian) form is used: bin magnitudes have a non-zero mean that would
     inject a spurious rank-one spike and push the bulk spectrum off the
-    Marchenko-Pastur support.
+    Marchenko-Pastur support.  The product is symmetrised, 0.5 * (C + C^H),
+    because its round-off leaves it Hermitian only to about 1e-15; any
+    diagonal block of the result is then a Hermitian covariance as it stands.
     """
     n = block.n_bins
     x = block.spectral / np.sqrt(n)
-    return (x @ x.conj().T) / n
+    cov = (x @ x.conj().T) / n
+    return 0.5 * (cov + cov.conj().T)
 
 
 def covariance_eigenvalues(block: ResourceBlock) -> np.ndarray:
@@ -245,12 +248,12 @@ def _check_window_shape(m: int, n: int) -> None:
 
 
 def _descending_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian-symmetrised covariance, largest first.
+    """Eigenvalues of a Hermitian covariance (a diagonal block of
+    :func:`sample_covariance`), largest first.
 
     A negative eigenvalue within 1e-10 of the largest (or of 1) is round-off
     and is clipped to zero; one further below raises.
     """
-    cov = 0.5 * (cov + cov.conj().T)
     try:
         ev = np.linalg.eigvalsh(cov)[::-1].copy()
     except np.linalg.LinAlgError as exc:

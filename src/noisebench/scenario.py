@@ -16,8 +16,9 @@ interleaved little-endian float32 (I, Q) pairs.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -490,37 +491,66 @@ def time_series_of(block: ResourceBlock) -> ComplexSeries:
 # --- configuration files ----------------------------------------------------
 
 
-def _check_keys(mapping: dict, cls: type, where: str) -> None:
-    """Reject keys of ``mapping`` that are not fields of the dataclass ``cls``."""
+# The JSON values a config field of each annotated type accepts.  A bool is
+# not a number, and an integer field takes no float, not even 512.0.
+_CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+                 str: ((str,), "a string")}
+
+
+def _config_kwargs(mapping, cls: type, where: str, key: str) -> dict:
+    """The section ``mapping`` as keyword arguments of the dataclass ``cls``.
+
+    Unknown and missing keys are rejected, and so is a value whose JSON type
+    does not match its field's annotation (int, float or str, each optionally
+    None); nested sections are left to the caller.  ``where`` names the
+    section in the key messages, ``key`` is its dotted override path.
+    """
+    if not isinstance(mapping, dict):
+        raise ValueError(f"{key} must be an object, got {mapping!r}")
     unknown = set(mapping) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
+    missing = {f.name for f in fields(cls) if f.default is MISSING
+               and f.default_factory is MISSING} - set(mapping)
+    if missing:
+        raise ValueError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
+    hints = get_type_hints(cls)
+    for name, value in mapping.items():
+        allowed = get_args(hints[name]) or (hints[name],)
+        scalar = [t for t in allowed if t in _CONFIG_TYPES]
+        if not scalar or (value is None and type(None) in allowed):
+            continue
+        types, what = _CONFIG_TYPES[scalar[0]]
+        if isinstance(value, bool) or not isinstance(value, types):
+            what += " or null" if type(None) in allowed else ""
+            raise ValueError(f"{key}{'.' if key else ''}{name} must be {what}, got {value!r}")
+    return dict(mapping)
+
+
+def _config_list(items, name: str):
+    """``items``, checked to be the array that the list section ``name`` must be."""
+    if not isinstance(items, (list, tuple)):
+        raise ValueError(f"{name} must be an array, got {items!r}")
+    return items
 
 
 def scenario_config_from_dict(data: dict) -> ScenarioConfig:
-    """Build a ScenarioConfig from parsed structured text; unknown keys are rejected."""
+    """Build a ScenarioConfig from parsed structured text; unknown keys and
+    values of the wrong type are rejected."""
     if not isinstance(data, dict):
         raise ValueError("scenario config must be a mapping")
-    _check_keys(data, ScenarioConfig, "scenario config")
-    noise_data = dict(data.get("noise", {}))
-    _check_keys(noise_data, NoiseSource, "noise")
-    params_data = dict(noise_data.pop("params", {}))
-    _check_keys(params_data, SurrogateNoiseParams, "noise.params")
+    kwargs = _config_kwargs(data, ScenarioConfig, "scenario config", "")
+    noise_data = _config_kwargs(kwargs.pop("noise", {}), NoiseSource, "noise", "noise")
+    params_data = _config_kwargs(noise_data.pop("params", {}), SurrogateNoiseParams,
+                                 "noise.params", "noise.params")
     noise = NoiseSource(params=SurrogateNoiseParams(**params_data), **noise_data)
-
-    signals = []
-    for i, sig in enumerate(data.get("signals", [])):
-        _check_keys(dict(sig), SubbandSignal, f"signals[{i}]")
-        signals.append(SubbandSignal(**sig))
-    schedule = []
-    for i, step in enumerate(data.get("snr_schedule", [])):
-        _check_keys(dict(step), SnrStep, f"snr_schedule[{i}]")
-        schedule.append(SnrStep(**step))
-
-    kwargs = {k: v for k, v in data.items() if k not in ("noise", "signals", "snr_schedule")}
-    return ScenarioConfig(
-        noise=noise, signals=tuple(signals), snr_schedule=tuple(schedule), **kwargs
-    )
+    signals = tuple(
+        SubbandSignal(**_config_kwargs(sig, SubbandSignal, f"signals[{i}]", f"signals.{i}"))
+        for i, sig in enumerate(_config_list(kwargs.pop("signals", []), "signals")))
+    schedule = tuple(
+        SnrStep(**_config_kwargs(step, SnrStep, f"snr_schedule[{i}]", f"snr_schedule.{i}"))
+        for i, step in enumerate(_config_list(kwargs.pop("snr_schedule", []), "snr_schedule")))
+    return ScenarioConfig(noise=noise, signals=signals, snr_schedule=schedule, **kwargs)
 
 
 def read_config_file(path: str | Path):

@@ -21,7 +21,9 @@ from .spectral import PowerSpectrum
 
 SEPARATION_METHODS = ("ideal", "fisher", "rof")
 FISHER_CHUNK = 32  # frames per batched Fisher scan
-ROF_CHUNK = 32  # spectra per batched erosion cascade and ROF decision
+ROF_CHUNK = 64  # spectra per batched erosion cascade and ROF decision
+_ROF_STOP_EVERY = 32  # erosion steps between two checks for rows whose K is decided
+_ROF_STOP_MARGIN = 1e-9  # relative rounding margin of the early stop; see _rof_decided
 _FISHER_TIGHT = 1e-6  # see _fisher_scan_rows
 
 
@@ -92,9 +94,23 @@ def rof_energy_drops(power: PowerSpectrum) -> np.ndarray:
 def rof_energy_drops_rows(spectra: np.ndarray) -> np.ndarray:
     """Energy-drop curves of a (W, N) stack of spectra, one row per spectrum.
 
-    Row i equals :func:`rof_energy_drops` of ``spectra[i]`` bit for bit; each
-    cascade step is one minimum over all rows.  An all-zero row is not
-    rejected here: its curve is all zeros.
+    Row i equals :func:`rof_energy_drops` of ``spectra[i]`` bit for bit; it
+    is the full curve of :func:`_rof_cascade`, all N - 1 erosion steps.  An
+    all-zero row is not rejected here: its curve is all zeros.
+    """
+    return _energy_drops(_rof_cascade(spectra)[0])
+
+
+def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
+                 ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The erosion cascade of a (W, N) stack: each row's energies and, given lambda1_pct, its K.
+
+    energy[k - 1, i] is E(k) of row i, the energy of that row under a k-bin
+    minimum filter.  Each step is one minimum over all rows still eroding.
+    Without lambda1_pct every row runs all N - 1 steps and K is None.  With
+    it, every ``_ROF_STOP_EVERY`` steps the rows whose K is already decided
+    (:func:`_rof_decided`) leave the cascade, their later energies left NaN;
+    K is the same as the full curve's, bit for bit.
     """
     w, n = spectra.shape
     if n < 4:
@@ -106,15 +122,63 @@ def rof_energy_drops_rows(spectra: np.ndarray) -> np.ndarray:
     padded = np.concatenate([np.repeat(spectra[:, :1], pad, axis=1), spectra,
                              np.repeat(spectra[:, -1:], pad, axis=1)], axis=1)
     eroded = np.array(spectra, dtype=np.float64)
-    energy = np.empty((n, w))  # energy[k - 1] = E(k) of every row
-    np.add.reduce(eroded, axis=1, out=energy[0])
+    # Every energy a row can reach is at least this; see _rof_decided.
+    floor = (1.0 - _ROF_STOP_MARGIN) * n * eroded.min(axis=1)
+    energy = np.full((n, w), np.nan)
+    widths = np.full(w, n)
+    rows = np.arange(w)  # the rows still eroding, and their energies so far
+    live = np.empty((n, w))
+    np.add.reduce(eroded, axis=1, out=live[0])
     for k in range(2, n + 1):
         left = k // 2
         shift = -left if k % 2 == 0 else k - 1 - left
         np.minimum(eroded, padded[:, pad + shift:pad + shift + n], out=eroded)
-        np.add.reduce(eroded, axis=1, out=energy[k - 1])
+        np.add.reduce(eroded, axis=1, out=live[k - 1])
+        if lambda1_pct is None or k % _ROF_STOP_EVERY or k == n:
+            continue
+        done, width = _rof_decided(live[:k], floor, lambda1_pct)
+        if done.any():
+            energy[:k, rows[done]] = live[:k, done]
+            widths[rows[done]] = width[done]
+            keep = ~done
+            rows, live, eroded, padded, floor = (
+                rows[keep], live[:, keep], eroded[keep], padded[keep], floor[keep])
+            if not rows.size:
+                break
+    energy[:, rows] = live
+    if lambda1_pct is None:
+        return energy, None
+    widths[rows] = _rof_band_widths(_energy_drops(live), lambda1_pct)
+    return energy, widths
+
+
+def _rof_decided(energy: np.ndarray, floor: np.ndarray, lambda1_pct: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows' K the energies E(1..k) so far decide, and each row's K on them.
+
+    Erosion only lowers E, and E stays above ``floor`` (N times the row's
+    minimum, less a relative margin that covers the rounding of a sum), so no
+    later drop exceeds B(k) = 100 * (E(k) - floor) / E(k).  K is decided once
+    B(k), less the margin again for the rounding of the drops, lies below the
+    running peak drop, so the peak is final, and a drop after the peak is not
+    above lambda1_pct of it, so the walk has stopped.  A row whose minimum is
+    not positive is never decided here.  The margin holds while N * 2**-52
+    is below it, for N up to about four million.
+    """
+    drops = _energy_drops(energy)
+    width = _rof_band_widths(drops, lambda1_pct)
+    last = energy[-1]
+    peak_final = 100.0 * (last - floor) < (1.0 - _ROF_STOP_MARGIN) * drops.max(axis=1) * last
+    return peak_final & (width < energy.shape[0]) & (floor > 0), width
+
+
+def _energy_drops(energy: np.ndarray) -> np.ndarray:
+    """Percentage drops D(k), k = 2..m, of the (m, W) energies E(1..m): a (W, m - 1) stack.
+
+    D(k) = 100 * (E(k-1) - E(k)) / E(k-1), and 0 where E(k-1) is not positive.
+    """
     prev, cur = energy[:-1].T, energy[1:].T
-    drops = np.zeros((w, n - 1))
+    drops = np.zeros(prev.shape)
     np.divide(100.0 * (prev - cur), prev, out=drops, where=prev > 0)
     return drops
 
@@ -141,16 +205,15 @@ def _rof_band_widths(drops: np.ndarray, lambda1_pct: float) -> np.ndarray:
     return np.where(stop.any(axis=1), np.argmax(stop, axis=1) + 1, drops.shape[1] + 1)
 
 
-def _rof_rows(spectra: np.ndarray, drops: np.ndarray, params: RofParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`rof_separate`'s decisions on a (W, N) stack of spectra and their drop curves.
+def _rof_rows(spectra: np.ndarray, k: np.ndarray, params: RofParams
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`rof_separate`'s decisions on a (W, N) stack of spectra and each row's K.
 
-    Returns the signal masks, each row's K, the smoothed spectra and the kept
-    bands as (row, first bin, end bin) rows.  The first row that is all zero
-    or all signal raises.
+    Returns the signal masks, the smoothed spectra and the kept bands as
+    (row, first bin, end bin) rows.  The first row that is all zero or all
+    signal raises.
     """
     w, n = spectra.shape
-    k = _rof_band_widths(drops, params.lambda1_pct)
     # Trailing K-point mean; expanding mean over the available samples at the
     # left edge (replicating the first bin there would fabricate long rising
     # runs whenever bin 0 is a low outlier).
@@ -174,7 +237,7 @@ def _rof_rows(spectra: np.ndarray, drops: np.ndarray, params: RofParams
     row, first = np.divmod(np.flatnonzero(start), n - 1)
     kept = wide[1:]
     bands = np.column_stack([row[kept], first[kept], first[kept] + width[1:][kept] + 1])
-    return signal, k, smoothed, bands
+    return signal, smoothed, bands
 
 
 def rof_separate(power: PowerSpectrum, params: RofParams = RofParams()) -> SeparationMask:
@@ -187,7 +250,8 @@ def rof_separate(power: PowerSpectrum, params: RofParams = RofParams()) -> Separ
     one-row case of :func:`rof_signal_rows`.
     """
     drops = rof_energy_drops(power)
-    signal, k, smoothed, bands = _rof_rows(power.power[None, :], drops[None, :], params)
+    k = _rof_band_widths(drops[None, :], params.lambda1_pct)
+    signal, smoothed, bands = _rof_rows(power.power[None, :], k, params)
     aux = {"K": int(k[0]), "d_curve": drops, "smoothed": smoothed[0],
            "runs": [(int(i), int(j)) for _, i, j in bands]}
     return SeparationMask(is_signal=signal[0], method="rof", aux=aux)
@@ -197,14 +261,17 @@ def rof_signal_rows(spectra: np.ndarray, params: RofParams = RofParams()) -> np.
     """ROF signal mask of every row of a (W, N) stack of spectra.
 
     Row i is :func:`rof_separate` of ``spectra[i]``.  ``ROF_CHUNK`` rows at a
-    time share one erosion cascade, K walk, smoothing and run search.  The
-    first row that is all zero or all signal raises DegenerateSpectrumError.
+    time share one erosion cascade, smoothing and run search.  Only K is read
+    off the cascade, so each row leaves it as soon as its K is decided
+    (:func:`_rof_cascade`), with the K of the full curve.  The first row
+    that is all zero or all signal raises DegenerateSpectrumError.
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     signal = np.empty(spectra.shape, dtype=bool)
     for lo in range(0, len(spectra), ROF_CHUNK):
         chunk = spectra[lo:lo + ROF_CHUNK]
-        signal[lo:lo + ROF_CHUNK] = _rof_rows(chunk, rof_energy_drops_rows(chunk), params)[0]
+        k = _rof_cascade(chunk, params.lambda1_pct)[1]
+        signal[lo:lo + ROF_CHUNK] = _rof_rows(chunk, k, params)[0]
     return signal
 
 

@@ -45,8 +45,8 @@ def frozen(arr: np.ndarray, given) -> np.ndarray:
     return arr
 
 
-def _as_finite_complex(values, what: str) -> np.ndarray:
-    """Checked, read-only complex vector, owned by the rule of :func:`frozen`."""
+def _finite_complex(values, what: str) -> np.ndarray:
+    """Checked complex vector: ``values`` itself where it already is one, neither copied nor frozen."""
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
@@ -54,7 +54,12 @@ def _as_finite_complex(values, what: str) -> np.ndarray:
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"{what} contains a non-finite value at sample {idx}")
-    return frozen(arr, values)
+    return arr
+
+
+def _as_finite_complex(values, what: str) -> np.ndarray:
+    """Checked, read-only complex vector, owned by the rule of :func:`frozen`."""
+    return frozen(_finite_complex(values, what), values)
 
 
 @dataclass(frozen=True)
@@ -191,22 +196,27 @@ def frame_signal(series: ComplexSeries, frame_len: int, frame_count: int) -> np.
 
 def dft(frame: np.ndarray, frame_index: int = 0) -> SpectralFrame:
     """Unnormalized forward DFT of one time-domain frame (any N >= 2)."""
-    arr = _as_finite_complex(frame, "frame")
+    arr = _finite_complex(frame, "frame")
     if arr.size < 2:
         raise ValueError("frame must have at least 2 samples")
-    return SpectralFrame(bins=np.fft.fft(arr), frame_index=frame_index)
+    bins = np.fft.fft(arr)
+    bins.setflags(write=False)
+    return SpectralFrame(bins=bins, frame_index=frame_index)
 
 
 def power_spectrum(frame: SpectralFrame) -> PowerSpectrum:
     """Per-bin power |X(n)|^2 / N; its bin mean equals the time-domain mean power."""
     n = frame.n_bins
     power = (frame.bins.real**2 + frame.bins.imag**2) / n
+    power.setflags(write=False)
     return PowerSpectrum(power=power, frame_index=frame.frame_index)
 
 
 def averaged_periodogram(block: ResourceBlock) -> PowerSpectrum:
     """Bin-wise mean of the per-frame power spectra over the whole block."""
-    return PowerSpectrum(power=power_matrix(block).mean(axis=0), frame_index=block.n_frames - 1)
+    power = power_matrix(block).mean(axis=0)
+    power.setflags(write=False)
+    return PowerSpectrum(power=power, frame_index=block.n_frames - 1)
 
 
 def power_matrix(block: ResourceBlock) -> np.ndarray:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, errors, estimators, load_iq_trace,
                         scenario_config_from_dict, synth_white_noise, write_iq_trace)
@@ -302,6 +305,69 @@ class TestExitCodes:
                    *args[1:]])
         assert rc == 2
         assert capsys.readouterr().err == "error: sample_rate_hz must be positive and finite\n"
+
+
+@pytest.fixture(scope="module")
+def typed_config(tmp_path_factory):
+    """A small config with an entry in every section, for the override type checks."""
+    path = tmp_path_factory.mktemp("typed") / "config.json"
+    path.write_text(json.dumps({
+        "name": "typed", "n_bins": 128, "n_frames": 40,
+        "noise": {"kind": "white-gaussian", "seed": 0, "params": {"impulse_rate": 0.001}},
+        "signals": [{"subband_index": 2, "occupancy_fraction": 1.0, "target_snr_db": 0.0}],
+        "snr_schedule": [{"frame_start": 10, "frame_end": 30, "target_snr_db": -3.0}],
+    }))
+    return path
+
+
+# One value key of every section, with the Python types its JSON value may have.
+TYPED_KEYS = {
+    "subband_count": (int,), "noise.seed": (int,), "noise.params.impulse_rate": (int, float),
+    "signals.0.subband_index": (int,), "snr_schedule.0.target_snr_db": (int, float),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=5), inner,
+                                                                 max_size=3),
+    max_leaves=6)
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize("override, message", [
+        ("n_bins=512.0", "n_bins must be an integer, got 512.0"),
+        ("n_frames=true", "n_frames must be an integer, got True"),
+        ("subband_count=4.0", "subband_count must be an integer, got 4.0"),
+        ("n_bins=abc", "n_bins must be an integer, got 'abc'"),
+        ("noise.seed=1.5", "noise.seed must be an integer, got 1.5"),
+        ("name=7", "name must be a string, got 7"),
+        ("reference_noise_power_mw=false", "reference_noise_power_mw must be a number, got False"),
+        ("signals.0.frame_end=\"7\"", "signals.0.frame_end must be an integer or null, got '7'"),
+        ("noise=7", "noise must be an object, got 7"),
+        ("signals=7", "signals must be an array, got 7"),
+        ("signals=[{}]", "missing key(s) in signals[0]: occupancy_fraction, subband_index"),
+    ])
+    def test_wrong_type_exits_2_naming_the_key(self, typed_config, capsys, override, message):
+        rc = main(["estimate", "--config", str(typed_config), "--method", "AIC",
+                   "--override", override])
+        assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
+    def test_integer_for_a_number_and_null_for_an_optional_key(self, typed_config, capsys):
+        rc = main(["estimate", "--config", str(typed_config), "--method", "AIC",
+                   "--override", "reference_noise_power_mw=1", "--override",
+                   "signals.0.frame_end=null", "--override", "noise.params.impulse_rate=0"])
+        assert rc == 0
+
+    @given(st.sampled_from([*TYPED_KEYS, "noise.params", "snr_schedule"]), JSON_VALUES)
+    @settings(max_examples=150, deadline=None)
+    def test_any_json_value_is_never_an_internal_error(self, typed_config, key, value):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main(["estimate", "--config", str(typed_config), "--method", "AIC",
+                       "--override", f"{key}={json.dumps(value)}"])
+        assert rc != 1, err.getvalue()
+        types = TYPED_KEYS.get(key)
+        if types and (isinstance(value, bool) or not isinstance(value, types)):
+            assert rc == 2 and err.getvalue().startswith(f"error: {key} must be ")
 
 
 class TestSeparate:

@@ -482,6 +482,25 @@ class TestCbeFitWindows:
         _assert_matches_naive(estimators.sample_covariance(block), cfg.n_bins, 100,
                               _truth_counts(truth, frames, 100))
 
+    def test_symmetrised_once_matches_per_window_form(self):
+        # The Gram matrix is symmetrised once per seed; the engine used to
+        # symmetrise each window's block of the raw product instead.
+        cfg = scenario_config_from_file(CONFIG)
+        block, truth = build_scenario(cfg)
+        gram = estimators.sample_covariance(block)
+        np.testing.assert_array_equal(gram, gram.conj().T)
+        x = block.spectral / np.sqrt(cfg.n_bins)
+        raw = (x @ x.conj().T) / cfg.n_bins
+        assert not (raw == raw.conj().T).all()
+        counts = np.array(_truth_counts(truth, np.arange(99, cfg.n_frames), 100))
+        values, grids, distances = cbe_fit_windows(gram, cfg.n_bins, 100, counts)
+        for j, s in enumerate(counts):
+            cov = raw[j:j + 100, j:j + 100]
+            want = cbe_fit_windows(0.5 * (cov + cov.conj().T), cfg.n_bins, 100, counts[j:j + 1])
+            assert values[j] == want[0][0]
+            np.testing.assert_array_equal(grids[j], want[1][0])
+            np.testing.assert_array_equal(distances[j], want[2][0])
+
     def test_signal_stopping_mid_run_matches_naive(self):
         # The transmitter stops at frame 170: S is 25 for the windows ending
         # before it and 0 after, and the fit follows the change window by window.

@@ -22,7 +22,7 @@ from noisebench import (
 )
 from noisebench import separation
 from noisebench.bench import MethodSpec, _counting_power, count_ops
-from noisebench.scenario import GroundTruth
+from noisebench.scenario import GroundTruth, scenario_config_from_file
 from noisebench.separation import FISHER_CHUNK, ROF_CHUNK
 
 from conftest import reference_config
@@ -390,6 +390,97 @@ class TestRofSignalRows:
     def test_rows_need_four_bins(self):
         with pytest.raises(ValueError, match="4 bins"):
             rof_signal_rows(np.ones((2, 3)))
+
+
+def early_stop_row(kind: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One row of n bin powers of the given kind, drawn from rng."""
+    averaged = rng.exponential(1.0, (16, n)).mean(axis=0)  # min well above 0: stops early
+    if kind == "averaged":
+        return averaged
+    if kind == "band":                                       # a late drop from a wide band
+        lo, width = rng.integers(0, n), rng.integers(1, n + 1)
+        averaged[lo:lo + width] += rng.choice([0.5, 3.0, 50.0])
+        return averaged
+    if kind == "ties":                                       # quantised, min positive
+        return np.round(4.0 * averaged) + 1.0
+    if kind == "zeros":                                      # min 0: the full cascade
+        averaged[rng.integers(0, n, size=rng.integers(1, 4))] = 0.0
+        return averaged
+    if kind == "constant":
+        return np.full(n, rng.choice([0.0, 1.0, 7.5]))
+    if kind == "alternating":                                # near-tied drops
+        return np.tile([1.0, 2.0], n)[:n] * (1.0 + 1e-12 * rng.integers(0, 3, n))
+    assert kind == "near-flat"                               # drops at round-off level
+    return 3.0 + 1e-13 * rng.integers(0, 4, n)
+
+
+EARLY_STOP_KINDS = ("averaged", "band", "ties", "zeros", "constant", "alternating", "near-flat")
+
+
+@st.composite
+def early_stop_cases(draw):
+    n = draw(st.integers(4, 600))
+    w = draw(st.integers(1, 2 * ROF_CHUNK + 3))
+    kinds = draw(st.lists(st.sampled_from(EARLY_STOP_KINDS), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = np.stack([early_stop_row(kinds[i % len(kinds)], n, rng) for i in range(w)])
+    return rows, draw(st.sampled_from([0.5, 5.0, 50.0, 95.0]))
+
+
+def window_means(power: np.ndarray, window: int = 100) -> np.ndarray:
+    """The trailing window means ML(rof) separates, one per frame."""
+    return np.stack([power[max(0, f - window + 1):f + 1].mean(axis=0)
+                     for f in range(power.shape[0])])
+
+
+@pytest.fixture(scope="module")
+def reference_window_means():
+    return window_means(power_matrix(build_scenario(reference_config(seed=0))[0]))
+
+
+def assert_early_stop_exact(rows: np.ndarray, lambda1_pct: float) -> np.ndarray:
+    """The early-stopping cascade against the full curve; returns each row's step count."""
+    full = separation._rof_cascade(rows)[0]
+    energy, k = separation._rof_cascade(rows, lambda1_pct)
+    want = separation._rof_band_widths(rof_energy_drops_rows(rows), lambda1_pct)
+    np.testing.assert_array_equal(k, want)
+    computed = ~np.isnan(energy)
+    steps = computed.sum(axis=0)
+    # Each row's energies are a prefix of its full curve, bit for bit.
+    np.testing.assert_array_equal(computed, np.arange(rows.shape[1])[:, None] < steps)
+    np.testing.assert_array_equal(energy[computed], full[computed])
+    assert (steps[rows.min(axis=1) <= 0] == rows.shape[1]).all()
+    params = RofParams(lambda1_pct=lambda1_pct)
+    try:
+        expected = separation._rof_rows(rows, want, params)[0]
+    except DegenerateSpectrumError as exc:
+        with pytest.raises(DegenerateSpectrumError, match=str(exc)):
+            rof_signal_rows(rows, params)
+    else:
+        np.testing.assert_array_equal(rof_signal_rows(rows, params), expected)
+    return steps
+
+
+class TestRofEarlyStop:
+    @given(early_stop_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_k_and_masks_match_full_cascade(self, case):
+        assert_early_stop_exact(*case)
+
+    def test_reference_windows_match_full_cascade(self, reference_window_means):
+        for lambda1_pct in (5.0, 0.5, 50.0):
+            assert_early_stop_exact(reference_window_means, lambda1_pct)
+
+    def test_switching_trace_windows_match_full_cascade(self, switching_trace_config):
+        block = build_scenario(scenario_config_from_file(switching_trace_config))[0]
+        assert_early_stop_exact(window_means(power_matrix(block)), 5.0)
+
+    def test_reference_windows_stop_early(self, reference_window_means):
+        # A cascade that ran every row to step N - 1 would fail this.
+        n = reference_window_means.shape[1]
+        steps = assert_early_stop_exact(reference_window_means, RofParams().lambda1_pct)
+        assert np.median(steps) <= n // 2
+        assert (steps < n).mean() > 0.9
 
 
 class TestFisherSeparate:

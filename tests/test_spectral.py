@@ -18,6 +18,7 @@ from noisebench import (
     power_matrix,
     power_spectrum,
 )
+from noisebench import spectral
 from noisebench.spectral import frozen
 
 from conftest import white_frame
@@ -276,6 +277,33 @@ class TestValueTypes:
         assert given.flags.writeable
         given.setflags(write=False)
         assert frozen(given, given) is given
+
+    def test_transforms_hand_over_without_copies(self, monkeypatch):
+        # dft, power_spectrum and averaged_periodogram freeze what they build
+        # before handing it over, so the ownership rule never has to copy it.
+        copies = []
+
+        def spy(arr, given):
+            kept = frozen(arr, given)
+            if kept is not arr:
+                copies.append(arr.shape)
+            return kept
+
+        monkeypatch.setattr(spectral, "frozen", spy)
+        frame = white_frame(np.random.default_rng(4), 16)  # a writeable complex128 frame
+        before = frame.copy()
+        spec = dft(frame, frame_index=2)
+        power = power_spectrum(spec)
+        block = block_from_frames(np.stack([frame, 2 * frame]))
+        averaged = averaged_periodogram(block)
+        assert copies == []
+        # The caller's frame is neither frozen nor aliased, nor written.
+        assert frame.flags.writeable and not np.shares_memory(spec.bins, frame)
+        np.testing.assert_array_equal(frame, before)
+        for arr in (spec.bins, power.power, averaged.power):
+            assert not arr.flags.writeable
+        frame[0] += 1.0
+        np.testing.assert_array_equal(spec.bins, np.fft.fft(before))
 
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
