@@ -15,6 +15,7 @@ interleaved little-endian float32 (I, Q) pairs.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
@@ -28,6 +29,10 @@ from .spectral import ComplexSeries, ResourceBlock, SpectralFrame, frame_signal,
 NOISE_KINDS = ("white-gaussian", "surrogate-industrial", "trace-file")
 
 _MV_PER_SQRT_MW = np.sqrt(1000.0)  # 1 sqrt(mW) = sqrt(0.001) V = 31.62... mV
+# Largest noise or signal power a scenario may carry.  The estimators square
+# bin powers (variances, Fisher's criterion, MMSE's lag products), so powers
+# near the float64 range would overflow into inf estimates.
+MAX_POWER_MW = 1e50
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -98,6 +103,10 @@ class SubbandSignal:
             self.amplitude_mv >= 0 and np.isfinite(self.amplitude_mv)
         ):
             raise ValueError("amplitude_mv must be finite and non-negative")
+        if self.amplitude_mv is not None and self.amplitude_mv > _MV_PER_SQRT_MW * np.sqrt(
+            MAX_POWER_MW
+        ):
+            raise ValueError(f"amplitude_mv gives a signal power above {MAX_POWER_MW:g} mW")
         if self.frame_start < 0:
             raise ValueError("frame_start must be non-negative")
 
@@ -166,6 +175,9 @@ class ScenarioConfig:
             raise ValueError("sample_rate_hz must be positive and finite")
         if self.reference_noise_power_mw <= 0:
             raise ValueError("reference_noise_power_mw must be positive")
+        if not self.reference_noise_power_mw <= MAX_POWER_MW:
+            raise ValueError(f"reference_noise_power_mw must be finite and at most "
+                             f"{MAX_POWER_MW:g} mW")
         if self.subband_count < 1 or self.n_bins % self.subband_count != 0:
             raise ValueError("subbands must partition the bins into equal contiguous ranges")
         object.__setattr__(self, "signals", tuple(self.signals))
@@ -378,6 +390,11 @@ def amplitude_for_snr(target_snr_db: float, noise_power_mw: float,
         raise ValueError("occupied_fraction must lie in (0, 1]")
     if noise_power_mw <= 0:
         raise ValueError("noise_power_mw must be positive")
+    # Checked in dB first: 10 ** (SNR / 10) itself overflows above about 3080 dB.
+    if not 10.0 * np.log10(noise_power_mw / occupied_fraction) + target_snr_db <= \
+            10.0 * np.log10(MAX_POWER_MW):
+        raise ValueError(f"a target SNR of {target_snr_db} dB must give a finite signal "
+                         f"power of at most {MAX_POWER_MW:g} mW")
     a_sqrt_mw = np.sqrt(noise_power_mw * 10.0 ** (target_snr_db / 10.0) / occupied_fraction)
     return float(a_sqrt_mw * _MV_PER_SQRT_MW)
 
@@ -497,6 +514,13 @@ _CONFIG_TYPES = {int: ((int,), "an integer"), float: ((int, float), "a number"),
                  str: ((str,), "a string")}
 
 
+@functools.cache
+def _type_hints(cls: type) -> dict:
+    """The resolved field annotations of ``cls``: evaluating them costs more
+    than the rest of a config parse, so once per process."""
+    return get_type_hints(cls)
+
+
 def _config_kwargs(mapping, cls: type, where: str, key: str) -> dict:
     """The section ``mapping`` as keyword arguments of the dataclass ``cls``.
 
@@ -514,7 +538,7 @@ def _config_kwargs(mapping, cls: type, where: str, key: str) -> dict:
                and f.default_factory is MISSING} - set(mapping)
     if missing:
         raise ValueError(f"missing key(s) in {where}: {', '.join(sorted(missing))}")
-    hints = get_type_hints(cls)
+    hints = _type_hints(cls)
     for name, value in mapping.items():
         allowed = get_args(hints[name]) or (hints[name],)
         scalar = [t for t in allowed if t in _CONFIG_TYPES]

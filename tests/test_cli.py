@@ -351,6 +351,21 @@ class TestConfigTypes:
                    "--override", override])
         assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize("override, message", [
+        ("reference_noise_power_mw=1e300",
+         "reference_noise_power_mw must be finite and at most 1e+50 mW"),
+        ("reference_noise_power_mw=NaN",
+         "reference_noise_power_mw must be finite and at most 1e+50 mW"),
+        ("snr_schedule.0.target_snr_db=3056",   # 10 ** 305.6 overflowed the block's powers
+         "a target SNR of 3056 dB must give a finite signal power of at most 1e+50 mW"),
+        ("signals.0.target_snr_db=5000",        # 10 ** 500 overflows a Python float
+         "a target SNR of 5000 dB must give a finite signal power of at most 1e+50 mW"),
+    ])
+    def test_power_out_of_range_exits_2(self, typed_config, capsys, override, message):
+        rc = main(["estimate", "--config", str(typed_config), "--method", "AIC",
+                   "--override", override])
+        assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
+
     def test_integer_for_a_number_and_null_for_an_optional_key(self, typed_config, capsys):
         rc = main(["estimate", "--config", str(typed_config), "--method", "AIC",
                    "--override", "reference_noise_power_mw=1", "--override",

@@ -30,8 +30,9 @@ from noisebench import (
     synth_white_noise,
     write_iq_trace,
 )
-from noisebench.scenario import (_LOWPASS_BLOCK, _noise_series, _one_pole_lowpass, _rng,
-                                 amplitude_mv_to_sqrt_mw, time_series_of)
+from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _noise_series,
+                                 _one_pole_lowpass, _rng, amplitude_mv_to_sqrt_mw,
+                                 time_series_of)
 from noisebench.spectral import ComplexSeries, SpectralFrame
 
 from conftest import build_scenario_per_frame, reference_config, traced_peak
@@ -349,6 +350,19 @@ class TestAmplitudeForSnr:
         for snr in (-7.0, 0.0, 4.0):
             a = amplitude_for_snr(snr, 1.0, 1.0)
             assert a == pytest.approx(np.sqrt(1000.0 * 10 ** (snr / 10)), rel=1e-12)
+
+
+    def test_power_bound(self):
+        # The largest power a scenario carries: 500 dB over 1 mW on the full
+        # band is exactly MAX_POWER_MW; anything above, or NaN, is rejected.
+        assert amplitude_for_snr(500.0, 1.0, 1.0) == pytest.approx(
+            np.sqrt(1000.0 * MAX_POWER_MW), rel=1e-12)
+        for snr, fraction in ((500.1, 1.0), (494.0, 0.25), (float("nan"), 1.0), (1e6, 1.0)):
+            with pytest.raises(ValueError, match="finite signal power of at most 1e[+]50 mW"):
+                amplitude_for_snr(snr, 1.0, fraction)
+        with pytest.raises(ValueError, match="signal power above 1e[+]50 mW"):
+            SubbandSignal(subband_index=0, occupancy_fraction=0.5, amplitude_mv=1e30)
+        assert SubbandSignal(subband_index=0, occupancy_fraction=0.5, amplitude_mv=1e26)
 
 
 class TestInjectRectSignal:
