@@ -230,8 +230,11 @@ def sample_covariance(block: ResourceBlock) -> np.ndarray:
     """
     n = block.n_bins
     x = block.spectral / np.sqrt(n)
-    cov = (x @ x.conj().T) / n
-    return 0.5 * (cov + cov.conj().T)
+    cov = x @ x.conj().T
+    cov /= n
+    cov += cov.conj().T  # conj() is a copy, so the sum reads no updated entry
+    cov *= 0.5
+    return cov
 
 
 def covariance_eigenvalues(block: ResourceBlock) -> np.ndarray:

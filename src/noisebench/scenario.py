@@ -103,9 +103,8 @@ class SubbandSignal:
             self.amplitude_mv >= 0 and np.isfinite(self.amplitude_mv)
         ):
             raise ValueError("amplitude_mv must be finite and non-negative")
-        if self.amplitude_mv is not None and self.amplitude_mv > _MV_PER_SQRT_MW * np.sqrt(
-            MAX_POWER_MW
-        ):
+        if (self.amplitude_mv is not None
+                and amplitude_mv_to_sqrt_mw(self.amplitude_mv) > np.sqrt(MAX_POWER_MW)):
             raise ValueError(f"amplitude_mv gives a signal power above {MAX_POWER_MW:g} mW")
         if self.frame_start < 0:
             raise ValueError("frame_start must be non-negative")
@@ -391,8 +390,8 @@ def amplitude_for_snr(target_snr_db: float, noise_power_mw: float,
     if noise_power_mw <= 0:
         raise ValueError("noise_power_mw must be positive")
     # Checked in dB first: 10 ** (SNR / 10) itself overflows above about 3080 dB.
-    if not 10.0 * np.log10(noise_power_mw / occupied_fraction) + target_snr_db <= \
-            10.0 * np.log10(MAX_POWER_MW):
+    power_db = 10.0 * np.log10(noise_power_mw / occupied_fraction) + target_snr_db
+    if not power_db <= 10.0 * np.log10(MAX_POWER_MW):
         raise ValueError(f"a target SNR of {target_snr_db} dB must give a finite signal "
                          f"power of at most {MAX_POWER_MW:g} mW")
     a_sqrt_mw = np.sqrt(noise_power_mw * 10.0 ** (target_snr_db / 10.0) / occupied_fraction)
