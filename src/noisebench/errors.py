@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the one rule for raising them.
 
 Every one is a :class:`DataError`, a ValueError, so generic validation
 handling still works; the CLI maps DataError to its degenerate-data exit code.
@@ -29,3 +29,14 @@ class DegenerateSpectrumError(DataError):
 
 class EmptyNoiseGroupError(DataError):
     """A separation mask left no bins classified as noise."""
+
+
+def raise_first(checks: list) -> None:
+    """Raise ``error(i)`` of the first check that flags the smallest flagged entry i.
+
+    ``checks`` are ``(flags, error)`` pairs, flags a boolean array over the entries, in
+    the order one entry is checked: the error is the one a loop over the entries raises."""
+    failing = [int(flags.argmax()) for flags, _ in checks if flags.any()]
+    if failing:
+        i = min(failing)
+        raise next(error for flags, error in checks if flags[i])(i)

@@ -9,7 +9,8 @@ its candidate grid).
 Each estimator is one array engine over a stack of frames or windows
 (``ml_fit_frames``, ``mvu_fit_*``, ``aic_fit_rows``, ``cbe_fit_windows``,
 ``mmse_fit_windows``) returning the estimates, or a tuple of arrays with the
-estimates first; it raises at the first entry that fails.  Only the one-block
+estimates first.  The first failing entry raises (:func:`errors.raise_first`); MMSE
+stops at the end of its chunk, CBE at the failing window.  Only the one-block
 ``*_estimate`` wrappers build a :class:`NoisePowerEstimate`.
 """
 
@@ -22,7 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, EmptyNoiseGroupError, ZeroPowerError
+from .errors import DegenerateSpectrumError, EmptyNoiseGroupError, ZeroPowerError, raise_first
 from .separation import SeparationMask
 from .spectral import PowerSpectrum, ResourceBlock
 
@@ -64,28 +65,18 @@ class NoisePowerEstimate:
 
 
 def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> NoisePowerEstimate:
-    """Mean bin power over the noise-classified bins of one frame; see :func:`ml_fit_frames`."""
-    if mask.n_bins != power.n_bins:
-        raise ValueError("mask length does not match the spectrum")
-    noise = power.power[mask.noise_bins]
-    value = ml_fit_frames(np.array([noise.sum()]), np.array([noise.size]))[0]
-    return NoisePowerEstimate(
-        value_mw=float(value), method="ml", frame_index=power.frame_index,
-        diagnostics={"noise_bin_count": int(noise.size), "separation": mask.method},
-    )
+    """Mean noise-bin power of one frame: the one-frame case of :func:`mvu_estimate`."""
+    return _noise_mean_estimate("ml", [power], [mask])
 
 
 def ml_fit_frames(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
-    """ML estimate of each frame from its noise-bin power sum and noise-bin count.
+    """ML estimate of each frame, a one-frame MVU window, from its noise-bin power sum and count.
 
     The first frame without noise bins raises EmptyNoiseGroupError, the first
     non-positive or non-finite estimate ZeroPowerError, in frame order.
     """
     sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = sums / counts
-    _check_estimates("ml", values, counts, "no bins classified as noise")
-    return values
+    return _noise_means("ml", sums[:, None], counts[:, None])
 
 
 def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> NoisePowerEstimate:
@@ -93,21 +84,23 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> No
 
     Equivalent to the noise-bin-count-weighted mean of the per-frame ML
     estimates; with one frame it reduces to :func:`ml_estimate`.  The
-    per-frame noise sums are folded by :func:`mvu_fit_windows` as one window.
+    per-frame noise sums are folded by :func:`mvu_fit_rows` as one window.
     """
+    return _noise_mean_estimate("mvu", powers, masks)
+
+
+def _noise_mean_estimate(method: str, powers: list[PowerSpectrum],
+                         masks: list[SeparationMask]) -> NoisePowerEstimate:
     if len(powers) != len(masks) or not powers:
         raise ValueError("powers and masks must be non-empty and aligned")
-    sums, counts = [], []
-    for ps, mk in zip(powers, masks):
-        if mk.n_bins != ps.n_bins:
-            raise ValueError("mask length does not match the spectrum")
-        noise = ps.power[mk.noise_bins]
-        sums.append(float(noise.sum()))
-        counts.append(noise.size)
-    value = mvu_fit_windows(sums, counts, len(sums))[0]
+    if any(mk.n_bins != ps.n_bins for ps, mk in zip(powers, masks)):
+        raise ValueError("mask length does not match the spectrum")
+    noise = [ps.power[mk.noise_bins] for ps, mk in zip(powers, masks)]
+    counts = np.array([[x.size for x in noise]], dtype=np.int64)
+    value = _noise_means(method, np.array([[x.sum() for x in noise]]), counts)[0]
     return NoisePowerEstimate(
-        value_mw=float(value), method="mvu", frame_index=powers[-1].frame_index,
-        diagnostics={"noise_bin_count": int(sum(counts)), "separation": masks[0].method},
+        value_mw=float(value), method=method, frame_index=powers[-1].frame_index,
+        diagnostics={"noise_bin_count": int(counts.sum()), "separation": masks[0].method},
     )
 
 
@@ -134,11 +127,21 @@ def mvu_fit_rows(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray
     The first row without noise bins raises EmptyNoiseGroupError, the first
     non-positive or non-finite estimate ZeroPowerError, in row order.
     """
+    return _noise_means("mvu", noise_sums, noise_counts)
+
+
+def _noise_means(method: str, noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
+    """Each row's noise mean, the left-to-right fold of its sums over its total count, checked."""
     totals = np.cumsum(noise_sums, axis=1)[:, -1]
     counts = np.sum(noise_counts, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = totals / counts
-    _check_estimates("mvu", values, counts, "no bins classified as noise in any frame")
+    empty = "no bins classified as noise" + (" in any frame" if method == "mvu" else "")
+    raise_first([
+        (counts == 0, lambda i: EmptyNoiseGroupError(empty)),
+        (~(np.isfinite(values) & (values > 0)), lambda i: ZeroPowerError(
+            f"{method}: estimate must be finite and positive, got {values[i]}")),
+    ])
     return values
 
 
@@ -148,16 +151,6 @@ def _aligned_noise_sums(noise_sums, noise_counts) -> tuple[np.ndarray, np.ndarra
     if sums.ndim != 1 or sums.shape != counts.shape or not sums.size:
         raise ValueError("noise sums and counts must be non-empty and aligned")
     return sums, counts
-
-
-def _check_estimates(method: str, values: np.ndarray, counts: np.ndarray, empty: str) -> None:
-    """Raise for the first entry without noise bins or with an unusable estimate."""
-    bad = (counts == 0) | ~(np.isfinite(values) & (values > 0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if counts[i] == 0:
-            raise EmptyNoiseGroupError(empty)
-        raise ZeroPowerError(f"{method}: estimate must be finite and positive, got {values[i]}")
 
 
 def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEstimate:
@@ -369,9 +362,9 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     range collapses).  The smallest root-sum-square misfit wins.
 
     Returns the estimates and the (W, grid_size) grids and misfits.  Windows
-    are solved one at a time, so no stack of covariances is built, and
-    checked in order: S leaving no noise eigenvalue raises
-    EmptyNoiseGroupError, a negative eigenvalue beyond round-off ValueError,
+    are solved one at a time, so no stack of covariances is built, and each is
+    checked as it is solved, so none past a failing one is: S leaving no noise
+    eigenvalue raises EmptyNoiseGroupError, a negative one beyond round-off ValueError,
     a square window, a zero smallest eigenvalue or an unusable estimate
     ZeroPowerError.
     """
@@ -464,8 +457,8 @@ def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND
     one FFT circulant product.  The chunk's weight systems are solved
     together by preconditioned conjugate gradients, as batched FFTs; a
     window that does not converge to a true residual of ``MMSE_PCG_RESIDUAL``
-    gets its own Levinson solve.  Windows are checked in order, so the first
-    failing window raises.
+    gets its own Levinson solve.  The first failing window raises, once its
+    chunk is solved.
     """
     total, n = spectral.shape
     if window < 3:
@@ -484,49 +477,49 @@ def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray
     """MMSE fits of consecutive windows from their variances and last-row powers.
 
     Row j of both arrays belongs to window j of the chunk; the four results
-    are those of :func:`mmse_fit_windows`.  The weight systems are solved
-    together by :func:`_pcg_toeplitz`, up to the first window with an
-    all-zero residual block, which raises.  A window whose solve does not
-    converge, is not finite or leaves a true residual above
-    ``MMSE_PCG_RESIDUAL`` is solved again by Levinson recursion
-    (:func:`_solve_mmse_weights`) when the in-order check loop reaches it.
+    are those of :func:`mmse_fit_windows`.  Each window's variances are scaled
+    exactly, by a power of two, to a maximum in [0.5, 1); the weights do not
+    depend on it.  All windows without an all-zero residual block are solved
+    together by :func:`_pcg_toeplitz`; one that does not converge, is not finite
+    or leaves a true residual above ``MMSE_PCG_RESIDUAL`` is solved again by
+    Levinson recursion (:func:`_solve_mmse_weights`).  Then the first failing
+    window raises.
     """
-    count, n = variance.shape
-    r0 = np.einsum("ij,ij->i", variance, variance) / n
+    count = variance.shape[0]
+    variance = np.ldexp(variance, -np.frexp(variance.max(axis=1))[1][:, None])
     lags = _mmse_lags(variance)
     columns = lags.copy()
     columns[:, 0] *= 2.0  # C + r(0) I along the diagonal
-    raw_weights = np.zeros_like(lags)
-    residuals = np.zeros(count)
-    solved = np.zeros(count, dtype=bool)
-    # The loop below raises at the first all-zero block, so no later window is solved.
-    usable = count if r0.all() else int(np.argmax(r0 == 0.0))
-    if usable:
-        w, converged = _pcg_toeplitz(columns[:usable], lags[:usable])
-        raw_weights[:usable] = w
-        residuals[:usable] = _toeplitz_residuals(columns[:usable], w, lags[:usable])
-        solved[:usable] = (converged & np.isfinite(w).all(axis=1)
-                           & (residuals[:usable] <= MMSE_PCG_RESIDUAL))
-    values, weight_sums, weight_maxes = np.empty(count), np.empty(count), np.empty(count)
-    for j in range(count):
-        if r0[j] == 0.0:
-            raise ZeroPowerError("all-zero residual block; nothing to estimate")
-        if not solved[j]:
-            raw_weights[j], columns[j] = _solve_mmse_weights(lags[j])
-        weight_sum = float(raw_weights[j].sum())
-        if weight_sum == 0.0:
-            raise ZeroPowerError("MMSE weights sum to zero")
-        weights = raw_weights[j] / weight_sum
-        estimate = float(weights @ last_power[j])
-        if estimate <= 0:
-            raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
-        if not np.isfinite(estimate):
-            raise ZeroPowerError(f"mmse: estimate must be finite and positive, got {estimate}")
-        values[j], weight_sums[j], weight_maxes[j] = estimate, weight_sum, np.abs(weights).max()
-    levinson = np.flatnonzero(~solved)
-    if levinson.size:
-        residuals[levinson] = _toeplitz_residuals(columns[levinson], raw_weights[levinson],
-                                                  lags[levinson])
+    raw_weights, residuals = np.zeros_like(lags), np.zeros(count)
+    zero = ~variance.any(axis=1)
+    live = np.flatnonzero(~zero)
+    converged, singular = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
+    if live.size:
+        raw_weights[live], converged[live] = _pcg_toeplitz(columns[live], lags[live])
+        residuals[live] = _toeplitz_residuals(columns[live], raw_weights[live], lags[live])
+    solved = converged & np.isfinite(raw_weights).all(axis=1) & (residuals <= MMSE_PCG_RESIDUAL)
+    levinson = np.flatnonzero(~solved & ~zero)
+    for j in levinson:
+        w, columns[j] = _solve_mmse_weights(lags[j])
+        singular[j] = w is None
+        raw_weights[j] = 0.0 if w is None else w
+    weight_sums = raw_weights.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weights = raw_weights / weight_sums[:, None]
+        values = np.matmul(weights[:, None, :], last_power[:, :, None])[:, 0, 0]
+        weight_maxes = np.abs(weights).max(axis=1)
+    raise_first([
+        (zero, lambda j: ZeroPowerError("all-zero residual block; nothing to estimate")),
+        (singular, lambda j: DegenerateSpectrumError(
+            "MMSE weight system is singular even after ridge")),
+        (weight_sums == 0.0, lambda j: ZeroPowerError("MMSE weights sum to zero")),
+        (values <= 0, lambda j: ZeroPowerError(
+            f"MMSE produced a non-positive estimate ({float(values[j])})")),
+        (~np.isfinite(values), lambda j: ZeroPowerError(
+            f"mmse: estimate must be finite and positive, got {float(values[j])}")),
+    ])
+    residuals[levinson] = _toeplitz_residuals(columns[levinson], raw_weights[levinson],
+                                              lags[levinson])
     return values, weight_sums, weight_maxes, residuals
 
 
@@ -575,8 +568,8 @@ def _window_sums(cumulative: np.ndarray, length: int, count: int) -> np.ndarray:
     return sums
 
 
-def _solve_mmse_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Weights w of (C + r(0) I) w = r and the Toeplitz column they solve."""
+def _solve_mmse_weights(r: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """Weights w of (C + r(0) I) w = r, None if singular even with a ridge, and w's column."""
     column = r.copy()
     column[0] = 2.0 * r[0]  # C + r(0) I along the diagonal
     w = _try_toeplitz(column, r)
@@ -584,8 +577,6 @@ def _solve_mmse_weights(r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Single ridge fallback: 1e-6 * trace(C)/N on the diagonal, then give up.
         column[0] = 2.0 * r[0] + 1e-6 * r[0]
         w = _try_toeplitz(column, r)
-        if w is None:
-            raise DegenerateSpectrumError("MMSE weight system is singular even after ridge")
     return w, column
 
 

@@ -108,6 +108,8 @@ class SubbandSignal:
             raise ValueError(f"amplitude_mv gives a signal power above {MAX_POWER_MW:g} mW")
         if self.frame_start < 0:
             raise ValueError("frame_start must be non-negative")
+        if self.frame_end is not None and self.frame_end <= self.frame_start:
+            raise ValueError("frame_end must lie after frame_start")
 
     def occupied_bins(self, n_bins: int, subband_count: int) -> tuple[int, int]:
         """Bin range [lo, hi) of this signal, centered inside its subband."""

@@ -15,7 +15,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError
+from .errors import DegenerateSpectrumError, raise_first
 from .scenario import GroundTruth
 from .spectral import PowerSpectrum
 
@@ -229,11 +229,10 @@ def _rof_rows(spectra: np.ndarray, k: np.ndarray, params: RofParams
     wide = width > params.lambda2_fraction * n
     band = rising & wide[run]
     signal = np.pad(band, ((0, 0), (0, 1))) | np.pad(band, ((0, 0), (1, 0)))
-    bad = ~spectra.any(axis=1) | signal.all(axis=1)
-    if bad.any():
-        if not spectra[np.argmax(bad)].any():
-            raise DegenerateSpectrumError("all-zero power spectrum")
-        raise DegenerateSpectrumError("ROF marked every bin as signal")
+    raise_first([
+        (~spectra.any(axis=1), lambda i: DegenerateSpectrumError("all-zero power spectrum")),
+        (signal.all(axis=1), lambda i: DegenerateSpectrumError("ROF marked every bin as signal")),
+    ])
     row, first = np.divmod(np.flatnonzero(start), n - 1)
     kept = wide[1:]
     bands = np.column_stack([row[kept], first[kept], first[kept] + width[1:][kept] + 1])

@@ -427,6 +427,25 @@ class TestRunScenario:
         with pytest.raises(EmptyNoiseGroupError, match="S=20 .* no noise group"):
             run_scenario(cfg, [MethodSpec("CBE", params={"window_frames": 20})], [3])
 
+    @pytest.mark.parametrize("exponent", [-330, 150])
+    def test_default_methods_scale_exactly_by_powers_of_two(self, exponent):
+        # A power-of-two reference power scales every sample exactly, so every
+        # estimate scales by it bit for bit and every SNR stays the same, down
+        # to powers whose squares underflow.
+        from dataclasses import replace
+        from noisebench.cli import _DEFAULT_METHODS, _parse_method
+        from noisebench.scenario import scenario_config_from_file
+        cfg = scenario_config_from_file(CONFIG)
+        methods = [_parse_method(m) for m in _DEFAULT_METHODS]
+        factor = 2.0 ** exponent
+        scaled = run_scenario(replace(cfg, reference_noise_power_mw=factor), methods, [0])
+        for want, got in zip(run_scenario(cfg, methods, [0]), scaled, strict=True):
+            np.testing.assert_array_equal(got.noise_power_est_mw, want.noise_power_est_mw * factor)
+            np.testing.assert_array_equal(got.noise_power_true_mw,
+                                          want.noise_power_true_mw * factor)
+            np.testing.assert_array_equal(got.snr_est_db, want.snr_est_db)
+            np.testing.assert_array_equal(got.snr_true_db, want.snr_true_db)
+
     def test_engine_builds_no_estimate_objects(self, monkeypatch):
         # The nine default methods run on array engines end to end; only the
         # one-block *_estimate wrappers build NoisePowerEstimate objects.

@@ -366,6 +366,15 @@ class TestConfigTypes:
                    "--override", override])
         assert (rc, capsys.readouterr().err) == (2, f"error: {message}\n")
 
+    @pytest.mark.parametrize("overrides", [
+        ["signals.0.frame_end=-3"],
+        ["signals.0.frame_start=10", "signals.0.frame_end=10"],
+    ], ids=["negative-end", "empty-range"])
+    def test_signal_without_active_frames_exits_2(self, typed_config, capsys, overrides):
+        args = [arg for override in overrides for arg in ("--override", override)]
+        rc = main(["estimate", "--config", str(typed_config), "--method", "AIC", *args])
+        assert (rc, capsys.readouterr().err) == (2, "error: frame_end must lie after frame_start\n")
+
     def test_integer_for_a_number_and_null_for_an_optional_key(self, typed_config, capsys):
         rc = main(["estimate", "--config", str(typed_config), "--method", "AIC",
                    "--override", "reference_noise_power_mw=1", "--override",

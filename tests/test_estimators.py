@@ -778,6 +778,51 @@ class TestMmseFitWindows:
             with pytest.raises(DegenerateSpectrumError, match="singular even after ridge"):
                 fit()
 
+    def test_earlier_failure_wins_over_a_later_singular_window(self, monkeypatch):
+        # Windows 1 and 3 go to Levinson: window 1's weights sum to zero, window
+        # 3's system is singular even with the ridge.  Both are checked in one
+        # pass over the chunk, and the earlier window's error is raised.
+        spectral = white_block(9, n_frames=30, n_bins=32).spectral
+        pcg = estimators._pcg_toeplitz
+
+        def unconverged(windows):
+            def solve(columns, rhs):
+                solutions, converged = pcg(columns, rhs)
+                converged[windows] = False
+                return solutions, converged
+            return solve
+
+        zero_sum = np.zeros(32)
+        zero_sum[:2] = 1.0, -1.0
+        answers = iter([zero_sum, None, None])
+        monkeypatch.setattr(estimators, "_try_toeplitz", lambda column, rhs: next(answers))
+        monkeypatch.setattr(estimators, "_pcg_toeplitz", unconverged([1, 3]))
+        with pytest.raises(ZeroPowerError, match="weights sum to zero"):
+            mmse_fit_windows(spectral, 20)
+        assert next(answers, "drained") == "drained"  # window 3 was solved too
+        answers = iter([None, None])
+        monkeypatch.setattr(estimators, "_pcg_toeplitz", unconverged([3]))
+        with pytest.raises(DegenerateSpectrumError, match="singular even after ridge"):
+            mmse_fit_windows(spectral, 20)
+
+    def test_failing_call_solves_up_to_the_failing_chunk(self, mmse_oracle_cases, monkeypatch):
+        # The switching trace fails at window 52.  Seven windows a chunk, the
+        # chunk that holds it is the eighth, and no later chunk is solved.
+        spectral, want, _ = mmse_oracle_cases["switching-trace", True]
+        pcg = estimators._pcg_toeplitz
+        systems = []
+
+        def counted(columns, rhs):
+            systems.append(len(columns))
+            return pcg(columns, rhs)
+
+        monkeypatch.setattr(estimators, "MMSE_CHUNK", 7)
+        monkeypatch.setattr(estimators, "_pcg_toeplitz", counted)
+        with pytest.raises(ZeroPowerError, match="non-positive estimate"):
+            mmse_fit_windows(spectral, 100)
+        assert len(want) == 52
+        assert systems == [7] * 8
+
     @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
     @pytest.mark.parametrize("case", ["reference-seed0", "reference-seed1", "switching-trace"])
     def test_pcg_weights_match_dense_solve(self, mmse_oracle_cases, case, blind):
