@@ -14,15 +14,18 @@ bandwidth search at low SNR).
 
 All methods of one seed share a context: the scenario's resource block (one
 (M, N) spectral array), its power matrix, a mask cache and, for CBE, one Gram
-matrix.  The mask cache holds, per separation in use, one row per frame: the
-mask that applies at that frame and the frame's noise-bin power sum and count.
-Rows are separated in batched passes on first request (Fisher as one sorted
-scan, ROF as one erosion cascade and one vectorised decision per chunk), so
-ML divides two arrays for every separation; MVU folds the sums of each window
-(ideal, Fisher) or its frames' sums under its ROF mask.  Every method ends in
-one call of an array engine of :mod:`estimators` over all its windows, and no
-per-window estimate object is built: AIC scores stacks of averaged window
-spectra, CBE fits the Gram matrix's diagonal blocks with one signal count per
+matrix.  The mask cache builds one stack of trailing-window averages per
+window length, which ROF masks, AIC and CBE's AIC occupancy all read, and
+holds, per separation in use, one row per frame: the mask that applies at
+that frame and the frame's noise-bin power sum and count.  Rows are
+separated on first request, one batched engine call on a slice of their
+input (Fisher as one sorted scan, ROF as one erosion cascade and one
+vectorised decision per chunk), so ML divides two arrays for every
+separation; MVU folds the sums of each window (ideal, Fisher) or its frames'
+sums under its ROF mask.  Every method ends in one call of an array engine
+of :mod:`estimators` over all its windows, which chunks its rows itself, and
+no per-window estimate object is built: AIC scores rows of the averages
+stack, CBE fits the Gram matrix's diagonal blocks with one signal count per
 window, MMSE runs batched sliding sums, FFT lags and conjugate-gradient solves.
 The SNR of every entry comes from one array expression.  With timing on, each
 method's evaluation is timed inside the same per-seed loop and summed over seeds.
@@ -40,6 +43,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
+from numbers import Integral
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any
@@ -58,7 +62,6 @@ SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
 METHOD_PARAMS = frozenset({"window_frames", "lambda1_pct", "lambda2_fraction", "occupied_fraction",
                            "occupancy_from", "grid_size", "blind"})
-AIC_CHUNK = 64  # averaged window spectra per batched AIC fit
 
 
 @dataclass(frozen=True)
@@ -66,11 +69,14 @@ class MethodSpec:
     """One benchmark entry: an estimator, its separation strategy, and overrides.
 
     ``params`` may set any of ``METHOD_PARAMS``; another key, an
-    ``occupancy_from`` other than "truth" or "aic", or an
-    ``occupied_fraction`` outside [0, 1) raises ValueError.  The spec keeps
-    a read-only copy of the params it checked, so setting a key afterwards
-    raises TypeError.  Specs hash by estimator and separation, so they can
-    key a dict; equality also compares the params.
+    ``occupancy_from`` other than "truth" or "aic", an ``occupied_fraction``
+    outside [0, 1), a ``window_frames`` that is not an integer >= 1, a
+    ``grid_size`` that is not an integer >= 2 (a bool is neither), a
+    ``blind`` that is not a bool, or ROF thresholds that ``RofParams``
+    rejects raises ValueError.  The spec keeps a read-only copy of the params
+    it checked, so setting a key afterwards raises TypeError.  Specs hash by
+    estimator and separation, so they can key a dict; equality also compares
+    the params.
     """
 
     estimator: str
@@ -96,6 +102,13 @@ class MethodSpec:
         fraction = self.params.get("occupied_fraction")
         if fraction is not None and not 0.0 <= fraction < 1.0:
             raise ValueError("occupied_fraction must lie in [0, 1)")
+        for name, least in (("window_frames", 1), ("grid_size", 2)):
+            value = self.params.get(name, least)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.params.get("blind", True), bool):
+            raise ValueError(f"blind must be a bool, got {self.params['blind']!r}")
+        _rof_params(self)
 
     @property
     def label(self) -> str:
@@ -182,57 +195,65 @@ def _rof_params(method: MethodSpec) -> sep.RofParams:
 
 
 class _MaskProvider:
-    """Per-seed cache of separation masks over one scenario's power matrix.
+    """Per-seed cache of window averages and separation masks over one power matrix.
 
-    A separation is keyed ``"ideal"``, ``"fisher"`` or ``("rof", window,
-    RofParams)``.  Row f of its cache is the noise mask that applies at frame
-    f: the frame's own for ideal and Fisher, that of the trailing window
-    ending at f (its averaged spectrum, at most ``window`` frames) for ROF.
-    Rows are separated on first request, all missing rows of a request in one
-    batched pass, and each frame's noise-bin power sum and count are kept
-    next to its mask, so methods sharing a separation share one computation.
+    ``window_means(window)`` is the (M, N) stack whose row f is the mean
+    spectrum of the trailing window of at most ``window`` frames ending at f,
+    built once per window length.  A separation is keyed ``"ideal"``,
+    ``"fisher"`` or ``("rof", window, RofParams)``.  Row f of its cache is the
+    noise mask that applies at frame f: the frame's own for ideal and Fisher,
+    that of the trailing window ending at f (row f of the window averages)
+    for ROF.  Every request asks for a suffix of the rows; the cached rows of
+    a key are one suffix too, and the rows between the two are separated in
+    one batched pass on a slice of their input.  Each frame's noise-bin power
+    sum and count are kept next to its mask, so methods sharing a separation
+    share one computation.
     """
 
     def __init__(self, power: np.ndarray, truth: GroundTruth):
         self.power = power
         self.truth = truth
-        self._rows: dict[Any, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._means: dict[int, np.ndarray] = {}
+        self._rows: dict[Any, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def noise_rows(self, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Noise masks of rows lo..hi-1, and each frame's noise-bin power sum and count.
+    def window_means(self, window: int) -> np.ndarray:
+        """Read-only (M, N) stack of trailing-window mean spectra, built on first use."""
+        if window not in self._means:
+            means = np.empty(self.power.shape)
+            for f, row in enumerate(means):
+                np.mean(self.power[max(0, f - window + 1):f + 1], axis=0, out=row)
+            means.setflags(write=False)
+            self._means[window] = means
+        return self._means[window]
 
-        Raises DegenerateSpectrumError if one of those rows is all signal.
+    def noise_rows(self, key, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Noise masks of rows lo..M-1, and each frame's noise-bin power sum and count.
+
+        Raises DegenerateSpectrumError if one of those rows is all signal; the
+        rows that request separated are then not cached.
         """
-        if key not in self._rows:
-            m, n = self.power.shape
-            self._rows[key] = (np.zeros(m, dtype=bool), np.empty((m, n), dtype=bool),
-                               np.empty(m), np.empty(m, dtype=np.int64))
-        done, noise, sums, counts = self._rows[key]
-        missing = lo + np.flatnonzero(~done[lo:hi])
-        if missing.size:
-            noise[missing] = ~self._signal_rows(key, missing)
+        m, n = self.power.shape
+        start, noise, sums, counts = self._rows.get(key) or (
+            m, np.empty((m, n), dtype=bool), np.empty(m), np.empty(m, dtype=np.int64))
+        if lo < start:
+            noise[lo:start] = ~self._signal_rows(key, lo, start)
+            counts[lo:start] = np.count_nonzero(noise[lo:start], axis=1)
+            if not counts[lo:start].all():
+                raise DegenerateSpectrumError("mask classifies every bin as signal")
             # compress keeps each row contiguous, so its sum is the same
             # pairwise sum as that of the frame's noise bins alone.
-            sums[missing] = [np.compress(keep, self.power[f]).sum()
-                             for f, keep in zip(missing, noise[missing])]
-            counts[missing] = np.count_nonzero(noise[missing], axis=1)
-            done[missing] = True
-        if not counts[lo:hi].all():
-            raise DegenerateSpectrumError("mask classifies every bin as signal")
-        return noise[lo:hi], sums[lo:hi], counts[lo:hi]
+            sums[lo:start] = [np.compress(keep, row).sum()
+                              for keep, row in zip(noise[lo:start], self.power[lo:start])]
+            self._rows[key] = (lo, noise, sums, counts)
+        return noise[lo:], sums[lo:], counts[lo:]
 
-    def _signal_rows(self, key, frames: np.ndarray) -> np.ndarray:
+    def _signal_rows(self, key, lo: int, hi: int) -> np.ndarray:
         if key == "ideal":
-            return self.truth.signal_bin_mask[frames]
+            return self.truth.signal_bin_mask[lo:hi]
         if key == "fisher":
-            return sep.fisher_signal_rows(self.power[frames])[0]
+            return sep.fisher_signal_rows(self.power[lo:hi])[0]
         _, window, params = key
-        return sep.rof_signal_rows(_window_means(self.power, frames, window), params)
-
-
-def _window_means(power: np.ndarray, frames: np.ndarray, window: int) -> np.ndarray:
-    """Mean spectrum of the trailing window of at most ``window`` frames ending at each frame."""
-    return np.stack([power[max(0, f - window + 1):f + 1].mean(axis=0) for f in frames])
+        return sep.rof_signal_rows(self.window_means(window)[lo:hi], params)
 
 
 class _SeedContext:
@@ -253,14 +274,6 @@ class _SeedContext:
         return self._gram
 
 
-def _aic_windows(power: np.ndarray, frames: np.ndarray,
-                 window: int) -> tuple[np.ndarray, np.ndarray]:
-    """AIC estimate and order of the full window ending at each frame, ``AIC_CHUNK`` at a time."""
-    fits = [est.aic_fit_rows(_window_means(power, frames[i:i + AIC_CHUNK], window), window)
-            for i in range(0, frames.size, AIC_CHUNK)]
-    return np.concatenate([f[0] for f in fits]), np.concatenate([f[1] for f in fits])
-
-
 def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
                    window: int) -> np.ndarray:
     """CBE's signal count S = round(window * fraction) per window: the fraction is the
@@ -270,7 +283,8 @@ def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
     if explicit is not None:
         fractions = np.full(frames.size, float(explicit))
     elif method.params.get("occupancy_from") == "aic":
-        fractions = _aic_windows(ctx.power, frames, window)[1] / ctx.power.shape[1]
+        fractions = est.aic_fit_rows(ctx.masks.window_means(window)[frames],
+                                     window)[1] / ctx.power.shape[1]
     else:
         fractions = ctx.truth.signal_bin_mask[frames].mean(axis=1)
     return np.rint(window * fractions).astype(np.int64)
@@ -281,8 +295,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     """One method's series on a seed; with last_only, its entry at the last frame alone."""
     power, truth, masks = ctx.power, ctx.truth, ctx.masks
     n_frames = power.shape[0]
-    window = int(method.params.get("window_frames", min(n_frames, DEFAULT_WINDOW_FRAMES)))
-    window = max(1, min(window, n_frames))
+    window = min(method.params.get("window_frames", DEFAULT_WINDOW_FRAMES), n_frames)
 
     # ML reports at every frame, the windowed methods once their window is full.
     if last_only:
@@ -292,28 +305,27 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     frames = np.arange(first, n_frames)
     key = ("rof", window, _rof_params(method)) if method.separation == "rof" else method.separation
     if method.estimator == "ML":
-        values = est.ml_fit_frames(*masks.noise_rows(key, first, n_frames)[1:])
+        values = est.ml_fit_frames(*masks.noise_rows(key, first)[1:])
     elif method.separation == "rof":
         # MVU; every window is full here, and the mask of the window ending
         # at f applies to all of its frames.
-        noise, _, counts = masks.noise_rows(key, first, n_frames)
+        noise, _, counts = masks.noise_rows(key, first)
         sums = np.stack([np.compress(keep, power[f - window + 1:f + 1], axis=1).sum(axis=1)
                          for f, keep in zip(frames, noise)])
         values = est.mvu_fit_rows(sums, np.broadcast_to(counts[:, None], sums.shape))
     elif method.estimator == "MVU":
-        values = est.mvu_fit_windows(*masks.noise_rows(key, first - window + 1, n_frames)[1:],
-                                     window)
+        values = est.mvu_fit_windows(*masks.noise_rows(key, first - window + 1)[1:], window)
     elif method.estimator == "MMSE":
         values = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
-                                      blind=bool(method.params.get("blind", est.MMSE_BLIND)))[0]
+                                      blind=method.params.get("blind", est.MMSE_BLIND))[0]
     elif method.estimator == "AIC":
         # Every window is full here, so each holds ``window`` frames.
-        values = _aic_windows(power, frames, window)[0]
+        values = est.aic_fit_rows(masks.window_means(window)[first:], window)[0]
     else:
         lo = first - window + 1
         values = est.cbe_fit_windows(ctx.gram[lo:, lo:], power.shape[1], window,
                                      _signal_counts(method, ctx, frames, window),
-                                     int(method.params.get("grid_size", est.CBE_GRID_SIZE)))[0]
+                                     method.params.get("grid_size", est.CBE_GRID_SIZE))[0]
 
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
@@ -337,6 +349,9 @@ def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[in
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"seed {repeated} is given more than once")
     out: list[EstimateSeries] = []
     wall = dict.fromkeys((m.label for m in methods), 0.0)
     for seed in seeds:
@@ -369,7 +384,8 @@ def last_window_estimate(config: ScenarioConfig, method: MethodSpec,
 
     Only the window ending there is evaluated, and ideal and Fisher separate
     only the frames it reads: the last frame for ML, the window's frames for
-    MVU.  The entry is the last entry of the full series; for MMSE up to
+    MVU.  ROF and AIC still average the windows ending at every frame, the
+    one stack the cache builds per window length.  The entry is the last entry of the full series; for MMSE up to
     rounding, because its lone window is not evaluated inside the batched
     chunk that holds it there.
     """
@@ -607,10 +623,10 @@ def count_ops(method: MethodSpec, n: int, *,
     ops.mul(3 * bins)  # power spectrum: two squarings per bin, then the 1/N scaling
     ops.add(bins)
     if method.estimator == "CBE":
-        _book_cbe(ops, n, float(method.params.get("occupied_fraction", 0.25)),
-                  int(method.params.get("grid_size", est.CBE_GRID_SIZE)))
+        _book_cbe(ops, n, method.params.get("occupied_fraction", 0.25),
+                  method.params.get("grid_size", est.CBE_GRID_SIZE))
     elif method.estimator == "MMSE":
-        _book_mmse(ops, n, bool(method.params.get("blind", est.MMSE_BLIND)))
+        _book_mmse(ops, n, method.params.get("blind", est.MMSE_BLIND))
     elif method.estimator == "AIC":
         _book_aic(ops, power)
     else:

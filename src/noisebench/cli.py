@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import bench
-from .errors import DataError, TraceFormatError
+from .errors import DataError
 from .scenario import (
     ScenarioConfig,
     build_scenario,
+    load_iq_csv,
     load_iq_trace,
     read_config_file,
     scenario_config_from_dict,
-    series_from_iq_pairs,
     time_series_of,
     write_iq_trace,
 )
@@ -206,10 +206,7 @@ def cmd_convert(args) -> int:
                 fh.writelines("%.9g,%.9g\n" % pair
                               for pair in zip(part.real.tolist(), part.imag.tolist()))
     else:
-        pairs = np.loadtxt(args.input, delimiter=",", ndmin=2)
-        if pairs.shape[1] != 2:
-            raise TraceFormatError(f"{args.input}: expected two columns (I, Q)")
-        write_iq_trace(args.out, series_from_iq_pairs(pairs))
+        write_iq_trace(args.out, load_iq_csv(args.input))
     print(f"wrote {args.out}")
     return 0
 

@@ -31,6 +31,7 @@ log = logging.getLogger(__name__)
 
 POWER_FLOOR = 1e-30  # guards logarithms against zero bins
 MMSE_CHUNK = 64  # windows per batched MMSE pass
+AIC_CHUNK = 64  # averaged periodograms per batched AIC fit
 CBE_GRID_SIZE = 100  # candidate noise powers of one CBE fit
 MMSE_BLIND = True  # MMSE subtracts each subcarrier's time mean unless told otherwise
 # Batched conjugate-gradient solves of the MMSE weight systems: relative
@@ -177,23 +178,31 @@ def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEst
 def aic_fit_rows(avg: np.ndarray, n_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`aic_estimate` of every row of a (W, N) stack of averaged periodograms.
 
-    Returns each row's estimate, selected order n_min and AIC minimum.  One
-    sort and one curve cover the stack; each row's tail mean is taken alone,
-    so every row comes out as it would on its own.
+    Returns each row's estimate, selected order n_min and AIC minimum.  Rows
+    are fitted ``AIC_CHUNK`` at a time, one sort and one curve per chunk;
+    each row's tail mean is taken alone, so every row comes out as it would
+    on its own.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     p = np.asarray(avg, dtype=np.float64)
     if p.ndim != 2 or not p.shape[1]:
         raise ValueError("need a (W, N) stack of periodograms with N >= 1")
-    n = p.shape[1]
+    values, orders, minima = np.empty(len(p)), np.empty(len(p), dtype=np.intp), np.empty(len(p))
+    for lo in range(0, len(p), AIC_CHUNK):
+        hi = lo + AIC_CHUNK
+        values[lo:hi], orders[lo:hi], minima[lo:hi] = _aic_chunk(p[lo:hi], n_frames)
+    return values, orders, minima
+
+
+def _aic_chunk(p: np.ndarray, n_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     floored = (p <= 0).sum(axis=1)
     for count in floored[floored > 0]:
         log.warning("flooring %d non-positive periodogram bins at %.0e", int(count), POWER_FLOOR)
     if floored.any():
         p = np.maximum(p, POWER_FLOOR)
     lam = np.sort(p, axis=1)[:, ::-1]
-    aic = _aic_curve(lam, n_frames * n)
+    aic = _aic_curve(lam, n_frames * p.shape[1])
     orders = np.argmin(aic, axis=1)
     values = np.array([row[k:].mean() for row, k in zip(lam, orders)])
     return values, orders, aic[np.arange(len(orders)), orders]

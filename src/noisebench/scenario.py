@@ -244,8 +244,28 @@ def load_iq_trace(path: str | Path) -> ComplexSeries:
     return _hand_over(_read_iq_trace(path))
 
 
-def series_from_iq_pairs(pairs: np.ndarray) -> ComplexSeries:
-    """A series from an (n, 2) array of (I, Q) pairs, built as one fresh array."""
+def load_iq_csv(path: str | Path) -> ComplexSeries:
+    """Read a CSV trace: one "I,Q" line per sample, blank lines skipped.
+
+    A file without a sample is an empty trace.  A field that is not a number,
+    a line without exactly two fields, or a value that is not finite as
+    float32 (the raw trace's type) raises TraceFormatError naming the file.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if any(line.strip() for line in fh):
+                fh.seek(0)
+                pairs = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            else:
+                pairs = np.empty((0, 2))
+    except ValueError as exc:  # also a file that is not text
+        raise TraceFormatError(f"{path}: {exc}") from None
+    if pairs.shape[1] != 2:
+        raise TraceFormatError(f"{path}: expected two columns (I, Q), got {pairs.shape[1]}")
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(pairs.astype(np.float32)).all(axis=1)
+    if not finite.all():
+        raise TraceFormatError(f"{path}: non-finite value at sample {int(np.argmin(finite))}")
     return _hand_over(pairs[:, 0] + 1j * pairs[:, 1])
 
 

@@ -23,7 +23,7 @@ from noisebench import (
     write_report_csv,
     write_series_csv,
 )
-from noisebench import bench
+from noisebench import bench, estimators
 from noisebench.bench import ground_truths, sample_std
 from noisebench.scenario import with_seed
 
@@ -96,6 +96,29 @@ class TestMethodSpec:
         assert len(table) == 3 and spec != MethodSpec("CBE")
         with pytest.raises(TypeError):
             spec.params["grid_size"] = 9
+
+    @pytest.mark.parametrize("estimator, separation, params, message", [
+        ("MVU", "ideal", {"window_frames": 0}, "window_frames must be an integer >= 1, got 0"),
+        ("MVU", "ideal", {"window_frames": -5}, "window_frames must be an integer >= 1, got -5"),
+        ("MVU", "ideal", {"window_frames": 2.5}, "window_frames must be an integer >= 1, got 2.5"),
+        ("MVU", "ideal", {"window_frames": True},
+         "window_frames must be an integer >= 1, got True"),
+        ("CBE", "none", {"grid_size": 1}, "grid_size must be an integer >= 2, got 1"),
+        ("CBE", "none", {"grid_size": 7.0}, "grid_size must be an integer >= 2, got 7.0"),
+        ("CBE", "none", {"grid_size": True}, "grid_size must be an integer >= 2, got True"),
+        ("MMSE", "none", {"blind": "false"}, "blind must be a bool, got 'false'"),
+        ("MMSE", "none", {"blind": 0}, "blind must be a bool, got 0"),
+        ("ML", "rof", {"lambda1_pct": 0.0}, "lambda1_pct must lie in (0, 100)"),
+        ("MVU", "rof", {"lambda2_fraction": 1.0}, "lambda2_fraction must lie in (0, 1)"),
+    ])
+    def test_bad_param_values_rejected_on_build(self, estimator, separation, params, message):
+        with pytest.raises(ValueError) as exc:
+            MethodSpec(estimator, separation, params=params)
+        assert str(exc.value) == message
+
+    def test_numpy_integers_accepted(self):
+        spec = MethodSpec("CBE", params={"window_frames": np.int64(20), "grid_size": np.int32(7)})
+        assert spec.params["window_frames"] == 20 and spec.params["grid_size"] == 7
 
     def test_rof_params_default_to_rof_params(self):
         from noisebench import RofParams
@@ -215,7 +238,7 @@ class TestRunScenario:
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
     def test_aic_windows_match_one_window_estimates(self, monkeypatch, chunk):
         if chunk is not None:
-            monkeypatch.setattr(bench, "AIC_CHUNK", chunk)
+            monkeypatch.setattr(estimators, "AIC_CHUNK", chunk)
         cfg = reference_config(seed=4, n_frames=90)
         series = run_scenario(cfg, [MethodSpec("AIC", params={"window_frames": 20})], [4])[0]
         power = power_matrix(build_scenario(with_seed(cfg, 4))[0])
@@ -321,14 +344,60 @@ class TestRunScenario:
         cfg = reference_config(seed=4, n_frames=45)
         ctx = _SeedContext(cfg, 4)
         key = ("rof", 10, RofParams())
-        ctx.masks.noise_rows(key, 20, 30)
-        noise, sums, counts = ctx.masks.noise_rows(key, 0, 45)
+        ctx.masks.noise_rows(key, 20)
+        noise, sums, counts = ctx.masks.noise_rows(key, 0)
         for f in range(45):
             lo = max(0, f - 9)
             want = rof_separate(PowerSpectrum(ctx.power[lo:f + 1].mean(axis=0), f)).noise_bins
             np.testing.assert_array_equal(noise[f], want)
             assert sums[f] == np.compress(want, ctx.power[f]).sum()
             assert counts[f] == np.count_nonzero(want)
+
+    def test_window_means_are_one_read_only_stack(self):
+        # Row f is the mean of the trailing window of at most ``window``
+        # frames ending at f, bit for bit.
+        from noisebench.bench import _SeedContext
+        ctx = _SeedContext(reference_config(seed=5, n_frames=30), 5)
+        stack = ctx.masks.window_means(7)
+        assert stack.shape == ctx.power.shape
+        for f in range(30):
+            np.testing.assert_array_equal(stack[f], ctx.power[max(0, f - 6):f + 1].mean(axis=0))
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0] = 1.0
+        assert ctx.masks.window_means(7) is stack
+
+    def test_window_means_built_once_per_window(self, monkeypatch):
+        # ROF at two threshold sets, AIC and CBE's AIC occupancy all read the
+        # one stack of their window length; ROF and AIC read slices of it.
+        from noisebench.bench import _MaskProvider, _SeedContext, _evaluate_method
+        cfg = reference_config(seed=6, n_frames=40)
+        ctx = _SeedContext(cfg, 6)
+        stacks, inputs = [], []
+        window_means = _MaskProvider.window_means
+
+        def spy_means(self, window):
+            stacks.append(window_means(self, window))
+            return stacks[-1]
+
+        def spy(engine):
+            def call(rows, *args):
+                inputs.append(rows)
+                return engine(rows, *args)
+            return call
+
+        monkeypatch.setattr(_MaskProvider, "window_means", spy_means)
+        monkeypatch.setattr(bench.sep, "rof_signal_rows", spy(bench.sep.rof_signal_rows))
+        monkeypatch.setattr(bench.est, "aic_fit_rows", spy(bench.est.aic_fit_rows))
+        window = {"window_frames": 10}
+        for spec in (MethodSpec("ML", "rof", params=window),
+                     MethodSpec("MVU", "rof", params=dict(window, lambda1_pct=60.0)),
+                     MethodSpec("AIC", params=window),
+                     MethodSpec("CBE", params=dict(window, occupancy_from="aic"))):
+            _evaluate_method(spec, ctx, cfg.name, 6)
+        assert len(stacks) == 4 and all(s is stacks[0] for s in stacks)
+        assert len(inputs) == 4
+        assert all(np.shares_memory(rows, stacks[0]) for rows in inputs[:3])
 
     def test_unbuildable_rof_windows_raise_on_request(self):
         # Frame 0 alone, the only partial 2-frame window, has no ROF mask:
@@ -342,8 +411,8 @@ class TestRunScenario:
             power[0] = head
             masks = _MaskProvider(power, truth=None)
             with pytest.raises(DegenerateSpectrumError, match=message):
-                masks.noise_rows(key, 0, 5)
-            noise, _, counts = masks.noise_rows(key, 1, 5)
+                masks.noise_rows(key, 0)
+            noise, _, counts = masks.noise_rows(key, 1)
             assert noise.shape == (4, 64) and counts.all()
 
     def test_mvu_more_stable_than_ml(self):
@@ -779,9 +848,12 @@ class TestCountOps:
         assert tuned.adds - default.adds == noise_diff
         assert tuned.muls == default.muls
 
-    @pytest.mark.parametrize("params", [{"occupied_fraction": 0.99}, {"grid_size": 1}])
-    def test_cbe_count_needs_noise_group_and_grid(self, params):
-        with pytest.raises(ValueError, match="needs a noise group left and grid_size >= 2"):
+    @pytest.mark.parametrize("params, message", [
+        ({"occupied_fraction": 0.99}, "needs a noise group left and grid_size >= 2"),
+        ({"grid_size": 1}, "grid_size must be an integer >= 2, got 1"),  # at spec build
+    ], ids=["params0", "params1"])
+    def test_cbe_count_needs_noise_group_and_grid(self, params, message):
+        with pytest.raises(ValueError, match=message):
             count_ops(MethodSpec("CBE", params=params), 16)
 
     def test_fisher_scan_booked_only_where_fisher_splits(self):

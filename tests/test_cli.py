@@ -128,6 +128,14 @@ class TestRun:
         seeds = {row.split(",")[1] for row in (out / "series.csv").read_text().splitlines()[1:]}
         assert seeds == {"0", "1"}
 
+    def test_repeated_seed_exits_2(self, small_config, tmp_path, capsys):
+        out = tmp_path / "r"
+        rc = main(["run", "--config", str(small_config), "--out", str(out),
+                   "--method", "AIC", "--seeds", "3,0,3"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed 3 is given more than once\n"
+        assert not (out / "series.csv").exists()
+
     def test_override_list_index(self, small_config, tmp_path, capsys):
         rc = main(["generate", "--config", str(small_config), "--out", str(tmp_path / "s.iq"),
                    "--override", "signals.0.target_snr_db=-10"])
@@ -535,6 +543,40 @@ class TestConvert:
                      "--to", "raw"]) == 0
         assert trace.read_bytes() == back.read_bytes()
 
+
+    def test_empty_trace_round_trip(self, tmp_path, capsys):
+        trace, as_csv, back = tmp_path / "e.iq", tmp_path / "e.csv", tmp_path / "e2.iq"
+        trace.write_bytes(b"")
+        assert main(["convert", "--input", str(trace), "--out", str(as_csv), "--to", "csv"]) == 0
+        assert as_csv.read_bytes() == b""
+        assert main(["convert", "--input", str(as_csv), "--out", str(back), "--to", "raw"]) == 0
+        assert back.read_bytes() == b""
+        assert capsys.readouterr().err == ""
+
+    def test_blank_lines_skipped(self, tmp_path):
+        as_csv, back = tmp_path / "t.csv", tmp_path / "t.iq"
+        as_csv.write_text("1,-2\n\n0.5,3\n")
+        assert main(["convert", "--input", str(as_csv), "--out", str(back), "--to", "raw"]) == 0
+        np.testing.assert_array_equal(load_iq_trace(back).samples, [1 - 2j, 0.5 + 3j])
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,2\n3,x\n", "could not convert string 'x'"),
+        ("1,2\n3,4,5\n", "the number of columns changed from 2 to 3"),
+        ("1,2,3\n4,5,6\n", "expected two columns (I, Q), got 3"),
+        ("1\n2\n", "expected two columns (I, Q), got 1"),
+        ("1,2\nnan,4\n", "non-finite value at sample 1"),
+        ("1,2\n3,4\n5,-inf\n", "non-finite value at sample 2"),
+        ("1e39,2\n", "non-finite value at sample 0"),
+        ("\xff\n", "can't decode byte"),
+    ], ids=["non-numeric", "ragged", "three-columns", "one-column", "nan", "inf",
+            "float32-overflow", "not-text"])
+    def test_malformed_csv_exits_3_naming_the_file(self, tmp_path, capsys, text, message):
+        as_csv, back = tmp_path / "t.csv", tmp_path / "t.iq"
+        as_csv.write_bytes(text.encode("latin-1"))
+        assert main(["convert", "--input", str(as_csv), "--out", str(back), "--to", "raw"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {as_csv}: ") and message in err
+        assert not back.exists()
 
     def test_csv_text_matches_per_sample_formatting(self, noise_config, tmp_path):
         trace = tmp_path / "t.iq"
