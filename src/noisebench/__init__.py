@@ -52,7 +52,6 @@ from .scenario import (
     amplitude_for_snr,
     build_scenario,
     inject_rect_signal,
-    load_iq_csv,
     load_iq_trace,
     rescale_to_power,
     scenario_config_from_dict,
