@@ -1,0 +1,163 @@
+#!/usr/bin/env python3
+"""Run one set of noisebench invocations from two checkouts and compare what they produce.
+
+Each invocation runs once from each checkout's ``src/``, in a fresh
+interpreter, and the two runs must agree byte for byte: the exit code,
+stdout and stderr (with each side's work directory replaced by ``<work>``)
+and every output file.  The default set is the one a change that claims
+unchanged outputs is held to:
+
+- ``run`` of the nine default methods on ``configs/ism_benchmark.json`` at
+  seeds 0,1 and at seeds 0-19;
+- the long-stream workload of perfbench on pool entries 0-7: ``generate`` of
+  the entry's noise trace and the six ``run --method`` calls on it, with the
+  configs of ``perfbench/workloads.long_stream_configs`` (read, not changed);
+- ``ops`` at sizes 64-2048;
+- ``estimate`` of each of the nine default methods.
+
+Giving ``--parent`` and ``--change`` the same checkout checks that a rerun
+reproduces every byte.  Exit status 0 when every invocation agrees, 1 otherwise.
+
+Usage:
+    python scripts/compare_outputs.py --parent ../parent --change .
+    python scripts/compare_outputs.py --parent . --change . --seeds 0,1 --entries 0 \\
+        --ops-sizes "" --estimate-methods ""
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+DEFAULT_METHODS = ("ML:ideal", "ML:fisher", "ML:rof", "MVU:ideal", "MVU:fisher", "MVU:rof",
+                   "AIC", "CBE", "MMSE")
+DEFAULT_SEEDS = ("0,1", ",".join(str(s) for s in range(20)))
+DEFAULT_ENTRIES = ",".join(str(e) for e in range(8))
+DEFAULT_OPS_SIZES = "64,128,256,512,1024,2048"
+
+
+class Invocation(NamedTuple):
+    """One CLI call: its arguments and the files it writes, relative to a side's work directory."""
+
+    label: str
+    argv: tuple[str, ...]
+    outputs: tuple[str, ...] = ()
+
+
+def split_list(text: str) -> list[str]:
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def load_workloads():
+    """perfbench's workload module, for the long-stream configs and methods."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+def invocations(args, work: Path) -> list[Invocation]:
+    """The invocation set; writes the config files the long-stream calls read into ``work``."""
+    config = str(ROOT / "configs" / "ism_benchmark.json")
+    calls = []
+    for seeds in [seeds for seeds in args.seeds or DEFAULT_SEEDS if seeds.strip()]:
+        out = f"run-{seeds.replace(',', '_')}"
+        calls.append(Invocation(f"run --seeds {seeds}",
+                                ("run", "--config", config, "--seeds", seeds, "--out", out),
+                                (f"{out}/series.csv", f"{out}/report.csv")))
+    workloads = load_workloads()
+    for entry in map(int, split_list(args.entries)):
+        folder = work / f"long-stream-{entry}"
+        folder.mkdir()
+        generate, run = workloads.long_stream_configs(entry, folder / "noise.iq")
+        (folder / "generate.json").write_text(json.dumps(generate, indent=1), encoding="utf-8")
+        (folder / "run.json").write_text(json.dumps(run, indent=1), encoding="utf-8")
+        rel = folder.name
+        calls.append(Invocation(f"long-stream {entry} generate",
+                                ("generate", "--config", f"{rel}/generate.json",
+                                 "--out", f"{rel}/noise.iq"), (f"{rel}/noise.iq",)))
+        for method in workloads.LONG_STREAM_METHODS:
+            out = f"{rel}/out-{method.replace(':', '-')}"
+            calls.append(Invocation(f"long-stream {entry} run {method}",
+                                    ("run", "--config", f"{rel}/run.json", "--method", method,
+                                     "--out", out), (f"{out}/series.csv", f"{out}/report.csv")))
+    if split_list(args.ops_sizes):
+        calls.append(Invocation(f"ops --sizes {args.ops_sizes}",
+                                ("ops", "--sizes", args.ops_sizes, "--out", "ops.csv"),
+                                ("ops.csv",)))
+    for method in split_list(args.estimate_methods):
+        calls.append(Invocation(f"estimate {method}",
+                                ("estimate", "--config", config, "--method", method)))
+    return calls
+
+
+def run_side(checkout: Path, work: Path, call: Invocation) -> dict:
+    """One invocation from ``checkout`` inside ``work``: exit code, streams and output bytes."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run([sys.executable, "-m", "noisebench.cli", *call.argv], cwd=work,
+                          env=env, capture_output=True, check=False)
+    token = str(work).encode()
+    result = {"exit": proc.returncode,
+              "stdout": proc.stdout.replace(token, b"<work>"),
+              "stderr": proc.stderr.replace(token, b"<work>")}
+    for name in call.outputs:
+        path = work / name
+        result[name] = path.read_bytes() if path.exists() else None
+    return result
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--seeds", action="append", metavar="LIST",
+                        help="seed list of one `run` of the default methods; repeatable "
+                             "(default: 0,1 and 0-19; empty for none)")
+    parser.add_argument("--entries", default=DEFAULT_ENTRIES,
+                        help="long-stream pool entries (default: 0-7; empty for none)")
+    parser.add_argument("--ops-sizes", default=DEFAULT_OPS_SIZES,
+                        help=f"`ops` sizes (default: {DEFAULT_OPS_SIZES}; empty for none)")
+    parser.add_argument("--estimate-methods", default=",".join(DEFAULT_METHODS),
+                        help="methods to `estimate` (default: the nine; empty for none)")
+    parser.add_argument("--work", type=Path,
+                        help="directory for both sides' outputs, kept afterwards "
+                             "(default: a temporary one, removed)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+
+    base = Path(tempfile.mkdtemp(prefix="compare-outputs-")) if args.work is None else args.work
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    works = {side: base / side for side in sides}
+    try:
+        for work in works.values():
+            work.mkdir(parents=True, exist_ok=False)
+            calls = invocations(args, work)
+        failed = 0
+        for call in calls:
+            parent, change = (run_side(sides[side], works[side], call) for side in sides)
+            diff = [key for key in parent if parent[key] != change[key]]
+            failed += bool(diff)
+            state = f"DIFFERS in {', '.join(diff)}" if diff else "same"
+            print(f"{call.label}: exit {change['exit']}, {state}", flush=True)
+        print(f"{len(calls) - failed} of {len(calls)} invocations agree")
+        return 1 if failed else 0
+    finally:
+        if args.work is None:
+            shutil.rmtree(base, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -43,7 +43,7 @@ import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from numbers import Integral
+from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any
@@ -70,13 +70,14 @@ class MethodSpec:
 
     ``params`` may set any of ``METHOD_PARAMS``; another key, an
     ``occupancy_from`` other than "truth" or "aic", an ``occupied_fraction``
-    outside [0, 1), a ``window_frames`` that is not an integer >= 1, a
-    ``grid_size`` that is not an integer >= 2 (a bool is neither), a
-    ``blind`` that is not a bool, or ROF thresholds that ``RofParams``
-    rejects raises ValueError.  The spec keeps a read-only copy of the params
-    it checked, so setting a key afterwards raises TypeError.  Specs hash by
-    estimator and separation, so they can key a dict; equality also compares
-    the params.
+    or ROF threshold that is not a real number (a bool is none), an
+    ``occupied_fraction`` outside [0, 1), a ``window_frames`` that is not an
+    integer >= 1, a ``grid_size`` that is not an integer >= 2 (a bool is
+    neither), a ``blind`` that is not a bool, or ROF thresholds that
+    ``RofParams`` rejects raises ValueError.  The spec keeps a read-only copy
+    of the params it checked, so setting a key afterwards raises TypeError.
+    Specs hash by estimator and separation, so they can key a dict; equality
+    also compares the params.
     """
 
     estimator: str
@@ -99,8 +100,11 @@ class MethodSpec:
         if self.params.get("occupancy_from", "truth") not in ("truth", "aic"):
             raise ValueError(f"occupancy_from must be 'truth' or 'aic', "
                              f"got {self.params['occupancy_from']!r}")
-        fraction = self.params.get("occupied_fraction")
-        if fraction is not None and not 0.0 <= fraction < 1.0:
+        for name in ("lambda1_pct", "lambda2_fraction", "occupied_fraction"):
+            value = self.params.get(name, 0.0)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not 0.0 <= self.params.get("occupied_fraction", 0.0) < 1.0:
             raise ValueError("occupied_fraction must lie in [0, 1)")
         for name, least in (("window_frames", 1), ("grid_size", 2)):
             value = self.params.get(name, least)
@@ -229,8 +233,10 @@ class _MaskProvider:
     def noise_rows(self, key, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Noise masks of rows lo..M-1, and each frame's noise-bin power sum and count.
 
-        Raises DegenerateSpectrumError if one of those rows is all signal; the
-        rows that request separated are then not cached.
+        The sums are gathered by count group (:func:`_noise_sums`), each the
+        same bits as the pairwise sum of that frame's noise bins alone.
+        Raises DegenerateSpectrumError if one of those rows is all signal;
+        the rows that request separated are then not cached.
         """
         m, n = self.power.shape
         start, noise, sums, counts = self._rows.get(key) or (
@@ -240,10 +246,7 @@ class _MaskProvider:
             counts[lo:start] = np.count_nonzero(noise[lo:start], axis=1)
             if not counts[lo:start].all():
                 raise DegenerateSpectrumError("mask classifies every bin as signal")
-            # compress keeps each row contiguous, so its sum is the same
-            # pairwise sum as that of the frame's noise bins alone.
-            sums[lo:start] = [np.compress(keep, row).sum()
-                              for keep, row in zip(noise[lo:start], self.power[lo:start])]
+            sums[lo:start] = _noise_sums(self.power[lo:start], noise[lo:start], counts[lo:start])
             self._rows[key] = (lo, noise, sums, counts)
         return noise[lo:], sums[lo:], counts[lo:]
 
@@ -254,6 +257,31 @@ class _MaskProvider:
             return sep.fisher_signal_rows(self.power[lo:hi])[0]
         _, window, params = key
         return sep.rof_signal_rows(self.window_means(window)[lo:hi], params)
+
+
+_NOISE_SUM_CHUNK = 64  # frames whose noise-bin sums are gathered together
+
+
+def _noise_sums(power: np.ndarray, noise: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Each row's sum of power over its noise bins, ``counts`` of them.
+
+    Rows are summed ``_NOISE_SUM_CHUNK`` at a time.  Within a chunk, the g rows
+    with c noise bins are gathered by one boolean index into a C-contiguous
+    (g, c) array and summed along its rows.  numpy sums each contiguous row of
+    that array pairwise, exactly as it sums the frame's c noise bins alone
+    (``np.compress(keep, row).sum()``), so every sum is the same bits.  Real
+    masks give a chunk one to a few distinct counts; the row gather keeps the
+    work of a chunk at one pass over its rows whatever their number.
+    """
+    sums = np.empty(counts.size)
+    for lo in range(0, counts.size, _NOISE_SUM_CHUNK):
+        chunk = counts[lo:lo + _NOISE_SUM_CHUNK]
+        # A set, not np.unique: numpy's first unique call keeps about 0.5 MB
+        # allocated for the rest of the process.
+        for count in set(chunk.tolist()):
+            rows = lo + np.flatnonzero(chunk == count)
+            sums[rows] = power[rows][noise[rows]].reshape(rows.size, count).sum(axis=1)
+    return sums
 
 
 class _SeedContext:
@@ -552,9 +580,9 @@ def _book_cbe(ops: OpCounter, m: int, occupied_fraction: float, grid_size: int) 
     """Covariance of m frames of 2m bins, its eigensolve and the grid fit."""
     n = 2 * m
     s = int(round(m * occupied_fraction))
-    if s >= m or grid_size < 2:
-        raise ValueError(f"CBE at {m} frames needs a noise group left and grid_size >= 2, "
-                         f"got occupied_fraction {occupied_fraction} and grid_size {grid_size}")
+    if s >= m:
+        raise ValueError(f"CBE at {m} frames needs a noise group left, "
+                         f"got occupied_fraction {occupied_fraction}")
     with ops.stage("covariance-matmul"):
         ops.mul(m * m * n)
         ops.add(m * m * (n - 1))

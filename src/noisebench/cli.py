@@ -28,6 +28,7 @@ from .scenario import (
     build_scenario,
     load_iq_csv,
     load_iq_trace,
+    load_power_csv,
     read_config_file,
     scenario_config_from_dict,
     time_series_of,
@@ -133,8 +134,7 @@ def cmd_run(args) -> int:
 
 def _input_spectrum(args) -> PowerSpectrum:
     if args.power_csv:
-        power = np.loadtxt(args.power_csv, delimiter=",", ndmin=1)
-        return PowerSpectrum(power=power)
+        return PowerSpectrum(power=load_power_csv(args.power_csv))
     series = load_iq_trace(args.input)
     frames = frame_signal(series, args.n_bins, args.frames)
     block = block_from_frames(frames)

@@ -16,7 +16,8 @@ class InsufficientSamplesError(DataError):
 
 
 class TraceFormatError(DataError):
-    """Raw IQ trace file is malformed (odd length, non-finite samples)."""
+    """An input file is malformed: a raw IQ trace of odd length, or a trace or power CSV
+    with a non-numeric field, a wrong field count, no value, or a non-finite value."""
 
 
 class ZeroPowerError(DataError):

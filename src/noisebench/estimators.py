@@ -611,25 +611,35 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     a positive-definite T it is positive definite too.  A row stops once its
     recursive residual falls to ``MMSE_PCG_TOL`` of ||b||.  Returns the
     solutions and which rows converged within ``MMSE_PCG_MAX_ITER`` iterations.
+
+    The preconditioner multiplies each spectrum's real and imaginary parts by
+    the reciprocals of Chan's eigenvalues (:func:`_apply_circulant_inverse`).
+    That is the arithmetic numpy's complex division by c + 0j performs, which
+    computes (re + im * 0) * (1 / c) and (im - re * 0) * (1 / c); the two can
+    differ only in the sign of a zero part, so the iterates, solutions and
+    stopping iterations are those of a division, bit for bit.
     """
     count, n = columns.shape
     embedding = np.fft.rfft(_circulant_embedding(columns), axis=1)
-    k = np.arange(n)
-    chan = columns * (n - k)
-    chan[:, 1:] += k[1:] * columns[:, :0:-1]
-    chan = np.fft.rfft(chan / n, axis=1).real.copy()
+    inverse = _chan_reciprocals(columns)
     solutions = np.zeros_like(rhs)
     converged = np.zeros(count, dtype=bool)
     stop = (MMSE_PCG_TOL * np.linalg.norm(rhs, axis=1)) ** 2
     # Rows still iterating.  Their state is compressed to them when one stops;
-    # the buffers (padded, spectrum, z) are used through their first len(active) rows.
+    # the buffers are used through their first len(active) rows.  The spectra
+    # of the product with T (N + 1 bins) and of the preconditioner step
+    # (N // 2 + 1 bins) take turns in one buffer, each as a C-contiguous block.
     active = np.arange(count)
     padded = np.zeros((count, 2 * n))
-    spectrum = np.empty((count, n + 1), dtype=complex)
+    buffer = np.empty(count * (n + 1), dtype=complex)
+
+    def spectra(rows: int, bins: int) -> np.ndarray:
+        return buffer[:rows * bins].reshape(rows, bins)
+
     z = np.empty_like(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    _apply_circulant_inverse(r, chan, spectrum[:, :n // 2 + 1], z)
+    _apply_circulant_inverse(r, inverse, spectra(count, n // 2 + 1), z)
     p = z.copy()
     rz = np.einsum("ij,ij->i", r, z)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -637,10 +647,10 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
             rows = active.size
             padded[:rows, :n] = p
             padded[:rows, n:] = 0.0
-            np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
-            spectrum[:rows] *= embedding
+            spectrum = np.fft.rfft(padded[:rows], axis=1, out=spectra(rows, n + 1))
+            spectrum *= embedding
             # T p is the leading half of the circulant product, written over the padding.
-            tp = np.fft.irfft(spectrum[:rows], 2 * n, axis=1, out=padded[:rows])[:, :n]
+            tp = np.fft.irfft(spectrum, 2 * n, axis=1, out=padded[:rows])[:, :n]
             alpha = (rz / np.einsum("ij,ij->i", p, tp))[:, None]
             # z is free until the preconditioner step below; it holds the updates.
             x += np.multiply(alpha, p, out=z[:rows])
@@ -654,9 +664,9 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
                     break
                 active, x, r, p, rz, stop = (active[keep], x[keep], r[keep], p[keep],
                                              rz[keep], stop[keep])
-                embedding, chan = embedding[keep], chan[keep]
+                embedding, inverse = embedding[keep], inverse[keep]
                 rows = active.size
-            _apply_circulant_inverse(r, chan, spectrum[:rows, :n // 2 + 1], z[:rows])
+            _apply_circulant_inverse(r, inverse, spectra(rows, n // 2 + 1), z[:rows])
             rz_next = np.einsum("ij,ij->i", r, z[:rows])
             p *= (rz_next / rz)[:, None]
             p += z[:rows]
@@ -666,12 +676,27 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     return solutions, converged
 
 
-def _apply_circulant_inverse(rows: np.ndarray, eigenvalues: np.ndarray, spectra: np.ndarray,
+def _chan_reciprocals(columns: np.ndarray) -> np.ndarray:
+    """1 / c for each eigenvalue c of each row's Chan circulant, once for the real
+    and once for the imaginary part of its rfft bin: (count, 2 (N // 2 + 1))."""
+    n = columns.shape[1]
+    k = np.arange(n)
+    chan = columns * (n - k)
+    chan[:, 1:] += k[1:] * columns[:, :0:-1]
+    return np.repeat(1.0 / np.fft.rfft(chan / n, axis=1).real, 2, axis=1)
+
+
+def _apply_circulant_inverse(rows: np.ndarray, inverse: np.ndarray, spectra: np.ndarray,
                              out: np.ndarray) -> None:
-    """Each row times the inverse of the symmetric circulant with those real
-    eigenvalues, into out; spectra is a buffer for the rows' rfft."""
+    """Each row times the inverse of a symmetric circulant, into out.
+
+    ``inverse`` holds the reciprocals of the circulant's real eigenvalues, each
+    repeated for the real and the imaginary part of its bin; spectra is a
+    C-contiguous complex buffer for the rows' rfft, scaled through its float view.
+    """
     np.fft.rfft(rows, axis=1, out=spectra)
-    spectra /= eigenvalues
+    flat = spectra.view(np.float64)
+    np.multiply(flat, inverse, out=flat)
     np.fft.irfft(spectra, rows.shape[1], axis=1, out=out)
 
 

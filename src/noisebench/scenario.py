@@ -244,6 +244,28 @@ def load_iq_trace(path: str | Path) -> ComplexSeries:
     return _hand_over(_read_iq_trace(path))
 
 
+def _read_csv_rows(path: str | Path, columns: int, expected: str) -> np.ndarray:
+    """The numbers of a CSV file, ``columns`` fields a line, blank lines skipped.
+
+    Returns a (lines, columns) float64 array, with no rows for a file without
+    a line.  A field that is not a number, a line with another number of
+    fields, or a file that is not text raises TraceFormatError naming the
+    file; ``expected`` describes the columns in that message.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if any(line.strip() for line in fh):
+                fh.seek(0)
+                rows = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
+            else:
+                rows = np.empty((0, columns))
+    except ValueError as exc:  # also a file that is not text
+        raise TraceFormatError(f"{path}: {exc}") from None
+    if rows.shape[1] != columns:
+        raise TraceFormatError(f"{path}: expected {expected}, got {rows.shape[1]}")
+    return rows
+
+
 def load_iq_csv(path: str | Path) -> ComplexSeries:
     """Read a CSV trace: one "I,Q" line per sample, blank lines skipped.
 
@@ -251,22 +273,29 @@ def load_iq_csv(path: str | Path) -> ComplexSeries:
     a line without exactly two fields, or a value that is not finite as
     float32 (the raw trace's type) raises TraceFormatError naming the file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            if any(line.strip() for line in fh):
-                fh.seek(0)
-                pairs = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None)
-            else:
-                pairs = np.empty((0, 2))
-    except ValueError as exc:  # also a file that is not text
-        raise TraceFormatError(f"{path}: {exc}") from None
-    if pairs.shape[1] != 2:
-        raise TraceFormatError(f"{path}: expected two columns (I, Q), got {pairs.shape[1]}")
+    pairs = _read_csv_rows(path, 2, "two columns (I, Q)")
     with np.errstate(over="ignore"):
         finite = np.isfinite(pairs.astype(np.float32)).all(axis=1)
     if not finite.all():
         raise TraceFormatError(f"{path}: non-finite value at sample {int(np.argmin(finite))}")
     return _hand_over(pairs[:, 0] + 1j * pairs[:, 1])
+
+
+def load_power_csv(path: str | Path) -> np.ndarray:
+    """Read a power spectrum: one value per line, blank lines skipped, by the
+    rule of :func:`load_iq_csv`.
+
+    A file without a value, a field that is not a number, a line with more
+    than one field, or a value that is not finite raises TraceFormatError
+    naming the file.
+    """
+    power = _read_csv_rows(path, 1, "one column (power)")[:, 0]
+    if power.size == 0:
+        raise TraceFormatError(f"{path}: no power values")
+    finite = np.isfinite(power)
+    if not finite.all():
+        raise TraceFormatError(f"{path}: non-finite value at bin {int(np.argmin(finite))}")
+    return power
 
 
 def write_iq_trace(path: str | Path, series: ComplexSeries) -> None:

@@ -50,7 +50,7 @@ def _finite_complex(values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=np.complex128)
     if arr.ndim != 1:
         raise ValueError(f"{what} must be one-dimensional")
-    finite = np.isfinite(arr.real) & np.isfinite(arr.imag)
+    finite = np.isfinite(arr)  # a complex entry is finite when both its parts are
     if not finite.all():
         idx = int(np.flatnonzero(~finite)[0])
         raise ValueError(f"{what} contains a non-finite value at sample {idx}")

@@ -110,6 +110,18 @@ class TestMethodSpec:
         ("MMSE", "none", {"blind": 0}, "blind must be a bool, got 0"),
         ("ML", "rof", {"lambda1_pct": 0.0}, "lambda1_pct must lie in (0, 100)"),
         ("MVU", "rof", {"lambda2_fraction": 1.0}, "lambda2_fraction must lie in (0, 1)"),
+        ("ML", "rof", {"lambda1_pct": "5"}, "lambda1_pct must be a real number, got '5'"),
+        ("ML", "rof", {"lambda1_pct": True}, "lambda1_pct must be a real number, got True"),
+        ("MVU", "rof", {"lambda2_fraction": None},
+         "lambda2_fraction must be a real number, got None"),
+        ("MVU", "rof", {"lambda2_fraction": False},
+         "lambda2_fraction must be a real number, got False"),
+        ("CBE", "none", {"occupied_fraction": "0.3"},
+         "occupied_fraction must be a real number, got '0.3'"),
+        ("CBE", "none", {"occupied_fraction": np.bool_(False)},
+         "occupied_fraction must be a real number, got np.False_"),
+        ("CBE", "none", {"occupied_fraction": 0.3 + 0j},
+         "occupied_fraction must be a real number, got (0.3+0j)"),
     ])
     def test_bad_param_values_rejected_on_build(self, estimator, separation, params, message):
         with pytest.raises(ValueError) as exc:
@@ -414,6 +426,31 @@ class TestRunScenario:
                 masks.noise_rows(key, 0)
             noise, _, counts = masks.noise_rows(key, 1)
             assert noise.shape == (4, 64) and counts.all()
+
+    def test_grouped_noise_sums_match_per_frame_sums(self):
+        # Rows are summed by noise count within chunks of rows, each sum the
+        # bits of the frame's own np.compress(keep, row).sum().  Counts 1-16,
+        # 127-129 and 511 cover pairwise summation's short, unrolled and split
+        # lengths; rows of one count have different masks, and runs of equal
+        # counts straddle the chunk edges, the last chunk a partial one.
+        from noisebench.bench import _NOISE_SUM_CHUNK, _noise_sums
+        rng = np.random.default_rng(12)
+        n, chunk = 512, _NOISE_SUM_CHUNK
+        cycle = list(range(1, 17)) + [127, 128, 129, 511]
+        counts = np.array([cycle[f % len(cycle)] for f in range(2 * chunk + 22)])
+        counts[chunk - 5:chunk + 5] = 128
+        counts[2 * chunk - 3:2 * chunk + 2] = 7
+        shape = (counts.size, n)
+        power = rng.exponential(size=shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        noise = np.zeros(power.shape, dtype=bool)
+        for row, count in zip(noise, counts):
+            row[rng.choice(n, count, replace=False)] = True
+        got = _noise_sums(power, noise, counts)
+        want = np.array([np.compress(keep, row).sum() for keep, row in zip(noise, power)])
+        assert got.tobytes() == want.tobytes()
+        # Every group of equal counts holds distinct masks.
+        assert all(len({noise[f].tobytes() for f in np.flatnonzero(counts == c)})
+                   == np.count_nonzero(counts == c) for c in cycle)
 
     def test_mvu_more_stable_than_ml(self):
         cfg = reference_config(seed=9, n_frames=150)
@@ -849,7 +886,7 @@ class TestCountOps:
         assert tuned.muls == default.muls
 
     @pytest.mark.parametrize("params, message", [
-        ({"occupied_fraction": 0.99}, "needs a noise group left and grid_size >= 2"),
+        ({"occupied_fraction": 0.99}, "needs a noise group left, got occupied_fraction 0.99"),
         ({"grid_size": 1}, "grid_size must be an integer >= 2, got 1"),  # at spec build
     ], ids=["params0", "params1"])
     def test_cbe_count_needs_noise_group_and_grid(self, params, message):

@@ -444,6 +444,29 @@ class TestSeparate:
         rc = main(["separate", "--power-csv", str(src), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
 
+    @staticmethod
+    def _bad_power_csv(tmp_path, capsys, text):
+        src = tmp_path / "bad-power.csv"
+        src.write_text(text)
+        out = tmp_path / "sep.csv"
+        rc = main(["separate", "--power-csv", str(src), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and not out.exists()
+        assert err.startswith(f"error: {src}: ")
+        return err
+
+    def test_empty_power_csv_exits_3(self, tmp_path, capsys):
+        # No UserWarning from numpy's reader: the suite turns one into an error.
+        assert "no power values" in self._bad_power_csv(tmp_path, capsys, "\n\n")
+
+    def test_non_numeric_power_csv_exits_3(self, tmp_path, capsys):
+        assert "'x'" in self._bad_power_csv(tmp_path, capsys, "1.0\nx\n2.0\n")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_power_csv_exits_3(self, tmp_path, capsys, value):
+        err = self._bad_power_csv(tmp_path, capsys, f"1.0\n\n2.0\n{value}\n3.0\n")
+        assert err.rstrip().endswith("non-finite value at bin 2")
+
     def test_trace_input(self, noise_config, tmp_path):
         trace = tmp_path / "t.iq"
         main(["generate", "--config", str(noise_config), "--out", str(trace)])

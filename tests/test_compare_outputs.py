@@ -1,0 +1,58 @@
+from __future__ import annotations
+
+import importlib.util
+import shutil
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def compare():
+    spec = importlib.util.spec_from_file_location("compare_outputs",
+                                                  ROOT / "scripts" / "compare_outputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def parse(compare, *argv):
+    return compare.build_parser().parse_args(["--parent", ".", "--change", ".", *argv])
+
+
+class TestCompareOutputs:
+    def test_default_set(self, compare, tmp_path):
+        calls = compare.invocations(parse(compare), tmp_path)
+        labels = [call.label for call in calls]
+        # Two runs, eight long-stream entries of a generate and six runs, ops, nine estimates.
+        assert len(calls) == 2 + 8 * 7 + 1 + 9
+        assert labels[:2] == ["run --seeds 0,1", "run --seeds " + ",".join(map(str, range(20)))]
+        assert labels[2:9] == ["long-stream 0 generate"] + [
+            f"long-stream 0 run {m}" for m in ("ML:ideal", "ML:fisher", "MVU:ideal",
+                                               "MVU:fisher", "AIC", "MMSE")]
+        assert labels[-10] == "ops --sizes 64,128,256,512,1024,2048"
+        assert (tmp_path / "long-stream-7" / "run.json").exists()
+
+    def test_sets_can_be_left_out(self, compare, tmp_path):
+        args = parse(compare, "--seeds", "", "--entries", "", "--ops-sizes", "",
+                     "--estimate-methods", "AIC")
+        assert [call.label for call in compare.invocations(args, tmp_path)] == ["estimate AIC"]
+
+    def test_same_checkout_agrees_and_a_changed_one_does_not(self, compare, tmp_path, capsys):
+        argv = ["--seeds", "", "--entries", "", "--ops-sizes", "16,32",
+                "--estimate-methods", "AIC"]
+        assert compare.main(["--parent", str(ROOT), "--change", str(ROOT), *argv]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 invocations agree"
+        changed = tmp_path / "changed"
+        shutil.copytree(ROOT / "src", changed / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        cli = changed / "src" / "noisebench" / "cli.py"
+        header = "method,separation,frame_index,noise_power_est_mw,snr_est_db"
+        cli.write_text(cli.read_text().replace(header, header.upper()))
+        assert compare.main(["--parent", str(ROOT), "--change", str(changed), *argv]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "ops --sizes 16,32: exit 0, same"
+        assert out[1] == "estimate AIC: exit 0, DIFFERS in stdout"
+        assert out[-1] == "1 of 2 invocations agree"

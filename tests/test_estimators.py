@@ -68,6 +68,67 @@ def aic_curve_naive(lam: np.ndarray, m: int) -> np.ndarray:
     return aic
 
 
+def pcg_toeplitz_oracle(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The conjugate-gradient Toeplitz solver with its preconditioner as a
+    complex division of a strided slice, and the padding zeroed every iteration."""
+    count, n = columns.shape
+    embedding = np.fft.rfft(estimators._circulant_embedding(columns), axis=1)
+    k = np.arange(n)
+    chan = columns * (n - k)
+    chan[:, 1:] += k[1:] * columns[:, :0:-1]
+    chan = np.fft.rfft(chan / n, axis=1).real.copy()
+    solutions = np.zeros_like(rhs)
+    converged = np.zeros(count, dtype=bool)
+    stop = (estimators.MMSE_PCG_TOL * np.linalg.norm(rhs, axis=1)) ** 2
+    active = np.arange(count)
+    padded = np.zeros((count, 2 * n))
+    spectrum = np.empty((count, n + 1), dtype=complex)
+    z = np.empty_like(rhs)
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    apply_circulant_inverse_oracle(r, chan, spectrum[:, :n // 2 + 1], z)
+    p = z.copy()
+    rz = np.einsum("ij,ij->i", r, z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(estimators.MMSE_PCG_MAX_ITER):
+            rows = active.size
+            padded[:rows, :n] = p
+            padded[:rows, n:] = 0.0
+            np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
+            spectrum[:rows] *= embedding
+            tp = np.fft.irfft(spectrum[:rows], 2 * n, axis=1, out=padded[:rows])[:, :n]
+            alpha = (rz / np.einsum("ij,ij->i", p, tp))[:, None]
+            x += np.multiply(alpha, p, out=z[:rows])
+            r -= np.multiply(alpha, tp, out=z[:rows])
+            done = np.einsum("ij,ij->i", r, r) <= stop
+            if done.any():
+                solutions[active[done]] = x[done]
+                converged[active[done]] = True
+                keep = ~done
+                if not keep.any():
+                    break
+                active, x, r, p, rz, stop = (active[keep], x[keep], r[keep], p[keep],
+                                             rz[keep], stop[keep])
+                embedding, chan = embedding[keep], chan[keep]
+                rows = active.size
+            apply_circulant_inverse_oracle(r, chan, spectrum[:rows, :n // 2 + 1], z[:rows])
+            rz_next = np.einsum("ij,ij->i", r, z[:rows])
+            p *= (rz_next / rz)[:, None]
+            p += z[:rows]
+            rz = rz_next
+        else:
+            solutions[active] = x
+    return solutions, converged
+
+
+def apply_circulant_inverse_oracle(rows: np.ndarray, eigenvalues: np.ndarray,
+                                   spectra: np.ndarray, out: np.ndarray) -> None:
+    """Each row times the inverse circulant, dividing its spectrum by the real eigenvalues."""
+    np.fft.rfft(rows, axis=1, out=spectra)
+    spectra /= eigenvalues
+    np.fft.irfft(spectra, rows.shape[1], axis=1, out=out)
+
+
 def white_block(seed: int, n_frames: int = 100, n_bins: int = 512,
                 power: float = 1.0) -> ResourceBlock:
     rng = np.random.default_rng(seed)
@@ -871,6 +932,78 @@ class TestMmseFitWindows:
         with pytest.raises(ValueError, match="does not fit"):
             mmse_fit_windows(spectral, 9)
         assert [len(column) for column in mmse_fit_windows(spectral, 8)] == [1, 1, 1, 1]
+
+
+def spd_toeplitz_batch(seed: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """MMSE-like weight systems (r with r(0) doubled as the column, r as the
+    right-hand side) from rows of varied smoothness and scale, and a last row
+    of a near-singular Gaussian-kernel Toeplitz matrix."""
+    rng = np.random.default_rng(seed)
+    v = rng.exponential(size=(count - 1, n))
+    for j in range(count - 1):
+        width = j % 5 + 1
+        v[j] = np.convolve(v[j], np.ones(width) / width, mode="same")
+    v *= 10.0 ** rng.uniform(-3, 3, (count - 1, 1))
+    lags = np.stack([np.correlate(a, a, mode="full")[n - 1:] / n for a in v])
+    columns = lags.copy()
+    columns[:, 0] *= 2.0
+    kernel = np.exp(-(np.arange(n) / 6.0) ** 2)
+    kernel[0] += 1e-9
+    return (np.vstack([columns, kernel]),
+            np.vstack([lags, rng.standard_normal(n)]))
+
+
+def assert_same_pcg(columns: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The solver and its division oracle give the same bits; returns the converged flags."""
+    solutions, converged = estimators._pcg_toeplitz(columns, rhs)
+    want, want_converged = pcg_toeplitz_oracle(columns, rhs)
+    assert solutions.tobytes() == want.tobytes()
+    assert converged.tolist() == want_converged.tolist()
+    return converged
+
+
+class TestPcgToeplitz:
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_division_oracle(self, seed, n):
+        converged = assert_same_pcg(*spd_toeplitz_batch(seed, 13, n))
+        # The near-singular row runs out of iterations, all others converge.
+        assert converged[:-1].all() and not converged[-1]
+
+    def test_rows_stop_at_different_iterations(self, monkeypatch):
+        columns, rhs = spd_toeplitz_batch(2, 13, 16)
+        cap = estimators.MMSE_PCG_MAX_ITER
+        stopped = []
+        for iterations in range(cap + 1):
+            monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", iterations)
+            stopped.append(int(assert_same_pcg(columns, rhs).sum()))
+        # Rows leave the iteration at several different steps, so the state is
+        # compacted more than once, and one row is still iterating at the cap.
+        assert len(set(stopped)) >= 4
+        assert stopped[-1] == len(columns) - 1
+
+    def test_matches_division_oracle_on_mmse_systems(self, mmse_oracle_cases):
+        spectral = mmse_oracle_cases["switching-trace", True][0]
+        n = spectral.shape[1]
+        variance, _ = estimators._mmse_moments(spectral[:163] / np.sqrt(n), 100, True)
+        lags = estimators._mmse_lags(variance)
+        columns = lags.copy()
+        columns[:, 0] *= 2.0
+        assert assert_same_pcg(columns, lags).all()
+
+    def test_circulant_inverse_matches_division(self):
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((5, 32)) * 10.0 ** rng.uniform(-200, 200, (5, 1))
+        eigenvalues = rng.uniform(0.01, 10.0, (5, 17)) * 10.0 ** rng.uniform(-100, 100, (5, 17))
+        spectra = np.empty((5, 17), dtype=complex)
+        got = np.empty_like(rows)
+        with np.errstate(over="ignore"):
+            estimators._apply_circulant_inverse(rows, np.repeat(1.0 / eigenvalues, 2, axis=1),
+                                                spectra, got)
+            want = np.empty_like(rows)
+            apply_circulant_inverse_oracle(rows, eigenvalues,
+                                           np.empty((5, 33), dtype=complex)[:, :17], want)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSnrFromPowers:

@@ -250,6 +250,17 @@ class TestValueTypes:
         with pytest.raises(ValueError, match="sample 4"):
             ComplexSeries(samples=bad)
 
+    @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                     complex(np.inf, 1.0), complex(1.0, -np.inf)],
+                             ids=["nan-real", "nan-imag", "inf-real", "inf-imag"])
+    def test_series_names_the_first_non_finite_sample(self, bad):
+        # Either part makes a sample non-finite; the first such sample is named.
+        values = np.ones(9, dtype=complex)
+        values[5] = bad
+        values[7] = complex(np.nan, np.nan)
+        with pytest.raises(ValueError, match=r"^samples contains a non-finite value at sample 5$"):
+            ComplexSeries(samples=values)
+
     def test_power_copies_only_writeable_input_and_checks_every_input(self):
         values = np.ones(6)
         ps = PowerSpectrum(power=values)
