@@ -626,20 +626,14 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     converged = np.zeros(count, dtype=bool)
     stop = (MMSE_PCG_TOL * np.linalg.norm(rhs, axis=1)) ** 2
     # Rows still iterating.  Their state is compressed to them when one stops;
-    # the buffers are used through their first len(active) rows.  The spectra
-    # of the product with T (N + 1 bins) and of the preconditioner step
-    # (N // 2 + 1 bins) take turns in one buffer, each as a C-contiguous block.
+    # the buffers (padded, spectrum, z) are used through their first len(active) rows.
     active = np.arange(count)
     padded = np.zeros((count, 2 * n))
-    buffer = np.empty(count * (n + 1), dtype=complex)
-
-    def spectra(rows: int, bins: int) -> np.ndarray:
-        return buffer[:rows * bins].reshape(rows, bins)
-
+    spectrum = np.empty((count, n + 1), dtype=complex)
     z = np.empty_like(rhs)
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    _apply_circulant_inverse(r, inverse, spectra(count, n // 2 + 1), z)
+    _apply_circulant_inverse(r, inverse, spectrum[:, :n // 2 + 1], z)
     p = z.copy()
     rz = np.einsum("ij,ij->i", r, z)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -647,10 +641,10 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
             rows = active.size
             padded[:rows, :n] = p
             padded[:rows, n:] = 0.0
-            spectrum = np.fft.rfft(padded[:rows], axis=1, out=spectra(rows, n + 1))
-            spectrum *= embedding
+            np.fft.rfft(padded[:rows], axis=1, out=spectrum[:rows])
+            spectrum[:rows] *= embedding
             # T p is the leading half of the circulant product, written over the padding.
-            tp = np.fft.irfft(spectrum, 2 * n, axis=1, out=padded[:rows])[:, :n]
+            tp = np.fft.irfft(spectrum[:rows], 2 * n, axis=1, out=padded[:rows])[:, :n]
             alpha = (rz / np.einsum("ij,ij->i", p, tp))[:, None]
             # z is free until the preconditioner step below; it holds the updates.
             x += np.multiply(alpha, p, out=z[:rows])
@@ -666,7 +660,7 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
                                              rz[keep], stop[keep])
                 embedding, inverse = embedding[keep], inverse[keep]
                 rows = active.size
-            _apply_circulant_inverse(r, inverse, spectra(rows, n // 2 + 1), z[:rows])
+            _apply_circulant_inverse(r, inverse, spectrum[:rows, :n // 2 + 1], z[:rows])
             rz_next = np.einsum("ij,ij->i", r, z[:rows])
             p *= (rz_next / rz)[:, None]
             p += z[:rows]
@@ -677,26 +671,25 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def _chan_reciprocals(columns: np.ndarray) -> np.ndarray:
-    """1 / c for each eigenvalue c of each row's Chan circulant, once for the real
-    and once for the imaginary part of its rfft bin: (count, 2 (N // 2 + 1))."""
+    """1 / c for each eigenvalue c of each row's Chan circulant: (count, N // 2 + 1)."""
     n = columns.shape[1]
     k = np.arange(n)
     chan = columns * (n - k)
     chan[:, 1:] += k[1:] * columns[:, :0:-1]
-    return np.repeat(1.0 / np.fft.rfft(chan / n, axis=1).real, 2, axis=1)
+    return 1.0 / np.fft.rfft(chan / n, axis=1).real
 
 
 def _apply_circulant_inverse(rows: np.ndarray, inverse: np.ndarray, spectra: np.ndarray,
                              out: np.ndarray) -> None:
     """Each row times the inverse of a symmetric circulant, into out.
 
-    ``inverse`` holds the reciprocals of the circulant's real eigenvalues, each
-    repeated for the real and the imaginary part of its bin; spectra is a
-    C-contiguous complex buffer for the rows' rfft, scaled through its float view.
+    ``inverse`` holds the reciprocals of the circulant's real eigenvalues;
+    spectra is a buffer for the rows' rfft, whose real and imaginary parts
+    are scaled in place.
     """
     np.fft.rfft(rows, axis=1, out=spectra)
-    flat = spectra.view(np.float64)
-    np.multiply(flat, inverse, out=flat)
+    spectra.real *= inverse
+    spectra.imag *= inverse
     np.fft.irfft(spectra, rows.shape[1], axis=1, out=out)
 
 
