@@ -380,8 +380,8 @@ class TestRunScenario:
         assert ctx.masks.window_means(7) is stack
 
     def test_window_means_built_once_per_window(self, monkeypatch):
-        # ROF at two threshold sets, AIC and CBE's AIC occupancy all read the
-        # one stack of their window length; ROF and AIC read slices of it.
+        # ROF at two threshold sets and AIC read slices of the one stack of
+        # their window length; CBE's AIC occupancy reads AIC's fit of it.
         from noisebench.bench import _MaskProvider, _SeedContext, _evaluate_method
         cfg = reference_config(seed=6, n_frames=40)
         ctx = _SeedContext(cfg, 6)
@@ -407,9 +407,9 @@ class TestRunScenario:
                      MethodSpec("AIC", params=window),
                      MethodSpec("CBE", params=dict(window, occupancy_from="aic"))):
             _evaluate_method(spec, ctx, cfg.name, 6)
-        assert len(stacks) == 4 and all(s is stacks[0] for s in stacks)
-        assert len(inputs) == 4
-        assert all(np.shares_memory(rows, stacks[0]) for rows in inputs[:3])
+        assert len(stacks) == 3 and all(s is stacks[0] for s in stacks)
+        assert len(inputs) == 3
+        assert all(np.shares_memory(rows, stacks[0]) for rows in inputs)
 
     def test_unbuildable_rof_windows_raise_on_request(self):
         # Frame 0 alone, the only partial 2-frame window, has no ROF mask:
@@ -451,6 +451,79 @@ class TestRunScenario:
         # Every group of equal counts holds distinct masks.
         assert all(len({noise[f].tobytes() for f in np.flatnonzero(counts == c)})
                    == np.count_nonzero(counts == c) for c in cycle)
+
+    @staticmethod
+    def _per_window_sums(power, noise, window):
+        """Each window's frames summed under its mask, one np.compress per window."""
+        return np.stack([np.compress(keep, power[j:j + window], axis=1).sum(axis=1)
+                         for j, keep in enumerate(noise)])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rof_window_sums_match_per_window_sums(self, seed):
+        # MVU(rof) sums each run of windows that share a ROF mask with one
+        # gather; the sums are the bits of one gather per window.
+        from noisebench import RofParams
+        from noisebench.bench import _masked_window_sums, _SeedContext
+        from noisebench.scenario import scenario_config_from_file
+        ctx = _SeedContext(scenario_config_from_file(CONFIG), seed)
+        noise = ctx.masks.noise_rows(("rof", 100, RofParams()), 99)[0]
+        runs = 1 + np.count_nonzero((noise[1:] != noise[:-1]).any(axis=1))
+        assert 1 < runs < len(noise)
+        got = _masked_window_sums(ctx.power, noise, 100)
+        assert got.tobytes() == self._per_window_sums(ctx.power, noise, 100).tobytes()
+
+    @pytest.mark.parametrize("masks", ["every-window", "one-mask"])
+    def test_masked_window_sums_on_synthetic_masks(self, masks):
+        # A mask that changes at every window (runs of one window) and one
+        # shared by all windows (one run); counts of 1-511 noise bins.
+        from noisebench.bench import _masked_window_sums
+        rng = np.random.default_rng(31)
+        window, n_windows, n = 9, 40, 512
+        power = rng.exponential(size=(n_windows + window - 1, n)) * 10.0 ** rng.uniform(-8, 8, n)
+        if masks == "every-window":
+            noise = np.zeros((n_windows, n), dtype=bool)
+            for j, row in enumerate(noise):
+                row[rng.choice(n, [1, 2, 7, 17, 128, 129, 511][j % 7], replace=False)] = True
+            assert (noise[1:] != noise[:-1]).any(axis=1).all()
+        else:
+            noise = np.broadcast_to(rng.random(n) < 0.7, (n_windows, n))
+        got = _masked_window_sums(power, noise, window)
+        assert got.tobytes() == self._per_window_sums(power, noise, window).tobytes()
+
+    def test_rof_last_window_matches_per_window_sums(self):
+        # The estimate path (last_only) has one window, so one run.
+        from noisebench import RofParams
+        from noisebench.bench import _evaluate_method, _SeedContext
+        from noisebench.scenario import scenario_config_from_file
+        cfg = scenario_config_from_file(CONFIG)
+        ctx = _SeedContext(cfg, 3)
+        series = _evaluate_method(MethodSpec("MVU", "rof"), ctx, cfg.name, 3, last_only=True)
+        noise = ctx.masks.noise_rows(("rof", 100, RofParams()), cfg.n_frames - 1)[0]
+        sums = self._per_window_sums(ctx.power[-100:], noise, 100)
+        want = estimators.mvu_fit_rows(sums, np.full(sums.shape, np.count_nonzero(noise)))
+        assert series.frame_index.tolist() == [cfg.n_frames - 1]
+        assert series.noise_power_est_mw.tobytes() == want.tobytes()
+
+    def test_aic_fitted_once_for_aic_and_cbe_occupancy(self, monkeypatch):
+        # AIC and CBE(occupancy_from="aic") at one window length share one AIC
+        # fit per seed, and their series are those of each method run alone.
+        methods = [MethodSpec("AIC", params={"window_frames": 20}),
+                   MethodSpec("CBE", params={"window_frames": 20, "occupancy_from": "aic"})]
+        cfg = reference_config(seed=8, n_frames=60)
+        alone = [series for m in methods for series in run_scenario(cfg, [m], [8, 9])]
+        calls = []
+        fit = estimators.aic_fit_rows
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return fit(*args)
+
+        monkeypatch.setattr(bench.est, "aic_fit_rows", counted)
+        joint = run_scenario(cfg, methods, [8, 9])
+        assert calls == [(41, cfg.n_bins)] * 2
+        for got, want in zip(sorted(joint, key=lambda s: (s.method, s.seed)), alone):
+            assert (got.method, got.seed) == (want.method, want.seed)
+            assert got.noise_power_est_mw.tobytes() == want.noise_power_est_mw.tobytes()
 
     def test_mvu_more_stable_than_ml(self):
         cfg = reference_config(seed=9, n_frames=150)

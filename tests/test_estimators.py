@@ -520,6 +520,8 @@ def _truth_counts(truth, frames, window: int) -> list[int]:
 
 
 def _assert_matches_naive(gram, n_bins, window, counts, grid_size=100):
+    """Every value, grid entry and misfit is the bits of the per-window oracle's;
+    returns the number of windows whose candidate range collapsed."""
     values, grids, distances = cbe_fit_windows(gram, n_bins, window, np.array(counts),
                                                grid_size)
     assert values.shape == (len(counts),)
@@ -528,7 +530,11 @@ def _assert_matches_naive(gram, n_bins, window, counts, grid_size=100):
     for j, s in enumerate(counts):
         want = cbe_fit_naive(gram[j:j + window, j:j + window], n_bins, s, grid_size)
         assert values[j] == want.value_mw
-        assert (grids[j, 0], grids[j, -1]) == (want.grid[0], want.grid[-1])
+        # A collapsed range is grid_size equal candidates with equal misfits,
+        # the oracle's single candidate repeated.
+        repeat = grid_size if want.grid.size == 1 else 1
+        assert grids[j].tobytes() == np.repeat(want.grid, repeat).tobytes()
+        assert distances[j].tobytes() == np.repeat(want.distances, repeat).tobytes()
         assert values[j] == grids[j, np.argmin(distances[j])]
         collapsed += want.grid.size == 1
     return collapsed
@@ -588,6 +594,45 @@ class TestCbeFitWindows:
         values, grids, _ = cbe_fit_windows(gram, 128, 16, np.array(counts), 30)
         assert (grids[1] == values[1]).all()
 
+    @pytest.mark.parametrize("cells", [1, 4 * 30 * 16 + 7, None],
+                             ids=["one-window", "four-window", "default"])
+    def test_chunks_and_signal_groups_match_naive(self, monkeypatch, cells):
+        # Interleaved signal counts, two S groups fitted apart: 25 windows in
+        # chunks of one window, of four S = 0 windows (a partial last one),
+        # or as many as the default cell budget holds.
+        # With S = 14 two noise eigenvalues are left; an offset of -0.13
+        # edges collapses the range of the windows whose two are within 15%
+        # of each other, some of them only, so one chunk mixes collapsed and
+        # spread grids.
+        if cells is not None:
+            monkeypatch.setattr(estimators, "CBE_FIT_CELLS", cells)
+        monkeypatch.setattr(estimators, "_mp_edge_offset",
+                            lambda m, n: -0.13 * (1.0 - np.sqrt(m / n)) ** 2)
+        gram = estimators.sample_covariance(white_block(24, n_frames=40, n_bins=128))
+        counts = [14 if j % 2 else 0 for j in range(25)]
+        collapsed = _assert_matches_naive(gram, 128, 16, counts, grid_size=30)
+        assert 0 < collapsed < counts.count(14)
+
+    def test_grid_rows_match_scalar_linspace(self):
+        # Rows whose step is 0 (a collapsed range, or a denormal one whose
+        # step underflows) take linspace's scaled form; the spread rows beside
+        # them keep theirs.
+        start = np.array([1.0, 2.0, 1.0, 0.3, 1e-300])
+        stop = np.array([3.0, 2.0, 1.0 + 2e-16, 0.7, 1e-300 + 5e-324])
+        rows = estimators._linspace_rows(start, stop, 7)
+        assert ((stop - start) / 6 == 0.0).tolist() == [False, True, False, False, True]
+        for row, a, b in zip(rows, start, stop):
+            assert row.tobytes() == np.linspace(a, b, 7).tobytes()
+
+    def test_one_window_estimate_matches_naive(self):
+        # cbe_estimate is the engine's W = 1 case.
+        block = white_block(25, n_frames=32, n_bins=128)
+        got = cbe_estimate(block, 0.25, grid_size=40)
+        want = cbe_fit_naive(estimators.sample_covariance(block), 128, 8, 40)
+        assert got.value_mw == want.value_mw
+        assert got.diagnostics["grid"].tobytes() == want.grid.tobytes()
+        assert got.diagnostics["distances"].tobytes() == want.distances.tobytes()
+
     def test_aic_occupancy_matches_naive(self):
         from noisebench.bench import MethodSpec, run_scenario
         cfg = scenario_config_from_file(CONFIG)
@@ -616,6 +661,77 @@ class TestCbeFitWindows:
             cbe_fit_windows(gram, 32, 4, counts)
         values = cbe_fit_windows(gram[:6, :6], 32, 4, np.zeros(3, dtype=np.int64))[0]
         assert (values > 0).all()
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        solved = []
+        original = estimators._descending_eigenvalues
+
+        def counted(cov):
+            solved.append(cov.shape)
+            return original(cov)
+
+        monkeypatch.setattr(estimators, "_descending_eigenvalues", counted)
+        return solved
+
+    @staticmethod
+    def _diagonal_gram(values) -> np.ndarray:
+        """A Gram matrix whose windows have the given frame powers as their eigenvalues."""
+        return np.diag(np.asarray(values, dtype=float)).astype(complex)
+
+    @pytest.mark.parametrize("case", ["no-noise-group", "zero-eigenvalue", "negative-eigenvalue"])
+    def test_failing_window_stops_the_solves(self, monkeypatch, case):
+        # Window 5 (frames 5..8) is the first to fail; windows 0-4 pass every
+        # check.  The error is the one a loop over the windows raises, and no
+        # window after 5 is solved.
+        powers = np.random.default_rng(26).uniform(1.0, 2.0, 12)
+        counts = np.zeros(9, dtype=np.int64)
+        if case == "no-noise-group":
+            counts[5] = 4
+            error, message, solves = EmptyNoiseGroupError, \
+                "S=4 signal eigenvalues leave no noise group (M=4)", 5
+        elif case == "zero-eigenvalue":
+            powers[8] = 0.0
+            error, message, solves = ZeroPowerError, \
+                "smallest eigenvalue is zero; no noise floor to fit", 6
+        else:
+            powers[8] = -1.0
+            error, message, solves = ValueError, \
+                f"eigenvalue -1.0 below -{1e-10 * powers[5:9].max()} tolerance", 6
+        solved = self._count_solves(monkeypatch)
+        with pytest.raises(error) as raised:
+            cbe_fit_windows(self._diagonal_gram(powers), 32, 4, counts)
+        assert type(raised.value) is error and str(raised.value) == message
+        assert len(solved) == solves
+
+    def test_square_window_raises_after_its_solve(self, monkeypatch):
+        solved = self._count_solves(monkeypatch)
+        gram = estimators.sample_covariance(white_block(23, n_frames=10, n_bins=8))
+        with pytest.raises(ZeroPowerError) as raised:
+            cbe_fit_windows(gram, 8, 8, np.zeros(3, dtype=np.int64))
+        assert str(raised.value) == "square blocks leave no Marchenko-Pastur margin"
+        assert solved == [(8, 8)]
+
+    def test_unusable_estimate_before_a_failing_window_raises_first(self, monkeypatch):
+        # Frame 7's power overflows the upper end of the candidate range of
+        # windows 4-7 (S = 0), so their first candidate is NaN and so is their
+        # estimate; window 6 leaves no noise group.  The windows before 6 are
+        # fitted before its error is raised, so window 4's error wins, the
+        # error a loop over the windows raises.
+        powers = np.random.default_rng(27).uniform(1.0, 2.0, 12)
+        powers[7] = 1.5e308
+        counts = np.zeros(9, dtype=np.int64)
+        counts[6] = 4
+        solved = self._count_solves(monkeypatch)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ZeroPowerError) as raised:
+                cbe_fit_windows(self._diagonal_gram(powers), 32, 4, counts)
+            assert str(raised.value) == "cbe: estimate must be finite and positive, got nan"
+            assert len(solved) == 6
+            # Alone, windows 0-3 fit and window 4 does not.
+            assert cbe_fit_windows(self._diagonal_gram(powers[:7]), 32, 4, counts[:4])[0].all()
+            with pytest.raises(ZeroPowerError, match="got nan"):
+                cbe_fit_windows(self._diagonal_gram(powers[4:8]), 32, 4, counts[4:5])
 
     def test_shape_and_count_guards(self):
         gram = estimators.sample_covariance(white_block(23, n_frames=10, n_bins=16))
