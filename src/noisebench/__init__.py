@@ -39,7 +39,6 @@ from .estimators import (
     mvu_fit_windows,
     sample_covariance,
     snr_db_from_powers,
-    snr_from_powers,
 )
 from .opcount import OpCounter, OpCounts
 from .scenario import (
@@ -51,13 +50,9 @@ from .scenario import (
     SurrogateNoiseParams,
     amplitude_for_snr,
     build_scenario,
-    inject_rect_signal,
     load_iq_trace,
-    rescale_to_power,
     scenario_config_from_dict,
     scenario_config_from_file,
-    synth_industrial_noise,
-    synth_white_noise,
     with_seed,
     write_iq_trace,
 )

@@ -453,9 +453,9 @@ def last_window_estimate(config: ScenarioConfig, method: MethodSpec,
     Only the window ending there is evaluated, and ideal and Fisher separate
     only the frames it reads: the last frame for ML, the window's frames for
     MVU.  ROF and AIC still average the windows ending at every frame, the
-    one stack the cache builds per window length.  The entry is the last entry of the full series; for MMSE up to
-    rounding, because its lone window is not evaluated inside the batched
-    chunk that holds it there.
+    one stack the cache builds per window length.  The entry is the last
+    entry of the full series; for MMSE up to rounding, because its lone
+    window is not evaluated inside the batched chunk that holds it there.
     """
     return _evaluate_method(method, _SeedContext(config, seed), config.name, seed,
                             last_only=True)

@@ -81,6 +81,18 @@ def _apply_override(data: dict, spec: str) -> None:
     node[_override_child(node, parts[-1], keypath)] = value
 
 
+def _int_list(text: str, flag: str) -> list[int]:
+    """The integers of a comma-separated flag value; blank fields are skipped."""
+    values = []
+    for part in text.split(","):
+        if part.strip():
+            try:
+                values.append(int(part))
+            except ValueError:
+                raise ValueError(f"{flag}: {part.strip()!r} is not an integer") from None
+    return values
+
+
 def _load_config(path: str, overrides: list[str]) -> ScenarioConfig:
     data = read_config_file(path)
     for spec in overrides or []:
@@ -122,7 +134,7 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.override)
     methods = [_parse_method(m) for m in (args.method or _DEFAULT_METHODS)]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [config.noise.seed]
+    seeds = _int_list(args.seeds, "--seeds") if args.seeds else [config.noise.seed]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     series, reports = bench.run_benchmark(config, methods, seeds, timing=args.timing)
@@ -173,7 +185,7 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_ops(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    sizes = _int_list(args.sizes, "--sizes")
     methods = [_parse_method(m) for m in (args.method or ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"])]
     lines = ["method,separation,size,ops_add,ops_mul,ops_cmp,ops_transcendental,ops_total"]
     for method, row in zip(methods, bench.count_ops_table(methods, sizes)):

@@ -769,21 +769,9 @@ def _toeplitz_residuals(columns: np.ndarray, solutions: np.ndarray,
     return np.linalg.norm(product - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
 
 
-def snr_from_powers(sigma_x_sq: float, sigma_w_sq: float) -> tuple[float, float]:
-    """Excess-power SNR (linear, dB) of one received and one noise power: the
-    one-element case of :func:`snr_db_from_powers`."""
-    linear, db = _excess_snr(sigma_x_sq, sigma_w_sq)
-    return float(linear), float(db)
-
-
 def snr_db_from_powers(sigma_x_sq: np.ndarray, sigma_w_sq: np.ndarray) -> np.ndarray:
-    """Excess-power SNR in dB of aligned arrays, element by element; -inf where
-    no excess power remains."""
-    return _excess_snr(sigma_x_sq, sigma_w_sq)[1]
-
-
-def _excess_snr(sigma_x_sq, sigma_w_sq) -> tuple[np.ndarray, np.ndarray]:
-    """(linear, dB) excess-power SNR (x - w) / w of aligned arrays, checked."""
+    """Excess-power SNR (x - w) / w in dB of aligned arrays, element by element,
+    checked; -inf where no excess power remains."""
     sigma_x_sq = np.asarray(sigma_x_sq, dtype=np.float64)
     sigma_w_sq = np.asarray(sigma_w_sq, dtype=np.float64)
     if np.any(sigma_w_sq <= 0):
@@ -792,4 +780,4 @@ def _excess_snr(sigma_x_sq, sigma_w_sq) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("received power must be non-negative")
     linear = (sigma_x_sq - sigma_w_sq) / sigma_w_sq
     excess = linear > 0
-    return linear, np.where(excess, 10.0 * np.log10(np.where(excess, linear, 1.0)), -np.inf)
+    return np.where(excess, 10.0 * np.log10(np.where(excess, linear, 1.0)), -np.inf)

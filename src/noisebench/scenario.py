@@ -24,7 +24,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import InsufficientSamplesError, TraceFormatError, ZeroPowerError
-from .spectral import ComplexSeries, ResourceBlock, SpectralFrame, frame_signal, frozen, mean_power
+from .spectral import ComplexSeries, ResourceBlock, frame_signal, frozen, mean_power
 
 NOISE_KINDS = ("white-gaussian", "surrogate-industrial", "trace-file")
 
@@ -210,9 +210,6 @@ class GroundTruth:
     def n_frames(self) -> int:
         return self.signal_bin_mask.shape[0]
 
-    def occupied_fraction(self, frame: int) -> float:
-        return float(self.signal_bin_mask[frame].mean())
-
 
 def _hand_over(samples: np.ndarray) -> ComplexSeries:
     """A series around a freshly computed array: frozen in place, not copied, still checked.
@@ -286,8 +283,8 @@ def load_power_csv(path: str | Path) -> np.ndarray:
     rule of :func:`load_iq_csv`.
 
     A file without a value, a field that is not a number, a line with more
-    than one field, or a value that is not finite raises TraceFormatError
-    naming the file.
+    than one field, or a value that is not finite or lies outside
+    [0, MAX_POWER_MW] raises TraceFormatError naming the file and the bin.
     """
     power = _read_csv_rows(path, 1, "one column (power)")[:, 0]
     if power.size == 0:
@@ -295,6 +292,11 @@ def load_power_csv(path: str | Path) -> np.ndarray:
     finite = np.isfinite(power)
     if not finite.all():
         raise TraceFormatError(f"{path}: non-finite value at bin {int(np.argmin(finite))}")
+    in_range = (power >= 0.0) & (power <= MAX_POWER_MW)
+    if not in_range.all():
+        i = int(np.argmin(in_range))
+        raise TraceFormatError(f"{path}: value {power[i]:.9g} at bin {i} "
+                               f"outside [0, {MAX_POWER_MW:g}]")
     return power
 
 
@@ -313,13 +315,6 @@ def _scale_to_power(samples: np.ndarray, target_mw: float) -> None:
     samples *= np.sqrt(target_mw / current)
 
 
-def rescale_to_power(series: ComplexSeries, target_mw: float) -> ComplexSeries:
-    """Scale by a single real factor so the mean of |s|^2 equals target_mw; a new series."""
-    samples = series.samples.copy()
-    _scale_to_power(samples, target_mw)
-    return _hand_over(samples)
-
-
 def _complex_normals(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
     """A fresh complex128 array: the next ``draws.size`` standard normals as its real
     parts, then as many more as its imaginary parts, drawn through the buffer ``draws``."""
@@ -330,6 +325,7 @@ def _complex_normals(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
 
 
 def _white_samples(length: int, power_mw: float, seed: int) -> np.ndarray:
+    """A fresh array of circularly-symmetric complex Gaussian noise with E|w|^2 = power_mw."""
     if length < 1:
         raise ValueError("length must be >= 1")
     if power_mw <= 0:
@@ -339,13 +335,18 @@ def _white_samples(length: int, power_mw: float, seed: int) -> np.ndarray:
     return samples
 
 
-def synth_white_noise(length: int, power_mw: float, seed: int) -> ComplexSeries:
-    """Circularly-symmetric complex Gaussian noise with E|w|^2 = power_mw."""
-    return _hand_over(_white_samples(length, power_mw, seed))
-
-
 def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: float,
                         seed: int) -> np.ndarray:
+    """A fresh array of the synthetic industrial-environment surrogate: impulsive,
+    spectrally tilted noise.
+
+    White Gaussian base, plus Bernoulli impulses of magnitude
+    impulse_amplitude_factor times the base RMS at uniformly random phase,
+    plus a first-order recursive tilt filter; the result is rescaled to
+    power_mw exactly.  With impulse_rate 0 and tilt 0 the output is plain
+    white Gaussian noise.  This is a stand-in for real captures and carries
+    no claim of matching any measured environment.
+    """
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = _rng(seed)
@@ -368,20 +369,6 @@ def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: flo
             samples[1:] -= rho * samples[:-1]
     _scale_to_power(samples, power_mw)
     return samples
-
-
-def synth_industrial_noise(length: int, params: SurrogateNoiseParams, power_mw: float,
-                           seed: int) -> ComplexSeries:
-    """Synthetic industrial-environment surrogate: impulsive, spectrally tilted noise.
-
-    White Gaussian base, plus Bernoulli impulses of magnitude
-    impulse_amplitude_factor times the base RMS at uniformly random phase,
-    plus a first-order recursive tilt filter; the result is rescaled to
-    power_mw exactly.  With impulse_rate 0 and tilt 0 the output is plain
-    white Gaussian noise.  This is a stand-in for real captures and carries
-    no claim of matching any measured environment.
-    """
-    return _hand_over(_industrial_samples(length, params, power_mw, seed))
 
 
 _LOWPASS_BLOCK = 32
@@ -453,22 +440,6 @@ def amplitude_mv_to_sqrt_mw(amplitude_mv: float) -> float:
     return amplitude_mv / _MV_PER_SQRT_MW
 
 
-def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
-                       subband_count: int = 4,
-                       reference_noise_power_mw: float = 1.0) -> SpectralFrame:
-    """Add a rectangular spectral signal to one frame.
-
-    The per-bin spectral offset is A * sqrt(N) (A in sqrt-mW), which makes the
-    whole-band mean-power contribution exactly A^2 * width / N in the
-    |X|^2/N power convention.  Bins outside the band are untouched.
-    """
-    n = frame.n_bins
-    lo, hi, a_sqrt_mw = signal.band_and_amplitude(n, subband_count, reference_noise_power_mw)
-    bins = frame.bins.copy()
-    bins[lo:hi] += a_sqrt_mw * np.sqrt(n)
-    return SpectralFrame(bins=bins, frame_index=frame.frame_index)
-
-
 def _noise_series(config: ScenarioConfig) -> ComplexSeries:
     """The noise stream at the reference power: one array, built and scaled in place."""
     total = config.n_bins * config.n_frames
@@ -527,6 +498,10 @@ def build_scenario(config: ScenarioConfig) -> tuple[ResourceBlock, GroundTruth]:
     per-frame true SNR follows from the configured powers alone.  The frames
     are transformed in one batched FFT, and each signal is added to every
     frame of a range whose active signals do not change, in signal order.
+    A signal of amplitude A (in sqrt-mW) adds A * sqrt(N) to each bin of its
+    band, which makes its whole-band mean-power contribution exactly
+    A^2 * width / N in the |X|^2/N power convention; bins outside the band
+    are untouched.
     """
     n, m = config.n_bins, config.n_frames
     spectral = np.fft.fft(frame_signal(_noise_series(config), n, m), axis=1)

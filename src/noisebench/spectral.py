@@ -78,10 +78,6 @@ class ComplexSeries:
     def __len__(self) -> int:
         return self.samples.size
 
-    def mean_power(self) -> float:
-        """Mean of |s|^2 over the series (linear power units)."""
-        return mean_power(self.samples)
-
 
 def mean_power(samples: np.ndarray) -> float:
     """Mean of |s|^2 over a complex sample array: abs, squared in place, then the mean."""

@@ -279,7 +279,8 @@ class TestRunScenario:
         cfg = scenario_config_from_file(CONFIG)
         ctx = _SeedContext(cfg, cfg.noise.seed)
         window = 100
-        fractions = [ctx.truth.occupied_fraction(hi - 1) for hi in range(window, cfg.n_frames + 1)]
+        fractions = [float(ctx.truth.signal_bin_mask[hi - 1].mean())
+                     for hi in range(window, cfg.n_frames + 1)]
         values, grids, _ = cbe_fit_windows(ctx.gram, cfg.n_bins, window,
                                            np.array([round(window * f) for f in fractions]))
         for lo, fraction in enumerate(fractions):
@@ -583,7 +584,8 @@ class TestRunScenario:
                                   ctx, frames, 100)
         assert explicit.tolist() == [30] * 11
         truth = _signal_counts(MethodSpec("CBE"), ctx, frames, 100)
-        assert truth.tolist() == [round(100 * ctx.truth.occupied_fraction(f)) for f in frames]
+        assert truth.tolist() == [round(100 * float(ctx.truth.signal_bin_mask[f].mean()))
+                                  for f in frames]
         aic = _signal_counts(MethodSpec("CBE", params={"occupancy_from": "aic"}), ctx, frames, 100)
         for f, s in zip(frames, aic):
             n_min = aic_estimate(PowerSpectrum(ctx.power[f - 99:f + 1].mean(axis=0), f),

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, errors, estimators, load_iq_trace,
-                        scenario_config_from_dict, synth_white_noise, write_iq_trace)
+                        scenario_config_from_dict, write_iq_trace)
+from noisebench.scenario import _white_samples
+from noisebench.spectral import mean_power
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
 from conftest import traced_peak
@@ -65,7 +67,7 @@ class TestGenerate:
         main(["generate", "--config", str(noise_config), "--out", str(out)])
         series = load_iq_trace(out)
         assert len(series) == 1024
-        assert series.mean_power() == pytest.approx(1.0, rel=1e-3)
+        assert mean_power(series.samples) == pytest.approx(1.0, rel=1e-3)
 
     def test_generated_scenario_reanalyzes_to_target_snr(self, small_config, tmp_path, capsys):
         trace = tmp_path / "sig.iq"
@@ -73,7 +75,7 @@ class TestGenerate:
         assert rc == 0
         series = load_iq_trace(trace)
         # Whole-band mean power of a 0 dB scenario is twice the noise power.
-        measured = series.mean_power()
+        measured = mean_power(series.samples)
         snr_db = 10 * np.log10(measured / 1.0 - 1.0)
         assert snr_db == pytest.approx(0.0, abs=0.2)
 
@@ -462,10 +464,17 @@ class TestSeparate:
     def test_non_numeric_power_csv_exits_3(self, tmp_path, capsys):
         assert "'x'" in self._bad_power_csv(tmp_path, capsys, "1.0\nx\n2.0\n")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-    def test_non_finite_power_csv_exits_3(self, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value, message", [
+        ("nan", "non-finite value at bin 2"),
+        ("inf", "non-finite value at bin 2"),
+        ("-inf", "non-finite value at bin 2"),
+        ("1e308", "value 1e+308 at bin 2 outside [0, 1e+50]"),
+        ("-2", "value -2 at bin 2 outside [0, 1e+50]"),
+    ], ids=["nan", "inf", "-inf", "1e308", "-2"])
+    def test_bad_power_value_exits_3_naming_the_bin(self, tmp_path, capsys, value, message):
+        # Near the float64 limit ROF's energies overflow to inf; MAX_POWER_MW bounds the input.
         err = self._bad_power_csv(tmp_path, capsys, f"1.0\n\n2.0\n{value}\n3.0\n")
-        assert err.rstrip().endswith("non-finite value at bin 2")
+        assert err.rstrip().endswith(message)
 
     def test_trace_input(self, noise_config, tmp_path):
         trace = tmp_path / "t.iq"
@@ -554,6 +563,31 @@ class TestOps:
         assert out.read_text().startswith("method,separation,size")
 
 
+class TestIntegerListFlags:
+    # run --seeds and ops --sizes share one parser.
+    @pytest.mark.parametrize("argv, message", [
+        (["ops", "--sizes", "32,1e3"], "--sizes: '1e3' is not an integer"),
+        (["ops", "--sizes", "32, x ,64"], "--sizes: 'x' is not an integer"),
+        (["run", "--seeds", "0,1.5", "--method", "AIC"], "--seeds: '1.5' is not an integer"),
+    ])
+    def test_non_integer_list_field_exits_2_naming_flag_and_field(self, small_config, tmp_path,
+                                                                  capsys, argv, message):
+        if argv[0] == "run":
+            argv = argv + ["--config", str(small_config), "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_blank_list_fields_are_skipped(self, small_config, tmp_path, capsys):
+        assert main(["ops", "--sizes", "32,,64,", "--method", "AIC"]) == 0
+        assert [line.split(",")[2] for line in capsys.readouterr().out.splitlines()[1:]] == [
+            "32", "64"]
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(small_config), "--out", str(out), "--method", "AIC",
+                     "--seeds", "0,,1"]) == 0
+        seeds = {row.split(",")[1] for row in (out / "series.csv").read_text().splitlines()[1:]}
+        assert seeds == {"0", "1"}
+
+
 class TestConvert:
     def test_raw_csv_raw_round_trip(self, noise_config, tmp_path):
         trace = tmp_path / "t.iq"
@@ -615,7 +649,7 @@ class TestConvert:
         monkeypatch.setattr(cli, "_CSV_SLICE", 4096)
         n = 16 * 4096
         trace = tmp_path / "t.iq"
-        write_iq_trace(trace, synth_white_noise(n, 1.0, seed=0))
+        write_iq_trace(trace, ComplexSeries(samples=_white_samples(n, 1.0, seed=0)))
         argv = ["convert", "--input", str(trace), "--out", str(tmp_path / "t.csv"), "--to", "csv"]
         codes = []
         peak = traced_peak(lambda: codes.append(main(argv)))

@@ -19,21 +19,17 @@ from noisebench import (
     ZeroPowerError,
     amplitude_for_snr,
     build_scenario,
-    inject_rect_signal,
     load_iq_trace,
     power_matrix,
-    rescale_to_power,
     scenario_config_from_dict,
     scenario_config_from_file,
-    snr_from_powers,
-    synth_industrial_noise,
-    synth_white_noise,
+    snr_db_from_powers,
     write_iq_trace,
 )
-from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _noise_series,
-                                 _one_pole_lowpass, _rng, amplitude_mv_to_sqrt_mw,
-                                 time_series_of)
-from noisebench.spectral import ComplexSeries, SpectralFrame
+from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _industrial_samples,
+                                 _noise_series, _one_pole_lowpass, _rng, _scale_to_power,
+                                 _white_samples, amplitude_mv_to_sqrt_mw, time_series_of)
+from noisebench.spectral import ComplexSeries, SpectralFrame, mean_power
 
 from conftest import build_scenario_per_frame, reference_config, traced_peak
 
@@ -103,6 +99,17 @@ def old_industrial(length: int, params: SurrogateNoiseParams, power_mw: float,
         else:
             base = np.concatenate([[base[0]], base[1:] - rho * base[:-1]])
     return old_rescale(base, power_mw)
+
+
+def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
+                       subband_count: int = 4,
+                       reference_noise_power_mw: float = 1.0) -> SpectralFrame:
+    """One signal added to one frame, out of place: A * sqrt(N) on each bin of its band."""
+    n = frame.n_bins
+    lo, hi, a_sqrt_mw = signal.band_and_amplitude(n, subband_count, reference_noise_power_mw)
+    bins = frame.bins.copy()
+    bins[lo:hi] += a_sqrt_mw * np.sqrt(n)
+    return SpectralFrame(bins=bins, frame_index=frame.frame_index)
 
 
 # The long-stream workload's surrogate: impulses and a -3 dB/decade tilt.
@@ -187,88 +194,90 @@ class TestIqTrace:
         assert path.read_bytes() == old_iq_bytes(samples)
 
 
+def rescaled(samples: np.ndarray, target_mw: float) -> np.ndarray:
+    """A copy of ``samples`` scaled in place by the run path's one real factor."""
+    out = samples.copy()
+    _scale_to_power(out, target_mw)
+    return out
+
+
 class TestRescale:
     def test_scales_by_two(self):
-        out = rescale_to_power(
-            ComplexSeries(samples=np.array([1 + 0j, 1 + 0j])), 4.0
-        )
-        np.testing.assert_allclose(out.samples, [2 + 0j, 2 + 0j])
+        out = rescaled(np.array([1 + 0j, 1 + 0j]), 4.0)
+        np.testing.assert_allclose(out, [2 + 0j, 2 + 0j])
 
     def test_identity_at_current_power(self):
-        s = ComplexSeries(samples=np.array([1 + 1j, 2 - 1j]))
-        out = rescale_to_power(s, s.mean_power())
-        np.testing.assert_allclose(out.samples, s.samples, rtol=1e-15)
+        s = np.array([1 + 1j, 2 - 1j])
+        out = rescaled(s, mean_power(s))
+        np.testing.assert_allclose(out, s, rtol=1e-15)
 
     def test_exact_target_on_long_noise(self):
-        noise = synth_white_noise(10**6, 3.7, seed=1)
-        out = rescale_to_power(noise, 1.0)
-        assert abs(out.mean_power() - 1.0) < 1e-12
+        noise = _white_samples(10**6, 3.7, seed=1)
+        out = rescaled(noise, 1.0)
+        assert abs(mean_power(out) - 1.0) < 1e-12
 
     def test_idempotent_at_target(self):
-        noise = synth_white_noise(1000, 1.0, seed=2)
-        once = rescale_to_power(noise, 2.0)
-        twice = rescale_to_power(once, 2.0)
-        np.testing.assert_allclose(once.samples, twice.samples, rtol=1e-14)
+        noise = _white_samples(1000, 1.0, seed=2)
+        once = rescaled(noise, 2.0)
+        twice = rescaled(once, 2.0)
+        np.testing.assert_allclose(once, twice, rtol=1e-14)
 
     @pytest.mark.parametrize("target", [1.0, 0.37, 2.5e3])
     def test_matches_out_of_place_oracle(self, target):
-        source = synth_industrial_noise(10_007, LONG_STREAM_PARAMS, 2.0, seed=3)
-        before = source.samples.copy()
-        out = rescale_to_power(source, target)
-        np.testing.assert_array_equal(out.samples, old_rescale(source.samples, target))
-        np.testing.assert_array_equal(source.samples, before)
-        assert not np.shares_memory(out.samples, source.samples)
-        assert not out.samples.flags.writeable
+        source = _industrial_samples(10_007, LONG_STREAM_PARAMS, 2.0, seed=3)
+        out = source.copy()
+        _scale_to_power(out, target)
+        np.testing.assert_array_equal(out, old_rescale(source, target))
 
     def test_zero_power_rejected(self):
         with pytest.raises(ZeroPowerError):
-            rescale_to_power(ComplexSeries(samples=np.zeros(4, dtype=complex)), 1.0)
+            _scale_to_power(np.zeros(4, dtype=complex), 1.0)
 
 
 class TestSynthNoise:
     def test_white_deterministic_per_seed(self):
-        a = synth_white_noise(256, 1.0, seed=9)
-        b = synth_white_noise(256, 1.0, seed=9)
-        np.testing.assert_array_equal(a.samples, b.samples)
-        c = synth_white_noise(256, 1.0, seed=10)
-        assert not np.array_equal(a.samples, c.samples)
+        a = _white_samples(256, 1.0, seed=9)
+        b = _white_samples(256, 1.0, seed=9)
+        np.testing.assert_array_equal(a, b)
+        c = _white_samples(256, 1.0, seed=10)
+        assert not np.array_equal(a, c)
 
     def test_white_power_level(self):
-        s = synth_white_noise(10**6, 1.0, seed=4)
-        assert s.mean_power() == pytest.approx(1.0, rel=5e-3)
+        s = _white_samples(10**6, 1.0, seed=4)
+        assert mean_power(s) == pytest.approx(1.0, rel=5e-3)
 
     def test_white_component_variances(self):
-        s = synth_white_noise(10**6, 2.0, seed=5)
-        assert np.var(s.samples.real) == pytest.approx(1.0, rel=1e-2)
-        assert np.var(s.samples.imag) == pytest.approx(1.0, rel=1e-2)
+        s = _white_samples(10**6, 2.0, seed=5)
+        assert np.var(s.real) == pytest.approx(1.0, rel=1e-2)
+        assert np.var(s.imag) == pytest.approx(1.0, rel=1e-2)
 
     def test_surrogate_reduces_to_white(self):
         # With no impulses and no tilt the surrogate is plain white Gaussian.
         params = SurrogateNoiseParams(impulse_rate=0.0, impulse_amplitude_factor=0.0,
                                       spectral_tilt_db_per_decade=0.0)
-        surrogate = synth_industrial_noise(10**5, params, 1.0, seed=6)
-        white = synth_white_noise(10**5, 1.0, seed=7)
-        _, p_value = stats.ks_2samp(surrogate.samples.real, white.samples.real)
+        surrogate = _industrial_samples(10**5, params, 1.0, seed=6)
+        white = _white_samples(10**5, 1.0, seed=7)
+        _, p_value = stats.ks_2samp(surrogate.real, white.real)
         assert p_value > 0.01
 
     def test_surrogate_impulses_raise_kurtosis(self):
         params = SurrogateNoiseParams(impulse_rate=1e-3, impulse_amplitude_factor=10.0)
-        surrogate = synth_industrial_noise(10**5, params, 1.0, seed=8)
-        white = synth_white_noise(10**5, 1.0, seed=8)
-        k_surrogate = stats.kurtosis(np.abs(surrogate.samples) ** 2)
-        k_white = stats.kurtosis(np.abs(white.samples) ** 2)
+        surrogate = _industrial_samples(10**5, params, 1.0, seed=8)
+        white = _white_samples(10**5, 1.0, seed=8)
+        k_surrogate = stats.kurtosis(np.abs(surrogate) ** 2)
+        k_white = stats.kurtosis(np.abs(white) ** 2)
         assert k_surrogate > k_white
 
     def test_surrogate_deterministic(self):
         params = SurrogateNoiseParams(impulse_rate=1e-2, spectral_tilt_db_per_decade=-6.0)
-        a = synth_industrial_noise(1024, params, 1.0, seed=3)
-        b = synth_industrial_noise(1024, params, 1.0, seed=3)
-        np.testing.assert_array_equal(a.samples, b.samples)
+        a = _industrial_samples(1024, params, 1.0, seed=3)
+        b = _industrial_samples(1024, params, 1.0, seed=3)
+        np.testing.assert_array_equal(a, b)
 
 
     @pytest.mark.parametrize("length", [1, 33, 10_007])
     def test_white_matches_out_of_place_oracle(self, length):
-        np.testing.assert_array_equal(synth_white_noise(length, 2.5, seed=11).samples,
+        np.testing.assert_array_equal(_white_samples(length, 2.5, seed=11),
                                       old_white(length, 2.5, 11))
 
     @pytest.mark.parametrize("length", [1, 2, _LOWPASS_BLOCK, 10_007])
@@ -277,7 +286,7 @@ class TestSynthNoise:
         SurrogateNoiseParams(impulse_rate=0.05, impulse_amplitude_factor=3.0),
     ], ids=["impulses-tilt+6", "impulses"])
     def test_surrogate_matches_out_of_place_oracle(self, length, params):
-        got = synth_industrial_noise(length, params, 1.7, seed=5).samples
+        got = _industrial_samples(length, params, 1.7, seed=5)
         np.testing.assert_array_equal(got, old_industrial(length, params, 1.7, 5))
 
     @pytest.mark.parametrize("length", [1, 2, _LOWPASS_BLOCK, 1000, 10_007, 40_003, 512_000])
@@ -294,31 +303,32 @@ class TestSynthNoise:
         # two agree to rounding, not always bit for bit.  1000, 10_007 and
         # 40_003 are no multiple of the 32-sample block, and the last two and
         # 512_000 nest the block-end recursion one or more levels deep.
-        got = synth_industrial_noise(length, params, 1.7, seed=5).samples
+        got = _industrial_samples(length, params, 1.7, seed=5)
         want = old_industrial(length, params, 1.7, 5)
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
-    def test_noise_series_equals_public_builders_then_rescale(self, kind, tmp_path):
-        # The scenario's stream is the unit-power public series rescaled once
-        # more to the reference power, now without a copy per step.
+    def test_noise_series_equals_unit_builders_then_rescale(self, kind, tmp_path):
+        # The scenario's stream is the unit-power stream rescaled once more
+        # to the reference power, without a copy per step.
         n_bins, n_frames, seed = 64, 50, 4
         noise = {"kind": kind, "seed": seed}
         if kind == "surrogate-industrial":
-            unit = synth_industrial_noise(n_bins * n_frames, LONG_STREAM_PARAMS, 1.0, seed)
+            unit = _industrial_samples(n_bins * n_frames, LONG_STREAM_PARAMS, 1.0, seed)
             noise["params"] = {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
                                "spectral_tilt_db_per_decade": -3.0}
         elif kind == "white-gaussian":
-            unit = synth_white_noise(n_bins * n_frames, 1.0, seed)
+            unit = _white_samples(n_bins * n_frames, 1.0, seed)
         else:
             path = tmp_path / "noise.iq"
-            write_iq_trace(path, synth_white_noise(n_bins * n_frames + 5, 3.0, seed))
-            unit = load_iq_trace(path)
+            write_iq_trace(path, ComplexSeries(
+                samples=_white_samples(n_bins * n_frames + 5, 3.0, seed)))
+            unit = load_iq_trace(path).samples
             noise = {"kind": kind, "path": str(path)}
         config = scenario_config_from_dict({"n_bins": n_bins, "n_frames": n_frames,
                                             "reference_noise_power_mw": 2.5, "noise": noise})
         series = _noise_series(config)
-        np.testing.assert_array_equal(series.samples, rescale_to_power(unit, 2.5).samples)
+        np.testing.assert_array_equal(series.samples, rescaled(unit, 2.5))
         assert not series.samples.flags.writeable
 
 
@@ -366,57 +376,58 @@ class TestAmplitudeForSnr:
 
 
 class TestInjectRectSignal:
+    @staticmethod
+    def _spectra(signal, n_bins, reference_noise_power_mw=1.0):
+        """Spectra of a 3-frame build with ``signal`` and of the noise-only build
+        of the same seed."""
+        kwargs = dict(n_bins=n_bins, n_frames=3, noise=NoiseSource(seed=4),
+                      reference_noise_power_mw=reference_noise_power_mw)
+        block, _ = build_scenario(ScenarioConfig(signals=(signal,), **kwargs))
+        noise_block, _ = build_scenario(ScenarioConfig(**kwargs))
+        return block.spectral, noise_block.spectral
+
     def test_zero_amplitude_is_identity(self):
-        frame = SpectralFrame(bins=np.ones(80, dtype=complex))
         sig = SubbandSignal(subband_index=0, occupancy_fraction=0.5, amplitude_mv=0.0)
-        out = inject_rect_signal(frame, sig)
-        np.testing.assert_array_equal(out.bins, frame.bins)
+        out, noise = self._spectra(sig, 80)
+        np.testing.assert_array_equal(out, noise)
 
     def test_spectral_energy_added(self):
-        # Amplitude of 2 sqrt-mW over 10 of 80 bins adds energy 4*10 in the
-        # bin-power convention.
+        # Amplitude of 2 sqrt-mW over 10 of 80 bins adds energy 4*10 to each
+        # frame in the bin-power convention.
         n = 80
-        frame = SpectralFrame(bins=np.zeros(n, dtype=complex))
         amplitude_mv = 2.0 * np.sqrt(1000.0)
         sig = SubbandSignal(subband_index=0, occupancy_fraction=0.5,
                             amplitude_mv=amplitude_mv)
-        out = inject_rect_signal(frame, sig)
-        added = np.sum(np.abs(out.bins) ** 2) / n
-        assert added == pytest.approx(4.0 * 10, rel=1e-12)
+        out, noise = self._spectra(sig, n)
+        added = np.sum(np.abs(out - noise) ** 2, axis=1) / n
+        np.testing.assert_allclose(added, 4.0 * 10, rtol=1e-12)
         assert amplitude_mv_to_sqrt_mw(amplitude_mv) == pytest.approx(2.0)
 
     def test_outside_band_untouched(self):
-        rng = np.random.default_rng(0)
-        frame = SpectralFrame(bins=rng.standard_normal(64) + 0j)
         sig = SubbandSignal(subband_index=1, occupancy_fraction=1.0, amplitude_mv=50.0)
-        out = inject_rect_signal(frame, sig)
+        out, noise = self._spectra(sig, 64)
         lo, hi = sig.occupied_bins(64, 4)
         outside = np.ones(64, dtype=bool)
         outside[lo:hi] = False
-        np.testing.assert_array_equal(out.bins[outside], frame.bins[outside])
+        np.testing.assert_array_equal(out[:, outside], noise[:, outside])
 
     @pytest.mark.parametrize("signal", [
         SubbandSignal(subband_index=1, occupancy_fraction=0.5, amplitude_mv=40.0),
         SubbandSignal(subband_index=3, occupancy_fraction=0.3, target_snr_db=-2.5),
     ], ids=["amplitude_mv", "target_snr_db"])
     def test_matches_build_scenario_row(self, signal):
-        noise = ScenarioConfig(n_bins=64, n_frames=3, reference_noise_power_mw=2.5,
-                               noise=NoiseSource(seed=4))
-        noise_block, _ = build_scenario(noise)
-        block, _ = build_scenario(ScenarioConfig(
-            n_bins=64, n_frames=3, reference_noise_power_mw=2.5, noise=NoiseSource(seed=4),
-            signals=(signal,)))
+        block, noise = self._spectra(signal, 64, reference_noise_power_mw=2.5)
         for f in range(3):
-            out = inject_rect_signal(SpectralFrame(bins=noise_block.spectral[f], frame_index=f),
+            out = inject_rect_signal(SpectralFrame(bins=noise[f], frame_index=f),
                                      signal, reference_noise_power_mw=2.5)
-            np.testing.assert_array_equal(out.bins, block.spectral[f])
+            np.testing.assert_array_equal(out.bins, block[f])
 
     def test_measured_snr_matches_target(self):
         # Whole-band SNR measured over a 100-frame block at the 0 dB amplitude.
         block, truth = build_scenario(reference_config(seed=21))
         power = power_matrix(block)
         measured_total = power.mean()
-        _, snr_db = snr_from_powers(measured_total, 1.0)
+        snr_db = snr_db_from_powers(measured_total, 1.0)
         assert snr_db == pytest.approx(0.0, abs=0.2)
 
 
@@ -470,7 +481,7 @@ class TestBuildScenario:
         cfg = reference_config()
         _, truth = build_scenario(cfg)
         # One quarter-band signal at 0 dB: sigma_x = 2 mW, sigma_w = 1 mW.
-        _, expected_db = snr_from_powers(2.0, 1.0)
+        expected_db = snr_db_from_powers(2.0, 1.0)
         np.testing.assert_allclose(truth.true_snr_db, expected_db, atol=1e-12)
 
     def test_snr_schedule_overrides_amplitude(self):
@@ -496,7 +507,7 @@ class TestBuildScenario:
 
     def test_short_trace_rejected(self, tmp_path):
         path = tmp_path / "short.iq"
-        write_iq_trace(path, synth_white_noise(100, 1.0, seed=1))
+        write_iq_trace(path, ComplexSeries(samples=_white_samples(100, 1.0, seed=1)))
         cfg = ScenarioConfig(n_bins=64, n_frames=4,
                              noise=NoiseSource(kind="trace-file", path=str(path)))
         with pytest.raises(InsufficientSamplesError):
@@ -504,7 +515,7 @@ class TestBuildScenario:
 
     def test_trace_noise_is_rescaled(self, tmp_path):
         path = tmp_path / "trace.iq"
-        write_iq_trace(path, synth_white_noise(64 * 4, 5.0, seed=2))
+        write_iq_trace(path, ComplexSeries(samples=_white_samples(64 * 4, 5.0, seed=2)))
         cfg = ScenarioConfig(n_bins=64, n_frames=4,
                              noise=NoiseSource(kind="trace-file", path=str(path)),
                              reference_noise_power_mw=1.0)
@@ -526,7 +537,8 @@ def _oracle_config(kind: str, tmp_path) -> ScenarioConfig:
         )
     if kind == "trace-file":
         path = tmp_path / "noise.iq"
-        write_iq_trace(path, synth_white_noise(128 * 24 + 100, 2.0, seed=6))
+        write_iq_trace(path, ComplexSeries(samples=_white_samples(128 * 24 + 100, 2.0,
+                                                                    seed=6)))
         return ScenarioConfig(
             n_bins=128, n_frames=24,
             noise=NoiseSource(kind="trace-file", path=str(path)),
@@ -577,8 +589,8 @@ class TestSampleMemory:
         # must fit in 2.5 complex128 copies of the stream.
         n_bins, n_frames = 512, 1000
         trace = tmp_path / "noise.iq"
-        write_iq_trace(trace, synth_industrial_noise(n_bins * n_frames, LONG_STREAM_PARAMS,
-                                                     1.0, seed=0))
+        write_iq_trace(trace, ComplexSeries(samples=_industrial_samples(
+            n_bins * n_frames, LONG_STREAM_PARAMS, 1.0, seed=0)))
         config = scenario_config_from_dict({
             "n_bins": n_bins, "n_frames": n_frames,
             "noise": {"kind": "trace-file", "path": str(trace)},
