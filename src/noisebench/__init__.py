@@ -36,7 +36,6 @@ from .estimators import (
     mp_cdf,
     mvu_estimate,
     mvu_fit_rows,
-    mvu_fit_windows,
     sample_covariance,
     snr_db_from_powers,
 )
@@ -63,7 +62,6 @@ from .separation import (
     fisher_signal_rows,
     ideal_separate,
     rof_energy_drops,
-    rof_energy_drops_rows,
     rof_find_band_width,
     rof_separate,
     rof_signal_rows,

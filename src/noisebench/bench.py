@@ -21,8 +21,10 @@ that frame and the frame's noise-bin power sum and count.  Rows are
 separated on first request, one batched engine call on a slice of their
 input (Fisher as one sorted scan, ROF as one erosion cascade and one
 vectorised decision per chunk), so ML divides two arrays for every
-separation; MVU folds the sums of each window (ideal, Fisher) or its frames'
-sums under its ROF mask, gathered once per run of windows that share a mask.
+separation.  MVU's windows are built here alone: a sliding view of the
+per-frame sums (ideal, Fisher) or the window's frames summed under its ROF
+mask, gathered once per run of windows that share a mask; one
+``mvu_fit_rows`` call folds them.
 Every method ends in one call of an array engine of :mod:`estimators` over
 all its windows, which chunks its rows itself, and no per-window estimate
 object is built: AIC scores rows of the averages stack (one fit per window
@@ -56,7 +58,7 @@ from . import estimators as est
 from . import separation as sep
 from .errors import DegenerateSpectrumError
 from .opcount import OpCounter, OpCounts
-from .scenario import GroundTruth, ScenarioConfig, build_scenario, with_seed
+from .scenario import GroundTruth, ScenarioConfig, build_scenario, check_seed, with_seed
 from .spectral import PowerSpectrum, SpectralFrame, power_matrix, power_spectrum
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
@@ -375,14 +377,18 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     key = ("rof", window, _rof_params(method)) if method.separation == "rof" else method.separation
     if method.estimator == "ML":
         values = est.ml_fit_frames(*masks.noise_rows(key, first)[1:])
-    elif method.separation == "rof":
-        # MVU; every window is full here, and the mask of the window ending
-        # at f applies to all of its frames.
-        noise, _, counts = masks.noise_rows(key, first)
-        sums = _masked_window_sums(power[first - window + 1:], noise, window)
-        values = est.mvu_fit_rows(sums, np.broadcast_to(counts[:, None], sums.shape))
     elif method.estimator == "MVU":
-        values = est.mvu_fit_windows(*masks.noise_rows(key, first - window + 1)[1:], window)
+        # Every window is full here.  ROF's mask of the window ending at f
+        # applies to all of its frames; an ideal or Fisher mask to its own frame.
+        if method.separation == "rof":
+            noise, _, counts = masks.noise_rows(key, first)
+            sums = _masked_window_sums(power[first - window + 1:], noise, window)
+            counts = np.broadcast_to(counts[:, None], sums.shape)
+        else:
+            view = np.lib.stride_tricks.sliding_window_view
+            sums, counts = (view(x, window)
+                            for x in masks.noise_rows(key, first - window + 1)[1:])
+        values = est.mvu_fit_rows(sums, counts)
     elif method.estimator == "MMSE":
         values = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
                                       blind=method.params.get("blind", est.MMSE_BLIND))[0]
@@ -417,9 +423,9 @@ def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[in
         raise ValueError("need at least one method")
     if not seeds:
         raise ValueError("need at least one seed")
-    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
-    if repeated is not None:
-        raise ValueError(f"seed {repeated} is given more than once")
+    for seed in seeds:
+        check_seed(seed)
+    _reject_repeats(seeds, "seed")
     out: list[EstimateSeries] = []
     wall = dict.fromkeys((m.label for m in methods), 0.0)
     for seed in seeds:
@@ -429,6 +435,12 @@ def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[in
             out.append(_evaluate_method(m, ctx, config.name, seed))
             wall[m.label] += 1e3 * (time.perf_counter() - start)
     return out, wall
+
+
+def _reject_repeats(items: list, what: str) -> None:
+    repeated = next((x for i, x in enumerate(items) if x in items[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"{what} {repeated} is given more than once")
 
 
 def run_scenario(config: ScenarioConfig, methods: list[MethodSpec],
@@ -514,8 +526,11 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
     """Full pass: series for every (method, seed) plus aggregated reports.
 
     With timing, each report carries its method's evaluation time summed over
-    seeds (scenario builds excluded); without, the column stays 0.0.
+    seeds (scenario builds excluded); without, the column stays 0.0.  Reports
+    are keyed by method label, so a label given twice raises ValueError
+    before any seed runs.
     """
+    _reject_repeats([m.label for m in methods], "method")
     series, wall = _run_seeds(config, methods, seeds)
     reports = build_reports(config, methods, series, wall_times_ms=wall if timing else None)
     return series, reports

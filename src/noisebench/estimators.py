@@ -7,7 +7,7 @@ multiplies the estimate by the same factor (for CBE up to the resolution of
 its candidate grid).
 
 Each estimator is one array engine over a stack of frames or windows
-(``ml_fit_frames``, ``mvu_fit_*``, ``aic_fit_rows``, ``cbe_fit_windows``,
+(``ml_fit_frames``, ``mvu_fit_rows``, ``aic_fit_rows``, ``cbe_fit_windows``,
 ``mmse_fit_windows``) returning the estimates, or a tuple of arrays with the
 estimates first.  The first failing entry raises (:func:`errors.raise_first`); MMSE
 stops at the end of its chunk, CBE at the failing window.  Only the one-block
@@ -77,7 +77,10 @@ def ml_fit_frames(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarra
     The first frame without noise bins raises EmptyNoiseGroupError, the first
     non-positive or non-finite estimate ZeroPowerError, in frame order.
     """
-    sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
+    sums = np.asarray(noise_sums, dtype=np.float64)
+    counts = np.asarray(noise_counts, dtype=np.int64)
+    if sums.ndim != 1 or sums.shape != counts.shape or not sums.size:
+        raise ValueError("noise sums and counts must be non-empty and aligned")
     return _noise_means("ml", sums[:, None], counts[:, None])
 
 
@@ -106,20 +109,6 @@ def _noise_mean_estimate(method: str, powers: list[PowerSpectrum],
     )
 
 
-def mvu_fit_windows(noise_sums: np.ndarray | list[float], noise_counts: np.ndarray | list[int],
-                    window: int) -> np.ndarray:
-    """MVU estimate of every trailing window of ``window`` frames.
-
-    Entry j covers frames j..j+window-1; the windows are the rows of a
-    sliding view, folded by :func:`mvu_fit_rows`.
-    """
-    sums, counts = _aligned_noise_sums(noise_sums, noise_counts)
-    if not 1 <= window <= sums.size:
-        raise ValueError(f"a {window}-frame window does not fit in {sums.size} frames")
-    view = np.lib.stride_tricks.sliding_window_view
-    return mvu_fit_rows(view(sums, window), view(counts, window))
-
-
 def mvu_fit_rows(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
     """MVU estimate of each row of (W, F) per-frame noise-bin power sums and counts.
 
@@ -145,14 +134,6 @@ def _noise_means(method: str, noise_sums: np.ndarray, noise_counts: np.ndarray) 
             f"{method}: estimate must be finite and positive, got {values[i]}")),
     ])
     return values
-
-
-def _aligned_noise_sums(noise_sums, noise_counts) -> tuple[np.ndarray, np.ndarray]:
-    sums = np.asarray(noise_sums, dtype=np.float64)
-    counts = np.asarray(noise_counts, dtype=np.int64)
-    if sums.ndim != 1 or sums.shape != counts.shape or not sums.size:
-        raise ValueError("noise sums and counts must be non-empty and aligned")
-    return sums, counts
 
 
 def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEstimate:
@@ -420,14 +401,11 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
             diff = ecdf - mp_cdf(noise / grids[part, :, None], (m - s) / n_bins, 1.0)
             distances[part] = np.sqrt(np.einsum("cgk,cgk->cg", diff, diff))
     values = grids[np.arange(solved), np.argmin(distances, axis=1)]
-    # Entry j is window j; entry `solved` is the window whose solve failed, if one did.
-    failed = np.zeros(solved + 1, dtype=bool)
-    failed[solved] = stop is not None
-    raise_first([
-        (failed, lambda i: stop),
-        (np.append(~(np.isfinite(values) & (values > 0)), False), lambda i: ZeroPowerError(
-            f"cbe: estimate must be finite and positive, got {values[i]}")),
-    ])
+    # Every solved window lies before the one whose solve failed, if one did.
+    raise_first([(~(np.isfinite(values) & (values > 0)), lambda i: ZeroPowerError(
+        f"cbe: estimate must be finite and positive, got {values[i]}"))])
+    if stop is not None:
+        raise stop
     return values, grids, distances
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -35,9 +36,19 @@ _MV_PER_SQRT_MW = np.sqrt(1000.0)  # 1 sqrt(mW) = sqrt(0.001) V = 31.62... mV
 MAX_POWER_MW = 1e50
 
 
+def check_seed(seed: int) -> None:
+    """Reject a seed that is not a 64-bit Philox key: an integer in [0, 2**64)."""
+    try:
+        key = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"seed {seed!r} is not an integer") from None
+    if not 0 <= key < 2**64:
+        raise ValueError(f"seed {seed} lies outside [0, 2**64)")
+
+
 def _rng(seed: int) -> np.random.Generator:
     # Philox: counter-based, splittable, deterministic per 64-bit seed.
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+    return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,7 @@ class NoiseSource:
             raise ValueError("trace-file noise requires a path")
         if self.kind != "trace-file" and self.path is not None:
             raise ValueError(f"{self.kind} noise must not carry a path")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -88,17 +88,7 @@ def rof_energy_drops(power: PowerSpectrum) -> np.ndarray:
         raise ValueError("need at least 4 bins")
     if not p.any():
         raise DegenerateSpectrumError("all-zero power spectrum")
-    return rof_energy_drops_rows(p[None, :])[0]
-
-
-def rof_energy_drops_rows(spectra: np.ndarray) -> np.ndarray:
-    """Energy-drop curves of a (W, N) stack of spectra, one row per spectrum.
-
-    Row i equals :func:`rof_energy_drops` of ``spectra[i]`` bit for bit; it
-    is the full curve of :func:`_rof_cascade`, all N - 1 erosion steps.  An
-    all-zero row is not rejected here: its curve is all zeros.
-    """
-    return _energy_drops(_rof_cascade(spectra)[0])
+    return _energy_drops(_rof_cascade(p[None, :])[0])[0]
 
 
 def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None

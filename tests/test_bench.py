@@ -1135,6 +1135,33 @@ class TestReports:
         run_benchmark(cfg, [MethodSpec("ML", "ideal"), MethodSpec("AIC")], [0, 1, 2])
         assert calls == [0, 1, 2]
 
+    def test_label_given_twice_rejected_before_any_seed(self, monkeypatch):
+        # Reports are keyed by label, which leaves out the params.
+        from noisebench import bench
+        calls = []
+        monkeypatch.setattr(bench, "build_scenario", calls.append)
+        methods = [MethodSpec("MVU", "ideal", params={"window_frames": 5}),
+                   MethodSpec("AIC"), MethodSpec("MVU", "ideal")]
+        with pytest.raises(ValueError, match=r"^method MVU\(ideal\) is given more than once$"):
+            run_benchmark(reference_config(seed=0, n_frames=20), methods, [0])
+        assert calls == []
+
+    @pytest.mark.parametrize("seed, error", [
+        (-1, r"^seed -1 lies outside \[0, 2\*\*64\)$"),
+        (2**64, rf"^seed {2**64} lies outside \[0, 2\*\*64\)$"),
+        (1.5, r"^seed 1\.5 is not an integer$"),
+    ])
+    def test_bad_seed_rejected_before_any_seed(self, monkeypatch, seed, error):
+        from noisebench import bench
+        calls = []
+        monkeypatch.setattr(bench, "build_scenario", calls.append)
+        cfg = reference_config(seed=0, n_frames=20)
+        with pytest.raises(ValueError, match=error):
+            run_benchmark(cfg, [MethodSpec("AIC")], [1, seed])
+        assert calls == []
+        with pytest.raises(ValueError, match=error):
+            with_seed(cfg, seed)
+
     def test_timing_shares_the_seed_loop(self, monkeypatch, tmp_path):
         # Timing measures each method inside the one per-seed loop: seeds are
         # built once, the series are unchanged and every method gets a time.

@@ -122,20 +122,28 @@ class TestRun:
                    "--method", "AIC", "--override", "bogus_key=1"])
         assert rc == 2
 
-    def test_multi_seed_run(self, small_config, tmp_path):
+    @pytest.mark.parametrize("seeds", ["0,1", f"0,{2**64 - 1}"])
+    def test_multi_seed_run(self, small_config, tmp_path, seeds):
         out = tmp_path / "r"
         rc = main(["run", "--config", str(small_config), "--out", str(out),
-                   "--method", "AIC", "--seeds", "0,1"])
+                   "--method", "AIC", "--seeds", seeds])
         assert rc == 0
-        seeds = {row.split(",")[1] for row in (out / "series.csv").read_text().splitlines()[1:]}
-        assert seeds == {"0", "1"}
+        got = {row.split(",")[1] for row in (out / "series.csv").read_text().splitlines()[1:]}
+        assert got == set(seeds.split(","))
 
-    def test_repeated_seed_exits_2(self, small_config, tmp_path, capsys):
+    @pytest.mark.parametrize("flags, error", [
+        (["--seeds", "3,0,3"], "seed 3 is given more than once"),
+        (["--seeds=0,-1"], "seed -1 lies outside [0, 2**64)"),
+        (["--seeds", f"0,{2**64}"], f"seed {2**64} lies outside [0, 2**64)"),
+        (["--override", "noise.seed=-5"], "seed -5 lies outside [0, 2**64)"),
+        (["--seeds", "0", "--method", "aic"], "method AIC is given more than once"),
+    ], ids=["repeated-seed", "negative-seed", "seed-2**64", "override-seed", "repeated-method"])
+    def test_bad_seed_or_method_exits_2(self, small_config, tmp_path, capsys, flags, error):
         out = tmp_path / "r"
         rc = main(["run", "--config", str(small_config), "--out", str(out),
-                   "--method", "AIC", "--seeds", "3,0,3"])
+                   "--method", "AIC", *flags])
         assert rc == 2
-        assert capsys.readouterr().err == "error: seed 3 is given more than once\n"
+        assert capsys.readouterr().err == f"error: {error}\n"
         assert not (out / "series.csv").exists()
 
     def test_override_list_index(self, small_config, tmp_path, capsys):

@@ -33,7 +33,6 @@ from noisebench import (
     mp_cdf,
     mvu_estimate,
     mvu_fit_rows,
-    mvu_fit_windows,
     power_matrix,
     snr_db_from_powers,
 )
@@ -53,6 +52,14 @@ def spectrum(values, index=0) -> PowerSpectrum:
 
 def mask_of(is_signal) -> SeparationMask:
     return SeparationMask(is_signal=np.asarray(is_signal, dtype=bool), method="ideal")
+
+
+def mvu_windows(sums, counts, window: int) -> np.ndarray:
+    """MVU of every trailing window of per-frame noise sums and counts, built as the
+    harness builds ideal and Fisher windows: sliding views folded by mvu_fit_rows."""
+    view = np.lib.stride_tricks.sliding_window_view
+    return mvu_fit_rows(view(np.asarray(sums, dtype=np.float64), window),
+                        view(np.asarray(counts, dtype=np.int64), window))
 
 
 def aic_curve_naive(lam: np.ndarray, m: int) -> np.ndarray:
@@ -201,7 +208,7 @@ class TestMvuEstimate:
         masks = [mask_of(rng.random(16) < 0.3) for _ in range(5)]
         sums = [float(p.power[m.noise_bins].sum()) for p, m in zip(powers, masks)]
         counts = [int(m.noise_bins.sum()) for m in masks]
-        got = mvu_fit_windows(sums, counts, 5)
+        got = mvu_windows(sums, counts, 5)
         want = mvu_estimate(powers, masks)
         assert got.tolist() == [want.value_mw]
         assert want.diagnostics == {"noise_bin_count": sum(counts), "separation": "ideal"}
@@ -209,13 +216,9 @@ class TestMvuEstimate:
 
     def test_fit_rejects_misaligned_or_empty(self):
         with pytest.raises(ValueError, match="aligned"):
-            mvu_fit_windows([1.0, 2.0], [3], 1)
-        with pytest.raises(ValueError, match="aligned"):
-            mvu_fit_windows([], [], 1)
-        with pytest.raises(ValueError, match="aligned"):
             mvu_estimate([], [])
         with pytest.raises(EmptyNoiseGroupError):
-            mvu_fit_windows([0.0], [0], 1)
+            mvu_windows([0.0], [0], 1)
 
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)
@@ -225,7 +228,7 @@ class TestMvuEstimate:
         window = int(rng.integers(1, frames + 1))
         sums = rng.exponential(1.0, frames) * 10.0 ** rng.uniform(-3, 3, frames)
         counts = rng.integers(1, 64, frames)
-        got = mvu_fit_windows(sums, counts, window)
+        got = mvu_windows(sums, counts, window)
         assert got.shape == (frames - window + 1,)
         for j, value in enumerate(got):
             total, count = 0.0, 0
@@ -233,16 +236,14 @@ class TestMvuEstimate:
                 total += float(frame_sum)
                 count += int(frame_count)
             assert value == total / count
-            assert value == mvu_fit_windows(sums[j:j + window], counts[j:j + window], window)[0]
+            assert value == mvu_windows(sums[j:j + window], counts[j:j + window], window)[0]
             assert value == mvu_fit_rows(sums[None, j:j + window], counts[None, j:j + window])[0]
 
     def test_windows_guards_in_window_order(self):
-        with pytest.raises(ValueError, match="does not fit"):
-            mvu_fit_windows(np.ones(3), np.ones(3, dtype=int), 4)
         with pytest.raises(ZeroPowerError, match="mvu: .* got 0.0"):
-            mvu_fit_windows(np.array([1.0, 0.0, 0.0, 1.0]), np.array([2, 2, 2, 2]), 2)
+            mvu_windows(np.array([1.0, 0.0, 0.0, 1.0]), np.array([2, 2, 2, 2]), 2)
         with pytest.raises(EmptyNoiseGroupError):
-            mvu_fit_windows(np.array([1.0, 0.0, 0.0, 0.0]), np.array([2, 0, 0, 2]), 2)
+            mvu_windows(np.array([1.0, 0.0, 0.0, 0.0]), np.array([2, 0, 0, 2]), 2)
 
     def test_rows_guards_in_row_order(self):
         sums = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
@@ -1182,6 +1183,8 @@ class TestMlFitFrames:
             ml_fit_frames(np.array([1.0, 0.0, 0.0]), np.array([2, 0, 2]))
         with pytest.raises(ValueError, match="aligned"):
             ml_fit_frames(np.ones(2), np.ones(3, dtype=int))
+        with pytest.raises(ValueError, match="aligned"):
+            ml_fit_frames(np.array([]), np.array([], dtype=int))
 
 
 class TestScaleEquivariance:

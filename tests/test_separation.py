@@ -15,7 +15,6 @@ from noisebench import (
     ideal_separate,
     power_matrix,
     rof_energy_drops,
-    rof_energy_drops_rows,
     rof_find_band_width,
     rof_separate,
     rof_signal_rows,
@@ -183,7 +182,7 @@ class TestEnergyDrops:
         rows[:, rng.integers(0, n, size=max(1, n // 4))] = 0.0
         if w > 1:
             rows[w // 2] = 0.0  # an all-zero row gets an all-zero curve
-        got = rof_energy_drops_rows(rows)
+        got = separation._energy_drops(separation._rof_cascade(rows)[0])
         assert got.shape == (w, n - 1)
         for row, curve in zip(rows, got):
             if row.any():
@@ -193,7 +192,7 @@ class TestEnergyDrops:
 
     def test_rows_need_four_bins(self):
         with pytest.raises(ValueError, match="4 bins"):
-            rof_energy_drops_rows(np.ones((2, 3)))
+            separation._rof_cascade(np.ones((2, 3)))
 
 
 class TestFindBandWidth:
@@ -442,7 +441,7 @@ def assert_early_stop_exact(rows: np.ndarray, lambda1_pct: float) -> np.ndarray:
     """The early-stopping cascade against the full curve; returns each row's step count."""
     full = separation._rof_cascade(rows)[0]
     energy, k = separation._rof_cascade(rows, lambda1_pct)
-    want = separation._rof_band_widths(rof_energy_drops_rows(rows), lambda1_pct)
+    want = separation._rof_band_widths(separation._energy_drops(full), lambda1_pct)
     np.testing.assert_array_equal(k, want)
     computed = ~np.isnan(energy)
     steps = computed.sum(axis=0)
