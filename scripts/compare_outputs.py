@@ -10,8 +10,9 @@ unchanged outputs is held to:
 - ``run`` of the nine default methods on ``configs/ism_benchmark.json`` at
   seeds 0,1 and at seeds 0-19;
 - the long-stream workload of perfbench on pool entries 0-7: ``generate`` of
-  the entry's noise trace and the six ``run --method`` calls on it, with the
-  configs of ``perfbench/workloads.long_stream_configs`` (read, not changed);
+  the entry's noise trace, ``separate`` of its first 100 frames (ROF's mask
+  and full energy-drop curve) and the six ``run --method`` calls on it, with
+  the configs of ``perfbench/workloads.long_stream_configs`` (read, not changed);
 - ``ops`` at sizes 64-2048;
 - ``estimate`` of each of the nine default methods.
 
@@ -86,6 +87,9 @@ def invocations(args, work: Path) -> list[Invocation]:
         calls.append(Invocation(f"long-stream {entry} generate",
                                 ("generate", "--config", f"{rel}/generate.json",
                                  "--out", f"{rel}/noise.iq"), (f"{rel}/noise.iq",)))
+        calls.append(Invocation(f"long-stream {entry} separate",
+                                ("separate", "--input", f"{rel}/noise.iq", "--frames", "100",
+                                 "--out", f"{rel}/separate.csv"), (f"{rel}/separate.csv",)))
         for method in workloads.LONG_STREAM_METHODS:
             out = f"{rel}/out-{method.replace(':', '-')}"
             calls.append(Invocation(f"long-stream {entry} run {method}",

@@ -12,12 +12,12 @@ masks are per frame, while the ROF mask is computed on the trailing window's
 averaged periodogram (per-frame spectra fluctuate too much for the erosion
 bandwidth search at low SNR).
 
-All methods of one seed share a context: the scenario's resource block (one
-(M, N) spectral array), its power matrix, a mask cache and, for CBE, one Gram
-matrix.  The mask cache builds one stack of trailing-window averages per
-window length, which ROF masks, AIC and CBE's AIC occupancy all read, and
-holds, per separation in use, one row per frame: the mask that applies at
-that frame and the frame's noise-bin power sum and count.  Rows are
+All methods of one seed share one context object: the scenario's resource
+block (one (M, N) spectral array), its power matrix and, for CBE, one Gram
+matrix built on first use.  The context builds one stack of trailing-window
+averages per window length, which ROF masks, AIC and CBE's AIC occupancy all
+read, and holds, per separation in use, one row per frame: the mask that
+applies at that frame and the frame's noise-bin power sum and count.  Rows are
 separated on first request, one batched engine call on a slice of their
 input (Fisher as one sorted scan, ROF as one erosion cascade and one
 vectorised decision per chunk), so ML divides two arrays for every
@@ -46,7 +46,7 @@ from __future__ import annotations
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
@@ -59,7 +59,7 @@ from . import separation as sep
 from .errors import DegenerateSpectrumError
 from .opcount import OpCounter, OpCounts
 from .scenario import GroundTruth, ScenarioConfig, build_scenario, check_seed, with_seed
-from .spectral import PowerSpectrum, SpectralFrame, power_matrix, power_spectrum
+from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, power_matrix, power_spectrum
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
@@ -202,12 +202,16 @@ def _rof_params(method: MethodSpec) -> sep.RofParams:
                             if f.name in method.params})
 
 
-class _MaskProvider:
-    """Per-seed cache of window averages and separation masks over one power matrix.
+class _SeedContext:
+    """One seeded scenario and the quantities every method evaluated on it shares.
 
+    ``block`` and ``truth`` are the built scenario; ``power`` is the block's
+    power matrix and ``frame_mean`` each frame's whole-band mean power.
     ``window_means(window)`` is the (M, N) stack whose row f is the mean
     spectrum of the trailing window of at most ``window`` frames ending at f,
-    built once per window length.  A separation is keyed ``"ideal"``,
+    built once per window length.  ``aic_rows(window, first)`` keeps AIC's
+    estimates and orders of that stack from row ``first`` on, which AIC and
+    CBE's AIC occupancy both read.  A separation is keyed ``"ideal"``,
     ``"fisher"`` or ``("rof", window, RofParams)``.  Row f of its cache is the
     noise mask that applies at frame f: the frame's own for ideal and Fisher,
     that of the trailing window ending at f (row f of the window averages)
@@ -215,17 +219,21 @@ class _MaskProvider:
     a key are one suffix too, and the rows between the two are separated in
     one batched pass on a slice of their input.  Each frame's noise-bin power
     sum and count are kept next to its mask, so methods sharing a separation
-    share one computation.  ``aic_rows(window, first)`` keeps AIC's estimates
-    and orders of the window averages from row ``first`` on, which AIC and
-    CBE's AIC occupancy both read.
+    share one computation.  ``gram``, which only CBE reads, is built on first use.
     """
 
-    def __init__(self, power: np.ndarray, truth: GroundTruth):
-        self.power = power
-        self.truth = truth
+    def __init__(self, block: ResourceBlock, truth: GroundTruth):
+        self.block, self.truth = block, truth
+        self.power = power_matrix(block)
+        self.frame_mean = self.power.mean(axis=1)
         self._means: dict[int, np.ndarray] = {}
         self._aic: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._rows: dict[Any, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
+
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """G = X X^H / N^2 over all frames; a window's covariance is G[lo:hi, lo:hi]."""
+        return est.sample_covariance(self.block)
 
     def window_means(self, window: int) -> np.ndarray:
         """Read-only (M, N) stack of trailing-window mean spectra, built on first use."""
@@ -327,24 +335,6 @@ def _masked_window_sums(power: np.ndarray, noise: np.ndarray, window: int) -> np
     return sums
 
 
-class _SeedContext:
-    """One seeded scenario and the quantities every method evaluated on it shares."""
-
-    def __init__(self, config: ScenarioConfig, seed: int):
-        self.block, self.truth = build_scenario(with_seed(config, seed))
-        self.power = power_matrix(self.block)
-        self.frame_mean = self.power.mean(axis=1)
-        self.masks = _MaskProvider(self.power, self.truth)
-        self._gram: np.ndarray | None = None
-
-    @property
-    def gram(self) -> np.ndarray:
-        """G = X X^H / N^2 over all frames; a window's covariance is G[lo:hi, lo:hi]."""
-        if self._gram is None:
-            self._gram = est.sample_covariance(self.block)
-        return self._gram
-
-
 def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
                    window: int) -> np.ndarray:
     """CBE's signal count S = round(window * fraction) per window: the fraction is the
@@ -355,7 +345,7 @@ def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
     if explicit is not None:
         fractions = np.full(frames.size, float(explicit))
     elif method.params.get("occupancy_from") == "aic":
-        fractions = ctx.masks.aic_rows(window, frames[0])[1] / ctx.power.shape[1]
+        fractions = ctx.aic_rows(window, frames[0])[1] / ctx.power.shape[1]
     else:
         fractions = ctx.truth.signal_bin_mask[frames].mean(axis=1)
     return np.rint(window * fractions).astype(np.int64)
@@ -364,7 +354,7 @@ def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
 def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
                      seed: int, last_only: bool = False) -> EstimateSeries:
     """One method's series on a seed; with last_only, its entry at the last frame alone."""
-    power, truth, masks = ctx.power, ctx.truth, ctx.masks
+    power, truth = ctx.power, ctx.truth
     n_frames = power.shape[0]
     window = min(method.params.get("window_frames", DEFAULT_WINDOW_FRAMES), n_frames)
 
@@ -376,25 +366,25 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     frames = np.arange(first, n_frames)
     key = ("rof", window, _rof_params(method)) if method.separation == "rof" else method.separation
     if method.estimator == "ML":
-        values = est.ml_fit_frames(*masks.noise_rows(key, first)[1:])
+        values = est.ml_fit_frames(*ctx.noise_rows(key, first)[1:])
     elif method.estimator == "MVU":
         # Every window is full here.  ROF's mask of the window ending at f
         # applies to all of its frames; an ideal or Fisher mask to its own frame.
         if method.separation == "rof":
-            noise, _, counts = masks.noise_rows(key, first)
+            noise, _, counts = ctx.noise_rows(key, first)
             sums = _masked_window_sums(power[first - window + 1:], noise, window)
             counts = np.broadcast_to(counts[:, None], sums.shape)
         else:
             view = np.lib.stride_tricks.sliding_window_view
             sums, counts = (view(x, window)
-                            for x in masks.noise_rows(key, first - window + 1)[1:])
+                            for x in ctx.noise_rows(key, first - window + 1)[1:])
         values = est.mvu_fit_rows(sums, counts)
     elif method.estimator == "MMSE":
         values = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
                                       blind=method.params.get("blind", est.MMSE_BLIND))[0]
     elif method.estimator == "AIC":
         # Every window is full here, so each holds ``window`` frames.
-        values = masks.aic_rows(window, first)[0]
+        values = ctx.aic_rows(window, first)[0]
     else:
         lo = first - window + 1
         values = est.cbe_fit_windows(ctx.gram[lo:, lo:], power.shape[1], window,
@@ -429,7 +419,7 @@ def _run_seeds(config: ScenarioConfig, methods: list[MethodSpec], seeds: list[in
     out: list[EstimateSeries] = []
     wall = dict.fromkeys((m.label for m in methods), 0.0)
     for seed in seeds:
-        ctx = _SeedContext(config, seed)
+        ctx = _SeedContext(*build_scenario(with_seed(config, seed)))
         for m in methods:
             start = time.perf_counter()
             out.append(_evaluate_method(m, ctx, config.name, seed))
@@ -465,12 +455,12 @@ def last_window_estimate(config: ScenarioConfig, method: MethodSpec,
     Only the window ending there is evaluated, and ideal and Fisher separate
     only the frames it reads: the last frame for ML, the window's frames for
     MVU.  ROF and AIC still average the windows ending at every frame, the
-    one stack the cache builds per window length.  The entry is the last
+    one stack the context builds per window length.  The entry is the last
     entry of the full series; for MMSE up to rounding, because its lone
     window is not evaluated inside the batched chunk that holds it there.
     """
-    return _evaluate_method(method, _SeedContext(config, seed), config.name, seed,
-                            last_only=True)
+    ctx = _SeedContext(*build_scenario(with_seed(config, seed)))
+    return _evaluate_method(method, ctx, config.name, seed, last_only=True)
 
 
 def ground_truths(config: ScenarioConfig, seeds: list[int]) -> dict[int, GroundTruth]:
@@ -578,8 +568,9 @@ def _counting_frames(sizes) -> dict[int, np.ndarray]:
 def _counting_frame(n: int) -> np.ndarray:
     """The counting frame of size n (see :func:`_counting_frames`), memoised.
 
-    ``run`` and ``estimate`` count their methods at one size per call, so a
-    small memo serves them; ``noisebench ops`` walks the stream once per call
+    ``run`` (through :func:`build_reports`) and direct :func:`count_ops` calls
+    count at one size per call, so a small memo serves them; ``estimate``
+    counts nothing.  ``noisebench ops`` walks the stream once per call
     through :func:`count_ops_table` instead and leaves this memo alone.
     """
     return _counting_frames((n,))[n]

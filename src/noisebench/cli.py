@@ -146,7 +146,10 @@ def cmd_run(args) -> int:
 
 def _input_spectrum(args) -> PowerSpectrum:
     if args.power_csv:
-        return PowerSpectrum(power=load_power_csv(args.power_csv))
+        power = load_power_csv(args.power_csv)
+        if power.size < 4:  # ROF's fewest bins; a short --n-bins is a flag error instead
+            raise DataError(f"{args.power_csv}: need at least 4 bins, got {power.size}")
+        return PowerSpectrum(power=power)
     series = load_iq_trace(args.input)
     frames = frame_signal(series, args.n_bins, args.frames)
     block = block_from_frames(frames)

@@ -347,10 +347,11 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     frame Gram matrix of :func:`sample_covariance`.  Its top signal_counts[j]
     = S eigenvalues are attributed to the signal; the rest are compared,
     through their empirical CDF at the eigenvalues themselves, against the MP
-    law with ratio (window - S)/N for grid_size candidate powers spaced
-    linearly from the smallest eigenvalue over the finite-size lower edge to
-    the (S+1)-th largest over the asymptotic edge (equal candidates when that
-    range collapses).  The smallest root-sum-square misfit wins.
+    law with ratio (window - S)/N for grid_size candidate powers: one
+    ``np.linspace`` per window, from the smallest eigenvalue over the
+    finite-size lower edge to the (S+1)-th largest over the asymptotic edge
+    (equal candidates when that range collapses).  The smallest
+    root-sum-square misfit wins.
 
     Returns the estimates and the (W, grid_size) grids and misfits.  Windows
     are solved one at a time, so no stack of covariances is built, and each is
@@ -387,8 +388,9 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     counts = counts[:solved]
     sigma_min = lams[:, -1] / lower_edge
     upper = lams[np.arange(solved), counts] / edge
-    # max(sigma_min, upper) as Python takes it, NaN included.
-    grids = _linspace_rows(sigma_min, np.where(upper > sigma_min, upper, sigma_min), grid_size)
+    grids = np.empty((solved, grid_size))
+    for j, (lo, hi) in enumerate(zip(sigma_min.tolist(), upper.tolist())):
+        grids[j] = np.linspace(lo, max(lo, hi), grid_size)
     distances = np.empty(grids.shape)
     for s in set(counts.tolist()):
         rows = np.flatnonzero(counts == s)
@@ -428,28 +430,6 @@ def _cbe_spectra(gram: np.ndarray, m: int, counts: np.ndarray, edge: float,
         if lam[-1] / lower_edge <= 0:
             return lams[:j], ZeroPowerError("smallest eigenvalue is zero; no noise floor to fit")
     return lams, None
-
-
-def _linspace_rows(start: np.ndarray, stop: np.ndarray, num: int) -> np.ndarray:
-    """Row i is ``np.linspace(start[i], stop[i], num)`` bit for bit, num >= 2.
-
-    linspace takes ``i * step + start`` with step = (stop - start) / (num - 1),
-    and ``(i / (num - 1)) * (stop - start) + start`` when that step is 0 (a
-    collapsed or denormal range); its last entry is ``stop``.  Given arrays,
-    linspace takes the second form for every row once any row's step is 0, so
-    here each row's form follows its own step.
-    """
-    div = num - 1
-    delta = stop - start
-    step = delta / div
-    i = np.arange(num, dtype=np.float64)
-    rows = i * step[:, None]
-    flat = step == 0
-    if flat.any():
-        rows[flat] = (i / div) * delta[flat, None]
-    rows += start[:, None]
-    rows[:, -1] = stop
-    return rows
 
 
 def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerEstimate:

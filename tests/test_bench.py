@@ -277,7 +277,7 @@ class TestRunScenario:
         from noisebench.estimators import cbe_estimate, cbe_fit_windows
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
-        ctx = _SeedContext(cfg, cfg.noise.seed)
+        ctx = _SeedContext(*build_scenario(cfg))
         window = 100
         fractions = [float(ctx.truth.signal_bin_mask[hi - 1].mean())
                      for hi in range(window, cfg.n_frames + 1)]
@@ -300,7 +300,7 @@ class TestRunScenario:
         from noisebench.bench import _SeedContext, _evaluate_method
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
-        ctx = _SeedContext(cfg, cfg.noise.seed)
+        ctx = _SeedContext(*build_scenario(cfg))
         series = _evaluate_method(MethodSpec("MVU", separation), ctx, cfg.name, cfg.noise.seed)
         window = 100
         assert len(series) == cfg.n_frames - window + 1
@@ -321,10 +321,9 @@ class TestRunScenario:
     def test_seed_context_holds_one_spectral_matrix(self):
         from noisebench.bench import _SeedContext
         cfg = reference_config(seed=2, n_frames=30)
-        ctx = _SeedContext(cfg, 2)
+        ctx = _SeedContext(*build_scenario(cfg))
         spectral = ctx.block.spectral
-        held = [v for obj in (ctx, ctx.masks) for v in vars(obj).values()
-                if isinstance(v, np.ndarray)]
+        held = [v for v in vars(ctx).values() if isinstance(v, np.ndarray)]
         assert not any(v.dtype.kind == "c" or np.shares_memory(v, spectral) for v in held)
 
     def test_mmse_slices_match_window_blocks(self):
@@ -332,7 +331,7 @@ class TestRunScenario:
         from noisebench.bench import _evaluate_method, _SeedContext
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
-        ctx = _SeedContext(cfg, cfg.noise.seed)
+        ctx = _SeedContext(*build_scenario(cfg))
         window = 100
         # The bench evaluates all windows of the seed in one batched pass.
         series = _evaluate_method(MethodSpec("MMSE"), ctx, cfg.name, cfg.noise.seed)
@@ -355,10 +354,10 @@ class TestRunScenario:
         from noisebench import PowerSpectrum, RofParams, rof_separate
         from noisebench.bench import _SeedContext
         cfg = reference_config(seed=4, n_frames=45)
-        ctx = _SeedContext(cfg, 4)
+        ctx = _SeedContext(*build_scenario(cfg))
         key = ("rof", 10, RofParams())
-        ctx.masks.noise_rows(key, 20)
-        noise, sums, counts = ctx.masks.noise_rows(key, 0)
+        ctx.noise_rows(key, 20)
+        noise, sums, counts = ctx.noise_rows(key, 0)
         for f in range(45):
             lo = max(0, f - 9)
             want = rof_separate(PowerSpectrum(ctx.power[lo:f + 1].mean(axis=0), f)).noise_bins
@@ -370,24 +369,24 @@ class TestRunScenario:
         # Row f is the mean of the trailing window of at most ``window``
         # frames ending at f, bit for bit.
         from noisebench.bench import _SeedContext
-        ctx = _SeedContext(reference_config(seed=5, n_frames=30), 5)
-        stack = ctx.masks.window_means(7)
+        ctx = _SeedContext(*build_scenario(reference_config(seed=5, n_frames=30)))
+        stack = ctx.window_means(7)
         assert stack.shape == ctx.power.shape
         for f in range(30):
             np.testing.assert_array_equal(stack[f], ctx.power[max(0, f - 6):f + 1].mean(axis=0))
         assert not stack.flags.writeable
         with pytest.raises(ValueError):
             stack[0, 0] = 1.0
-        assert ctx.masks.window_means(7) is stack
+        assert ctx.window_means(7) is stack
 
     def test_window_means_built_once_per_window(self, monkeypatch):
         # ROF at two threshold sets and AIC read slices of the one stack of
         # their window length; CBE's AIC occupancy reads AIC's fit of it.
-        from noisebench.bench import _MaskProvider, _SeedContext, _evaluate_method
+        from noisebench.bench import _SeedContext, _evaluate_method
         cfg = reference_config(seed=6, n_frames=40)
-        ctx = _SeedContext(cfg, 6)
+        ctx = _SeedContext(*build_scenario(cfg))
         stacks, inputs = [], []
-        window_means = _MaskProvider.window_means
+        window_means = _SeedContext.window_means
 
         def spy_means(self, window):
             stacks.append(window_means(self, window))
@@ -399,7 +398,7 @@ class TestRunScenario:
                 return engine(rows, *args)
             return call
 
-        monkeypatch.setattr(_MaskProvider, "window_means", spy_means)
+        monkeypatch.setattr(_SeedContext, "window_means", spy_means)
         monkeypatch.setattr(bench.sep, "rof_signal_rows", spy(bench.sep.rof_signal_rows))
         monkeypatch.setattr(bench.est, "aic_fit_rows", spy(bench.est.aic_fit_rows))
         window = {"window_frames": 10}
@@ -416,16 +415,17 @@ class TestRunScenario:
         # Frame 0 alone, the only partial 2-frame window, has no ROF mask:
         # ML's request, which reads it, raises rof_separate's error; MVU's,
         # over the full windows only, does not.
-        from noisebench import DegenerateSpectrumError, RofParams
-        from noisebench.bench import _MaskProvider
+        # The block's power matrix is the given one up to rounding.
+        from noisebench import DegenerateSpectrumError, ResourceBlock, RofParams
+        from noisebench.bench import _SeedContext
         key = ("rof", 2, RofParams())
         for head, message in ((0.0, "all-zero"), (np.linspace(10.0, 60.0, 64), "every bin")):
             power = np.random.default_rng(7).exponential(1.0, (5, 64))
             power[0] = head
-            masks = _MaskProvider(power, truth=None)
+            ctx = _SeedContext(ResourceBlock(np.sqrt(64 * power)), truth=None)
             with pytest.raises(DegenerateSpectrumError, match=message):
-                masks.noise_rows(key, 0)
-            noise, _, counts = masks.noise_rows(key, 1)
+                ctx.noise_rows(key, 0)
+            noise, _, counts = ctx.noise_rows(key, 1)
             assert noise.shape == (4, 64) and counts.all()
 
     def test_grouped_noise_sums_match_per_frame_sums(self):
@@ -466,8 +466,8 @@ class TestRunScenario:
         from noisebench import RofParams
         from noisebench.bench import _masked_window_sums, _SeedContext
         from noisebench.scenario import scenario_config_from_file
-        ctx = _SeedContext(scenario_config_from_file(CONFIG), seed)
-        noise = ctx.masks.noise_rows(("rof", 100, RofParams()), 99)[0]
+        ctx = _SeedContext(*build_scenario(with_seed(scenario_config_from_file(CONFIG), seed)))
+        noise = ctx.noise_rows(("rof", 100, RofParams()), 99)[0]
         runs = 1 + np.count_nonzero((noise[1:] != noise[:-1]).any(axis=1))
         assert 1 < runs < len(noise)
         got = _masked_window_sums(ctx.power, noise, 100)
@@ -497,13 +497,34 @@ class TestRunScenario:
         from noisebench.bench import _evaluate_method, _SeedContext
         from noisebench.scenario import scenario_config_from_file
         cfg = scenario_config_from_file(CONFIG)
-        ctx = _SeedContext(cfg, 3)
+        ctx = _SeedContext(*build_scenario(with_seed(cfg, 3)))
         series = _evaluate_method(MethodSpec("MVU", "rof"), ctx, cfg.name, 3, last_only=True)
-        noise = ctx.masks.noise_rows(("rof", 100, RofParams()), cfg.n_frames - 1)[0]
+        noise = ctx.noise_rows(("rof", 100, RofParams()), cfg.n_frames - 1)[0]
         sums = self._per_window_sums(ctx.power[-100:], noise, 100)
         want = estimators.mvu_fit_rows(sums, np.full(sums.shape, np.count_nonzero(noise)))
         assert series.frame_index.tolist() == [cfg.n_frames - 1]
         assert series.noise_power_est_mw.tobytes() == want.tobytes()
+
+    def test_gram_built_lazily_once_per_seed(self, monkeypatch):
+        # Only CBE reads the seed's Gram matrix: the eight other default methods
+        # never build it, and two CBE methods on one seed share one build.
+        from noisebench.cli import _DEFAULT_METHODS, _parse_method
+        calls = []
+        covariance = estimators.sample_covariance
+
+        def counted(block):
+            calls.append(block.n_frames)
+            return covariance(block)
+
+        monkeypatch.setattr(bench.est, "sample_covariance", counted)
+        cfg = reference_config(seed=8, n_frames=30)
+        others = [_parse_method(m) for m in _DEFAULT_METHODS if m != "CBE"]
+        assert len(others) == 8
+        run_scenario(cfg, others, [8, 9])
+        assert calls == []
+        run_scenario(cfg, [MethodSpec("CBE"), MethodSpec("CBE", params={"occupancy_from": "aic"})],
+                     [8, 9])
+        assert calls == [30, 30]
 
     def test_aic_fitted_once_for_aic_and_cbe_occupancy(self, monkeypatch):
         # AIC and CBE(occupancy_from="aic") at one window length share one AIC
@@ -563,7 +584,7 @@ class TestRunScenario:
         # The fraction is AIC's order over the window's averaged periodogram.
         from noisebench.bench import _SeedContext
         from noisebench.estimators import cbe_fit_windows
-        ctx = _SeedContext(cfg, 12)
+        ctx = _SeedContext(*build_scenario(cfg))
         for i, f in enumerate(from_aic.frame_index):
             window = ctx.power[f - 99:f + 1]
             n_min = aic_estimate(PowerSpectrum(window.mean(axis=0), f), 100).diagnostics["n_min"]
@@ -578,7 +599,7 @@ class TestRunScenario:
         # from AIC's order over the window's averaged spectrum.
         from noisebench.bench import _SeedContext, _signal_counts
         cfg = reference_config(seed=12, n_frames=110)
-        ctx = _SeedContext(cfg, 12)
+        ctx = _SeedContext(*build_scenario(cfg))
         frames = np.arange(99, 110)
         explicit = _signal_counts(MethodSpec("CBE", params={"occupied_fraction": 0.3}),
                                   ctx, frames, 100)

@@ -469,6 +469,11 @@ class TestSeparate:
         # No UserWarning from numpy's reader: the suite turns one into an error.
         assert "no power values" in self._bad_power_csv(tmp_path, capsys, "\n\n")
 
+    def test_short_power_csv_exits_3(self, tmp_path, capsys):
+        # Too few values is the file's fault; --n-bins 3 with --input stays exit 2.
+        err = self._bad_power_csv(tmp_path, capsys, "1.0\n2.0\n3.0\n")
+        assert err.rstrip().endswith("need at least 4 bins, got 3")
+
     def test_non_numeric_power_csv_exits_3(self, tmp_path, capsys):
         assert "'x'" in self._bad_power_csv(tmp_path, capsys, "1.0\nx\n2.0\n")
 
@@ -491,6 +496,16 @@ class TestSeparate:
         rc = main(["separate", "--input", str(trace), "--n-bins", "256",
                    "--frames", "4", "--out", str(out)])
         assert rc == 0
+
+    def test_trace_input_with_too_few_bins_exits_2(self, noise_config, tmp_path, capsys):
+        # Here the --n-bins flag, not the file, is at fault.
+        trace = tmp_path / "t.iq"
+        main(["generate", "--config", str(noise_config), "--out", str(trace)])
+        capsys.readouterr()
+        rc = main(["separate", "--input", str(trace), "--n-bins", "3",
+                   "--frames", "4", "--out", str(tmp_path / "sep.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: need at least 4 bins\n"
 
 
 class TestEstimate:

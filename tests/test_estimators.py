@@ -613,17 +613,6 @@ class TestCbeFitWindows:
         collapsed = _assert_matches_naive(gram, 128, 16, counts, grid_size=30)
         assert 0 < collapsed < counts.count(14)
 
-    def test_grid_rows_match_scalar_linspace(self):
-        # Rows whose step is 0 (a collapsed range, or a denormal one whose
-        # step underflows) take linspace's scaled form; the spread rows beside
-        # them keep theirs.
-        start = np.array([1.0, 2.0, 1.0, 0.3, 1e-300])
-        stop = np.array([3.0, 2.0, 1.0 + 2e-16, 0.7, 1e-300 + 5e-324])
-        rows = estimators._linspace_rows(start, stop, 7)
-        assert ((stop - start) / 6 == 0.0).tolist() == [False, True, False, False, True]
-        for row, a, b in zip(rows, start, stop):
-            assert row.tobytes() == np.linspace(a, b, 7).tobytes()
-
     def test_one_window_estimate_matches_naive(self):
         # cbe_estimate is the engine's W = 1 case.
         block = white_block(25, n_frames=32, n_bins=128)
