@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrumError, raise_first
 from .scenario import GroundTruth
-from .spectral import PowerSpectrum
+from .spectral import PowerSpectrum, frozen
 
 SEPARATION_METHODS = ("ideal", "fisher", "rof")
 FISHER_CHUNK = 32  # frames per batched Fisher scan
@@ -29,22 +29,24 @@ _FISHER_TIGHT = 1e-6  # see _fisher_scan_rows
 
 @dataclass(frozen=True)
 class SeparationMask:
-    """Per-bin noise/signal classification with method diagnostics."""
+    """Per-bin noise/signal classification with method diagnostics.
+
+    The mask is owned by the rule of :func:`~noisebench.spectral.frozen`.
+    """
 
     is_signal: np.ndarray
     method: str
     aux: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self):
-        mask = np.asarray(self.is_signal, dtype=bool).copy()
+        mask = np.asarray(self.is_signal, dtype=bool)
         if mask.ndim != 1:
             raise ValueError("is_signal must be one-dimensional")
         if self.method not in SEPARATION_METHODS:
             raise ValueError(f"unknown separation method {self.method!r}")
         if mask.all():
             raise DegenerateSpectrumError("mask classifies every bin as signal")
-        mask.setflags(write=False)
-        object.__setattr__(self, "is_signal", mask)
+        object.__setattr__(self, "is_signal", frozen(mask, self.is_signal))
 
     @property
     def n_bins(self) -> int:

@@ -122,6 +122,7 @@ class TestMethodSpec:
          "occupied_fraction must be a real number, got np.False_"),
         ("CBE", "none", {"occupied_fraction": 0.3 + 0j},
          "occupied_fraction must be a real number, got (0.3+0j)"),
+        ("ML", "oracle", {}, "unknown separation 'oracle'"),
     ])
     def test_bad_param_values_rejected_on_build(self, estimator, separation, params, message):
         with pytest.raises(ValueError) as exc:
@@ -159,6 +160,13 @@ class TestMetrics:
         s = make_series([1.0, 1.0, 1.0, 1.0], [0.0, 2.0, 1.0, 1.0])
         assert rmse_db(s) == pytest.approx(np.sqrt(0.5))
         assert mean_bias_db(s) == pytest.approx(0.0)
+
+    def test_series_arrays_must_align(self):
+        with pytest.raises(ValueError, match="^series arrays must share one length$"):
+            EstimateSeries(scenario_id="t", seed=0, method="ML", separation="ideal",
+                           frame_index=np.arange(3), noise_power_est_mw=np.ones(3),
+                           noise_power_true_mw=np.ones(3), snr_est_db=np.zeros(2),
+                           snr_true_db=np.zeros(3))
 
     def test_no_finite_true_snr_raises(self):
         s = make_series([1.0, 2.0], [-np.inf, -np.inf])
@@ -1166,6 +1174,21 @@ class TestReports:
         with pytest.raises(ValueError, match=r"^method MVU\(ideal\) is given more than once$"):
             run_benchmark(reference_config(seed=0, n_frames=20), methods, [0])
         assert calls == []
+
+    @pytest.mark.parametrize("methods, seeds, error", [
+        ([], [0], "need at least one method"),
+        ([MethodSpec("AIC")], [], "need at least one seed"),
+    ], ids=["no-methods", "no-seeds"])
+    def test_empty_matrix_rejected(self, methods, seeds, error):
+        with pytest.raises(ValueError) as exc:
+            run_scenario(reference_config(seed=0, n_frames=20), methods, seeds)
+        assert str(exc.value) == error
+
+    def test_method_without_series_gets_no_report(self):
+        cfg = reference_config(seed=0, n_frames=20)
+        series = run_scenario(cfg, [MethodSpec("ML", "ideal")], [0])
+        reports = bench.build_reports(cfg, [MethodSpec("AIC"), MethodSpec("ML", "ideal")], series)
+        assert [(r.method, r.separation) for r in reports] == [("ML", "ideal")]
 
     @pytest.mark.parametrize("seed, error", [
         (-1, r"^seed -1 lies outside \[0, 2\*\*64\)$"),

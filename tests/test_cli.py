@@ -137,8 +137,42 @@ class TestRun:
         (["--seeds", f"0,{2**64}"], f"seed {2**64} lies outside [0, 2**64)"),
         (["--override", "noise.seed=-5"], "seed -5 lies outside [0, 2**64)"),
         (["--seeds", "0", "--method", "aic"], "method AIC is given more than once"),
-    ], ids=["repeated-seed", "negative-seed", "seed-2**64", "override-seed", "repeated-method"])
-    def test_bad_seed_or_method_exits_2(self, small_config, tmp_path, capsys, flags, error):
+        (["--override", "noise.kind=pink"], "unknown noise kind 'pink'; expected one of "
+         "('white-gaussian', 'surrogate-industrial', 'trace-file')"),
+        (["--override", "noise.kind=trace-file"], "trace-file noise requires a path"),
+        (["--override", "noise.path=x.iq"], "white-gaussian noise must not carry a path"),
+        (["--override", "noise.params.impulse_rate=1.5"], "impulse_rate must lie in [0, 1)"),
+        (["--override", "noise.params.impulse_amplitude_factor=-1"],
+         "impulse_amplitude_factor must be non-negative"),
+        (["--override", "noise.params.spectral_tilt_db_per_decade=NaN"],
+         "spectral_tilt_db_per_decade must be finite"),
+        (["--override", "signals.0.subband_index=-1"], "subband_index must be non-negative"),
+        (["--override", "signals.0.subband_index=9"],
+         "subband_index 9 out of range for 4 subbands"),
+        (["--override", "signals.0.occupancy_fraction=0"],
+         "occupancy_fraction must lie in (0, 1]"),
+        (["--override", "signals.0.frame_start=-3"], "frame_start must be non-negative"),
+        (["--override", "signals.0.target_snr_db=null", "--override", "signals.0.amplitude_mv=-1"],
+         "amplitude_mv must be finite and non-negative"),
+        (["--override", 'snr_schedule=[{"frame_start": 5, "frame_end": 5, "target_snr_db": 0}]'],
+         "need 0 <= frame_start < frame_end"),
+        (["--override", "reference_noise_power_mw=0"],
+         "reference_noise_power_mw must be positive"),
+        (["--override", "n_bins=1"], "need n_bins >= 2 and n_frames >= 1"),
+        (["--override", "n_bins=510"],
+         "subbands must partition the bins into equal contiguous ranges"),
+        (["--override", "name.x=1"], "override path 'name.x' crosses a non-container entry"),
+        (["--override", "n_frames"], "override 'n_frames' is not of the form key=value"),
+        (["--config", "list.json"], "scenario config must be a mapping"),
+    ], ids=["repeated-seed", "negative-seed", "seed-2**64", "override-seed", "repeated-method",
+            "unknown-noise-kind", "trace-without-path", "white-with-path", "impulse-rate",
+            "impulse-amplitude", "tilt-nan", "negative-subband", "subband-out-of-range",
+            "no-occupancy", "negative-frame-start", "negative-amplitude", "empty-schedule-step",
+            "zero-reference-power", "one-bin", "unequal-subbands", "through-a-value",
+            "override-without-value", "config-list"])
+    def test_bad_input_exits_2(self, small_config, tmp_path, monkeypatch, capsys, flags, error):
+        monkeypatch.chdir(tmp_path)
+        Path("list.json").write_text("[1, 2]")
         out = tmp_path / "r"
         rc = main(["run", "--config", str(small_config), "--out", str(out),
                    "--method", "AIC", *flags])

@@ -376,6 +376,31 @@ class TestAicEstimate:
             assert value == np.sort(np.maximum(row, 1e-30))[::-1][order:].mean()
         assert orders[5] == 0 and values[5] == 2.5
 
+    @pytest.mark.parametrize("scale", [1e-40, 2.0**-330], ids=["1e-40", "2**-330"])
+    def test_row_unchanged_by_zero_bin_neighbour(self, scale):
+        # Only non-positive bins are floored: a neighbour's zero bin in the
+        # same chunk must not lift this row's positive bins below the floor.
+        rng = np.random.default_rng(11)
+        row = rng.exponential(1.0, 64) * scale
+        row[:8] += 20.0 * scale
+        neighbour = rng.exponential(1.0, 64)
+        neighbour[5] = 0.0
+        alone = aic_fit_rows(row[None, :], 10)
+        in_chunk = aic_fit_rows(np.stack([neighbour, row]), 10)
+        for one, both in zip(alone, in_chunk):
+            assert one[0].tobytes() == both[1].tobytes()
+        assert alone[0][0] < 1e-30
+
+    @pytest.mark.parametrize("avg, n_frames, message", [
+        (np.ones((2, 8)), 0, "n_frames must be >= 1"),
+        (np.ones(8), 10, "need a (W, N) stack of periodograms with N >= 1"),
+        (np.ones((2, 0)), 10, "need a (W, N) stack of periodograms with N >= 1"),
+    ], ids=["no-frames", "1-D", "no-bins"])
+    def test_rows_reject_bad_input(self, avg, n_frames, message):
+        with pytest.raises(ValueError) as exc:
+            aic_fit_rows(avg, n_frames)
+        assert str(exc.value) == message
+
 
 class TestCovarianceEigenvalues:
     def test_rank_one_block(self):
@@ -468,6 +493,27 @@ class TestMpCdf:
 
     def test_scale_parameter(self):
         assert mp_cdf(2.0, 0.25, 2.0) == pytest.approx(mp_cdf(1.0, 0.25, 1.0), rel=1e-12)
+
+    def test_table_refined_near_unit_ratio(self):
+        # The first 8193-node grid misses the 1e-9 mass tolerance at c = 0.999;
+        # one doubling meets it.
+        nodes, cdf, _ = estimators._unit_mp_table(0.999)
+        assert nodes.size == cdf.size == 16385
+        assert estimators.mp_cdf_normalization_error(0.999) <= 1e-9
+        assert estimators._unit_mp_table(0.9)[0].size == 8193
+        b = (1 + np.sqrt(0.999)) ** 2
+        assert mp_cdf(0.0, 0.999, 1.0) == 0.0 and mp_cdf(b, 0.999, 1.0) == 1.0
+
+    @pytest.mark.parametrize("c, sigma_sq, message", [
+        (0.0, 1.0, "aspect ratio c must lie in (0, 1)"),
+        (1.0, 1.0, "aspect ratio c must lie in (0, 1)"),
+        (0.25, 0.0, "sigma_sq must be positive"),
+        (0.25, -1.0, "sigma_sq must be positive"),
+    ])
+    def test_rejects_bad_parameters(self, c, sigma_sq, message):
+        with pytest.raises(ValueError) as exc:
+            mp_cdf(1.0, c, sigma_sq)
+        assert str(exc.value) == message
 
 
 class TestCbeEstimate:

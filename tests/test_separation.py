@@ -9,6 +9,7 @@ from noisebench import (
     DegenerateSpectrumError,
     PowerSpectrum,
     RofParams,
+    SeparationMask,
     build_scenario,
     fisher_separate,
     fisher_signal_rows,
@@ -621,6 +622,33 @@ class TestFisherSignalRows:
     def test_needs_four_bins(self):
         with pytest.raises(ValueError, match="4 bins"):
             fisher_signal_rows(np.ones((2, 3)))
+
+
+class TestSeparationMask:
+    @pytest.mark.parametrize("is_signal, method, message", [
+        (np.zeros((2, 4), dtype=bool), "ideal", "is_signal must be one-dimensional"),
+        (np.zeros(4, dtype=bool), "oracle", "unknown separation method 'oracle'"),
+    ], ids=["2-D", "unknown-method"])
+    def test_rejects_bad_masks(self, is_signal, method, message):
+        with pytest.raises(ValueError) as exc:
+            SeparationMask(is_signal=is_signal, method=method)
+        assert str(exc.value) == message
+
+    def test_copies_only_writeable_input(self):
+        values = np.array([True, False, False, True])
+        mask = SeparationMask(is_signal=values, method="fisher")
+        assert not np.shares_memory(mask.is_signal, values)
+        assert not mask.is_signal.flags.writeable
+        values[1] = True
+        np.testing.assert_array_equal(mask.is_signal, [True, False, False, True])
+        values.setflags(write=False)
+        assert SeparationMask(is_signal=values, method="fisher").is_signal is values
+
+    def test_ideal_mask_is_the_ground_truth_row(self):
+        _, truth = build_scenario(reference_config())
+        mask = ideal_separate(truth, 3).is_signal
+        assert np.shares_memory(mask, truth.signal_bin_mask)
+        np.testing.assert_array_equal(mask, truth.signal_bin_mask[3])
 
 
 class TestIdealSeparate:

@@ -19,7 +19,7 @@ from noisebench import (
     power_spectrum,
 )
 from noisebench import spectral
-from noisebench.spectral import frozen
+from noisebench.spectral import frozen, mean_power
 
 from conftest import white_frame
 
@@ -216,6 +216,32 @@ class TestValueTypes:
     def test_block_rejects_bad_shapes(self, values, message):
         with pytest.raises(ValueError, match=message):
             ResourceBlock(values)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: ComplexSeries(samples=np.ones((2, 3), dtype=complex)), ValueError,
+         "samples must be one-dimensional"),
+        (lambda: mean_power(np.array([], dtype=complex)), InsufficientSamplesError,
+         "series is empty"),
+        (lambda: SpectralFrame(bins=np.ones(1, dtype=complex)), ValueError,
+         "a spectral frame needs at least 2 bins"),
+        (lambda: SpectralFrame(bins=np.ones(4, dtype=complex), frame_index=-1), ValueError,
+         "frame_index must be non-negative"),
+        (lambda: PowerSpectrum(power=np.ones((2, 2))), ValueError,
+         "power must be one-dimensional"),
+        (lambda: frame_signal(series(np.ones(8)), 0, 2), ValueError,
+         "frame_len and frame_count must be >= 1"),
+        (lambda: frame_signal(series(np.ones(8)), 4, 0), ValueError,
+         "frame_len and frame_count must be >= 1"),
+        (lambda: dft(np.ones(1, dtype=complex)), ValueError,
+         "frame must have at least 2 samples"),
+        (lambda: block_from_frames(np.ones(4, dtype=complex)), ValueError,
+         "time frames must form a 2-D (frames, samples) array"),
+    ], ids=["series-2-D", "mean-power-empty", "frame-one-bin", "frame-negative-index",
+            "power-2-D", "no-frame-length", "no-frames", "dft-one-sample", "frames-1-D"])
+    def test_inputs_checked(self, build, error, message):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_block_rejects_non_finite(self, bad):
