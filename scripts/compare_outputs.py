@@ -8,7 +8,8 @@ and every output file.  The default set is the one a change that claims
 unchanged outputs is held to:
 
 - ``run`` of the nine default methods on ``configs/ism_benchmark.json`` at
-  seeds 0,1 and at seeds 0-19;
+  seeds 0,1 and at seeds 0-19, each once as it is and once with the README's
+  surrogate-noise overrides;
 - the long-stream workload of perfbench on pool entries 0-7: ``generate`` of
   the entry's noise trace, ``separate`` of its first 100 frames (ROF's mask
   and full energy-drop curve) and the six ``run --method`` calls on it, with
@@ -43,6 +44,10 @@ DEFAULT_METHODS = ("ML:ideal", "ML:fisher", "ML:rof", "MVU:ideal", "MVU:fisher",
 DEFAULT_SEEDS = ("0,1", ",".join(str(s) for s in range(20)))
 DEFAULT_ENTRIES = ",".join(str(e) for e in range(8))
 DEFAULT_OPS_SIZES = "64,128,256,512,1024,2048"
+# The README's surrogate-noise command: its streams stay float64 from synthesis
+# to report, unlike the long-stream runs, which read a float32 trace.
+SURROGATE_OVERRIDES = ("name=ism-surrogate-industrial--3dB", "noise.kind=surrogate-industrial",
+                       "signals.0.target_snr_db=-3")
 
 
 class Invocation(NamedTuple):
@@ -72,10 +77,13 @@ def invocations(args, work: Path) -> list[Invocation]:
     config = str(ROOT / "configs" / "ism_benchmark.json")
     calls = []
     for seeds in [seeds for seeds in args.seeds or DEFAULT_SEEDS if seeds.strip()]:
-        out = f"run-{seeds.replace(',', '_')}"
-        calls.append(Invocation(f"run --seeds {seeds}",
-                                ("run", "--config", config, "--seeds", seeds, "--out", out),
-                                (f"{out}/series.csv", f"{out}/report.csv")))
+        for label, overrides in (("run", ()), ("surrogate run", SURROGATE_OVERRIDES)):
+            out = f"{label.replace(' ', '-')}-{seeds.replace(',', '_')}"
+            flags = [arg for override in overrides for arg in ("--override", override)]
+            calls.append(Invocation(f"{label} --seeds {seeds}",
+                                    ("run", "--config", config, "--seeds", seeds, *flags,
+                                     "--out", out),
+                                    (f"{out}/series.csv", f"{out}/report.csv")))
     workloads = load_workloads()
     for entry in map(int, split_list(args.entries)):
         folder = work / f"long-stream-{entry}"
@@ -125,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--seeds", action="append", metavar="LIST",
-                        help="seed list of one `run` of the default methods; repeatable "
+                        help="seed list of one `run` of the default methods and one with "
+                             "surrogate noise; repeatable "
                              "(default: 0,1 and 0-19; empty for none)")
     parser.add_argument("--entries", default=DEFAULT_ENTRIES,
                         help="long-stream pool entries (default: 0-7; empty for none)")

@@ -518,8 +518,10 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
     With timing, each report carries its method's evaluation time summed over
     seeds (scenario builds excluded); without, the column stays 0.0.  Reports
     are keyed by method label, so a label given twice raises ValueError
-    before any seed runs.
+    before any seed runs, as does a config too small to count operations on.
     """
+    if config.n_bins < MIN_COUNTING_SIZE:
+        raise ValueError(f"run needs n_bins >= {MIN_COUNTING_SIZE}, got {config.n_bins}")
     _reject_repeats([m.label for m in methods], "method")
     series, wall = _run_seeds(config, methods, seeds)
     reports = build_reports(config, methods, series, wall_times_ms=wall if timing else None)
@@ -529,6 +531,7 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 # --- operation counting ------------------------------------------------------
 
 
+MIN_COUNTING_SIZE = 16  # smallest block size the complexity model counts
 _COUNTING_KEY = 12345  # Philox key of the counting stream
 _COUNTING_DRAW = 65_536  # normals per draw while walking past the stream's unused part
 
@@ -688,8 +691,8 @@ def count_ops(method: MethodSpec, n: int, *,
     what the fit evaluates: a collapsed candidate range is ``grid_size``
     equal candidates.
     """
-    if n < 16:
-        raise ValueError("operation counting needs n >= 16")
+    if n < MIN_COUNTING_SIZE:
+        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
     ops = OpCounter()
     power = _counting_power(n, frames) if _reads_counting_frame(method) else None
     bins = 2 * n if method.estimator == "CBE" else n
@@ -728,8 +731,8 @@ def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[Op
     """
     if not sizes:
         raise ValueError("need at least one size")
-    if min(sizes) < 16:
-        raise ValueError("operation counting needs n >= 16")
+    if min(sizes) < MIN_COUNTING_SIZE:
+        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
     frames = _counting_frames(sizes) if any(map(_reads_counting_frame, methods)) else {}
     return [[count_ops(method, n, frames=frames) for n in sizes] for method in methods]
 

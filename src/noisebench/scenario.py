@@ -64,6 +64,10 @@ class SurrogateNoiseParams:
             raise ValueError("impulse_rate must lie in [0, 1)")
         if self.impulse_amplitude_factor < 0:
             raise ValueError("impulse_amplitude_factor must be non-negative")
+        # An impulse's power is the factor squared, bound like every other power.
+        if not self.impulse_amplitude_factor <= np.sqrt(MAX_POWER_MW):
+            raise ValueError("impulse_amplitude_factor must be finite and at most "
+                             f"{np.sqrt(MAX_POWER_MW):g}")
         if not np.isfinite(self.spectral_tilt_db_per_decade):
             raise ValueError("spectral_tilt_db_per_decade must be finite")
 
@@ -84,6 +88,8 @@ class NoiseSource:
             raise ValueError("trace-file noise requires a path")
         if self.kind != "trace-file" and self.path is not None:
             raise ValueError(f"{self.kind} noise must not carry a path")
+        if self.kind != "surrogate-industrial" and self.params != SurrogateNoiseParams():
+            raise ValueError(f"{self.kind} noise must not carry params")
         check_seed(self.seed)
 
 
@@ -336,41 +342,28 @@ def _complex_normals(rng: np.random.Generator, draws: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _white_samples(length: int, power_mw: float, seed: int) -> np.ndarray:
-    """A fresh array of circularly-symmetric complex Gaussian noise with E|w|^2 = power_mw."""
-    if length < 1:
-        raise ValueError("length must be >= 1")
-    if power_mw <= 0:
-        raise ValueError("power_mw must be positive")
-    samples = _complex_normals(_rng(seed), np.empty(length))
-    samples *= np.sqrt(power_mw / 2.0)
-    return samples
+def _synthetic_samples(length: int, params: SurrogateNoiseParams, seed: int) -> np.ndarray:
+    """A fresh, unscaled array of the synthetic industrial-environment surrogate.
 
-
-def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: float,
-                        seed: int) -> np.ndarray:
-    """A fresh array of the synthetic industrial-environment surrogate: impulsive,
-    spectrally tilted noise.
-
-    White Gaussian base, plus Bernoulli impulses of magnitude
-    impulse_amplitude_factor times the base RMS at uniformly random phase,
-    plus a first-order recursive tilt filter; the result is rescaled to
-    power_mw exactly.  With impulse_rate 0 and tilt 0 the output is plain
-    white Gaussian noise.  This is a stand-in for real captures and carries
-    no claim of matching any measured environment.
+    Complex Gaussian base with E|w|^2 = 1, plus Bernoulli impulses of magnitude
+    impulse_amplitude_factor times the base RMS at uniformly random phase
+    (drawn only when impulse_rate > 0), plus a first-order recursive tilt
+    filter.  With no impulses and no tilt it is white Gaussian noise.  A
+    stand-in for real captures, with no claim of matching any measured one.
     """
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = _rng(seed)
     draws = np.empty(length)
     samples = _complex_normals(rng, draws)
-    samples /= np.sqrt(2.0)
-    hits = rng.random(out=draws) < params.impulse_rate
+    samples *= np.sqrt(0.5)
+    if params.impulse_rate > 0:
+        hits = rng.random(out=draws) < params.impulse_rate
+        n_hits = int(hits.sum())
+        if n_hits:
+            phases = np.exp(2j * np.pi * rng.random(n_hits))
+            samples[hits] += params.impulse_amplitude_factor * phases
     del draws  # the filter's copies below need the room
-    n_hits = int(hits.sum())
-    if n_hits:
-        phases = np.exp(2j * np.pi * rng.random(n_hits))
-        samples[hits] += params.impulse_amplitude_factor * phases
     tilt = params.spectral_tilt_db_per_decade
     if tilt != 0.0:
         # One-pole recursion; |tilt|/20 maps one 20 dB/decade pole to rho = 1.
@@ -379,7 +372,6 @@ def _industrial_samples(length: int, params: SurrogateNoiseParams, power_mw: flo
             _one_pole_lowpass(samples, rho)
         else:
             samples[1:] -= rho * samples[:-1]
-    _scale_to_power(samples, power_mw)
     return samples
 
 
@@ -453,13 +445,13 @@ def amplitude_mv_to_sqrt_mw(amplitude_mv: float) -> float:
 
 
 def _noise_series(config: ScenarioConfig) -> ComplexSeries:
-    """The noise stream at the reference power: one array, built and scaled in place."""
+    """The noise stream at the reference power: one array, built, then scaled once in place."""
     total = config.n_bins * config.n_frames
     src = config.noise
     if src.kind == "white-gaussian":
-        samples = _white_samples(total, 1.0, src.seed)
+        samples = _synthetic_samples(total, SurrogateNoiseParams(impulse_rate=0.0), src.seed)
     elif src.kind == "surrogate-industrial":
-        samples = _industrial_samples(total, src.params, 1.0, src.seed)
+        samples = _synthetic_samples(total, src.params, src.seed)
     else:
         samples = _read_iq_trace(src.path)
         if samples.size < total:

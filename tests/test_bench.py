@@ -10,6 +10,7 @@ from noisebench import (
     EstimateSeries,
     MethodSpec,
     PowerSpectrum,
+    ScenarioConfig,
     aic_estimate,
     build_scenario,
     count_ops,
@@ -1015,6 +1016,14 @@ class TestCountOps:
         run_benchmark(cfg, methods, [0])
         info = bench._counting_frame.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+    def test_run_rejects_uncountable_block_before_any_scenario(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bench, "build_scenario", lambda config: built.append(config))
+        cfg = ScenarioConfig(n_bins=12, n_frames=20)
+        with pytest.raises(ValueError, match="run needs n_bins >= 16, got 12$"):
+            run_benchmark(cfg, [MethodSpec("ML", "ideal")], [0, 1])
+        assert built == []
 
 
 class TestCsvEmission:

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, errors, estimators, load_iq_trace,
                         scenario_config_from_dict, write_iq_trace)
-from noisebench.scenario import _white_samples
+from noisebench.scenario import SurrogateNoiseParams, _synthetic_samples
 from noisebench.spectral import mean_power
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
 
@@ -146,6 +146,15 @@ class TestRun:
          "impulse_amplitude_factor must be non-negative"),
         (["--override", "noise.params.spectral_tilt_db_per_decade=NaN"],
          "spectral_tilt_db_per_decade must be finite"),
+        *[(["--override", "noise.kind=surrogate-industrial",
+            "--override", f"noise.params.impulse_amplitude_factor={factor}"],
+           "impulse_amplitude_factor must be finite and at most 1e+25")
+          for factor in ("1e200", "Infinity", "NaN")],
+        (["--override", "noise.params.impulse_rate=0.5"],
+         "white-gaussian noise must not carry params"),
+        (["--override", "noise.kind=trace-file", "--override", "noise.path=x.iq",
+          "--override", "noise.params.spectral_tilt_db_per_decade=-20"],
+         "trace-file noise must not carry params"),
         (["--override", "signals.0.subband_index=-1"], "subband_index must be non-negative"),
         (["--override", "signals.0.subband_index=9"],
          "subband_index 9 out of range for 4 subbands"),
@@ -159,6 +168,7 @@ class TestRun:
         (["--override", "reference_noise_power_mw=0"],
          "reference_noise_power_mw must be positive"),
         (["--override", "n_bins=1"], "need n_bins >= 2 and n_frames >= 1"),
+        (["--override", "n_bins=12"], "run needs n_bins >= 16, got 12"),
         (["--override", "n_bins=510"],
          "subbands must partition the bins into equal contiguous ranges"),
         (["--override", "name.x=1"], "override path 'name.x' crosses a non-container entry"),
@@ -166,9 +176,12 @@ class TestRun:
         (["--config", "list.json"], "scenario config must be a mapping"),
     ], ids=["repeated-seed", "negative-seed", "seed-2**64", "override-seed", "repeated-method",
             "unknown-noise-kind", "trace-without-path", "white-with-path", "impulse-rate",
-            "impulse-amplitude", "tilt-nan", "negative-subband", "subband-out-of-range",
+            "impulse-amplitude", "tilt-nan", "impulse-amplitude-1e200",
+            "impulse-amplitude-infinity", "impulse-amplitude-nan", "white-with-params",
+            "trace-with-params", "negative-subband", "subband-out-of-range",
             "no-occupancy", "negative-frame-start", "negative-amplitude", "empty-schedule-step",
-            "zero-reference-power", "one-bin", "unequal-subbands", "through-a-value",
+            "zero-reference-power", "one-bin", "twelve-bins", "unequal-subbands",
+            "through-a-value",
             "override-without-value", "config-list"])
     def test_bad_input_exits_2(self, small_config, tmp_path, monkeypatch, capsys, flags, error):
         monkeypatch.chdir(tmp_path)
@@ -365,7 +378,7 @@ def typed_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("typed") / "config.json"
     path.write_text(json.dumps({
         "name": "typed", "n_bins": 128, "n_frames": 40,
-        "noise": {"kind": "white-gaussian", "seed": 0, "params": {"impulse_rate": 0.001}},
+        "noise": {"kind": "surrogate-industrial", "seed": 0, "params": {"impulse_rate": 0.001}},
         "signals": [{"subband_index": 2, "occupancy_fraction": 1.0, "target_snr_db": 0.0}],
         "snr_schedule": [{"frame_start": 10, "frame_end": 30, "target_snr_db": -3.0}],
     }))
@@ -706,7 +719,8 @@ class TestConvert:
         monkeypatch.setattr(cli, "_CSV_SLICE", 4096)
         n = 16 * 4096
         trace = tmp_path / "t.iq"
-        write_iq_trace(trace, ComplexSeries(samples=_white_samples(n, 1.0, seed=0)))
+        write_iq_trace(trace, ComplexSeries(
+            samples=_synthetic_samples(n, SurrogateNoiseParams(impulse_rate=0.0), seed=0)))
         argv = ["convert", "--input", str(trace), "--out", str(tmp_path / "t.csv"), "--to", "csv"]
         codes = []
         peak = traced_peak(lambda: codes.append(main(argv)))

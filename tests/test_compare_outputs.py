@@ -26,11 +26,16 @@ class TestCompareOutputs:
     def test_default_set(self, compare, tmp_path):
         calls = compare.invocations(parse(compare), tmp_path)
         labels = [call.label for call in calls]
-        # Two runs, eight long-stream entries of a generate, a separate and six runs,
-        # ops, nine estimates.
-        assert len(calls) == 2 + 8 * 8 + 1 + 9 == 76
-        assert labels[:2] == ["run --seeds 0,1", "run --seeds " + ",".join(map(str, range(20)))]
-        assert labels[2:10] == ["long-stream 0 generate", "long-stream 0 separate"] + [
+        # Two seed lists of a white and a surrogate run, eight long-stream entries
+        # of a generate, a separate and six runs, ops, nine estimates.
+        assert len(calls) == 2 * 2 + 8 * 8 + 1 + 9 == 78
+        twenty = ",".join(map(str, range(20)))
+        assert labels[:4] == ["run --seeds 0,1", "surrogate run --seeds 0,1",
+                              f"run --seeds {twenty}", f"surrogate run --seeds {twenty}"]
+        assert calls[1].argv[5:11] == ("--override", "name=ism-surrogate-industrial--3dB",
+                                       "--override", "noise.kind=surrogate-industrial",
+                                       "--override", "signals.0.target_snr_db=-3")
+        assert labels[4:12] == ["long-stream 0 generate", "long-stream 0 separate"] + [
             f"long-stream 0 run {m}" for m in ("ML:ideal", "ML:fisher", "MVU:ideal",
                                                "MVU:fisher", "AIC", "MMSE")]
         assert labels[-10] == "ops --sizes 64,128,256,512,1024,2048"

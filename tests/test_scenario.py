@@ -26,9 +26,10 @@ from noisebench import (
     snr_db_from_powers,
     write_iq_trace,
 )
-from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _industrial_samples,
-                                 _noise_series, _one_pole_lowpass, _rng, _scale_to_power,
-                                 _white_samples, amplitude_mv_to_sqrt_mw, time_series_of)
+from noisebench import scenario
+from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _noise_series,
+                                 _one_pole_lowpass, _rng, _scale_to_power, _synthetic_samples,
+                                 amplitude_mv_to_sqrt_mw, time_series_of)
 from noisebench.spectral import ComplexSeries, SpectralFrame, mean_power
 
 from conftest import build_scenario_per_frame, reference_config, traced_peak
@@ -83,10 +84,9 @@ def old_lowpass(x: np.ndarray, rho: float) -> np.ndarray:
     return out
 
 
-def old_industrial(length: int, params: SurrogateNoiseParams, power_mw: float,
-                   seed: int) -> np.ndarray:
+def old_industrial(length: int, params: SurrogateNoiseParams, seed: int) -> np.ndarray:
     rng = _rng(seed)
-    base = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) / np.sqrt(2.0)
+    base = (rng.standard_normal(length) + 1j * rng.standard_normal(length)) * np.sqrt(0.5)
     hits = rng.random(length) < params.impulse_rate
     n_hits = int(hits.sum())
     if n_hits:
@@ -98,7 +98,7 @@ def old_industrial(length: int, params: SurrogateNoiseParams, power_mw: float,
             base = old_lowpass(base, rho)
         else:
             base = np.concatenate([[base[0]], base[1:] - rho * base[:-1]])
-    return old_rescale(base, power_mw)
+    return base
 
 
 def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
@@ -112,6 +112,8 @@ def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
     return SpectralFrame(bins=bins, frame_index=frame.frame_index)
 
 
+# White Gaussian noise: the surrogate with no impulses and no tilt.
+WHITE = SurrogateNoiseParams(impulse_rate=0.0)
 # The long-stream workload's surrogate: impulses and a -3 dB/decade tilt.
 LONG_STREAM_PARAMS = SurrogateNoiseParams(impulse_rate=0.002, impulse_amplitude_factor=8.0,
                                           spectral_tilt_db_per_decade=-3.0)
@@ -212,19 +214,19 @@ class TestRescale:
         np.testing.assert_allclose(out, s, rtol=1e-15)
 
     def test_exact_target_on_long_noise(self):
-        noise = _white_samples(10**6, 3.7, seed=1)
+        noise = np.sqrt(3.7) * _synthetic_samples(10**6, WHITE, seed=1)
         out = rescaled(noise, 1.0)
         assert abs(mean_power(out) - 1.0) < 1e-12
 
     def test_idempotent_at_target(self):
-        noise = _white_samples(1000, 1.0, seed=2)
+        noise = _synthetic_samples(1000, WHITE, seed=2)
         once = rescaled(noise, 2.0)
         twice = rescaled(once, 2.0)
         np.testing.assert_allclose(once, twice, rtol=1e-14)
 
     @pytest.mark.parametrize("target", [1.0, 0.37, 2.5e3])
     def test_matches_out_of_place_oracle(self, target):
-        source = _industrial_samples(10_007, LONG_STREAM_PARAMS, 2.0, seed=3)
+        source = _synthetic_samples(10_007, LONG_STREAM_PARAMS, seed=3)
         out = source.copy()
         _scale_to_power(out, target)
         np.testing.assert_array_equal(out, old_rescale(source, target))
@@ -236,49 +238,52 @@ class TestRescale:
 
 class TestSynthNoise:
     def test_white_deterministic_per_seed(self):
-        a = _white_samples(256, 1.0, seed=9)
-        b = _white_samples(256, 1.0, seed=9)
+        a = _synthetic_samples(256, WHITE, seed=9)
+        b = _synthetic_samples(256, WHITE, seed=9)
         np.testing.assert_array_equal(a, b)
-        c = _white_samples(256, 1.0, seed=10)
+        c = _synthetic_samples(256, WHITE, seed=10)
         assert not np.array_equal(a, c)
 
     def test_white_power_level(self):
-        s = _white_samples(10**6, 1.0, seed=4)
+        s = _synthetic_samples(10**6, WHITE, seed=4)
         assert mean_power(s) == pytest.approx(1.0, rel=5e-3)
 
     def test_white_component_variances(self):
-        s = _white_samples(10**6, 2.0, seed=5)
-        assert np.var(s.real) == pytest.approx(1.0, rel=1e-2)
-        assert np.var(s.imag) == pytest.approx(1.0, rel=1e-2)
+        s = _synthetic_samples(10**6, WHITE, seed=5)
+        assert np.var(s.real) == pytest.approx(0.5, rel=1e-2)
+        assert np.var(s.imag) == pytest.approx(0.5, rel=1e-2)
 
     def test_surrogate_reduces_to_white(self):
-        # With no impulses and no tilt the surrogate is plain white Gaussian.
-        params = SurrogateNoiseParams(impulse_rate=0.0, impulse_amplitude_factor=0.0,
-                                      spectral_tilt_db_per_decade=0.0)
-        surrogate = _industrial_samples(10**5, params, 1.0, seed=6)
-        white = _white_samples(10**5, 1.0, seed=7)
-        _, p_value = stats.ks_2samp(surrogate.real, white.real)
-        assert p_value > 0.01
+        # With no impulses and no tilt the surrogate is the white Gaussian stream.
+        noise = {"kind": "surrogate-industrial", "seed": 6,
+                 "params": {"impulse_rate": 0.0, "impulse_amplitude_factor": 0.0,
+                            "spectral_tilt_db_per_decade": 0.0}}
+        surrogate = _noise_series(scenario_config_from_dict(
+            {"n_bins": 64, "n_frames": 20, "reference_noise_power_mw": 2.5, "noise": noise}))
+        white = _noise_series(scenario_config_from_dict(
+            {"n_bins": 64, "n_frames": 20, "reference_noise_power_mw": 2.5,
+             "noise": {"kind": "white-gaussian", "seed": 6}}))
+        np.testing.assert_array_equal(surrogate.samples, white.samples)
 
     def test_surrogate_impulses_raise_kurtosis(self):
         params = SurrogateNoiseParams(impulse_rate=1e-3, impulse_amplitude_factor=10.0)
-        surrogate = _industrial_samples(10**5, params, 1.0, seed=8)
-        white = _white_samples(10**5, 1.0, seed=8)
+        surrogate = _synthetic_samples(10**5, params, seed=8)
+        white = _synthetic_samples(10**5, WHITE, seed=8)
         k_surrogate = stats.kurtosis(np.abs(surrogate) ** 2)
         k_white = stats.kurtosis(np.abs(white) ** 2)
         assert k_surrogate > k_white
 
     def test_surrogate_deterministic(self):
         params = SurrogateNoiseParams(impulse_rate=1e-2, spectral_tilt_db_per_decade=-6.0)
-        a = _industrial_samples(1024, params, 1.0, seed=3)
-        b = _industrial_samples(1024, params, 1.0, seed=3)
+        a = _synthetic_samples(1024, params, seed=3)
+        b = _synthetic_samples(1024, params, seed=3)
         np.testing.assert_array_equal(a, b)
 
 
     @pytest.mark.parametrize("length", [1, 33, 10_007])
     def test_white_matches_out_of_place_oracle(self, length):
-        np.testing.assert_array_equal(_white_samples(length, 2.5, seed=11),
-                                      old_white(length, 2.5, 11))
+        np.testing.assert_array_equal(_synthetic_samples(length, WHITE, seed=11),
+                                      old_white(length, 1.0, 11))
 
     @pytest.mark.parametrize("length", [1, 2, _LOWPASS_BLOCK, 10_007])
     @pytest.mark.parametrize("params", [
@@ -286,8 +291,8 @@ class TestSynthNoise:
         SurrogateNoiseParams(impulse_rate=0.05, impulse_amplitude_factor=3.0),
     ], ids=["impulses-tilt+6", "impulses"])
     def test_surrogate_matches_out_of_place_oracle(self, length, params):
-        got = _industrial_samples(length, params, 1.7, seed=5)
-        np.testing.assert_array_equal(got, old_industrial(length, params, 1.7, 5))
+        got = _synthetic_samples(length, params, seed=5)
+        np.testing.assert_array_equal(got, old_industrial(length, params, 5))
 
     @pytest.mark.parametrize("length", [1, 2, _LOWPASS_BLOCK, 1000, 10_007, 40_003, 512_000])
     @pytest.mark.parametrize("params", [
@@ -303,33 +308,52 @@ class TestSynthNoise:
         # two agree to rounding, not always bit for bit.  1000, 10_007 and
         # 40_003 are no multiple of the 32-sample block, and the last two and
         # 512_000 nest the block-end recursion one or more levels deep.
-        got = _industrial_samples(length, params, 1.7, seed=5)
-        want = old_industrial(length, params, 1.7, 5)
+        got = _synthetic_samples(length, params, seed=5)
+        want = old_industrial(length, params, 5)
         assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(want))
 
     @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
-    def test_noise_series_equals_unit_builders_then_rescale(self, kind, tmp_path):
-        # The scenario's stream is the unit-power stream rescaled once more
+    def test_noise_series_equals_synthesis_then_one_rescale(self, kind, tmp_path):
+        # The scenario's stream is the synthesized (or read) stream scaled once
         # to the reference power, without a copy per step.
-        n_bins, n_frames, seed = 64, 50, 4
-        noise = {"kind": kind, "seed": seed}
-        if kind == "surrogate-industrial":
-            unit = _industrial_samples(n_bins * n_frames, LONG_STREAM_PARAMS, 1.0, seed)
-            noise["params"] = {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
-                               "spectral_tilt_db_per_decade": -3.0}
-        elif kind == "white-gaussian":
-            unit = _white_samples(n_bins * n_frames, 1.0, seed)
-        else:
-            path = tmp_path / "noise.iq"
-            write_iq_trace(path, ComplexSeries(
-                samples=_white_samples(n_bins * n_frames + 5, 3.0, seed)))
-            unit = load_iq_trace(path).samples
-            noise = {"kind": kind, "path": str(path)}
-        config = scenario_config_from_dict({"n_bins": n_bins, "n_frames": n_frames,
-                                            "reference_noise_power_mw": 2.5, "noise": noise})
+        config, unscaled = _noise_config(kind, tmp_path)
         series = _noise_series(config)
-        np.testing.assert_array_equal(series.samples, rescaled(unit, 2.5))
+        np.testing.assert_array_equal(series.samples, rescaled(unscaled, 2.5))
         assert not series.samples.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
+    def test_noise_series_scales_once(self, kind, tmp_path, monkeypatch):
+        config, _ = _noise_config(kind, tmp_path)
+        targets = []
+
+        def spy(samples, target_mw):
+            targets.append(target_mw)
+            _scale_to_power(samples, target_mw)
+
+        monkeypatch.setattr(scenario, "_scale_to_power", spy)
+        _noise_series(config)
+        assert targets == [2.5]
+
+
+def _noise_config(kind: str, tmp_path) -> tuple[ScenarioConfig, np.ndarray]:
+    """A 64 x 50 config of the noise kind at 2.5 mW, and its stream before scaling."""
+    n_bins, n_frames, seed = 64, 50, 4
+    noise = {"kind": kind, "seed": seed}
+    if kind == "surrogate-industrial":
+        unscaled = _synthetic_samples(n_bins * n_frames, LONG_STREAM_PARAMS, seed)
+        noise["params"] = {"impulse_rate": 0.002, "impulse_amplitude_factor": 8.0,
+                           "spectral_tilt_db_per_decade": -3.0}
+    elif kind == "white-gaussian":
+        unscaled = _synthetic_samples(n_bins * n_frames, WHITE, seed)
+    else:
+        path = tmp_path / "noise.iq"
+        write_iq_trace(path, ComplexSeries(
+            samples=np.sqrt(3.0) * _synthetic_samples(n_bins * n_frames + 5, WHITE, seed)))
+        unscaled = load_iq_trace(path).samples
+        noise = {"kind": kind, "path": str(path)}
+    config = scenario_config_from_dict({"n_bins": n_bins, "n_frames": n_frames,
+                                        "reference_noise_power_mw": 2.5, "noise": noise})
+    return config, unscaled
 
 
 class TestOnePoleLowpass:
@@ -507,7 +531,7 @@ class TestBuildScenario:
 
     def test_short_trace_rejected(self, tmp_path):
         path = tmp_path / "short.iq"
-        write_iq_trace(path, ComplexSeries(samples=_white_samples(100, 1.0, seed=1)))
+        write_iq_trace(path, ComplexSeries(samples=_synthetic_samples(100, WHITE, seed=1)))
         cfg = ScenarioConfig(n_bins=64, n_frames=4,
                              noise=NoiseSource(kind="trace-file", path=str(path)))
         with pytest.raises(InsufficientSamplesError):
@@ -515,7 +539,8 @@ class TestBuildScenario:
 
     def test_trace_noise_is_rescaled(self, tmp_path):
         path = tmp_path / "trace.iq"
-        write_iq_trace(path, ComplexSeries(samples=_white_samples(64 * 4, 5.0, seed=2)))
+        write_iq_trace(path, ComplexSeries(
+            samples=np.sqrt(5.0) * _synthetic_samples(64 * 4, WHITE, seed=2)))
         cfg = ScenarioConfig(n_bins=64, n_frames=4,
                              noise=NoiseSource(kind="trace-file", path=str(path)),
                              reference_noise_power_mw=1.0)
@@ -537,8 +562,8 @@ def _oracle_config(kind: str, tmp_path) -> ScenarioConfig:
         )
     if kind == "trace-file":
         path = tmp_path / "noise.iq"
-        write_iq_trace(path, ComplexSeries(samples=_white_samples(128 * 24 + 100, 2.0,
-                                                                    seed=6)))
+        write_iq_trace(path, ComplexSeries(
+            samples=np.sqrt(2.0) * _synthetic_samples(128 * 24 + 100, WHITE, seed=6)))
         return ScenarioConfig(
             n_bins=128, n_frames=24,
             noise=NoiseSource(kind="trace-file", path=str(path)),
@@ -589,8 +614,8 @@ class TestSampleMemory:
         # must fit in 2.5 complex128 copies of the stream.
         n_bins, n_frames = 512, 1000
         trace = tmp_path / "noise.iq"
-        write_iq_trace(trace, ComplexSeries(samples=_industrial_samples(
-            n_bins * n_frames, LONG_STREAM_PARAMS, 1.0, seed=0)))
+        write_iq_trace(trace, ComplexSeries(samples=_synthetic_samples(
+            n_bins * n_frames, LONG_STREAM_PARAMS, seed=0)))
         config = scenario_config_from_dict({
             "n_bins": n_bins, "n_frames": n_frames,
             "noise": {"kind": "trace-file", "path": str(trace)},
