@@ -12,6 +12,14 @@ paired-gain rule: the change wins at least nine tenths of the pairs (ties
 count for neither) and the medians differ by more than the parent's
 quartile spread.
 
+perfbench scales its rates by the machine speed it samples during the run.
+The record also keeps each run's raw numbers, read from the details file the
+run leaves in its checkout's ``.perfbench_out/``: the median over rounds of
+the unscaled rows/s and CPU ms per row, summarised and paired like the
+scaled metrics, and the run's speed factors (during the rounds, and idle
+before and after).  A claim is also judged on its raw metric, where there is
+one, so a gain that rests on the speed factor alone shows.
+
 Running it again with the same ``--out`` adds or replaces one workload and
 keeps the others, so workloads can be measured with different pair counts.
 
@@ -33,6 +41,7 @@ RULE = ("change better in at least 9 of 10 alternating pairs (ties count for nei
         "and the median difference larger than the parent's quartile spread")
 PAIRING = ("parent and change alternate which runs first; each side runs from its own "
            "checkout directory")
+RAW_METRICS = ("rows_per_s", "cpu_ms_per_row")  # end-to-end metrics perfbench scales by speed
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -48,6 +57,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[
     machine = next((json.loads(line[len("machine "):]) for line in lines
                     if line.startswith("machine ")), {})
     return json.loads(lines[-1]), machine
+
+
+def raw_numbers(checkout: Path, workload: str, seed: int) -> dict:
+    """One run's unscaled medians over its rounds, and its speed factors, from its details file."""
+    path = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
+    details = json.loads(path.read_text(encoding="utf-8"))
+    rounds = [r for r in details["rounds"] if not r["traced"]]
+    return {
+        "rows_per_s": statistics.median(r["rows_per_s"] for r in rounds),
+        # perfbench charges a round where every attempt failed as one row.
+        "cpu_ms_per_row": statistics.median(1e3 * r["cpu_s"] / max(r["rows"], 1)
+                                            for r in rounds),
+        "speed": {k: details["speed"][k] for k in ("during_median", "idle_before", "idle_after")},
+    }
 
 
 def quartiles(runs: list[float]) -> dict:
@@ -94,6 +117,7 @@ def measure(parent: Path, change: Path, workload: str, seeds: list[int], seconds
     """Alternating pairs on the given seeds: the workload's summary and a machine record."""
     sides = {"parent": parent, "change": change}
     results: dict[str, list[dict]] = {"parent": [], "change": []}
+    raw: dict[str, list[dict]] = {"parent": [], "change": []}
     first, machine = [], {}
     for i, seed in enumerate(seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -101,9 +125,11 @@ def measure(parent: Path, change: Path, workload: str, seeds: list[int], seconds
         for side in order:
             result, machine = run_once(sides[side], workload, seed, seconds)
             results[side].append(result)
+            raw[side].append(raw_numbers(sides[side], workload, seed))
             value = result["metrics"].get("rows_per_s", {}).get("value")
             print(f"{workload} seed {seed} {side}: rows_per_s {value} "
-                  f"correct {result['correct']}", file=sys.stderr)
+                  f"(raw {raw[side][-1]['rows_per_s']:.1f}) correct {result['correct']}",
+                  file=sys.stderr)
     metrics = {
         m["name"]: summarise_metric(
             [r["metrics"][m["name"]]["value"] for r in results["parent"]],
@@ -111,10 +137,18 @@ def measure(parent: Path, change: Path, workload: str, seeds: list[int], seconds
             m["unit"], m["better"], m["bound"])
         for m in end_to_end
     }
+    raw_metrics = {
+        m["name"]: summarise_metric([r[m["name"]] for r in raw["parent"]],
+                                    [r[m["name"]] for r in raw["change"]],
+                                    m["unit"], m["better"], m["bound"])
+        for m in end_to_end if m["name"] in RAW_METRICS
+    }
     summary = {
         "seeds": seeds, "first_in_pair": first,
         "correct": {side: [r["correct"] for r in results[side]] for side in sides},
         "metrics": metrics,
+        "raw": {"metrics": raw_metrics,
+                "speed": {side: [r["speed"] for r in raw[side]] for side in sides}},
     }
     return summary, machine
 
@@ -155,10 +189,14 @@ def main(argv=None) -> int:
         workload, metric = args.claim.split(":", 1)
         if workload not in record["workloads"]:
             parser.error(f"--claim names {workload!r}, which the record does not hold")
+        claimed = record["workloads"][workload]
         record["claim"] = {
             "workload": workload, "metric": metric, "rule": RULE,
-            "result": claim_result(record["workloads"][workload]["metrics"][metric]),
+            "result": claim_result(claimed["metrics"][metric]),
         }
+        raw_metrics = claimed.get("raw", {}).get("metrics", {})  # none in older records
+        if metric in raw_metrics:
+            record["claim"]["raw_result"] = claim_result(raw_metrics[metric])
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     failed = [f"{name}: {side}" for name, w in record["workloads"].items()
               for side, flags in w["correct"].items() if not all(flags)]

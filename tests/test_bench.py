@@ -1,6 +1,12 @@
 from __future__ import annotations
 
+import ast
 import csv
+import multiprocessing
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +32,7 @@ from noisebench import (
 )
 from noisebench import bench, estimators
 from noisebench.bench import ground_truths, sample_std
+from noisebench.errors import DataError
 from noisebench.scenario import with_seed
 
 from conftest import counting_block_per_frame, noise_only_config, reference_config
@@ -44,6 +51,26 @@ def make_series(snr_est_db, snr_true_db=None, method="ML", separation="ideal"):
         snr_est_db=np.asarray(snr_est_db, dtype=float),
         snr_true_db=true,
     )
+
+
+class SharedCalls:
+    """A call log that forked seed workers share: each call appends one line to a file.
+
+    A list would record only the calls made in the parent; the workers of a
+    multi-seed run inherit the file's path and append to the same file.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        path.write_text("", encoding="utf-8")
+
+    def append(self, value) -> None:
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(f"{value!r}\n")
+
+    def read(self) -> list:
+        return [ast.literal_eval(line)
+                for line in self.path.read_text(encoding="utf-8").splitlines()]
 
 
 class TestMethodSpec:
@@ -514,11 +541,11 @@ class TestRunScenario:
         assert series.frame_index.tolist() == [cfg.n_frames - 1]
         assert series.noise_power_est_mw.tobytes() == want.tobytes()
 
-    def test_gram_built_lazily_once_per_seed(self, monkeypatch):
+    def test_gram_built_lazily_once_per_seed(self, monkeypatch, tmp_path):
         # Only CBE reads the seed's Gram matrix: the eight other default methods
         # never build it, and two CBE methods on one seed share one build.
         from noisebench.cli import _DEFAULT_METHODS, _parse_method
-        calls = []
+        calls = SharedCalls(tmp_path / "calls.txt")
         covariance = estimators.sample_covariance
 
         def counted(block):
@@ -530,19 +557,19 @@ class TestRunScenario:
         others = [_parse_method(m) for m in _DEFAULT_METHODS if m != "CBE"]
         assert len(others) == 8
         run_scenario(cfg, others, [8, 9])
-        assert calls == []
+        assert calls.read() == []
         run_scenario(cfg, [MethodSpec("CBE"), MethodSpec("CBE", params={"occupancy_from": "aic"})],
                      [8, 9])
-        assert calls == [30, 30]
+        assert calls.read() == [30, 30]
 
-    def test_aic_fitted_once_for_aic_and_cbe_occupancy(self, monkeypatch):
+    def test_aic_fitted_once_for_aic_and_cbe_occupancy(self, monkeypatch, tmp_path):
         # AIC and CBE(occupancy_from="aic") at one window length share one AIC
         # fit per seed, and their series are those of each method run alone.
         methods = [MethodSpec("AIC", params={"window_frames": 20}),
                    MethodSpec("CBE", params={"window_frames": 20, "occupancy_from": "aic"})]
         cfg = reference_config(seed=8, n_frames=60)
         alone = [series for m in methods for series in run_scenario(cfg, [m], [8, 9])]
-        calls = []
+        calls = SharedCalls(tmp_path / "calls.txt")
         fit = estimators.aic_fit_rows
 
         def counted(*args):
@@ -551,7 +578,7 @@ class TestRunScenario:
 
         monkeypatch.setattr(bench.est, "aic_fit_rows", counted)
         joint = run_scenario(cfg, methods, [8, 9])
-        assert calls == [(41, cfg.n_bins)] * 2
+        assert calls.read() == [(41, cfg.n_bins)] * 2
         for got, want in zip(sorted(joint, key=lambda s: (s.method, s.seed)), alone):
             assert (got.method, got.seed) == (want.method, want.seed)
             assert got.noise_power_est_mw.tobytes() == want.noise_power_est_mw.tobytes()
@@ -1158,10 +1185,11 @@ class TestReports:
             want = truths[s.seed].true_snr_db[s.frame_index]
             assert s.snr_true_db.tobytes() == want.tobytes(), (s.method, s.separation, s.seed)
 
-    def test_each_seed_built_once(self, monkeypatch):
+    def test_each_seed_built_once(self, monkeypatch, tmp_path):
         # The reports read the series, so each seed's scenario is built once.
+        # Seed workers build in any order.
         from noisebench import bench
-        calls = []
+        calls = SharedCalls(tmp_path / "calls.txt")
         original = bench.build_scenario
 
         def counting_build(cfg):
@@ -1171,7 +1199,7 @@ class TestReports:
         monkeypatch.setattr(bench, "build_scenario", counting_build)
         cfg = reference_config(seed=0, n_frames=20)
         run_benchmark(cfg, [MethodSpec("ML", "ideal"), MethodSpec("AIC")], [0, 1, 2])
-        assert calls == [0, 1, 2]
+        assert sorted(calls.read()) == [0, 1, 2]
 
     def test_label_given_twice_rejected_before_any_seed(self, monkeypatch):
         # Reports are keyed by label, which leaves out the params.
@@ -1218,8 +1246,9 @@ class TestReports:
     def test_timing_shares_the_seed_loop(self, monkeypatch, tmp_path):
         # Timing measures each method inside the one per-seed loop: seeds are
         # built once, the series are unchanged and every method gets a time.
+        # Seed workers build in any order.
         from noisebench import bench
-        calls = []
+        calls = SharedCalls(tmp_path / "calls.txt")
         original = bench.build_scenario
 
         def counting_build(cfg):
@@ -1230,7 +1259,7 @@ class TestReports:
         cfg = reference_config(seed=0, n_frames=20)
         methods = [MethodSpec("ML", "ideal"), MethodSpec("AIC"), MethodSpec("MMSE")]
         timed_series, timed = run_benchmark(cfg, methods, [0, 1], timing=True)
-        assert calls == [0, 1]
+        assert sorted(calls.read()) == [0, 1]
         series, reports = run_benchmark(cfg, methods, [0, 1])
         assert all(r.wall_time_ms > 0 for r in timed)
         assert all(r.wall_time_ms == 0.0 for r in reports)
@@ -1243,3 +1272,106 @@ class TestReports:
         series, reports = run_benchmark(cfg, [MethodSpec("ML", "ideal")], [1])
         n = len(series[0])
         assert reports[0].rmse_db ** 2 >= reports[0].std_dev_db ** 2 * (n - 1) / n - 1e-9
+
+
+def two_seed_workers(n_seeds: int) -> int:
+    """Two workers whenever there are two seeds, however many CPUs the machine has."""
+    return min(2, n_seeds)
+
+
+class TestSeedPool:
+    """Several seeds run in forked worker processes; nothing a caller sees may change."""
+
+    METHODS = [MethodSpec(e, s, params={"window_frames": 12}) for e, s in (
+        ("ML", "ideal"), ("ML", "fisher"), ("ML", "rof"), ("MVU", "ideal"), ("MVU", "fisher"),
+        ("MVU", "rof"), ("AIC", "none"), ("CBE", "none"), ("MMSE", "none"))]
+
+    def _outputs(self, out: Path, seeds: list[int]) -> tuple[list, dict[str, bytes]]:
+        """The series' (seed, method) order, which the CSV writer sorts away, and the CSVs."""
+        series, reports = run_benchmark(reference_config(seed=0, n_frames=30), self.METHODS,
+                                        seeds)
+        out.mkdir()
+        write_series_csv(out / "series.csv", series)
+        write_report_csv(out / "report.csv", reports)
+        order = [(s.seed, s.method, s.separation) for s in series]
+        return order, {name: (out / name).read_bytes() for name in ("series.csv", "report.csv")}
+
+    def test_pool_writes_the_serial_bytes(self, monkeypatch, tmp_path):
+        pids = SharedCalls(tmp_path / "pids.txt")
+        build = bench.build_scenario
+
+        def logged_build(cfg):
+            pids.append(os.getpid())
+            time.sleep(0.2 if cfg.noise.seed == 0 else 0.0)  # seed 0 finishes after seed 1
+            return build(cfg)
+
+        monkeypatch.setattr(bench, "build_scenario", logged_build)
+        monkeypatch.setattr(bench, "_seed_workers", two_seed_workers)
+        pooled = self._outputs(tmp_path / "pool", [0, 1, 2, 3])
+        assert pooled[0] == [(seed, m.estimator, m.separation)
+                             for seed in range(4) for m in self.METHODS]
+        assert multiprocessing.active_children() == []
+        workers = set(pids.read())  # a busy machine may hand one worker every seed
+        assert 1 <= len(workers) <= 2 and os.getpid() not in workers
+        monkeypatch.setattr(bench, "_seed_workers", lambda n_seeds: 1)
+        assert self._outputs(tmp_path / "serial", [0, 1, 2, 3]) == pooled
+        assert set(pids.read()[4:]) == {os.getpid()}
+
+    @pytest.mark.parametrize("failing", [{1}, {1, 2}], ids=["seed1", "seeds1-2"])
+    def test_first_failing_seed_raises(self, monkeypatch, tmp_path, capsys, failing):
+        # Seed 1 fails last in time: a worker is still on it when seed 2 has failed.
+        evaluate = bench._evaluate_method
+
+        def failing_evaluate(method, ctx, scenario_id, seed, last_only=False):
+            if seed in failing:
+                time.sleep(0.2 if seed == 1 else 0.0)
+                raise DataError(f"seed {seed} has no usable spectrum")
+            return evaluate(method, ctx, scenario_id, seed, last_only)
+
+        monkeypatch.setattr(bench, "_evaluate_method", failing_evaluate)
+        monkeypatch.setattr(bench, "_seed_workers", two_seed_workers)
+        cfg = reference_config(seed=0, n_frames=20)
+        with pytest.raises(DataError) as exc:
+            run_benchmark(cfg, [MethodSpec("ML", "ideal")], [0, 1, 2, 3])
+        assert type(exc.value) is DataError
+        assert str(exc.value) == "seed 1 has no usable spectrum"
+        assert multiprocessing.active_children() == []
+
+        from noisebench.cli import main
+        code = main(["run", "--config", str(CONFIG), "--override", "n_frames=20",
+                     "--method", "ML:ideal", "--seeds", "0,1,2,3", "--out", str(tmp_path / "r")])
+        assert code == 3
+        assert capsys.readouterr().err == "error: seed 1 has no usable spectrum\n"
+        assert multiprocessing.active_children() == []
+
+    def test_one_seed_never_forks(self, monkeypatch):
+        contexts = []
+        get_context = multiprocessing.get_context
+
+        def spy(method=None):
+            contexts.append(method)
+            return get_context(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        monkeypatch.setattr(bench, "_seed_workers", two_seed_workers)
+        cfg = reference_config(seed=0, n_frames=20)
+        run_benchmark(cfg, [MethodSpec("ML", "ideal")], [5])
+        assert contexts == []
+        run_benchmark(cfg, [MethodSpec("ML", "ideal")], [5, 6])
+        assert contexts == ["fork"]
+
+    def test_workers_bounded_by_cpus_and_seeds(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        assert [bench._seed_workers(n) for n in (1, 2, 20)] == [1, 2, 2]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert bench._seed_workers(20) == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert bench._seed_workers(20) == 1
+
+
+def test_cli_import_loads_no_multiprocessing():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = "import sys, noisebench.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.strip() == "False"

@@ -24,6 +24,20 @@ def fake_run(rows_per_s: float, peak_rss_mb: float = 50.0, correct: bool = True)
     return {"correct": correct, "metrics": {k: {"value": v} for k, v in values.items()}}
 
 
+def write_details(checkout: Path, workload: str, seed: int, rounds: list[tuple[float, float, int]],
+                  speed: float) -> None:
+    """The details file of one perfbench run: untraced (wall_s, cpu_s, rows) rounds, then a
+    traced round that the raw numbers must skip."""
+    out = checkout / ".perfbench_out"
+    out.mkdir(exist_ok=True)
+    rows = [{"traced": False, "wall_s": w, "cpu_s": c, "rows": n, "rows_per_s": n / w}
+            for w, c, n in rounds]
+    rows.append({"traced": True, "wall_s": 1.0, "cpu_s": 9.0, "rows": 1, "rows_per_s": 1.0})
+    details = {"rounds": rows, "speed": {"during_median": speed, "idle_before": 1.1,
+                                         "idle_after": 1.2}}
+    (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(details))
+
+
 class TestPairedBench:
     def test_quartiles_are_inclusive(self, paired):
         q = paired.quartiles([1.0, 2.0, 3.0, 4.0, 5.0])
@@ -51,11 +65,22 @@ class TestPairedBench:
         metric = paired.summarise_metric(parent, change, "rows/s", "higher", 0.25)
         assert paired.claim_result(metric)["met"] is met
 
+    def test_raw_numbers_are_round_medians_of_untraced_rounds(self, paired, tmp_path):
+        write_details(tmp_path, "ref-matrix", 3, [(2.0, 1.0, 1000), (1.0, 0.2, 400),
+                                                  (1.0, 0.3, 0)], speed=1.25)
+        raw = paired.raw_numbers(tmp_path, "ref-matrix", 3)
+        assert raw["rows_per_s"] == 400.0  # of 500, 400 and 0 rows/s
+        assert raw["cpu_ms_per_row"] == 1.0  # of 1.0, 0.5 and 300 (a failed round is one row)
+        assert raw["speed"] == {"during_median": 1.25, "idle_before": 1.1, "idle_after": 1.2}
+
     def test_record_alternates_and_merges_workloads(self, paired, tmp_path, monkeypatch):
         calls = []
 
         def run_once(checkout, workload, seed, seconds):
             calls.append((checkout.name, seed))
+            # The change's scaled rate wins every pair, its raw rate only the first.
+            raw_rate = 150.0 if checkout.name == "change" and seed == 5 else 100.0
+            write_details(checkout, workload, seed, [(1.0, 0.5, raw_rate)], speed=1.3)
             return fake_run(120.0 if checkout.name == "change" else 100.0 + seed), {"nproc": 2}
 
         monkeypatch.setattr(paired, "run_once", run_once)
@@ -78,4 +103,12 @@ class TestPairedBench:
         assert ref["first_in_pair"] == ["parent", "change", "parent"]
         assert ref["correct"] == {"parent": [True] * 3, "change": [True] * 3}
         assert record["claim"]["result"]["pairs_change_better"] == 3
+        raw = ref["raw"]
+        assert raw["metrics"]["rows_per_s"]["parent"]["runs"] == [100.0] * 3
+        assert raw["metrics"]["rows_per_s"]["change"]["runs"] == [150.0, 100.0, 100.0]
+        assert set(raw["metrics"]) == {"rows_per_s", "cpu_ms_per_row"}
+        assert raw["speed"]["change"] == [{"during_median": 1.3, "idle_before": 1.1,
+                                           "idle_after": 1.2}] * 3
+        assert record["claim"]["raw_result"]["pairs_change_better"] == 1
+        assert record["claim"]["raw_result"]["met"] is False
         assert record["command"].endswith("--seconds 1 --trace 0")
