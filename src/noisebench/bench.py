@@ -38,7 +38,9 @@ Operation counts are the paper's complexity model, kept in one place:
 :func:`count_ops` books each method's closed forms in the block size.  The
 estimators book nothing; the few data-dependent terms are read off uncounted
 decisions on one counting frame, a slice of one shared white stream.
-:func:`count_ops_table` books a whole size sweep from one walk of that stream.
+A built-in table of resume points lets each size start near its frame
+instead of walking the stream from its start; :func:`count_ops_table`
+books a whole size sweep from one call that reaches every size's frame.
 """
 
 from __future__ import annotations
@@ -581,10 +583,13 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
     With timing, each report carries its method's evaluation time summed over
     seeds (scenario builds excluded); without, the column stays 0.0.  Reports
     are keyed by method label, so a label given twice raises ValueError
-    before any seed runs, as does a config too small to count operations on.
+    before any seed runs, as does a config too small or too large to count
+    operations on.
     """
     if config.n_bins < MIN_COUNTING_SIZE:
         raise ValueError(f"run needs n_bins >= {MIN_COUNTING_SIZE}, got {config.n_bins}")
+    if config.n_bins > MAX_COUNTING_SIZE:
+        raise ValueError(f"run needs n_bins <= {MAX_COUNTING_SIZE}, got {config.n_bins}")
     _reject_repeats([m.label for m in methods], "method")
     series, wall = _run_seeds(config, methods, seeds)
     reports = build_reports(config, methods, series, wall_times_ms=wall if timing else None)
@@ -595,35 +600,61 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 
 
 MIN_COUNTING_SIZE = 16  # smallest block size the complexity model counts
+MAX_COUNTING_SIZE = 65_536  # largest: its frame lies 2^33 normals into the counting stream
 _COUNTING_KEY = 12345  # Philox key of the counting stream
-_COUNTING_DRAW = 65_536  # normals per draw while walking past the stream's unused part
+_COUNTING_DRAW = 65_536  # normals between two resume points, and per draw while walking
+
+
+def _normals_from(word: int) -> np.random.Generator:
+    """The counting stream's normal sampler, resumed at Philox word ``word``.
+
+    Philox makes four 64-bit words per counter step and steps its counter
+    before each block, so word w is word w % 4 of the block after counter w // 4.
+    """
+    bits = np.random.Philox(key=_COUNTING_KEY, counter=word // 4)
+    bits.random_raw(word % 4)
+    return np.random.Generator(bits)
+
+
+@lru_cache(maxsize=1)
+def _resume_points() -> tuple[int, ...]:
+    """The resume points this process walks from: the table, or point 0 alone.
+
+    The table holds where this numpy's normal sampler (a ziggurat that takes
+    one or more words per normal) put each normal, so another sampler would
+    resume mid-stream at the wrong normal.  The first use in a process draws
+    the normal at the last point and compares it exactly with the recorded
+    one; on a mismatch every frame is walked to from word 0, slower but equal.
+    """
+    if _normals_from(_RESUME_WORDS[-1]).standard_normal() == _RESUME_CHECK:
+        return _RESUME_WORDS
+    return _RESUME_WORDS[:1]
 
 
 def _counting_frames(sizes) -> dict[int, np.ndarray]:
-    """Counting frame of each distinct size, from one walk of the counting stream.
+    """Counting frame of each distinct size, each reached from its nearest resume point.
 
     The counting stream is the standard normals of ``Philox(key=12345)``.
     Frame n is the last frame of an n-frame, n-bin unit-power white block
     drawn from it, frame by frame: the DFT of normals [2n(n - 1), 2n^2) (n
-    real parts, then n imaginary parts) over sqrt(2), read-only.  These
-    ranges are disjoint and lie later for larger n, so one walk in ascending
-    size serves every size, drawing 2 max(n)^2 normals in all.  The normal
-    sampler takes a variable number of words per draw, so Philox cannot skip
-    ahead: the normals between two frames are drawn into one fixed buffer and
-    dropped.
+    real parts, then n imaginary parts) over sqrt(2), read-only.  Philox can
+    jump to a word but not to a normal, since the sampler takes a variable
+    number of words per normal; ``_RESUME_WORDS`` records the word at which
+    every 65,536th normal starts, up to normal 2^25 = 2 * 4096^2.  Each size
+    resumes at the last point before its frame (see :func:`_resume_points`),
+    draws and drops the normals up to the frame, at most 65,535 for n <= 4096
+    and more beyond, and draws the frame.
     """
-    rng = np.random.Generator(np.random.Philox(key=_COUNTING_KEY))
+    points = _resume_points()
     skip = np.empty(_COUNTING_DRAW)
-    drawn = 0
     frames = {}
     for n in sorted(set(sizes)):
         start = 2 * n * (n - 1)
-        while drawn < start:
-            step = min(start - drawn, skip.size)
-            rng.standard_normal(out=skip[:step])
-            drawn += step
+        point = min(start // _COUNTING_DRAW, len(points) - 1)
+        rng = _normals_from(points[point])
+        for drawn in range(point * _COUNTING_DRAW, start, _COUNTING_DRAW):
+            rng.standard_normal(out=skip[:min(start - drawn, _COUNTING_DRAW)])
         draws = rng.standard_normal((2, n))
-        drawn += 2 * n
         frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
         frame.setflags(write=False)
         frames[n] = frame
@@ -636,10 +667,18 @@ def _counting_frame(n: int) -> np.ndarray:
 
     ``run`` (through :func:`build_reports`) and direct :func:`count_ops` calls
     count at one size per call, so a small memo serves them; ``estimate``
-    counts nothing.  ``noisebench ops`` walks the stream once per call
-    through :func:`count_ops_table` instead and leaves this memo alone.
+    counts nothing.  ``noisebench ops`` reaches all its frames in one
+    :func:`_counting_frames` call through :func:`count_ops_table` instead
+    and leaves this memo alone.
     """
     return _counting_frames((n,))[n]
+
+
+def _check_counting_sizes(sizes) -> None:
+    if min(sizes) < MIN_COUNTING_SIZE:
+        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
+    if max(sizes) > MAX_COUNTING_SIZE:
+        raise ValueError(f"operation counting needs n <= {MAX_COUNTING_SIZE}, got {max(sizes)}")
 
 
 def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> sep.SeparationMask:
@@ -748,14 +787,14 @@ def count_ops(method: MethodSpec, n: int, *,
     count and AIC's selected order) are read off uncounted decisions on the
     counting frame of size n, a slice of one shared white stream (see
     :func:`_counting_frames`); CBE, MMSE and ideal separation read no frame.
-    The frame comes from ``frames`` (the frames of one stream walk, keyed by
-    size) when given, else from the per-process memo.  CBE's
+    The frame comes from ``frames`` (the frames of one
+    :func:`_counting_frames` call, keyed by size) when given, else from the
+    per-process memo.  n must lie in [16, 65536].  CBE's
     Marchenko-Pastur fit is charged for ``grid_size`` candidates, which is
     what the fit evaluates: a collapsed candidate range is ``grid_size``
     equal candidates.
     """
-    if n < MIN_COUNTING_SIZE:
-        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
+    _check_counting_sizes((n,))
     ops = OpCounter()
     power = _counting_power(n, frames) if _reads_counting_frame(method) else None
     bins = 2 * n if method.estimator == "CBE" else n
@@ -787,15 +826,15 @@ def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[Op
     """:func:`count_ops` of every method at every size, one row per method.
 
     Row i holds ``methods[i]``'s counters in the order of ``sizes``, a
-    repeated size included.  The counting frames of all sizes come
-    from one walk of the counting stream, O(max(sizes)^2) normals, made only
-    if a method reads a frame; the per-process memo of :func:`_counting_frame`
-    is neither read nor filled.
+    repeated size included.  Every size is checked before any frame is
+    drawn.  The counting frames of all sizes come from one
+    :func:`_counting_frames` call, made only if a method reads a frame: at
+    most 65,535 normals dropped per size up to n = 4096.  The per-process memo
+    of :func:`_counting_frame` is neither read nor filled.
     """
     if not sizes:
         raise ValueError("need at least one size")
-    if min(sizes) < MIN_COUNTING_SIZE:
-        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
+    _check_counting_sizes(sizes)
     frames = _counting_frames(sizes) if any(map(_reads_counting_frame, methods)) else {}
     return [[count_ops(method, n, frames=frames) for n in sizes] for method in methods]
 
@@ -847,3 +886,80 @@ def _write_csv(path: str | Path, columns: tuple[str, ...], lines: list[str]) -> 
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         fh.writelines(lines)
+
+
+# --- counting-stream resume points ---------------------------------------------
+
+# Entry j is the Philox word (64-bit output of Philox(key=12345), from 0) at
+# which normal j * _COUNTING_DRAW of the counting stream starts, j = 0..511,
+# as numpy's normal sampler draws them; _RESUME_CHECK is the normal drawn at
+# the last entry.  Regenerate both with
+# ``pytest tests/test_bench.py -k resume_points_match_stream``, which prints
+# the block to paste here when they no longer match the stream.
+_RESUME_WORDS = (
+    0, 67010, 133989, 200964, 267901, 334907, 401851, 468746,
+    535720, 602710, 669702, 736648, 803723, 870637, 937667, 1004662,
+    1071624, 1138528, 1205522, 1272507, 1339462, 1406473, 1473494, 1540504,
+    1607567, 1674539, 1741569, 1808523, 1875577, 1942600, 2009569, 2076500,
+    2143476, 2210449, 2277456, 2344396, 2411357, 2478389, 2545288, 2612305,
+    2679328, 2746298, 2813317, 2880290, 2947299, 3014312, 3081389, 3148415,
+    3215418, 3282353, 3349317, 3416305, 3483238, 3550276, 3617301, 3684239,
+    3751264, 3818293, 3885264, 3952320, 4019276, 4086253, 4153172, 4220191,
+    4287119, 4354089, 4421036, 4488083, 4555114, 4622106, 4689067, 4756097,
+    4823061, 4890024, 4957013, 5023969, 5090996, 5157957, 5224940, 5291843,
+    5358806, 5425733, 5492626, 5559608, 5626628, 5693628, 5760596, 5827456,
+    5894511, 5961520, 6028493, 6095565, 6162499, 6229446, 6296419, 6363368,
+    6430371, 6497325, 6564343, 6631272, 6698274, 6765331, 6832322, 6899373,
+    6966320, 7033216, 7100234, 7167228, 7234238, 7301172, 7368128, 7435170,
+    7502097, 7569024, 7636010, 7702960, 7770017, 7836950, 7903872, 7970892,
+    8037849, 8104834, 8171800, 8238827, 8305798, 8372789, 8439742, 8506734,
+    8573674, 8640559, 8707433, 8774430, 8841367, 8908385, 8975338, 9042342,
+    9109283, 9176222, 9243246, 9310241, 9377223, 9444224, 9511188, 9578197,
+    9645108, 9712175, 9779155, 9846147, 9913145, 9980084, 10047048, 10114001,
+    10180958, 10248003, 10315013, 10382004, 10448962, 10515903, 10582904, 10649898,
+    10716838, 10783936, 10850873, 10917874, 10984892, 11051880, 11118874, 11185907,
+    11252840, 11319775, 11386779, 11453706, 11520618, 11587605, 11654510, 11721542,
+    11788551, 11855563, 11922431, 11989457, 12056429, 12123431, 12190428, 12257443,
+    12324440, 12391458, 12458473, 12525422, 12592422, 12659452, 12726391, 12793401,
+    12860405, 12927414, 12994434, 13061442, 13128384, 13195406, 13262449, 13329430,
+    13396507, 13463477, 13530513, 13597522, 13664544, 13731482, 13798415, 13865364,
+    13932267, 13999275, 14066220, 14133208, 14200259, 14267216, 14334171, 14401110,
+    14468136, 14535066, 14602029, 14669002, 14735958, 14802963, 14869941, 14936934,
+    15003909, 15070889, 15137942, 15204862, 15271814, 15338904, 15405906, 15472934,
+    15539883, 15606848, 15673832, 15740827, 15807825, 15874921, 15941966, 16009026,
+    16075973, 16142957, 16209943, 16276942, 16343904, 16410839, 16477849, 16544832,
+    16611847, 16678859, 16745895, 16812855, 16879893, 16946956, 17013905, 17080977,
+    17147968, 17214934, 17281852, 17348851, 17415779, 17482788, 17549712, 17616639,
+    17683647, 17750689, 17817672, 17884709, 17951703, 18018740, 18085696, 18152726,
+    18219752, 18286757, 18353664, 18420551, 18487623, 18554630, 18621563, 18688569,
+    18755590, 18822540, 18889599, 18956541, 19023503, 19090459, 19157435, 19224431,
+    19291454, 19358444, 19425415, 19492361, 19559409, 19626367, 19693380, 19760406,
+    19827338, 19894261, 19961222, 20028258, 20095266, 20162295, 20229292, 20296213,
+    20363187, 20430139, 20497128, 20564074, 20631065, 20698082, 20765066, 20832051,
+    20899006, 20965993, 21032917, 21099977, 21166971, 21233967, 21300989, 21367944,
+    21434865, 21501784, 21568732, 21635676, 21702645, 21769658, 21836610, 21903594,
+    21970620, 22037502, 22104504, 22171519, 22238519, 22305608, 22372664, 22439688,
+    22506600, 22573492, 22640498, 22707434, 22774473, 22841516, 22908510, 22975448,
+    23042433, 23109495, 23176543, 23243565, 23310526, 23377462, 23444459, 23511468,
+    23578351, 23645400, 23712423, 23779335, 23846325, 23913118, 23980014, 24047019,
+    24114006, 24180989, 24247981, 24315036, 24382022, 24449061, 24516093, 24583104,
+    24650095, 24717058, 24784024, 24850987, 24917975, 24984997, 25052050, 25119156,
+    25186043, 25253031, 25320022, 25387096, 25454042, 25521004, 25588051, 25655061,
+    25722056, 25788936, 25855847, 25922876, 25989811, 26056801, 26123810, 26190685,
+    26257705, 26324727, 26391675, 26458633, 26525623, 26592557, 26659556, 26726643,
+    26793633, 26860647, 26927549, 26994515, 27061499, 27128492, 27195509, 27262484,
+    27329495, 27396526, 27463448, 27530382, 27597352, 27664352, 27731312, 27798258,
+    27865158, 27932233, 27999286, 28066332, 28133296, 28200342, 28267300, 28334299,
+    28401303, 28468298, 28535317, 28602237, 28669192, 28736134, 28803174, 28870154,
+    28937139, 29004132, 29071105, 29138079, 29205026, 29271942, 29338923, 29405981,
+    29472947, 29539862, 29606859, 29673883, 29740790, 29807714, 29874726, 29941637,
+    30008564, 30075569, 30142626, 30209542, 30276537, 30343437, 30410536, 30477540,
+    30544582, 30611586, 30678574, 30745586, 30812594, 30879587, 30946454, 31013390,
+    31080368, 31147358, 31214402, 31281411, 31348391, 31415269, 31482253, 31549227,
+    31616168, 31683231, 31750237, 31817237, 31884175, 31951236, 32018167, 32085228,
+    32152144, 32219159, 32286107, 32353115, 32420114, 32487089, 32554095, 32621025,
+    32687989, 32755028, 32821974, 32889025, 32956001, 33023026, 33089987, 33156983,
+    33224027, 33291151, 33358185, 33425118, 33492108, 33559077, 33626108, 33693113,
+    33760131, 33827100, 33894038, 33961032, 34027978, 34094981, 34161898, 34228906,
+)
+_RESUME_CHECK = -0.4916186046703022

@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("ops", help="operation-count sweep over block sizes")
-    p.add_argument("--sizes", required=True, help="comma-separated sizes, each >= 16")
+    p.add_argument("--sizes", required=True, help="comma-separated sizes, each from 16 to 65536")
     p.add_argument("--method", action="append", metavar="EST[:SEP]",
                    help="methods to count (default: ML:rof ML:fisher AIC CBE MMSE)")
     p.add_argument("--out", help="output CSV path (default: stdout)")

@@ -145,6 +145,55 @@ def counting_block_per_frame(n_frames: int, n_bins: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def counting_frames_walk(sizes) -> dict[int, np.ndarray]:
+    """Counting frame of each distinct size from one walk of the stream from its start.
+
+    Oracle for bench._counting_frames, which resumes near each frame instead:
+    every normal before the largest frame is drawn, in ascending size, through
+    one 65,536-normal buffer, and each frame is the DFT of its 2n normals.
+    """
+    rng = np.random.Generator(np.random.Philox(key=12345))
+    skip = np.empty(65_536)
+    drawn = 0
+    frames = {}
+    for n in sorted(set(sizes)):
+        start = 2 * n * (n - 1)
+        while drawn < start:
+            step = min(start - drawn, skip.size)
+            rng.standard_normal(out=skip[:step])
+            drawn += step
+        draws = rng.standard_normal((2, n))
+        drawn += 2 * n
+        frames[n] = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
+    return frames
+
+
+def counting_resume_points(count: int, draw: int) -> tuple[tuple[int, ...], float]:
+    """The Philox word at which normals 0, draw, ..., (count - 1) draw of the
+    counting stream start, and the normal drawn at the last of them.
+
+    Oracle for bench._RESUME_WORDS and bench._RESUME_CHECK.  The word count is
+    read off the bit generator's state: the counter steps before each block
+    of four words, and buffer_pos words of the current block are used.
+    """
+    bits = np.random.Philox(key=12345)
+    rng = np.random.Generator(bits)
+    skip = np.empty(draw)
+    words = []
+    for j in range(count):
+        if j:
+            rng.standard_normal(out=skip)
+        state = bits.state
+        words.append(4 * int(state["state"]["counter"][0]) + state["buffer_pos"] - 4)
+    return tuple(words), float(rng.standard_normal())
+
+
+def resume_table_literal(words, check: float) -> str:
+    """The bench.py source of a resume table, eight words a line."""
+    rows = ["    " + ", ".join(map(str, words[i:i + 8])) + "," for i in range(0, len(words), 8)]
+    return "_RESUME_WORDS = (\n" + "\n".join(rows) + f"\n)\n_RESUME_CHECK = {check!r}\n"
+
+
 def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerEstimate:
     """Oracle for estimators.mmse_fit_windows: one window's MMSE fit from its own rows.
 

@@ -35,7 +35,10 @@ from noisebench.bench import ground_truths, sample_std
 from noisebench.errors import DataError
 from noisebench.scenario import with_seed
 
-from conftest import counting_block_per_frame, noise_only_config, reference_config
+from conftest import (
+    counting_block_per_frame, counting_frames_walk, counting_resume_points, noise_only_config,
+    reference_config, resume_table_literal,
+)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
@@ -753,6 +756,8 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("ML(fisher)", 512): (1048061, 9199, 5117, 512),
     ("ML(fisher)", 1024): (4194301, 19439, 11261, 1024),
     ("ML(fisher)", 2048): (16779261, 40943, 24573, 2048),
+    ("ML(fisher)", 4096): (67117053, 85999, 53245, 4096),
+    ("ML(fisher)", 4097): (67149828, 86021, 53259, 4097),
     ("ML(rof)", 16): (372, 159, 295, 0),
     ("ML(rof)", 17): (414, 170, 332, 0),
     ("ML(rof)", 31): (1226, 339, 1046, 0),
@@ -762,6 +767,8 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("ML(rof)", 512): (268799, 7679, 263207, 0),
     ("ML(rof)", 1024): (1062911, 16383, 1050659, 0),
     ("ML(rof)", 2048): (4225023, 34815, 4198435, 0),
+    ("ML(rof)", 4096): (16842751, 73727, 16785446, 0),
+    ("ML(rof)", 4097): (16850961, 73746, 16793637, 0),
     ("MVU(ideal)", 16): (111, 113, 0, 0),
     ("MVU(ideal)", 17): (119, 121, 0, 0),
     ("MVU(ideal)", 31): (246, 248, 0, 0),
@@ -792,6 +799,8 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("AIC", 512): (267265, 140032, 5119, 132352),
     ("AIC", 1024): (1059841, 543232, 11263, 526848),
     ("AIC", 2048): (4218881, 2137088, 24575, 2102272),
+    ("AIC", 4096): (16830465, 8472576, 53247, 8398848),
+    ("AIC", 4097): (16838672, 8476694, 53261, 8402947),
     ("CBE", 16): (17189, 16309, 100, 1200),
     ("CBE", 17): (20194, 19251, 100, 1300),
     ("CBE", 31): (105673, 104458, 100, 2300),
@@ -880,6 +889,26 @@ PINNED_VARIANTS = {
 }
 
 
+def spy_resumes(monkeypatch) -> list[int]:
+    """The Philox words at which the counting stream is resumed from now on."""
+    resumed, resume = [], bench._normals_from
+
+    def spied(word):
+        resumed.append(word)
+        return resume(word)
+
+    monkeypatch.setattr(bench, "_normals_from", spied)
+    return resumed
+
+
+@pytest.fixture
+def fresh_resume_points():
+    """Make the next counting frame run the resume table's first-use check again."""
+    bench._resume_points.cache_clear()
+    yield
+    bench._resume_points.cache_clear()
+
+
 class TestCountOps:
     @pytest.mark.parametrize("spec", [
         MethodSpec("ML", "rof"), MethodSpec("ML", "fisher"), MethodSpec("ML", "ideal"),
@@ -944,6 +973,62 @@ class TestCountOps:
             c = counter.counts
             assert (c.adds, c.muls, c.cmps, c.transcendental) == PINNED_COUNTS[variant, n], n
 
+    @pytest.mark.parametrize("variant", ["ML(rof)", "ML(fisher)", "AIC"])
+    def test_counts_past_2048_match_pinned_table(self, variant):
+        # 4096 is the last size the resume points cover and 4097 walks on past
+        # the last of them; recorded while each frame was walked to from word 0.
+        spec = PINNED_VARIANTS[variant]
+        for n, counter in zip((4096, 4097), count_ops_table([spec], [4096, 4097])[0]):
+            c = counter.counts
+            assert (c.adds, c.muls, c.cmps, c.transcendental) == PINNED_COUNTS[variant, n], n
+
+    def test_resume_points_match_stream(self):
+        assert len(bench._RESUME_WORDS) * bench._COUNTING_DRAW == 2 * 4096**2
+        words, check = counting_resume_points(len(bench._RESUME_WORDS), bench._COUNTING_DRAW)
+        if (words, check) != (bench._RESUME_WORDS, bench._RESUME_CHECK):
+            pytest.fail("the resume points in bench.py do not match this numpy's counting "
+                        "stream; replace them with:\n" + resume_table_literal(words, check))
+
+    def test_frames_match_walk_around_resume_points(self, monkeypatch, fresh_resume_points):
+        draw = bench._COUNTING_DRAW
+        # 256 and 1024 end on a resume point and 257 and 1025 start just past
+        # it; 314 and 4092 straddle points 3 and 511; past 4092 every frame is
+        # walked to from point 511.
+        for n, point in ((314, 3), (4092, 511)):
+            assert 2 * n * (n - 1) < point * draw < 2 * n * n
+        sizes = (4097, 255, 256, 257, 313, 314, 315, 1024, 1025, 4091, 4092, 4093, 4096)
+        bench._resume_points()
+        resumed = spy_resumes(monkeypatch)
+        frames = bench._counting_frames(sizes)
+        want = counting_frames_walk(sizes)
+        assert list(frames) == sorted(want)
+        for n in want:
+            np.testing.assert_array_equal(frames[n], want[n])
+        assert resumed == [bench._RESUME_WORDS[min(2 * n * (n - 1) // draw, 511)]
+                           for n in sorted(want)]
+
+    def test_guard_falls_back_to_point_0(self, monkeypatch, fresh_resume_points):
+        # A recorded check normal that this sampler does not draw at the last
+        # point stands for a table made by another numpy.
+        monkeypatch.setattr(bench, "_RESUME_CHECK", bench._RESUME_CHECK + 1.0)
+        resumed = spy_resumes(monkeypatch)
+        sizes = (16, 256, 257, 700)
+        frames = bench._counting_frames(sizes)
+        assert resumed == [bench._RESUME_WORDS[-1], 0, 0, 0, 0]  # the guard's draw, then the sizes
+        want = counting_frames_walk(sizes)
+        for n in want:
+            np.testing.assert_array_equal(frames[n], want[n])
+
+    def test_count_rejects_sizes_past_max_before_walking(self, monkeypatch):
+        monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
+        message = "operation counting needs n <= 65536, got 65537$"
+        with pytest.raises(ValueError, match=message):
+            count_ops(MethodSpec("AIC"), 65537)
+        with pytest.raises(ValueError, match=message):
+            count_ops(MethodSpec("CBE"), 65537)
+        # The largest size is counted where no frame is read.
+        count_ops_table([MethodSpec("CBE"), MethodSpec("MMSE")], [bench.MAX_COUNTING_SIZE])
+
     def test_counting_frames_match_per_frame_build(self):
         bench._counting_frame.cache_clear()
         frames = bench._counting_frames((64, 16, 64, 17))
@@ -993,7 +1078,7 @@ class TestCountOps:
         monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
         count_ops_table([PINNED_VARIANTS[v] for v in ("CBE", "MMSE", "ML(ideal)")], sizes)
 
-    @pytest.mark.parametrize("sizes", [[], [16, 15]])
+    @pytest.mark.parametrize("sizes", [[], [16, 15], [16, 65537]])
     def test_table_rejects_sizes_before_walking(self, sizes, monkeypatch):
         monkeypatch.setattr(bench, "_counting_frames", None)
         with pytest.raises(ValueError):
@@ -1043,6 +1128,14 @@ class TestCountOps:
         run_benchmark(cfg, methods, [0])
         info = bench._counting_frame.cache_info()
         assert (info.hits, info.misses) == (1, 1)
+
+    def test_run_rejects_block_too_large_to_count_before_any_scenario(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(bench, "build_scenario", lambda config: built.append(config))
+        cfg = ScenarioConfig(n_bins=65540, n_frames=20)
+        with pytest.raises(ValueError, match="run needs n_bins <= 65536, got 65540$"):
+            run_benchmark(cfg, [MethodSpec("ML", "ideal")], [0, 1])
+        assert built == []
 
     def test_run_rejects_uncountable_block_before_any_scenario(self, monkeypatch):
         built = []

@@ -169,6 +169,7 @@ class TestRun:
          "reference_noise_power_mw must be positive"),
         (["--override", "n_bins=1"], "need n_bins >= 2 and n_frames >= 1"),
         (["--override", "n_bins=12"], "run needs n_bins >= 16, got 12"),
+        (["--override", "n_bins=65540"], "run needs n_bins <= 65536, got 65540"),
         (["--override", "n_bins=510"],
          "subbands must partition the bins into equal contiguous ranges"),
         (["--override", "name.x=1"], "override path 'name.x' crosses a non-container entry"),
@@ -180,7 +181,8 @@ class TestRun:
             "impulse-amplitude-infinity", "impulse-amplitude-nan", "white-with-params",
             "trace-with-params", "negative-subband", "subband-out-of-range",
             "no-occupancy", "negative-frame-start", "negative-amplitude", "empty-schedule-step",
-            "zero-reference-power", "one-bin", "twelve-bins", "unequal-subbands",
+            "zero-reference-power", "one-bin", "twelve-bins", "too-many-bins",
+            "unequal-subbands",
             "through-a-value",
             "override-without-value", "config-list"])
     def test_bad_input_exits_2(self, small_config, tmp_path, monkeypatch, capsys, flags, error):
@@ -607,6 +609,14 @@ class TestOps:
 
     def test_small_sizes_exits_2(self):
         assert main(["ops", "--sizes", "8"]) == 2
+
+    @pytest.mark.parametrize("size", ["65537", "99999999999999999999"])
+    def test_sizes_past_max_exit_2_before_walking(self, size, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
+        assert main(["ops", "--sizes", f"32,{size}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: operation counting needs n <= 65536, got {size}\n"
+        assert captured.out == ""
 
     def test_all_default_methods_one_size(self, capsys):
         rc = main(["ops", "--sizes", "32"])
