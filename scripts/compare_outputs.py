@@ -14,7 +14,9 @@ unchanged outputs is held to:
   the entry's noise trace, ``separate`` of its first 100 frames (ROF's mask
   and full energy-drop curve) and the six ``run --method`` calls on it, with
   the configs of ``perfbench/workloads.long_stream_configs`` (read, not changed);
-- ``ops`` at sizes 64-2048;
+- ``ops`` of the nine default methods at sizes 16, 17, 64 (twice) and the powers
+  of two 128-4096, then 4097: both edges of the counting stream's resume table
+  and a repeated size;
 - ``estimate`` of each of the nine default methods.
 
 Giving ``--parent`` and ``--change`` the same checkout checks that a rerun
@@ -43,7 +45,7 @@ DEFAULT_METHODS = ("ML:ideal", "ML:fisher", "ML:rof", "MVU:ideal", "MVU:fisher",
                    "AIC", "CBE", "MMSE")
 DEFAULT_SEEDS = ("0,1", ",".join(str(s) for s in range(20)))
 DEFAULT_ENTRIES = ",".join(str(e) for e in range(8))
-DEFAULT_OPS_SIZES = "64,128,256,512,1024,2048"
+DEFAULT_OPS_SIZES = "16,17,64,64,128,256,512,1024,2048,4096,4097"
 # The README's surrogate-noise command: its streams stay float64 from synthesis
 # to report, unlike the long-stream runs, which read a float32 trace.
 SURROGATE_OVERRIDES = ("name=ism-surrogate-industrial--3dB", "noise.kind=surrogate-industrial",
@@ -104,8 +106,9 @@ def invocations(args, work: Path) -> list[Invocation]:
                                     ("run", "--config", f"{rel}/run.json", "--method", method,
                                      "--out", out), (f"{out}/series.csv", f"{out}/report.csv")))
     if split_list(args.ops_sizes):
+        methods = [arg for method in DEFAULT_METHODS for arg in ("--method", method)]
         calls.append(Invocation(f"ops --sizes {args.ops_sizes}",
-                                ("ops", "--sizes", args.ops_sizes, "--out", "ops.csv"),
+                                ("ops", "--sizes", args.ops_sizes, *methods, "--out", "ops.csv"),
                                 ("ops.csv",)))
     for method in split_list(args.estimate_methods):
         calls.append(Invocation(f"estimate {method}",
@@ -139,7 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--entries", default=DEFAULT_ENTRIES,
                         help="long-stream pool entries (default: 0-7; empty for none)")
     parser.add_argument("--ops-sizes", default=DEFAULT_OPS_SIZES,
-                        help=f"`ops` sizes (default: {DEFAULT_OPS_SIZES}; empty for none)")
+                        help=f"sizes of one `ops` call of the nine default methods "
+                             f"(default: {DEFAULT_OPS_SIZES}; empty for none)")
     parser.add_argument("--estimate-methods", default=",".join(DEFAULT_METHODS),
                         help="methods to `estimate` (default: the nine; empty for none)")
     parser.add_argument("--work", type=Path,

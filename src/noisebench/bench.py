@@ -34,13 +34,13 @@ sums, FFT lags and conjugate-gradient solves.
 The SNR of every entry comes from one array expression.  With timing on, each
 method's evaluation is timed inside the same per-seed loop and summed over seeds.
 
-Operation counts are the paper's complexity model, kept in one place:
-:func:`count_ops` books each method's closed forms in the block size.  The
-estimators book nothing; the few data-dependent terms are read off uncounted
-decisions on one counting frame, a slice of one shared white stream.
+Operation counts are the paper's complexity model, kept in one table:
+:func:`count_ops_table` books each method's closed forms at each block size,
+and :func:`count_ops` is its one-cell case.  The estimators book nothing; the
+few data-dependent terms are read off uncounted decisions of the array
+engines on one counting frame per size, a slice of one shared white stream.
 A built-in table of resume points lets each size start near its frame
-instead of walking the stream from its start; :func:`count_ops_table`
-books a whole size sweep from one call that reaches every size's frame.
+instead of walking the stream from its start.
 """
 
 from __future__ import annotations
@@ -545,16 +545,19 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
                   wall_times_ms: dict[str, float] | None = None) -> list[BenchmarkReport]:
     """Per-method aggregation: seed-averaged RMSE/stability plus operation counts.
 
-    The metrics read each series alone, its true SNR included.  wall_times_ms
+    The metrics read each series alone, its true SNR included.  The methods
+    with a series are counted at the config's n_bins in one
+    :func:`count_ops_table` call.  wall_times_ms
     is opt-in; by default the column is written as 0.0 so that identical runs
     emit byte-identical reports.
     """
+    grouped = [(method, [s for s in series
+                         if s.method == method.estimator and s.separation == method.separation])
+               for method in methods]
+    grouped = [(method, own) for method, own in grouped if own]
+    table = count_ops_table([method for method, _ in grouped], [config.n_bins]) if grouped else []
     reports = []
-    for method in methods:
-        own = [s for s in series
-               if s.method == method.estimator and s.separation == method.separation]
-        if not own:
-            continue
+    for (method, own), (ops,) in zip(grouped, table):
         rmses, stds, biases = [], [], []
         for s in own:
             # Scenarios without signal have no finite true SNR; the SNR-error
@@ -570,7 +573,7 @@ def build_reports(config: ScenarioConfig, methods: list[MethodSpec],
             rmse_db=float(np.mean(rmses)),
             std_dev_db=float(np.mean(stds)),
             mean_bias_db=float(np.mean(biases)),
-            ops=count_ops(method, config.n_bins).counts,
+            ops=ops.counts,
             wall_time_ms=(wall_times_ms or {}).get(method.label, 0.0),
         ))
     return reports
@@ -631,8 +634,9 @@ def _resume_points() -> tuple[int, ...]:
     return _RESUME_WORDS[:1]
 
 
-def _counting_frames(sizes) -> dict[int, np.ndarray]:
-    """Counting frame of each distinct size, each reached from its nearest resume point.
+@lru_cache(maxsize=4)
+def _counting_frame(n: int) -> np.ndarray:
+    """Counting frame of size n, reached from its nearest resume point; memoised.
 
     The counting stream is the standard normals of ``Philox(key=12345)``.
     Frame n is the last frame of an n-frame, n-bin unit-power white block
@@ -640,48 +644,27 @@ def _counting_frames(sizes) -> dict[int, np.ndarray]:
     real parts, then n imaginary parts) over sqrt(2), read-only.  Philox can
     jump to a word but not to a normal, since the sampler takes a variable
     number of words per normal; ``_RESUME_WORDS`` records the word at which
-    every 65,536th normal starts, up to normal 2^25 = 2 * 4096^2.  Each size
-    resumes at the last point before its frame (see :func:`_resume_points`),
-    draws and drops the normals up to the frame, at most 65,535 for n <= 4096
-    and more beyond, and draws the frame.
+    every 65,536th normal starts, up to normal 2^25 = 2 * 4096^2.  The frame
+    resumes at the last point before it (see :func:`_resume_points`), draws
+    and drops the normals up to it, at most 65,535 for n <= 4096 and more
+    beyond, and draws the frame.  :func:`count_ops_table` calls this once per
+    distinct size; the memo keeps the last few sizes for the next call.
     """
     points = _resume_points()
+    start = 2 * n * (n - 1)
+    point = min(start // _COUNTING_DRAW, len(points) - 1)
+    rng = _normals_from(points[point])
     skip = np.empty(_COUNTING_DRAW)
-    frames = {}
-    for n in sorted(set(sizes)):
-        start = 2 * n * (n - 1)
-        point = min(start // _COUNTING_DRAW, len(points) - 1)
-        rng = _normals_from(points[point])
-        for drawn in range(point * _COUNTING_DRAW, start, _COUNTING_DRAW):
-            rng.standard_normal(out=skip[:min(start - drawn, _COUNTING_DRAW)])
-        draws = rng.standard_normal((2, n))
-        frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
-        frame.setflags(write=False)
-        frames[n] = frame
-    return frames
+    for drawn in range(point * _COUNTING_DRAW, start, _COUNTING_DRAW):
+        rng.standard_normal(out=skip[:min(start - drawn, _COUNTING_DRAW)])
+    draws = rng.standard_normal((2, n))
+    frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
+    frame.setflags(write=False)
+    return frame
 
 
-@lru_cache(maxsize=4)
-def _counting_frame(n: int) -> np.ndarray:
-    """The counting frame of size n (see :func:`_counting_frames`), memoised.
-
-    ``run`` (through :func:`build_reports`) and direct :func:`count_ops` calls
-    count at one size per call, so a small memo serves them; ``estimate``
-    counts nothing.  ``noisebench ops`` reaches all its frames in one
-    :func:`_counting_frames` call through :func:`count_ops_table` instead
-    and leaves this memo alone.
-    """
-    return _counting_frames((n,))[n]
-
-
-def _check_counting_sizes(sizes) -> None:
-    if min(sizes) < MIN_COUNTING_SIZE:
-        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
-    if max(sizes) > MAX_COUNTING_SIZE:
-        raise ValueError(f"operation counting needs n <= {MAX_COUNTING_SIZE}, got {max(sizes)}")
-
-
-def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> sep.SeparationMask:
+def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> int:
+    """Books ROF's separation and returns its noise-bin count."""
     n = power.n_bins
     mask = sep.rof_separate(power, params)
     # Per window size k = 2..n: n comparisons, an (n-1)-addition energy sum,
@@ -695,28 +678,29 @@ def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> se
     ops.add(3 * n)  # running sum updates and forward differences
     ops.mul(n)
     ops.cmp(2 * n)  # sign tests and run-width checks
-    return mask
+    return int(np.count_nonzero(mask.noise_bins))
 
 
-def _book_fisher(ops: OpCounter, power: PowerSpectrum) -> sep.SeparationMask:
+def _book_fisher(ops: OpCounter, power: PowerSpectrum) -> int:
+    """Books Fisher's separation and returns its noise-bin count."""
     n = power.n_bins
-    mask = sep.fisher_separate(power)
+    signal, split, _ = sep.fisher_signal_rows(power.power[None, :])
     ops.transcend(n)
     ops.cmp(int(n * np.log2(n)))  # sorting the amplitudes
-    if mask.aux["split"] is not None:
+    if split[0] >= 0:
         # The direct scan: scoring one split is ~4N operations and N-3 splits
         # are scanned.  A spectrum without a split (a constant one) stops before it.
         ops.add(4 * n * (n - 3))
         ops.mul(6 * (n - 3))
         ops.cmp(n - 3)
-    return mask
+    return n - int(np.count_nonzero(signal))
 
 
 def _book_aic(ops: OpCounter, power: PowerSpectrum) -> None:
     n = power.n_bins
     ops.mul(n)  # running periodogram average update
     ops.add(n)
-    n_min = est.aic_estimate(power, n).diagnostics["n_min"]
+    n_min = int(est.aic_fit_rows(power.power[None, :], n)[1][0])
     ops.cmp(int(n * np.log2(n)))  # sorting the bins
     # The per-order direct evaluation: a t-bin tail costs 2(t-1) additions,
     # t+4 multiplications and t+2 transcendentals, summed over t = 1..n.
@@ -763,40 +747,49 @@ def _book_mmse(ops: OpCounter, n: int, blind: bool) -> None:
     ops.add(n)
 
 
-def _counting_power(n: int, frames: dict[int, np.ndarray] | None = None) -> PowerSpectrum:
-    """Power spectrum of the counting frame of size n: from ``frames`` if given, else the memo."""
-    frame = _counting_frame(n) if frames is None else frames[n]
-    return power_spectrum(SpectralFrame(frame, n - 1))
+def count_ops(method: MethodSpec, n: int) -> OpCounter:
+    """Scalar operations of one estimation pass at block size n: the one-cell case
+    of :func:`count_ops_table`, which describes the complexity model."""
+    return count_ops_table([method], [n])[0][0]
 
 
-def _reads_counting_frame(method: MethodSpec) -> bool:
-    return method.estimator == "AIC" or method.separation in ("rof", "fisher")
+def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[OpCounter]]:
+    """Scalar operations of one estimation pass of every method at every block size.
 
-
-def count_ops(method: MethodSpec, n: int, *,
-              frames: dict[int, np.ndarray] | None = None) -> OpCounter:
-    """Scalar operations of one estimation pass at block size n: the complexity model.
-
-    Every method is charged in closed form on an n-frame block: ML, MVU, AIC
-    and MMSE at n bins, CBE at 2n bins because the Marchenko-Pastur edge
-    formulas degenerate on square blocks (the covariance matrix it
-    decomposes is n x n either way).  Only the final frame's transform is
-    booked: the model charges one FFT per batch of N new samples.  The few
-    data-dependent terms (the ROF bandwidth walk at the method's own
-    thresholds, whether Fisher's spectrum is constant, the ML/MVU noise-bin
-    count and AIC's selected order) are read off uncounted decisions on the
-    counting frame of size n, a slice of one shared white stream (see
-    :func:`_counting_frames`); CBE, MMSE and ideal separation read no frame.
-    The frame comes from ``frames`` (the frames of one
-    :func:`_counting_frames` call, keyed by size) when given, else from the
-    per-process memo.  n must lie in [16, 65536].  CBE's
-    Marchenko-Pastur fit is charged for ``grid_size`` candidates, which is
-    what the fit evaluates: a collapsed candidate range is ``grid_size``
-    equal candidates.
+    Row i holds ``methods[i]``'s counters in the order of ``sizes``, a
+    repeated size included.  Every method is charged in closed form on an
+    n-frame block: ML, MVU, AIC and MMSE at n bins, CBE at 2n bins because
+    the Marchenko-Pastur edge formulas degenerate on square blocks (the
+    covariance matrix it decomposes is n x n either way).  Only the final
+    frame's transform is booked: the model charges one FFT per batch of N
+    new samples.  The few data-dependent terms (the ROF bandwidth walk at
+    the method's own thresholds, whether Fisher's spectrum is constant, the
+    ML/MVU noise-bin count and AIC's selected order) are read off uncounted
+    decisions on the counting frame of size n, a slice of one shared white
+    stream (see :func:`_counting_frame`); CBE, MMSE and ideal separation
+    read no frame.  Every size is checked to lie in [16, 65536] before any
+    frame is drawn, and each distinct size's frame is drawn, and its power
+    spectrum built, once per call, only if some method reads a frame.
+    CBE's Marchenko-Pastur fit is charged for ``grid_size`` candidates,
+    which is what the fit evaluates: a collapsed candidate range is
+    ``grid_size`` equal candidates.
     """
-    _check_counting_sizes((n,))
+    if not sizes:
+        raise ValueError("need at least one size")
+    if min(sizes) < MIN_COUNTING_SIZE:
+        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
+    if max(sizes) > MAX_COUNTING_SIZE:
+        raise ValueError(f"operation counting needs n <= {MAX_COUNTING_SIZE}, got {max(sizes)}")
+    powers = {}
+    if any(m.estimator == "AIC" or m.separation in ("rof", "fisher") for m in methods):
+        powers = {n: power_spectrum(SpectralFrame(_counting_frame(n), n - 1))
+                  for n in sorted(set(sizes))}
+    return [[_book(method, n, powers.get(n)) for n in sizes] for method in methods]
+
+
+def _book(method: MethodSpec, n: int, power: PowerSpectrum | None) -> OpCounter:
+    """One cell of :func:`count_ops_table`; ``power`` is the counting frame's spectrum."""
     ops = OpCounter()
-    power = _counting_power(n, frames) if _reads_counting_frame(method) else None
     bins = 2 * n if method.estimator == "CBE" else n
     ops.fft(bins)
     ops.mul(3 * bins)  # power spectrum: two squarings per bin, then the 1/N scaling
@@ -811,32 +804,14 @@ def count_ops(method: MethodSpec, n: int, *,
     else:
         noise = n
         if method.separation == "rof":
-            mask = _book_rof(ops, power, _rof_params(method))
-            noise = int(np.count_nonzero(mask.noise_bins))
+            noise = _book_rof(ops, power, _rof_params(method))
         elif method.separation == "fisher":
-            noise = int(np.count_nonzero(_book_fisher(ops, power).noise_bins))
+            noise = _book_fisher(ops, power)
         ops.add(noise - 1)  # mean over the noise bins
         ops.mul(1)
         if method.estimator == "MVU":
             ops.add(n)  # fold the frame into the block's running noise mean
     return ops
-
-
-def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[OpCounter]]:
-    """:func:`count_ops` of every method at every size, one row per method.
-
-    Row i holds ``methods[i]``'s counters in the order of ``sizes``, a
-    repeated size included.  Every size is checked before any frame is
-    drawn.  The counting frames of all sizes come from one
-    :func:`_counting_frames` call, made only if a method reads a frame: at
-    most 65,535 normals dropped per size up to n = 4096.  The per-process memo
-    of :func:`_counting_frame` is neither read nor filled.
-    """
-    if not sizes:
-        raise ValueError("need at least one size")
-    _check_counting_sizes(sizes)
-    frames = _counting_frames(sizes) if any(map(_reads_counting_frame, methods)) else {}
-    return [[count_ops(method, n, frames=frames) for n in sizes] for method in methods]
 
 
 # --- CSV emission -------------------------------------------------------------

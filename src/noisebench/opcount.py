@@ -3,12 +3,12 @@
 An :class:`OpCounter` tallies how many scalar additions, multiplications,
 comparisons and transcendental evaluations one estimation pass performs.
 The estimator and separation routines take no counter: the complexity model
-is one table, ``bench.count_ops``, that books each method's closed forms
-here.  Counts follow the algorithm as defined (e.g. a k-window minimum
-cascade is N comparisons per window size), not the vectorized computation;
-divisions and subtractions are tallied as multiplications and additions
-respectively, and an N-point FFT is booked as N*log2(N) additions plus the
-same number of multiplications.
+is one table, ``bench.count_ops_table``, that books each method's closed
+forms here (``bench.count_ops`` is its one-cell case).  Counts follow the
+algorithm as defined (e.g. a k-window minimum cascade is N comparisons per
+window size), not the vectorized computation; divisions and subtractions are
+tallied as multiplications and additions respectively, and an N-point FFT is
+booked as N*log2(N) additions plus the same number of multiplications.
 """
 
 from __future__ import annotations

@@ -16,13 +16,16 @@ from noisebench import (
     GroundTruth,
     NoisePowerEstimate,
     NoiseSource,
+    PowerSpectrum,
     ScenarioConfig,
+    SpectralFrame,
     SubbandSignal,
     build_scenario,
     dft,
     power_matrix,
+    power_spectrum,
 )
-from noisebench import estimators
+from noisebench import bench, estimators
 from noisebench.errors import DegenerateSpectrumError, ZeroPowerError
 from noisebench.scenario import (
     _frame_amplitudes,
@@ -145,10 +148,15 @@ def counting_block_per_frame(n_frames: int, n_bins: int) -> np.ndarray:
     return np.stack(rows)
 
 
+def counting_power(n: int) -> PowerSpectrum:
+    """Power spectrum of the counting frame of size n, as bench.count_ops_table builds it."""
+    return power_spectrum(SpectralFrame(bench._counting_frame(n), n - 1))
+
+
 def counting_frames_walk(sizes) -> dict[int, np.ndarray]:
     """Counting frame of each distinct size from one walk of the stream from its start.
 
-    Oracle for bench._counting_frames, which resumes near each frame instead:
+    Oracle for bench._counting_frame, which resumes near each frame instead:
     every normal before the largest frame is drawn, in ascending size, through
     one 65,536-normal buffer, and each frame is the DFT of its 2n normals.
     """

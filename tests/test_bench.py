@@ -30,14 +30,14 @@ from noisebench import (
     write_report_csv,
     write_series_csv,
 )
-from noisebench import bench, estimators
+from noisebench import bench, estimators, separation
 from noisebench.bench import ground_truths, sample_std
 from noisebench.errors import DataError
 from noisebench.scenario import with_seed
 
 from conftest import (
-    counting_block_per_frame, counting_frames_walk, counting_resume_points, noise_only_config,
-    reference_config, resume_table_literal,
+    counting_block_per_frame, counting_frames_walk, counting_power, counting_resume_points,
+    noise_only_config, reference_config, resume_table_literal,
 )
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
@@ -769,6 +769,14 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("ML(rof)", 2048): (4225023, 34815, 4198435, 0),
     ("ML(rof)", 4096): (16842751, 73727, 16785446, 0),
     ("ML(rof)", 4097): (16850961, 73746, 16793637, 0),
+    ("MVU(rof)", 1024): (1063935, 16383, 1050659, 0),
+    ("MVU(rof)", 2048): (4227071, 34815, 4198435, 0),
+    ("MVU(rof)", 4096): (16846847, 73727, 16785446, 0),
+    ("MVU(rof)", 4097): (16855058, 73746, 16793637, 0),
+    ("MVU(fisher)", 1024): (4195325, 19439, 11261, 1024),
+    ("MVU(fisher)", 2048): (16781309, 40943, 24573, 2048),
+    ("MVU(fisher)", 4096): (67121149, 85999, 53245, 4096),
+    ("MVU(fisher)", 4097): (67153925, 86021, 53259, 4097),
     ("MVU(ideal)", 16): (111, 113, 0, 0),
     ("MVU(ideal)", 17): (119, 121, 0, 0),
     ("MVU(ideal)", 31): (246, 248, 0, 0),
@@ -901,6 +909,18 @@ def spy_resumes(monkeypatch) -> list[int]:
     return resumed
 
 
+def spy_frames(monkeypatch) -> list[int]:
+    """The sizes whose counting frame is asked for from now on."""
+    drawn, frame = [], bench._counting_frame
+
+    def spied(n):
+        drawn.append(n)
+        return frame(n)
+
+    monkeypatch.setattr(bench, "_counting_frame", spied)
+    return drawn
+
+
 @pytest.fixture
 def fresh_resume_points():
     """Make the next counting frame run the resume table's first-use check again."""
@@ -964,19 +984,23 @@ class TestCountOps:
         info = bench._counting_frame.cache_info()
         assert (info.hits, info.misses) == (0, 0)
 
-    @pytest.mark.parametrize("variant", ["ML(rof)", "ML(fisher)", "AIC"])
+    @pytest.mark.parametrize("variant", ["ML(rof)", "ML(fisher)", "MVU(rof)", "MVU(fisher)",
+                                         "AIC"])
     def test_large_counts_match_pinned_table(self, variant):
         # Counts at the sizes only the ops sweep reaches, recorded before the
-        # counting frames came from one stream walk.
+        # counting frames came from one stream walk (MVU's before count_ops_table
+        # became the one booking loop).
         spec = PINNED_VARIANTS[variant]
         for n, counter in zip((1024, 2048), count_ops_table([spec], [1024, 2048])[0]):
             c = counter.counts
             assert (c.adds, c.muls, c.cmps, c.transcendental) == PINNED_COUNTS[variant, n], n
 
-    @pytest.mark.parametrize("variant", ["ML(rof)", "ML(fisher)", "AIC"])
+    @pytest.mark.parametrize("variant", ["ML(rof)", "ML(fisher)", "MVU(rof)", "MVU(fisher)",
+                                         "AIC"])
     def test_counts_past_2048_match_pinned_table(self, variant):
         # 4096 is the last size the resume points cover and 4097 walks on past
-        # the last of them; recorded while each frame was walked to from word 0.
+        # the last of them; recorded while each frame was walked to from word 0
+        # (MVU's before count_ops_table became the one booking loop).
         spec = PINNED_VARIANTS[variant]
         for n, counter in zip((4096, 4097), count_ops_table([spec], [4096, 4097])[0]):
             c = counter.counts
@@ -998,29 +1022,30 @@ class TestCountOps:
             assert 2 * n * (n - 1) < point * draw < 2 * n * n
         sizes = (4097, 255, 256, 257, 313, 314, 315, 1024, 1025, 4091, 4092, 4093, 4096)
         bench._resume_points()
+        bench._counting_frame.cache_clear()
         resumed = spy_resumes(monkeypatch)
-        frames = bench._counting_frames(sizes)
+        frames = {n: bench._counting_frame(n) for n in sizes}
         want = counting_frames_walk(sizes)
-        assert list(frames) == sorted(want)
         for n in want:
             np.testing.assert_array_equal(frames[n], want[n])
         assert resumed == [bench._RESUME_WORDS[min(2 * n * (n - 1) // draw, 511)]
-                           for n in sorted(want)]
+                           for n in sizes]
 
     def test_guard_falls_back_to_point_0(self, monkeypatch, fresh_resume_points):
         # A recorded check normal that this sampler does not draw at the last
         # point stands for a table made by another numpy.
         monkeypatch.setattr(bench, "_RESUME_CHECK", bench._RESUME_CHECK + 1.0)
+        bench._counting_frame.cache_clear()
         resumed = spy_resumes(monkeypatch)
         sizes = (16, 256, 257, 700)
-        frames = bench._counting_frames(sizes)
+        frames = {n: bench._counting_frame(n) for n in sizes}
         assert resumed == [bench._RESUME_WORDS[-1], 0, 0, 0, 0]  # the guard's draw, then the sizes
         want = counting_frames_walk(sizes)
         for n in want:
             np.testing.assert_array_equal(frames[n], want[n])
 
     def test_count_rejects_sizes_past_max_before_walking(self, monkeypatch):
-        monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
+        monkeypatch.setattr(bench, "_counting_frame", None)  # a draw would fail
         message = "operation counting needs n <= 65536, got 65537$"
         with pytest.raises(ValueError, match=message):
             count_ops(MethodSpec("AIC"), 65537)
@@ -1030,32 +1055,30 @@ class TestCountOps:
         count_ops_table([MethodSpec("CBE"), MethodSpec("MMSE")], [bench.MAX_COUNTING_SIZE])
 
     def test_counting_frames_match_per_frame_build(self):
+        # A table draws each distinct size once, into the memo.
         bench._counting_frame.cache_clear()
-        frames = bench._counting_frames((64, 16, 64, 17))
-        assert sorted(frames) == [16, 17, 64]
-        for n, frame in frames.items():
+        count_ops_table([MethodSpec("AIC")], [64, 16, 64, 17])
+        info = bench._counting_frame.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+        for n in (16, 17, 64):
+            frame = bench._counting_frame(n)
             np.testing.assert_array_equal(frame, counting_block_per_frame(n, n)[-1])
             assert not frame.flags.writeable
         info = bench._counting_frame.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+        assert (info.hits, info.misses) == (3, 3)
 
     def test_ops_sweep_walks_stream_once(self, tmp_path, monkeypatch):
         from noisebench.cli import _parse_method, main
-        walk, walks = bench._counting_frames, []
-
-        def counted_walk(sizes):
-            walks.append(tuple(sizes))
-            return walk(sizes)
-
-        monkeypatch.setattr(bench, "_counting_frames", counted_walk)
+        memo = bench._counting_frame
+        memo.cache_clear()
+        drawn = spy_frames(monkeypatch)
         # More sizes than the frame memo holds, in no order and one repeated.
         sizes = (31, 16, 64, 17, 32, 16)
-        bench._counting_frame.cache_clear()
         out = tmp_path / "ops.csv"
         assert main(["ops", "--sizes", ",".join(map(str, sizes)), "--out", str(out)]) == 0
-        assert walks == [sizes]
-        info = bench._counting_frame.cache_info()
-        assert (info.hits, info.misses) == (0, 0)
+        assert sorted(drawn) == sorted(set(sizes))
+        info = memo.cache_info()
+        assert (info.hits, info.misses) == (0, 5)
         want = []
         for spec in map(_parse_method, ["ML:rof", "ML:fisher", "AIC", "CBE", "MMSE"]):
             for size in sizes:
@@ -1064,6 +1087,31 @@ class TestCountOps:
                     spec.estimator, spec.separation, size, c.adds, c.muls, c.cmps,
                     c.transcendental, c.total()))
         assert out.read_text().splitlines()[1:] == want
+
+    def test_ops_and_run_draw_each_size_once_through_engines(self, tmp_path, monkeypatch):
+        # Counting reads AIC's order and Fisher's split off the array engines,
+        # not the one-block wrappers, and each table call asks for each
+        # distinct size's frame once, also with more sizes than the memo holds.
+        from noisebench.cli import _DEFAULT_METHODS, main
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("counting called a one-block wrapper")
+
+        monkeypatch.setattr(estimators, "aic_estimate", refuse)
+        monkeypatch.setattr(separation, "fisher_separate", refuse)
+        sizes = [64, 128, 256, 512, 1024, 2048]  # the ops sweep's sizes
+        assert len(sizes) > bench._counting_frame.cache_parameters()["maxsize"]
+        drawn = spy_frames(monkeypatch)
+        methods = [arg for method in _DEFAULT_METHODS for arg in ("--method", method)]
+        for _ in range(2):
+            drawn.clear()
+            assert main(["ops", "--sizes", ",".join(map(str, sizes + sizes[:1])), *methods,
+                         "--out", str(tmp_path / "ops.csv")]) == 0
+            assert sorted(drawn) == sizes
+        drawn.clear()
+        assert main(["run", "--config", str(CONFIG), "--seeds", "0", "--override", "n_frames=20",
+                     "--out", str(tmp_path / "run")]) == 0
+        assert drawn == [512]
 
     def test_table_matches_count_ops(self, monkeypatch):
         methods = [PINNED_VARIANTS[v] for v in ("ML(rof)", "MVU(fisher)", "AIC", "CBE", "MMSE")]
@@ -1075,12 +1123,12 @@ class TestCountOps:
             for n, counter in zip(sizes, row):
                 want = count_ops(method, n)
                 assert (counter.counts, counter.stages) == (want.counts, want.stages)
-        monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
+        monkeypatch.setattr(bench, "_counting_frame", None)  # a draw would fail
         count_ops_table([PINNED_VARIANTS[v] for v in ("CBE", "MMSE", "ML(ideal)")], sizes)
 
     @pytest.mark.parametrize("sizes", [[], [16, 15], [16, 65537]])
     def test_table_rejects_sizes_before_walking(self, sizes, monkeypatch):
-        monkeypatch.setattr(bench, "_counting_frames", None)
+        monkeypatch.setattr(bench, "_counting_frame", None)
         with pytest.raises(ValueError):
             count_ops_table([MethodSpec("AIC")], sizes)
 
@@ -1091,7 +1139,7 @@ class TestCountOps:
         params = {"lambda1_pct": 50.0, "lambda2_fraction": 0.2}
         tuned = count_ops(MethodSpec(estimator, "rof", params), n).counts
         default = count_ops(MethodSpec(estimator, "rof"), n).counts
-        frame = bench._counting_power(n)
+        frame = counting_power(n)
         tuned_mask = rof_separate(frame, RofParams(**params))
         default_mask = rof_separate(frame)
         assert (tuned_mask.aux["K"], default_mask.aux["K"]) == (3, 42)
@@ -1114,8 +1162,12 @@ class TestCountOps:
         from noisebench import OpCounter
         n = 64
         flat, scanned = OpCounter(), OpCounter()
-        assert bench._book_fisher(flat, PowerSpectrum(np.ones(n))).aux["split"] is None
-        assert bench._book_fisher(scanned, bench._counting_power(n)).aux["split"] is not None
+        # A constant spectrum has no split and an all-noise mask.
+        assert bench._book_fisher(flat, PowerSpectrum(np.ones(n))) == n
+        frame = counting_power(n)
+        signal, split, _ = separation.fisher_signal_rows(frame.power[None, :])
+        assert split[0] >= 0
+        assert bench._book_fisher(scanned, frame) == n - signal.sum()
         assert scanned.counts.adds - flat.counts.adds == 4 * n * (n - 3)
         assert scanned.counts.muls - flat.counts.muls == 6 * (n - 3)
         assert scanned.counts.cmps - flat.counts.cmps == n - 3
@@ -1127,7 +1179,7 @@ class TestCountOps:
                    MethodSpec("MVU", "ideal"), MethodSpec("AIC"), MethodSpec("CBE")]
         run_benchmark(cfg, methods, [0])
         info = bench._counting_frame.cache_info()
-        assert (info.hits, info.misses) == (1, 1)
+        assert (info.hits, info.misses) == (0, 1)
 
     def test_run_rejects_block_too_large_to_count_before_any_scenario(self, monkeypatch):
         built = []

@@ -612,7 +612,7 @@ class TestOps:
 
     @pytest.mark.parametrize("size", ["65537", "99999999999999999999"])
     def test_sizes_past_max_exit_2_before_walking(self, size, monkeypatch, capsys):
-        monkeypatch.setattr(bench, "_counting_frames", None)  # a walk would fail
+        monkeypatch.setattr(bench, "_counting_frame", None)  # a draw would fail
         assert main(["ops", "--sizes", f"32,{size}"]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: operation counting needs n <= 65536, got {size}\n"

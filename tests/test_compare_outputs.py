@@ -38,7 +38,9 @@ class TestCompareOutputs:
         assert labels[4:12] == ["long-stream 0 generate", "long-stream 0 separate"] + [
             f"long-stream 0 run {m}" for m in ("ML:ideal", "ML:fisher", "MVU:ideal",
                                                "MVU:fisher", "AIC", "MMSE")]
-        assert labels[-10] == "ops --sizes 64,128,256,512,1024,2048"
+        assert labels[-10] == "ops --sizes 16,17,64,64,128,256,512,1024,2048,4096,4097"
+        assert calls[-10].argv[3:-2] == tuple(
+            arg for method in compare.DEFAULT_METHODS for arg in ("--method", method))
         assert (tmp_path / "long-stream-7" / "run.json").exists()
 
     def test_sets_can_be_left_out(self, compare, tmp_path):

@@ -37,11 +37,13 @@ from noisebench import (
     snr_db_from_powers,
 )
 from noisebench import estimators
-from noisebench.bench import MethodSpec, _counting_power, count_ops
+from noisebench.bench import MethodSpec, count_ops
 from noisebench.errors import DegenerateSpectrumError, EmptyNoiseGroupError
 from noisebench.scenario import scenario_config_from_dict, scenario_config_from_file, with_seed
 
-from conftest import cbe_fit_naive, mmse_fit_per_window, reference_config, white_frame
+from conftest import (
+    cbe_fit_naive, counting_power, mmse_fit_per_window, reference_config, white_frame,
+)
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
 
@@ -329,7 +331,7 @@ class TestAicEstimate:
         # count_ops books the per-order evaluation but reads the order off the
         # cumulative curve; on the counting block's last frame both must pick
         # the same order.
-        p = _counting_power(n).power
+        p = counting_power(n).power
         lam = np.sort(np.maximum(p, 1e-30))[::-1]
         got = aic_estimate(spectrum(p), n)
         assert got.diagnostics["n_min"] == int(np.argmin(aic_curve_naive(lam, n * n)))
@@ -338,7 +340,7 @@ class TestAicEstimate:
         # AIC's count less the frame's FFT, power spectrum and periodogram
         # update is the per-order evaluation's.
         n = 40
-        n_min = aic_estimate(_counting_power(n), n).diagnostics["n_min"]
+        n_min = aic_estimate(counting_power(n), n).diagnostics["n_min"]
         counts = count_ops(MethodSpec("AIC"), n).counts
         fft = round(n * np.log2(n))
         tails = range(1, n + 1)

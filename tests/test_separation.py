@@ -21,11 +21,11 @@ from noisebench import (
     rof_signal_rows,
 )
 from noisebench import separation
-from noisebench.bench import MethodSpec, _counting_power, count_ops
+from noisebench.bench import MethodSpec, count_ops
 from noisebench.scenario import GroundTruth, scenario_config_from_file
 from noisebench.separation import FISHER_CHUNK, ROF_CHUNK
 
-from conftest import reference_config
+from conftest import counting_power, reference_config
 
 
 def spectrum(values) -> PowerSpectrum:
@@ -522,14 +522,14 @@ class TestFisherSeparate:
     def test_counting_block_split_matches_direct_scan(self, n):
         # count_ops books the direct scan but reads the split off the prefix
         # scan; on the counting block's last frame both must pick the same split.
-        p = _counting_power(n).power
+        p = counting_power(n).power
         assert fisher_separate(spectrum(p)).aux["split"] == self.fisher_oracle(p)
 
     def test_counted_scan_books_direct_scan(self):
         # ML(fisher)'s count less the frame's FFT and power spectrum and the
         # mean over the noise bins is the direct scan's.
         n = 48
-        noise = int(fisher_separate(_counting_power(n)).noise_bins.sum())
+        noise = int(fisher_separate(counting_power(n)).noise_bins.sum())
         counts = count_ops(MethodSpec("ML", "fisher"), n).counts
         fft = round(n * np.log2(n))
         splits = n - 3
