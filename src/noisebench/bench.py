@@ -282,7 +282,7 @@ class _SeedContext:
         if key == "fisher":
             return sep.fisher_signal_rows(self.power[lo:hi])[0]
         _, window, params = key
-        return sep.rof_signal_rows(self.window_means(window)[lo:hi], params)
+        return sep.rof_signal_rows(self.window_means(window)[lo:hi], params)[0]
 
 
 _NOISE_SUM_CHUNK = 64  # frames whose noise-bin sums are gathered together
@@ -605,7 +605,8 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 MIN_COUNTING_SIZE = 16  # smallest block size the complexity model counts
 MAX_COUNTING_SIZE = 65_536  # largest: its frame lies 2^33 normals into the counting stream
 _COUNTING_KEY = 12345  # Philox key of the counting stream
-_COUNTING_DRAW = 65_536  # normals between two resume points, and per draw while walking
+_COUNTING_DRAW = 65_536  # normals between two resume points
+_SKIP_BUFFER = 8_192  # normals per draw while walking from a resume point to a frame
 
 
 def _normals_from(word: int) -> np.random.Generator:
@@ -647,16 +648,17 @@ def _counting_frame(n: int) -> np.ndarray:
     every 65,536th normal starts, up to normal 2^25 = 2 * 4096^2.  The frame
     resumes at the last point before it (see :func:`_resume_points`), draws
     and drops the normals up to it, at most 65,535 for n <= 4096 and more
-    beyond, and draws the frame.  :func:`count_ops_table` calls this once per
-    distinct size; the memo keeps the last few sizes for the next call.
+    beyond, ``_SKIP_BUFFER`` at a time, and draws the frame.
+    :func:`count_ops_table` calls this once per distinct size; the memo
+    keeps the last few sizes for the next call.
     """
     points = _resume_points()
     start = 2 * n * (n - 1)
     point = min(start // _COUNTING_DRAW, len(points) - 1)
     rng = _normals_from(points[point])
-    skip = np.empty(_COUNTING_DRAW)
-    for drawn in range(point * _COUNTING_DRAW, start, _COUNTING_DRAW):
-        rng.standard_normal(out=skip[:min(start - drawn, _COUNTING_DRAW)])
+    skip = np.empty(_SKIP_BUFFER)
+    for drawn in range(point * _COUNTING_DRAW, start, _SKIP_BUFFER):
+        rng.standard_normal(out=skip[:min(start - drawn, _SKIP_BUFFER)])
     draws = rng.standard_normal((2, n))
     frame = np.fft.fft((draws[0] + 1j * draws[1]) / np.sqrt(2))
     frame.setflags(write=False)
@@ -664,21 +666,27 @@ def _counting_frame(n: int) -> np.ndarray:
 
 
 def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> int:
-    """Books ROF's separation and returns its noise-bin count."""
+    """Books ROF's separation, the paper's full N - 1 step erosion cascade,
+    and returns its noise-bin count.
+
+    The walk length and the noise-bin count are read off the run's engine,
+    :func:`~noisebench.separation.rof_signal_rows`, which stops eroding once
+    K is decided; its K and drop-curve peak are the full cascade's.
+    """
     n = power.n_bins
-    mask = sep.rof_separate(power, params)
+    signal, k, peak = sep.rof_signal_rows(power.power[None, :], params)
     # Per window size k = 2..n: n comparisons, an (n-1)-addition energy sum,
     # and one subtraction plus two multiplications for its drop.
     ops.cmp(n * (n - 1))
     ops.add(n * (n - 1))
     ops.mul(2 * (n - 1))
     # Bandwidth search: the curve's argmax, then one comparison per walk step.
-    walk = mask.aux["K"] - (int(np.argmax(mask.aux["d_curve"])) + 2)
+    walk = int(k[0]) - (int(peak[0]) + 2)
     ops.cmp(n - 1 + walk)
     ops.add(3 * n)  # running sum updates and forward differences
     ops.mul(n)
     ops.cmp(2 * n)  # sign tests and run-width checks
-    return int(np.count_nonzero(mask.noise_bins))
+    return n - int(np.count_nonzero(signal))
 
 
 def _book_fisher(ops: OpCounter, power: PowerSpectrum) -> int:
@@ -777,7 +785,7 @@ def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[Op
     if not sizes:
         raise ValueError("need at least one size")
     if min(sizes) < MIN_COUNTING_SIZE:
-        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}")
+        raise ValueError(f"operation counting needs n >= {MIN_COUNTING_SIZE}, got {min(sizes)}")
     if max(sizes) > MAX_COUNTING_SIZE:
         raise ValueError(f"operation counting needs n <= {MAX_COUNTING_SIZE}, got {max(sizes)}")
     powers = {}

@@ -94,15 +94,19 @@ def rof_energy_drops(power: PowerSpectrum) -> np.ndarray:
 
 
 def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
-                 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The erosion cascade of a (W, N) stack: each row's energies and, given lambda1_pct, its K.
+                 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The erosion cascade of a (W, N) stack: each row's energies and, given
+    lambda1_pct, its K and the index of its drop curve's peak.
 
     energy[k - 1, i] is E(k) of row i, the energy of that row under a k-bin
     minimum filter.  Each step is one minimum over all rows still eroding.
-    Without lambda1_pct every row runs all N - 1 steps and K is None.  With
-    it, every ``_ROF_STOP_EVERY`` steps the rows whose K is already decided
-    (:func:`_rof_decided`) leave the cascade, their later energies left NaN;
-    K is the same as the full curve's, bit for bit.
+    Without lambda1_pct every row runs all N - 1 steps and K and the peak are
+    None.  With it, every ``_ROF_STOP_EVERY`` steps the rows whose K is
+    already decided (:func:`_rof_decided`) leave the cascade, their later
+    energies left NaN.  K and the peak (the first argmax of the drops, drop j
+    belonging to k = j + 2) are read off the drops the rows leave with, or,
+    for rows that run to N, off the full curve; both are the full curve's,
+    bit for bit, since no drop after a row leaves reaches its peak.
     """
     w, n = spectra.shape
     if n < 4:
@@ -118,6 +122,7 @@ def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
     floor = (1.0 - _ROF_STOP_MARGIN) * n * eroded.min(axis=1)
     energy = np.full((n, w), np.nan)
     widths = np.full(w, n)
+    peaks = np.zeros(w, dtype=np.int64)
     rows = np.arange(w)  # the rows still eroding, and their energies so far
     live = np.empty((n, w))
     np.add.reduce(eroded, axis=1, out=live[0])
@@ -128,10 +133,11 @@ def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
         np.add.reduce(eroded, axis=1, out=live[k - 1])
         if lambda1_pct is None or k % _ROF_STOP_EVERY or k == n:
             continue
-        done, width = _rof_decided(live[:k], floor, lambda1_pct)
+        done, width, peak = _rof_decided(live[:k], floor, lambda1_pct)
         if done.any():
             energy[:k, rows[done]] = live[:k, done]
             widths[rows[done]] = width[done]
+            peaks[rows[done]] = peak[done]
             keep = ~done
             rows, live, eroded, padded, floor = (
                 rows[keep], live[:, keep], eroded[keep], padded[keep], floor[keep])
@@ -139,14 +145,15 @@ def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
                 break
     energy[:, rows] = live
     if lambda1_pct is None:
-        return energy, None
-    widths[rows] = _rof_band_widths(_energy_drops(live), lambda1_pct)
-    return energy, widths
+        return energy, None, None
+    widths[rows], peaks[rows] = _rof_band_widths(_energy_drops(live), lambda1_pct)
+    return energy, widths, peaks
 
 
 def _rof_decided(energy: np.ndarray, floor: np.ndarray, lambda1_pct: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows' K the energies E(1..k) so far decide, and each row's K on them.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which rows' K the energies E(1..k) so far decide, and each row's K and
+    drop-curve peak on them.
 
     Erosion only lowers E, and E stays above ``floor`` (N times the row's
     minimum, less a relative margin that covers the rounding of a sum), so no
@@ -158,10 +165,10 @@ def _rof_decided(energy: np.ndarray, floor: np.ndarray, lambda1_pct: float
     is below it, for N up to about four million.
     """
     drops = _energy_drops(energy)
-    width = _rof_band_widths(drops, lambda1_pct)
+    width, peak = _rof_band_widths(drops, lambda1_pct)
     last = energy[-1]
     peak_final = 100.0 * (last - floor) < (1.0 - _ROF_STOP_MARGIN) * drops.max(axis=1) * last
-    return peak_final & (width < energy.shape[0]) & (floor > 0), width
+    return peak_final & (width < energy.shape[0]) & (floor > 0), width, peak
 
 
 def _energy_drops(energy: np.ndarray) -> np.ndarray:
@@ -182,19 +189,20 @@ def rof_find_band_width(power: PowerSpectrum, lambda1_pct: float = 5.0) -> int:
     lambda1_pct percent of the peak drop.  A flat spectrum (numerically zero
     curve) yields K = 2 with no extension.
     """
-    return int(_rof_band_widths(rof_energy_drops(power)[None, :], lambda1_pct)[0])
+    return int(_rof_band_widths(rof_energy_drops(power)[None, :], lambda1_pct)[0][0])
 
 
-def _rof_band_widths(drops: np.ndarray, lambda1_pct: float) -> np.ndarray:
-    """K of each row of a (W, N-1) stack of drop curves (drop j belongs to k = j + 2).
+def _rof_band_widths(drops: np.ndarray, lambda1_pct: float) -> tuple[np.ndarray, np.ndarray]:
+    """K of each row of a (W, N-1) stack of drop curves (drop j belongs to k = j + 2),
+    and the index j of each curve's peak, its first argmax.
 
     The walk stops at the first drop after the peak that is not above the
     threshold, so K is that drop's index plus one, or N where none stops it.
     """
     threshold = (lambda1_pct / 100.0) * drops.max(axis=1)
-    after_peak = np.arange(drops.shape[1]) > np.argmax(drops, axis=1)[:, None]
-    stop = after_peak & ~(drops > threshold[:, None])
-    return np.where(stop.any(axis=1), np.argmax(stop, axis=1) + 1, drops.shape[1] + 1)
+    peak = np.argmax(drops, axis=1)
+    stop = (np.arange(drops.shape[1]) > peak[:, None]) & ~(drops > threshold[:, None])
+    return np.where(stop.any(axis=1), np.argmax(stop, axis=1) + 1, drops.shape[1] + 1), peak
 
 
 def _rof_rows(spectra: np.ndarray, k: np.ndarray, params: RofParams
@@ -241,29 +249,35 @@ def rof_separate(power: PowerSpectrum, params: RofParams = RofParams()) -> Separ
     one-row case of :func:`rof_signal_rows`.
     """
     drops = rof_energy_drops(power)
-    k = _rof_band_widths(drops[None, :], params.lambda1_pct)
+    k = _rof_band_widths(drops[None, :], params.lambda1_pct)[0]
     signal, smoothed, bands = _rof_rows(power.power[None, :], k, params)
     aux = {"K": int(k[0]), "d_curve": drops, "smoothed": smoothed[0],
            "runs": [(int(i), int(j)) for _, i, j in bands]}
     return SeparationMask(is_signal=signal[0], method="rof", aux=aux)
 
 
-def rof_signal_rows(spectra: np.ndarray, params: RofParams = RofParams()) -> np.ndarray:
-    """ROF signal mask of every row of a (W, N) stack of spectra.
+def rof_signal_rows(spectra: np.ndarray, params: RofParams = RofParams()
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ROF separation of every row of a (W, N) stack of spectra.
 
-    Row i is :func:`rof_separate` of ``spectra[i]``.  ``ROF_CHUNK`` rows at a
-    time share one erosion cascade, smoothing and run search.  Only K is read
-    off the cascade, so each row leaves it as soon as its K is decided
-    (:func:`_rof_cascade`), with the K of the full curve.  The first row
-    that is all zero or all signal raises DegenerateSpectrumError.
+    Returns the (W, N) signal mask, each row's bandwidth K and the index of
+    the peak of its drop curve (the first argmax of the drops, drop j
+    belonging to k = j + 2); row i's mask and K are :func:`rof_separate`'s
+    of ``spectra[i]``.  ``ROF_CHUNK`` rows at a time share one erosion
+    cascade, smoothing and run search.  Only K and the peak are read off the
+    cascade, so each row leaves it as soon as its K is decided
+    (:func:`_rof_cascade`), with the K and peak of the full curve.  The
+    first row that is all zero or all signal raises DegenerateSpectrumError.
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     signal = np.empty(spectra.shape, dtype=bool)
+    k = np.empty(len(spectra), dtype=np.int64)
+    peak = np.empty(len(spectra), dtype=np.int64)
     for lo in range(0, len(spectra), ROF_CHUNK):
-        chunk = spectra[lo:lo + ROF_CHUNK]
-        k = _rof_cascade(chunk, params.lambda1_pct)[1]
-        signal[lo:lo + ROF_CHUNK] = _rof_rows(chunk, k, params)[0]
-    return signal
+        rows = slice(lo, lo + ROF_CHUNK)
+        _, k[rows], peak[rows] = _rof_cascade(spectra[rows], params.lambda1_pct)
+        signal[rows] = _rof_rows(spectra[rows], k[rows], params)[0]
+    return signal, k, peak
 
 
 def fisher_separate(power: PowerSpectrum) -> SeparationMask:

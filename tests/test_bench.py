@@ -1054,6 +1054,33 @@ class TestCountOps:
         # The largest size is counted where no frame is read.
         count_ops_table([MethodSpec("CBE"), MethodSpec("MMSE")], [bench.MAX_COUNTING_SIZE])
 
+    def test_count_rejects_sizes_below_min_before_walking(self, monkeypatch):
+        monkeypatch.setattr(bench, "_counting_frame", None)  # a draw would fail
+        with pytest.raises(ValueError, match="operation counting needs n >= 16, got 15$"):
+            count_ops(MethodSpec("AIC"), 15)
+        with pytest.raises(ValueError, match="operation counting needs n >= 16, got 0$"):
+            count_ops_table([MethodSpec("CBE")], [32, 15, 0, 65537])
+        count_ops_table([MethodSpec("CBE"), MethodSpec("MMSE")], [bench.MIN_COUNTING_SIZE])
+
+    @pytest.mark.parametrize("sizes, buffer, left", [
+        ((4096, 4097), None, 0),  # the shipped buffer: 7 and 9 whole draws
+        ((2049,), 512, 0),        # 8 whole draws
+        ((2049,), 455, 1),        # one normal past 9 whole draws
+        ((2049,), 241, 240),      # one normal short of 17
+    ], ids=["shipped", "whole", "one-past", "one-short"])
+    def test_frames_match_walk_at_skip_buffer_edges(self, sizes, buffer, left, monkeypatch,
+                                                    fresh_resume_points):
+        if buffer:
+            monkeypatch.setattr(bench, "_SKIP_BUFFER", buffer)
+        draw, last = bench._COUNTING_DRAW, len(bench._RESUME_WORDS) - 1
+        bench._counting_frame.cache_clear()
+        want = counting_frames_walk(sizes)
+        for n in sizes:
+            start = 2 * n * (n - 1)
+            skip = start - min(start // draw, last) * draw  # normals dropped after resuming
+            assert skip > bench._SKIP_BUFFER and skip % bench._SKIP_BUFFER == left
+            np.testing.assert_array_equal(bench._counting_frame(n), want[n])
+
     def test_counting_frames_match_per_frame_build(self):
         # A table draws each distinct size once, into the memo.
         bench._counting_frame.cache_clear()
@@ -1089,9 +1116,10 @@ class TestCountOps:
         assert out.read_text().splitlines()[1:] == want
 
     def test_ops_and_run_draw_each_size_once_through_engines(self, tmp_path, monkeypatch):
-        # Counting reads AIC's order and Fisher's split off the array engines,
-        # not the one-block wrappers, and each table call asks for each
-        # distinct size's frame once, also with more sizes than the memo holds.
+        # Counting reads AIC's order, Fisher's split and ROF's K and drop-curve
+        # peak off the array engines, not the one-block wrappers or ROF's full
+        # one-row cascade, and each table call asks for each distinct size's
+        # frame once, also with more sizes than the memo holds.
         from noisebench.cli import _DEFAULT_METHODS, main
 
         def refuse(*args, **kwargs):
@@ -1099,6 +1127,8 @@ class TestCountOps:
 
         monkeypatch.setattr(estimators, "aic_estimate", refuse)
         monkeypatch.setattr(separation, "fisher_separate", refuse)
+        monkeypatch.setattr(separation, "rof_separate", refuse)
+        monkeypatch.setattr(separation, "rof_energy_drops", refuse)
         sizes = [64, 128, 256, 512, 1024, 2048]  # the ops sweep's sizes
         assert len(sizes) > bench._counting_frame.cache_parameters()["maxsize"]
         drawn = spy_frames(monkeypatch)

@@ -607,8 +607,12 @@ class TestOps:
     def test_empty_sizes_exits_2(self):
         assert main(["ops", "--sizes", " "]) == 2
 
-    def test_small_sizes_exits_2(self):
-        assert main(["ops", "--sizes", "8"]) == 2
+    def test_small_sizes_exits_2(self, monkeypatch, capsys):
+        monkeypatch.setattr(bench, "_counting_frame", None)  # a draw would fail
+        assert main(["ops", "--sizes", "32,15,8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: operation counting needs n >= 16, got 8\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("size", ["65537", "99999999999999999999"])
     def test_sizes_past_max_exit_2_before_walking(self, size, monkeypatch, capsys):

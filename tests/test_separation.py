@@ -356,8 +356,10 @@ class TestRofSignalRows:
             with pytest.raises(DegenerateSpectrumError, match=expected[bad[0]]):
                 rof_signal_rows(spectra, params)
         good = spectra[:bad[0]] if bad else spectra
-        for row, want in zip(rof_signal_rows(good, params), expected):
+        signal, k, _ = rof_signal_rows(good, params)
+        for row, width, want in zip(signal, k, expected):
             np.testing.assert_array_equal(row, want[0])
+            assert width == want[1]
 
     @pytest.mark.parametrize("chunk", [1, 7, ROF_CHUNK])
     def test_rows_independent_of_chunking(self, monkeypatch, chunk):
@@ -367,7 +369,7 @@ class TestRofSignalRows:
         spectra[::5] = np.round(spectra[::5])           # quantised rows with ties
         spectra[7] = 2.0
         monkeypatch.setattr(separation, "ROF_CHUNK", chunk)
-        got = rof_signal_rows(spectra)
+        got = rof_signal_rows(spectra)[0]
         for row, p in zip(got, spectra):
             np.testing.assert_array_equal(row, rof_separate(spectrum(p)).is_signal)
         assert got[::3].any(axis=1).all()
@@ -385,7 +387,7 @@ class TestRofSignalRows:
         monkeypatch.setattr(separation, "ROF_CHUNK", chunk)
         with pytest.raises(DegenerateSpectrumError, match=message):
             rof_signal_rows(spectra)
-        assert rof_signal_rows(spectra[:3]).shape == (3, 32)
+        assert rof_signal_rows(spectra[:3])[0].shape == (3, 32)
 
     def test_rows_need_four_bins(self):
         with pytest.raises(ValueError, match="4 bins"):
@@ -441,9 +443,11 @@ def reference_window_means():
 def assert_early_stop_exact(rows: np.ndarray, lambda1_pct: float) -> np.ndarray:
     """The early-stopping cascade against the full curve; returns each row's step count."""
     full = separation._rof_cascade(rows)[0]
-    energy, k = separation._rof_cascade(rows, lambda1_pct)
-    want = separation._rof_band_widths(separation._energy_drops(full), lambda1_pct)
+    energy, k, peak = separation._rof_cascade(rows, lambda1_pct)
+    full_drops = separation._energy_drops(full)
+    want = separation._rof_band_widths(full_drops, lambda1_pct)[0]
     np.testing.assert_array_equal(k, want)
+    np.testing.assert_array_equal(peak, np.argmax(full_drops, axis=1))
     computed = ~np.isnan(energy)
     steps = computed.sum(axis=0)
     # Each row's energies are a prefix of its full curve, bit for bit.
@@ -457,7 +461,10 @@ def assert_early_stop_exact(rows: np.ndarray, lambda1_pct: float) -> np.ndarray:
         with pytest.raises(DegenerateSpectrumError, match=str(exc)):
             rof_signal_rows(rows, params)
     else:
-        np.testing.assert_array_equal(rof_signal_rows(rows, params), expected)
+        signal, k_rows, peak_rows = rof_signal_rows(rows, params)
+        np.testing.assert_array_equal(signal, expected)
+        np.testing.assert_array_equal(k_rows, want)
+        np.testing.assert_array_equal(peak_rows, peak)
     return steps
 
 
@@ -481,6 +488,50 @@ class TestRofEarlyStop:
         steps = assert_early_stop_exact(reference_window_means, RofParams().lambda1_pct)
         assert np.median(steps) <= n // 2
         assert (steps < n).mean() > 0.9
+
+
+def tone_rows(w: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Periodograms of w tones, each at an off-bin frequency and its own SNR, in white noise."""
+    t = np.arange(n)
+    freq = rng.uniform(0, n, (w, 1))
+    amplitude = 10.0 ** (rng.uniform(-10.0, 30.0, (w, 1)) / 20.0)
+    noise = (rng.standard_normal((w, n)) + 1j * rng.standard_normal((w, n))) / np.sqrt(2)
+    return np.abs(np.fft.fft(amplitude * np.exp(2j * np.pi * freq * t / n) + noise)) ** 2 / n
+
+
+class TestRofRowDecisions:
+    """rof_signal_rows' K and drop-curve peak, which the counting table reads
+    off the early-stopped cascade, against the one-row full curve."""
+
+    LAMBDA1 = (1.0, 5.0, 20.0, 50.0, 90.0)
+
+    @staticmethod
+    def assert_full_curve_decisions(rows: np.ndarray, params: RofParams) -> None:
+        _, k, peak = rof_signal_rows(rows, params)
+        for row, width, top in zip(rows, k, peak):
+            assert width == rof_separate(spectrum(row), params).aux["K"]
+            assert top == np.argmax(rof_energy_drops(spectrum(row)))
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512, 1024, 2048, 4096, 4097])
+    def test_counting_frames(self, n):
+        p = counting_power(n).power[None, :]
+        for lambda1_pct in self.LAMBDA1:
+            self.assert_full_curve_decisions(p, RofParams(lambda1_pct=lambda1_pct))
+
+    def test_tone_chunk(self):
+        rows = tone_rows(ROF_CHUNK + 5, 256, np.random.default_rng(29))
+        steps = (~np.isnan(separation._rof_cascade(rows, 5.0)[0])).sum(axis=0)
+        assert (steps < 256).mean() > 0.5  # most rows leave the cascade early
+        for lambda1_pct in self.LAMBDA1:
+            self.assert_full_curve_decisions(rows, RofParams(lambda1_pct=lambda1_pct))
+
+    def test_zero_minimum_runs_every_step(self):
+        rows = tone_rows(1, 200, np.random.default_rng(5))
+        rows[0, 77] = 0.0
+        for lambda1_pct in self.LAMBDA1:
+            energy = separation._rof_cascade(rows, lambda1_pct)[0]
+            assert not np.isnan(energy).any()  # E(1..N): all N - 1 erosion steps
+            self.assert_full_curve_decisions(rows, RofParams(lambda1_pct=lambda1_pct))
 
 
 class TestFisherSeparate:
