@@ -3,8 +3,9 @@
 
 Each pair runs ``perfbench/run.py --trace 0`` once from each checkout on the
 same seed, alternating which side runs first, so slow phases of a shared
-machine fall on both sides alike.  The record gives, per workload, the seeds,
-the order, each run's ``correct`` flag and, per end-to-end metric of
+machine fall on both sides alike.  The record gives, per workload, the run
+length, the pair count, the seeds, the order, each run's ``correct`` flag
+and, per end-to-end metric of
 ``BENCHMARK.json``, each side's runs with their median and quartiles, the
 pairs the change won and whether the median change stays within the
 metric's bound.  With ``--claim WORKLOAD:METRIC`` it also applies the
@@ -21,7 +22,8 @@ before and after).  A claim is also judged on its raw metric, where there is
 one, so a gain that rests on the speed factor alone shows.
 
 Running it again with the same ``--out`` adds or replaces one workload and
-keeps the others, so workloads can be measured with different pair counts.
+keeps the others, so workloads can be measured with different pair counts
+and run lengths; each workload's entry keeps its own.
 
 Usage:
     python scripts/paired_bench.py --parent ../parent --change . --workload ref-matrix \\
@@ -144,7 +146,7 @@ def measure(parent: Path, change: Path, workload: str, seeds: list[int], seconds
         for m in end_to_end if m["name"] in RAW_METRICS
     }
     summary = {
-        "seeds": seeds, "first_in_pair": first,
+        "seconds": seconds, "pairs": len(seeds), "seeds": seeds, "first_in_pair": first,
         "correct": {side: [r["correct"] for r in results[side]] for side in sides},
         "metrics": metrics,
         "raw": {"metrics": raw_metrics,
@@ -180,8 +182,8 @@ def main(argv=None) -> int:
     record = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     if args.note:
         record["change"] = args.note
-    record["command"] = (f"python3 perfbench/run.py --workload W --seed S "
-                         f"--seconds {seconds:g} --trace 0")
+    # W, S and T: each run's workload, seed and its workload's seconds.
+    record["command"] = "python3 perfbench/run.py --workload W --seed S --seconds T --trace 0"
     record["pairing"] = PAIRING
     record["machine"] = machine
     record.setdefault("workloads", {})[args.workload] = summary

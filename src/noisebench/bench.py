@@ -30,7 +30,9 @@ all its windows, which chunks its rows itself, and no per-window estimate
 object is built: AIC scores rows of the averages stack (one fit per window
 length, which CBE's AIC occupancy reads too), CBE fits the Gram matrix's
 diagonal blocks with one signal count per window, MMSE runs batched sliding
-sums, FFT lags and conjugate-gradient solves.
+sums, FFT lags and conjugate-gradient solves.  The engines and the separated
+rows return a status per entry, and the evaluation raises the first failing
+entry's error (:func:`~noisebench.errors.raise_first_status`).
 The SNR of every entry comes from one array expression.  With timing on, each
 method's evaluation is timed inside the same per-seed loop and summed over seeds.
 
@@ -59,7 +61,7 @@ import numpy as np
 
 from . import estimators as est
 from . import separation as sep
-from .errors import DegenerateSpectrumError
+from .errors import Status, raise_first_status
 from .opcount import OpCounter, OpCounts
 from .scenario import GroundTruth, ScenarioConfig, build_scenario, check_seed, with_seed
 from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, power_matrix, power_spectrum
@@ -256,33 +258,37 @@ class _SeedContext:
                                                         window)[:2]
         return self._aic[window, first]
 
-    def noise_rows(self, key, lo: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Noise masks of rows lo..M-1, and each frame's noise-bin power sum and count.
+    def noise_rows(self, key, lo: int) -> tuple[np.ndarray, ...]:
+        """Noise masks of rows lo..M-1, each frame's noise-bin power sum and count,
+        and each row's status: ROF's, else MASK_ALL_SIGNAL for a mask without noise.
 
         The sums are gathered by count group (:func:`_noise_sums`), each the
-        same bits as the pairwise sum of that frame's noise bins alone.
-        Raises DegenerateSpectrumError if one of those rows is all signal;
-        the rows that request separated are then not cached.
+        same bits as the pairwise sum of that frame's noise bins alone.  When
+        a row fails, the rows that request separated get no sums and are not cached.
         """
         m, n = self.power.shape
         start, noise, sums, counts = self._rows.get(key) or (
             m, np.empty((m, n), dtype=bool), np.empty(m), np.empty(m, dtype=np.int64))
+        status = np.zeros(m - lo, dtype=np.int8)
         if lo < start:
-            noise[lo:start] = ~self._signal_rows(key, lo, start)
-            counts[lo:start] = np.count_nonzero(noise[lo:start], axis=1)
-            if not counts[lo:start].all():
-                raise DegenerateSpectrumError("mask classifies every bin as signal")
-            sums[lo:start] = _noise_sums(self.power[lo:start], noise[lo:start], counts[lo:start])
-            self._rows[key] = (lo, noise, sums, counts)
-        return noise[lo:], sums[lo:], counts[lo:]
+            rows, new = slice(lo, start), status[:start - lo]
+            signal, new[:] = self._signal_rows(key, lo, start)
+            noise[rows] = ~signal
+            counts[rows] = np.count_nonzero(noise[rows], axis=1)
+            new[(new == Status.OK) & (counts[rows] == 0)] = Status.MASK_ALL_SIGNAL
+            if not new.any():
+                sums[rows] = _noise_sums(self.power[rows], noise[rows], counts[rows])
+                self._rows[key] = (lo, noise, sums, counts)
+        return noise[lo:], sums[lo:], counts[lo:], status
 
-    def _signal_rows(self, key, lo: int, hi: int) -> np.ndarray:
+    def _signal_rows(self, key, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray | Status]:
         if key == "ideal":
-            return self.truth.signal_bin_mask[lo:hi]
+            return self.truth.signal_bin_mask[lo:hi], Status.OK
         if key == "fisher":
-            return sep.fisher_signal_rows(self.power[lo:hi])[0]
+            return sep.fisher_signal_rows(self.power[lo:hi])[0], Status.OK
         _, window, params = key
-        return sep.rof_signal_rows(self.window_means(window)[lo:hi], params)[0]
+        signal, _, _, status = sep.rof_signal_rows(self.window_means(window)[lo:hi], params)
+        return signal, status
 
 
 _NOISE_SUM_CHUNK = 64  # frames whose noise-bin sums are gathered together
@@ -368,31 +374,38 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
         first = 0 if method.estimator == "ML" else window - 1
     frames = np.arange(first, n_frames)
     key = ("rof", window, _rof_params(method)) if method.separation == "rof" else method.separation
-    if method.estimator == "ML":
-        values = est.ml_fit_frames(*ctx.noise_rows(key, first)[1:])
-    elif method.estimator == "MVU":
-        # Every window is full here.  ROF's mask of the window ending at f
+    figures = {}  # message fields besides the estimates
+    if method.estimator in ("ML", "MVU"):
+        # Every MVU window is full here.  ROF's mask of the window ending at f
         # applies to all of its frames; an ideal or Fisher mask to its own frame.
+        own_rows = method.estimator == "ML" or method.separation == "rof"
+        noise, sums, counts, status = ctx.noise_rows(key, first if own_rows else first - window + 1)
+        raise_first_status(status)  # a degenerate mask raises before the first estimate
+    if method.estimator == "ML":
+        values, status = est.ml_fit_frames(sums, counts)
+    elif method.estimator == "MVU":
         if method.separation == "rof":
-            noise, _, counts = ctx.noise_rows(key, first)
             sums = _masked_window_sums(power[first - window + 1:], noise, window)
             counts = np.broadcast_to(counts[:, None], sums.shape)
         else:
             view = np.lib.stride_tricks.sliding_window_view
-            sums, counts = (view(x, window)
-                            for x in ctx.noise_rows(key, first - window + 1)[1:])
-        values = est.mvu_fit_rows(sums, counts)
+            sums, counts = view(sums, window), view(counts, window)
+        values, status = est.mvu_fit_rows(sums, counts)
     elif method.estimator == "MMSE":
-        values = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
-                                      blind=method.params.get("blind", est.MMSE_BLIND))[0]
+        values, *_, status = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
+                                                  blind=method.params.get("blind", est.MMSE_BLIND))
     elif method.estimator == "AIC":
-        # Every window is full here, so each holds ``window`` frames.
+        # Every window is full here, so each holds ``window`` frames.  AIC never fails.
         values = ctx.aic_rows(window, first)[0]
+        status = np.zeros(values.size, dtype=np.int8)
     else:
         lo = first - window + 1
-        values = est.cbe_fit_windows(ctx.gram[lo:, lo:], power.shape[1], window,
-                                     _signal_counts(method, ctx, frames, window),
-                                     method.params.get("grid_size", est.CBE_GRID_SIZE))[0]
+        counts = _signal_counts(method, ctx, frames, window)
+        values, grids, _, status = est.cbe_fit_windows(
+            ctx.gram[lo:, lo:], power.shape[1], window, counts,
+            method.params.get("grid_size", est.CBE_GRID_SIZE))
+        figures = {"signal_count": counts, "frames": window, "tolerance": grids[:, 0]}
+    raise_first_status(status, method=method.estimator.lower(), value=values, **figures)
 
     return EstimateSeries(
         scenario_id=scenario_id, seed=seed,
@@ -674,7 +687,8 @@ def _book_rof(ops: OpCounter, power: PowerSpectrum, params: sep.RofParams) -> in
     K is decided; its K and drop-curve peak are the full cascade's.
     """
     n = power.n_bins
-    signal, k, peak = sep.rof_signal_rows(power.power[None, :], params)
+    signal, k, peak, status = sep.rof_signal_rows(power.power[None, :], params)
+    raise_first_status(status)
     # Per window size k = 2..n: n comparisons, an (n-1)-addition energy sum,
     # and one subtraction plus two multiplications for its drop.
     ops.cmp(n * (n - 1))

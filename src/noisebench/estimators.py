@@ -9,9 +9,10 @@ its candidate grid).
 Each estimator is one array engine over a stack of frames or windows
 (``ml_fit_frames``, ``mvu_fit_rows``, ``aic_fit_rows``, ``cbe_fit_windows``,
 ``mmse_fit_windows``) returning the estimates, or a tuple of arrays with the
-estimates first.  The first failing entry raises (:func:`errors.raise_first`); MMSE
-stops at the end of its chunk, CBE at the failing window.  Only the one-block
-``*_estimate`` wrappers build a :class:`NoisePowerEstimate`.
+estimates first and, where an entry can fail, a trailing :class:`errors.Status` per
+entry (AIC never fails), which the callers raise; MMSE stops at the end of the failing
+chunk, CBE at the failing window.  Only the one-block ``*_estimate`` wrappers raise
+here, and only they build a :class:`NoisePowerEstimate`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, EmptyNoiseGroupError, ZeroPowerError, raise_first
+from .errors import Status, ZeroPowerError, raise_first_status
 from .separation import SeparationMask
 from .spectral import PowerSpectrum, ResourceBlock
 
@@ -71,11 +72,11 @@ def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> NoisePowerEstimat
     return _noise_mean_estimate("ml", [power], [mask])
 
 
-def ml_fit_frames(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
-    """ML estimate of each frame, a one-frame MVU window, from its noise-bin power sum and count.
-
-    The first frame without noise bins raises EmptyNoiseGroupError, the first
-    non-positive or non-finite estimate ZeroPowerError, in frame order.
+def ml_fit_frames(noise_sums: np.ndarray, noise_counts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """ML estimate of each frame, a one-frame MVU window, from its noise-bin power sum and
+    count, and each frame's status: NO_NOISE_FRAME without noise bins, else NOT_POSITIVE
+    for an estimate that is not finite and positive.
     """
     sums = np.asarray(noise_sums, dtype=np.float64)
     counts = np.asarray(noise_counts, dtype=np.int64)
@@ -102,38 +103,38 @@ def _noise_mean_estimate(method: str, powers: list[PowerSpectrum],
         raise ValueError("mask length does not match the spectrum")
     noise = [ps.power[mk.noise_bins] for ps, mk in zip(powers, masks)]
     counts = np.array([[x.size for x in noise]], dtype=np.int64)
-    value = _noise_means(method, np.array([[x.sum() for x in noise]]), counts)[0]
+    values, status = _noise_means(method, np.array([[x.sum() for x in noise]]), counts)
+    raise_first_status(status, method=method, value=values)
     return NoisePowerEstimate(
-        value_mw=float(value), method=method, frame_index=powers[-1].frame_index,
+        value_mw=float(values[0]), method=method, frame_index=powers[-1].frame_index,
         diagnostics={"noise_bin_count": int(counts.sum()), "separation": masks[0].method},
     )
 
 
-def mvu_fit_rows(noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
+def mvu_fit_rows(noise_sums: np.ndarray, noise_counts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """MVU estimate of each row of (W, F) per-frame noise-bin power sums and counts.
 
     Each row's sums are folded left to right (one running sum along the
     row), the same fold as a loop over its frames, so equal per-frame sums
     give the same estimate bit for bit whichever way they were computed.
-    The first row without noise bins raises EmptyNoiseGroupError, the first
-    non-positive or non-finite estimate ZeroPowerError, in row order.
+    Each row's status is NO_NOISE_WINDOW without noise bins, else
+    NOT_POSITIVE for an estimate that is not finite and positive.
     """
     return _noise_means("mvu", noise_sums, noise_counts)
 
 
-def _noise_means(method: str, noise_sums: np.ndarray, noise_counts: np.ndarray) -> np.ndarray:
-    """Each row's noise mean, the left-to-right fold of its sums over its total count, checked."""
+def _noise_means(method: str, noise_sums: np.ndarray, noise_counts: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's noise mean, the left-to-right fold of its sums over its total count,
+    and its status."""
     totals = np.cumsum(noise_sums, axis=1)[:, -1]
     counts = np.sum(noise_counts, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         values = totals / counts
-    empty = "no bins classified as noise" + (" in any frame" if method == "mvu" else "")
-    raise_first([
-        (counts == 0, lambda i: EmptyNoiseGroupError(empty)),
-        (~(np.isfinite(values) & (values > 0)), lambda i: ZeroPowerError(
-            f"{method}: estimate must be finite and positive, got {values[i]}")),
-    ])
-    return values
+    empty = Status.NO_NOISE_WINDOW if method == "mvu" else Status.NO_NOISE_FRAME
+    return values, np.select([counts == 0, ~(np.isfinite(values) & (values > 0))],
+                             [empty, Status.NOT_POSITIVE]).astype(np.int8)
 
 
 def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEstimate:
@@ -224,7 +225,9 @@ def sample_covariance(block: ResourceBlock) -> np.ndarray:
 def covariance_eigenvalues(block: ResourceBlock) -> np.ndarray:
     """Descending eigenvalues of the block's sample covariance, clipped at zero."""
     _check_window_shape(block.n_frames, block.n_bins)
-    return _descending_eigenvalues(sample_covariance(block))
+    ev, status, tolerance = _descending_eigenvalues(sample_covariance(block))
+    raise_first_status(np.array([status]), value=ev[-1:], tolerance=tolerance)
+    return ev
 
 
 def _check_window_shape(m: int, n: int) -> None:
@@ -234,21 +237,21 @@ def _check_window_shape(m: int, n: int) -> None:
         raise ValueError("need n_bins >= n_frames for an aspect ratio below 1")
 
 
-def _descending_eigenvalues(cov: np.ndarray) -> np.ndarray:
+def _descending_eigenvalues(cov: np.ndarray) -> tuple[np.ndarray, Status, float]:
     """Eigenvalues of a Hermitian covariance (a diagonal block of
-    :func:`sample_covariance`), largest first.
+    :func:`sample_covariance`), largest first, their status and round-off tolerance.
 
     A negative eigenvalue within 1e-10 of the largest (or of 1) is round-off
-    and is clipped to zero; one further below raises.
+    and is clipped to zero; one further below is NEGATIVE_EIGENVALUE, unclipped.
     """
     try:
         ev = np.linalg.eigvalsh(cov)[::-1].copy()
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"eigensolver failed on the sample covariance: {exc}") from exc
+    except np.linalg.LinAlgError:
+        return np.full(len(cov), np.nan), Status.EIGENSOLVER_FAILED, np.nan
     tol = 1e-10 * max(ev[0], 1.0)
     if ev[-1] < -tol:
-        raise ValueError(f"eigenvalue {ev[-1]} below -{tol} tolerance")
-    return np.clip(ev, 0.0, None, out=ev)
+        return ev, Status.NEGATIVE_EIGENVALUE, tol
+    return np.clip(ev, 0.0, None, out=ev), Status.OK, tol
 
 
 def _unit_mp_nodes(c: float, n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -330,8 +333,10 @@ def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
         raise ValueError("occupied_fraction must lie in [0, 1)")
     m = block.n_frames
     s = int(round(m * occupied_fraction))
-    values, grids, distances = cbe_fit_windows(sample_covariance(block), block.n_bins, m,
-                                               np.array([s]), grid_size)
+    values, grids, distances, status = cbe_fit_windows(sample_covariance(block), block.n_bins,
+                                                       m, np.array([s]), grid_size)
+    raise_first_status(status, method="cbe", value=values, tolerance=grids[:, 0],
+                       signal_count=s, frames=m)
     return NoisePowerEstimate(
         value_mw=float(values[0]), method="cbe", frame_index=m - 1,
         diagnostics={
@@ -343,7 +348,7 @@ def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
 
 def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: np.ndarray,
                     grid_size: int = CBE_GRID_SIZE
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Best Marchenko-Pastur fit to the covariance spectrum of every trailing window.
 
     Window j's covariance is the diagonal block j..j+window-1 of gram, the
@@ -356,11 +361,12 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     (equal candidates when that range collapses).  The smallest
     root-sum-square misfit wins.
 
-    Returns the estimates and the (W, grid_size) grids and misfits.  Windows
-    are solved one at a time, so no stack of covariances is built, and each is
-    checked as it is solved, so none past a failing one is: S leaving no noise
-    eigenvalue raises EmptyNoiseGroupError, a negative one beyond round-off
-    ValueError, a square window or a zero smallest eigenvalue ZeroPowerError.
+    Returns the estimates, the (W, grid_size) grids and misfits and each
+    window's status.  Windows are solved one at a time, so no stack of
+    covariances is built, and each is checked as it is solved, so none past
+    a failing one is: S leaving no noise eigenvalue, the eigensolve, a square
+    window, a zero smallest eigenvalue.  The failing window's value and grid
+    are its smallest eigenvalue and round-off tolerance, other unfitted ones NaN.
     The spectra go into one (W, window) array, and the windows of each S are
     fitted together, ``CBE_FIT_CELLS`` candidate-by-eigenvalue cells at a
     time: one :func:`mp_cdf` call on the (chunk, grid_size, window - S)
@@ -369,10 +375,8 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     the reference scenario (S = 25) a chunk is 17 windows and each of its
     temporaries 0.97 MB; the call's traced peak is 4.4 MiB, against 0.6 MiB
     when each window was fitted as it was solved.  An estimate that is not
-    finite and positive raises ZeroPowerError after the fit, so it does not
-    stop the solves.  When a solve failed, the windows before it are fitted
-    first: the first failing window raises, with the first of its checks
-    that fails.
+    finite and positive is found after the fit and does not stop the solves,
+    but it precedes any failed solve, as in a loop over the windows.
     """
     counts = np.asarray(signal_counts)
     if grid_size < 2:
@@ -386,17 +390,31 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     m = window
     edge = (1.0 - np.sqrt(m / n_bins)) ** 2
     lower_edge = edge + _mp_edge_offset(m, n_bins)
-    lams, stop = _cbe_spectra(gram, m, counts, edge, lower_edge)
-    solved = len(lams)
-    counts = counts[:solved]
-    sigma_min = lams[:, -1] / lower_edge
-    upper = lams[np.arange(solved), counts] / edge
-    grids = np.empty((solved, grid_size))
+    # Each window is solved and checked in turn, up to the first that fails.
+    lams = np.full((counts.size, m), np.nan)
+    status = np.full(counts.size, Status.UNEVALUATED, dtype=np.int8)
+    for j, s in enumerate(counts.tolist()):
+        tolerance = np.nan
+        if s >= m:
+            status[j] = Status.NO_NOISE_EIGENVALUES
+        else:
+            lams[j], status[j], tolerance = _descending_eigenvalues(gram[j:j + m, j:j + m])
+            if status[j] == Status.OK and edge == 0.0:
+                status[j] = Status.SQUARE_WINDOW
+            elif status[j] == Status.OK and lams[j, -1] / lower_edge <= 0:
+                status[j] = Status.ZERO_EIGENVALUE
+        if status[j] != Status.OK:
+            break
+    solved = np.count_nonzero(status == Status.OK)  # the windows before the first failing one
+    fitted = counts[:solved]
+    sigma_min = lams[:solved, -1] / lower_edge
+    upper = lams[np.arange(solved), fitted] / edge
+    grids = np.full((counts.size, grid_size), np.nan)
     for j, (lo, hi) in enumerate(zip(sigma_min.tolist(), upper.tolist())):
         grids[j] = np.linspace(lo, max(lo, hi), grid_size)
-    distances = np.empty(grids.shape)
-    for s in set(counts.tolist()):
-        rows = np.flatnonzero(counts == s)
+    distances = np.full(grids.shape, np.nan)
+    for s in set(fitted.tolist()):
+        rows = np.flatnonzero(fitted == s)
         ecdf = np.arange(1, m - s + 1) / (m - s)
         chunk = max(1, CBE_FIT_CELLS // (grid_size * (m - s)))
         for lo in range(0, rows.size, chunk):
@@ -405,34 +423,13 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
             # One row per candidate power: the noise eigenvalues in that candidate's units.
             diff = ecdf - mp_cdf(noise / grids[part, :, None], (m - s) / n_bins, 1.0)
             distances[part] = np.sqrt(np.einsum("cgk,cgk->cg", diff, diff))
-    values = grids[np.arange(solved), np.argmin(distances, axis=1)]
-    # Every solved window lies before the one whose solve failed, if one did.
-    raise_first([(~(np.isfinite(values) & (values > 0)), lambda i: ZeroPowerError(
-        f"cbe: estimate must be finite and positive, got {values[i]}"))])
-    if stop is not None:
-        raise stop
-    return values, grids, distances
-
-
-def _cbe_spectra(gram: np.ndarray, m: int, counts: np.ndarray, edge: float,
-                 lower_edge: float) -> tuple[np.ndarray, Exception | None]:
-    """Descending covariance eigenvalues of the windows before the first failing one,
-    solved and checked one window at a time, and that window's error (None if none fails)."""
-    lams = np.empty((counts.size, m))
-    for j, s in enumerate(counts.tolist()):
-        if s >= m:
-            return lams[:j], EmptyNoiseGroupError(
-                f"S={s} signal eigenvalues leave no noise group (M={m})")
-        try:
-            lam = _descending_eigenvalues(gram[j:j + m, j:j + m])
-        except ValueError as exc:
-            return lams[:j], exc
-        lams[j] = lam
-        if edge == 0.0:
-            return lams[:j], ZeroPowerError("square blocks leave no Marchenko-Pastur margin")
-        if lam[-1] / lower_edge <= 0:
-            return lams[:j], ZeroPowerError("smallest eigenvalue is zero; no noise floor to fit")
-    return lams, None
+    values = np.full(counts.size, np.nan)
+    values[:solved] = grids[np.arange(solved), np.argmin(distances[:solved], axis=1)]
+    if solved < counts.size:
+        values[solved], grids[solved] = lams[solved, -1], tolerance
+    unusable = ~(np.isfinite(values[:solved]) & (values[:solved] > 0))
+    status[:solved][unusable] = Status.NOT_POSITIVE
+    return values, grids, distances, status
 
 
 def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerEstimate:
@@ -458,8 +455,9 @@ def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerE
     leading minor, and the ridge fallback can only be reached through
     round-off or overflow.
     """
-    values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
+    values, weight_sums, weight_maxes, residuals, status = mmse_fit_windows(
         block.spectral, block.n_frames, blind=blind)
+    raise_first_status(status, method="mmse", value=values)
     return NoisePowerEstimate(
         value_mw=float(values[0]), method="mmse", frame_index=block.n_frames - 1,
         diagnostics={
@@ -472,12 +470,12 @@ def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerE
 
 
 def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`mmse_estimate` of every trailing window of ``window`` rows of an (M, N) matrix.
 
     Entry j covers rows j..j+window-1 and reports at row j+window-1.
     Returns each window's estimate, raw weight sum, largest normalised weight
-    magnitude and relative system residual.  Windows are evaluated
+    magnitude, relative system residual and status.  Windows are evaluated
     ``MMSE_CHUNK`` at a time: the chunk's rows are scaled once, each window's
     blind mean and variances come from running sums over those rows (shifted
     by the chunk's mean, so the variance subtraction does not cancel), all
@@ -485,33 +483,39 @@ def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND
     one FFT circulant product.  The chunk's weight systems are solved
     together by preconditioned conjugate gradients, as batched FFTs; a
     window that does not converge to a true residual of ``MMSE_PCG_RESIDUAL``
-    gets its own Levinson solve.  The first failing window raises, once its
-    chunk is solved.
+    gets its own Levinson solve.  No chunk past the first failing window's is
+    evaluated: its windows are UNEVALUATED, with NaN values.
     """
     total, n = spectral.shape
     if window < 3:
         raise ValueError("need at least 3 frames")
     if window > total:
         raise ValueError(f"a {window}-frame window does not fit in {total} frames")
-    chunks = []
-    for first in range(0, total - window + 1, MMSE_CHUNK):
-        rows = spectral[first:min(first + MMSE_CHUNK, total - window + 1) + window - 1]
-        chunks.append(_mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window, blind)))
-    return tuple(np.concatenate(column) for column in zip(*chunks))
+    count = total - window + 1
+    columns = [np.full(count, np.nan) for _ in range(4)]
+    columns.append(np.full(count, Status.UNEVALUATED, dtype=np.int8))
+    for first in range(0, count, MMSE_CHUNK):
+        rows = spectral[first:min(first + MMSE_CHUNK, count) + window - 1]
+        chunk = _mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window, blind))
+        for column, part in zip(columns, chunk):
+            column[first:first + len(part)] = part
+        if chunk[-1].any():
+            break
+    return tuple(columns)
 
 
 def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """MMSE fits of consecutive windows from their variances and last-row powers.
 
-    Row j of both arrays belongs to window j of the chunk; the four results
+    Row j of both arrays belongs to window j of the chunk; the five results
     are those of :func:`mmse_fit_windows`.  Each window's variances are scaled
     exactly, by a power of two, to a maximum in [0.5, 1); the weights do not
     depend on it.  All windows without an all-zero residual block are solved
     together by :func:`_pcg_toeplitz`; one that does not converge, is not finite
     or leaves a true residual above ``MMSE_PCG_RESIDUAL`` is solved again by
-    Levinson recursion (:func:`_solve_mmse_weights`).  Then the first failing
-    window raises.
+    Levinson recursion (:func:`_solve_mmse_weights`).  Then each window gets
+    the status of the first of its checks that fails.
     """
     count = variance.shape[0]
     variance = np.ldexp(variance, -np.frexp(variance.max(axis=1))[1][:, None])
@@ -523,8 +527,8 @@ def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray
     live = np.flatnonzero(~zero)
     converged, singular = np.zeros(count, dtype=bool), np.zeros(count, dtype=bool)
     if live.size:
-        raw_weights[live], converged[live] = _pcg_toeplitz(columns[live], lags[live])
-        residuals[live] = _toeplitz_residuals(columns[live], raw_weights[live], lags[live])
+        raw_weights[live], converged[live], embedding = _pcg_toeplitz(columns[live], lags[live])
+        residuals[live] = _toeplitz_residuals(embedding, raw_weights[live], lags[live])
     solved = converged & np.isfinite(raw_weights).all(axis=1) & (residuals <= MMSE_PCG_RESIDUAL)
     levinson = np.flatnonzero(~solved & ~zero)
     for j in levinson:
@@ -536,19 +540,13 @@ def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray
         weights = raw_weights / weight_sums[:, None]
         values = np.matmul(weights[:, None, :], last_power[:, :, None])[:, 0, 0]
         weight_maxes = np.abs(weights).max(axis=1)
-    raise_first([
-        (zero, lambda j: ZeroPowerError("all-zero residual block; nothing to estimate")),
-        (singular, lambda j: DegenerateSpectrumError(
-            "MMSE weight system is singular even after ridge")),
-        (weight_sums == 0.0, lambda j: ZeroPowerError("MMSE weights sum to zero")),
-        (values <= 0, lambda j: ZeroPowerError(
-            f"MMSE produced a non-positive estimate ({float(values[j])})")),
-        (~np.isfinite(values), lambda j: ZeroPowerError(
-            f"mmse: estimate must be finite and positive, got {float(values[j])}")),
-    ])
-    residuals[levinson] = _toeplitz_residuals(columns[levinson], raw_weights[levinson],
-                                              lags[levinson])
-    return values, weight_sums, weight_maxes, residuals
+    status = np.select(
+        [zero, singular, weight_sums == 0.0, values <= 0, ~np.isfinite(values)],
+        [Status.ZERO_RESIDUAL_BLOCK, Status.SINGULAR_WEIGHTS, Status.ZERO_WEIGHT_SUM,
+         Status.NEGATIVE_ESTIMATE, Status.NOT_POSITIVE]).astype(np.int8)
+    residuals[levinson] = _toeplitz_residuals(_embedding_spectra(columns[levinson]),
+                                              raw_weights[levinson], lags[levinson])
+    return values, weight_sums, weight_maxes, residuals, status
 
 
 def _mmse_moments(x: np.ndarray, m: int, blind: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +618,8 @@ def _try_toeplitz(column: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
     return w if np.all(np.isfinite(w)) else None
 
 
-def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve T x = b for every row by preconditioned conjugate gradients.
 
     T is the symmetric positive-definite Toeplitz matrix of that row's column.
@@ -628,8 +627,8 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     preconditioner is T. Chan's optimal circulant (SIAM J. Sci. Stat. Comput.
     1988), c_k = ((N - k) t_k + k t_(N-k)) / N, applied by an N-point FFT; for
     a positive-definite T it is positive definite too.  A row stops once its
-    recursive residual falls to ``MMSE_PCG_TOL`` of ||b||.  Returns the
-    solutions and which rows converged within ``MMSE_PCG_MAX_ITER`` iterations.
+    recursive residual falls to ``MMSE_PCG_TOL`` of ||b||.  Returns the solutions,
+    which converged within ``MMSE_PCG_MAX_ITER`` iterations and the embeddings' spectra.
 
     The preconditioner multiplies each spectrum's real and imaginary parts by
     the reciprocals of Chan's eigenvalues (:func:`_apply_circulant_inverse`).
@@ -639,7 +638,7 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
     stopping iterations are those of a division, bit for bit.
     """
     count, n = columns.shape
-    embedding = np.fft.rfft(_circulant_embedding(columns), axis=1)
+    embedded = embedding = _embedding_spectra(columns)  # embedding keeps the active rows
     inverse = _chan_reciprocals(columns)
     solutions = np.zeros_like(rhs)
     converged = np.zeros(count, dtype=bool)
@@ -686,7 +685,7 @@ def _pcg_toeplitz(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.
             rz = rz_next
         else:
             solutions[active] = x
-    return solutions, converged
+    return solutions, converged, embedded
 
 
 def _chan_reciprocals(columns: np.ndarray) -> np.ndarray:
@@ -712,21 +711,22 @@ def _apply_circulant_inverse(rows: np.ndarray, inverse: np.ndarray, spectra: np.
     np.fft.irfft(spectra, rows.shape[1], axis=1, out=out)
 
 
-def _circulant_embedding(columns: np.ndarray) -> np.ndarray:
-    """First column of the 2N circulant whose leading N x N block is each row's Toeplitz matrix."""
-    return np.concatenate([columns, np.zeros((columns.shape[0], 1)), columns[:, :0:-1]], axis=1)
+def _embedding_spectra(columns: np.ndarray) -> np.ndarray:
+    """Spectrum of the 2N circulant whose leading N x N block is each row's Toeplitz matrix."""
+    zero = np.zeros((columns.shape[0], 1))
+    return np.fft.rfft(np.concatenate([columns, zero, columns[:, :0:-1]], axis=1), axis=1)
 
 
-def _toeplitz_residuals(columns: np.ndarray, solutions: np.ndarray,
+def _toeplitz_residuals(embedding: np.ndarray, solutions: np.ndarray,
                         rhs: np.ndarray) -> np.ndarray:
-    """||T x - b|| / ||b|| per row, T the symmetric Toeplitz matrix of that row's column.
+    """||T x - b|| / ||b|| per row, T the Toeplitz matrix of that row's :func:`_embedding_spectra`.
 
     T x is read off the circulant of size 2N that embeds T, one FFT product
     for all rows.
     """
-    n = columns.shape[1]
-    product = np.fft.irfft(np.fft.rfft(_circulant_embedding(columns), axis=1)
-                           * np.fft.rfft(solutions, 2 * n, axis=1), 2 * n, axis=1)[:, :n]
+    n = solutions.shape[1]
+    product = np.fft.irfft(embedding * np.fft.rfft(solutions, 2 * n, axis=1),
+                           2 * n, axis=1)[:, :n]
     return np.linalg.norm(product - rhs, axis=1) / np.linalg.norm(rhs, axis=1)
 
 

@@ -5,7 +5,8 @@ minimum-filter windows, reads the widest occupied bandwidth K off the
 percentage energy-drop curve, smooths the spectrum with a K-point average and
 marks sufficiently wide strictly-rising regions as signal.  All of its
 decision quantities are relative (percentage drops, difference signs), so
-masks are invariant under positive rescaling of the spectrum.
+masks are invariant under positive rescaling of the spectrum.  The row engine
+returns a status per row; the one-spectrum functions raise.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, raise_first
+from .errors import DegenerateSpectrumError, Status, raise_first_status
 from .scenario import GroundTruth
 from .spectral import PowerSpectrum, frozen
 
@@ -206,12 +207,12 @@ def _rof_band_widths(drops: np.ndarray, lambda1_pct: float) -> tuple[np.ndarray,
 
 
 def _rof_rows(spectra: np.ndarray, k: np.ndarray, params: RofParams
-              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`rof_separate`'s decisions on a (W, N) stack of spectra and each row's K.
 
-    Returns the signal masks, the smoothed spectra and the kept bands as
-    (row, first bin, end bin) rows.  The first row that is all zero or all
-    signal raises.
+    Returns the signal masks, the smoothed spectra, the kept bands as
+    (row, first bin, end bin) rows and each row's status: ALL_ZERO_SPECTRUM,
+    else ROF_ALL_SIGNAL for a mask of signal bins only.
     """
     w, n = spectra.shape
     # Trailing K-point mean; expanding mean over the available samples at the
@@ -229,14 +230,12 @@ def _rof_rows(spectra: np.ndarray, k: np.ndarray, params: RofParams
     wide = width > params.lambda2_fraction * n
     band = rising & wide[run]
     signal = np.pad(band, ((0, 0), (0, 1))) | np.pad(band, ((0, 0), (1, 0)))
-    raise_first([
-        (~spectra.any(axis=1), lambda i: DegenerateSpectrumError("all-zero power spectrum")),
-        (signal.all(axis=1), lambda i: DegenerateSpectrumError("ROF marked every bin as signal")),
-    ])
+    status = np.select([~spectra.any(axis=1), signal.all(axis=1)],
+                       [Status.ALL_ZERO_SPECTRUM, Status.ROF_ALL_SIGNAL]).astype(np.int8)
     row, first = np.divmod(np.flatnonzero(start), n - 1)
     kept = wide[1:]
     bands = np.column_stack([row[kept], first[kept], first[kept] + width[1:][kept] + 1])
-    return signal, smoothed, bands
+    return signal, smoothed, bands, status
 
 
 def rof_separate(power: PowerSpectrum, params: RofParams = RofParams()) -> SeparationMask:
@@ -250,34 +249,38 @@ def rof_separate(power: PowerSpectrum, params: RofParams = RofParams()) -> Separ
     """
     drops = rof_energy_drops(power)
     k = _rof_band_widths(drops[None, :], params.lambda1_pct)[0]
-    signal, smoothed, bands = _rof_rows(power.power[None, :], k, params)
+    signal, smoothed, bands, status = _rof_rows(power.power[None, :], k, params)
+    raise_first_status(status)
     aux = {"K": int(k[0]), "d_curve": drops, "smoothed": smoothed[0],
            "runs": [(int(i), int(j)) for _, i, j in bands]}
     return SeparationMask(is_signal=signal[0], method="rof", aux=aux)
 
 
 def rof_signal_rows(spectra: np.ndarray, params: RofParams = RofParams()
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """ROF separation of every row of a (W, N) stack of spectra.
 
-    Returns the (W, N) signal mask, each row's bandwidth K and the index of
-    the peak of its drop curve (the first argmax of the drops, drop j
-    belonging to k = j + 2); row i's mask and K are :func:`rof_separate`'s
-    of ``spectra[i]``.  ``ROF_CHUNK`` rows at a time share one erosion
-    cascade, smoothing and run search.  Only K and the peak are read off the
-    cascade, so each row leaves it as soon as its K is decided
-    (:func:`_rof_cascade`), with the K and peak of the full curve.  The
-    first row that is all zero or all signal raises DegenerateSpectrumError.
+    Returns the (W, N) signal mask, each row's bandwidth K, the index of the
+    peak of its drop curve (the first argmax of the drops, drop j belonging to
+    k = j + 2) and each row's status; row i's mask and K are
+    :func:`rof_separate`'s of ``spectra[i]``.  ``ROF_CHUNK`` rows at a time
+    share one erosion cascade, smoothing and run search.  Only K and the peak
+    are read off the cascade, so each row leaves it as soon as its K is
+    decided (:func:`_rof_cascade`), with the K and peak of the full curve.  No
+    chunk past the first failing row's is separated (UNEVALUATED).
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     signal = np.empty(spectra.shape, dtype=bool)
     k = np.empty(len(spectra), dtype=np.int64)
     peak = np.empty(len(spectra), dtype=np.int64)
+    status = np.full(len(spectra), Status.UNEVALUATED, dtype=np.int8)
     for lo in range(0, len(spectra), ROF_CHUNK):
         rows = slice(lo, lo + ROF_CHUNK)
         _, k[rows], peak[rows] = _rof_cascade(spectra[rows], params.lambda1_pct)
-        signal[rows] = _rof_rows(spectra[rows], k[rows], params)[0]
-    return signal, k, peak
+        signal[rows], _, _, status[rows] = _rof_rows(spectra[rows], k[rows], params)
+        if status[rows].any():
+            break
+    return signal, k, peak, status
 
 
 def fisher_separate(power: PowerSpectrum) -> SeparationMask:

@@ -26,7 +26,7 @@ from noisebench import (
     power_spectrum,
 )
 from noisebench import bench, estimators
-from noisebench.errors import DegenerateSpectrumError, ZeroPowerError
+from noisebench.errors import DegenerateSpectrumError, ZeroPowerError, raise_first_status
 from noisebench.scenario import (
     _frame_amplitudes,
     _noise_series,
@@ -200,6 +200,24 @@ def resume_table_literal(words, check: float) -> str:
     """The bench.py source of a resume table, eight words a line."""
     rows = ["    " + ", ".join(map(str, words[i:i + 8])) + "," for i in range(0, len(words), 8)]
     return "_RESUME_WORDS = (\n" + "\n".join(rows) + f"\n)\n_RESUME_CHECK = {check!r}\n"
+
+
+def raised(output: tuple, method: str | None = None, **fields):
+    """An engine's arrays, its statuses last, after raising its first failing entry's
+    error as the callers do: the estimates (the first array) fill the messages of
+    ``method``, and ``fields`` the rest.  Returns the first array, or all but the
+    statuses when there are more."""
+    *arrays, status = output
+    if method is not None:
+        fields.update(method=method, value=arrays[0])
+    raise_first_status(status, **fields)
+    return arrays[0] if len(arrays) == 1 else tuple(arrays)
+
+
+def cbe_raised(gram: np.ndarray, n_bins: int, window: int, counts: np.ndarray, *args):
+    """:func:`estimators.cbe_fit_windows` with its statuses raised as ``bench`` raises them."""
+    output = estimators.cbe_fit_windows(gram, n_bins, window, counts, *args)
+    return raised(output, "cbe", tolerance=output[1][:, 0], signal_count=counts, frames=window)
 
 
 def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerEstimate:

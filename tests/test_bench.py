@@ -37,7 +37,7 @@ from noisebench.scenario import with_seed
 
 from conftest import (
     counting_block_per_frame, counting_frames_walk, counting_power, counting_resume_points,
-    noise_only_config, reference_config, resume_table_literal,
+    noise_only_config, raised, reference_config, resume_table_literal,
 )
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
@@ -320,8 +320,8 @@ class TestRunScenario:
         window = 100
         fractions = [float(ctx.truth.signal_bin_mask[hi - 1].mean())
                      for hi in range(window, cfg.n_frames + 1)]
-        values, grids, _ = cbe_fit_windows(ctx.gram, cfg.n_bins, window,
-                                           np.array([round(window * f) for f in fractions]))
+        values, grids, _, _ = cbe_fit_windows(ctx.gram, cfg.n_bins, window,
+                                              np.array([round(window * f) for f in fractions]))
         for lo, fraction in enumerate(fractions):
             want = cbe_estimate(ctx.block.window(lo, lo + window), fraction)
             assert grids[lo, 0] == pytest.approx(want.diagnostics["sigma_min_sq"], rel=1e-12)
@@ -377,7 +377,7 @@ class TestRunScenario:
         np.testing.assert_array_equal(series.frame_index, np.arange(window - 1, cfg.n_frames))
         for lo in range(cfg.n_frames - window + 1):
             hi = lo + window
-            values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
+            values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(
                 ctx.block.spectral[lo:hi], window)
             want = mmse_estimate(ctx.block.window(lo, hi))
             assert values.tolist() == [want.value_mw]
@@ -396,7 +396,7 @@ class TestRunScenario:
         ctx = _SeedContext(*build_scenario(cfg))
         key = ("rof", 10, RofParams())
         ctx.noise_rows(key, 20)
-        noise, sums, counts = ctx.noise_rows(key, 0)
+        noise, sums, counts, _ = ctx.noise_rows(key, 0)
         for f in range(45):
             lo = max(0, f - 9)
             want = rof_separate(PowerSpectrum(ctx.power[lo:f + 1].mean(axis=0), f)).noise_bins
@@ -463,8 +463,8 @@ class TestRunScenario:
             power[0] = head
             ctx = _SeedContext(ResourceBlock(np.sqrt(64 * power)), truth=None)
             with pytest.raises(DegenerateSpectrumError, match=message):
-                ctx.noise_rows(key, 0)
-            noise, _, counts = ctx.noise_rows(key, 1)
+                raised(ctx.noise_rows(key, 0))
+            noise, _, counts, _ = ctx.noise_rows(key, 1)
             assert noise.shape == (4, 64) and counts.all()
 
     def test_grouped_noise_sums_match_per_frame_sums(self):
@@ -540,7 +540,7 @@ class TestRunScenario:
         series = _evaluate_method(MethodSpec("MVU", "rof"), ctx, cfg.name, 3, last_only=True)
         noise = ctx.noise_rows(("rof", 100, RofParams()), cfg.n_frames - 1)[0]
         sums = self._per_window_sums(ctx.power[-100:], noise, 100)
-        want = estimators.mvu_fit_rows(sums, np.full(sums.shape, np.count_nonzero(noise)))
+        want = estimators.mvu_fit_rows(sums, np.full(sums.shape, np.count_nonzero(noise)))[0]
         assert series.frame_index.tolist() == [cfg.n_frames - 1]
         assert series.noise_power_est_mw.tobytes() == want.tobytes()
 

@@ -42,7 +42,8 @@ from noisebench.errors import DegenerateSpectrumError, EmptyNoiseGroupError
 from noisebench.scenario import scenario_config_from_dict, scenario_config_from_file, with_seed
 
 from conftest import (
-    cbe_fit_naive, counting_power, mmse_fit_per_window, reference_config, white_frame,
+    cbe_fit_naive, cbe_raised, counting_power, mmse_fit_per_window, raised, reference_config,
+    white_frame,
 )
 
 CONFIG = Path(__file__).resolve().parent.parent / "configs" / "ism_benchmark.json"
@@ -60,8 +61,8 @@ def mvu_windows(sums, counts, window: int) -> np.ndarray:
     """MVU of every trailing window of per-frame noise sums and counts, built as the
     harness builds ideal and Fisher windows: sliding views folded by mvu_fit_rows."""
     view = np.lib.stride_tricks.sliding_window_view
-    return mvu_fit_rows(view(np.asarray(sums, dtype=np.float64), window),
-                        view(np.asarray(counts, dtype=np.int64), window))
+    return raised(mvu_fit_rows(view(np.asarray(sums, dtype=np.float64), window),
+                               view(np.asarray(counts, dtype=np.int64), window)), "mvu")
 
 
 def aic_curve_naive(lam: np.ndarray, m: int) -> np.ndarray:
@@ -80,7 +81,7 @@ def pcg_toeplitz_oracle(columns: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarra
     """The conjugate-gradient Toeplitz solver with its preconditioner as a
     complex division of a strided slice, and the padding zeroed every iteration."""
     count, n = columns.shape
-    embedding = np.fft.rfft(estimators._circulant_embedding(columns), axis=1)
+    embedding = estimators._embedding_spectra(columns)
     k = np.arange(n)
     chan = columns * (n - k)
     chan[:, 1:] += k[1:] * columns[:, :0:-1]
@@ -239,7 +240,8 @@ class TestMvuEstimate:
                 count += int(frame_count)
             assert value == total / count
             assert value == mvu_windows(sums[j:j + window], counts[j:j + window], window)[0]
-            assert value == mvu_fit_rows(sums[None, j:j + window], counts[None, j:j + window])[0]
+            assert value == mvu_fit_rows(sums[None, j:j + window],
+                                         counts[None, j:j + window])[0][0]
 
     def test_windows_guards_in_window_order(self):
         with pytest.raises(ZeroPowerError, match="mvu: .* got 0.0"):
@@ -250,9 +252,9 @@ class TestMvuEstimate:
     def test_rows_guards_in_row_order(self):
         sums = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]])
         with pytest.raises(ZeroPowerError, match="mvu: .* got 0.0"):
-            mvu_fit_rows(sums, np.array([[1, 1], [1, 1], [0, 0]]))
+            raised(mvu_fit_rows(sums, np.array([[1, 1], [1, 1], [0, 0]])), "mvu")
         with pytest.raises(EmptyNoiseGroupError):
-            mvu_fit_rows(sums, np.array([[1, 1], [0, 0], [1, 1]]))
+            raised(mvu_fit_rows(sums, np.array([[1, 1], [0, 0], [1, 1]])), "mvu")
 
     def test_stability_gain_over_ml(self):
         # Block averaging shrinks the spread by about sqrt(M) = 10.
@@ -570,8 +572,8 @@ def _truth_counts(truth, frames, window: int) -> list[int]:
 def _assert_matches_naive(gram, n_bins, window, counts, grid_size=100):
     """Every value, grid entry and misfit is the bits of the per-window oracle's;
     returns the number of windows whose candidate range collapsed."""
-    values, grids, distances = cbe_fit_windows(gram, n_bins, window, np.array(counts),
-                                               grid_size)
+    values, grids, distances, _ = cbe_fit_windows(gram, n_bins, window, np.array(counts),
+                                                  grid_size)
     assert values.shape == (len(counts),)
     assert grids.shape == distances.shape == (len(counts), grid_size)
     collapsed = 0
@@ -608,7 +610,7 @@ class TestCbeFitWindows:
         raw = (x @ x.conj().T) / cfg.n_bins
         assert not (raw == raw.conj().T).all()
         counts = np.array(_truth_counts(truth, np.arange(99, cfg.n_frames), 100))
-        values, grids, distances = cbe_fit_windows(gram, cfg.n_bins, 100, counts)
+        values, grids, distances, _ = cbe_fit_windows(gram, cfg.n_bins, 100, counts)
         for j, s in enumerate(counts):
             cov = raw[j:j + 100, j:j + 100]
             want = cbe_fit_windows(0.5 * (cov + cov.conj().T), cfg.n_bins, 100, counts[j:j + 1])
@@ -639,7 +641,7 @@ class TestCbeFitWindows:
         counts = [15 if j % 3 else 0 for j in range(25)]
         collapsed = _assert_matches_naive(gram, 128, 16, counts, grid_size=30)
         assert collapsed == counts.count(15)
-        values, grids, _ = cbe_fit_windows(gram, 128, 16, np.array(counts), 30)
+        values, grids, _, _ = cbe_fit_windows(gram, 128, 16, np.array(counts), 30)
         assert (grids[1] == values[1]).all()
 
     @pytest.mark.parametrize("cells", [1, 4 * 30 * 16 + 7, None],
@@ -692,10 +694,10 @@ class TestCbeFitWindows:
         counts = np.zeros(9, dtype=np.int64)
         counts[7] = 4
         with pytest.raises(ZeroPowerError, match="smallest eigenvalue is zero"):
-            cbe_fit_windows(gram, 32, 4, counts)
+            cbe_raised(gram, 32, 4, counts)
         counts[2] = 4
         with pytest.raises(EmptyNoiseGroupError, match="S=4 .* no noise group"):
-            cbe_fit_windows(gram, 32, 4, counts)
+            cbe_raised(gram, 32, 4, counts)
         values = cbe_fit_windows(gram[:6, :6], 32, 4, np.zeros(3, dtype=np.int64))[0]
         assert (values > 0).all()
 
@@ -737,7 +739,7 @@ class TestCbeFitWindows:
                 f"eigenvalue -1.0 below -{1e-10 * powers[5:9].max()} tolerance", 6
         solved = self._count_solves(monkeypatch)
         with pytest.raises(error) as raised:
-            cbe_fit_windows(self._diagonal_gram(powers), 32, 4, counts)
+            cbe_raised(self._diagonal_gram(powers), 32, 4, counts)
         assert type(raised.value) is error and str(raised.value) == message
         assert len(solved) == solves
 
@@ -745,7 +747,7 @@ class TestCbeFitWindows:
         solved = self._count_solves(monkeypatch)
         gram = estimators.sample_covariance(white_block(23, n_frames=10, n_bins=8))
         with pytest.raises(ZeroPowerError) as raised:
-            cbe_fit_windows(gram, 8, 8, np.zeros(3, dtype=np.int64))
+            cbe_raised(gram, 8, 8, np.zeros(3, dtype=np.int64))
         assert str(raised.value) == "square blocks leave no Marchenko-Pastur margin"
         assert solved == [(8, 8)]
 
@@ -762,18 +764,18 @@ class TestCbeFitWindows:
         solved = self._count_solves(monkeypatch)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ZeroPowerError) as raised:
-                cbe_fit_windows(self._diagonal_gram(powers), 32, 4, counts)
+                cbe_raised(self._diagonal_gram(powers), 32, 4, counts)
             assert str(raised.value) == "cbe: estimate must be finite and positive, got nan"
             assert len(solved) == 6
             # Alone, windows 0-3 fit and window 4 does not.
             assert cbe_fit_windows(self._diagonal_gram(powers[:7]), 32, 4, counts[:4])[0].all()
             with pytest.raises(ZeroPowerError, match="got nan"):
-                cbe_fit_windows(self._diagonal_gram(powers[4:8]), 32, 4, counts[4:5])
+                cbe_raised(self._diagonal_gram(powers[4:8]), 32, 4, counts[4:5])
 
     def test_shape_and_count_guards(self):
         gram = estimators.sample_covariance(white_block(23, n_frames=10, n_bins=16))
         with pytest.raises(ZeroPowerError, match="square"):
-            cbe_fit_windows(gram[:8, :8], 8, 8, np.zeros(1, dtype=np.int64))
+            cbe_raised(gram[:8, :8], 8, 8, np.zeros(1, dtype=np.int64))
         with pytest.raises(ValueError, match="grid_size"):
             cbe_fit_windows(gram, 16, 4, np.zeros(7, dtype=np.int64), grid_size=1)
         with pytest.raises(ValueError, match="aspect ratio"):
@@ -784,7 +786,7 @@ class TestCbeFitWindows:
             with pytest.raises(ValueError, match="one non-negative integer signal count"):
                 cbe_fit_windows(gram, 16, 4, counts)
         with pytest.raises(ValueError, match="below"):
-            cbe_fit_windows(-np.eye(4), 16, 4, np.zeros(1, dtype=np.int64))
+            cbe_raised(-np.eye(4), 16, 4, np.zeros(1, dtype=np.int64))
 
 
 class TestMmseEstimate:
@@ -835,7 +837,7 @@ class TestMmseEstimate:
 
     def test_fit_on_matrix_matches_block(self):
         block = white_block(6, n_frames=30, n_bins=64)
-        values, weight_sums, weight_maxes, residuals = mmse_fit_windows(
+        values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(
             block.spectral, 30)
         for blind in (True, False):
             want = mmse_estimate(block, blind=blind)
@@ -871,7 +873,8 @@ def _levinson_fit_windows(spectral: np.ndarray, window: int,
         lags = estimators._mmse_lags(variance)
         solved = [estimators._solve_mmse_weights(r) for r in lags]
         raw_weights = np.stack([w for w, _ in solved])
-        residuals = estimators._toeplitz_residuals(np.stack([c for _, c in solved]),
+        residuals = estimators._toeplitz_residuals(
+            estimators._embedding_spectra(np.stack([c for _, c in solved])),
                                                    raw_weights, lags)
         for w, power, residual in zip(raw_weights, last_power, residuals):
             weight_sum = float(w.sum())
@@ -902,8 +905,8 @@ class TestMmseFitWindows:
             monkeypatch.setattr(estimators, "MMSE_CHUNK", chunk)
         spectral, want, error = mmse_oracle_cases[case, blind]
         assert want, "the oracle fails on the first window"
-        values, weight_sums, _, residuals = mmse_fit_windows(spectral[:len(want) + 99], 100,
-                                                             blind=blind)
+        values, weight_sums, _, residuals, _ = mmse_fit_windows(spectral[:len(want) + 99], 100,
+                                                                blind=blind)
         assert len(values) == len(want)
         for lo, w in enumerate(want):
             assert values[lo] == pytest.approx(w.value_mw, rel=1e-12)
@@ -917,7 +920,7 @@ class TestMmseFitWindows:
             # The first window the oracle rejects is rejected with the same error.
             prefix = str(error).split("(")[0]
             with pytest.raises(ZeroPowerError, match=prefix) as caught:
-                mmse_fit_windows(spectral[:len(want) + 100], 100, blind=blind)
+                raised(mmse_fit_windows(spectral[:len(want) + 100], 100, blind=blind), "mmse")
             assert type(caught.value) is type(error)
 
     def test_switching_trace_fails_after_the_switch(self, mmse_oracle_cases):
@@ -950,7 +953,7 @@ class TestMmseFitWindows:
             assert len(want) == start
             assert "all-zero residual" in str(error)
             with pytest.raises(ZeroPowerError, match="all-zero residual"):
-                mmse_fit_windows(spectral, window)
+                raised(mmse_fit_windows(spectral, window), "mmse")
         else:
             assert error is None
             assert len(got) == spectral.shape[0] - window + 1
@@ -961,9 +964,9 @@ class TestMmseFitWindows:
         pcg = estimators._pcg_toeplitz
 
         def first_window_unconverged(columns, rhs):
-            solutions, converged = pcg(columns, rhs)
+            solutions, converged, embedding = pcg(columns, rhs)
             converged[0] = False
-            return solutions, converged
+            return solutions, converged, embedding
 
         original = estimators._try_toeplitz
         diagonals = []
@@ -988,7 +991,8 @@ class TestMmseFitWindows:
         spectral = white_block(11, n_frames=12, n_bins=32).spectral
         monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 0)
         monkeypatch.setattr(estimators, "_try_toeplitz", lambda column, rhs: None)
-        for fit in (lambda: mmse_fit_windows(spectral, 10), lambda: mmse_fit_per_window(spectral)):
+        for fit in (lambda: raised(mmse_fit_windows(spectral, 10), "mmse"),
+                    lambda: mmse_fit_per_window(spectral)):
             with pytest.raises(DegenerateSpectrumError, match="singular even after ridge"):
                 fit()
 
@@ -1001,9 +1005,9 @@ class TestMmseFitWindows:
 
         def unconverged(windows):
             def solve(columns, rhs):
-                solutions, converged = pcg(columns, rhs)
+                solutions, converged, embedding = pcg(columns, rhs)
                 converged[windows] = False
-                return solutions, converged
+                return solutions, converged, embedding
             return solve
 
         zero_sum = np.zeros(32)
@@ -1012,12 +1016,12 @@ class TestMmseFitWindows:
         monkeypatch.setattr(estimators, "_try_toeplitz", lambda column, rhs: next(answers))
         monkeypatch.setattr(estimators, "_pcg_toeplitz", unconverged([1, 3]))
         with pytest.raises(ZeroPowerError, match="weights sum to zero"):
-            mmse_fit_windows(spectral, 20)
+            raised(mmse_fit_windows(spectral, 20), "mmse")
         assert next(answers, "drained") == "drained"  # window 3 was solved too
         answers = iter([None, None])
         monkeypatch.setattr(estimators, "_pcg_toeplitz", unconverged([3]))
         with pytest.raises(DegenerateSpectrumError, match="singular even after ridge"):
-            mmse_fit_windows(spectral, 20)
+            raised(mmse_fit_windows(spectral, 20), "mmse")
 
     def test_failing_call_solves_up_to_the_failing_chunk(self, mmse_oracle_cases, monkeypatch):
         # The switching trace fails at window 52.  Seven windows a chunk, the
@@ -1033,7 +1037,7 @@ class TestMmseFitWindows:
         monkeypatch.setattr(estimators, "MMSE_CHUNK", 7)
         monkeypatch.setattr(estimators, "_pcg_toeplitz", counted)
         with pytest.raises(ZeroPowerError, match="non-positive estimate"):
-            mmse_fit_windows(spectral, 100)
+            raised(mmse_fit_windows(spectral, 100), "mmse")
         assert len(want) == 52
         assert systems == [7] * 8
 
@@ -1047,7 +1051,7 @@ class TestMmseFitWindows:
         lags = np.stack([np.correlate(v, v, mode="full")[n - 1:] / n for v in picked])
         columns = lags.copy()
         columns[:, 0] *= 2.0
-        solutions, converged = estimators._pcg_toeplitz(columns, lags)
+        solutions, converged, _ = estimators._pcg_toeplitz(columns, lags)
         assert converged.all()
         for column, r, w in zip(columns, lags, solutions):
             dense = scipy.linalg.solve(scipy.linalg.toeplitz(column), r, assume_a="pos")
@@ -1069,8 +1073,8 @@ class TestMmseFitWindows:
 
         monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 1)
         monkeypatch.setattr(estimators, "_try_toeplitz", counted)
-        values, weight_sums, weight_maxes, residuals = mmse_fit_windows(spectral, 100,
-                                                                        blind=blind)
+        values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(spectral, 100,
+                                                                           blind=blind)
         assert len(calls) == len(values) == len(want)
         for j, w in enumerate(want):
             assert values[j] == w.value_mw
@@ -1084,7 +1088,7 @@ class TestMmseFitWindows:
             mmse_fit_windows(spectral, 2)
         with pytest.raises(ValueError, match="does not fit"):
             mmse_fit_windows(spectral, 9)
-        assert [len(column) for column in mmse_fit_windows(spectral, 8)] == [1, 1, 1, 1]
+        assert [len(column) for column in mmse_fit_windows(spectral, 8)] == [1, 1, 1, 1, 1]
 
 
 def spd_toeplitz_batch(seed: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -1108,7 +1112,7 @@ def spd_toeplitz_batch(seed: int, count: int, n: int) -> tuple[np.ndarray, np.nd
 
 def assert_same_pcg(columns: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The solver and its division oracle give the same bits; returns the converged flags."""
-    solutions, converged = estimators._pcg_toeplitz(columns, rhs)
+    solutions, converged, _ = estimators._pcg_toeplitz(columns, rhs)
     want, want_converged = pcg_toeplitz_oracle(columns, rhs)
     assert solutions.tobytes() == want.tobytes()
     assert converged.tolist() == want_converged.tolist()
@@ -1209,15 +1213,15 @@ class TestMlFitFrames:
         signal = rng.random((30, 64)) < 0.4
         noise = ~signal
         sums = np.array([row[keep].sum() for row, keep in zip(p, noise)])
-        got = ml_fit_frames(sums, noise.sum(axis=1))
+        got = ml_fit_frames(sums, noise.sum(axis=1))[0]
         want = [row[keep].mean() for row, keep in zip(p, noise)]
         np.testing.assert_array_equal(got, want)
 
     def test_guards_in_frame_order(self):
         with pytest.raises(ZeroPowerError, match="ml: .* got 0.0"):
-            ml_fit_frames(np.array([1.0, 0.0, 1.0]), np.array([2, 2, 0]))
+            raised(ml_fit_frames(np.array([1.0, 0.0, 1.0]), np.array([2, 2, 0])), "ml")
         with pytest.raises(EmptyNoiseGroupError):
-            ml_fit_frames(np.array([1.0, 0.0, 0.0]), np.array([2, 0, 2]))
+            raised(ml_fit_frames(np.array([1.0, 0.0, 0.0]), np.array([2, 0, 2])), "ml")
         with pytest.raises(ValueError, match="aligned"):
             ml_fit_frames(np.ones(2), np.ones(3, dtype=int))
         with pytest.raises(ValueError, match="aligned"):

@@ -111,4 +111,28 @@ class TestPairedBench:
                                            "idle_after": 1.2}] * 3
         assert record["claim"]["raw_result"]["pairs_change_better"] == 1
         assert record["claim"]["raw_result"]["met"] is False
-        assert record["command"].endswith("--seconds 1 --trace 0")
+        assert record["command"].endswith("--seconds T --trace 0")
+
+    def test_each_workload_keeps_its_run_length(self, paired, tmp_path, monkeypatch):
+        lengths = []
+
+        def run_once(checkout, workload, seed, seconds):
+            lengths.append((workload, seconds))
+            write_details(checkout, workload, seed, [(1.0, 0.5, 100.0)], speed=1.0)
+            return fake_run(100.0), {"nproc": 2}
+
+        monkeypatch.setattr(paired, "run_once", run_once)
+        for side in ("parent", "change"):
+            (tmp_path / side).mkdir()
+        (tmp_path / "change" / "BENCHMARK.json").write_text((ROOT / "BENCHMARK.json").read_text())
+        out = tmp_path / "BENCH_lengths.json"
+        base = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                "--out", str(out)]
+        assert paired.main([*base, "--workload", "ops-sweep", "--pairs", "2",
+                            "--seconds", "25"]) == 0
+        assert paired.main([*base, "--workload", "ref-matrix", "--pairs", "1",
+                            "--seconds", "10"]) == 0
+        assert sorted(set(lengths)) == [("ops-sweep", 25.0), ("ref-matrix", 10.0)]
+        workloads = json.loads(out.read_text())["workloads"]
+        assert (workloads["ops-sweep"]["seconds"], workloads["ops-sweep"]["pairs"]) == (25.0, 2)
+        assert (workloads["ref-matrix"]["seconds"], workloads["ref-matrix"]["pairs"]) == (10.0, 1)

@@ -25,7 +25,7 @@ from noisebench.bench import MethodSpec, count_ops
 from noisebench.scenario import GroundTruth, scenario_config_from_file
 from noisebench.separation import FISHER_CHUNK, ROF_CHUNK
 
-from conftest import counting_power, reference_config
+from conftest import counting_power, raised, reference_config
 
 
 def spectrum(values) -> PowerSpectrum:
@@ -354,9 +354,9 @@ class TestRofSignalRows:
         bad = [i for i, want in enumerate(expected) if isinstance(want, str)]
         if bad:
             with pytest.raises(DegenerateSpectrumError, match=expected[bad[0]]):
-                rof_signal_rows(spectra, params)
+                raised(rof_signal_rows(spectra, params))
         good = spectra[:bad[0]] if bad else spectra
-        signal, k, _ = rof_signal_rows(good, params)
+        signal, k, _, _ = rof_signal_rows(good, params)
         for row, width, want in zip(signal, k, expected):
             np.testing.assert_array_equal(row, want[0])
             assert width == want[1]
@@ -386,7 +386,7 @@ class TestRofSignalRows:
         spectra[3], spectra[4] = bad[order[0]], bad[order[1]]
         monkeypatch.setattr(separation, "ROF_CHUNK", chunk)
         with pytest.raises(DegenerateSpectrumError, match=message):
-            rof_signal_rows(spectra)
+            raised(rof_signal_rows(spectra))
         assert rof_signal_rows(spectra[:3])[0].shape == (3, 32)
 
     def test_rows_need_four_bins(self):
@@ -456,12 +456,12 @@ def assert_early_stop_exact(rows: np.ndarray, lambda1_pct: float) -> np.ndarray:
     assert (steps[rows.min(axis=1) <= 0] == rows.shape[1]).all()
     params = RofParams(lambda1_pct=lambda1_pct)
     try:
-        expected = separation._rof_rows(rows, want, params)[0]
+        expected = raised(separation._rof_rows(rows, want, params))[0]
     except DegenerateSpectrumError as exc:
         with pytest.raises(DegenerateSpectrumError, match=str(exc)):
-            rof_signal_rows(rows, params)
+            raised(rof_signal_rows(rows, params))
     else:
-        signal, k_rows, peak_rows = rof_signal_rows(rows, params)
+        signal, k_rows, peak_rows = raised(rof_signal_rows(rows, params))
         np.testing.assert_array_equal(signal, expected)
         np.testing.assert_array_equal(k_rows, want)
         np.testing.assert_array_equal(peak_rows, peak)
@@ -507,7 +507,7 @@ class TestRofRowDecisions:
 
     @staticmethod
     def assert_full_curve_decisions(rows: np.ndarray, params: RofParams) -> None:
-        _, k, peak = rof_signal_rows(rows, params)
+        _, k, peak, _ = rof_signal_rows(rows, params)
         for row, width, top in zip(rows, k, peak):
             assert width == rof_separate(spectrum(row), params).aux["K"]
             assert top == np.argmax(rof_energy_drops(spectrum(row)))
