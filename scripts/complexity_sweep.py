@@ -3,9 +3,10 @@
 
 A thin front end to ``noisebench ops`` (its five default methods): it writes
 the per-size counts to ``--out``, reads them back and prints each method's
-totals with the growth ratio per doubling.  The leading terms follow the
-published accounting (quadratic for ML/AIC/MMSE paths; the covariance-based
-method carries a cubic naive matrix multiply).
+totals with the growth ratio per doubling.  The counts are the paper's
+operation model, not timings: its leading terms are quadratic for ML, AIC
+and MMSE and cubic for CBE, whose covariance product and eigensolve are
+booked at m**2 * 2m and 4m**3 / 3 multiply-adds for m frames.
 
 Usage:
     python scripts/complexity_sweep.py [--sizes 64,128,256,512] [--out ops.csv]

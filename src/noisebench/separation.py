@@ -103,11 +103,13 @@ def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
     minimum filter.  Each step is one minimum over all rows still eroding.
     Without lambda1_pct every row runs all N - 1 steps and K and the peak are
     None.  With it, every ``_ROF_STOP_EVERY`` steps the rows whose K is
-    already decided (:func:`_rof_decided`) leave the cascade, their later
-    energies left NaN.  K and the peak (the first argmax of the drops, drop j
-    belonging to k = j + 2) are read off the drops the rows leave with, or,
-    for rows that run to N, off the full curve; both are the full curve's,
-    bit for bit, since no drop after a row leaves reaches its peak.
+    already decided leave the cascade, their later energies left NaN: a row
+    is decided once its eroded row's variation bounds every later drop below
+    its running peak (:func:`_rof_decided`).  K and the peak (the first
+    argmax of the drops, drop j belonging to k = j + 2) are read off the
+    drops the rows leave with, or, for rows that run to N, off the full
+    curve; both are the full curve's, bit for bit, since no drop after a row
+    leaves reaches its peak.
     """
     w, n = spectra.shape
     if n < 4:
@@ -134,7 +136,7 @@ def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
         np.add.reduce(eroded, axis=1, out=live[k - 1])
         if lambda1_pct is None or k % _ROF_STOP_EVERY or k == n:
             continue
-        done, width, peak = _rof_decided(live[:k], floor, lambda1_pct)
+        done, width, peak = _rof_decided(live[:k], eroded, floor, lambda1_pct)
         if done.any():
             energy[:k, rows[done]] = live[:k, done]
             widths[rows[done]] = width[done]
@@ -151,24 +153,39 @@ def _rof_cascade(spectra: np.ndarray, lambda1_pct: float | None = None
     return energy, widths, peaks
 
 
-def _rof_decided(energy: np.ndarray, floor: np.ndarray, lambda1_pct: float
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rof_decided(energy: np.ndarray, eroded: np.ndarray, floor: np.ndarray,
+                 lambda1_pct: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Which rows' K the energies E(1..k) so far decide, and each row's K and
-    drop-curve peak on them.
+    drop-curve peak on them; ``eroded`` holds the rows under the k-bin filter.
 
-    Erosion only lowers E, and E stays above ``floor`` (N times the row's
-    minimum, less a relative margin that covers the rounding of a sum), so no
-    later drop exceeds B(k) = 100 * (E(k) - floor) / E(k).  K is decided once
-    B(k), less the margin again for the rounding of the drops, lies below the
-    running peak drop, so the peak is final, and a drop after the peak is not
-    above lambda1_pct of it, so the walk has stopped.  A row whose minimum is
-    not positive is never decided here.  The margin holds while N * 2**-52
-    is below it, for N up to about four million.
+    Step k' of the cascade takes each bin's minimum with its left neighbour
+    (even k') or its right one (odd k'), edges replicated, so it lowers E by
+    the eroded row's up-variation U = sum((e[i] - e[i-1])+) or its
+    down-variation D = sum((e[i] - e[i+1])+).  Over thresholds t, U and D
+    integrate the number of runs of the level set {e >= t} that start, or
+    end, away from the row's edges; a two-point minimum only trims or removes
+    such runs, so U and D never grow, and every later decrease d is at most
+    V = max(U, D) of the row at step k.  E(k' - 1) >= floor + d, with
+    ``floor`` N times the row's minimum less a relative margin that covers
+    the rounding of a sum, so a later drop 100 * d / E(k' - 1) is at most
+    100 * V / (floor + V).
+
+    ``slack`` = 2 * N * 2**-52 * E(k) covers the rounding of the computed
+    energies and of V (V <= E(k) while the minimum is positive), which is all
+    the drops of a near-flat row are.  K is decided once 100 * (V + slack)
+    lies below the running peak drop times (floor + V), less the margin
+    again for the rounding of the drops, so the peak is final, and a drop
+    after the peak is not above lambda1_pct of it, so the walk has stopped.
+    A row whose minimum is not positive is never decided here.  The margin
+    holds while N * 2**-52 is below it, for N up to about four million.
     """
     drops = _energy_drops(energy)
     width, peak = _rof_band_widths(drops, lambda1_pct)
-    last = energy[-1]
-    peak_final = 100.0 * (last - floor) < (1.0 - _ROF_STOP_MARGIN) * drops.max(axis=1) * last
+    step = np.diff(eroded, axis=1)
+    variation = np.maximum(np.maximum(step, 0.0).sum(axis=1), np.maximum(-step, 0.0).sum(axis=1))
+    slack = 2.0 * eroded.shape[1] * np.finfo(np.float64).eps * energy[-1]
+    peak_final = (100.0 * (variation + slack)
+                  < (1.0 - _ROF_STOP_MARGIN) * drops.max(axis=1) * (floor + variation))
     return peak_final & (width < energy.shape[0]) & (floor > 0), width, peak
 
 

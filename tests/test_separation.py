@@ -468,11 +468,66 @@ def assert_early_stop_exact(rows: np.ndarray, lambda1_pct: float) -> np.ndarray:
     return steps
 
 
+def assert_decreases_bounded_by_variation(rows: np.ndarray) -> None:
+    """Every energy decrease of the full cascade after step k is at most the
+    larger variation of the rows eroded by step k, plus _rof_decided's slack."""
+    n = rows.shape[1]
+    energy = separation._rof_cascade(rows)[0]
+    decrease = energy[:-1] - energy[1:]  # row j: E(j + 1) - E(j + 2), step j + 2's
+    later = np.maximum.accumulate(decrease[::-1], axis=0)[::-1]  # row j: max over steps >= j + 2
+    eroded = np.array(rows, dtype=np.float64)
+    for k in range(1, n):
+        step = np.diff(eroded, axis=1)
+        variation = np.maximum(np.maximum(step, 0.0).sum(axis=1), np.maximum(-step, 0.0).sum(axis=1))
+        slack = 2.0 * n * np.finfo(np.float64).eps * energy[k - 1]
+        assert (later[k - 1] <= variation + slack).all(), k
+        # Step k + 1 takes each bin's minimum with its left (k + 1 even) or
+        # right neighbour, edges replicated; its energies are the cascade's.
+        if (k + 1) % 2 == 0:
+            near = np.concatenate([eroded[:, :1], eroded[:, :-1]], axis=1)
+        else:
+            near = np.concatenate([eroded[:, 1:], eroded[:, -1:]], axis=1)
+        eroded = np.minimum(eroded, near)
+        np.testing.assert_array_equal(np.add.reduce(eroded, axis=1), energy[k])
+
+
 class TestRofEarlyStop:
     @given(early_stop_cases())
     @settings(max_examples=60, deadline=None)
     def test_k_and_masks_match_full_cascade(self, case):
         assert_early_stop_exact(*case)
+
+    @pytest.mark.parametrize("seed", [261, 262, 263])
+    def test_round_off_rows_match_full_cascade(self, seed):
+        # Bins a few ulps apart: every computed drop is the rounding of the
+        # energy sums, which only _rof_decided's slack covers (seed 262 gets a
+        # wrong K without it).
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(33, 600))
+        scale, base = 10.0 ** rng.uniform(-2, 2), rng.uniform(1, 2)
+        ulp = base * np.finfo(np.float64).eps
+        rows = np.stack([base + ulp * rng.integers(0, rng.integers(2, 64), n) for _ in range(8)])
+        for lambda1_pct in (0.5, 5.0):
+            assert_early_stop_exact(rows * scale, lambda1_pct)
+        assert_decreases_bounded_by_variation(rows * scale)
+
+    @pytest.mark.parametrize("n", [64, 200, 512])
+    def test_edge_ramps_match_full_cascade(self, n):
+        # A falling ramp's energy drops only at odd steps, by its down-variation,
+        # and a rising one's only at even steps, by its up-variation.
+        ramps = np.stack([np.arange(n, 0, -1.0), np.arange(1.0, n + 1)])
+        for lambda1_pct in (0.5, 5.0, 50.0):
+            assert_early_stop_exact(ramps, lambda1_pct)
+        assert_decreases_bounded_by_variation(ramps)
+
+    @given(early_stop_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_decreases_bounded_by_variation(self, case):
+        assert_decreases_bounded_by_variation(case[0])
+
+    @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512, 1024, 2048, 4096, 4097])
+    def test_counting_frame_decreases_bounded_by_variation(self, n):
+        assert_decreases_bounded_by_variation(counting_power(n).power[None, :])
 
     def test_reference_windows_match_full_cascade(self, reference_window_means):
         for lambda1_pct in (5.0, 0.5, 50.0):
@@ -488,6 +543,7 @@ class TestRofEarlyStop:
         steps = assert_early_stop_exact(reference_window_means, RofParams().lambda1_pct)
         assert np.median(steps) <= n // 2
         assert (steps < n).mean() > 0.9
+        assert steps.max() <= 192  # every row leaves by the sixth check (measured: 160)
 
 
 def tone_rows(w: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -517,6 +573,15 @@ class TestRofRowDecisions:
         p = counting_power(n).power[None, :]
         for lambda1_pct in self.LAMBDA1:
             self.assert_full_curve_decisions(p, RofParams(lambda1_pct=lambda1_pct))
+
+    @pytest.mark.parametrize("n", [2048, 4096, 4097])
+    def test_counting_frames_stop_early(self, n):
+        # Measured steps: 64-256 at 2048, 96-192 at 4096, 128-192 at 4097; a
+        # bound that stays near 100% for a row with a low minimum runs to N.
+        p = counting_power(n).power[None, :]
+        for lambda1_pct in self.LAMBDA1:
+            steps = (~np.isnan(separation._rof_cascade(p, lambda1_pct)[0])).sum()
+            assert steps <= 256, lambda1_pct
 
     def test_tone_chunk(self):
         rows = tone_rows(ROF_CHUNK + 5, 256, np.random.default_rng(29))
