@@ -282,9 +282,10 @@ def rof_signal_rows(spectra: np.ndarray, params: RofParams = RofParams()
     k = j + 2) and each row's status; row i's mask and K are
     :func:`rof_separate`'s of ``spectra[i]``.  ``ROF_CHUNK`` rows at a time
     share one erosion cascade, smoothing and run search.  Only K and the peak
-    are read off the cascade, so each row leaves it as soon as its K is
-    decided (:func:`_rof_cascade`), with the K and peak of the full curve.  No
-    chunk past the first failing row's is separated (UNEVALUATED).
+    are read off the cascade, so each row leaves it once the variation of its
+    eroded row bounds every later drop below its peak (:func:`_rof_decided`),
+    with the K and peak of the full curve.  No chunk past the first failing
+    row's is separated (UNEVALUATED).
     """
     spectra = np.asarray(spectra, dtype=np.float64)
     signal = np.empty(spectra.shape, dtype=bool)
