@@ -14,13 +14,17 @@ unchanged outputs is held to:
   the entry's noise trace, ``separate`` of its first 100 frames (ROF's mask
   and full energy-drop curve) and the six ``run --method`` calls on it, with
   the configs of ``perfbench/workloads.long_stream_configs`` (read, not changed);
+  then ``separate --power-csv`` of a power file drawn from the entry number
+  (:func:`power_values`), and of the same file with one bin negative, which must
+  exit 3 naming that bin;
 - ``ops`` of the nine default methods at sizes 16, 17, 64 (twice) and the powers
   of two 128-4096, then 4097: both edges of the counting stream's resume table
   and a repeated size;
 - ``estimate`` of each of the nine default methods.
 
 Giving ``--parent`` and ``--change`` the same checkout checks that a rerun
-reproduces every byte.  Exit status 0 when every invocation agrees, 1 otherwise.
+reproduces every byte.  Exit status 0 when every invocation agrees (and exits
+as its set expects, where it does), 1 otherwise.
 
 Usage:
     python scripts/compare_outputs.py --parent ../parent --change .
@@ -33,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -53,15 +58,27 @@ SURROGATE_OVERRIDES = ("name=ism-surrogate-industrial--3dB", "noise.kind=surroga
 
 
 class Invocation(NamedTuple):
-    """One CLI call: its arguments and the files it writes, relative to a side's work directory."""
+    """One CLI call: its arguments, the files it writes, relative to a side's work
+    directory, and the exit code it must give (None: any)."""
 
     label: str
     argv: tuple[str, ...]
     outputs: tuple[str, ...] = ()
+    exit: int | None = None
 
 
 def split_list(text: str) -> list[str]:
     return [part.strip() for part in text.split(",") if part.strip()]
+
+
+def power_values(entry: int) -> list[float]:
+    """A deterministic 512-bin spectrum for ``separate --power-csv``: unit
+    exponential noise drawn from the entry number, with a 64-bin band 20 mW
+    above it that moves with the entry."""
+    draw = random.Random(entry)
+    band = 16 + 64 * (entry % 7)
+    return [draw.expovariate(1.0) + (20.0 if band <= i < band + 64 else 0.0)
+            for i in range(512)]
 
 
 def load_workloads():
@@ -105,6 +122,15 @@ def invocations(args, work: Path) -> list[Invocation]:
             calls.append(Invocation(f"long-stream {entry} run {method}",
                                     ("run", "--config", f"{rel}/run.json", "--method", method,
                                      "--out", out), (f"{out}/series.csv", f"{out}/report.csv")))
+        power = ["%.9g" % value for value in power_values(entry)]
+        negative = list(power)
+        negative[100 + entry] = "-1"
+        for name, values, code in (("power", power, 0), ("negative-power", negative, 3)):
+            (folder / f"{name}.csv").write_text("\n".join(values) + "\n", encoding="utf-8")
+            calls.append(Invocation(f"long-stream {entry} separate --power-csv {name}.csv",
+                                    ("separate", "--power-csv", f"{rel}/{name}.csv",
+                                     "--out", f"{rel}/separate-{name}.csv"),
+                                    (f"{rel}/separate-{name}.csv",), code))
     if split_list(args.ops_sizes):
         methods = [arg for method in DEFAULT_METHODS for arg in ("--method", method)]
         calls.append(Invocation(f"ops --sizes {args.ops_sizes}",
@@ -166,6 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         for call in calls:
             parent, change = (run_side(sides[side], works[side], call) for side in sides)
             diff = [key for key in parent if parent[key] != change[key]]
+            if call.exit is not None and change["exit"] != call.exit:
+                diff.append(f"exit code (expected {call.exit})")
             failed += bool(diff)
             state = f"DIFFERS in {', '.join(diff)}" if diff else "same"
             print(f"{call.label}: exit {change['exit']}, {state}", flush=True)

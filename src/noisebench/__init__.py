@@ -23,7 +23,6 @@ from .errors import (
     ZeroPowerError,
 )
 from .estimators import (
-    NoisePowerEstimate,
     aic_estimate,
     aic_fit_rows,
     cbe_estimate,
@@ -71,8 +70,6 @@ from .spectral import (
     PowerSpectrum,
     ResourceBlock,
     SpectralFrame,
-    averaged_periodogram,
-    block_from_frames,
     dft,
     frame_signal,
     power_matrix,

@@ -11,16 +11,15 @@ Each estimator is one array engine over a stack of frames or windows
 ``mmse_fit_windows``) returning the estimates, or a tuple of arrays with the
 estimates first and, where an entry can fail, a trailing :class:`errors.Status` per
 entry (AIC never fails), which the callers raise; MMSE stops at the end of the failing
-chunk, CBE at the failing window.  Only the one-block ``*_estimate`` wrappers raise
-here, and only they build a :class:`NoisePowerEstimate`.
+chunk, CBE at the failing window.  The one-block ``*_estimate`` wrappers are
+the engines' one-entry case: each raises its entry's status and returns the
+estimate as a float; its diagnostics are the other arrays of the engine it calls.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Any
 
 import numpy as np
 
@@ -51,23 +50,7 @@ _MMSE_SUM_GUARD = 1e-3
 _TW2_MEAN_ABS = 1.7711
 
 
-@dataclass(frozen=True)
-class NoisePowerEstimate:
-    """One noise-power figure with method diagnostics."""
-
-    value_mw: float
-    method: str
-    frame_index: int | None = None
-    diagnostics: dict[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not (np.isfinite(self.value_mw) and self.value_mw > 0):
-            raise ZeroPowerError(
-                f"{self.method}: estimate must be finite and positive, got {self.value_mw}"
-            )
-
-
-def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> NoisePowerEstimate:
+def ml_estimate(power: PowerSpectrum, mask: SeparationMask) -> float:
     """Mean noise-bin power of one frame: the one-frame case of :func:`mvu_estimate`."""
     return _noise_mean_estimate("ml", [power], [mask])
 
@@ -85,7 +68,7 @@ def ml_fit_frames(noise_sums: np.ndarray, noise_counts: np.ndarray
     return _noise_means("ml", sums[:, None], counts[:, None])
 
 
-def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> NoisePowerEstimate:
+def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> float:
     """Mean over all noise-classified bins across all frames of a block.
 
     Equivalent to the noise-bin-count-weighted mean of the per-frame ML
@@ -96,7 +79,7 @@ def mvu_estimate(powers: list[PowerSpectrum], masks: list[SeparationMask]) -> No
 
 
 def _noise_mean_estimate(method: str, powers: list[PowerSpectrum],
-                         masks: list[SeparationMask]) -> NoisePowerEstimate:
+                         masks: list[SeparationMask]) -> float:
     if len(powers) != len(masks) or not powers:
         raise ValueError("powers and masks must be non-empty and aligned")
     if any(mk.n_bins != ps.n_bins for ps, mk in zip(powers, masks)):
@@ -105,10 +88,7 @@ def _noise_mean_estimate(method: str, powers: list[PowerSpectrum],
     counts = np.array([[x.size for x in noise]], dtype=np.int64)
     values, status = _noise_means(method, np.array([[x.sum() for x in noise]]), counts)
     raise_first_status(status, method=method, value=values)
-    return NoisePowerEstimate(
-        value_mw=float(values[0]), method=method, frame_index=powers[-1].frame_index,
-        diagnostics={"noise_bin_count": int(counts.sum()), "separation": masks[0].method},
-    )
+    return float(values[0])
 
 
 def mvu_fit_rows(noise_sums: np.ndarray, noise_counts: np.ndarray
@@ -137,7 +117,7 @@ def _noise_means(method: str, noise_sums: np.ndarray, noise_counts: np.ndarray
                              [empty, Status.NOT_POSITIVE]).astype(np.int8)
 
 
-def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEstimate:
+def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> float:
     """Model-order-selected noise power from the sorted averaged periodogram.
 
     The descending-sorted bin powers stand in for eigenvalues.  For each model
@@ -149,13 +129,10 @@ def aic_estimate(avg_periodogram: PowerSpectrum, n_frames: int) -> NoisePowerEst
     selected order degenerates to zero for any signal strength.  Zero bins are
     floored at a tiny epsilon so the geometric mean stays defined.
 
-    This is the one-row case of :func:`aic_fit_rows`.
+    This is the one-row case of :func:`aic_fit_rows`, which also returns the
+    selected order and the AIC minimum.
     """
-    values, orders, minima = aic_fit_rows(avg_periodogram.power[None, :], n_frames)
-    return NoisePowerEstimate(
-        value_mw=float(values[0]), method="aic", frame_index=avg_periodogram.frame_index,
-        diagnostics={"n_min": int(orders[0]), "aic_min": float(minima[0])},
-    )
+    return float(aic_fit_rows(avg_periodogram.power[None, :], n_frames)[0][0])
 
 
 def aic_fit_rows(avg: np.ndarray, n_frames: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -326,24 +303,19 @@ def _mp_edge_offset(m: int, n: int) -> float:
 
 
 def cbe_estimate(block: ResourceBlock, occupied_fraction: float,
-                 grid_size: int = CBE_GRID_SIZE) -> NoisePowerEstimate:
+                 grid_size: int = CBE_GRID_SIZE) -> float:
     """Covariance-based estimate of one block with S = round(M * occupied_fraction)
-    signal eigenvalues; the one-window case of :func:`cbe_fit_windows`."""
+    signal eigenvalues; the one-window case of :func:`cbe_fit_windows`, which also
+    returns the candidate grid and its misfits."""
     if not 0.0 <= occupied_fraction < 1.0:
         raise ValueError("occupied_fraction must lie in [0, 1)")
     m = block.n_frames
     s = int(round(m * occupied_fraction))
-    values, grids, distances, status = cbe_fit_windows(sample_covariance(block), block.n_bins,
-                                                       m, np.array([s]), grid_size)
+    values, grids, _, status = cbe_fit_windows(sample_covariance(block), block.n_bins, m,
+                                               np.array([s]), grid_size)
     raise_first_status(status, method="cbe", value=values, tolerance=grids[:, 0],
                        signal_count=s, frames=m)
-    return NoisePowerEstimate(
-        value_mw=float(values[0]), method="cbe", frame_index=m - 1,
-        diagnostics={
-            "signal_count": s, "grid": grids[0], "distances": distances[0],
-            "sigma_min_sq": float(grids[0, 0]), "sigma_max_sq": float(grids[0, -1]),
-        },
-    )
+    return float(values[0])
 
 
 def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: np.ndarray,
@@ -432,7 +404,7 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     return values, grids, distances, status
 
 
-def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerEstimate:
+def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> float:
     """Per-subcarrier MMSE-filter estimate from the block's last frame.
 
     In the blind adaptation each subcarrier's time mean over the first M-1
@@ -446,27 +418,18 @@ def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> NoisePowerE
     fallback), and the estimate is the weighted power of the final frame.
     The weights are normalized to unit sum before weighting: the raw
     solution's sum is a fixed property of the lag taper (0.943 at N=512, a
-    -0.17 dB structural bias on white noise).  Diagnostics carry the raw
-    system residual.
+    -0.17 dB structural bias on white noise).
 
-    This is the one-window case of :func:`mmse_fit_windows`.  C is a biased
-    autocorrelation matrix and so positive semi-definite; C + r(0) I is
-    positive definite, conjugate gradients apply, Levinson meets no singular
-    leading minor, and the ridge fallback can only be reached through
-    round-off or overflow.
+    This is the one-window case of :func:`mmse_fit_windows`, which also
+    returns the raw weight sum, the largest weight and the system residual.
+    C is a biased autocorrelation matrix and so positive semi-definite;
+    C + r(0) I is positive definite, conjugate gradients apply, Levinson meets
+    no singular leading minor, and the ridge fallback can only be reached
+    through round-off or overflow.
     """
-    values, weight_sums, weight_maxes, residuals, status = mmse_fit_windows(
-        block.spectral, block.n_frames, blind=blind)
+    values, *_, status = mmse_fit_windows(block.spectral, block.n_frames, blind=blind)
     raise_first_status(status, method="mmse", value=values)
-    return NoisePowerEstimate(
-        value_mw=float(values[0]), method="mmse", frame_index=block.n_frames - 1,
-        diagnostics={
-            "raw_weight_sum": float(weight_sums[0]),
-            "weight_max": float(weight_maxes[0]),
-            "system_residual": float(residuals[0]),
-            "blind": blind,
-        },
-    )
+    return float(values[0])
 
 
 def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND

@@ -5,11 +5,12 @@ input stream; the DFT is the unnormalized forward transform (Parseval reads
 ``sum |X(n)|^2 == N * sum |x(t)|^2``); bin powers are ``|X(n)|^2 / N`` so the
 mean over bins equals the time-domain mean power.  A resource block is one
 read-only (M, N) complex array, row i holding frame i, so a window of frames
-is a slice and the block-level operations (power matrix, batched FFT) work
-on the whole array at once; :class:`SpectralFrame` and :class:`PowerSpectrum`
-serve the single-frame functions.  All value types hold read-only arrays and
-every operation is a pure function, so results can be shared freely between
-threads.
+is a slice and the block-level operations work on the whole array at once:
+a block of time frames is ``ResourceBlock(np.fft.fft(frames, axis=1))`` and its
+averaged periodogram ``power_matrix(block).mean(axis=0)``.
+:class:`SpectralFrame` and :class:`PowerSpectrum` serve the single-frame
+functions.  All value types hold read-only arrays and every operation is a
+pure function, so results can be shared freely between threads.
 
 Ownership: a full-length array is built once and, while nothing else can
 see it, written in place (scaled, filtered, squared); it is frozen once, when
@@ -208,13 +209,6 @@ def power_spectrum(frame: SpectralFrame) -> PowerSpectrum:
     return PowerSpectrum(power=power, frame_index=frame.frame_index)
 
 
-def averaged_periodogram(block: ResourceBlock) -> PowerSpectrum:
-    """Bin-wise mean of the per-frame power spectra over the whole block."""
-    power = power_matrix(block).mean(axis=0)
-    power.setflags(write=False)
-    return PowerSpectrum(power=power, frame_index=block.n_frames - 1)
-
-
 def power_matrix(block: ResourceBlock) -> np.ndarray:
     """(M, N) matrix of per-frame bin powers in the |X|^2/N convention.
 
@@ -227,12 +221,3 @@ def power_matrix(block: ResourceBlock) -> np.ndarray:
     mat.setflags(write=False)
     return mat
 
-
-def block_from_frames(time_frames) -> ResourceBlock:
-    """Transform time-domain frames (rows of an (M, N) array) into a resource block."""
-    frames = np.asarray(time_frames, dtype=np.complex128)
-    if frames.ndim != 2:
-        raise ValueError("time frames must form a 2-D (frames, samples) array")
-    spectral = np.fft.fft(frames, axis=1)
-    spectral.setflags(write=False)
-    return ResourceBlock(spectral)

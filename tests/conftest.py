@@ -14,7 +14,6 @@ import scipy.linalg
 
 from noisebench import (
     GroundTruth,
-    NoisePowerEstimate,
     NoiseSource,
     PowerSpectrum,
     ScenarioConfig,
@@ -220,12 +219,14 @@ def cbe_raised(gram: np.ndarray, n_bins: int, window: int, counts: np.ndarray, *
     return raised(output, "cbe", tolerance=output[1][:, 0], signal_count=counts, frames=window)
 
 
-def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerEstimate:
-    """Oracle for estimators.mmse_fit_windows: one window's MMSE fit from its own rows.
+def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> SimpleNamespace:
+    """Oracle for estimators.mmse_fit_windows: one window's MMSE fit from its own rows,
+    its value_mw and diagnostics.
 
     Direct mean and variance sums, lags by np.correlate and the residual by
     matmul_toeplitz.  The Toeplitz attempts go through estimators._try_toeplitz,
-    so a test that patches it reaches both implementations.
+    so a test that patches it reaches both implementations.  Each failing
+    check raises the error the engine's status raises.
     """
     m, n = spectral.shape
     if m < 3:
@@ -255,15 +256,14 @@ def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> NoisePowerE
     estimate = float(weights @ power[m - 1])
     if estimate <= 0:
         raise ZeroPowerError(f"MMSE produced a non-positive estimate ({estimate})")
-    return NoisePowerEstimate(
-        value_mw=estimate, method="mmse", frame_index=m - 1,
-        diagnostics={
-            "raw_weight_sum": weight_sum,
-            "weight_max": float(np.abs(weights).max()),
-            "system_residual": float(np.linalg.norm(residual) / np.linalg.norm(r)),
-            "blind": blind,
-        },
-    )
+    if not np.isfinite(estimate):
+        raise ZeroPowerError(f"mmse: estimate must be finite and positive, got {estimate}")
+    return SimpleNamespace(value_mw=estimate, diagnostics={
+        "raw_weight_sum": weight_sum,
+        "weight_max": float(np.abs(weights).max()),
+        "system_residual": float(np.linalg.norm(residual) / np.linalg.norm(r)),
+        "blind": blind,
+    })
 
 
 def cbe_fit_naive(cov: np.ndarray, n_bins: int, signal_count: int,

@@ -18,6 +18,7 @@ from noisebench import (
     MethodSpec,
     PowerSpectrum,
     aic_estimate,
+    aic_fit_rows,
     cbe_estimate,
     count_ops,
     dft,
@@ -70,18 +71,18 @@ def test_criterion_1_estimator_unbiasedness():
         spectra = [PowerSpectrum(power[f], f) for f in range(300)]
         masks = [ideal_separate(truth, f) for f in range(300)]
         values["ML(ideal)"].append(
-            np.mean([ml_estimate(s, m).value_mw for s, m in zip(spectra, masks)]))
+            np.mean([ml_estimate(s, m) for s, m in zip(spectra, masks)]))
         # Windowed methods average over the three disjoint M=100 blocks.
         per_window = {"MVU(ideal)": [], "AIC": [], "CBE": [], "MMSE": []}
         for w in range(3):
             lo, hi = 100 * w, 100 * (w + 1)
             per_window["MVU(ideal)"].append(
-                mvu_estimate(spectra[lo:hi], masks[lo:hi]).value_mw)
+                mvu_estimate(spectra[lo:hi], masks[lo:hi]))
             avg = PowerSpectrum(power[lo:hi].mean(axis=0), hi - 1)
-            per_window["AIC"].append(aic_estimate(avg, 100).value_mw)
+            per_window["AIC"].append(aic_estimate(avg, 100))
             sub = block.window(lo, hi)
-            per_window["CBE"].append(cbe_estimate(sub, 0.0).value_mw)
-            per_window["MMSE"].append(mmse_estimate(sub).value_mw)
+            per_window["CBE"].append(cbe_estimate(sub, 0.0))
+            per_window["MMSE"].append(mmse_estimate(sub))
         for key, vals in per_window.items():
             values[key].append(np.mean(vals))
     elapsed = time.perf_counter() - start
@@ -134,7 +135,7 @@ def test_criterion_5_cbe_recovery():
     values = []
     for seed in SEEDS_50:
         block, _ = build_scenario(with_seed(config, seed))
-        values.append(cbe_estimate(block, 0.0, grid_size=100).value_mw)
+        values.append(cbe_estimate(block, 0.0, grid_size=100))
     mean = float(np.mean(values))
     assert abs(mean - 1.0) <= 0.05, f"CBE mean {mean:.4f} deviates more than 5%"
     norm_errors = [mp_cdf_normalization_error(c) for c in (64 / 512, 0.25, 0.5)]
@@ -199,7 +200,7 @@ def test_criterion_7_oracle_equivalences():
         p = rng.exponential(1.0, n)
         if trial % 2:
             p[:int(rng.integers(1, n // 2))] += rng.uniform(3, 30)
-        got = aic_estimate(PowerSpectrum(power=p), m_frames).diagnostics["n_min"]
+        got = aic_fit_rows(PowerSpectrum(power=p).power[None, :], m_frames)[1][0]
         lam = np.sort(np.maximum(p, 1e-30))[::-1]
         mult = m_frames * n
         curve = [

@@ -18,6 +18,7 @@ from noisebench import (
     PowerSpectrum,
     ScenarioConfig,
     aic_estimate,
+    aic_fit_rows,
     build_scenario,
     count_ops,
     count_ops_table,
@@ -293,7 +294,7 @@ class TestRunScenario:
         cfg = reference_config(seed=4, n_frames=90)
         series = run_scenario(cfg, [MethodSpec("AIC", params={"window_frames": 20})], [4])[0]
         power = power_matrix(build_scenario(with_seed(cfg, 4))[0])
-        want = [aic_estimate(PowerSpectrum(power[f - 19:f + 1].mean(axis=0), f), 20).value_mw
+        want = [aic_estimate(PowerSpectrum(power[f - 19:f + 1].mean(axis=0), f), 20)
                 for f in range(19, 90)]
         np.testing.assert_array_equal(series.frame_index, np.arange(19, 90))
         assert series.noise_power_est_mw.tolist() == want
@@ -323,10 +324,13 @@ class TestRunScenario:
         values, grids, _, _ = cbe_fit_windows(ctx.gram, cfg.n_bins, window,
                                               np.array([round(window * f) for f in fractions]))
         for lo, fraction in enumerate(fractions):
-            want = cbe_estimate(ctx.block.window(lo, lo + window), fraction)
-            assert grids[lo, 0] == pytest.approx(want.diagnostics["sigma_min_sq"], rel=1e-12)
-            assert grids[lo, -1] == pytest.approx(want.diagnostics["sigma_max_sq"], rel=1e-12)
-            assert values[lo] == pytest.approx(want.value_mw, rel=1e-12)
+            block = ctx.block.window(lo, lo + window)
+            # The grid of the one-window fit cbe_estimate makes.
+            grid = cbe_fit_windows(estimators.sample_covariance(block), cfg.n_bins, window,
+                                   np.array([round(window * fraction)]))[1][0]
+            assert grids[lo, 0] == pytest.approx(grid[0], rel=1e-12)
+            assert grids[lo, -1] == pytest.approx(grid[-1], rel=1e-12)
+            assert values[lo] == pytest.approx(cbe_estimate(block, fraction), rel=1e-12)
 
     @pytest.mark.parametrize("separation", ["ideal", "fisher", "rof"])
     def test_mvu_sums_match_list_form(self, separation):
@@ -355,7 +359,7 @@ class TestRunScenario:
                 masks = [rof_separate(averaged, RofParams())] * window
             else:
                 masks = frame_masks[lo:hi]
-            assert got == mvu_estimate(spectra[lo:hi], masks).value_mw
+            assert got == mvu_estimate(spectra[lo:hi], masks)
 
     def test_seed_context_holds_one_spectral_matrix(self):
         from noisebench.bench import _SeedContext
@@ -377,14 +381,10 @@ class TestRunScenario:
         np.testing.assert_array_equal(series.frame_index, np.arange(window - 1, cfg.n_frames))
         for lo in range(cfg.n_frames - window + 1):
             hi = lo + window
-            values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(
-                ctx.block.spectral[lo:hi], window)
+            values = mmse_fit_windows(ctx.block.spectral[lo:hi], window)[0]
             want = mmse_estimate(ctx.block.window(lo, hi))
-            assert values.tolist() == [want.value_mw]
-            assert want.diagnostics == {
-                "raw_weight_sum": weight_sums[0], "weight_max": weight_maxes[0],
-                "system_residual": residuals[0], "blind": True}
-            assert series.noise_power_est_mw[lo] == pytest.approx(want.value_mw, rel=1e-12)
+            assert values.tolist() == [want]
+            assert series.noise_power_est_mw[lo] == pytest.approx(want, rel=1e-12)
 
     def test_batched_rof_masks_match_single_windows(self):
         # Row f of the ROF cache is the mask of the window ending at f, built
@@ -626,7 +626,7 @@ class TestRunScenario:
         ctx = _SeedContext(*build_scenario(cfg))
         for i, f in enumerate(from_aic.frame_index):
             window = ctx.power[f - 99:f + 1]
-            n_min = aic_estimate(PowerSpectrum(window.mean(axis=0), f), 100).diagnostics["n_min"]
+            n_min = aic_fit_rows(window.mean(axis=0)[None, :], 100)[1][0]
             s = int(round(100 * (n_min / cfg.n_bins)))
             want = cbe_fit_windows(ctx.gram[f - 99:f + 1, f - 99:f + 1], cfg.n_bins, 100,
                                    np.array([s]))[0]
@@ -648,8 +648,7 @@ class TestRunScenario:
                                   for f in frames]
         aic = _signal_counts(MethodSpec("CBE", params={"occupancy_from": "aic"}), ctx, frames, 100)
         for f, s in zip(frames, aic):
-            n_min = aic_estimate(PowerSpectrum(ctx.power[f - 99:f + 1].mean(axis=0), f),
-                                 100).diagnostics["n_min"]
+            n_min = aic_fit_rows(ctx.power[f - 99:f + 1].mean(axis=0)[None, :], 100)[1][0]
             assert s == round(100 * (n_min / cfg.n_bins))
         for fraction in (1.0, -0.25):
             with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
@@ -686,25 +685,6 @@ class TestRunScenario:
                                           want.noise_power_true_mw * factor)
             np.testing.assert_array_equal(got.snr_est_db, want.snr_est_db)
             np.testing.assert_array_equal(got.snr_true_db, want.snr_true_db)
-
-    def test_engine_builds_no_estimate_objects(self, monkeypatch):
-        # The nine default methods run on array engines end to end; only the
-        # one-block *_estimate wrappers build NoisePowerEstimate objects.
-        from noisebench.cli import _DEFAULT_METHODS, _parse_method
-        from noisebench.estimators import NoisePowerEstimate
-        from noisebench.scenario import scenario_config_from_file
-        built = []
-        original = NoisePowerEstimate.__post_init__
-
-        def counted(self):
-            built.append(self.method)
-            original(self)
-
-        monkeypatch.setattr(NoisePowerEstimate, "__post_init__", counted)
-        cfg = scenario_config_from_file(CONFIG)
-        series = run_scenario(cfg, [_parse_method(m) for m in _DEFAULT_METHODS], [0])
-        assert len(series) == 9
-        assert built == []
 
 
 class TestStepResponse:

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisebench import (ComplexSeries, ZeroPowerError, bench, cli, errors, estimators, load_iq_trace,
-                        scenario_config_from_dict, write_iq_trace)
+from noisebench import (ComplexSeries, PowerSpectrum, ZeroPowerError, bench, cli, errors, estimators,
+                        load_iq_trace, rof_separate, scenario_config_from_dict, write_iq_trace)
 from noisebench.scenario import SurrogateNoiseParams, _synthetic_samples
 from noisebench.spectral import mean_power
 from noisebench.cli import _DEFAULT_METHODS, _parse_method, main
@@ -538,13 +538,23 @@ class TestSeparate:
         err = self._bad_power_csv(tmp_path, capsys, f"1.0\n\n2.0\n{value}\n3.0\n")
         assert err.rstrip().endswith(message)
 
-    def test_trace_input(self, noise_config, tmp_path):
+    def test_trace_input(self, noise_config, tmp_path, capsys):
         trace = tmp_path / "t.iq"
         main(["generate", "--config", str(noise_config), "--out", str(trace)])
         out = tmp_path / "sep.csv"
+        capsys.readouterr()
         rc = main(["separate", "--input", str(trace), "--n-bins", "256",
                    "--frames", "4", "--out", str(out)])
         assert rc == 0
+        # Oracle from the trace bytes: each frame's DFT, |X|^2/N, the mean over frames.
+        samples = np.fromfile(trace, "<c8").astype(np.complex128)
+        spectra = [np.fft.fft(samples[i * 256:(i + 1) * 256]) for i in range(4)]
+        want = np.mean([np.abs(x) ** 2 / 256 for x in spectra], axis=0)
+        rows = [r.split(",") for r in out.read_text().splitlines() if r.startswith("bin,")]
+        assert [r[2] for r in rows] == ["%.9g" % p for p in want]
+        mask = rof_separate(PowerSpectrum(power=want))
+        assert [int(r[4]) for r in rows] == mask.is_signal.astype(int).tolist()
+        assert capsys.readouterr().out.startswith(f"K = {mask.aux['K']}; ")
 
     def test_trace_input_with_too_few_bins_exits_2(self, noise_config, tmp_path, capsys):
         # Here the --n-bins flag, not the file, is at fault.

@@ -65,6 +65,11 @@ def mvu_windows(sums, counts, window: int) -> np.ndarray:
                                view(np.asarray(counts, dtype=np.int64), window)), "mvu")
 
 
+def aic_order(p: PowerSpectrum, n_frames: int) -> int:
+    """The order n_min of the one-row fit that aic_estimate makes."""
+    return aic_fit_rows(p.power[None, :], n_frames)[1][0]
+
+
 def aic_curve_naive(lam: np.ndarray, m: int) -> np.ndarray:
     """AIC(n) for every order n from its own tail's arithmetic and geometric means."""
     n = lam.size
@@ -149,18 +154,18 @@ def white_block(seed: int, n_frames: int = 100, n_bins: int = 512,
 class TestMlEstimate:
     def test_all_noise_mean(self):
         est = ml_estimate(spectrum([1.0, 1.0, 1.0, 1.0]), mask_of([0, 0, 0, 0]))
-        assert est.value_mw == 1.0
+        assert est == 1.0
 
     def test_masked_mean(self):
         est = ml_estimate(spectrum([2.0, 4.0, 100.0, 100.0]), mask_of([0, 0, 1, 1]))
-        assert est.value_mw == 3.0
+        assert est == 3.0
 
     def test_white_noise_accuracy(self):
         rng = np.random.default_rng(31)
         values = []
         for _ in range(200):
             p = np.abs(white_frame(rng, 512)) ** 2
-            values.append(ml_estimate(spectrum(p), mask_of(np.zeros(512))).value_mw)
+            values.append(ml_estimate(spectrum(p), mask_of(np.zeros(512))))
         tol = 3.0 / np.sqrt(512) / np.sqrt(200)
         assert abs(np.mean(values) - 1.0) < tol
 
@@ -168,7 +173,7 @@ class TestMlEstimate:
         rng = np.random.default_rng(32)
         p = rng.exponential(1.0, 64)
         est = ml_estimate(spectrum(p), mask_of(np.zeros(64)))
-        assert est.value_mw == pytest.approx(p.mean(), rel=1e-15)
+        assert est == pytest.approx(p.mean(), rel=1e-15)
 
     def test_mask_length_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -179,12 +184,12 @@ class TestMvuEstimate:
     def test_single_frame_reduces_to_ml(self):
         p = spectrum([1.0, 2.0, 3.0, 4.0])
         m = mask_of([0, 0, 1, 0])
-        assert mvu_estimate([p], [m]).value_mw == ml_estimate(p, m).value_mw
+        assert mvu_estimate([p], [m]) == ml_estimate(p, m)
 
     def test_balanced_mean_of_two_frames(self):
         ps = [spectrum([1.0, 1.0]), spectrum([3.0, 3.0], 1)]
         ms = [mask_of([0, 0]), mask_of([0, 0])]
-        assert mvu_estimate(ps, ms).value_mw == 2.0
+        assert mvu_estimate(ps, ms) == 2.0
 
     @given(st.integers(0, 300))
     @settings(max_examples=25, deadline=None)
@@ -202,7 +207,7 @@ class TestMvuEstimate:
             masks.append(mask_of(signal))
             total += p[~signal].sum()
             count += int((~signal).sum())
-        got = mvu_estimate(powers, masks).value_mw
+        got = mvu_estimate(powers, masks)
         assert got == pytest.approx(total / count, rel=1e-12)
 
     def test_fit_from_sums_matches_list_form(self):
@@ -212,10 +217,7 @@ class TestMvuEstimate:
         sums = [float(p.power[m.noise_bins].sum()) for p, m in zip(powers, masks)]
         counts = [int(m.noise_bins.sum()) for m in masks]
         got = mvu_windows(sums, counts, 5)
-        want = mvu_estimate(powers, masks)
-        assert got.tolist() == [want.value_mw]
-        assert want.diagnostics == {"noise_bin_count": sum(counts), "separation": "ideal"}
-        assert want.frame_index == 4
+        assert got.tolist() == [mvu_estimate(powers, masks)]
 
     def test_fit_rejects_misaligned_or_empty(self):
         with pytest.raises(ValueError, match="aligned"):
@@ -271,16 +273,15 @@ class TestMvuEstimate:
 
 class TestAicEstimate:
     def test_equal_bins_select_order_zero(self):
-        est = aic_estimate(spectrum(np.full(16, 2.5)), n_frames=10)
-        assert est.diagnostics["n_min"] == 0
-        assert est.value_mw == pytest.approx(2.5)
+        p = spectrum(np.full(16, 2.5))
+        assert aic_order(p, 10) == 0
+        assert aic_estimate(p, n_frames=10) == pytest.approx(2.5)
 
     def test_single_spike_selects_order_one(self):
         lam = np.ones(16)
         lam[0] = 100.0
-        est = aic_estimate(spectrum(lam), n_frames=10)
-        assert est.diagnostics["n_min"] == 1
-        assert est.value_mw == pytest.approx(1.0)
+        assert aic_order(spectrum(lam), 10) == 1
+        assert aic_estimate(spectrum(lam), n_frames=10) == pytest.approx(1.0)
 
     def aic_oracle(self, p: np.ndarray, n_frames: int) -> int:
         # Direct per-order evaluation of the selection rule.
@@ -304,8 +305,7 @@ class TestAicEstimate:
         p = rng.exponential(1.0, n)
         if rng.random() < 0.5:
             p[:int(rng.integers(1, n // 2))] += rng.uniform(3, 30)
-        est = aic_estimate(spectrum(p), n_frames=10)
-        assert est.diagnostics["n_min"] == self.aic_oracle(p, 10)
+        assert aic_order(spectrum(p), 10) == self.aic_oracle(p, 10)
 
     @given(st.integers(0, 200), st.floats(0.01, 100.0))
     @settings(max_examples=25, deadline=None)
@@ -315,8 +315,8 @@ class TestAicEstimate:
         p[:5] += 10.0
         a = aic_estimate(spectrum(p), n_frames=8)
         b = aic_estimate(spectrum(p * gamma), n_frames=8)
-        assert a.diagnostics["n_min"] == b.diagnostics["n_min"]
-        assert b.value_mw == pytest.approx(gamma * a.value_mw, rel=1e-9)
+        assert aic_order(spectrum(p), 8) == aic_order(spectrum(p * gamma), 8)
+        assert b == pytest.approx(gamma * a, rel=1e-9)
 
     def test_reference_scenario_order(self):
         # 128 occupied bins; the selected order overshoots by the method's
@@ -325,7 +325,7 @@ class TestAicEstimate:
         for seed in range(10):
             block, _ = build_scenario(reference_config(seed=seed))
             avg = spectrum(power_matrix(block).mean(axis=0), 99)
-            orders.append(aic_estimate(avg, 100).diagnostics["n_min"])
+            orders.append(aic_order(avg, 100))
         assert 120 <= np.mean(orders) <= 175
 
     @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512])
@@ -335,14 +335,13 @@ class TestAicEstimate:
         # the same order.
         p = counting_power(n).power
         lam = np.sort(np.maximum(p, 1e-30))[::-1]
-        got = aic_estimate(spectrum(p), n)
-        assert got.diagnostics["n_min"] == int(np.argmin(aic_curve_naive(lam, n * n)))
+        assert aic_order(spectrum(p), n) == int(np.argmin(aic_curve_naive(lam, n * n)))
 
     def test_counted_curve_books_per_order_evaluation(self):
         # AIC's count less the frame's FFT, power spectrum and periodogram
         # update is the per-order evaluation's.
         n = 40
-        n_min = aic_estimate(counting_power(n), n).diagnostics["n_min"]
+        n_min = aic_order(counting_power(n), n)
         counts = count_ops(MethodSpec("AIC"), n).counts
         fft = round(n * np.log2(n))
         tails = range(1, n + 1)
@@ -355,7 +354,7 @@ class TestAicEstimate:
         p = np.ones(16)
         p[3] = 0.0
         est = aic_estimate(spectrum(p), n_frames=4)
-        assert est.value_mw > 0
+        assert est > 0
 
     @pytest.mark.parametrize("n", [4, 64])
     def test_rows_match_one_row_estimates(self, n, caplog):
@@ -372,10 +371,10 @@ class TestAicEstimate:
         assert floored == [f"flooring {k} non-positive periodogram bins at 1e-30"
                            for k in (len(range(0, n, 3)), n)]
         for row, value, order, minimum in zip(rows, values, orders, minima):
-            one = aic_estimate(spectrum(row), 10)
-            assert value == one.value_mw
-            assert order == one.diagnostics["n_min"]
-            assert minimum == one.diagnostics["aic_min"]
+            one = aic_fit_rows(spectrum(row).power[None, :], 10)  # aic_estimate's fit
+            assert value == aic_estimate(spectrum(row), 10)
+            assert order == one[1][0]
+            assert minimum == one[2][0]
             # The tail mean of the descending-sorted row, as a lone window takes it.
             assert value == np.sort(np.maximum(row, 1e-30))[::-1][order:].mean()
         assert orders[5] == 0 and values[5] == 2.5
@@ -522,8 +521,7 @@ class TestMpCdf:
 
 class TestCbeEstimate:
     def test_pure_noise_recovery(self):
-        values = [cbe_estimate(white_block(seed, n_frames=64), 0.0).value_mw
-                  for seed in range(25)]
+        values = [cbe_estimate(white_block(seed, n_frames=64), 0.0) for seed in range(25)]
         assert abs(np.mean(values) - 1.0) < 0.05
 
     def test_homogeneity_under_scaling(self):
@@ -532,7 +530,7 @@ class TestCbeEstimate:
         scaled = ResourceBlock(block.spectral * np.sqrt(gamma))
         base = cbe_estimate(block, 0.0, grid_size=50)
         up = cbe_estimate(scaled, 0.0, grid_size=50)
-        assert up.value_mw == pytest.approx(gamma * base.value_mw, rel=1e-9)
+        assert up == pytest.approx(gamma * base, rel=1e-9)
 
     def test_reference_scenario_tendency(self):
         # Mild SNR overestimation with sub-dB RMSE (measured +0.04 dB, 0.23 dB).
@@ -541,7 +539,7 @@ class TestCbeEstimate:
             block, truth = build_scenario(reference_config(seed=seed))
             sigma_x = power_matrix(block).mean()
             est = cbe_estimate(block, 0.25)
-            errors.append(float(snr_db_from_powers(sigma_x, est.value_mw)))
+            errors.append(float(snr_db_from_powers(sigma_x, est)))
         errors = np.array(errors)
         assert errors.mean() > -0.05
         assert np.sqrt((errors**2).mean()) < 1.0
@@ -557,11 +555,15 @@ class TestCbeEstimate:
                 cbe_estimate(block, fraction)
 
     def test_diagnostics_carry_fit_curve(self):
-        est = cbe_estimate(white_block(2, n_frames=16, n_bins=64), 0.0, grid_size=40)
-        assert est.diagnostics["distances"].shape == (40,)
-        assert est.diagnostics["grid"].shape == (40,)
-        best = int(np.argmin(est.diagnostics["distances"]))
-        assert est.value_mw == est.diagnostics["grid"][best]
+        block = white_block(2, n_frames=16, n_bins=64)
+        est = cbe_estimate(block, 0.0, grid_size=40)
+        # The fit curve of the one-window fit cbe_estimate makes.
+        _, grids, distances, _ = cbe_fit_windows(estimators.sample_covariance(block), 64, 16,
+                                                 np.array([0]), 40)
+        assert distances[0].shape == (40,)
+        assert grids[0].shape == (40,)
+        best = int(np.argmin(distances[0]))
+        assert est == grids[0][best]
 
 
 def _truth_counts(truth, frames, window: int) -> list[int]:
@@ -667,10 +669,12 @@ class TestCbeFitWindows:
         # cbe_estimate is the engine's W = 1 case.
         block = white_block(25, n_frames=32, n_bins=128)
         got = cbe_estimate(block, 0.25, grid_size=40)
+        _, grids, distances, _ = cbe_fit_windows(estimators.sample_covariance(block), 128, 32,
+                                                 np.array([8]), 40)
         want = cbe_fit_naive(estimators.sample_covariance(block), 128, 8, 40)
-        assert got.value_mw == want.value_mw
-        assert got.diagnostics["grid"].tobytes() == want.grid.tobytes()
-        assert got.diagnostics["distances"].tobytes() == want.distances.tobytes()
+        assert got == want.value_mw
+        assert grids[0].tobytes() == want.grid.tobytes()
+        assert distances[0].tobytes() == want.distances.tobytes()
 
     def test_aic_occupancy_matches_naive(self):
         from noisebench.bench import MethodSpec, run_scenario
@@ -682,7 +686,7 @@ class TestCbeFitWindows:
                               [cfg.noise.seed])[0]
         for f, value in zip(series.frame_index, series.noise_power_est_mw):
             avg = spectrum(power[f - 99:f + 1].mean(axis=0), f)
-            s = int(round(100 * aic_estimate(avg, 100).diagnostics["n_min"] / cfg.n_bins))
+            s = int(round(100 * aic_order(avg, 100) / cfg.n_bins))
             assert value == cbe_fit_naive(gram[f - 99:f + 1, f - 99:f + 1], cfg.n_bins, s).value_mw
 
     def test_guards_in_window_order(self):
@@ -791,7 +795,7 @@ class TestCbeFitWindows:
 
 class TestMmseEstimate:
     def test_stationary_noise_level(self):
-        values = [mmse_estimate(white_block(seed)).value_mw for seed in range(50)]
+        values = [mmse_estimate(white_block(seed)) for seed in range(50)]
         assert abs(np.mean(values) - 1.0) < 0.10
 
     def test_identical_frames_rejected(self):
@@ -801,8 +805,9 @@ class TestMmseEstimate:
             mmse_estimate(block)
 
     def test_weight_system_residual(self):
-        est = mmse_estimate(white_block(3))
-        assert est.diagnostics["system_residual"] < 1e-8
+        # The residual of the one-window fit mmse_estimate makes.
+        block = white_block(3)
+        assert mmse_fit_windows(block.spectral, block.n_frames)[3][0] < 1e-8
 
     def test_underestimates_on_impulsive_noise(self):
         # On non-Gaussian (impulsive) noise MMSE runs below the block mean
@@ -820,16 +825,15 @@ class TestMmseEstimate:
             power = power_matrix(block)
             spectra = [PowerSpectrum(power[i], i) for i in range(100)]
             masks = [ideal_separate(truth, i) for i in range(100)]
-            mvu_vals.append(mvu_estimate(spectra, masks).value_mw)
-            mmse_vals.append(mmse_estimate(block).value_mw)
+            mvu_vals.append(mvu_estimate(spectra, masks))
+            mmse_vals.append(mmse_estimate(block))
         assert np.mean(mmse_vals) < np.mean(mvu_vals)
 
     def test_scale_equivariance(self):
         block = white_block(4, n_frames=20, n_bins=64)
         gamma = 2.25
         scaled = ResourceBlock(block.spectral * np.sqrt(gamma))
-        assert mmse_estimate(scaled).value_mw == pytest.approx(
-            gamma * mmse_estimate(block).value_mw, rel=1e-9)
+        assert mmse_estimate(scaled) == pytest.approx(gamma * mmse_estimate(block), rel=1e-9)
 
     def test_requires_three_frames(self):
         with pytest.raises(ValueError, match="3 frames"):
@@ -837,17 +841,10 @@ class TestMmseEstimate:
 
     def test_fit_on_matrix_matches_block(self):
         block = white_block(6, n_frames=30, n_bins=64)
-        values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(
-            block.spectral, 30)
         for blind in (True, False):
-            want = mmse_estimate(block, blind=blind)
-            assert want.frame_index == 29
-            assert want.diagnostics["blind"] is blind
-        want = mmse_estimate(block)
-        assert values.tolist() == [want.value_mw]
-        assert want.diagnostics == {
-            "raw_weight_sum": weight_sums[0], "weight_max": weight_maxes[0],
-            "system_residual": residuals[0], "blind": True}
+            values = mmse_fit_windows(block.spectral, 30, blind=blind)[0]
+            assert values.tolist() == [mmse_estimate(block, blind=blind)]
+        assert mmse_fit_windows(block.spectral, 30)[0].tolist() == [mmse_estimate(block)]
 
 
 def _oracle_windows(spectral: np.ndarray, window: int, blind: bool):
@@ -1235,10 +1232,10 @@ class TestScaleEquivariance:
         rng = np.random.default_rng(seed)
         p = rng.exponential(1.0, 32)
         m = mask_of(np.arange(32) < 4)
-        assert ml_estimate(spectrum(p * gamma), m).value_mw == pytest.approx(
-            gamma * ml_estimate(spectrum(p), m).value_mw, rel=1e-12)
-        assert aic_estimate(spectrum(p * gamma), 5).value_mw == pytest.approx(
-            gamma * aic_estimate(spectrum(p), 5).value_mw, rel=1e-9)
+        assert ml_estimate(spectrum(p * gamma), m) == pytest.approx(
+            gamma * ml_estimate(spectrum(p), m), rel=1e-12)
+        assert aic_estimate(spectrum(p * gamma), 5) == pytest.approx(
+            gamma * aic_estimate(spectrum(p), 5), rel=1e-9)
 
 
 class TestEstimateInvariants:

@@ -11,8 +11,6 @@ from noisebench import (
     PowerSpectrum,
     ResourceBlock,
     SpectralFrame,
-    averaged_periodogram,
-    block_from_frames,
     dft,
     frame_signal,
     power_matrix,
@@ -33,6 +31,16 @@ def direct_dft(x: np.ndarray) -> np.ndarray:
 
 def series(samples) -> ComplexSeries:
     return ComplexSeries(samples=np.asarray(samples, dtype=complex))
+
+
+def block_of(frames) -> ResourceBlock:
+    """The resource block of time frames (rows): one batched FFT."""
+    return ResourceBlock(np.fft.fft(frames, axis=1))
+
+
+def averaged(block: ResourceBlock) -> np.ndarray:
+    """The block's averaged periodogram: the bin-wise mean of its power matrix."""
+    return power_matrix(block).mean(axis=0)
 
 
 class TestFrameSignal:
@@ -130,20 +138,18 @@ class TestAveragedPeriodogram:
     def test_single_frame_identity(self):
         frame = self._frame_with_powers([1.0, 3.0], 0)
         block = ResourceBlock(frame.bins[None, :])
-        np.testing.assert_allclose(averaged_periodogram(block).power,
-                                   power_spectrum(frame).power)
+        np.testing.assert_allclose(averaged(block), power_spectrum(frame).power)
 
     def test_two_frame_mean(self):
         block = ResourceBlock(np.stack([
             self._frame_with_powers([1.0, 3.0], 0).bins,
             self._frame_with_powers([3.0, 1.0], 1).bins,
         ]))
-        np.testing.assert_allclose(averaged_periodogram(block).power, [2.0, 2.0])
+        np.testing.assert_allclose(averaged(block), [2.0, 2.0])
 
     def test_white_noise_block_levels(self):
         rng = np.random.default_rng(5)
-        block = block_from_frames([white_frame(rng, 512) for _ in range(100)])
-        avg = averaged_periodogram(block).power
+        avg = averaged(block_of([white_frame(rng, 512) for _ in range(100)]))
         # Per-bin averaging std is 1/sqrt(100); 512 bins need headroom past 3 sigma.
         assert np.abs(avg - 1.0).max() < 4.5 / np.sqrt(100)
         assert np.mean(np.abs(avg - 1.0) < 3.0 / np.sqrt(100)) > 0.98
@@ -153,17 +159,16 @@ class TestAveragedPeriodogram:
     def test_permutation_invariance(self, seed):
         rng = np.random.default_rng(seed)
         frames = [white_frame(rng, 16) for _ in range(5)]
-        block = block_from_frames(frames)
+        block = block_of(frames)
         perm = list(rng.permutation(5))
-        shuffled = block_from_frames([frames[i] for i in perm])
-        np.testing.assert_allclose(averaged_periodogram(block).power,
-                                   averaged_periodogram(shuffled).power, rtol=1e-12)
+        shuffled = block_of([frames[i] for i in perm])
+        np.testing.assert_allclose(averaged(block), averaged(shuffled), rtol=1e-12)
 
 
 class TestPowerMatrix:
     def test_matches_stacked_power_spectra(self):
         rng = np.random.default_rng(8)
-        block = block_from_frames([white_frame(rng, 64) for _ in range(7)])
+        block = block_of([white_frame(rng, 64) for _ in range(7)])
         got = power_matrix(block)
         want = np.stack([
             power_spectrum(SpectralFrame(bins=row, frame_index=i)).power
@@ -194,13 +199,13 @@ class TestBlockFromFrames:
     def test_matches_per_frame_dft(self):
         rng = np.random.default_rng(9)
         frames = [white_frame(rng, 48) for _ in range(6)]
-        block = block_from_frames(frames)
+        block = block_of(frames)
         want = np.stack([dft(fr, frame_index=i).bins for i, fr in enumerate(frames)])
         np.testing.assert_array_equal(block.spectral, want)
 
     def test_frame_signal_rows_round_trip(self):
         data = np.arange(12, dtype=complex)
-        block = block_from_frames(frame_signal(series(data), 4, 3))
+        block = block_of(frame_signal(series(data), 4, 3))
         assert (block.n_frames, block.n_bins) == (3, 4)
         np.testing.assert_allclose(np.fft.ifft(block.spectral, axis=1).ravel(), data,
                                    atol=1e-12)
@@ -234,8 +239,8 @@ class TestValueTypes:
          "frame_len and frame_count must be >= 1"),
         (lambda: dft(np.ones(1, dtype=complex)), ValueError,
          "frame must have at least 2 samples"),
-        (lambda: block_from_frames(np.ones(4, dtype=complex)), ValueError,
-         "time frames must form a 2-D (frames, samples) array"),
+        (lambda: ResourceBlock(np.fft.fft(np.ones(4, dtype=complex))), ValueError,
+         "a resource block is a 2-D (frames, bins) array, got 1-D"),
     ], ids=["series-2-D", "mean-power-empty", "frame-one-bin", "frame-negative-index",
             "power-2-D", "no-frame-length", "no-frames", "dft-one-sample", "frames-1-D"])
     def test_inputs_checked(self, build, error, message):
@@ -316,8 +321,9 @@ class TestValueTypes:
         assert frozen(given, given) is given
 
     def test_transforms_hand_over_without_copies(self, monkeypatch):
-        # dft, power_spectrum and averaged_periodogram freeze what they build
-        # before handing it over, so the ownership rule never has to copy it.
+        # dft, power_spectrum and power_matrix freeze what they build before
+        # handing it over, and so does the batched FFT behind a block of time
+        # frames, so the ownership rule never has to copy it.
         copies = []
 
         def spy(arr, given):
@@ -331,25 +337,26 @@ class TestValueTypes:
         before = frame.copy()
         spec = dft(frame, frame_index=2)
         power = power_spectrum(spec)
-        block = block_from_frames(np.stack([frame, 2 * frame]))
-        averaged = averaged_periodogram(block)
+        transformed = np.fft.fft(np.stack([frame, 2 * frame]), axis=1)
+        transformed.setflags(write=False)
+        block = ResourceBlock(transformed)
+        matrix = power_matrix(block)
         assert copies == []
         # The caller's frame is neither frozen nor aliased, nor written.
         assert frame.flags.writeable and not np.shares_memory(spec.bins, frame)
         np.testing.assert_array_equal(frame, before)
-        for arr in (spec.bins, power.power, averaged.power):
+        for arr in (spec.bins, power.power, block.spectral, matrix):
             assert not arr.flags.writeable
         frame[0] += 1.0
         np.testing.assert_array_equal(spec.bins, np.fft.fft(before))
 
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
-        block = block_from_frames([white_frame(rng, 8) for _ in range(10)])
+        block = block_of([white_frame(rng, 8) for _ in range(10)])
         sub = block.window(2, 7)
         assert (sub.n_frames, sub.n_bins) == (5, 8)
         assert np.shares_memory(sub.spectral, block.spectral)
         np.testing.assert_array_equal(sub.spectral, block.spectral[2:7])
-        assert averaged_periodogram(sub).frame_index == 4
 
     @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 11)])
     def test_window_bounds_checked(self, lo, hi):
