@@ -12,11 +12,13 @@ unchanged outputs is held to:
   surrogate-noise overrides;
 - the long-stream workload of perfbench on pool entries 0-7: ``generate`` of
   the entry's noise trace, ``separate`` of its first 100 frames (ROF's mask
-  and full energy-drop curve) and the six ``run --method`` calls on it, with
-  the configs of ``perfbench/workloads.long_stream_configs`` (read, not changed);
-  then ``separate --power-csv`` of a power file drawn from the entry number
-  (:func:`power_values`), and of the same file with one bin negative, which must
-  exit 3 naming that bin;
+  and full energy-drop curve), ``convert --to csv`` of the trace and
+  ``convert --to raw`` of that CSV (each must exit 0), and the six
+  ``run --method`` calls on the trace, with the configs of
+  ``perfbench/workloads.long_stream_configs`` (read, not changed); then
+  ``separate --power-csv`` of a power file drawn from the entry number
+  (:func:`power_values`), and of the same file with one bin negative, which
+  must exit 3 naming that bin;
 - ``ops`` of the nine default methods at sizes 16, 17, 64 (twice) and the powers
   of two 128-4096, then 4097: both edges of the counting stream's resume table
   and a repeated size;
@@ -117,6 +119,11 @@ def invocations(args, work: Path) -> list[Invocation]:
         calls.append(Invocation(f"long-stream {entry} separate",
                                 ("separate", "--input", f"{rel}/noise.iq", "--frames", "100",
                                  "--out", f"{rel}/separate.csv"), (f"{rel}/separate.csv",)))
+        for source, to, out in (("noise.iq", "csv", "noise.csv"),
+                                ("noise.csv", "raw", "round-trip.iq")):
+            calls.append(Invocation(f"long-stream {entry} convert --to {to}",
+                                    ("convert", "--input", f"{rel}/{source}", "--to", to,
+                                     "--out", f"{rel}/{out}"), (f"{rel}/{out}",), 0))
         for method in workloads.LONG_STREAM_METHODS:
             out = f"{rel}/out-{method.replace(':', '-')}"
             calls.append(Invocation(f"long-stream {entry} run {method}",

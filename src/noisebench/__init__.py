@@ -66,7 +66,6 @@ from .separation import (
     rof_signal_rows,
 )
 from .spectral import (
-    ComplexSeries,
     PowerSpectrum,
     ResourceBlock,
     SpectralFrame,

@@ -214,7 +214,7 @@ _CSV_SLICE = 65_536
 
 def cmd_convert(args) -> int:
     if args.to == "csv":
-        samples = load_iq_trace(args.input).samples
+        samples = load_iq_trace(args.input)
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             for start in range(0, len(samples), _CSV_SLICE):
                 part = samples[start:start + _CSV_SLICE]

@@ -11,6 +11,10 @@ Noise can be synthetic white Gaussian, a synthetic "industrial" surrogate
 (white base plus sparse impulses plus a first-order spectral tilt; this stands
 in for real captures, which are not distributed), or a raw IQ trace file of
 interleaved little-endian float32 (I, Q) pairs.
+
+A sample stream is a plain complex128 array, returned fresh to its caller;
+only the block and the ground truth freeze theirs (by the rule of
+:func:`noisebench.spectral.frozen`).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import InsufficientSamplesError, TraceFormatError, ZeroPowerError
-from .spectral import ComplexSeries, ResourceBlock, frame_signal, frozen, mean_power
+from .spectral import ResourceBlock, _finite_complex, frame_signal, frozen, mean_power
 
 NOISE_KINDS = ("white-gaussian", "surrogate-industrial", "trace-file")
 
@@ -229,19 +233,11 @@ class GroundTruth:
         return self.signal_bin_mask.shape[0]
 
 
-def _hand_over(samples: np.ndarray) -> ComplexSeries:
-    """A series around a freshly computed array: frozen in place, not copied, still checked.
+def load_iq_trace(path: str | Path) -> np.ndarray:
+    """Read interleaved little-endian float32 (I, Q) pairs in capture order.
 
-    The array must be one nothing else holds.  It is built once and written in
-    place while it is private (scaled, filtered); this is where it is frozen,
-    once, and nothing writes to it afterwards.
+    Returns a fresh complex128 array, the caller's to read or to write in place.
     """
-    samples.setflags(write=False)
-    return ComplexSeries(samples=samples)
-
-
-def _read_iq_trace(path: str | Path) -> np.ndarray:
-    """A fresh complex128 array of the interleaved little-endian float32 (I, Q) pairs."""
     raw = Path(path).read_bytes()
     if len(raw) % 8 != 0:
         raise TraceFormatError(
@@ -252,11 +248,6 @@ def _read_iq_trace(path: str | Path) -> np.ndarray:
         idx = int(np.flatnonzero(~finite)[0]) // 2
         raise TraceFormatError(f"{path}: non-finite value at sample {idx}")
     return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
-
-
-def load_iq_trace(path: str | Path) -> ComplexSeries:
-    """Read interleaved little-endian float32 (I, Q) pairs in capture order."""
-    return _hand_over(_read_iq_trace(path))
 
 
 def _read_csv_rows(path: str | Path, columns: int, expected: str) -> np.ndarray:
@@ -281,7 +272,7 @@ def _read_csv_rows(path: str | Path, columns: int, expected: str) -> np.ndarray:
     return rows
 
 
-def load_iq_csv(path: str | Path) -> ComplexSeries:
+def load_iq_csv(path: str | Path) -> np.ndarray:
     """Read a CSV trace: one "I,Q" line per sample, blank lines skipped.
 
     A file without a sample is an empty trace.  A field that is not a number,
@@ -293,7 +284,7 @@ def load_iq_csv(path: str | Path) -> ComplexSeries:
         finite = np.isfinite(pairs.astype(np.float32)).all(axis=1)
     if not finite.all():
         raise TraceFormatError(f"{path}: non-finite value at sample {int(np.argmin(finite))}")
-    return _hand_over(pairs[:, 0] + 1j * pairs[:, 1])
+    return pairs[:, 0] + 1j * pairs[:, 1]
 
 
 def load_power_csv(path: str | Path) -> np.ndarray:
@@ -318,9 +309,9 @@ def load_power_csv(path: str | Path) -> np.ndarray:
     return power
 
 
-def write_iq_trace(path: str | Path, series: ComplexSeries) -> None:
-    """Write a series in the raw float32 interleaved I/Q format."""
-    series.samples.astype("<c8").tofile(path)
+def write_iq_trace(path: str | Path, samples: np.ndarray) -> None:
+    """Write a 1-D complex stream, every sample finite, as raw float32 interleaved I/Q."""
+    _finite_complex(samples, "samples").astype("<c8").tofile(path)
 
 
 def _scale_to_power(samples: np.ndarray, target_mw: float) -> None:
@@ -444,7 +435,7 @@ def amplitude_mv_to_sqrt_mw(amplitude_mv: float) -> float:
     return amplitude_mv / _MV_PER_SQRT_MW
 
 
-def _noise_series(config: ScenarioConfig) -> ComplexSeries:
+def _noise_series(config: ScenarioConfig) -> np.ndarray:
     """The noise stream at the reference power: one array, built, then scaled once in place."""
     total = config.n_bins * config.n_frames
     src = config.noise
@@ -453,13 +444,13 @@ def _noise_series(config: ScenarioConfig) -> ComplexSeries:
     elif src.kind == "surrogate-industrial":
         samples = _synthetic_samples(total, src.params, src.seed)
     else:
-        samples = _read_iq_trace(src.path)
+        samples = load_iq_trace(src.path)
         if samples.size < total:
             raise InsufficientSamplesError(
                 f"trace {src.path} has {samples.size} samples, scenario needs {total}"
             )
     _scale_to_power(samples, config.reference_noise_power_mw)
-    return _hand_over(samples)
+    return samples
 
 
 def _frame_amplitudes(config: ScenarioConfig, frame: int) -> list[tuple[int, int, float]]:
@@ -529,9 +520,9 @@ def build_scenario(config: ScenarioConfig) -> tuple[ResourceBlock, GroundTruth]:
     return ResourceBlock(spectral), truth
 
 
-def time_series_of(block: ResourceBlock) -> ComplexSeries:
+def time_series_of(block: ResourceBlock) -> np.ndarray:
     """Inverse-transform a block back to one contiguous time-domain stream."""
-    return _hand_over(np.fft.ifft(block.spectral, axis=1).ravel())
+    return np.fft.ifft(block.spectral, axis=1).ravel()
 
 
 # --- configuration files ----------------------------------------------------

@@ -12,12 +12,12 @@ averaged periodogram ``power_matrix(block).mean(axis=0)``.
 functions.  All value types hold read-only arrays and every operation is a
 pure function, so results can be shared freely between threads.
 
-Ownership: a full-length array is built once and, while nothing else can
-see it, written in place (scaled, filtered, squared); it is frozen once, when
-it is handed to a value type, and nothing writes to it after that.  A value
-type keeps a read-only array as is and copies a writeable one, because the
-caller could still write through it; :func:`frozen` states this rule for
-every value type.
+Ownership: a sample stream is a plain complex128 array, its caller's.  A
+full-length array is built once and, while nothing else can see it, written
+in place (scaled, filtered, squared); it is frozen once, when it is handed
+to a block, frame or spectrum type, and nothing writes to it after that.
+Those types keep a read-only array as is and copy a writeable one, because
+the caller could still write through it; :func:`frozen` states this rule.
 """
 
 from __future__ import annotations
@@ -58,28 +58,6 @@ def _finite_complex(values, what: str) -> np.ndarray:
     return arr
 
 
-def _as_finite_complex(values, what: str) -> np.ndarray:
-    """Checked, read-only complex vector, owned by the rule of :func:`frozen`."""
-    return frozen(_finite_complex(values, what), values)
-
-
-@dataclass(frozen=True)
-class ComplexSeries:
-    """A stream of complex I/Q samples.
-
-    A zero-length series is permitted (e.g. loading an empty trace file);
-    operations that need data raise :class:`InsufficientSamplesError`.
-    """
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "samples", _as_finite_complex(self.samples, "samples"))
-
-    def __len__(self) -> int:
-        return self.samples.size
-
-
 def mean_power(samples: np.ndarray) -> float:
     """Mean of |s|^2 over a complex sample array: abs, squared in place, then the mean."""
     if samples.size == 0:
@@ -97,7 +75,7 @@ class SpectralFrame:
     frame_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", _as_finite_complex(self.bins, "bins"))
+        object.__setattr__(self, "bins", frozen(_finite_complex(self.bins, "bins"), self.bins))
         if self.bins.size < 2:
             raise ValueError("a spectral frame needs at least 2 bins")
         if self.frame_index < 0:
@@ -165,30 +143,26 @@ class ResourceBlock:
     def n_bins(self) -> int:
         return self.spectral.shape[1]
 
-    def window(self, lo: int, hi: int) -> ResourceBlock:
-        """Frames lo..hi-1 as a block of their own: a view, rows re-indexed from 0."""
-        if not 0 <= lo < hi <= self.n_frames:
-            raise ValueError(f"window [{lo}, {hi}) outside the block's {self.n_frames} frames")
-        return ResourceBlock(self.spectral[lo:hi])
 
+def frame_signal(samples: np.ndarray, frame_len: int, frame_count: int) -> np.ndarray:
+    """Slice the 1-D complex stream ``samples``, every sample checked finite,
+    into ``frame_count`` non-overlapping frames of ``frame_len``.
 
-def frame_signal(series: ComplexSeries, frame_len: int, frame_count: int) -> np.ndarray:
-    """Slice the stream into ``frame_count`` non-overlapping frames of ``frame_len``.
-
-    Returns a read-only (frame_count, frame_len) view whose row i holds
-    samples [i*frame_len, (i+1)*frame_len); trailing samples beyond
+    Returns a (frame_count, frame_len) view whose row i holds samples
+    [i*frame_len, (i+1)*frame_len); trailing samples beyond
     frame_len*frame_count are discarded.  No window is applied.
     """
+    samples = _finite_complex(samples, "samples")
     if frame_len < 1 or frame_count < 1:
         raise ValueError("frame_len and frame_count must be >= 1")
     needed = frame_len * frame_count
-    if len(series) < needed:
+    if samples.size < needed:
         raise InsufficientSamplesError(
-            f"need {needed} samples for {frame_count} frames of {frame_len}, have {len(series)}"
+            f"need {needed} samples for {frame_count} frames of {frame_len}, have {samples.size}"
         )
-    if len(series) > needed:
-        log.debug("discarding %d trailing samples", len(series) - needed)
-    return series.samples[:needed].reshape(frame_count, frame_len)
+    if samples.size > needed:
+        log.debug("discarding %d trailing samples", samples.size - needed)
+    return samples[:needed].reshape(frame_count, frame_len)
 
 
 def dft(frame: np.ndarray, frame_index: int = 0) -> SpectralFrame:

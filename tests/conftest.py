@@ -113,7 +113,7 @@ def switching_trace_config(tmp_path_factory) -> Path:
 def build_scenario_per_frame(config: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
     """Oracle for build_scenario: one FFT and one signal pass per frame."""
     n, m = config.n_bins, config.n_frames
-    samples = _noise_series(config).samples
+    samples = _noise_series(config)
     spectral = [np.fft.fft(samples[i * n:(i + 1) * n]) for i in range(m)]
     mask = np.zeros((m, n), dtype=bool)
     snr_db = np.full(m, -np.inf)

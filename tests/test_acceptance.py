@@ -17,6 +17,7 @@ import pytest
 from noisebench import (
     MethodSpec,
     PowerSpectrum,
+    ResourceBlock,
     aic_estimate,
     aic_fit_rows,
     cbe_estimate,
@@ -80,7 +81,7 @@ def test_criterion_1_estimator_unbiasedness():
                 mvu_estimate(spectra[lo:hi], masks[lo:hi]))
             avg = PowerSpectrum(power[lo:hi].mean(axis=0), hi - 1)
             per_window["AIC"].append(aic_estimate(avg, 100))
-            sub = block.window(lo, hi)
+            sub = ResourceBlock(block.spectral[lo:hi])
             per_window["CBE"].append(cbe_estimate(sub, 0.0))
             per_window["MMSE"].append(mmse_estimate(sub))
         for key, vals in per_window.items():

@@ -16,6 +16,7 @@ from noisebench import (
     EstimateSeries,
     MethodSpec,
     PowerSpectrum,
+    ResourceBlock,
     ScenarioConfig,
     aic_estimate,
     aic_fit_rows,
@@ -324,7 +325,7 @@ class TestRunScenario:
         values, grids, _, _ = cbe_fit_windows(ctx.gram, cfg.n_bins, window,
                                               np.array([round(window * f) for f in fractions]))
         for lo, fraction in enumerate(fractions):
-            block = ctx.block.window(lo, lo + window)
+            block = ResourceBlock(ctx.block.spectral[lo:lo + window])
             # The grid of the one-window fit cbe_estimate makes.
             grid = cbe_fit_windows(estimators.sample_covariance(block), cfg.n_bins, window,
                                    np.array([round(window * fraction)]))[1][0]
@@ -382,7 +383,7 @@ class TestRunScenario:
         for lo in range(cfg.n_frames - window + 1):
             hi = lo + window
             values = mmse_fit_windows(ctx.block.spectral[lo:hi], window)[0]
-            want = mmse_estimate(ctx.block.window(lo, hi))
+            want = mmse_estimate(ResourceBlock(ctx.block.spectral[lo:hi]))
             assert values.tolist() == [want]
             assert series.noise_power_est_mw[lo] == pytest.approx(want, rel=1e-12)
 

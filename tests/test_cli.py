@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisebench import (ComplexSeries, PowerSpectrum, ZeroPowerError, bench, cli, errors, estimators,
+from noisebench import (PowerSpectrum, ZeroPowerError, bench, cli, errors, estimators,
                         load_iq_trace, rof_separate, scenario_config_from_dict, write_iq_trace)
 from noisebench.scenario import SurrogateNoiseParams, _synthetic_samples
 from noisebench.spectral import mean_power
@@ -65,17 +65,16 @@ class TestGenerate:
     def test_round_trip_samples(self, noise_config, tmp_path):
         out = tmp_path / "trace.iq"
         main(["generate", "--config", str(noise_config), "--out", str(out)])
-        series = load_iq_trace(out)
-        assert len(series) == 1024
-        assert mean_power(series.samples) == pytest.approx(1.0, rel=1e-3)
+        samples = load_iq_trace(out)
+        assert len(samples) == 1024
+        assert mean_power(samples) == pytest.approx(1.0, rel=1e-3)
 
     def test_generated_scenario_reanalyzes_to_target_snr(self, small_config, tmp_path, capsys):
         trace = tmp_path / "sig.iq"
         rc = main(["generate", "--config", str(small_config), "--out", str(trace)])
         assert rc == 0
-        series = load_iq_trace(trace)
         # Whole-band mean power of a 0 dB scenario is twice the noise power.
-        measured = mean_power(series.samples)
+        measured = mean_power(load_iq_trace(trace))
         snr_db = 10 * np.log10(measured / 1.0 - 1.0)
         assert snr_db == pytest.approx(0.0, abs=0.2)
 
@@ -228,7 +227,7 @@ class TestRun:
         else:
             samples[:n_bins] = np.fft.ifft(np.sqrt(n_bins * np.linspace(1.0, 50.0, n_bins)))
         trace = tmp_path / "head.iq"
-        write_iq_trace(trace, ComplexSeries(samples=samples))
+        write_iq_trace(trace, samples)
         config = tmp_path / "head.json"
         config.write_text(json.dumps({
             "name": "degenerate-head", "n_bins": n_bins, "n_frames": n_frames,
@@ -302,7 +301,7 @@ class TestRun:
         samples = rng.standard_normal(size) + 1j * rng.standard_normal(size)
         samples[2 * n_bins:3 * n_bins] = 0.0
         trace = tmp_path / "silent.iq"
-        write_iq_trace(trace, ComplexSeries(samples=samples))
+        write_iq_trace(trace, samples)
         data = {"name": "silent-frame", "n_bins": n_bins, "n_frames": n_frames,
                 "noise": {"kind": "trace-file", "path": str(trace)}}
         config = tmp_path / "silent.json"
@@ -708,7 +707,7 @@ class TestConvert:
         as_csv, back = tmp_path / "t.csv", tmp_path / "t.iq"
         as_csv.write_text("1,-2\n\n0.5,3\n")
         assert main(["convert", "--input", str(as_csv), "--out", str(back), "--to", "raw"]) == 0
-        np.testing.assert_array_equal(load_iq_trace(back).samples, [1 - 2j, 0.5 + 3j])
+        np.testing.assert_array_equal(load_iq_trace(back), [1 - 2j, 0.5 + 3j])
 
     @pytest.mark.parametrize("text, message", [
         ("1,2\n3,x\n", "could not convert string 'x'"),
@@ -734,7 +733,7 @@ class TestConvert:
         main(["generate", "--config", str(noise_config), "--out", str(trace)])
         as_csv = tmp_path / "t.csv"
         assert main(["convert", "--input", str(trace), "--out", str(as_csv), "--to", "csv"]) == 0
-        want = "".join("%.9g,%.9g\n" % (s.real, s.imag) for s in load_iq_trace(trace).samples)
+        want = "".join("%.9g,%.9g\n" % (s.real, s.imag) for s in load_iq_trace(trace))
         assert as_csv.read_text() == want
 
     def test_csv_peak_within_two_streams(self, tmp_path, monkeypatch):
@@ -743,8 +742,7 @@ class TestConvert:
         monkeypatch.setattr(cli, "_CSV_SLICE", 4096)
         n = 16 * 4096
         trace = tmp_path / "t.iq"
-        write_iq_trace(trace, ComplexSeries(
-            samples=_synthetic_samples(n, SurrogateNoiseParams(impulse_rate=0.0), seed=0)))
+        write_iq_trace(trace, _synthetic_samples(n, SurrogateNoiseParams(impulse_rate=0.0), seed=0))
         argv = ["convert", "--input", str(trace), "--out", str(tmp_path / "t.csv"), "--to", "csv"]
         codes = []
         peak = traced_peak(lambda: codes.append(main(argv)))

@@ -30,7 +30,7 @@ from noisebench import scenario
 from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _noise_series,
                                  _one_pole_lowpass, _rng, _scale_to_power, _synthetic_samples,
                                  amplitude_mv_to_sqrt_mw, time_series_of)
-from noisebench.spectral import ComplexSeries, SpectralFrame, mean_power
+from noisebench.spectral import SpectralFrame, mean_power
 
 from conftest import build_scenario_per_frame, reference_config, traced_peak
 
@@ -123,8 +123,7 @@ class TestIqTrace:
     def test_decodes_interleaved_pairs(self, tmp_path):
         path = tmp_path / "t.iq"
         path.write_bytes(struct.pack("<4f", 1.0, 0.0, 0.0, -1.0))
-        got = load_iq_trace(path)
-        np.testing.assert_array_equal(got.samples, [1.0 + 0.0j, 0.0 - 1.0j])
+        np.testing.assert_array_equal(load_iq_trace(path), [1.0 + 0.0j, 0.0 - 1.0j])
 
     def test_empty_file_gives_empty_series(self, tmp_path):
         path = tmp_path / "empty.iq"
@@ -147,10 +146,10 @@ class TestIqTrace:
         rng = np.random.default_rng(3)
         samples = rng.standard_normal(64) + 1j * rng.standard_normal(64)
         path = tmp_path / "rt.iq"
-        write_iq_trace(path, ComplexSeries(samples=samples))
+        write_iq_trace(path, samples)
         got = load_iq_trace(path)
         expected = samples.real.astype(np.float32) + 1j * samples.imag.astype(np.float32)
-        np.testing.assert_array_equal(got.samples, expected.astype(complex))
+        np.testing.assert_array_equal(got, expected.astype(complex))
 
 
     def test_load_matches_two_float_oracle(self, tmp_path):
@@ -162,7 +161,7 @@ class TestIqTrace:
         ])
         path = tmp_path / "t.iq"
         path.write_bytes(floats.tobytes())
-        got = load_iq_trace(path).samples
+        got = load_iq_trace(path)
         want = old_load_iq(floats.tobytes())
         np.testing.assert_array_equal(got, want)
         # float32 subnormals keep their values in the cast.
@@ -192,7 +191,7 @@ class TestIqTrace:
             np.array([0.0, -0.0 - 0.0j, complex(-0.0, 0.0), 1e-46 - 1e-46j, 1 + 2 ** -24j]),
         ])
         path = tmp_path / "w.iq"
-        write_iq_trace(path, ComplexSeries(samples=samples))
+        write_iq_trace(path, samples)
         assert path.read_bytes() == old_iq_bytes(samples)
 
 
@@ -263,7 +262,7 @@ class TestSynthNoise:
         white = _noise_series(scenario_config_from_dict(
             {"n_bins": 64, "n_frames": 20, "reference_noise_power_mw": 2.5,
              "noise": {"kind": "white-gaussian", "seed": 6}}))
-        np.testing.assert_array_equal(surrogate.samples, white.samples)
+        np.testing.assert_array_equal(surrogate, white)
 
     def test_surrogate_impulses_raise_kurtosis(self):
         params = SurrogateNoiseParams(impulse_rate=1e-3, impulse_amplitude_factor=10.0)
@@ -317,9 +316,7 @@ class TestSynthNoise:
         # The scenario's stream is the synthesized (or read) stream scaled once
         # to the reference power, without a copy per step.
         config, unscaled = _noise_config(kind, tmp_path)
-        series = _noise_series(config)
-        np.testing.assert_array_equal(series.samples, rescaled(unscaled, 2.5))
-        assert not series.samples.flags.writeable
+        np.testing.assert_array_equal(_noise_series(config), rescaled(unscaled, 2.5))
 
     @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
     def test_noise_series_scales_once(self, kind, tmp_path, monkeypatch):
@@ -334,6 +331,33 @@ class TestSynthNoise:
         _noise_series(config)
         assert targets == [2.5]
 
+    def test_trace_run_reads_its_trace_once_and_scales_that_array(self, tmp_path, monkeypatch):
+        # One reader serves the run: a trace-file run reads its trace once,
+        # through load_iq_trace, and the noise stream is the array it
+        # returned, scaled in place.
+        from noisebench.cli import main
+
+        config, unscaled = _noise_config("trace-file", tmp_path)
+        read = []
+
+        def counting(path):
+            read.append(load_iq_trace(path))
+            return read[-1]
+
+        monkeypatch.setattr(scenario, "load_iq_trace", counting)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({
+            "n_bins": config.n_bins, "n_frames": config.n_frames,
+            "reference_noise_power_mw": 2.5,
+            "noise": {"kind": "trace-file", "path": config.noise.path}}))
+        argv = ["run", "--config", str(config_path), "--method", "ML:ideal",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(read) == 1
+        samples = _noise_series(config)
+        assert len(read) == 2 and samples is read[1]
+        np.testing.assert_array_equal(samples, rescaled(unscaled, 2.5))
+
 
 def _noise_config(kind: str, tmp_path) -> tuple[ScenarioConfig, np.ndarray]:
     """A 64 x 50 config of the noise kind at 2.5 mW, and its stream before scaling."""
@@ -347,9 +371,8 @@ def _noise_config(kind: str, tmp_path) -> tuple[ScenarioConfig, np.ndarray]:
         unscaled = _synthetic_samples(n_bins * n_frames, WHITE, seed)
     else:
         path = tmp_path / "noise.iq"
-        write_iq_trace(path, ComplexSeries(
-            samples=np.sqrt(3.0) * _synthetic_samples(n_bins * n_frames + 5, WHITE, seed)))
-        unscaled = load_iq_trace(path).samples
+        write_iq_trace(path, np.sqrt(3.0) * _synthetic_samples(n_bins * n_frames + 5, WHITE, seed))
+        unscaled = load_iq_trace(path)
         noise = {"kind": kind, "path": str(path)}
     config = scenario_config_from_dict({"n_bins": n_bins, "n_frames": n_frames,
                                         "reference_noise_power_mw": 2.5, "noise": noise})
@@ -531,7 +554,7 @@ class TestBuildScenario:
 
     def test_short_trace_rejected(self, tmp_path):
         path = tmp_path / "short.iq"
-        write_iq_trace(path, ComplexSeries(samples=_synthetic_samples(100, WHITE, seed=1)))
+        write_iq_trace(path, _synthetic_samples(100, WHITE, seed=1))
         cfg = ScenarioConfig(n_bins=64, n_frames=4,
                              noise=NoiseSource(kind="trace-file", path=str(path)))
         with pytest.raises(InsufficientSamplesError):
@@ -539,8 +562,7 @@ class TestBuildScenario:
 
     def test_trace_noise_is_rescaled(self, tmp_path):
         path = tmp_path / "trace.iq"
-        write_iq_trace(path, ComplexSeries(
-            samples=np.sqrt(5.0) * _synthetic_samples(64 * 4, WHITE, seed=2)))
+        write_iq_trace(path, np.sqrt(5.0) * _synthetic_samples(64 * 4, WHITE, seed=2))
         cfg = ScenarioConfig(n_bins=64, n_frames=4,
                              noise=NoiseSource(kind="trace-file", path=str(path)),
                              reference_noise_power_mw=1.0)
@@ -562,8 +584,7 @@ def _oracle_config(kind: str, tmp_path) -> ScenarioConfig:
         )
     if kind == "trace-file":
         path = tmp_path / "noise.iq"
-        write_iq_trace(path, ComplexSeries(
-            samples=np.sqrt(2.0) * _synthetic_samples(128 * 24 + 100, WHITE, seed=6)))
+        write_iq_trace(path, np.sqrt(2.0) * _synthetic_samples(128 * 24 + 100, WHITE, seed=6))
         return ScenarioConfig(
             n_bins=128, n_frames=24,
             noise=NoiseSource(kind="trace-file", path=str(path)),
@@ -602,8 +623,7 @@ class TestArrayBuildersMatchPerFrame:
     def test_time_series_matches_per_frame_ifft(self):
         block, _ = build_scenario(reference_config(seed=2, n_frames=20))
         want = np.concatenate([np.fft.ifft(row) for row in block.spectral])
-        series = time_series_of(block)
-        np.testing.assert_array_equal(series.samples, want)
+        np.testing.assert_array_equal(time_series_of(block), want)
 
 
 
@@ -614,8 +634,7 @@ class TestSampleMemory:
         # must fit in 2.5 complex128 copies of the stream.
         n_bins, n_frames = 512, 1000
         trace = tmp_path / "noise.iq"
-        write_iq_trace(trace, ComplexSeries(samples=_synthetic_samples(
-            n_bins * n_frames, LONG_STREAM_PARAMS, seed=0)))
+        write_iq_trace(trace, _synthetic_samples(n_bins * n_frames, LONG_STREAM_PARAMS, seed=0))
         config = scenario_config_from_dict({
             "n_bins": n_bins, "n_frames": n_frames,
             "noise": {"kind": "trace-file", "path": str(trace)},

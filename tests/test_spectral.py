@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisebench import (
-    ComplexSeries,
     InsufficientSamplesError,
     PowerSpectrum,
     ResourceBlock,
@@ -15,6 +16,7 @@ from noisebench import (
     frame_signal,
     power_matrix,
     power_spectrum,
+    write_iq_trace,
 )
 from noisebench import spectral
 from noisebench.spectral import frozen, mean_power
@@ -29,10 +31,6 @@ def direct_dft(x: np.ndarray) -> np.ndarray:
     return np.array([np.sum(x * np.exp(-2j * np.pi * k * m / n)) for m in range(n)])
 
 
-def series(samples) -> ComplexSeries:
-    return ComplexSeries(samples=np.asarray(samples, dtype=complex))
-
-
 def block_of(frames) -> ResourceBlock:
     """The resource block of time frames (rows): one batched FFT."""
     return ResourceBlock(np.fft.fft(frames, axis=1))
@@ -45,16 +43,16 @@ def averaged(block: ResourceBlock) -> np.ndarray:
 
 class TestFrameSignal:
     def test_exact_slicing(self):
-        frames = frame_signal(series(np.arange(8)), 4, 2)
+        frames = frame_signal(np.arange(8), 4, 2)
         np.testing.assert_array_equal(frames[0], np.arange(4))
         np.testing.assert_array_equal(frames[1], np.arange(4, 8))
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            frame_signal(series(np.arange(8)), 4, 3)
+            frame_signal(np.arange(8), 4, 3)
 
     def test_trailing_samples_discarded(self):
-        frames = frame_signal(series(np.arange(10)), 4, 2)
+        frames = frame_signal(np.arange(10), 4, 2)
         assert len(frames) == 2
         np.testing.assert_array_equal(np.concatenate(frames), np.arange(8))
 
@@ -63,7 +61,7 @@ class TestFrameSignal:
     def test_concatenation_round_trip(self, n, m, extra):
         rng = np.random.default_rng(n * 100 + m * 10 + extra)
         data = rng.standard_normal(n * m + extra) + 1j * rng.standard_normal(n * m + extra)
-        frames = frame_signal(series(data), n, m)
+        frames = frame_signal(data, n, m)
         np.testing.assert_array_equal(np.concatenate(frames), data[:n * m])
 
 
@@ -190,9 +188,9 @@ class TestMeanPower:
     def test_matches_out_of_place_oracle(self):
         rng = np.random.default_rng(10)
         samples = rng.standard_normal(10_007) * 3 + 1j * rng.standard_normal(10_007)
-        series = ComplexSeries(samples=samples)
-        assert spectral.mean_power(series.samples) == float(np.mean(np.abs(samples) ** 2))
-        np.testing.assert_array_equal(series.samples, samples)
+        before = samples.copy()
+        assert spectral.mean_power(samples) == float(np.mean(np.abs(samples) ** 2))
+        np.testing.assert_array_equal(samples, before)
 
 
 class TestBlockFromFrames:
@@ -205,7 +203,7 @@ class TestBlockFromFrames:
 
     def test_frame_signal_rows_round_trip(self):
         data = np.arange(12, dtype=complex)
-        block = block_of(frame_signal(series(data), 4, 3))
+        block = block_of(frame_signal(data, 4, 3))
         assert (block.n_frames, block.n_bins) == (3, 4)
         np.testing.assert_allclose(np.fft.ifft(block.spectral, axis=1).ravel(), data,
                                    atol=1e-12)
@@ -223,7 +221,9 @@ class TestValueTypes:
             ResourceBlock(values)
 
     @pytest.mark.parametrize("build, error, message", [
-        (lambda: ComplexSeries(samples=np.ones((2, 3), dtype=complex)), ValueError,
+        (lambda: frame_signal(np.ones((2, 3), dtype=complex), 3, 2), ValueError,
+         "samples must be one-dimensional"),
+        (lambda: write_iq_trace(os.devnull, np.ones((2, 3), dtype=complex)), ValueError,
          "samples must be one-dimensional"),
         (lambda: mean_power(np.array([], dtype=complex)), InsufficientSamplesError,
          "series is empty"),
@@ -233,15 +233,15 @@ class TestValueTypes:
          "frame_index must be non-negative"),
         (lambda: PowerSpectrum(power=np.ones((2, 2))), ValueError,
          "power must be one-dimensional"),
-        (lambda: frame_signal(series(np.ones(8)), 0, 2), ValueError,
+        (lambda: frame_signal(np.ones(8), 0, 2), ValueError,
          "frame_len and frame_count must be >= 1"),
-        (lambda: frame_signal(series(np.ones(8)), 4, 0), ValueError,
+        (lambda: frame_signal(np.ones(8), 4, 0), ValueError,
          "frame_len and frame_count must be >= 1"),
         (lambda: dft(np.ones(1, dtype=complex)), ValueError,
          "frame must have at least 2 samples"),
         (lambda: ResourceBlock(np.fft.fft(np.ones(4, dtype=complex))), ValueError,
          "a resource block is a 2-D (frames, bins) array, got 1-D"),
-    ], ids=["series-2-D", "mean-power-empty", "frame-one-bin", "frame-negative-index",
+    ], ids=["series-2-D", "trace-2-D", "mean-power-empty", "frame-one-bin", "frame-negative-index",
             "power-2-D", "no-frame-length", "no-frames", "dft-one-sample", "frames-1-D"])
     def test_inputs_checked(self, build, error, message):
         with pytest.raises(error) as exc:
@@ -268,29 +268,32 @@ class TestValueTypes:
         values.setflags(write=False)
         assert ResourceBlock(values).spectral is values
 
-    def test_series_copies_only_writeable_input_and_checks_every_input(self):
-        values = np.ones(6, dtype=complex)
-        s = ComplexSeries(samples=values)
-        assert not np.shares_memory(s.samples, values)
-        assert not s.samples.flags.writeable
-        values.setflags(write=False)
-        assert ComplexSeries(samples=values).samples is values
+    def test_series_checks_every_input(self, tmp_path):
+        # A read-only stream is checked too, past the frames as well.
         bad = np.ones(6, dtype=complex)
         bad[4] = np.nan
         bad.setflags(write=False)
         with pytest.raises(ValueError, match="sample 4"):
-            ComplexSeries(samples=bad)
+            frame_signal(bad, 2, 2)
+        with pytest.raises(ValueError, match="sample 4"):
+            write_iq_trace(tmp_path / "bad.iq", bad)
+        assert not (tmp_path / "bad.iq").exists()
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
                                      complex(np.inf, 1.0), complex(1.0, -np.inf)],
                              ids=["nan-real", "nan-imag", "inf-real", "inf-imag"])
-    def test_series_names_the_first_non_finite_sample(self, bad):
-        # Either part makes a sample non-finite; the first such sample is named.
+    def test_series_names_the_first_non_finite_sample(self, bad, tmp_path):
+        # Either part makes a sample non-finite; the first such sample is named
+        # by both functions a stream is handed to.
         values = np.ones(9, dtype=complex)
         values[5] = bad
         values[7] = complex(np.nan, np.nan)
-        with pytest.raises(ValueError, match=r"^samples contains a non-finite value at sample 5$"):
-            ComplexSeries(samples=values)
+        message = r"^samples contains a non-finite value at sample 5$"
+        with pytest.raises(ValueError, match=message):
+            frame_signal(values, 3, 3)
+        with pytest.raises(ValueError, match=message):
+            write_iq_trace(tmp_path / "bad.iq", values)
+        assert not (tmp_path / "bad.iq").exists()
 
     def test_power_copies_only_writeable_input_and_checks_every_input(self):
         values = np.ones(6)
@@ -353,16 +356,10 @@ class TestValueTypes:
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
         block = block_of([white_frame(rng, 8) for _ in range(10)])
-        sub = block.window(2, 7)
+        sub = ResourceBlock(block.spectral[2:7])
         assert (sub.n_frames, sub.n_bins) == (5, 8)
         assert np.shares_memory(sub.spectral, block.spectral)
         np.testing.assert_array_equal(sub.spectral, block.spectral[2:7])
-
-    @pytest.mark.parametrize("lo, hi", [(-1, 3), (3, 3), (5, 11)])
-    def test_window_bounds_checked(self, lo, hi):
-        block = ResourceBlock(np.ones((10, 4), dtype=complex))
-        with pytest.raises(ValueError, match="outside"):
-            block.window(lo, hi)
 
     def test_power_rejects_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -373,8 +370,9 @@ class TestValueTypes:
         with pytest.raises(ValueError):
             frame.bins[0] = 5.0
 
-    def test_empty_series_allowed_until_used(self):
-        empty = ComplexSeries(samples=np.array([], dtype=complex))
-        assert len(empty) == 0
+    def test_empty_series_allowed_until_used(self, tmp_path):
+        empty = np.array([], dtype=complex)
+        write_iq_trace(tmp_path / "empty.iq", empty)
+        assert (tmp_path / "empty.iq").read_bytes() == b""
         with pytest.raises(InsufficientSamplesError):
             frame_signal(empty, 2, 1)
