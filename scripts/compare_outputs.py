@@ -12,7 +12,8 @@ unchanged outputs is held to:
   surrogate-noise overrides;
 - the long-stream workload of perfbench on pool entries 0-7: ``generate`` of
   the entry's noise trace, ``separate`` of its first 100 frames (ROF's mask
-  and full energy-drop curve), ``convert --to csv`` of the trace and
+  and full energy-drop curve) at 512 bins and at the prime 509 (the FFT's
+  non-radix-2 path; it must exit 0), ``convert --to csv`` of the trace and
   ``convert --to raw`` of that CSV (each must exit 0), and the six
   ``run --method`` calls on the trace, with the configs of
   ``perfbench/workloads.long_stream_configs`` (read, not changed); then
@@ -119,6 +120,10 @@ def invocations(args, work: Path) -> list[Invocation]:
         calls.append(Invocation(f"long-stream {entry} separate",
                                 ("separate", "--input", f"{rel}/noise.iq", "--frames", "100",
                                  "--out", f"{rel}/separate.csv"), (f"{rel}/separate.csv",)))
+        calls.append(Invocation(f"long-stream {entry} separate --n-bins 509",
+                                ("separate", "--input", f"{rel}/noise.iq", "--frames", "100",
+                                 "--n-bins", "509", "--out", f"{rel}/separate-509.csv"),
+                                (f"{rel}/separate-509.csv",), 0))
         for source, to, out in (("noise.iq", "csv", "noise.csv"),
                                 ("noise.csv", "raw", "round-trip.iq")):
             calls.append(Invocation(f"long-stream {entry} convert --to {to}",

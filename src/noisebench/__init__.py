@@ -69,8 +69,7 @@ from .spectral import (
     PowerSpectrum,
     ResourceBlock,
     SpectralFrame,
-    dft,
-    frame_signal,
+    frame_spectra,
     power_matrix,
     power_spectrum,
 )

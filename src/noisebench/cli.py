@@ -35,7 +35,7 @@ from .scenario import (
     write_iq_trace,
 )
 from .separation import RofParams, rof_separate
-from .spectral import PowerSpectrum, ResourceBlock, frame_signal, power_matrix
+from .spectral import PowerSpectrum, ResourceBlock, frame_spectra, power_matrix
 
 USAGE_ERROR, DATA_ERROR, INTERNAL_ERROR = 2, 3, 1
 
@@ -150,8 +150,7 @@ def _input_spectrum(args) -> PowerSpectrum:
         if power.size < 4:  # ROF's fewest bins; a short --n-bins is a flag error instead
             raise DataError(f"{args.power_csv}: need at least 4 bins, got {power.size}")
         return PowerSpectrum(power=power)
-    frames = frame_signal(load_iq_trace(args.input), args.n_bins, args.frames)
-    spectral = np.fft.fft(frames, axis=1)
+    spectral = frame_spectra(load_iq_trace(args.input), args.n_bins, args.frames)
     spectral.setflags(write=False)  # handed to the block without a copy
     return PowerSpectrum(power=power_matrix(ResourceBlock(spectral)).mean(axis=0))
 

@@ -12,8 +12,10 @@ Noise can be synthetic white Gaussian, a synthetic "industrial" surrogate
 in for real captures, which are not distributed), or a raw IQ trace file of
 interleaved little-endian float32 (I, Q) pairs.
 
-A sample stream is a plain complex128 array, returned fresh to its caller;
-only the block and the ground truth freeze theirs (by the rule of
+A sample stream is a plain complex128 array, returned fresh to its caller and
+checked finite where it is made (a trace reader, :func:`write_iq_trace`; a
+synthetic stream is finite by construction).  Its buffer becomes the block's,
+and only the block and the ground truth freeze theirs (by the rule of
 :func:`noisebench.spectral.frozen`).
 """
 
@@ -29,7 +31,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import InsufficientSamplesError, TraceFormatError, ZeroPowerError
-from .spectral import ResourceBlock, _finite_complex, frame_signal, frozen, mean_power
+from .spectral import ResourceBlock, _finite_complex, frame_spectra, frozen, mean_power
 
 NOISE_KINDS = ("white-gaussian", "surrogate-industrial", "trace-file")
 
@@ -243,9 +245,10 @@ def load_iq_trace(path: str | Path) -> np.ndarray:
         raise TraceFormatError(
             f"{path}: length {len(raw)} bytes is not a whole number of float32 I/Q pairs"
         )
-    finite = np.isfinite(np.frombuffer(raw, dtype="<f4"))
-    if not finite.all():
-        idx = int(np.flatnonzero(~finite)[0]) // 2
+    words = np.frombuffer(raw, dtype="<f4")
+    # NaN and inf reach the max or the min, so no array as long as the trace is built.
+    if words.size and not (np.isfinite(words.max()) and np.isfinite(words.min())):
+        idx = int(np.flatnonzero(~np.isfinite(words))[0]) // 2
         raise TraceFormatError(f"{path}: non-finite value at sample {idx}")
     return np.frombuffer(raw, dtype="<c8").astype(np.complex128)
 
@@ -491,15 +494,15 @@ def build_scenario(config: ScenarioConfig) -> tuple[ResourceBlock, GroundTruth]:
     The noise stream is rescaled so its mean power over all N*M samples equals
     the reference exactly; signals are added in the spectral domain, so the
     per-frame true SNR follows from the configured powers alone.  The frames
-    are transformed in one batched FFT, and each signal is added to every
-    frame of a range whose active signals do not change, in signal order.
-    A signal of amplitude A (in sqrt-mW) adds A * sqrt(N) to each bin of its
-    band, which makes its whole-band mean-power contribution exactly
-    A^2 * width / N in the |X|^2/N power convention; bins outside the band
-    are untouched.
+    are transformed in one batched FFT in the stream's buffer, and each signal
+    is added to every frame of a range whose active signals do not change, in
+    signal order.  A signal of amplitude A (in sqrt-mW) adds A * sqrt(N) to
+    each bin of its band, which makes its whole-band mean-power contribution
+    exactly A^2 * width / N in the |X|^2/N power convention; bins outside the
+    band are untouched.
     """
     n, m = config.n_bins, config.n_frames
-    spectral = np.fft.fft(frame_signal(_noise_series(config), n, m), axis=1)
+    spectral = frame_spectra(_noise_series(config), n, m)
 
     mask = np.zeros((m, n), dtype=bool)
     snr_db = np.full(m, -np.inf)

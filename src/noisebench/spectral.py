@@ -6,30 +6,28 @@ input stream; the DFT is the unnormalized forward transform (Parseval reads
 mean over bins equals the time-domain mean power.  A resource block is one
 read-only (M, N) complex array, row i holding frame i, so a window of frames
 is a slice and the block-level operations work on the whole array at once:
-a block of time frames is ``ResourceBlock(np.fft.fft(frames, axis=1))`` and its
-averaged periodogram ``power_matrix(block).mean(axis=0)``.
+the block of a stream is ``ResourceBlock(frame_spectra(samples, N, M))`` and
+its averaged periodogram ``power_matrix(block).mean(axis=0)``.
 :class:`SpectralFrame` and :class:`PowerSpectrum` serve the single-frame
 functions.  All value types hold read-only arrays and every operation is a
 pure function, so results can be shared freely between threads.
 
 Ownership: a sample stream is a plain complex128 array, its caller's.  A
 full-length array is built once and, while nothing else can see it, written
-in place (scaled, filtered, squared); it is frozen once, when it is handed
-to a block, frame or spectrum type, and nothing writes to it after that.
-Those types keep a read-only array as is and copy a writeable one, because
-the caller could still write through it; :func:`frozen` states this rule.
+in place (scaled, filtered, squared, transformed: the stream's buffer
+becomes the block's); it is frozen once, when it is handed to a block, frame
+or spectrum type, and nothing writes to it after that.  Those types keep a
+read-only array as is and copy a writeable one, because the caller could
+still write through it; :func:`frozen` states this rule.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InsufficientSamplesError
-
-log = logging.getLogger(__name__)
 
 
 def frozen(arr: np.ndarray, given) -> np.ndarray:
@@ -144,15 +142,18 @@ class ResourceBlock:
         return self.spectral.shape[1]
 
 
-def frame_signal(samples: np.ndarray, frame_len: int, frame_count: int) -> np.ndarray:
-    """Slice the 1-D complex stream ``samples``, every sample checked finite,
-    into ``frame_count`` non-overlapping frames of ``frame_len``.
+def frame_spectra(samples: np.ndarray, frame_len: int, frame_count: int) -> np.ndarray:
+    """The writeable (frame_count, frame_len) DFTs of the 1-D complex stream
+    ``samples``, row i that of samples [i*frame_len, (i+1)*frame_len).
 
-    Returns a (frame_count, frame_len) view whose row i holds samples
-    [i*frame_len, (i+1)*frame_len); trailing samples beyond
-    frame_len*frame_count are discarded.  No window is applied.
+    The stream is handed over: a complex128 one of exactly the frames' length
+    is transformed in place, while a longer one has its frames copied out
+    first, so the spectra never pin a discarded tail.  No window is applied,
+    and finiteness is left to where the stream is made and to the block.
     """
-    samples = _finite_complex(samples, "samples")
+    samples = np.asarray(samples, dtype=np.complex128)
+    if samples.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
     if frame_len < 1 or frame_count < 1:
         raise ValueError("frame_len and frame_count must be >= 1")
     needed = frame_len * frame_count
@@ -160,19 +161,10 @@ def frame_signal(samples: np.ndarray, frame_len: int, frame_count: int) -> np.nd
         raise InsufficientSamplesError(
             f"need {needed} samples for {frame_count} frames of {frame_len}, have {samples.size}"
         )
+    frames = samples[:needed].reshape(frame_count, frame_len)
     if samples.size > needed:
-        log.debug("discarding %d trailing samples", samples.size - needed)
-    return samples[:needed].reshape(frame_count, frame_len)
-
-
-def dft(frame: np.ndarray, frame_index: int = 0) -> SpectralFrame:
-    """Unnormalized forward DFT of one time-domain frame (any N >= 2)."""
-    arr = _finite_complex(frame, "frame")
-    if arr.size < 2:
-        raise ValueError("frame must have at least 2 samples")
-    bins = np.fft.fft(arr)
-    bins.setflags(write=False)
-    return SpectralFrame(bins=bins, frame_index=frame_index)
+        frames = frames.copy()
+    return np.fft.fft(frames, axis=1, out=frames)
 
 
 def power_spectrum(frame: SpectralFrame) -> PowerSpectrum:
@@ -186,12 +178,14 @@ def power_spectrum(frame: SpectralFrame) -> PowerSpectrum:
 def power_matrix(block: ResourceBlock) -> np.ndarray:
     """(M, N) matrix of per-frame bin powers in the |X|^2/N convention.
 
-    Row i equals ``power_spectrum`` of frame i.
+    Row i equals ``power_spectrum`` of frame i.  The squared imaginary parts
+    are added about 65,536 at a time, so no second (M, N) square is built.
     """
     spectral = block.spectral
     mat = spectral.real**2
-    mat += spectral.imag**2
+    step = max(1, 65536 // spectral.shape[1])
+    for lo in range(0, spectral.shape[0], step):
+        mat[lo:lo + step] += spectral.imag[lo:lo + step]**2
     mat /= spectral.shape[1]
     mat.setflags(write=False)
     return mat
-

@@ -27,28 +27,32 @@ class TestCompareOutputs:
         calls = compare.invocations(parse(compare), tmp_path)
         labels = [call.label for call in calls]
         # Two seed lists of a white and a surrogate run, eight long-stream entries
-        # of a generate, a separate, two converts, six runs and two power-file
-        # separates, ops, nine estimates.
-        assert len(calls) == 2 * 2 + 8 * 12 + 1 + 9 == 110
+        # of a generate, two trace separates (512 and 509 bins), two converts,
+        # six runs and two power-file separates, ops, nine estimates.
+        assert len(calls) == 2 * 2 + 8 * 13 + 1 + 9 == 118
         twenty = ",".join(map(str, range(20)))
         assert labels[:4] == ["run --seeds 0,1", "surrogate run --seeds 0,1",
                               f"run --seeds {twenty}", f"surrogate run --seeds {twenty}"]
         assert calls[1].argv[5:11] == ("--override", "name=ism-surrogate-industrial--3dB",
                                        "--override", "noise.kind=surrogate-industrial",
                                        "--override", "signals.0.target_snr_db=-3")
-        assert labels[4:16] == ["long-stream 0 generate", "long-stream 0 separate",
+        assert labels[4:17] == ["long-stream 0 generate", "long-stream 0 separate",
+                                "long-stream 0 separate --n-bins 509",
                                 "long-stream 0 convert --to csv",
                                 "long-stream 0 convert --to raw"] + [
             f"long-stream 0 run {m}" for m in ("ML:ideal", "ML:fisher", "MVU:ideal",
                                                "MVU:fisher", "AIC", "MMSE")] + [
             "long-stream 0 separate --power-csv power.csv",
             "long-stream 0 separate --power-csv negative-power.csv"]
-        assert [call.exit for call in calls[4:16]] == [None, None, 0, 0] + [None] * 6 + [0, 3]
-        assert calls[6].argv == ("convert", "--input", "long-stream-0/noise.iq", "--to", "csv",
+        assert [call.exit for call in calls[4:17]] == [None, None, 0, 0, 0] + [None] * 6 + [0, 3]
+        assert calls[6].argv == ("separate", "--input", "long-stream-0/noise.iq", "--frames",
+                                 "100", "--n-bins", "509", "--out",
+                                 "long-stream-0/separate-509.csv")
+        assert calls[7].argv == ("convert", "--input", "long-stream-0/noise.iq", "--to", "csv",
                                  "--out", "long-stream-0/noise.csv")
-        assert calls[7].argv == ("convert", "--input", "long-stream-0/noise.csv", "--to", "raw",
+        assert calls[8].argv == ("convert", "--input", "long-stream-0/noise.csv", "--to", "raw",
                                  "--out", "long-stream-0/round-trip.iq")
-        assert calls[7].outputs == ("long-stream-0/round-trip.iq",)
+        assert calls[8].outputs == ("long-stream-0/round-trip.iq",)
         assert labels[-10] == "ops --sizes 16,17,64,64,128,256,512,1024,2048,4096,4097"
         assert calls[-10].argv[3:-2] == tuple(
             arg for method in compare.DEFAULT_METHODS for arg in ("--method", method))

@@ -628,15 +628,16 @@ class TestArrayBuildersMatchPerFrame:
 
 
 class TestSampleMemory:
-    def test_trace_file_scenario_peak_within_two_and_a_half_streams(self, tmp_path):
-        # The long-stream run's shape: 1000 frames of 512 bins read from a
-        # trace, with a transmitter switch.  Read buffer, stream and spectra
-        # must fit in 2.5 complex128 copies of the stream.
-        n_bins, n_frames = 512, 1000
+    # The long-stream run's shape: 1000 frames of 512 bins read from a trace,
+    # with a transmitter switch.
+    N_BINS, N_FRAMES = 512, 1000
+
+    def _config(self, tmp_path):
         trace = tmp_path / "noise.iq"
-        write_iq_trace(trace, _synthetic_samples(n_bins * n_frames, LONG_STREAM_PARAMS, seed=0))
-        config = scenario_config_from_dict({
-            "n_bins": n_bins, "n_frames": n_frames,
+        write_iq_trace(trace, _synthetic_samples(self.N_BINS * self.N_FRAMES,
+                                                 LONG_STREAM_PARAMS, seed=0))
+        return scenario_config_from_dict({
+            "n_bins": self.N_BINS, "n_frames": self.N_FRAMES,
             "noise": {"kind": "trace-file", "path": str(trace)},
             "signals": [
                 {"subband_index": 1, "occupancy_fraction": 0.5, "target_snr_db": 10.0,
@@ -645,8 +646,21 @@ class TestSampleMemory:
                  "frame_start": 500},
             ],
         })
+
+    def test_trace_file_scenario_peak_within_one_and_three_quarter_streams(self, tmp_path):
+        # The read buffer and the stream, whose buffer the spectra reuse, must
+        # fit in 1.75 complex128 copies of the stream.
+        config = self._config(tmp_path)
         peak = traced_peak(lambda: build_scenario(config))
-        assert peak <= 2.5 * 16 * n_bins * n_frames
+        assert peak <= 1.75 * 16 * self.N_BINS * self.N_FRAMES
+
+    def test_trace_file_seed_context_peak_within_one_and_three_quarter_streams(self, tmp_path):
+        # The build, then the spectra and their power matrix, which is built
+        # without a second square: 1.75 copies of the stream as well.
+        from noisebench.bench import _SeedContext
+        config = self._config(tmp_path)
+        peak = traced_peak(lambda: _SeedContext(*build_scenario(config)))
+        assert peak <= 1.75 * 16 * self.N_BINS * self.N_FRAMES
 
 
 class TestConfigFiles:

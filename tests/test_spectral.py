@@ -12,8 +12,9 @@ from noisebench import (
     PowerSpectrum,
     ResourceBlock,
     SpectralFrame,
-    dft,
-    frame_signal,
+    TraceFormatError,
+    frame_spectra,
+    load_iq_trace,
     power_matrix,
     power_spectrum,
     write_iq_trace,
@@ -41,46 +42,83 @@ def averaged(block: ResourceBlock) -> np.ndarray:
     return power_matrix(block).mean(axis=0)
 
 
+def dft(x: np.ndarray) -> np.ndarray:
+    """The spectrum of the one frame ``x``, through the library's framing transform."""
+    return frame_spectra(x, x.size, 1)[0]
+
+
+def frames_of(spectra: np.ndarray) -> np.ndarray:
+    """The time frames behind ``frame_spectra``'s rows."""
+    return np.fft.ifft(spectra, axis=1)
+
+
 class TestFrameSignal:
     def test_exact_slicing(self):
-        frames = frame_signal(np.arange(8), 4, 2)
-        np.testing.assert_array_equal(frames[0], np.arange(4))
-        np.testing.assert_array_equal(frames[1], np.arange(4, 8))
+        frames = frames_of(frame_spectra(np.arange(8), 4, 2))
+        np.testing.assert_allclose(frames[0], np.arange(4), atol=1e-12)
+        np.testing.assert_allclose(frames[1], np.arange(4, 8), atol=1e-12)
 
     def test_insufficient_samples(self):
         with pytest.raises(InsufficientSamplesError):
-            frame_signal(np.arange(8), 4, 3)
+            frame_spectra(np.arange(8), 4, 3)
 
     def test_trailing_samples_discarded(self):
-        frames = frame_signal(np.arange(10), 4, 2)
+        frames = frames_of(frame_spectra(np.arange(10), 4, 2))
         assert len(frames) == 2
-        np.testing.assert_array_equal(np.concatenate(frames), np.arange(8))
+        np.testing.assert_allclose(np.concatenate(frames), np.arange(8), atol=1e-12)
 
     @given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 5))
     @settings(max_examples=40, deadline=None)
     def test_concatenation_round_trip(self, n, m, extra):
         rng = np.random.default_rng(n * 100 + m * 10 + extra)
         data = rng.standard_normal(n * m + extra) + 1j * rng.standard_normal(n * m + extra)
-        frames = frame_signal(data, n, m)
-        np.testing.assert_array_equal(np.concatenate(frames), data[:n * m])
+        frames = frames_of(frame_spectra(data.copy(), n, m))
+        np.testing.assert_allclose(np.concatenate(frames), data[:n * m], atol=1e-12)
+
+
+class TestFrameSpectra:
+    @pytest.mark.parametrize("n", [16, 17, 97, 509, 512])
+    def test_bits_of_the_out_of_place_transform(self, n):
+        # In place over the stream's own buffer: the same bits as a fresh FFT.
+        rng = np.random.default_rng(n)
+        m = 7
+        stream = white_frame(rng, n * m)
+        want = np.fft.fft(stream.reshape(m, n), axis=1)
+        got = frame_spectra(stream, n, m)
+        np.testing.assert_array_equal(got, want)
+        assert got.flags.writeable and np.shares_memory(got, stream)
+
+    @pytest.mark.parametrize("n", [16, 17, 97, 509, 512])
+    def test_longer_stream_keeps_only_the_frames(self, n):
+        rng = np.random.default_rng(n + 1)
+        m = 5
+        stream = white_frame(rng, n * m + 3 * n + 1)
+        before = stream.copy()
+        got = frame_spectra(stream, n, m)
+        np.testing.assert_array_equal(got, np.fft.fft(before[:n * m].reshape(m, n), axis=1))
+        # The frames were copied out: the caller's stream is untouched and
+        # the spectra own frame_len * frame_count samples, no tail.
+        np.testing.assert_array_equal(stream, before)
+        assert not np.shares_memory(got, stream)
+        assert got.base is None and got.shape == (m, n) and got.flags.writeable
 
 
 class TestDft:
     def test_impulse_is_flat(self):
-        frame = dft(np.array([1.0, 0.0, 0.0, 0.0]))
-        np.testing.assert_allclose(frame.bins, np.ones(4), atol=1e-15)
+        bins = dft(np.array([1.0, 0.0, 0.0, 0.0]))
+        np.testing.assert_allclose(bins, np.ones(4), atol=1e-15)
 
     def test_constant_is_dc_only(self):
         c = 2.5 - 1.0j
-        frame = dft(np.full(4, c))
-        np.testing.assert_allclose(frame.bins[0], 4 * c, atol=1e-14)
-        np.testing.assert_allclose(frame.bins[1:], 0, atol=1e-13)
+        bins = dft(np.full(4, c))
+        np.testing.assert_allclose(bins[0], 4 * c, atol=1e-14)
+        np.testing.assert_allclose(bins[1:], 0, atol=1e-13)
 
     def test_parseval_random_frame(self):
         rng = np.random.default_rng(42)
         x = white_frame(rng, 16)
-        frame = dft(x)
-        lhs = np.sum(np.abs(frame.bins) ** 2)
+        bins = dft(x.copy())
+        lhs = np.sum(np.abs(bins) ** 2)
         rhs = 16 * np.sum(np.abs(x) ** 2)
         assert abs(lhs - rhs) / rhs < 1e-12
 
@@ -88,20 +126,22 @@ class TestDft:
     def test_matches_direct_summation(self, n):
         rng = np.random.default_rng(n)
         x = white_frame(rng, n)
-        got = dft(x).bins
+        got = dft(x.copy())
         want = direct_dft(x)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            dft(np.array([1.0, np.nan, 0.0, 0.0]))
+        # The block of a non-finite frame is rejected, naming the frame.
+        spectra = frame_spectra(np.array([1.0, 1.0, 1.0, np.nan, 0.0, 0.0]), 2, 3)
+        with pytest.raises(ValueError, match="non-finite value at frame 1, bin 0"):
+            ResourceBlock(spectra)
 
     @given(st.integers(2, 64), st.integers(0, 1000))
     @settings(max_examples=50, deadline=None)
     def test_parseval_property(self, n, seed):
         x = white_frame(np.random.default_rng(seed), n)
-        frame = dft(x)
-        lhs = np.sum(np.abs(frame.bins) ** 2)
+        bins = dft(x.copy())
+        lhs = np.sum(np.abs(bins) ** 2)
         rhs = n * np.sum(np.abs(x) ** 2)
         assert lhs == pytest.approx(rhs, rel=1e-9)
 
@@ -109,7 +149,7 @@ class TestDft:
 class TestPowerSpectrum:
     def test_constant_input_power(self):
         c = 3.0
-        ps = power_spectrum(dft(np.full(4, c)))
+        ps = power_spectrum(SpectralFrame(dft(np.full(4, c))))
         np.testing.assert_allclose(ps.power, [4 * c**2, 0, 0, 0], atol=1e-12)
         assert ps.power.mean() == pytest.approx(c**2)
 
@@ -122,7 +162,7 @@ class TestPowerSpectrum:
         rng = np.random.default_rng(2024)
         means = []
         for _ in range(1000):
-            ps = power_spectrum(dft(white_frame(rng, 512)))
+            ps = power_spectrum(SpectralFrame(dft(white_frame(rng, 512))))
             means.append(ps.power.mean())
         tol = 3.0 / np.sqrt(512) / np.sqrt(1000)
         assert abs(np.mean(means) - 1.0) < tol
@@ -197,13 +237,13 @@ class TestBlockFromFrames:
     def test_matches_per_frame_dft(self):
         rng = np.random.default_rng(9)
         frames = [white_frame(rng, 48) for _ in range(6)]
-        block = block_of(frames)
-        want = np.stack([dft(fr, frame_index=i).bins for i, fr in enumerate(frames)])
+        block = ResourceBlock(frame_spectra(np.concatenate(frames), 48, 6))
+        want = np.stack([np.fft.fft(fr) for fr in frames])
         np.testing.assert_array_equal(block.spectral, want)
 
     def test_frame_signal_rows_round_trip(self):
         data = np.arange(12, dtype=complex)
-        block = block_of(frame_signal(data, 4, 3))
+        block = ResourceBlock(frame_spectra(data.copy(), 4, 3))
         assert (block.n_frames, block.n_bins) == (3, 4)
         np.testing.assert_allclose(np.fft.ifft(block.spectral, axis=1).ravel(), data,
                                    atol=1e-12)
@@ -221,7 +261,7 @@ class TestValueTypes:
             ResourceBlock(values)
 
     @pytest.mark.parametrize("build, error, message", [
-        (lambda: frame_signal(np.ones((2, 3), dtype=complex), 3, 2), ValueError,
+        (lambda: frame_spectra(np.ones((2, 3), dtype=complex), 3, 2), ValueError,
          "samples must be one-dimensional"),
         (lambda: write_iq_trace(os.devnull, np.ones((2, 3), dtype=complex)), ValueError,
          "samples must be one-dimensional"),
@@ -233,16 +273,19 @@ class TestValueTypes:
          "frame_index must be non-negative"),
         (lambda: PowerSpectrum(power=np.ones((2, 2))), ValueError,
          "power must be one-dimensional"),
-        (lambda: frame_signal(np.ones(8), 0, 2), ValueError,
+        (lambda: frame_spectra(np.ones(8), 0, 2), ValueError,
          "frame_len and frame_count must be >= 1"),
-        (lambda: frame_signal(np.ones(8), 4, 0), ValueError,
+        (lambda: frame_spectra(np.ones(8), 4, 0), ValueError,
          "frame_len and frame_count must be >= 1"),
-        (lambda: dft(np.ones(1, dtype=complex)), ValueError,
-         "frame must have at least 2 samples"),
+        (lambda: frame_spectra(np.ones(7, dtype=complex), 4, 2), InsufficientSamplesError,
+         "need 8 samples for 2 frames of 4, have 7"),
+        (lambda: ResourceBlock(frame_spectra(np.ones(4, dtype=complex), 1, 4)), ValueError,
+         "a spectral frame needs at least 2 bins"),
         (lambda: ResourceBlock(np.fft.fft(np.ones(4, dtype=complex))), ValueError,
          "a resource block is a 2-D (frames, bins) array, got 1-D"),
     ], ids=["series-2-D", "trace-2-D", "mean-power-empty", "frame-one-bin", "frame-negative-index",
-            "power-2-D", "no-frame-length", "no-frames", "dft-one-sample", "frames-1-D"])
+            "power-2-D", "no-frame-length", "no-frames", "too-short", "dft-one-sample",
+            "frames-1-D"])
     def test_inputs_checked(self, build, error, message):
         with pytest.raises(error) as exc:
             build()
@@ -269,31 +312,39 @@ class TestValueTypes:
         assert ResourceBlock(values).spectral is values
 
     def test_series_checks_every_input(self, tmp_path):
-        # A read-only stream is checked too, past the frames as well.
-        bad = np.ones(6, dtype=complex)
+        # A stream is checked where it is written and where it is read, past
+        # the frames as well, and its block once more; a read-only one too.
+        bad = np.ones(7, dtype=complex)
         bad[4] = np.nan
         bad.setflags(write=False)
         with pytest.raises(ValueError, match="sample 4"):
-            frame_signal(bad, 2, 2)
-        with pytest.raises(ValueError, match="sample 4"):
             write_iq_trace(tmp_path / "bad.iq", bad)
         assert not (tmp_path / "bad.iq").exists()
+        (tmp_path / "bad.iq").write_bytes(bad.astype("<c8").tobytes())
+        with pytest.raises(TraceFormatError, match="sample 4$"):
+            load_iq_trace(tmp_path / "bad.iq")
+        with pytest.raises(ValueError, match="non-finite value at frame 2, bin 0"):
+            ResourceBlock(frame_spectra(bad, 2, 3))
 
     @pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
                                      complex(np.inf, 1.0), complex(1.0, -np.inf)],
                              ids=["nan-real", "nan-imag", "inf-real", "inf-imag"])
     def test_series_names_the_first_non_finite_sample(self, bad, tmp_path):
         # Either part makes a sample non-finite; the first such sample is named
-        # by both functions a stream is handed to.
+        # where a stream is written and where it is read, and its frame by the block.
         values = np.ones(9, dtype=complex)
         values[5] = bad
         values[7] = complex(np.nan, np.nan)
-        message = r"^samples contains a non-finite value at sample 5$"
-        with pytest.raises(ValueError, match=message):
-            frame_signal(values, 3, 3)
-        with pytest.raises(ValueError, match=message):
-            write_iq_trace(tmp_path / "bad.iq", values)
-        assert not (tmp_path / "bad.iq").exists()
+        path = tmp_path / "bad.iq"
+        with pytest.raises(ValueError, match=r"^samples contains a non-finite value at sample 5$"):
+            write_iq_trace(path, values)
+        assert not path.exists()
+        path.write_bytes(values.astype("<c8").tobytes())
+        with pytest.raises(TraceFormatError) as exc:
+            load_iq_trace(path)
+        assert str(exc.value) == f"{path}: non-finite value at sample 5"
+        with pytest.raises(ValueError, match=r"^block contains a non-finite value at frame 1, bin 0$"):
+            ResourceBlock(frame_spectra(values, 3, 3))
 
     def test_power_copies_only_writeable_input_and_checks_every_input(self):
         values = np.ones(6)
@@ -324,9 +375,9 @@ class TestValueTypes:
         assert frozen(given, given) is given
 
     def test_transforms_hand_over_without_copies(self, monkeypatch):
-        # dft, power_spectrum and power_matrix freeze what they build before
-        # handing it over, and so does the batched FFT behind a block of time
-        # frames, so the ownership rule never has to copy it.
+        # frame_spectra transforms a handed-over stream in its own buffer,
+        # and power_spectrum and power_matrix freeze what they build before
+        # handing it over, so the ownership rule never has to copy.
         copies = []
 
         def spy(arr, given):
@@ -336,22 +387,20 @@ class TestValueTypes:
             return kept
 
         monkeypatch.setattr(spectral, "frozen", spy)
-        frame = white_frame(np.random.default_rng(4), 16)  # a writeable complex128 frame
-        before = frame.copy()
-        spec = dft(frame, frame_index=2)
-        power = power_spectrum(spec)
-        transformed = np.fft.fft(np.stack([frame, 2 * frame]), axis=1)
-        transformed.setflags(write=False)
-        block = ResourceBlock(transformed)
+        stream = white_frame(np.random.default_rng(4), 32)  # a writeable complex128 stream
+        before = stream.copy()
+        spectra = frame_spectra(stream, 16, 2)
+        spectra.setflags(write=False)
+        block = ResourceBlock(spectra)
         matrix = power_matrix(block)
+        spec = SpectralFrame(block.spectral[1], frame_index=1)
+        power = power_spectrum(spec)
         assert copies == []
-        # The caller's frame is neither frozen nor aliased, nor written.
-        assert frame.flags.writeable and not np.shares_memory(spec.bins, frame)
-        np.testing.assert_array_equal(frame, before)
+        # The stream's buffer became the block's.
+        assert np.shares_memory(block.spectral, stream)
+        np.testing.assert_array_equal(block.spectral, np.fft.fft(before.reshape(2, 16), axis=1))
         for arr in (spec.bins, power.power, block.spectral, matrix):
             assert not arr.flags.writeable
-        frame[0] += 1.0
-        np.testing.assert_array_equal(spec.bins, np.fft.fft(before))
 
     def test_window_rows_reindexed_from_zero(self):
         rng = np.random.default_rng(3)
@@ -375,4 +424,4 @@ class TestValueTypes:
         write_iq_trace(tmp_path / "empty.iq", empty)
         assert (tmp_path / "empty.iq").read_bytes() == b""
         with pytest.raises(InsufficientSamplesError):
-            frame_signal(empty, 2, 1)
+            frame_spectra(empty, 2, 1)
