@@ -16,7 +16,9 @@ unchanged outputs is held to:
   non-radix-2 path; it must exit 0), ``convert --to csv`` of the trace and
   ``convert --to raw`` of that CSV (each must exit 0), and the six
   ``run --method`` calls on the trace, with the configs of
-  ``perfbench/workloads.long_stream_configs`` (read, not changed); then
+  ``perfbench/workloads.long_stream_configs`` (read, not changed), then one
+  ``run --method MVU:fisher --override n_frames=900`` (it must exit 0), a
+  scenario 100 frames shorter than its trace; then
   ``separate --power-csv`` of a power file drawn from the entry number
   (:func:`power_values`), and of the same file with one bin negative, which
   must exit 3 naming that bin;
@@ -134,6 +136,11 @@ def invocations(args, work: Path) -> list[Invocation]:
             calls.append(Invocation(f"long-stream {entry} run {method}",
                                     ("run", "--config", f"{rel}/run.json", "--method", method,
                                      "--out", out), (f"{out}/series.csv", f"{out}/report.csv")))
+        out = f"{rel}/out-MVU-fisher-900"
+        calls.append(Invocation(f"long-stream {entry} run MVU:fisher --override n_frames=900",
+                                ("run", "--config", f"{rel}/run.json", "--method", "MVU:fisher",
+                                 "--override", "n_frames=900", "--out", out),
+                                (f"{out}/series.csv", f"{out}/report.csv"), 0))
         power = ["%.9g" % value for value in power_values(entry)]
         negative = list(power)
         negative[100 + entry] = "-1"

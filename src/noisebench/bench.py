@@ -69,8 +69,8 @@ from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, power_matrix,
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
 DEFAULT_WINDOW_FRAMES = 100
-METHOD_PARAMS = frozenset({"window_frames", "lambda1_pct", "lambda2_fraction", "occupied_fraction",
-                           "occupancy_from", "grid_size", "blind"})
+METHOD_PARAMS = frozenset({"window_frames", "lambda1_pct", "lambda2_fraction", "occupancy_from",
+                           "grid_size"})
 
 
 @dataclass(frozen=True)
@@ -78,13 +78,14 @@ class MethodSpec:
     """One benchmark entry: an estimator, its separation strategy, and overrides.
 
     ``params`` may set any of ``METHOD_PARAMS``; another key, an
-    ``occupancy_from`` other than "truth" or "aic", an ``occupied_fraction``
-    or ROF threshold that is not a real number (a bool is none), an
-    ``occupied_fraction`` outside [0, 1), a ``window_frames`` that is not an
+    ``occupancy_from`` other than "truth" or "aic", a ROF threshold that is
+    not a real number (a bool is none), a ``window_frames`` that is not an
     integer >= 1, a ``grid_size`` that is not an integer >= 2 (a bool is
-    neither), a ``blind`` that is not a bool, or ROF thresholds that
-    ``RofParams`` rejects raises ValueError.  The spec keeps a read-only copy
-    of the params it checked, so setting a key afterwards raises TypeError.
+    neither), or ROF thresholds that ``RofParams`` rejects raises
+    ValueError.  MMSE always works blind, and CBE takes its signal count
+    from ground truth or from AIC (``occupancy_from``).  The spec keeps a
+    read-only copy of the params it checked, so setting a key afterwards
+    raises TypeError.
     Specs hash by estimator and separation, so they can key a dict; equality
     also compares the params.
     """
@@ -109,18 +110,14 @@ class MethodSpec:
         if self.params.get("occupancy_from", "truth") not in ("truth", "aic"):
             raise ValueError(f"occupancy_from must be 'truth' or 'aic', "
                              f"got {self.params['occupancy_from']!r}")
-        for name in ("lambda1_pct", "lambda2_fraction", "occupied_fraction"):
+        for name in ("lambda1_pct", "lambda2_fraction"):
             value = self.params.get(name, 0.0)
             if isinstance(value, bool) or not isinstance(value, Real):
                 raise ValueError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 <= self.params.get("occupied_fraction", 0.0) < 1.0:
-            raise ValueError("occupied_fraction must lie in [0, 1)")
         for name, least in (("window_frames", 1), ("grid_size", 2)):
             value = self.params.get(name, least)
             if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        if not isinstance(self.params.get("blind", True), bool):
-            raise ValueError(f"blind must be a bool, got {self.params['blind']!r}")
         _rof_params(self)
 
     @property
@@ -346,14 +343,11 @@ def _masked_window_sums(power: np.ndarray, noise: np.ndarray, window: int) -> np
 
 def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
                    window: int) -> np.ndarray:
-    """CBE's signal count S = round(window * fraction) per window: the fraction is the
-    method's ``occupied_fraction``, AIC's order over the bin count, or ground truth at
-    the window's last frame.  ``frames``, the windows' last frames, run from
+    """CBE's signal count S = round(window * fraction) per window: the fraction is
+    AIC's order over the bin count with ``occupancy_from`` "aic", else ground truth
+    at the window's last frame.  ``frames``, the windows' last frames, run from
     ``frames[0]`` to the scenario's last frame."""
-    explicit = method.params.get("occupied_fraction")
-    if explicit is not None:
-        fractions = np.full(frames.size, float(explicit))
-    elif method.params.get("occupancy_from") == "aic":
+    if method.params.get("occupancy_from") == "aic":
         fractions = ctx.aic_rows(window, frames[0])[1] / ctx.power.shape[1]
     else:
         fractions = ctx.truth.signal_bin_mask[frames].mean(axis=1)
@@ -392,8 +386,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
             sums, counts = view(sums, window), view(counts, window)
         values, status = est.mvu_fit_rows(sums, counts)
     elif method.estimator == "MMSE":
-        values, *_, status = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window,
-                                                  blind=method.params.get("blind", est.MMSE_BLIND))
+        values, *_, status = est.mmse_fit_windows(ctx.block.spectral[first - window + 1:], window)
     elif method.estimator == "AIC":
         # Every window is full here, so each holds ``window`` frames.  AIC never fails.
         values = ctx.aic_rows(window, first)[0]
@@ -617,6 +610,7 @@ def run_benchmark(config: ScenarioConfig, methods: list[MethodSpec], seeds: list
 
 MIN_COUNTING_SIZE = 16  # smallest block size the complexity model counts
 MAX_COUNTING_SIZE = 65_536  # largest: its frame lies 2^33 normals into the counting stream
+COUNTING_OCCUPIED_FRACTION = 0.25  # CBE is booked at S = round(0.25 n), whatever its S source
 _COUNTING_KEY = 12345  # Philox key of the counting stream
 _COUNTING_DRAW = 65_536  # normals between two resume points
 _SKIP_BUFFER = 8_192  # normals per draw while walking from a resume point to a frame
@@ -733,13 +727,11 @@ def _book_aic(ops: OpCounter, power: PowerSpectrum) -> None:
     ops.add(n - n_min)  # mean of the bins below it
 
 
-def _book_cbe(ops: OpCounter, m: int, occupied_fraction: float, grid_size: int) -> None:
-    """Covariance of m frames of 2m bins, its eigensolve and the grid fit."""
+def _book_cbe(ops: OpCounter, m: int, grid_size: int) -> None:
+    """Covariance of m frames of 2m bins, its eigensolve and the grid fit against
+    the m - S noise eigenvalues, S = round(m * ``COUNTING_OCCUPIED_FRACTION``)."""
     n = 2 * m
-    s = int(round(m * occupied_fraction))
-    if s >= m:
-        raise ValueError(f"CBE at {m} frames needs a noise group left, "
-                         f"got occupied_fraction {occupied_fraction}")
+    s = int(round(m * COUNTING_OCCUPIED_FRACTION))
     with ops.stage("covariance-matmul"):
         ops.mul(m * m * n)
         ops.add(m * m * (n - 1))
@@ -754,11 +746,10 @@ def _book_cbe(ops: OpCounter, m: int, occupied_fraction: float, grid_size: int) 
         ops.cmp(grid_size)
 
 
-def _book_mmse(ops: OpCounter, n: int, blind: bool) -> None:
+def _book_mmse(ops: OpCounter, n: int) -> None:
     """One window of n frames of n bins; the weight system is n x n."""
-    if blind:
-        ops.add(2 * n * n)  # reference mean, subtracted from every frame
-        ops.mul(n)
+    ops.add(2 * n * n)  # reference mean, subtracted from every frame
+    ops.mul(n)
     ops.mul(2 * n * (n - 1) + n)  # subcarrier variances
     ops.add(n * (n - 1))
     ops.mul(n * (n + 1) // 2 + n)  # frequency-lag autocorrelation
@@ -793,8 +784,9 @@ def count_ops_table(methods: list[MethodSpec], sizes: list[int]) -> list[list[Op
     frame is drawn, and each distinct size's frame is drawn, and its power
     spectrum built, once per call, only if some method reads a frame.
     CBE's Marchenko-Pastur fit is charged for ``grid_size`` candidates,
-    which is what the fit evaluates: a collapsed candidate range is
-    ``grid_size`` equal candidates.
+    which is what the fit evaluates (a collapsed candidate range is
+    ``grid_size`` equal candidates), against S = round(0.25 n) signal
+    eigenvalues (``COUNTING_OCCUPIED_FRACTION``).
     """
     if not sizes:
         raise ValueError("need at least one size")
@@ -817,10 +809,9 @@ def _book(method: MethodSpec, n: int, power: PowerSpectrum | None) -> OpCounter:
     ops.mul(3 * bins)  # power spectrum: two squarings per bin, then the 1/N scaling
     ops.add(bins)
     if method.estimator == "CBE":
-        _book_cbe(ops, n, method.params.get("occupied_fraction", 0.25),
-                  method.params.get("grid_size", est.CBE_GRID_SIZE))
+        _book_cbe(ops, n, method.params.get("grid_size", est.CBE_GRID_SIZE))
     elif method.estimator == "MMSE":
-        _book_mmse(ops, n, method.params.get("blind", est.MMSE_BLIND))
+        _book_mmse(ops, n)
     elif method.estimator == "AIC":
         _book_aic(ops, power)
     else:

@@ -14,6 +14,7 @@ entry (AIC never fails), which the callers raise; MMSE stops at the end of the f
 chunk, CBE at the failing window.  The one-block ``*_estimate`` wrappers are
 the engines' one-entry case: each raises its entry's status and returns the
 estimate as a float; its diagnostics are the other arrays of the engine it calls.
+MMSE always works blind, and CBE takes its signal count S from its caller.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ MMSE_CHUNK = 64  # windows per batched MMSE pass
 AIC_CHUNK = 64  # averaged periodograms per batched AIC fit
 CBE_GRID_SIZE = 100  # candidate noise powers of one CBE fit
 CBE_FIT_CELLS = 2**17  # candidate-by-eigenvalue cells of one batched CBE fit (1 MB of float64)
-MMSE_BLIND = True  # MMSE subtracts each subcarrier's time mean unless told otherwise
 # Batched conjugate-gradient solves of the MMSE weight systems: relative
 # residual at which a window's iteration stops, the iteration cap, and the
 # largest true residual accepted before the window is re-solved by Levinson.
@@ -404,10 +404,10 @@ def cbe_fit_windows(gram: np.ndarray, n_bins: int, window: int, signal_counts: n
     return values, grids, distances, status
 
 
-def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> float:
+def mmse_estimate(block: ResourceBlock) -> float:
     """Per-subcarrier MMSE-filter estimate from the block's last frame.
 
-    In the blind adaptation each subcarrier's time mean over the first M-1
+    The estimate is blind: each subcarrier's time mean over the first M-1
     frames is subtracted from the whole block, reducing a deterministic
     transmission to zero-mean residuals (excluding the estimated frame from
     the reference keeps the weights independent of it; including it measurably
@@ -427,18 +427,19 @@ def mmse_estimate(block: ResourceBlock, blind: bool = MMSE_BLIND) -> float:
     no singular leading minor, and the ridge fallback can only be reached
     through round-off or overflow.
     """
-    values, *_, status = mmse_fit_windows(block.spectral, block.n_frames, blind=blind)
+    values, *_, status = mmse_fit_windows(block.spectral, block.n_frames)
     raise_first_status(status, method="mmse", value=values)
     return float(values[0])
 
 
-def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND
+def mmse_fit_windows(spectral: np.ndarray, window: int
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`mmse_estimate` of every trailing window of ``window`` rows of an (M, N) matrix.
 
     Entry j covers rows j..j+window-1 and reports at row j+window-1.
     Returns each window's estimate, raw weight sum, largest normalised weight
-    magnitude, relative system residual and status.  Windows are evaluated
+    magnitude, relative system residual and status.  Every window is fitted
+    blind, about its reference rows' mean.  Windows are evaluated
     ``MMSE_CHUNK`` at a time: the chunk's rows are scaled once, each window's
     blind mean and variances come from running sums over those rows (shifted
     by the chunk's mean, so the variance subtraction does not cancel), all
@@ -459,7 +460,7 @@ def mmse_fit_windows(spectral: np.ndarray, window: int, blind: bool = MMSE_BLIND
     columns.append(np.full(count, Status.UNEVALUATED, dtype=np.int8))
     for first in range(0, count, MMSE_CHUNK):
         rows = spectral[first:min(first + MMSE_CHUNK, count) + window - 1]
-        chunk = _mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window, blind))
+        chunk = _mmse_chunk(*_mmse_moments(rows / np.sqrt(n), window))
         for column, part in zip(columns, chunk):
             column[first:first + len(part)] = part
         if chunk[-1].any():
@@ -512,8 +513,9 @@ def _mmse_chunk(variance: np.ndarray, last_power: np.ndarray
     return values, weight_sums, weight_maxes, residuals, status
 
 
-def _mmse_moments(x: np.ndarray, m: int, blind: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Per-window subcarrier variances over the first m-1 rows, and last-row powers.
+def _mmse_moments(x: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-window blind subcarrier variances over the first m-1 rows, and the
+    last row's powers about the same means.
 
     Row j of each result belongs to the window of rows j..j+m-1 of x.  A
     window whose variance in some bin falls below ``_MMSE_SUM_GUARD`` of the
@@ -521,22 +523,15 @@ def _mmse_moments(x: np.ndarray, m: int, blind: bool) -> tuple[np.ndarray, np.nd
     rows) is recomputed from its own rows, exactly as a lone window would be.
     """
     count, ref = x.shape[0] - m + 1, m - 1
-    y = x - x.mean(axis=0) if blind else x
-    power = y.real**2 + y.imag**2
-    power_sums = np.cumsum(power, axis=0)
-    variance = _window_sums(power_sums, ref, count) / ref
-    if blind:
-        mean = _window_sums(np.cumsum(y, axis=0), ref, count) / ref
-        variance -= mean.real**2 + mean.imag**2
-        last = y[ref:] - mean
-        last_power = last.real**2 + last.imag**2
-    else:
-        last_power = power[ref:].copy()
+    y = x - x.mean(axis=0)
+    power_sums = np.cumsum(y.real**2 + y.imag**2, axis=0)
+    mean = _window_sums(np.cumsum(y, axis=0), ref, count) / ref
+    variance = _window_sums(power_sums, ref, count) / ref - (mean.real**2 + mean.imag**2)
+    last = y[ref:] - mean
+    last_power = last.real**2 + last.imag**2
     running = power_sums[ref - 1:ref - 1 + count] / ref
     for j in np.flatnonzero((variance < _MMSE_SUM_GUARD * running).any(axis=1)):
-        rows = x[j:j + m]
-        if blind:
-            rows = rows - rows[:ref].mean(axis=0, keepdims=True)
+        rows = x[j:j + m] - x[j:j + ref].mean(axis=0)
         rows_power = rows.real**2 + rows.imag**2
         variance[j] = rows_power[:ref].sum(axis=0) / ref
         last_power[j] = rows_power[ref]

@@ -439,7 +439,9 @@ def amplitude_mv_to_sqrt_mw(amplitude_mv: float) -> float:
 
 
 def _noise_series(config: ScenarioConfig) -> np.ndarray:
-    """The noise stream at the reference power: one array, built, then scaled once in place."""
+    """The noise stream at the reference power: one array, built, then scaled once in
+    place so its first N*M samples, the ones the scenario uses, have the reference
+    mean power (a longer trace's tail is left as read)."""
     total = config.n_bins * config.n_frames
     src = config.noise
     if src.kind == "white-gaussian":
@@ -452,7 +454,7 @@ def _noise_series(config: ScenarioConfig) -> np.ndarray:
             raise InsufficientSamplesError(
                 f"trace {src.path} has {samples.size} samples, scenario needs {total}"
             )
-    _scale_to_power(samples, config.reference_noise_power_mw)
+    _scale_to_power(samples[:total], config.reference_noise_power_mw)
     return samples
 
 

@@ -218,9 +218,9 @@ def cbe_raised(gram: np.ndarray, n_bins: int, window: int, counts: np.ndarray, *
     return raised(output, "cbe", tolerance=output[1][:, 0], signal_count=counts, frames=window)
 
 
-def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> SimpleNamespace:
-    """Oracle for estimators.mmse_fit_windows: one window's MMSE fit from its own rows,
-    its value_mw and diagnostics.
+def mmse_fit_per_window(spectral: np.ndarray) -> SimpleNamespace:
+    """Oracle for estimators.mmse_fit_windows: one window's blind MMSE fit from its own
+    rows, its value_mw and diagnostics.
 
     Direct mean and variance sums, lags by np.correlate and the residual by
     matmul_toeplitz.  The Toeplitz attempts go through estimators._try_toeplitz,
@@ -231,8 +231,7 @@ def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> SimpleNames
     if m < 3:
         raise ValueError("need at least 3 frames")
     x = spectral / np.sqrt(n)
-    if blind:
-        x = x - x[:m - 1].mean(axis=0, keepdims=True)
+    x = x - x[:m - 1].mean(axis=0, keepdims=True)
     power = x.real**2 + x.imag**2
     variance = power[:m - 1].sum(axis=0) / (m - 1)
     r0 = float(variance @ variance) / n
@@ -261,7 +260,6 @@ def mmse_fit_per_window(spectral: np.ndarray, blind: bool = True) -> SimpleNames
         "raw_weight_sum": weight_sum,
         "weight_max": float(np.abs(weights).max()),
         "system_residual": float(np.linalg.norm(residual) / np.linalg.norm(r)),
-        "blind": blind,
     })
 
 

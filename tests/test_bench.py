@@ -96,8 +96,6 @@ class TestMethodSpec:
         ({"grid_size": 7, "window": 20, "blnd": False}, "unknown method param(s): blnd, window"),
         ({"occupancy_from": "AIC"}, "occupancy_from must be 'truth' or 'aic', got 'AIC'"),
         ({"occupancy_from": None}, "occupancy_from must be 'truth' or 'aic', got None"),
-        ({"occupied_fraction": 1.0}, "occupied_fraction must lie in [0, 1)"),
-        ({"occupied_fraction": -0.25}, "occupied_fraction must lie in [0, 1)"),
     ])
     def test_params_checked(self, params, message):
         with pytest.raises(ValueError) as exc:
@@ -105,8 +103,8 @@ class TestMethodSpec:
         assert str(exc.value) == message
 
     def test_known_params_accepted(self):
-        MethodSpec("CBE", params={"occupancy_from": "truth", "occupied_fraction": 0.0,
-                                  "grid_size": 7, "window_frames": 20, "blind": False})
+        MethodSpec("CBE", params={"occupancy_from": "truth", "grid_size": 7,
+                                  "window_frames": 20})
         MethodSpec("MVU", "rof", params={"lambda1_pct": 60.0, "lambda2_fraction": 0.2})
 
     def test_params_read_only_after_checks(self):
@@ -139,8 +137,9 @@ class TestMethodSpec:
         ("CBE", "none", {"grid_size": 1}, "grid_size must be an integer >= 2, got 1"),
         ("CBE", "none", {"grid_size": 7.0}, "grid_size must be an integer >= 2, got 7.0"),
         ("CBE", "none", {"grid_size": True}, "grid_size must be an integer >= 2, got True"),
-        ("MMSE", "none", {"blind": "false"}, "blind must be a bool, got 'false'"),
-        ("MMSE", "none", {"blind": 0}, "blind must be a bool, got 0"),
+        # MMSE always works blind, and CBE's S comes from ground truth or AIC.
+        ("MMSE", "none", {"blind": True}, "unknown method param(s): blind"),
+        ("MMSE", "none", {"blind": False}, "unknown method param(s): blind"),
         ("ML", "rof", {"lambda1_pct": 0.0}, "lambda1_pct must lie in (0, 100)"),
         ("MVU", "rof", {"lambda2_fraction": 1.0}, "lambda2_fraction must lie in (0, 1)"),
         ("ML", "rof", {"lambda1_pct": "5"}, "lambda1_pct must be a real number, got '5'"),
@@ -149,12 +148,11 @@ class TestMethodSpec:
          "lambda2_fraction must be a real number, got None"),
         ("MVU", "rof", {"lambda2_fraction": False},
          "lambda2_fraction must be a real number, got False"),
-        ("CBE", "none", {"occupied_fraction": "0.3"},
-         "occupied_fraction must be a real number, got '0.3'"),
-        ("CBE", "none", {"occupied_fraction": np.bool_(False)},
-         "occupied_fraction must be a real number, got np.False_"),
-        ("CBE", "none", {"occupied_fraction": 0.3 + 0j},
-         "occupied_fraction must be a real number, got (0.3+0j)"),
+        ("CBE", "none", {"occupied_fraction": 0.25}, "unknown method param(s): occupied_fraction"),
+        ("CBE", "none", {"occupied_fraction": 0.0, "occupancy_from": "aic"},
+         "unknown method param(s): occupied_fraction"),
+        ("CBE", "none", {"blind": True, "occupied_fraction": 0.25},
+         "unknown method param(s): blind, occupied_fraction"),
         ("ML", "oracle", {}, "unknown separation 'oracle'"),
     ])
     def test_bad_param_values_rejected_on_build(self, estimator, separation, params, message):
@@ -634,16 +632,13 @@ class TestRunScenario:
             assert from_aic.noise_power_est_mw[i] == want[0]
 
     def test_cbe_signal_counts(self):
-        # One S = round(window * fraction) per window, from the method's
-        # explicit fraction, from ground truth at the window's last frame, or
-        # from AIC's order over the window's averaged spectrum.
+        # One S = round(window * fraction) per window, from ground truth at the
+        # window's last frame, or from AIC's order over the window's averaged
+        # spectrum.
         from noisebench.bench import _SeedContext, _signal_counts
         cfg = reference_config(seed=12, n_frames=110)
         ctx = _SeedContext(*build_scenario(cfg))
         frames = np.arange(99, 110)
-        explicit = _signal_counts(MethodSpec("CBE", params={"occupied_fraction": 0.3}),
-                                  ctx, frames, 100)
-        assert explicit.tolist() == [30] * 11
         truth = _signal_counts(MethodSpec("CBE"), ctx, frames, 100)
         assert truth.tolist() == [round(100 * float(ctx.truth.signal_bin_mask[f].mean()))
                                   for f in frames]
@@ -651,10 +646,6 @@ class TestRunScenario:
         for f, s in zip(frames, aic):
             n_min = aic_fit_rows(ctx.power[f - 99:f + 1].mean(axis=0)[None, :], 100)[1][0]
             assert s == round(100 * (n_min / cfg.n_bins))
-        for fraction in (1.0, -0.25):
-            with pytest.raises(ValueError, match=r"must lie in \[0, 1\)"):
-                _signal_counts(MethodSpec("CBE", params={"occupied_fraction": fraction}),
-                               ctx, frames, 100)
 
     def test_full_occupancy_is_an_empty_noise_group(self):
         # Ground truth marks every bin as signal, so S = window leaves CBE no
@@ -811,13 +802,6 @@ PINNED_COUNTS = {  # (variant, n): (adds, muls, cmps, transcendental)
     ("MMSE", 100): (55814, 46414, 0, 0),
     ("MMSE", 257): (365712, 301205, 0, 0),
     ("MMSE", 512): (1447168, 1188096, 0, 0),
-    ("MMSE blind=False", 16): (984, 1320, 0, 0),
-    ("MMSE blind=False", 17): (1106, 1480, 0, 0),
-    ("MMSE blind=False", 31): (3564, 4680, 0, 0),
-    ("MMSE blind=False", 64): (14816, 19232, 0, 0),
-    ("MMSE blind=False", 100): (35814, 46314, 0, 0),
-    ("MMSE blind=False", 257): (233614, 300948, 0, 0),
-    ("MMSE blind=False", 512): (922880, 1187584, 0, 0),
 }
 PINNED_STAGES = {  # (variant, n, stage): (adds, muls, cmps, transcendental)
     ("CBE", 16, "covariance-matmul"): (7936, 8192, 0, 0),
@@ -874,7 +858,6 @@ PINNED_VARIANTS = {
     "CBE": MethodSpec("CBE"),
     "CBE grid_size=7": MethodSpec("CBE", params={"grid_size": 7}),
     "MMSE": MethodSpec("MMSE"),
-    "MMSE blind=False": MethodSpec("MMSE", params={"blind": False}),
 }
 
 
@@ -959,7 +942,7 @@ class TestCountOps:
 
     def test_data_free_counts_draw_no_frame(self):
         bench._counting_frame.cache_clear()
-        for variant in ("CBE", "CBE grid_size=7", "MMSE", "MMSE blind=False",
+        for variant in ("CBE", "CBE grid_size=7", "MMSE",
                         "ML(ideal)", "MVU(ideal)"):
             count_ops(PINNED_VARIANTS[variant], 64)
         info = bench._counting_frame.cache_info()
@@ -1161,13 +1144,9 @@ class TestCountOps:
         assert tuned.adds - default.adds == noise_diff
         assert tuned.muls == default.muls
 
-    @pytest.mark.parametrize("params, message", [
-        ({"occupied_fraction": 0.99}, "needs a noise group left, got occupied_fraction 0.99"),
-        ({"grid_size": 1}, "grid_size must be an integer >= 2, got 1"),  # at spec build
-    ], ids=["params0", "params1"])
-    def test_cbe_count_needs_noise_group_and_grid(self, params, message):
-        with pytest.raises(ValueError, match=message):
-            count_ops(MethodSpec("CBE", params=params), 16)
+    def test_cbe_count_needs_a_grid(self):
+        with pytest.raises(ValueError, match="grid_size must be an integer >= 2, got 1"):
+            count_ops(MethodSpec("CBE", params={"grid_size": 1}), 16)  # at spec build
 
     def test_fisher_scan_booked_only_where_fisher_splits(self):
         from noisebench import OpCounter

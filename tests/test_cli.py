@@ -279,17 +279,18 @@ class TestRun:
         assert rc == 3
         assert capsys.readouterr().err.strip() == message
 
-    @pytest.mark.parametrize("fraction", [1.0, -0.1])
-    def test_explicit_occupied_fraction_out_of_range_exits_2(self, small_config, tmp_path,
-                                                             capsys, monkeypatch, fraction):
+    @pytest.mark.parametrize("grid_size", [1, 0])
+    def test_bad_method_param_exits_2(self, small_config, tmp_path, capsys, monkeypatch,
+                                      grid_size):
         # The CLI has no flag for method parameters, so the parsed method is swapped in.
         from noisebench import cli
         monkeypatch.setattr(cli, "_parse_method", lambda text: bench.MethodSpec(
-            "CBE", params={"occupied_fraction": fraction, "window_frames": 20}))
+            "CBE", params={"grid_size": grid_size, "window_frames": 20}))
         rc = main(["run", "--config", str(small_config), "--out", str(tmp_path / "r"),
                    "--method", "CBE"])
         assert rc == 2
-        assert capsys.readouterr().err.strip() == "error: occupied_fraction must lie in [0, 1)"
+        assert capsys.readouterr().err.strip() == (
+            f"error: grid_size must be an integer >= 2, got {grid_size}")
 
     @pytest.mark.parametrize("method", ["ML:ideal", "ML:fisher"])
     def test_zero_power_frame_under_ml(self, tmp_path, capsys, method):

@@ -28,23 +28,28 @@ class TestCompareOutputs:
         labels = [call.label for call in calls]
         # Two seed lists of a white and a surrogate run, eight long-stream entries
         # of a generate, two trace separates (512 and 509 bins), two converts,
-        # six runs and two power-file separates, ops, nine estimates.
-        assert len(calls) == 2 * 2 + 8 * 13 + 1 + 9 == 118
+        # six runs, a run shorter than the trace and two power-file separates,
+        # ops, nine estimates.
+        assert len(calls) == 2 * 2 + 8 * 14 + 1 + 9 == 126
         twenty = ",".join(map(str, range(20)))
         assert labels[:4] == ["run --seeds 0,1", "surrogate run --seeds 0,1",
                               f"run --seeds {twenty}", f"surrogate run --seeds {twenty}"]
         assert calls[1].argv[5:11] == ("--override", "name=ism-surrogate-industrial--3dB",
                                        "--override", "noise.kind=surrogate-industrial",
                                        "--override", "signals.0.target_snr_db=-3")
-        assert labels[4:17] == ["long-stream 0 generate", "long-stream 0 separate",
+        assert labels[4:18] == ["long-stream 0 generate", "long-stream 0 separate",
                                 "long-stream 0 separate --n-bins 509",
                                 "long-stream 0 convert --to csv",
                                 "long-stream 0 convert --to raw"] + [
             f"long-stream 0 run {m}" for m in ("ML:ideal", "ML:fisher", "MVU:ideal",
                                                "MVU:fisher", "AIC", "MMSE")] + [
+            "long-stream 0 run MVU:fisher --override n_frames=900",
             "long-stream 0 separate --power-csv power.csv",
             "long-stream 0 separate --power-csv negative-power.csv"]
-        assert [call.exit for call in calls[4:17]] == [None, None, 0, 0, 0] + [None] * 6 + [0, 3]
+        assert [call.exit for call in calls[4:18]] == [None, None, 0, 0, 0] + [None] * 6 + [0, 0, 3]
+        assert calls[15].argv == ("run", "--config", "long-stream-0/run.json", "--method",
+                                  "MVU:fisher", "--override", "n_frames=900", "--out",
+                                  "long-stream-0/out-MVU-fisher-900")
         assert calls[6].argv == ("separate", "--input", "long-stream-0/noise.iq", "--frames",
                                  "100", "--n-bins", "509", "--out",
                                  "long-stream-0/separate-509.csv")

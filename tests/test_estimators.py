@@ -841,32 +841,28 @@ class TestMmseEstimate:
 
     def test_fit_on_matrix_matches_block(self):
         block = white_block(6, n_frames=30, n_bins=64)
-        for blind in (True, False):
-            values = mmse_fit_windows(block.spectral, 30, blind=blind)[0]
-            assert values.tolist() == [mmse_estimate(block, blind=blind)]
         assert mmse_fit_windows(block.spectral, 30)[0].tolist() == [mmse_estimate(block)]
 
 
-def _oracle_windows(spectral: np.ndarray, window: int, blind: bool):
+def _oracle_windows(spectral: np.ndarray, window: int):
     """Oracle fits of the windows in order up to the first that raises, and its error."""
     fits = []
     for lo in range(spectral.shape[0] - window + 1):
         try:
-            fits.append(mmse_fit_per_window(spectral[lo:lo + window], blind))
+            fits.append(mmse_fit_per_window(spectral[lo:lo + window]))
         except ZeroPowerError as exc:
             return fits, exc
     return fits, None
 
 
-def _levinson_fit_windows(spectral: np.ndarray, window: int,
-                          blind: bool) -> list[SimpleNamespace]:
+def _levinson_fit_windows(spectral: np.ndarray, window: int) -> list[SimpleNamespace]:
     """Reference for the MMSE engine with one Levinson solve per window and no
     conjugate gradients: value_mw and diagnostics of every window, chunk by chunk."""
     total, n = spectral.shape
     fits = []
     for first in range(0, total - window + 1, estimators.MMSE_CHUNK):
         x = spectral[first:min(first + estimators.MMSE_CHUNK, total - window + 1) + window - 1]
-        variance, last_power = estimators._mmse_moments(x / np.sqrt(n), window, blind)
+        variance, last_power = estimators._mmse_moments(x / np.sqrt(n), window)
         lags = estimators._mmse_lags(variance)
         solved = [estimators._solve_mmse_weights(r) for r in lags]
         raw_weights = np.stack([w for w, _ in solved])
@@ -878,7 +874,7 @@ def _levinson_fit_windows(spectral: np.ndarray, window: int,
             weights = w / weight_sum
             fits.append(SimpleNamespace(value_mw=float(weights @ power), diagnostics={
                 "raw_weight_sum": weight_sum, "weight_max": float(np.abs(weights).max()),
-                "system_residual": float(residual), "blind": blind}))
+                "system_residual": float(residual)}))
     return fits
 
 
@@ -889,21 +885,25 @@ def mmse_oracle_cases(switching_trace_config):
                 for s in (0, 1)}
     trace_cfg = scenario_config_from_file(switching_trace_config)
     matrices["switching-trace"] = build_scenario(trace_cfg)[0].spectral
-    return {(name, blind): (spectral, *_oracle_windows(spectral, 100, blind))
-            for name, spectral in matrices.items() for blind in (True, False)}
+    return {name: (spectral, *_oracle_windows(spectral, 100))
+            for name, spectral in matrices.items()}
+
+
+# The oracle cases by name; MMSE fits them blind, its only mode, as their ids say.
+MMSE_ORACLE_CASES = pytest.mark.parametrize(
+    "case", ["reference-seed0", "reference-seed1", "switching-trace"],
+    ids=lambda case: f"{case}-blind")
 
 
 class TestMmseFitWindows:
     @pytest.mark.parametrize("chunk", [1, 7, None], ids=["chunk1", "chunk7", "default"])
-    @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
-    @pytest.mark.parametrize("case", ["reference-seed0", "reference-seed1", "switching-trace"])
-    def test_windows_match_oracle(self, mmse_oracle_cases, monkeypatch, case, blind, chunk):
+    @MMSE_ORACLE_CASES
+    def test_windows_match_oracle(self, mmse_oracle_cases, monkeypatch, case, chunk):
         if chunk is not None:
             monkeypatch.setattr(estimators, "MMSE_CHUNK", chunk)
-        spectral, want, error = mmse_oracle_cases[case, blind]
+        spectral, want, error = mmse_oracle_cases[case]
         assert want, "the oracle fails on the first window"
-        values, weight_sums, _, residuals, _ = mmse_fit_windows(spectral[:len(want) + 99], 100,
-                                                                blind=blind)
+        values, weight_sums, _, residuals, _ = mmse_fit_windows(spectral[:len(want) + 99], 100)
         assert len(values) == len(want)
         for lo, w in enumerate(want):
             assert values[lo] == pytest.approx(w.value_mw, rel=1e-12)
@@ -917,11 +917,11 @@ class TestMmseFitWindows:
             # The first window the oracle rejects is rejected with the same error.
             prefix = str(error).split("(")[0]
             with pytest.raises(ZeroPowerError, match=prefix) as caught:
-                raised(mmse_fit_windows(spectral[:len(want) + 100], 100, blind=blind), "mmse")
+                raised(mmse_fit_windows(spectral[:len(want) + 100], 100), "mmse")
             assert type(caught.value) is type(error)
 
     def test_switching_trace_fails_after_the_switch(self, mmse_oracle_cases):
-        _, want, error = mmse_oracle_cases["switching-trace", True]
+        _, want, error = mmse_oracle_cases["switching-trace"]
         assert len(want) == 52
         assert "non-positive estimate" in str(error)
 
@@ -942,7 +942,7 @@ class TestMmseFitWindows:
             spectral[start:] = np.arange(n) % 5 + 1j * (np.arange(n) % 3)
         else:
             spectral[start:] = spectral[start]
-        want, error = _oracle_windows(spectral, window, blind=True)
+        want, error = _oracle_windows(spectral, window)
         got = mmse_fit_windows(spectral[:len(want) + window - 1], window)[0]
         for g, w in zip(got, want):
             assert g == pytest.approx(w.value_mw, rel=1e-12)
@@ -1023,7 +1023,7 @@ class TestMmseFitWindows:
     def test_failing_call_solves_up_to_the_failing_chunk(self, mmse_oracle_cases, monkeypatch):
         # The switching trace fails at window 52.  Seven windows a chunk, the
         # chunk that holds it is the eighth, and no later chunk is solved.
-        spectral, want, _ = mmse_oracle_cases["switching-trace", True]
+        spectral, want, _ = mmse_oracle_cases["switching-trace"]
         pcg = estimators._pcg_toeplitz
         systems = []
 
@@ -1038,12 +1038,11 @@ class TestMmseFitWindows:
         assert len(want) == 52
         assert systems == [7] * 8
 
-    @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
-    @pytest.mark.parametrize("case", ["reference-seed0", "reference-seed1", "switching-trace"])
-    def test_pcg_weights_match_dense_solve(self, mmse_oracle_cases, case, blind):
-        spectral = mmse_oracle_cases[case, blind][0]
+    @MMSE_ORACLE_CASES
+    def test_pcg_weights_match_dense_solve(self, mmse_oracle_cases, case):
+        spectral = mmse_oracle_cases[case][0]
         n, window = spectral.shape[1], 100
-        variance, _ = estimators._mmse_moments(spectral / np.sqrt(n), window, blind)
+        variance, _ = estimators._mmse_moments(spectral / np.sqrt(n), window)
         picked = variance[::10]
         lags = np.stack([np.correlate(v, v, mode="full")[n - 1:] / n for v in picked])
         columns = lags.copy()
@@ -1054,13 +1053,11 @@ class TestMmseFitWindows:
             dense = scipy.linalg.solve(scipy.linalg.toeplitz(column), r, assume_a="pos")
             np.testing.assert_allclose(w, dense, rtol=0, atol=1e-12 * np.abs(dense).max())
 
-    @pytest.mark.parametrize("blind", [True, False], ids=["blind", "nonblind"])
-    def test_iteration_cap_of_one_is_the_levinson_engine(self, mmse_oracle_cases, monkeypatch,
-                                                         blind):
+    def test_iteration_cap_of_one_is_the_levinson_engine(self, mmse_oracle_cases, monkeypatch):
         # One iteration converges no window, so every window is solved by
         # Levinson, and the fits are those of the Levinson-only engine.
-        spectral = mmse_oracle_cases["reference-seed0", blind][0]
-        want = _levinson_fit_windows(spectral, 100, blind)
+        spectral = mmse_oracle_cases["reference-seed0"][0]
+        want = _levinson_fit_windows(spectral, 100)
         calls = []
         original = estimators._try_toeplitz
 
@@ -1070,14 +1067,13 @@ class TestMmseFitWindows:
 
         monkeypatch.setattr(estimators, "MMSE_PCG_MAX_ITER", 1)
         monkeypatch.setattr(estimators, "_try_toeplitz", counted)
-        values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(spectral, 100,
-                                                                           blind=blind)
+        values, weight_sums, weight_maxes, residuals, _ = mmse_fit_windows(spectral, 100)
         assert len(calls) == len(values) == len(want)
         for j, w in enumerate(want):
             assert values[j] == w.value_mw
             assert w.diagnostics == {
                 "raw_weight_sum": weight_sums[j], "weight_max": weight_maxes[j],
-                "system_residual": residuals[j], "blind": blind}
+                "system_residual": residuals[j]}
 
     def test_window_bounds(self):
         spectral = white_block(10, n_frames=8, n_bins=16).spectral
@@ -1137,9 +1133,9 @@ class TestPcgToeplitz:
         assert stopped[-1] == len(columns) - 1
 
     def test_matches_division_oracle_on_mmse_systems(self, mmse_oracle_cases):
-        spectral = mmse_oracle_cases["switching-trace", True][0]
+        spectral = mmse_oracle_cases["switching-trace"][0]
         n = spectral.shape[1]
-        variance, _ = estimators._mmse_moments(spectral[:163] / np.sqrt(n), 100, True)
+        variance, _ = estimators._mmse_moments(spectral[:163] / np.sqrt(n), 100)
         lags = estimators._mmse_lags(variance)
         columns = lags.copy()
         columns[:, 0] *= 2.0

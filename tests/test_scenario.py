@@ -314,9 +314,11 @@ class TestSynthNoise:
     @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
     def test_noise_series_equals_synthesis_then_one_rescale(self, kind, tmp_path):
         # The scenario's stream is the synthesized (or read) stream scaled once
-        # to the reference power, without a copy per step.
+        # to the reference power, without a copy per step.  A longer trace is
+        # scaled over the samples the scenario uses.
         config, unscaled = _noise_config(kind, tmp_path)
-        np.testing.assert_array_equal(_noise_series(config), rescaled(unscaled, 2.5))
+        used = _noise_series(config)[:config.n_bins * config.n_frames]
+        np.testing.assert_array_equal(used, rescaled(unscaled, 2.5))
 
     @pytest.mark.parametrize("kind", ["white-gaussian", "surrogate-industrial", "trace-file"])
     def test_noise_series_scales_once(self, kind, tmp_path, monkeypatch):
@@ -356,11 +358,12 @@ class TestSynthNoise:
         assert len(read) == 1
         samples = _noise_series(config)
         assert len(read) == 2 and samples is read[1]
-        np.testing.assert_array_equal(samples, rescaled(unscaled, 2.5))
+        np.testing.assert_array_equal(samples[:unscaled.size], rescaled(unscaled, 2.5))
 
 
 def _noise_config(kind: str, tmp_path) -> tuple[ScenarioConfig, np.ndarray]:
-    """A 64 x 50 config of the noise kind at 2.5 mW, and its stream before scaling."""
+    """A 64 x 50 config of the noise kind at 2.5 mW, and the samples it uses before
+    scaling; its trace is 5 samples longer than those."""
     n_bins, n_frames, seed = 64, 50, 4
     noise = {"kind": kind, "seed": seed}
     if kind == "surrogate-industrial":
@@ -372,7 +375,7 @@ def _noise_config(kind: str, tmp_path) -> tuple[ScenarioConfig, np.ndarray]:
     else:
         path = tmp_path / "noise.iq"
         write_iq_trace(path, np.sqrt(3.0) * _synthetic_samples(n_bins * n_frames + 5, WHITE, seed))
-        unscaled = load_iq_trace(path)
+        unscaled = load_iq_trace(path)[:n_bins * n_frames]
         noise = {"kind": kind, "path": str(path)}
     config = scenario_config_from_dict({"n_bins": n_bins, "n_frames": n_frames,
                                         "reference_noise_power_mw": 2.5, "noise": noise})
@@ -568,6 +571,19 @@ class TestBuildScenario:
                              reference_noise_power_mw=1.0)
         block, _ = build_scenario(cfg)
         assert power_matrix(block).mean() == pytest.approx(1.0, rel=1e-6)
+
+    def test_longer_trace_is_scaled_over_the_samples_used(self, tmp_path):
+        # The trace's second half, which the scenario does not read, is 5x
+        # the first in amplitude; scaling over the whole trace would put the
+        # block near 1/13 mW.
+        path = tmp_path / "trace.iq"
+        first = _synthetic_samples(640, WHITE, seed=3)
+        write_iq_trace(path, np.concatenate([first, 5.0 * first]))
+        cfg = ScenarioConfig(n_bins=64, n_frames=10,
+                             noise=NoiseSource(kind="trace-file", path=str(path)),
+                             reference_noise_power_mw=1.0)
+        block, _ = build_scenario(cfg)
+        assert abs(power_matrix(block).mean() - 1.0) <= 1e-12
 
 
 def _oracle_config(kind: str, tmp_path) -> ScenarioConfig:
