@@ -1144,6 +1144,16 @@ class TestCountOps:
         assert tuned.adds - default.adds == noise_diff
         assert tuned.muls == default.muls
 
+    @pytest.mark.parametrize("n", [16, 17, 31, 64, 100, 257, 512])
+    def test_cbe_count_books_one_signal_count_for_every_source(self, n):
+        # The model books S = round(0.25 n) whether S would come from ground
+        # truth or from AIC, and the fit's n - S noise eigenvalues are never none.
+        s = round(n * bench.COUNTING_OCCUPIED_FRACTION)
+        truth, aic = (count_ops(MethodSpec("CBE", params={"occupancy_from": source}), n)
+                      for source in ("truth", "aic"))
+        assert aic.counts == truth.counts and aic.stages == truth.stages
+        assert truth.stages["mp-fit"].transcendental == estimators.CBE_GRID_SIZE * (n - s) > 0
+
     def test_cbe_count_needs_a_grid(self):
         with pytest.raises(ValueError, match="grid_size must be an integer >= 2, got 1"):
             count_ops(MethodSpec("CBE", params={"grid_size": 1}), 16)  # at spec build

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import shutil
 from pathlib import Path
 
@@ -62,6 +63,24 @@ class TestCompareOutputs:
         assert calls[-10].argv[3:-2] == tuple(
             arg for method in compare.DEFAULT_METHODS for arg in ("--method", method))
         assert (tmp_path / "long-stream-7" / "run.json").exists()
+
+    @pytest.mark.parametrize("entry", range(8))
+    def test_shorter_run_reads_the_entrys_longer_trace(self, compare, tmp_path, entry):
+        # The 900-frame run reads the config of the entry's other runs, whose
+        # trace holds more frames than the run uses, at the same bin count.
+        args = parse(compare, "--seeds", "", "--entries", str(entry), "--ops-sizes", "",
+                     "--estimate-methods", "")
+        calls = {call.label: call for call in compare.invocations(args, tmp_path)}
+        short = calls[f"long-stream {entry} run MVU:fisher --override n_frames=900"]
+        assert short.exit == 0
+        assert short.argv[:5] == calls[f"long-stream {entry} run MVU:fisher"].argv[:5]
+        folder = tmp_path / f"long-stream-{entry}"
+        run = json.loads((folder / "run.json").read_text(encoding="utf-8"))
+        generate = json.loads((folder / "generate.json").read_text(encoding="utf-8"))
+        assert run["noise"] == {"kind": "trace-file", "path": str(folder / "noise.iq")}
+        assert calls[f"long-stream {entry} generate"].outputs == (f"{folder.name}/noise.iq",)
+        assert run["n_bins"] == generate["n_bins"]
+        assert run["n_frames"] == generate["n_frames"] > 900
 
     def test_power_files_separate_and_a_negative_bin_exits_3(self, compare, tmp_path):
         args = parse(compare, "--seeds", "", "--entries", "3", "--ops-sizes", "",

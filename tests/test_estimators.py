@@ -38,7 +38,7 @@ from noisebench import (
 )
 from noisebench import estimators
 from noisebench.bench import MethodSpec, count_ops
-from noisebench.errors import DegenerateSpectrumError, EmptyNoiseGroupError
+from noisebench.errors import DegenerateSpectrumError, EmptyNoiseGroupError, Status
 from noisebench.scenario import scenario_config_from_dict, scenario_config_from_file, with_seed
 
 from conftest import (
@@ -919,6 +919,23 @@ class TestMmseFitWindows:
             with pytest.raises(ZeroPowerError, match=prefix) as caught:
                 raised(mmse_fit_windows(spectral[:len(want) + 100], 100), "mmse")
             assert type(caught.value) is type(error)
+
+    @MMSE_ORACLE_CASES
+    def test_constant_offset_per_subcarrier_changes_no_fit(self, mmse_oracle_cases, case):
+        # Blind MMSE fits each window about its reference rows' mean, so a
+        # transmission that is constant over the stream, several times the
+        # noise amplitude, leaves every estimate and status as it was.
+        spectral, want, _ = mmse_oracle_cases[case]
+        rows = spectral[:len(want) + 100]
+        rng = np.random.default_rng(5)
+        scale = 10.0 * np.sqrt(np.mean(np.abs(rows)**2))
+        offset = scale * (rng.normal(size=rows.shape[1]) + 1j * rng.normal(size=rows.shape[1]))
+        plain = mmse_fit_windows(rows, 100)
+        shifted = mmse_fit_windows(rows + offset, 100)
+        np.testing.assert_array_equal(shifted[-1], plain[-1])
+        fitted = plain[-1] == Status.OK
+        assert fitted.sum() == len(want)
+        np.testing.assert_allclose(shifted[0][fitted], plain[0][fitted], rtol=1e-9)
 
     def test_switching_trace_fails_after_the_switch(self, mmse_oracle_cases):
         _, want, error = mmse_oracle_cases["switching-trace"]

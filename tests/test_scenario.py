@@ -572,13 +572,14 @@ class TestBuildScenario:
         block, _ = build_scenario(cfg)
         assert power_matrix(block).mean() == pytest.approx(1.0, rel=1e-6)
 
-    def test_longer_trace_is_scaled_over_the_samples_used(self, tmp_path):
-        # The trace's second half, which the scenario does not read, is 5x
-        # the first in amplitude; scaling over the whole trace would put the
-        # block near 1/13 mW.
+    @pytest.mark.parametrize("extra", [1, 64, 640])
+    def test_longer_trace_is_scaled_over_the_samples_used(self, tmp_path, extra):
+        # The samples past the scenario's 640, which it does not read, are 5x
+        # the trace's first in amplitude; scaling over the whole trace would
+        # put the block below the reference (near 1/13 mW at 640 extra).
         path = tmp_path / "trace.iq"
         first = _synthetic_samples(640, WHITE, seed=3)
-        write_iq_trace(path, np.concatenate([first, 5.0 * first]))
+        write_iq_trace(path, np.concatenate([first, 5.0 * first[:extra]]))
         cfg = ScenarioConfig(n_bins=64, n_frames=10,
                              noise=NoiseSource(kind="trace-file", path=str(path)),
                              reference_noise_power_mw=1.0)
