@@ -31,22 +31,51 @@ Giving ``--parent`` and ``--change`` the same checkout checks that a rerun
 reproduces every byte.  Exit status 0 when every invocation agrees (and exits
 as its set expects, where it does), 1 otherwise.
 
+``--diff`` says, under each invocation that differs, what differs:
+- for a CSV output, the columns found on one side only; the rows found on one
+  side only; the changed rows, each keyed by (seed, method, separation,
+  frame_index) in a series, (method, separation, size) in ``ops``, (record,
+  index) in ``separate`` and (method, separation) in a report, else by line
+  number (a file whose first line holds a number has no header, and its
+  columns are numbered from 1); and per column, the count of changed values
+  with the largest absolute and relative change;
+- for stdout and stderr (work directory normalised), the lines that differ;
+- for any other file, its size on each side; and a changed exit code.
+
+``--expect FILE`` reads a JSON list of declared changes and makes them the
+rule instead: the run fails on a change that no declaration matches, on a
+declaration that matches no change, and on an exit code its set does not
+expect.  A declaration is an object whose keys are among ``invocation``
+(the label printed), ``output`` (a file relative to the work directory,
+``stdout``, ``stderr`` or ``exit``), ``change`` (one of ``value``, ``column
+added``, ``column removed``, ``rows added``, ``rows removed``, ``lines``,
+``bytes``, ``file added``, ``file removed`` and ``code``), ``column`` and
+``method`` (a label such as ``MVU(rof)``, for rows that name a method); each
+value is a shell-style pattern, and a declaration matches a change when
+every key it gives matches.  For example, ``[{"output": "*/report.csv",
+"change": "column added", "column": "failed_windows"}]``.
+
 Usage:
     python scripts/compare_outputs.py --parent ../parent --change .
     python scripts/compare_outputs.py --parent . --change . --seeds 0,1 --entries 0 \\
         --ops-sizes "" --estimate-methods ""
+    python scripts/compare_outputs.py --parent ../parent --change . --diff --expect changes.json
 """
 
 from __future__ import annotations
 
 import argparse
+import difflib
 import json
+import math
 import os
 import random
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from fnmatch import fnmatchcase
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,6 +89,11 @@ DEFAULT_OPS_SIZES = "16,17,64,64,128,256,512,1024,2048,4096,4097"
 # to report, unlike the long-stream runs, which read a float32 trace.
 SURROGATE_OVERRIDES = ("name=ism-surrogate-industrial--3dB", "noise.kind=surrogate-industrial",
                        "signals.0.target_snr_db=-3")
+# The columns that key a CSV's rows: the first set that both sides' headers hold.
+KEY_COLUMNS = (("seed", "method", "separation", "frame_index"), ("method", "separation", "size"),
+               ("record", "index"), ("method", "separation"))
+DECLARATION_KEYS = ("invocation", "output", "change", "column", "method")
+SHOWN = 10  # changed rows or lines listed per output; the counts cover them all
 
 
 class Invocation(NamedTuple):
@@ -176,6 +210,157 @@ def run_side(checkout: Path, work: Path, call: Invocation) -> dict:
     return result
 
 
+def number(text: str | None) -> float | None:
+    try:
+        return float(text)
+    except (TypeError, ValueError):
+        return None
+
+
+def read_csv(data: bytes) -> tuple[list[str], list[str]]:
+    """A CSV output's column names and its data lines, unsplit."""
+    lines = data.decode("utf-8", "replace").splitlines()
+    first = lines[0].split(",") if lines else []
+    if first and all(number(field) is None for field in first):
+        return first, lines[1:]
+    width = max((line.count(",") + 1 for line in lines), default=0)
+    return [str(i + 1) for i in range(width)], lines
+
+
+def keyed_rows(columns: list[str], lines: list[str], key: tuple[str, ...]) -> dict:
+    """Each data line, keyed by the values of its ``key`` columns; a repeated key
+    gets its occurrence count appended."""
+    where = [columns.index(column) for column in key]
+    table, seen = {}, Counter()
+    for line in lines:
+        row = line.split(",")
+        name = tuple(field(row, i) for i in where)
+        seen[name] += 1
+        table[name if seen[name] == 1 else (*name, f"#{seen[name]}")] = line
+    return table
+
+
+def field(row: list[str], i: int) -> str | None:
+    return row[i] if i < len(row) else None
+
+
+def row_name(name: tuple) -> str:
+    return f"({', '.join(map(str, name))})"
+
+
+def method_of(columns: list[str], row: list[str]) -> tuple:
+    """The row's method label as the items of a change's ``method`` field, if it names one."""
+    if "method" not in columns:
+        return ()
+    method = field(row, columns.index("method"))
+    separation = field(row, columns.index("separation")) if "separation" in columns else None
+    return (("method", method if separation in (None, "", "none") else f"{method}({separation})"),)
+
+
+def diff_csv(old: bytes, new: bytes) -> tuple[list[str], list[dict]]:
+    """Report lines and distinct changes of a CSV output that differs.
+
+    Rows are keyed by the first set of ``KEY_COLUMNS`` that both headers hold,
+    else by line number."""
+    (old_columns, old_lines), (new_columns, new_lines) = read_csv(old), read_csv(new)
+    lines, changes = [], {}  # the changes as an ordered set of their items
+    for kind, columns, others in (("column removed", old_columns, new_columns),
+                                  ("column added", new_columns, old_columns)):
+        for column in columns:
+            if column not in others:
+                lines.append(f"{kind}: {column}")
+                changes[("change", kind), ("column", column)] = None
+    shared = [(column, old_columns.index(column), new_columns.index(column))
+              for column in old_columns if column in new_columns]
+    key = next((key for key in KEY_COLUMNS if set(key) <= {column for column, *_ in shared}), ())
+    if key:
+        parent = keyed_rows(old_columns, old_lines, key)
+        change = keyed_rows(new_columns, new_lines, key)
+        pairs = ((name, line, change[name]) for name, line in parent.items() if name in change)
+        removed = [(name, parent[name]) for name in parent if name not in change]
+        added = [(name, change[name]) for name in change if name not in parent]
+    else:
+        both = min(len(old_lines), len(new_lines))
+        pairs = (((i + 1,), a, b) for i, (a, b) in enumerate(zip(old_lines, new_lines)))
+        removed = [((i + 1,), line) for i, line in enumerate(old_lines[both:], both)]
+        added = [((i + 1,), line) for i, line in enumerate(new_lines[both:], both)]
+    for kind, only, columns in (("rows removed", removed, old_columns),
+                                ("rows added", added, new_columns)):
+        if only:
+            shown = " ".join(row_name(name) for name, _ in only[:SHOWN])
+            lines.append(f"{kind}: {len(only)} ({shown}{' ...' if len(only) > SHOWN else ''})")
+            changes.update(dict.fromkeys((("change", kind), *method_of(columns, line.split(",")))
+                                         for _, line in only))
+    changed, shown = 0, []  # changed rows, and the first SHOWN of them
+    stats = {}  # column: [changed values, largest absolute and relative change]
+    for name, old_line, new_line in pairs:
+        if old_line == new_line:
+            continue
+        row, other = old_line.split(","), new_line.split(",")
+        differ = [(column, field(row, i), field(other, j)) for column, i, j in shared
+                  if field(row, i) != field(other, j)]
+        changed += bool(differ)
+        if differ and len(shown) < SHOWN:
+            shown.append(f"{row_name(name)}: " + ", ".join(
+                f"{column} {a} -> {b}" for column, a, b in differ))
+        for column, a, b in differ:
+            count = stats.setdefault(column, [0, 0.0, 0.0])
+            count[0] += 1
+            a, b = number(a), number(b)
+            if a is not None and b is not None:
+                step = abs(b - a)
+                relative = step / abs(a) if a else math.inf
+                # A change to or from inf or nan counts as infinite.
+                count[1] = max(count[1], math.inf if math.isnan(step) else step)
+                count[2] = max(count[2], math.inf if math.isnan(relative) else relative)
+            changes[("change", "value"), ("column", column), *method_of(old_columns, row)] = None
+    if changed:
+        lines.append(f"changed rows: {changed}")
+        lines.extend(f"  {row}" for row in shown)
+        if changed > SHOWN:
+            lines.append(f"  ... {changed - SHOWN} more")
+    for column, (count, step, relative) in stats.items():
+        lines.append(f"column {column}: {count} changed, largest change {step:.3g} absolute, "
+                     f"{relative:.3g} relative")
+    return lines, [dict(items) for items in changes]
+
+
+def describe(name: str, old, new) -> tuple[list[str], list[dict]]:
+    """Report lines and changes of one output (or exit code or stream) that differs."""
+    if name == "exit":
+        return [f"exit code {old} -> {new}"], [{"change": "code"}]
+    if old is None or new is None:
+        kind = "file added" if old is None else "file removed"
+        return [kind], [{"change": kind}]
+    if name in ("stdout", "stderr"):
+        diff = [line for line in difflib.unified_diff(
+            old.decode("utf-8", "replace").splitlines(),
+            new.decode("utf-8", "replace").splitlines(), lineterm="", n=0)
+                if line[:1] in "-+" and line[:3] not in ("---", "+++")]
+        more = [f"... {len(diff) - SHOWN} more"] if len(diff) > SHOWN else []
+        return [f"{len(diff)} lines differ", *diff[:SHOWN], *more], [{"change": "lines"}]
+    if name.endswith(".csv"):
+        return diff_csv(old, new)
+    return ([f"bytes differ: {len(old)} in the parent, {len(new)} in the change"],
+            [{"change": "bytes"}])
+
+
+def read_declarations(path: Path) -> list[dict]:
+    """The declared changes of ``--expect``; a file of another shape raises ValueError."""
+    declared = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(declared, list) or not all(
+            isinstance(item, dict) and item and set(item) <= set(DECLARATION_KEYS)
+            and all(isinstance(value, str) for value in item.values()) for item in declared):
+        raise ValueError(f"{path}: expected a JSON list of non-empty objects with string "
+                         f"values, keyed by {', '.join(DECLARATION_KEYS)}")
+    return declared
+
+
+def matches(declaration: dict, change: dict) -> bool:
+    return all(key in change and fnmatchcase(change[key], pattern)
+               for key, pattern in declaration.items())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
@@ -194,11 +379,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--work", type=Path,
                         help="directory for both sides' outputs, kept afterwards "
                              "(default: a temporary one, removed)")
+    parser.add_argument("--diff", action="store_true",
+                        help="say what differs: rows, columns and values of each CSV, "
+                             "stream lines, file sizes and exit codes")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="JSON list of declared changes: fail on a change outside it "
+                             "and on a declared change that did not happen")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        declared = None if args.expect is None else read_declarations(args.expect)
+    except (OSError, ValueError) as exc:
+        parser.error(str(exc))
 
     base = Path(tempfile.mkdtemp(prefix="compare-outputs-")) if args.work is None else args.work
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -207,17 +403,37 @@ def main(argv: list[str] | None = None) -> int:
         for work in works.values():
             work.mkdir(parents=True, exist_ok=False)
             calls = invocations(args, work)
-        failed = 0
+        failed = unexpected_exits = 0
+        changes = []
         for call in calls:
             parent, change = (run_side(sides[side], works[side], call) for side in sides)
             diff = [key for key in parent if parent[key] != change[key]]
+            shown = list(diff)
             if call.exit is not None and change["exit"] != call.exit:
-                diff.append(f"exit code (expected {call.exit})")
-            failed += bool(diff)
-            state = f"DIFFERS in {', '.join(diff)}" if diff else "same"
+                shown.append(f"exit code (expected {call.exit})")
+                unexpected_exits += 1
+            failed += bool(shown)
+            state = f"DIFFERS in {', '.join(shown)}" if shown else "same"
             print(f"{call.label}: exit {change['exit']}, {state}", flush=True)
+            if not (args.diff or declared is not None):
+                continue
+            for key in diff:
+                lines, found = describe(key, parent[key], change[key])
+                changes.extend({"invocation": call.label, "output": key, **item} for item in found)
+                if args.diff:
+                    print(f"  {key}:", *(f"    {line}" for line in lines), sep="\n", flush=True)
         print(f"{len(calls) - failed} of {len(calls)} invocations agree")
-        return 1 if failed else 0
+        if declared is None:
+            return 1 if failed else 0
+        undeclared = [c for c in changes if not any(matches(d, c) for d in declared)]
+        missing = [d for d in declared if not any(matches(d, c) for c in changes)]
+        for item in undeclared:
+            print(f"undeclared change: {json.dumps(item)}")
+        for item in missing:
+            print(f"declared change did not happen: {json.dumps(item)}")
+        print(f"{len(changes) - len(undeclared)} of {len(changes)} changes declared; "
+              f"{len(declared) - len(missing)} of {len(declared)} declared changes happened")
+        return 1 if undeclared or missing or unexpected_exits else 0
     finally:
         if args.work is None:
             shutil.rmtree(base, ignore_errors=True)

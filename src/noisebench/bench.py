@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import os
 import time
-from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable, Mapping
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from numbers import Integral, Real
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -68,24 +68,47 @@ from .spectral import PowerSpectrum, ResourceBlock, SpectralFrame, power_matrix,
 
 ESTIMATOR_NAMES = ("ML", "MVU", "AIC", "CBE", "MMSE")
 SEPARATION_NAMES = ("none", "ideal", "fisher", "rof")
-DEFAULT_WINDOW_FRAMES = 100
-METHOD_PARAMS = frozenset({"window_frames", "lambda1_pct", "lambda2_fraction", "occupancy_from",
-                           "grid_size"})
+
+
+class MethodParam(NamedTuple):
+    """A param of ``METHOD_PARAMS``: its default, the values it accepts (those that
+    ``accepts`` passes, named by ``wants``) and the labels of the methods that read it."""
+
+    default: Any
+    wants: str
+    accepts: Callable[[Any], bool]
+    readers: frozenset[str]
+
+
+def _number(value: Any, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)  # a bool is no number
+
+
+_ROF, _CBE = frozenset({"ML(rof)", "MVU(rof)"}), frozenset({"CBE"})
+METHOD_PARAMS = MappingProxyType({  # ML(ideal) and ML(fisher) report every frame: no window
+    "window_frames": MethodParam(
+        100, "an integer >= 1", lambda v: _number(v, Integral) and v >= 1,
+        frozenset({"ML(rof)", "MVU(ideal)", "MVU(fisher)", "MVU(rof)", "AIC", "CBE", "MMSE"})),
+    "lambda1_pct": MethodParam(sep.RofParams.lambda1_pct, "a real number",
+                               lambda v: _number(v, Real), _ROF),
+    "lambda2_fraction": MethodParam(sep.RofParams.lambda2_fraction, "a real number",
+                                    lambda v: _number(v, Real), _ROF),
+    "occupancy_from": MethodParam("truth", "'truth' or 'aic'", lambda v: v in ("truth", "aic"),
+                                  _CBE),
+    "grid_size": MethodParam(est.CBE_GRID_SIZE, "an integer >= 2",
+                             lambda v: _number(v, Integral) and v >= 2, _CBE),
+})
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """One benchmark entry: an estimator, its separation strategy, and overrides.
 
-    ``params`` may set any of ``METHOD_PARAMS``; another key, an
-    ``occupancy_from`` other than "truth" or "aic", a ROF threshold that is
-    not a real number (a bool is none), a ``window_frames`` that is not an
-    integer >= 1, a ``grid_size`` that is not an integer >= 2 (a bool is
-    neither), or ROF thresholds that ``RofParams`` rejects raises
-    ValueError.  MMSE always works blind, and CBE takes its signal count
-    from ground truth or from AIC (``occupancy_from``).  The spec keeps a
-    read-only copy of the params it checked, so setting a key afterwards
-    raises TypeError.
+    ``params`` may set the params of ``METHOD_PARAMS`` that the method reads,
+    to values they accept, and ROF thresholds that ``RofParams`` accepts;
+    anything else raises ValueError.  :meth:`param` reads one, else its
+    default.  The spec keeps a read-only copy of the params it checked, so
+    setting a key afterwards raises TypeError.
     Specs hash by estimator and separation, so they can key a dict; equality
     also compares the params.
     """
@@ -104,21 +127,21 @@ class MethodSpec:
             raise ValueError(f"{self.estimator} requires a separation strategy")
         if self.estimator in ("AIC", "CBE", "MMSE") and self.separation != "none":
             raise ValueError(f"{self.estimator} performs its own separation")
-        unknown = set(self.params) - METHOD_PARAMS
+        unknown = set(self.params) - METHOD_PARAMS.keys()
         if unknown:
             raise ValueError(f"unknown method param(s): {', '.join(sorted(unknown))}")
-        if self.params.get("occupancy_from", "truth") not in ("truth", "aic"):
-            raise ValueError(f"occupancy_from must be 'truth' or 'aic', "
-                             f"got {self.params['occupancy_from']!r}")
-        for name in ("lambda1_pct", "lambda2_fraction"):
-            value = self.params.get(name, 0.0)
-            if isinstance(value, bool) or not isinstance(value, Real):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-        for name, least in (("window_frames", 1), ("grid_size", 2)):
-            value = self.params.get(name, least)
-            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-        _rof_params(self)
+        unread = [name for name in self.params if self.label not in METHOD_PARAMS[name].readers]
+        if unread:
+            raise ValueError(f"{self.label} does not read {', '.join(sorted(unread))}")
+        for name, param in METHOD_PARAMS.items():
+            if name in self.params and not param.accepts(self.params[name]):
+                raise ValueError(f"{name} must be {param.wants}, got {self.params[name]!r}")
+        if self.separation == "rof":  # RofParams checks the thresholds' ranges
+            sep.RofParams(self.param("lambda1_pct"), self.param("lambda2_fraction"))
+
+    def param(self, name: str) -> Any:
+        """The value of param ``name``: the spec's own, else the table's default."""
+        return self.params[name] if name in self.params else METHOD_PARAMS[name].default
 
     @property
     def label(self) -> str:
@@ -196,12 +219,6 @@ def std_dev_db(series: EstimateSeries) -> float:
     """Sample standard deviation of the estimated-SNR series about its own mean."""
     finite = series.snr_est_db[np.isfinite(series.snr_est_db)]
     return sample_std(finite)
-
-
-def _rof_params(method: MethodSpec) -> sep.RofParams:
-    """The method's ROF thresholds; those it does not set keep RofParams' defaults."""
-    return sep.RofParams(**{f.name: method.params[f.name] for f in fields(sep.RofParams)
-                            if f.name in method.params})
 
 
 class _SeedContext:
@@ -347,7 +364,7 @@ def _signal_counts(method: MethodSpec, ctx: _SeedContext, frames: np.ndarray,
     AIC's order over the bin count with ``occupancy_from`` "aic", else ground truth
     at the window's last frame.  ``frames``, the windows' last frames, run from
     ``frames[0]`` to the scenario's last frame."""
-    if method.params.get("occupancy_from") == "aic":
+    if method.param("occupancy_from") == "aic":
         fractions = ctx.aic_rows(window, frames[0])[1] / ctx.power.shape[1]
     else:
         fractions = ctx.truth.signal_bin_mask[frames].mean(axis=1)
@@ -359,7 +376,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     """One method's series on a seed; with last_only, its entry at the last frame alone."""
     power, truth = ctx.power, ctx.truth
     n_frames = power.shape[0]
-    window = min(method.params.get("window_frames", DEFAULT_WINDOW_FRAMES), n_frames)
+    window = min(method.param("window_frames"), n_frames)
 
     # ML reports at every frame, the windowed methods once their window is full.
     if last_only:
@@ -367,7 +384,10 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     else:
         first = 0 if method.estimator == "ML" else window - 1
     frames = np.arange(first, n_frames)
-    key = ("rof", window, _rof_params(method)) if method.separation == "rof" else method.separation
+    key = method.separation
+    if key == "rof":
+        key = ("rof", window, sep.RofParams(method.param("lambda1_pct"),
+                                            method.param("lambda2_fraction")))
     figures = {}  # message fields besides the estimates
     if method.estimator in ("ML", "MVU"):
         # Every MVU window is full here.  ROF's mask of the window ending at f
@@ -395,8 +415,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
         lo = first - window + 1
         counts = _signal_counts(method, ctx, frames, window)
         values, grids, _, status = est.cbe_fit_windows(
-            ctx.gram[lo:, lo:], power.shape[1], window, counts,
-            method.params.get("grid_size", est.CBE_GRID_SIZE))
+            ctx.gram[lo:, lo:], power.shape[1], window, counts, method.param("grid_size"))
         figures = {"signal_count": counts, "frames": window, "tolerance": grids[:, 0]}
     raise_first_status(status, method=method.estimator.lower(), value=values, **figures)
 
@@ -809,7 +828,7 @@ def _book(method: MethodSpec, n: int, power: PowerSpectrum | None) -> OpCounter:
     ops.mul(3 * bins)  # power spectrum: two squarings per bin, then the 1/N scaling
     ops.add(bins)
     if method.estimator == "CBE":
-        _book_cbe(ops, n, method.params.get("grid_size", est.CBE_GRID_SIZE))
+        _book_cbe(ops, n, method.param("grid_size"))
     elif method.estimator == "MMSE":
         _book_mmse(ops, n)
     elif method.estimator == "AIC":
@@ -817,7 +836,8 @@ def _book(method: MethodSpec, n: int, power: PowerSpectrum | None) -> OpCounter:
     else:
         noise = n
         if method.separation == "rof":
-            noise = _book_rof(ops, power, _rof_params(method))
+            noise = _book_rof(ops, power, sep.RofParams(method.param("lambda1_pct"),
+                                                        method.param("lambda2_fraction")))
         elif method.separation == "fisher":
             noise = _book_fisher(ops, power)
         ops.add(noise - 1)  # mean over the noise bins

@@ -26,8 +26,9 @@ from noisebench import (
 from noisebench import bench, estimators
 from noisebench.errors import DegenerateSpectrumError, ZeroPowerError, raise_first_status
 from noisebench.scenario import (
+    SurrogateNoiseParams,
     _frame_amplitudes,
-    _noise_series,
+    _synthetic_samples,
     scenario_config_from_dict,
     time_series_of,
     write_iq_trace,
@@ -36,6 +37,8 @@ from noisebench.scenario import (
 N_BINS = 512
 N_FRAMES = 100
 BAND = (256, 384)  # third of four subbands, fully occupied
+# White Gaussian noise: the surrogate with no impulses and no tilt.
+WHITE = SurrogateNoiseParams(impulse_rate=0.0)
 
 
 def reference_config(seed: int = 0, n_frames: int = N_FRAMES,
@@ -109,10 +112,29 @@ def switching_trace_config(tmp_path_factory) -> Path:
     return path
 
 
+def oracle_noise_stream(config: ScenarioConfig) -> np.ndarray:
+    """The scenario's N*M noise samples at the reference mean power, built apart
+    from scenario._noise_series: the synthesis, or the trace's float32 (I, Q)
+    pairs as read from the file, cut to the samples used, then scaled to the
+    reference over those samples alone."""
+    total = config.n_bins * config.n_frames
+    src = config.noise
+    if src.kind == "trace-file":
+        words = np.fromfile(src.path, dtype="<f4")[:2 * total]
+        samples = np.empty(words.size // 2, dtype=np.complex128)
+        samples.real, samples.imag = words[0::2], words[1::2]
+    else:
+        params = src.params if src.kind == "surrogate-industrial" else WHITE
+        samples = _synthetic_samples(total, params, src.seed)
+    power = np.abs(samples) ** 2
+    return samples * np.sqrt(config.reference_noise_power_mw / np.mean(power))
+
+
 def build_scenario_per_frame(config: ScenarioConfig) -> tuple[np.ndarray, GroundTruth]:
-    """Oracle for build_scenario: one FFT and one signal pass per frame."""
+    """Oracle for build_scenario: one FFT and one signal pass per frame, on the noise
+    stream of :func:`oracle_noise_stream`."""
     n, m = config.n_bins, config.n_frames
-    samples = _noise_series(config)
+    samples = oracle_noise_stream(config)
     spectral = [np.fft.fft(samples[i * n:(i + 1) * n]) for i in range(m)]
     mask = np.zeros((m, n), dtype=bool)
     snr_db = np.full(m, -np.inf)

@@ -154,6 +154,14 @@ class TestMethodSpec:
         ("CBE", "none", {"blind": True, "occupied_fraction": 0.25},
          "unknown method param(s): blind, occupied_fraction"),
         ("ML", "oracle", {}, "unknown separation 'oracle'"),
+        # A param the method does not read, whatever its value: unknown names
+        # are named first, unread ones next, and values are checked last.
+        ("ML", "ideal", {"window_frames": 7}, "ML(ideal) does not read window_frames"),
+        ("MMSE", "none", {"grid_size": 7, "occupancy_from": "aic", "lambda1_pct": 50.0},
+         "MMSE does not read grid_size, lambda1_pct, occupancy_from"),
+        ("ML", "fisher", {"window_frames": 0}, "ML(fisher) does not read window_frames"),
+        ("MVU", "rof", {"lambda1_pct": 0.0, "grid_size": 1}, "MVU(rof) does not read grid_size"),
+        ("AIC", "none", {"gridsize": 7, "grid_size": 7}, "unknown method param(s): gridsize"),
     ])
     def test_bad_param_values_rejected_on_build(self, estimator, separation, params, message):
         with pytest.raises(ValueError) as exc:
@@ -166,9 +174,88 @@ class TestMethodSpec:
 
     def test_rof_params_default_to_rof_params(self):
         from noisebench import RofParams
-        assert bench._rof_params(MethodSpec("ML", "rof")) == RofParams()
+        spec = MethodSpec("ML", "rof")
+        assert RofParams(spec.param("lambda1_pct"), spec.param("lambda2_fraction")) == RofParams()
         tuned = MethodSpec("ML", "rof", params={"lambda2_fraction": 0.2})
-        assert bench._rof_params(tuned) == RofParams(lambda2_fraction=0.2)
+        assert RofParams(tuned.param("lambda1_pct"),
+                         tuned.param("lambda2_fraction")) == RofParams(lambda2_fraction=0.2)
+
+
+SPECS = {spec.label: spec for spec in (MethodSpec(e, s) for e, s in (
+    ("ML", "ideal"), ("ML", "fisher"), ("ML", "rof"), ("MVU", "ideal"), ("MVU", "fisher"),
+    ("MVU", "rof"), ("AIC", "none"), ("CBE", "none"), ("MMSE", "none")))}
+# Each method param and the labels of the methods that read it.
+READERS = {
+    "window_frames": set(SPECS) - {"ML(ideal)", "ML(fisher)"},
+    "lambda1_pct": {"ML(rof)", "MVU(rof)"},
+    "lambda2_fraction": {"ML(rof)", "MVU(rof)"},
+    "occupancy_from": {"CBE"},
+    "grid_size": {"CBE"},
+}
+TUNED = {"window_frames": 50, "lambda1_pct": 60.0, "lambda2_fraction": 0.3,
+         "occupancy_from": "aic", "grid_size": 7}
+
+
+class TestMethodParams:
+    """One table of method params: each method reads, and accepts, only its own."""
+
+    def test_table_holds_each_params_default_and_readers(self):
+        assert {name: (param.default, param.readers)
+                for name, param in bench.METHOD_PARAMS.items()} == {
+            "window_frames": (100, READERS["window_frames"]),
+            "lambda1_pct": (separation.RofParams().lambda1_pct, READERS["lambda1_pct"]),
+            "lambda2_fraction": (separation.RofParams().lambda2_fraction,
+                                 READERS["lambda2_fraction"]),
+            "occupancy_from": ("truth", READERS["occupancy_from"]),
+            "grid_size": (estimators.CBE_GRID_SIZE, READERS["grid_size"]),
+        }
+        assert estimators.CBE_GRID_SIZE == 100
+
+    @pytest.fixture(scope="class")
+    def default_series(self):
+        from noisebench.scenario import scenario_config_from_file
+        config = scenario_config_from_file(CONFIG)
+        return config, dict(zip(SPECS, run_scenario(config, list(SPECS.values()), [0])))
+
+    @pytest.mark.parametrize("name, label", [(name, label) for name in READERS
+                                             for label in sorted(READERS[name])])
+    def test_each_reader_reads_its_param(self, default_series, monkeypatch, name, label):
+        # A non-default value moves the method's series on the reference config
+        # (seed 0) on the frames both series cover.
+        config, defaults = default_series
+        fits = []  # the signal counts and grid size of each CBE fit
+        fit = estimators.cbe_fit_windows
+
+        def spy(gram, n_bins, window, counts, *grid_size):
+            fits.append((counts.tolist(), grid_size))
+            return fit(gram, n_bins, window, counts, *grid_size)
+
+        monkeypatch.setattr(estimators, "cbe_fit_windows", spy)
+        spec = SPECS[label]
+        tuned = MethodSpec(spec.estimator, spec.separation, params={name: TUNED[name]})
+        got = run_scenario(config, [tuned], [0])[0]
+        want = defaults[label]
+        _, mine, theirs = np.intersect1d(got.frame_index, want.frame_index, return_indices=True)
+        assert mine.size > 100
+        moved = got.noise_power_est_mw[mine] != want.noise_power_est_mw[theirs]
+        if label == "CBE" and name != "window_frames":
+            # CBE's fit returns its candidate grid's lower edge in every window
+            # of this scenario, and neither the grid size nor the signal count
+            # moves that edge, so the series stays; the param reaches the fit.
+            assert not moved.any()
+            run_scenario(config, [spec], [0])
+            assert fits[0] != fits[1]
+        else:
+            assert moved.any()
+
+    @pytest.mark.parametrize("name, label", [(name, label) for name in READERS
+                                             for label in SPECS if label not in READERS[name]])
+    def test_a_method_rejects_each_param_it_does_not_read(self, name, label):
+        spec = SPECS[label]
+        for value in (TUNED[name], bench.METHOD_PARAMS[name].default):
+            with pytest.raises(ValueError) as exc:
+                MethodSpec(spec.estimator, spec.separation, params={name: value})
+            assert str(exc.value) == f"{label} does not read {name}"
 
 
 class TestMetrics:
@@ -270,12 +357,11 @@ class TestRunScenario:
         # The nine-method matrix shares one per-seed context (masks, Gram
         # matrix); each method alone must give the very same series.
         cfg = reference_config(seed=2, n_frames=25)
-        window = {"window_frames": 12}
-        methods = [MethodSpec(e, s, params=window) for e, s in (
-            ("ML", "ideal"), ("ML", "fisher"), ("ML", "rof"),
-            ("MVU", "ideal"), ("MVU", "fisher"), ("MVU", "rof"),
-            ("AIC", "none"), ("CBE", "none"), ("MMSE", "none"),
-        )]
+        window = {"window_frames": 12}  # ML(ideal) and ML(fisher) read no window
+        methods = [MethodSpec("ML", "ideal"), MethodSpec("ML", "fisher")] + [
+            MethodSpec(e, s, params=window) for e, s in (
+                ("ML", "rof"), ("MVU", "ideal"), ("MVU", "fisher"), ("MVU", "rof"),
+                ("AIC", "none"), ("CBE", "none"), ("MMSE", "none"))]
         joint = run_scenario(cfg, methods, [1, 2])
         assert len(joint) == 2 * len(methods)
         for i, method in enumerate(methods):
@@ -1427,9 +1513,10 @@ def two_seed_workers(n_seeds: int) -> int:
 class TestSeedPool:
     """Several seeds run in forked worker processes; nothing a caller sees may change."""
 
-    METHODS = [MethodSpec(e, s, params={"window_frames": 12}) for e, s in (
-        ("ML", "ideal"), ("ML", "fisher"), ("ML", "rof"), ("MVU", "ideal"), ("MVU", "fisher"),
-        ("MVU", "rof"), ("AIC", "none"), ("CBE", "none"), ("MMSE", "none"))]
+    METHODS = [MethodSpec("ML", "ideal"), MethodSpec("ML", "fisher")] + [
+        MethodSpec(e, s, params={"window_frames": 12}) for e, s in (
+            ("ML", "rof"), ("MVU", "ideal"), ("MVU", "fisher"), ("MVU", "rof"), ("AIC", "none"),
+            ("CBE", "none"), ("MMSE", "none"))]
 
     def _outputs(self, out: Path, seeds: list[int]) -> tuple[list, dict[str, bytes]]:
         """The series' (seed, method) order, which the CSV writer sorts away, and the CSVs."""

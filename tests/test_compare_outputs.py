@@ -128,3 +128,156 @@ class TestCompareOutputs:
         assert out[0] == "ops --sizes 16,32: exit 0, same"
         assert out[1] == "estimate AIC: exit 0, DIFFERS in stdout"
         assert out[-1] == "1 of 2 invocations agree"
+
+
+ESTIMATE_HEADER = "method,separation,frame_index,noise_power_est_mw,snr_est_db"
+# Scratch copies of src/, each with one change to its outputs.
+EDITS = {
+    "header": ("cli.py", ESTIMATE_HEADER, ESTIMATE_HEADER.upper()),
+    # The last field, snr_true_db, of the fourth series row.
+    "value": ("bench.py", "    _write_csv(path, SERIES_COLUMNS, lines)",
+              "    lines[3] = lines[3].rsplit(',', 1)[0] + ',9\\n'\n"
+              "    _write_csv(path, SERIES_COLUMNS, lines)"),
+    "column": ("bench.py", '"wall_time_ms",\n)', '"wall_time_ms", "extra",\n)'),
+}
+
+
+@pytest.fixture(scope="module")
+def checkouts(tmp_path_factory):
+    """Scratch checkouts, one per entry of EDITS; the column edit also ends each
+    report row with its new field."""
+    made = {}
+    for name, (module, old, new) in EDITS.items():
+        root = tmp_path_factory.mktemp(name)
+        shutil.copytree(ROOT / "src", root / "src",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+        path = root / "src" / "noisebench" / module
+        text = path.read_text()
+        assert text.count(old) == 1
+        text = text.replace(old, new)
+        if name == "column":
+            row = '_REPORT_ROW = "%s,%s,%s,%d,%.9g,%.9g,%.9g,%d,%d,%d,%d,%.9g\\n"'
+            assert text.count(row) == 1
+            text = text.replace(row, row.replace('\\n"', ',0\\n"'))
+        path.write_text(text)
+        made[name] = root
+    return made
+
+
+def small_run(compare, monkeypatch):
+    """The invocation set becomes one 20-frame run of ML(ideal) on seed 0."""
+    call = compare.Invocation(
+        "run ML:ideal", ("run", "--config", str(ROOT / "configs" / "ism_benchmark.json"),
+                         "--seeds", "0", "--method", "ML:ideal", "--override", "n_frames=20",
+                         "--out", "r"), ("r/series.csv", "r/report.csv"))
+    monkeypatch.setattr(compare, "invocations", lambda args, work: [call])
+
+
+def declare(tmp_path, changes) -> str:
+    path = tmp_path / "expect.json"
+    path.write_text(json.dumps(changes), encoding="utf-8")
+    return str(path)
+
+
+class TestDiffAndExpect:
+    def test_diff_shows_a_changed_estimate_header(self, compare, checkouts, capsys):
+        argv = ["--parent", str(ROOT), "--change", str(checkouts["header"]), "--seeds", "",
+                "--entries", "", "--ops-sizes", "", "--estimate-methods", "AIC", "--diff"]
+        assert compare.main(argv) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "estimate AIC: exit 0, DIFFERS in stdout",
+            "  stdout:",
+            "    2 lines differ",
+            f"    -{ESTIMATE_HEADER}",
+            f"    +{ESTIMATE_HEADER.upper()}",
+            "0 of 1 invocations agree"]
+
+    def test_diff_shows_one_changed_series_value_and_expect_passes_it(
+            self, compare, checkouts, monkeypatch, tmp_path, capsys):
+        small_run(compare, monkeypatch)
+        expect = declare(tmp_path, [{"output": "*/series.csv", "change": "value",
+                                     "column": "snr_true_db", "method": "ML(ideal)"}])
+        assert compare.main(["--parent", str(ROOT), "--change", str(checkouts["value"]),
+                             "--diff", "--expect", expect]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == ["run ML:ideal: exit 0, DIFFERS in r/series.csv", "  r/series.csv:",
+                           "    changed rows: 1"]
+        assert out[3].startswith("      (0, ML, ideal, 3): snr_true_db ")
+        assert out[3].endswith(" -> 9")
+        assert out[4].startswith("    column snr_true_db: 1 changed, largest change ")
+        assert out[5:] == ["0 of 1 invocations agree",
+                           "1 of 1 changes declared; 1 of 1 declared changes happened"]
+
+    def test_diff_shows_an_added_report_column_and_expect_fails_it_undeclared(
+            self, compare, checkouts, monkeypatch, tmp_path, capsys):
+        small_run(compare, monkeypatch)
+        argv = ["--parent", str(ROOT), "--change", str(checkouts["column"]), "--diff"]
+        assert compare.main([*argv, "--expect", declare(tmp_path, [])]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "run ML:ideal: exit 0, DIFFERS in r/report.csv",
+            "  r/report.csv:",
+            "    column added: extra",
+            "0 of 1 invocations agree",
+            'undeclared change: {"invocation": "run ML:ideal", "output": "r/report.csv", '
+            '"change": "column added", "column": "extra"}',
+            "0 of 1 changes declared; 0 of 0 declared changes happened"]
+
+    def test_expect_fails_a_declared_change_that_did_not_happen(
+            self, compare, checkouts, monkeypatch, tmp_path, capsys):
+        small_run(compare, monkeypatch)
+        expect = declare(tmp_path, [
+            {"invocation": "run *", "column": "snr_true_db"},
+            {"output": "*/report.csv", "change": "column added", "column": "extra"}])
+        assert compare.main(["--parent", str(ROOT), "--change", str(checkouts["value"]),
+                             "--expect", expect]) == 1
+        assert capsys.readouterr().out.splitlines()[-3:] == [
+            "0 of 1 invocations agree",
+            'declared change did not happen: {"output": "*/report.csv", '
+            '"change": "column added", "column": "extra"}',
+            "1 of 1 changes declared; 1 of 2 declared changes happened"]
+
+    def test_self_comparison_with_an_empty_declaration_passes(self, compare, tmp_path, capsys):
+        argv = ["--parent", str(ROOT), "--change", str(ROOT), "--seeds", "", "--entries", "",
+                "--ops-sizes", "16", "--estimate-methods", "", "--diff",
+                "--expect", declare(tmp_path, [])]
+        assert compare.main(argv) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "ops --sizes 16: exit 0, same", "1 of 1 invocations agree",
+            "0 of 0 changes declared; 0 of 0 declared changes happened"]
+
+    @pytest.mark.parametrize("declared", [{}, [{}], [{"colum": "x"}], [{"column": 1}]])
+    def test_a_malformed_declaration_is_a_usage_error(self, compare, tmp_path, declared):
+        with pytest.raises(SystemExit) as exc:
+            compare.main(["--parent", ".", "--change", ".", "--expect",
+                          declare(tmp_path, declared)])
+        assert exc.value.code == 2
+
+    def test_csv_rows_are_keyed_and_changes_measured(self, compare):
+        # ops rows repeat a size, so the second occurrence of a key is its own row.
+        old = (b"method,separation,size,ops_add\n"
+               b"ML,rof,64,10\nML,rof,64,10\nAIC,none,64,5\nCBE,none,16,0\n")
+        new = (b"method,separation,size,ops_add\n"
+               b"ML,rof,64,10\nML,rof,64,12\nAIC,none,64,inf\nMMSE,none,16,1\n")
+        lines, changes = compare.diff_csv(old, new)
+        assert lines == [
+            "rows removed: 1 ((CBE, none, 16))",
+            "rows added: 1 ((MMSE, none, 16))",
+            "changed rows: 2",
+            "  (ML, rof, 64, #2): ops_add 10 -> 12",
+            "  (AIC, none, 64): ops_add 5 -> inf",
+            "column ops_add: 2 changed, largest change inf absolute, inf relative"]
+        assert changes == [{"change": "rows removed", "method": "CBE"},
+                           {"change": "rows added", "method": "MMSE"},
+                           {"change": "value", "column": "ops_add", "method": "ML(rof)"},
+                           {"change": "value", "column": "ops_add", "method": "AIC"}]
+        # A file whose first line holds a number (a converted trace) has no header.
+        lines, changes = compare.diff_csv(b"1,2\n3,4\n", b"1,2\n3,5\n7,8\n")
+        assert lines == ["rows added: 1 ((3))", "changed rows: 1", "  (2): 2 4 -> 5",
+                         "column 2: 1 changed, largest change 1 absolute, 0.25 relative"]
+        assert changes == [{"change": "rows added"}, {"change": "value", "column": "2"}]
+        # The first SHOWN changed rows are listed; the counts cover them all.
+        lines, _ = compare.diff_csv(b"".join(b"%d\n" % i for i in range(12)),
+                                    b"".join(b"%d\n" % -i for i in range(1, 13)))
+        assert lines[0] == "changed rows: 12" and lines[1] == "  (1): 1 0 -> -1"
+        assert lines[compare.SHOWN + 1:] == [
+            "  ... 2 more", "column 1: 12 changed, largest change 23 absolute, inf relative"]

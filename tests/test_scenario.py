@@ -32,7 +32,7 @@ from noisebench.scenario import (MAX_POWER_MW, _LOWPASS_BLOCK, _noise_series,
                                  amplitude_mv_to_sqrt_mw, time_series_of)
 from noisebench.spectral import SpectralFrame, mean_power
 
-from conftest import build_scenario_per_frame, reference_config, traced_peak
+from conftest import WHITE, build_scenario_per_frame, reference_config, traced_peak
 
 # --- out-of-place oracles: the sample pipeline as it was first written --------
 
@@ -112,8 +112,6 @@ def inject_rect_signal(frame: SpectralFrame, signal: SubbandSignal,
     return SpectralFrame(bins=bins, frame_index=frame.frame_index)
 
 
-# White Gaussian noise: the surrogate with no impulses and no tilt.
-WHITE = SurrogateNoiseParams(impulse_rate=0.0)
 # The long-stream workload's surrogate: impulses and a -3 dB/decade tilt.
 LONG_STREAM_PARAMS = SurrogateNoiseParams(impulse_rate=0.002, impulse_amplitude_factor=8.0,
                                           spectral_tilt_db_per_decade=-3.0)
@@ -636,6 +634,19 @@ class TestArrayBuildersMatchPerFrame:
         for name in ("noise_power_mw", "true_snr_db", "signal_bin_mask"):
             np.testing.assert_array_equal(getattr(truth, name), getattr(want_truth, name))
         assert np.isfinite(truth.true_snr_db).any()
+
+    def test_oracle_fails_a_build_that_scales_the_whole_trace(self, tmp_path, monkeypatch):
+        # The oracle builds its noise stream apart from _noise_series, so the
+        # trace-file case (a trace 100 samples longer than the scenario) fails
+        # once the trace is scaled over all of its samples again.
+        def whole_trace_scaled(config):
+            samples = load_iq_trace(config.noise.path)
+            _scale_to_power(samples, config.reference_noise_power_mw)
+            return samples
+
+        monkeypatch.setattr(scenario, "_noise_series", whole_trace_scaled)
+        with pytest.raises(AssertionError, match="Arrays are not equal"):
+            self.test_build_scenario_matches_per_frame_build("trace-file", tmp_path)
 
     def test_time_series_matches_per_frame_ifft(self):
         block, _ = build_scenario(reference_config(seed=2, n_frames=20))
