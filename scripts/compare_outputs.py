@@ -31,7 +31,7 @@ Giving ``--parent`` and ``--change`` the same checkout checks that a rerun
 reproduces every byte.  Exit status 0 when every invocation agrees (and exits
 as its set expects, where it does), 1 otherwise.
 
-``--diff`` says, under each invocation that differs, what differs:
+Under each invocation that differs, the report says what differs:
 - for a CSV output, the columns found on one side only; the rows found on one
   side only; the changed rows, each keyed by (seed, method, separation,
   frame_index) in a series, (method, separation, size) in ``ops``, (record,
@@ -59,7 +59,7 @@ Usage:
     python scripts/compare_outputs.py --parent ../parent --change .
     python scripts/compare_outputs.py --parent . --change . --seeds 0,1 --entries 0 \\
         --ops-sizes "" --estimate-methods ""
-    python scripts/compare_outputs.py --parent ../parent --change . --diff --expect changes.json
+    python scripts/compare_outputs.py --parent ../parent --change . --expect changes.json
 """
 
 from __future__ import annotations
@@ -379,9 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--work", type=Path,
                         help="directory for both sides' outputs, kept afterwards "
                              "(default: a temporary one, removed)")
-    parser.add_argument("--diff", action="store_true",
-                        help="say what differs: rows, columns and values of each CSV, "
-                             "stream lines, file sizes and exit codes")
     parser.add_argument("--expect", type=Path, metavar="FILE",
                         help="JSON list of declared changes: fail on a change outside it "
                              "and on a declared change that did not happen")
@@ -415,13 +412,10 @@ def main(argv: list[str] | None = None) -> int:
             failed += bool(shown)
             state = f"DIFFERS in {', '.join(shown)}" if shown else "same"
             print(f"{call.label}: exit {change['exit']}, {state}", flush=True)
-            if not (args.diff or declared is not None):
-                continue
             for key in diff:
                 lines, found = describe(key, parent[key], change[key])
                 changes.extend({"invocation": call.label, "output": key, **item} for item in found)
-                if args.diff:
-                    print(f"  {key}:", *(f"    {line}" for line in lines), sep="\n", flush=True)
+                print(f"  {key}:", *(f"    {line}" for line in lines), sep="\n", flush=True)
         print(f"{len(calls) - failed} of {len(calls)} invocations agree")
         if declared is None:
             return 1 if failed else 0

@@ -136,12 +136,17 @@ class MethodSpec:
         for name, param in METHOD_PARAMS.items():
             if name in self.params and not param.accepts(self.params[name]):
                 raise ValueError(f"{name} must be {param.wants}, got {self.params[name]!r}")
-        if self.separation == "rof":  # RofParams checks the thresholds' ranges
-            sep.RofParams(self.param("lambda1_pct"), self.param("lambda2_fraction"))
+        if self.separation == "rof":
+            self.rof_params  # RofParams checks the thresholds' ranges
 
     def param(self, name: str) -> Any:
         """The value of param ``name``: the spec's own, else the table's default."""
         return self.params[name] if name in self.params else METHOD_PARAMS[name].default
+
+    @property
+    def rof_params(self) -> sep.RofParams:
+        """The ROF thresholds: the spec's own, else ``RofParams``' defaults."""
+        return sep.RofParams(self.param("lambda1_pct"), self.param("lambda2_fraction"))
 
     @property
     def label(self) -> str:
@@ -384,10 +389,7 @@ def _evaluate_method(method: MethodSpec, ctx: _SeedContext, scenario_id: str,
     else:
         first = 0 if method.estimator == "ML" else window - 1
     frames = np.arange(first, n_frames)
-    key = method.separation
-    if key == "rof":
-        key = ("rof", window, sep.RofParams(method.param("lambda1_pct"),
-                                            method.param("lambda2_fraction")))
+    key = ("rof", window, method.rof_params) if method.separation == "rof" else method.separation
     figures = {}  # message fields besides the estimates
     if method.estimator in ("ML", "MVU"):
         # Every MVU window is full here.  ROF's mask of the window ending at f
@@ -836,8 +838,7 @@ def _book(method: MethodSpec, n: int, power: PowerSpectrum | None) -> OpCounter:
     else:
         noise = n
         if method.separation == "rof":
-            noise = _book_rof(ops, power, sep.RofParams(method.param("lambda1_pct"),
-                                                        method.param("lambda2_fraction")))
+            noise = _book_rof(ops, power, method.rof_params)
         elif method.separation == "fisher":
             noise = _book_fisher(ops, power)
         ops.add(noise - 1)  # mean over the noise bins

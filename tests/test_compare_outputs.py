@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+ESTIMATE_HEADER = "method,separation,frame_index,noise_power_est_mw,snr_est_db"
 
 
 @pytest.fixture(scope="module")
@@ -121,19 +122,21 @@ class TestCompareOutputs:
         shutil.copytree(ROOT / "src", changed / "src",
                         ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
         cli = changed / "src" / "noisebench" / "cli.py"
-        header = "method,separation,frame_index,noise_power_est_mw,snr_est_db"
-        cli.write_text(cli.read_text().replace(header, header.upper()))
+        cli.write_text(cli.read_text().replace(ESTIMATE_HEADER, ESTIMATE_HEADER.upper()))
         assert compare.main(["--parent", str(ROOT), "--change", str(changed), *argv]) == 1
-        out = capsys.readouterr().out.splitlines()
-        assert out[0] == "ops --sizes 16,32: exit 0, same"
-        assert out[1] == "estimate AIC: exit 0, DIFFERS in stdout"
-        assert out[-1] == "1 of 2 invocations agree"
+        # The differing invocation says which lines of its stdout differ.
+        assert capsys.readouterr().out.splitlines() == [
+            "ops --sizes 16,32: exit 0, same",
+            "estimate AIC: exit 0, DIFFERS in stdout",
+            "  stdout:",
+            "    2 lines differ",
+            f"    -{ESTIMATE_HEADER}",
+            f"    +{ESTIMATE_HEADER.upper()}",
+            "1 of 2 invocations agree"]
 
 
-ESTIMATE_HEADER = "method,separation,frame_index,noise_power_est_mw,snr_est_db"
 # Scratch copies of src/, each with one change to its outputs.
 EDITS = {
-    "header": ("cli.py", ESTIMATE_HEADER, ESTIMATE_HEADER.upper()),
     # The last field, snr_true_db, of the fourth series row.
     "value": ("bench.py", "    _write_csv(path, SERIES_COLUMNS, lines)",
               "    lines[3] = lines[3].rsplit(',', 1)[0] + ',9\\n'\n"
@@ -180,25 +183,13 @@ def declare(tmp_path, changes) -> str:
 
 
 class TestDiffAndExpect:
-    def test_diff_shows_a_changed_estimate_header(self, compare, checkouts, capsys):
-        argv = ["--parent", str(ROOT), "--change", str(checkouts["header"]), "--seeds", "",
-                "--entries", "", "--ops-sizes", "", "--estimate-methods", "AIC", "--diff"]
-        assert compare.main(argv) == 1
-        assert capsys.readouterr().out.splitlines() == [
-            "estimate AIC: exit 0, DIFFERS in stdout",
-            "  stdout:",
-            "    2 lines differ",
-            f"    -{ESTIMATE_HEADER}",
-            f"    +{ESTIMATE_HEADER.upper()}",
-            "0 of 1 invocations agree"]
-
-    def test_diff_shows_one_changed_series_value_and_expect_passes_it(
+    def test_one_changed_series_value_is_reported_and_expect_passes_it(
             self, compare, checkouts, monkeypatch, tmp_path, capsys):
         small_run(compare, monkeypatch)
         expect = declare(tmp_path, [{"output": "*/series.csv", "change": "value",
                                      "column": "snr_true_db", "method": "ML(ideal)"}])
         assert compare.main(["--parent", str(ROOT), "--change", str(checkouts["value"]),
-                             "--diff", "--expect", expect]) == 0
+                             "--expect", expect]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[:3] == ["run ML:ideal: exit 0, DIFFERS in r/series.csv", "  r/series.csv:",
                            "    changed rows: 1"]
@@ -208,10 +199,10 @@ class TestDiffAndExpect:
         assert out[5:] == ["0 of 1 invocations agree",
                            "1 of 1 changes declared; 1 of 1 declared changes happened"]
 
-    def test_diff_shows_an_added_report_column_and_expect_fails_it_undeclared(
+    def test_an_added_report_column_is_reported_and_expect_fails_it_undeclared(
             self, compare, checkouts, monkeypatch, tmp_path, capsys):
         small_run(compare, monkeypatch)
-        argv = ["--parent", str(ROOT), "--change", str(checkouts["column"]), "--diff"]
+        argv = ["--parent", str(ROOT), "--change", str(checkouts["column"])]
         assert compare.main([*argv, "--expect", declare(tmp_path, [])]) == 1
         assert capsys.readouterr().out.splitlines() == [
             "run ML:ideal: exit 0, DIFFERS in r/report.csv",
@@ -238,7 +229,7 @@ class TestDiffAndExpect:
 
     def test_self_comparison_with_an_empty_declaration_passes(self, compare, tmp_path, capsys):
         argv = ["--parent", str(ROOT), "--change", str(ROOT), "--seeds", "", "--entries", "",
-                "--ops-sizes", "16", "--estimate-methods", "", "--diff",
+                "--ops-sizes", "16", "--estimate-methods", "",
                 "--expect", declare(tmp_path, [])]
         assert compare.main(argv) == 0
         assert capsys.readouterr().out.splitlines() == [
